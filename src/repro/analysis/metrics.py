@@ -123,9 +123,10 @@ class MetricsRegistry:
     only references — collecting is read-only and can be repeated.
     """
 
-    def __init__(self, ring, controller=None):
+    def __init__(self, ring, controller=None, system=None):
         self.ring = ring
         self.controller = controller
+        self.system = system
 
     @classmethod
     def of(cls, target) -> "MetricsRegistry":
@@ -136,7 +137,8 @@ class MetricsRegistry:
                 f"cannot collect metrics from {type(target).__name__}"
             )
         controller = getattr(target, "controller", None)
-        return cls(ring, controller=controller)
+        system = target if hasattr(target, "cycle_paths") else None
+        return cls(ring, controller=controller, system=system)
 
     # ------------------------------------------------------------------
 
@@ -149,6 +151,8 @@ class MetricsRegistry:
         metrics.extend(self._batch_metrics())
         metrics.extend(self._shard_metrics())
         metrics.extend(self._autotune_metrics())
+        if self.system is not None:
+            metrics.append(self._system_metric())
         if self.controller is not None:
             metrics.extend(self._controller_metrics())
         return MetricsSnapshot(metrics)
@@ -446,6 +450,19 @@ class MetricsRegistry:
         ]
         return [Metric(name, kind, help_, (((), float(value)),))
                 for name, kind, help_, value in scalar]
+
+    def _system_metric(self) -> Metric:
+        """Which path every system cycle took, and why (see
+        :attr:`repro.host.system.RingSystem.cycle_paths`)."""
+        samples = tuple(
+            ((("path", path), ("reason", reason)), float(cycles))
+            for (path, reason), cycles in sorted(
+                self.system.cycle_paths.items())
+        )
+        return Metric(
+            "system_cycles_total", "counter",
+            "System clock cycles by execution path (bulk or per_cycle) "
+            "and the reason for it.", samples)
 
     def _controller_metrics(self) -> List[Metric]:
         state = self.controller.state

@@ -23,8 +23,12 @@ a single NumPy array operation over all T/period executions at once:
   products are bounded by 2**30, so billions of terms fit);
 * FIFO reads/pops are schedule-determined, so the window is clipped to
   the **safe prefix** the current occupancy can serve with no underflow
-  (:meth:`NativePlan.safe_cycles`); host-port reads are pre-gathered in
-  interpreter order into per-port arrays.
+  (:meth:`NativePlan.safe_cycles`); host-port reads are pre-gathered
+  into per-port arrays — whole stream windows from a resolver with a
+  ``gather`` method, otherwise one poll per cycle in interpreter order;
+* an output tap is a slice of its Dnode's ``VO`` array:
+  :meth:`NativePlan.run` returns the post-edge output history of every
+  Dnode the caller taps.
 
 The generated kernel is one pure-array function ``_core``; when Numba
 is importable (and not disabled via :func:`set_numba_enabled`) it is
@@ -58,7 +62,7 @@ the interpreter is bounded to the error cycle itself.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -232,13 +236,29 @@ class NativePlan:
         """True when the kernel currently runs through a jitted build."""
         return self._jit is not None and self._jit is not _JIT_OFF
 
-    def run(self, cycles: int, bus: int, host_in) -> None:
-        """Advance *cycles* fabric clocks (must be a safe period multiple)."""
+    @property
+    def host_channels(self) -> frozenset:
+        """Host channels the configuration routes (read every cycle)."""
+        return frozenset(ch for *_, ch in self._meta["host_ports"])
+
+    def run(self, cycles: int, bus: int, host_in,
+            taps: Sequence[int] = ()) -> List[np.ndarray]:
+        """Advance *cycles* fabric clocks (must be a safe period multiple).
+
+        Returns, for each Dnode index (``layer * width + position``) in
+        *taps*, its post-edge output values over the run: element ``t``
+        is what an output tap observes after cycle ``t``.
+        """
         n = cycles // self.period
+        parts: List[List[np.ndarray]] = [[] for _ in taps]
         while n > 0:
             m = min(n, self._max_periods)
-            self._window(m, bus, host_in)
+            for acc, values in zip(parts, self._window(m, bus, host_in,
+                                                       taps)):
+                acc.append(values)
             n -= m
+        return [np.concatenate(acc) if acc else np.empty(0, np.int64)
+                for acc in parts]
 
     # ------------------------------------------------------------------
 
@@ -255,21 +275,37 @@ class NativePlan:
             self._jit = jit
         return self._core if jit is _JIT_OFF else jit
 
-    def _window(self, n: int, bus: int, host_in) -> None:
-        """Run one n-period window: gather, kernel, write back."""
+    def _window(self, n: int, bus: int, host_in,
+                taps: Sequence[int] = ()) -> List[np.ndarray]:
+        """Run one n-period window: gather, kernel, write back.
+
+        Returns the ``VO[depth + 1 : depth + 1 + T]`` slice of each Dnode
+        in *taps*: its post-edge outputs over the window.
+        """
         meta = self._meta
         ring = meta["ring"]
         depth = meta["depth"]
         T = n * self.period
         c0 = ring.cycles
 
-        # Host gather, in the interpreter's routed-port order (layer,
-        # position, port).  ring.cycles tracks the simulated cycle so
-        # cycle-dependent host closures observe exactly what they would
-        # per-cycle; nothing is committed if a read raises.
+        # Host gather.  A resolver with a ``gather(channel, c0, T)``
+        # method (the data controller's stream windows) hands over each
+        # routed channel's T words as one array; stream words were
+        # range-checked when pushed.  A plain closure is polled per cycle
+        # in the interpreter's routed-port order (layer, position, port),
+        # with ring.cycles tracking the simulated cycle so cycle-dependent
+        # closures observe exactly what they would per-cycle.  Nothing is
+        # committed if a read raises.
         host_ports = meta["host_ports"]
         hv: List[np.ndarray] = []
-        if host_ports:
+        gather = getattr(host_in, "gather", None)
+        if host_ports and gather is not None:
+            windows: Dict[int, np.ndarray] = {}
+            for *_, ch in host_ports:
+                if ch not in windows:
+                    windows[ch] = gather(ch, c0, T)
+            hv = [windows[ch] for *_, ch in host_ports]
+        elif host_ports:
             if host_in is None:
                 l, p, port, ch = host_ports[0]
                 raise SimulationError(
@@ -351,6 +387,7 @@ class NativePlan:
         # global clocks move.
         ring.cycles = c0 + T
         ring.native_cycles += T
+        return [vos[i][depth + 1:] for i in taps]
 
 
 def compile_native(ring: "Ring") -> Optional[NativePlan]:

@@ -54,7 +54,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import word
 from repro.core.config_memory import ConfigMemory
@@ -79,6 +79,27 @@ _NATIVE_INELIGIBLE = object()
 HostReader = Callable[[int], int]
 
 RingObserver = Callable[["Ring"], None]
+
+
+class _Fingerprint(tuple):
+    """A configuration fingerprint that computes its hash once.
+
+    Equal to (and hashing like) the plain tuple, so it mixes freely with
+    plain-tuple keys; the deep hash over every microword is paid on the
+    first lookup only.
+    """
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: pickle a plain tuple,
+        # never the cached hash.
+        return tuple, (tuple(self),)
 
 
 class _CycleObserver:
@@ -335,6 +356,8 @@ class Ring:
         # Active native plan for the current configuration + entry phase
         # (None = not compiled, _NATIVE_INELIGIBLE = cannot vectorize).
         self._native = None
+        # Cached config_fingerprint() (None = recompute).
+        self._fingerprint = None
         self._dnodes: List[List[Dnode]] = [
             [Dnode(layer, pos) for pos in range(geometry.width)]
             for layer in range(geometry.layers)
@@ -875,6 +898,7 @@ class Ring:
             self.plan_invalidations += 1
         self._macro = None
         self._native = None
+        self._fingerprint = None
         self._config_dirty = True
         for listener in self._invalidation_listeners:
             listener()
@@ -884,15 +908,19 @@ class Ring:
 
         Concatenates every Dnode's fingerprint (mode + executable
         microwords, layer-major order) with every switch's routing
-        fingerprint.  Each component caches its own tuple and drops it on
-        mutation, so this is O(components) tuple packing per call with no
-        re-hashing of unchanged parts.
+        fingerprint.  Cached until the next configuration mutation (each
+        component also caches its own part), and the digest hashes only
+        once, so the plan, macro and native cache lookups after a
+        reconfiguration share one computation.
         """
-        return (
-            tuple(dn.config_fingerprint()
-                  for layer in self._dnodes for dn in layer),
-            tuple(sw.config.fingerprint() for sw in self._switches),
-        )
+        fp = self._fingerprint
+        if fp is None:
+            fp = self._fingerprint = _Fingerprint((
+                tuple(dn.config_fingerprint()
+                      for layer in self._dnodes for dn in layer),
+                tuple(sw.config.fingerprint() for sw in self._switches),
+            ))
+        return fp
 
     def _adopt_cached_plan(self):
         """Plan-cache lookup for the current configuration.
@@ -1001,7 +1029,8 @@ class Ring:
         configuration).  Plans are cached in :attr:`plan_cache` keyed by
         fingerprint *and* entry phase, exactly like macro kernels, so a
         restore or reconfiguration back to a known state re-adopts the
-        compiled kernel with zero codegen.
+        compiled kernel with zero codegen.  Refusals are cached under the
+        same key, so each configuration is tried at most once.
         """
         native = self._native
         if native is _NATIVE_INELIGIBLE:
@@ -1009,7 +1038,7 @@ class Ring:
         if native is not None and native.matches_phase():
             return native
         cache = self.plan_cache
-        key = None
+        key = native = None
         if cache.capacity:
             phase = tuple(
                 dn.local._counter for layer in self._dnodes
@@ -1017,18 +1046,16 @@ class Ring:
             )
             key = ("native", phase, self.config_fingerprint())
             native = cache.get(key)
-            if native is not None:
-                self._native = native
-                return native
-        native = compile_native(self)
         if native is None:
-            self._native = _NATIVE_INELIGIBLE
-            return None
-        self.native_compiles += 1
+            native = compile_native(self)
+            if native is None:
+                native = _NATIVE_INELIGIBLE
+            else:
+                self.native_compiles += 1
+            if key is not None:
+                cache.put(key, native)
         self._native = native
-        if key is not None:
-            cache.put(key, native)
-        return native
+        return None if native is _NATIVE_INELIGIBLE else native
 
     def _run_steady(self, plan, cycles: int, bus: int,
                     host_in: Optional[HostReader]) -> None:
@@ -1065,6 +1092,62 @@ class Ring:
                     cycles -= fused
         if cycles:
             self._run_plan(plan, cycles, bus, host_in)
+
+    def native_span(self, cycles: int):
+        """How much of the next *cycles* the native tier takes right now.
+
+        Returns ``(plan, span, reason)``.  *span* is the longest FIFO-safe
+        period multiple of *cycles* that the native plan for the current
+        configuration and entry phase accepts at this cycle boundary; run
+        it with :meth:`run_native`.  When *span* is 0, *reason* says why:
+        ``"trace"`` (an observer is attached), ``"backend"`` (not a
+        native ring), ``"no_plan"`` (no compiled plan yet),
+        ``"native_refused"`` (ineligible configuration), ``"remainder"``
+        (less than one period left) or ``"fifo_gated"`` (the FIFO
+        occupancies cannot feed a whole period).
+        """
+        if self._trace is not None:
+            return None, 0, "trace"
+        if self.backend != "native":
+            return None, 0, "backend"
+        if self._plan is None:
+            return None, 0, "no_plan"
+        native = self._ensure_native()
+        if native is None:
+            return None, 0, "native_refused"
+        if cycles < native.period:
+            return None, 0, "remainder"
+        span = native.safe_cycles(cycles)
+        if not span:
+            return None, 0, "fifo_gated"
+        return native, span, None
+
+    def run_native(self, plan, cycles: int, bus: int = 0,
+                   host_in: Optional[HostReader] = None,
+                   taps: Sequence[Tuple[int, int]] = ()) -> list:
+        """Run a span granted by :meth:`native_span` on its plan.
+
+        Returns one int64 array of *cycles* post-edge output values per
+        ``(layer, position)`` in *taps* — what an output tap on that
+        Dnode observes over the span.
+        """
+        width = self.geometry.width
+        nodes = []
+        for layer, position in taps:
+            self.dnode(layer, position)  # validates the address
+            nodes.append(layer * width + position)
+        word.check(bus, "bus value")
+        self.last_bus = bus
+        profile = self._profile
+        if profile is None:
+            return plan.run(cycles, bus, host_in, nodes)
+        before = self.cycles
+        began = perf_counter()
+        try:
+            return plan.run(cycles, bus, host_in, nodes)
+        finally:
+            profile.fastpath_seconds += perf_counter() - began
+            profile.fastpath_cycles += self.cycles - before
 
     def run(self, cycles: int, bus: int = 0,
             host_in: Optional[HostReader] = None) -> None:

@@ -19,10 +19,31 @@ serves B independent streams at once: construct the controller with
 :class:`BatchOutputTap` instead — per-lane queues, per-lane underrun
 accounting, per-lane sample streams — while keeping the exact same
 per-cycle protocol (``current``/``advance``/``observe``).
+
+Whole windows at once.  Under the synchronous-dataflow model every rate
+here is fixed: a stream presents one word per cycle and a tap's
+skip/every/limit schedule depends only on how many cycles it has seen.
+So a :class:`~repro.host.system.RingSystem` on a ``backend="native"``
+ring serves the ports a window of T cycles at a time, and the totals
+match T per-cycle clocks exactly:
+
+* :meth:`DataController.window_reader` hands the native kernel each
+  routed channel's next T words as one int64 array
+  (:meth:`StreamChannel.window`: the queued head, padded with the idle
+  value) — nothing is consumed yet;
+* the kernel returns each tapped Dnode's post-edge outputs over the
+  window, and :meth:`OutputTap.observe_window` applies the tap's
+  schedule to them in closed form, advancing its cycle count exactly as
+  T :meth:`~OutputTap.observe` calls would;
+* :meth:`DataController.settle` then pops the consumed words, counts
+  them delivered, and counts one underrun per dry cycle on every routed
+  channel (the per-cycle contract: a routed port is read every cycle,
+  and a dry read counts once per cycle).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional
 
@@ -30,6 +51,45 @@ import numpy as np
 
 from repro import word
 from repro.errors import HostError
+
+
+def _pop(queue: Deque[int], count: int) -> int:
+    """Pop up to *count* words off *queue*; returns how many went."""
+    count = min(count, len(queue))
+    if count == len(queue):
+        queue.clear()
+    else:
+        for _ in range(count):
+            queue.popleft()
+    return count
+
+
+def _dry_cycles(executed: int, consumed: int, latched: bool) -> int:
+    """Underruns a routed port counts over *executed* clocks.
+
+    Every cycle past the *consumed* words reads dry — except that a dry
+    latch already set before the first cycle means that cycle's
+    underrun was counted by an earlier read.
+    """
+    dry = executed - consumed
+    if dry and not consumed and latched:
+        dry -= 1
+    return dry
+
+
+def _next_pick(seen: int, skip: int, every: int) -> int:
+    """The first observation number after *seen* a tap schedule keeps."""
+    first = max(seen, skip) + 1
+    return first + (skip + 1 - first) % every
+
+
+def _cycles_to_full(tap, collected: int) -> int:
+    """Observations a limited tap still needs before it is full."""
+    need = tap.limit - collected
+    if need <= 0:
+        return 0
+    return (_next_pick(tap._seen, tap.skip, tap.every)
+            + (need - 1) * tap.every - tap._seen)
 
 
 class StreamChannel:
@@ -79,6 +139,36 @@ class StreamChannel:
         if self._queue:
             self._queue.popleft()
             self.delivered += 1
+
+    def window(self, offset: int, cycles: int) -> np.ndarray:
+        """The words presented over *cycles* clocks, as one int64 array.
+
+        Starts *offset* words past the queue head and pads with
+        :attr:`idle_value` where the queue runs dry.  Nothing is consumed
+        or counted; :meth:`settle` accounts for the window afterwards.
+        """
+        out = np.full(cycles, self.idle_value, np.int64)
+        avail = min(cycles, len(self._queue) - offset)
+        if avail > 0:
+            out[:avail] = np.fromiter(
+                itertools.islice(self._queue, offset, offset + avail),
+                np.int64, avail)
+        return out
+
+    def settle(self, executed: int, routed: bool) -> None:
+        """Account for *executed* clock edges at once.
+
+        The same totals as *executed* cycles of :meth:`current` reads
+        (when *routed*) followed by :meth:`advance`.
+        """
+        if not executed:
+            return
+        consumed = _pop(self._queue, executed)
+        self.delivered += consumed
+        if routed:
+            self.underruns += _dry_cycles(executed, consumed,
+                                          self._dry_seen)
+        self._dry_seen = False
 
     def drop_next(self) -> int:
         """Fault model: silently lose the next queued word.
@@ -170,6 +260,19 @@ class BatchStreamChannel:
                 queue.popleft()
                 self.delivered[lane] += 1
 
+    def settle(self, executed: int, routed: bool) -> None:
+        """Account for *executed* clock edges at once, lane by lane (see
+        :meth:`StreamChannel.settle`)."""
+        if not executed:
+            return
+        for lane, queue in enumerate(self._queues):
+            consumed = _pop(queue, executed)
+            self.delivered[lane] += consumed
+            if routed:
+                self.underruns[lane] += _dry_cycles(
+                    executed, consumed, self._dry_seen[lane])
+            self._dry_seen[lane] = False
+
     def drop_next(self) -> int:
         """Fault model: silently lose the next word on every lane.
 
@@ -240,6 +343,25 @@ class OutputTap:
             return
         self.samples.append(value)
 
+    def observe_window(self, values: np.ndarray) -> None:
+        """Record a window of post-edge output values at once.
+
+        The closed form of ``len(values)`` :meth:`observe` calls: the
+        skip/every schedule picks a strided slice, *limit* truncates it,
+        and the seen-cycle count advances by the window length.
+        """
+        seen = self._seen
+        self._seen = seen + len(values)
+        picked = values[_next_pick(seen, self.skip, self.every) - seen - 1::
+                        self.every]
+        if self.limit is not None:
+            picked = picked[:max(0, self.limit - len(self.samples))]
+        self.samples.extend(picked.tolist())
+
+    def cycles_to_full(self) -> int:
+        """Cycles until *limit* samples are collected (0 once full)."""
+        return _cycles_to_full(self, len(self.samples))
+
     @property
     def full(self) -> bool:
         """True once *limit* samples are collected."""
@@ -301,6 +423,10 @@ class BatchOutputTap:
         """One lane's collected sample stream (a copy)."""
         return list(self.samples[lane])
 
+    def cycles_to_full(self) -> int:
+        """Cycles until *limit* samples are collected (0 once full)."""
+        return _cycles_to_full(self, len(self.samples[0]))
+
     @property
     def full(self) -> bool:
         """True once *limit* samples are collected (per lane)."""
@@ -316,6 +442,20 @@ class BatchOutputTap:
             f"BatchOutputTap(D{self.layer}.{self.position}, "
             f"lanes={self.batch}, samples={len(self.samples[0])}/lane)"
         )
+
+
+class _WindowReader:
+    """Stream windows for the native tier (see
+    :meth:`DataController.window_reader`)."""
+
+    __slots__ = ("_data", "_base")
+
+    def __init__(self, data: "DataController", base: int):
+        self._data = data
+        self._base = base
+
+    def gather(self, channel: int, c0: int, cycles: int) -> np.ndarray:
+        return self._data.channel(channel).window(c0 - self._base, cycles)
 
 
 class DataController:
@@ -384,21 +524,37 @@ class DataController:
         wrapper watches ``ring.cycles`` instead and clears the latches
         whenever the fabric moves to a new cycle, reproducing the
         per-cycle underrun accounting bit for bit (the same contract
-        :meth:`absorb_shard_run` keeps for sharded chunks).
+        :meth:`settle` keeps for window reads).  Call
+        :meth:`clear_dry_latches` after the chunk: that is its last
+        clock edge.
         """
         last = [ring.cycles]
 
         def host_in(index: int) -> int:
             if ring.cycles != last[0]:
                 last[0] = ring.cycles
-                for ch in self._channels.values():
-                    if isinstance(ch, BatchStreamChannel):
-                        ch._dry_seen = [False] * ch.batch
-                    else:
-                        ch._dry_seen = False
+                self.clear_dry_latches()
             return self.host_in(index)
 
         return host_in
+
+    def clear_dry_latches(self) -> None:
+        """The dry-latch half of a clock edge (see :meth:`bulk_host_in`)."""
+        for ch in self._channels.values():
+            if isinstance(ch, BatchStreamChannel):
+                ch._dry_seen = [False] * ch.batch
+            else:
+                ch._dry_seen = False
+
+    def window_reader(self, ring) -> "_WindowReader":
+        """A host resolver serving whole stream windows to the native tier.
+
+        Its ``gather(channel, c0, cycles)`` returns the words *channel*
+        presents on fabric cycles ``c0 .. c0 + cycles - 1``, counted from
+        the current cycle of *ring* (where the queue head is presented).
+        Nothing is consumed: call :meth:`settle` once the cycles ran.
+        """
+        return _WindowReader(self, ring.cycles)
 
     @property
     def idle(self) -> bool:
@@ -440,8 +596,8 @@ class DataController:
         :class:`~repro.core.shardpath.StreamStimulus` carries the queued
         words instead (sliced per shard by the engine), anchored at the
         fabric cycle the chunk starts on.  The live queues are left
-        untouched — call :meth:`absorb_shard_run` afterwards to account
-        for what the chunk consumed.
+        untouched — call :meth:`settle` afterwards to account for what
+        the chunk consumed.
         """
         from repro.core.shardpath import StreamStimulus
         channels = {}
@@ -455,38 +611,22 @@ class DataController:
                 channels[index] = ("all", list(ch._queue))
         return StreamStimulus(base_cycle, channels, idle)
 
-    def absorb_shard_run(self, executed: int, read_channels) -> None:
-        """Account for *executed* chunk cycles run off a frozen stimulus.
+    def settle(self, executed: int, routed) -> None:
+        """Account for *executed* clock edges whose words were read ahead.
 
-        Every channel advances once per cycle (words past the queue end
-        are simply dry), reproducing exactly what *executed* calls to
-        :meth:`advance` would have delivered; channels in
-        *read_channels* — the ones the fabric configuration actually
-        routes — additionally count one underrun per dry cycle, matching
-        the scalar per-cycle accounting bit for bit.
+        Native windows (:meth:`window_reader`) and sharded chunks
+        (:meth:`shard_stimulus`) read the queued words without consuming
+        them.  Afterwards every channel advances once per cycle (words
+        past the queue end are simply dry), reproducing exactly what
+        *executed* calls to :meth:`advance` would have delivered; channels
+        in *routed* — the ones the fabric configuration reads every
+        cycle — also count one underrun per dry cycle, matching the
+        per-cycle accounting bit for bit.
         """
         if executed < 0:
             raise HostError(f"executed must be >= 0, got {executed}")
-        read = set(read_channels)
         for index, ch in self._channels.items():
-            routed = index in read
-            if isinstance(ch, BatchStreamChannel):
-                for lane, queue in enumerate(ch._queues):
-                    consumed = min(len(queue), executed)
-                    for _ in range(consumed):
-                        queue.popleft()
-                    ch.delivered[lane] += consumed
-                    if routed:
-                        ch.underruns[lane] += executed - consumed
-                    ch._dry_seen[lane] = False
-            else:
-                consumed = min(len(ch._queue), executed)
-                for _ in range(consumed):
-                    ch._queue.popleft()
-                ch.delivered += consumed
-                if routed:
-                    ch.underruns += executed - consumed
-                ch._dry_seen = False
+            ch.settle(executed, index in routed)
 
     def capture_state(self) -> dict:
         """Checkpoint the host side: queued words, counters, tap samples.

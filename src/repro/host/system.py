@@ -16,11 +16,19 @@ clock of the whole accelerator:
 A system can also run *uncontrolled* (controller=None) when the fabric is
 fully configured up front and left in local mode — the stand-alone
 operating point the paper's multi-level reconfiguration enables.
+
+:meth:`RingSystem.run` executes the same clock in bulk wherever that is
+exact.  On a ``backend="native"`` ring an uncontrolled system runs its
+steady state through native windows: streams are handed to the kernel as
+arrays, taps are slices of the tapped Dnodes' output history, and the
+host side is settled in closed form after each window (see
+:mod:`repro.host.streams`).  :attr:`RingSystem.cycle_paths` records which
+path every cycle took and why a cycle had to be stepped alone.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config_memory import ConfigPlane
 from repro.core.ring import Ring
@@ -49,6 +57,11 @@ class RingSystem:
                  if ring.backend in Ring.LANE_BACKENDS else 1)
         self.data = DataController(batch=batch)
         self.cycles = 0
+        # cycle_paths bookkeeping: cycles booked by run()/run_until_halt,
+        # every step() call, and the steps among them already booked.
+        self._paths: Dict[Tuple[str, str], int] = {}
+        self._steps = 0
+        self._booked_steps = 0
         if controller is not None:
             width = ring.geometry.width
             controller.fabric_reader = (
@@ -74,41 +87,115 @@ class RingSystem:
         self.data.collect(self.ring)
         self.data.advance()
         self.cycles += 1
+        self._steps += 1
+
+    @property
+    def cycle_paths(self) -> Dict[Tuple[str, str], int]:
+        """Cycles per execution path, ``{(path, reason): cycles}``.
+
+        Exported as ``system_cycles_total{path, reason}``.  Path
+        ``"bulk"``: ``"native"`` (native windows with taps/streams),
+        ``"idle"`` (idle host side, whole chunk to ``Ring.run``) or
+        ``"shard"``.  Path ``"per_cycle"`` names what forced the step:
+        ``"controller"``, ``"lanes"`` (batch/shard engine with taps or
+        queued words), the :meth:`~repro.core.ring.Ring.native_span`
+        refusals ``"trace"``, ``"backend"``, ``"no_plan"``,
+        ``"native_refused"``, ``"remainder"``, ``"fifo_gated"``, or
+        ``"direct"`` (:meth:`step` called outside :meth:`run`).
+        """
+        paths = dict(self._paths)
+        direct = self._steps - self._booked_steps
+        if direct:
+            paths[("per_cycle", "direct")] = direct
+        return paths
 
     def run(self, cycles: int) -> None:
-        """Step *cycles* times.
+        """Advance *cycles* clocks, in bulk wherever that is exact.
 
-        An uncontrolled system with an idle data controller (no taps, no
-        queued stream words) needs no per-cycle host servicing, so the whole
-        batch is handed to :meth:`repro.core.ring.Ring.run` — which lets the
-        ring's pre-decoded fast path (and the macro-step/native bulk
-        engines) execute without re-entering the host layer every cycle.
-        Idleness is re-checked as the run progresses: once the queued
-        stream words drain mid-run, the remaining cycles take the bulk
-        path too.
+        * An uncontrolled system with an idle data controller (no taps,
+          no queued stream words) needs no per-cycle host servicing, so
+          the whole batch is handed to :meth:`repro.core.ring.Ring.run`.
+          Idleness is re-checked as the run progresses: once the queued
+          stream words drain mid-run, the remaining cycles take the bulk
+          path too.
+        * An uncontrolled system on a ``backend="native"`` ring runs its
+          steady state as native windows with taps and streams attached
+          (:meth:`repro.core.ring.Ring.native_span`), and steps per
+          cycle only where the native tier refuses.
+        * Everything else is stepped one cycle at a time.
         """
         if cycles < 0:
             raise SimulationError(f"cycle count must be >= 0, got {cycles}")
-        if (self.controller is None and not self.data.taps
-                and self.ring.backend == "shard"):
+        ring, data = self.ring, self.data
+        uncontrolled = self.controller is None
+        if uncontrolled and not data.taps and ring.backend == "shard":
             # Per-shard stream slicing: freeze the queued words into a
             # picklable stimulus so each worker resolves its own lane
             # slice for the whole chunk, then settle the host-side
             # delivered/underrun accounting for what the chunk consumed.
-            stimulus = self.data.shard_stimulus(self.ring.cycles)
-            self.ring.run(cycles, host_in=stimulus)
-            self.data.absorb_shard_run(
-                cycles, self.ring.shard.host_channels())
-            self.cycles += cycles
+            stimulus = data.shard_stimulus(ring.cycles)
+            ring.run(cycles, host_in=stimulus)
+            data.settle(cycles, ring.shard.host_channels())
+            self._count_bulk("shard", cycles)
             return
-        for done in range(cycles):
-            if self.controller is None and self.data.idle:
-                remaining = cycles - done
-                self.ring.run(remaining,
-                              host_in=self.data.bulk_host_in(self.ring))
-                self.cycles += remaining
+        if not uncontrolled:
+            reason = "controller"
+        elif ring._lane_engine_active():
+            reason = "lanes"
+        else:
+            reason = None
+        remaining = cycles
+        while remaining:
+            if uncontrolled and data.idle:
+                ring.run(remaining, host_in=data.bulk_host_in(ring))
+                data.clear_dry_latches()
+                self._count_bulk("idle", remaining)
                 return
-            self.step()
+            # Every refusal but a missing plan holds for the rest of an
+            # uncontrolled run: the configuration cannot change and FIFO
+            # occupancy only drains.
+            if reason is None or reason == "no_plan":
+                plan, span, reason = ring.native_span(remaining)
+                if span:
+                    self._run_window(plan, span)
+                    remaining -= span
+                    continue
+            # Without taps, draining streams can make the host side idle
+            # mid-run: re-check it every cycle then.
+            steps = (remaining if reason != "no_plan"
+                     and (data.taps or not uncontrolled) else 1)
+            self._step_many(steps, reason)
+            remaining -= steps
+
+    def _step_many(self, cycles: int, reason: str) -> None:
+        """Step *cycles* clocks, booked as per-cycle for *reason*."""
+        before = self._steps
+        try:
+            for _ in range(cycles):
+                self.step()
+        finally:
+            self._book_steps(reason, self._steps - before)
+
+    def _book_steps(self, reason: str, stepped: int) -> None:
+        self._booked_steps += stepped
+        key = ("per_cycle", reason)
+        self._paths[key] = self._paths.get(key, 0) + stepped
+
+    def _run_window(self, plan, span: int) -> None:
+        """Run *span* native cycles, then settle streams and taps."""
+        data = self.data
+        outs = self.ring.run_native(
+            plan, span, host_in=data.window_reader(self.ring),
+            taps=[(tap.layer, tap.position) for tap in data.taps])
+        data.settle(span, plan.host_channels)
+        for tap, values in zip(data.taps, outs):
+            tap.observe_window(values)
+        self._count_bulk("native", span)
+
+    def _count_bulk(self, reason: str, cycles: int) -> None:
+        self.cycles += cycles
+        key = ("bulk", reason)
+        self._paths[key] = self._paths.get(key, 0) + cycles
 
     def checkpoint(self):
         """Capture a whole-system checkpoint (fabric + host streams).
@@ -156,32 +243,45 @@ class RingSystem:
         if self.controller is None:
             raise SimulationError("run_until_halt needs a controller")
         start = self.cycles
-        while not self.controller.halted:
-            self.step()
-            if self.cycles - start > max_cycles:
-                raise SimulationError(
-                    f"controller did not halt within {max_cycles} cycles"
-                )
-        for _ in range(drain):
-            self.step()
+        before = self._steps
+        try:
+            while not self.controller.halted:
+                self.step()
+                if self.cycles - start > max_cycles:
+                    raise SimulationError(
+                        f"controller did not halt within {max_cycles} "
+                        f"cycles"
+                    )
+            for _ in range(drain):
+                self.step()
+        finally:
+            self._book_steps("controller", self._steps - before)
         return self.cycles - start
 
     def run_until_taps_full(self, max_cycles: int = 1_000_000) -> int:
-        """Run until every limited output tap has all its samples."""
+        """Run until every limited output tap has all its samples.
+
+        A tap's schedule fixes how many more cycles it needs, so the
+        cycles go to :meth:`run` in one call (bulk where possible).
+        """
         limited = [t for t in self.data.taps if t.limit is not None]
         if not limited:
             raise SimulationError(
                 "run_until_taps_full needs at least one tap with a limit"
             )
         start = self.cycles
-        while not all(t.full for t in limited):
-            self.step()
-            if self.cycles - start > max_cycles:
+        while True:
+            elapsed = self.cycles - start
+            todo = max(t.cycles_to_full() for t in limited)
+            if not todo:
+                return elapsed
+            if elapsed + todo > max_cycles:
+                self.run(max_cycles + 1 - elapsed)
                 raise SimulationError(
                     f"taps not full within {max_cycles} cycles "
                     f"({[len(t.samples) for t in limited]} collected)"
                 )
-        return self.cycles - start
+            self.run(todo)
 
     # ------------------------------------------------------------------
 

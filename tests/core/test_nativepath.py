@@ -267,6 +267,28 @@ class TestPlanCacheAndSnapshots:
             twin.step(bus=7)
         assert state_digest(ring) == state_digest(twin)
 
+    def test_refusals_are_cached_per_fingerprint(self, monkeypatch):
+        """A/B/A switching between two ineligible configurations runs
+        the native compiler once per configuration, not per switch."""
+        from repro.core import ring as ring_module
+        attempts = []
+        compile_native = ring_module.compile_native
+
+        def counted(ring):
+            attempts.append(ring.config_fingerprint())
+            return compile_native(ring)
+
+        monkeypatch.setattr(ring_module, "compile_native", counted)
+        ring = Ring(RingGeometry(layers=2, width=1), backend="native")
+        for _ in range(3):
+            for imm in (3, 5):  # SELF accumulators: operand recurrence
+                ring.config.write_microword(0, 0, MicroWord(
+                    Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT, imm=imm))
+                ring.run(6)
+        assert len(attempts) == len(set(attempts)) == 2
+        assert ring.native_compiles == 0
+        assert ring.native_fallback_cycles > 0
+
     def test_set_backend_away_and_back_is_identical(self):
         ring = self._build(backend="native")
         ring.run(10, bus=7)

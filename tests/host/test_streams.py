@@ -233,7 +233,7 @@ class TestCaptureStateIsDeepCopy:
 
 
 class TestShardRunAccounting:
-    """absorb_shard_run == the same number of live advance() clocks."""
+    """settle() == the same number of live read + advance() clocks."""
 
     def _live_twin(self, batch: int):
         dc = DataController(batch=batch)
@@ -253,7 +253,7 @@ class TestShardRunAccounting:
             live.host_in(1)
             live.advance()
         chunked = self._live_twin(batch)
-        chunked.absorb_shard_run(cycles, read_channels={0, 1})
+        chunked.settle(cycles, routed={0, 1})
         for index in (0, 1):
             a, b = live.channel(index), chunked.channel(index)
             assert a.delivered == b.delivered
@@ -262,11 +262,11 @@ class TestShardRunAccounting:
 
     def test_unrouted_channels_advance_without_underruns(self):
         dc = self._live_twin(1)
-        dc.absorb_shard_run(6, read_channels={0})
+        dc.settle(6, routed={0})
         assert dc.channel(1).delivered == 1
         assert dc.channel(1).underruns == 0
         assert dc.channel(0).underruns == 3
 
     def test_rejects_negative_executed(self):
         with pytest.raises(HostError):
-            DataController().absorb_shard_run(-1, read_channels=())
+            DataController().settle(-1, routed=())
