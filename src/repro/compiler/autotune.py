@@ -88,7 +88,7 @@ class Mapping:
         }
         if self.macro_step:
             kwargs["macro_step"] = self.macro_step
-        if self.backend in Ring.LANE_BACKENDS:
+        if self.backend == "batch":
             kwargs["batch_size"] = 1
         return kwargs
 
@@ -101,9 +101,7 @@ class Mapping:
 
 
 #: Engine variants swept per surviving placement: (backend, macro_step,
-#: plan_cache).  ``shard`` is deliberately absent — worker processes
-#: only pay off on multi-lane workloads, and a compiled graph is one
-#: lane; the fuzzer still hammers the shard engine for conformance.
+#: plan_cache).
 ENGINE_VARIANTS: Tuple[Tuple[str, int, int], ...] = (
     ("fastpath", 0, 8),
     ("fastpath", 64, 8),
@@ -428,7 +426,7 @@ FUZZ_OPS = ("mov", "add", "sub", "mul", "and", "or", "xor", "min",
 
 #: Engines every fuzz candidate executes on — the full
 #: :attr:`Ring.BACKEND_REGISTRY` matrix.
-FUZZ_ENGINES = ("interpreter", "fastpath", "native", "batch", "shard")
+FUZZ_ENGINES = Ring.BACKENDS
 
 #: Candidate mappings each fuzz graph sweeps (engine choice is the
 #: separate FUZZ_ENGINES axis, so these vary the emission only).
@@ -449,11 +447,6 @@ def _fuzz_ring(engine: str, geometry: RingGeometry) -> Ring:
         return Ring(geometry, backend="native")
     if engine == "batch":
         return Ring(geometry, backend="batch", batch_size=2)
-    if engine == "shard":
-        # One worker keeps the hammer fast (the in-process shard
-        # fallback); the multi-process pool has its own differential CI.
-        return Ring(geometry, backend="shard", batch_size=2,
-                    shard_workers=1)
     raise SimulationError(f"unknown fuzz engine {engine!r}")
 
 
@@ -472,14 +465,13 @@ def _run_program(program: CompiledProgram, ring: Ring,
             taps[graph_index] = system.data.add_tap(
                 p.level - 1, p.lane, skip=p.level - 1, limit=length)
     system.run(length + program.latency)
-    lanes = ring.batch_size if ring.backend in Ring.LANE_BACKENDS else 1
+    batched = ring.backend == "batch"
+    lanes = ring.batch_size if batched else 1
     results = []
     for lane in range(lanes):
         results.append({
             graph_index: [word.to_signed(v) for v in
-                          (tap.lane(lane) if lanes > 1 or
-                           ring.backend in Ring.LANE_BACKENDS
-                           else tap.samples)]
+                          (tap.lane(lane) if batched else tap.samples)]
             for graph_index, tap in taps.items()
         })
     return results
@@ -604,12 +596,12 @@ class FuzzReport:
 def fuzz_conformance(rounds: int = 16, seed: int = 2002,
                      samples: int = 10,
                      max_nodes: int = 28) -> FuzzReport:
-    """Coverage-guided conformance hammer across all five engines.
+    """Coverage-guided conformance hammer across all four backends.
 
     Each round mutates a corpus genome into a fresh graph, compiles it
     under :data:`FUZZ_MAPPINGS`, executes every compiled candidate on
     every :data:`FUZZ_ENGINES` ring, and bit-compares all outputs (every
-    lane of the lane engines) against the golden evaluator.  A mutant
+    lane of the batch engine) against the golden evaluator.  A mutant
     that reaches a new coverage signature — (opcode set, depth, width,
     mode, lane order) — joins the corpus, steering the walk toward
     unexplored mapping shapes.  Deterministic for a given *seed*.

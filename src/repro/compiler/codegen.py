@@ -127,7 +127,7 @@ class CompiledProgram:
                 taps[graph_index] = system.data.add_tap(
                     p.level - 1, p.lane, skip=p.level - 1, limit=length)
         system.run(length + self.latency)
-        # Lane backends hand out BatchOutputTaps; lane 0 always carries
+        # Batch rings hand out BatchOutputTaps; lane 0 always carries
         # the scalar answer (host streams broadcast across lanes).
         return {
             graph_index: [word.to_signed(v) for v in

@@ -289,19 +289,7 @@ class BatchRing:
     FIFO contents are loaded with :meth:`push_fifo`.
     """
 
-    #: Dense lane-array families an external caller (the shard backend)
-    #: may supply as pre-allocated buffers, with their expected shapes as
-    #: functions of (layers, width, depth, batch).
-    ARRAY_SHAPES = {
-        "outs": lambda l, w, d, b: (l, w, b),
-        "regs": lambda l, w, d, b: (l, w, NUM_REGISTERS, b),
-        "pipes": lambda l, w, d, b: (l, w, d, b),
-        "underflows": lambda l, w, d, b: (b,),
-        "fifo_pops": lambda l, w, d, b: (l, w, b),
-    }
-
-    def __init__(self, ring: "Ring", batch: int,
-                 arrays: Optional[Dict[str, np.ndarray]] = None):
+    def __init__(self, ring: "Ring", batch: int):
         if batch < 1:
             raise ConfigurationError(
                 f"batch size must be >= 1, got {batch}"
@@ -310,33 +298,16 @@ class BatchRing:
         self.batch = batch
         g = ring.geometry
         layers, width, depth = g.layers, g.width, g.pipeline_depth
-        if arrays is not None:
-            # Shard-aware lane views: the dense state lives in buffers
-            # owned by the caller (shared-memory slices of a wider batch,
-            # in the sharded backend), and this engine advances them in
-            # place.  The growable FIFO words stay engine-private — they
-            # cross process boundaries only at explicit sync points.
-            self._check_arrays(arrays, layers, width, depth, batch)
-            self.outs = arrays["outs"]
-            self.regs = arrays["regs"]
-            self.pipes = arrays["pipes"]
-            self.lane_underflows = arrays["underflows"]
-            pops = arrays["fifo_pops"]
-            self.lane_fifo_pops: Dict[Tuple[int, int], np.ndarray] = {
-                (l, p): pops[l, p]
-                for l in range(layers) for p in range(width)
-            }
-        else:
-            self.outs = np.zeros((layers, width, batch), dtype=LANE_DTYPE)
-            self.regs = np.zeros((layers, width, NUM_REGISTERS, batch),
-                                 dtype=LANE_DTYPE)
-            self.pipes = np.zeros((layers, width, depth, batch),
-                                  dtype=LANE_DTYPE)
-            self.lane_underflows = np.zeros(batch, dtype=np.int64)
-            self.lane_fifo_pops = {
-                (l, p): np.zeros(batch, dtype=np.int64)
-                for l in range(layers) for p in range(width)
-            }
+        self.outs = np.zeros((layers, width, batch), dtype=LANE_DTYPE)
+        self.regs = np.zeros((layers, width, NUM_REGISTERS, batch),
+                             dtype=LANE_DTYPE)
+        self.pipes = np.zeros((layers, width, depth, batch),
+                              dtype=LANE_DTYPE)
+        self.lane_underflows = np.zeros(batch, dtype=np.int64)
+        self.lane_fifo_pops: Dict[Tuple[int, int], np.ndarray] = {
+            (l, p): np.zeros(batch, dtype=np.int64)
+            for l in range(layers) for p in range(width)
+        }
         self._pending = np.zeros((layers, width, batch), dtype=LANE_DTYPE)
         self._head = 0
         self._counters: Dict[Tuple[int, int], List[int]] = {
@@ -357,30 +328,6 @@ class BatchRing:
         self._detached = False
         ring.add_invalidation_listener(self._on_config_change)
         self.resync()
-
-    @classmethod
-    def _check_arrays(cls, arrays: Dict[str, np.ndarray], layers: int,
-                      width: int, depth: int, batch: int) -> None:
-        """Validate externally supplied lane buffers (shapes and dtypes)."""
-        for name, shape_of in cls.ARRAY_SHAPES.items():
-            arr = arrays.get(name)
-            if arr is None:
-                raise ConfigurationError(
-                    f"external lane arrays are missing {name!r}"
-                )
-            expected = shape_of(layers, width, depth, batch)
-            if arr.shape != expected:
-                raise ConfigurationError(
-                    f"external lane array {name!r} has shape {arr.shape}; "
-                    f"expected {expected}"
-                )
-            wanted = np.int64 if name in ("underflows", "fifo_pops") \
-                else LANE_DTYPE
-            if arr.dtype != wanted:
-                raise ConfigurationError(
-                    f"external lane array {name!r} has dtype {arr.dtype}; "
-                    f"expected {np.dtype(wanted)}"
-                )
 
     # -- lifecycle -----------------------------------------------------
 

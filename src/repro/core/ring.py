@@ -266,14 +266,10 @@ class Ring:
                   "(optional Numba jit), falling back to "
                   "macro-step/fastpath",
         "batch": "lane-vectorized NumPy engine over batch_size streams",
-        "shard": "batch lanes sharded across worker processes",
     }
 
     #: Valid values of the ``backend`` selector.
     BACKENDS = tuple(BACKEND_REGISTRY)
-
-    #: Backends whose state carries a lane axis of length ``batch_size``.
-    LANE_BACKENDS = ("batch", "shard")
 
     @classmethod
     def _check_backend(cls, backend: str) -> None:
@@ -289,8 +285,7 @@ class Ring:
                  backend: Optional[str] = None,
                  batch_size: int = 1,
                  plan_cache: int = DEFAULT_CAPACITY,
-                 macro_step: int = 0,
-                 shard_workers: Optional[int] = None):
+                 macro_step: int = 0):
         self.geometry = geometry
         self.strict_fifos = strict_fifos
         if backend is None:
@@ -300,18 +295,10 @@ class Ring:
             raise ConfigurationError(
                 f"batch size must be >= 1, got {batch_size}"
             )
-        if batch_size > 1 and backend not in self.LANE_BACKENDS:
+        if batch_size > 1 and backend != "batch":
             raise ConfigurationError(
-                f"batch_size {batch_size} requires backend='batch' or "
-                f"'shard', got {backend!r}"
-            )
-        if shard_workers is not None and backend != "shard":
-            raise ConfigurationError(
-                f"shard_workers requires backend='shard', got {backend!r}"
-            )
-        if shard_workers is not None and shard_workers < 1:
-            raise ConfigurationError(
-                f"shard workers must be >= 1, got {shard_workers}"
+                f"batch_size {batch_size} requires backend='batch', "
+                f"got {backend!r}"
             )
         if macro_step < 0:
             raise ConfigurationError(
@@ -319,18 +306,14 @@ class Ring:
             )
         self.backend = backend
         self.batch_size = batch_size
-        #: Worker-pool width for ``backend="shard"`` (None = one worker
-        #: per available core, capped at the lane count).
-        self.shard_workers = shard_workers
         # The scalar fast path also backs batch mode at B=1: one lane of
         # NumPy-array indexing is strictly slower than the scalar plan
         # (~6x in BENCH_batch.json), and the lane-0 writeback contract is
         # trivially the scalar state itself.  The vector engine is only
         # engaged at B>1 or once `ring.batch` has been handed out.  The
-        # shard backend always engages its engine: worker-pool placement
-        # is the point, even at B=1.  The native tier sits on top of the
-        # fast path (its per-cycle remainder and fall-back ladder), so it
-        # enables the scalar plan machinery too.
+        # native tier sits on top of the fast path (its per-cycle
+        # remainder and fall-back ladder), so it enables the scalar plan
+        # machinery too.
         self.fastpath_enabled = (backend in ("fastpath", "native")
                                  or (backend == "batch" and batch_size == 1))
         #: Configuration-fingerprinted LRU cache of compiled plans (and
@@ -410,8 +393,6 @@ class Ring:
         self._invalidation_listeners: List[Callable[[], None]] = []
         #: Lazily created batch engine (backend == "batch" only).
         self._batch_engine = None
-        #: Lazily created sharded engine (backend == "shard" only).
-        self._shard_engine = None
         for layer_dnodes in self._dnodes:
             for dn in layer_dnodes:
                 dn.on_config_change = self._invalidate_fastpath
@@ -442,94 +423,35 @@ class Ring:
             self._batch_engine = BatchRing(self, self.batch_size)
         return self._batch_engine
 
-    @property
-    def shard(self):
-        """The attached :class:`~repro.core.shardpath.ShardedBatchRing`.
-
-        Only meaningful with ``backend="shard"``; created lazily (the
-        first access spawns the worker pool — or its single-process
-        fallback — seeded with the ring's current scalar state).
-        """
-        if self.backend != "shard":
-            raise ConfigurationError(
-                f"ring backend is {self.backend!r}, not 'shard'"
-            )
-        return self._ensure_shard()
-
-    def _ensure_shard(self):
-        if self._shard_engine is None:
-            from repro.core.shardpath import ShardedBatchRing
-            self._shard_engine = ShardedBatchRing(
-                self, self.batch_size, workers=self.shard_workers)
-        return self._shard_engine
-
-    def _lane_engine(self):
-        """The live lane engine for the current backend (batch | shard)."""
-        return (self._ensure_shard() if self.backend == "shard"
-                else self._ensure_batch())
-
-    def _lane_engine_active(self) -> bool:
-        """Should step()/run() dispatch to a lane engine this cycle?"""
-        if self.backend == "shard":
-            return True
-        return self.backend == "batch" and (
-            self.batch_size > 1 or self._batch_engine is not None)
-
-    def _detach_shard(self) -> None:
-        if self._shard_engine is not None:
-            self._shard_engine.detach()
-            self._shard_engine = None
-
     def set_backend(self, backend: str,
-                    batch_size: Optional[int] = None,
-                    shard_workers: Optional[int] = None) -> None:
+                    batch_size: Optional[int] = None) -> None:
         """Switch execution engine (any :attr:`BACKEND_REGISTRY` key).
 
         Safe at any point between cycles: the scalar state always
-        reflects the last committed cycle (the lane engines write lane
+        reflects the last committed cycle (the batch engine writes lane
         0 back after every run), so the new engine picks up exactly
-        where the old one stopped.  Entering batch or shard mode
-        broadcasts that state across *batch_size* lanes; ``"native"``
-        keeps the scalar state and compiles time-vectorized kernels for
-        eligible steady-state spans.
+        where the old one stopped.  Entering batch mode broadcasts that
+        state across *batch_size* lanes; ``"native"`` keeps the scalar
+        state and compiles time-vectorized kernels for eligible
+        steady-state spans.
         """
         self._check_backend(backend)
         if batch_size is None:
-            batch_size = (self.batch_size
-                          if backend in self.LANE_BACKENDS else 1)
+            batch_size = self.batch_size if backend == "batch" else 1
         if batch_size < 1:
             raise ConfigurationError(
                 f"batch size must be >= 1, got {batch_size}"
             )
-        if batch_size > 1 and backend not in self.LANE_BACKENDS:
+        if batch_size > 1 and backend != "batch":
             raise ConfigurationError(
-                f"batch_size {batch_size} requires backend='batch' or "
-                f"'shard', got {backend!r}"
-            )
-        if shard_workers is not None and backend != "shard":
-            raise ConfigurationError(
-                f"shard_workers requires backend='shard', got {backend!r}"
-            )
-        if shard_workers is not None and shard_workers < 1:
-            raise ConfigurationError(
-                f"shard workers must be >= 1, got {shard_workers}"
+                f"batch_size {batch_size} requires backend='batch', "
+                f"got {backend!r}"
             )
         if self._batch_engine is not None and (
                 backend != "batch"
                 or self._batch_engine.batch != batch_size):
             self._batch_engine.detach()
             self._batch_engine = None
-        if self._shard_engine is not None and (
-                backend != "shard"
-                or self._shard_engine.batch != batch_size):
-            self._detach_shard()
-        if shard_workers is not None:
-            self.shard_workers = shard_workers
-            if (self._shard_engine is not None
-                    and self._shard_engine.workers != shard_workers):
-                # Elastic path: migrate the live lanes instead of
-                # rebuilding from the lane-0 scalar mirror.
-                self._shard_engine.set_workers(shard_workers)
         self.backend = backend
         self.batch_size = batch_size
         self.fastpath_enabled = (backend in ("fastpath", "native")
@@ -543,14 +465,12 @@ class Ring:
         """Resize (or with 0, disable) the compiled-plan cache.
 
         Replaces the cache, so existing entries and lifetime counters are
-        dropped; the active plan (if any) is unaffected.  The lane
-        engines' kernel caches are resized to match.
+        dropped; the active plan (if any) is unaffected.  The batch
+        engine's kernel cache is resized to match.
         """
         self.plan_cache = PlanCache(capacity)
         if self._batch_engine is not None:
             self._batch_engine.set_plan_cache(capacity)
-        if self._shard_engine is not None:
-            self._shard_engine.set_plan_cache(capacity)
 
     def set_macro_step(self, macro_step: int) -> None:
         """Set the macro-step fusion target (0/1 disables fusion)."""
@@ -638,8 +558,6 @@ class Ring:
             # Keep the lane FIFOs coherent: a scalar push reaches every
             # lane (lane-specific loads go through BatchRing.push_fifo).
             self._batch_engine.push_fifo(layer, position, channel, values)
-        if self._shard_engine is not None:
-            self._shard_engine.push_fifo(layer, position, channel, values)
 
     def _fifo_peek(self, layer: int, position: int, channel: int) -> int:
         queue = self._fifos.get((layer, position, channel))
@@ -801,8 +719,9 @@ class Ring:
         """
         word.check(bus, "bus value")
         self.last_bus = bus
-        if self._lane_engine_active():
-            engine = self._lane_engine()
+        if self.backend == "batch" and (
+                self.batch_size > 1 or self._batch_engine is not None):
+            engine = self._ensure_batch()
             engine.run(1, bus, host_in)
             engine.store_lane(0)
             if self._trace is not None:
@@ -955,8 +874,8 @@ class Ring:
         lookup re-activates a cached plan immediately instead of waiting
         for the first ``step()`` to do it lazily.  Returns ``True`` when
         a compiled plan is active afterwards.  A scalar-fastpath-less
-        backend (vector batch, shard) never adopts scalar plans, so this
-        is a no-op there.
+        backend (vector batch) never adopts scalar plans, so this is a
+        no-op there.
         """
         if not self.fastpath_enabled:
             return False
@@ -1163,7 +1082,8 @@ class Ring:
         if cycles < 0:
             raise SimulationError(f"cycle count must be >= 0, got {cycles}")
         word.check(bus, "bus value")
-        if self._lane_engine_active():
+        if self.backend == "batch" and (
+                self.batch_size > 1 or self._batch_engine is not None):
             self._run_batch(cycles, bus, host_in)
             return
         remaining = cycles
@@ -1194,14 +1114,13 @@ class Ring:
 
     def _run_batch(self, cycles: int, bus: int,
                    host_in: Optional[HostReader]) -> None:
-        """Lane-backend run loop: chunk between observer capture points.
+        """Batch-backend run loop: chunk between observer capture points.
 
-        Shared by the batch and shard backends.  Lane 0 is written back
-        to the scalar structures before every observer dispatch (and at
-        the end of the run), so traces, metrics and taps see exactly
-        what they would on a scalar engine.
+        Lane 0 is written back to the scalar structures before every
+        observer dispatch (and at the end of the run), so traces, metrics
+        and taps see exactly what they would on a scalar engine.
         """
-        engine = self._lane_engine()
+        engine = self._ensure_batch()
         remaining = cycles
         while remaining > 0:
             trace = self._trace
@@ -1263,9 +1182,6 @@ class Ring:
             # it by broadcasting the (now cleared) scalar datapath.
             self._batch_engine.detach()
             self._batch_engine = None
-        # Same contract for the shard pool: detach also stops the worker
-        # processes and releases the shared-memory blocks.
-        self._detach_shard()
 
     # ------------------------------------------------------------------
     # Statistics

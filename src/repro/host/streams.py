@@ -577,51 +577,26 @@ class DataController:
         """Sample every tap from the post-edge fabric state.
 
         Batch taps read the per-lane OUT values straight from the ring's
-        lane engine (batch or shard); scalar taps read the scalar OUT
-        register.
+        batch engine; scalar taps read the scalar OUT register.
         """
         if self.batch > 1:
-            engine = ring._lane_engine()
+            engine = ring._ensure_batch()
             for tap in self.taps:
                 tap.observe(engine.lane_outs(tap.layer, tap.position))
             return
         for tap in self.taps:
             tap.observe(ring.dnode(tap.layer, tap.position).out)
 
-    def shard_stimulus(self, base_cycle: int):
-        """Freeze the queued stream words into a picklable chunk stimulus.
-
-        The sharded backend runs whole chunks inside worker processes,
-        where live ``host_in`` callbacks cannot reach; a
-        :class:`~repro.core.shardpath.StreamStimulus` carries the queued
-        words instead (sliced per shard by the engine), anchored at the
-        fabric cycle the chunk starts on.  The live queues are left
-        untouched — call :meth:`settle` afterwards to account for what
-        the chunk consumed.
-        """
-        from repro.core.shardpath import StreamStimulus
-        channels = {}
-        idle = {}
-        for index, ch in self._channels.items():
-            idle[index] = ch.idle_value
-            if isinstance(ch, BatchStreamChannel):
-                channels[index] = ("lanes",
-                                   [list(queue) for queue in ch._queues])
-            else:
-                channels[index] = ("all", list(ch._queue))
-        return StreamStimulus(base_cycle, channels, idle)
-
     def settle(self, executed: int, routed) -> None:
         """Account for *executed* clock edges whose words were read ahead.
 
-        Native windows (:meth:`window_reader`) and sharded chunks
-        (:meth:`shard_stimulus`) read the queued words without consuming
-        them.  Afterwards every channel advances once per cycle (words
-        past the queue end are simply dry), reproducing exactly what
-        *executed* calls to :meth:`advance` would have delivered; channels
-        in *routed* — the ones the fabric configuration reads every
-        cycle — also count one underrun per dry cycle, matching the
-        per-cycle accounting bit for bit.
+        Native windows (:meth:`window_reader`) read the queued words
+        without consuming them.  Afterwards every channel advances once
+        per cycle (words past the queue end are simply dry), reproducing
+        exactly what *executed* calls to :meth:`advance` would have
+        delivered; channels in *routed* — the ones the fabric
+        configuration reads every cycle — also count one underrun per
+        dry cycle, matching the per-cycle accounting bit for bit.
         """
         if executed < 0:
             raise HostError(f"executed must be >= 0, got {executed}")

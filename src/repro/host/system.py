@@ -50,11 +50,9 @@ class RingSystem:
         self.ring = ring
         self.controller = controller
         self.planes: List[ConfigPlane] = list(planes or [])
-        # A lane-backend ring (batch or shard) gets a batch data
-        # controller: per-lane stream channels and output taps on the
-        # same direct ports.
-        batch = (ring.batch_size
-                 if ring.backend in Ring.LANE_BACKENDS else 1)
+        # A batch ring gets a batch data controller: per-lane stream
+        # channels and output taps on the same direct ports.
+        batch = ring.batch_size if ring.backend == "batch" else 1
         self.data = DataController(batch=batch)
         self.cycles = 0
         # cycle_paths bookkeeping: cycles booked by run()/run_until_halt,
@@ -94,14 +92,14 @@ class RingSystem:
         """Cycles per execution path, ``{(path, reason): cycles}``.
 
         Exported as ``system_cycles_total{path, reason}``.  Path
-        ``"bulk"``: ``"native"`` (native windows with taps/streams),
-        ``"idle"`` (idle host side, whole chunk to ``Ring.run``) or
-        ``"shard"``.  Path ``"per_cycle"`` names what forced the step:
-        ``"controller"``, ``"lanes"`` (batch/shard engine with taps or
-        queued words), the :meth:`~repro.core.ring.Ring.native_span`
-        refusals ``"trace"``, ``"backend"``, ``"no_plan"``,
-        ``"native_refused"``, ``"remainder"``, ``"fifo_gated"``, or
-        ``"direct"`` (:meth:`step` called outside :meth:`run`).
+        ``"bulk"``: ``"native"`` (native windows with taps/streams) or
+        ``"idle"`` (idle host side, whole chunk to ``Ring.run``).  Path
+        ``"per_cycle"`` names what forced the step: ``"controller"``,
+        ``"lanes"`` (batch engine with taps or queued words), the
+        :meth:`~repro.core.ring.Ring.native_span` refusals ``"trace"``,
+        ``"backend"``, ``"no_plan"``, ``"native_refused"``,
+        ``"remainder"``, ``"fifo_gated"``, or ``"direct"`` (:meth:`step`
+        called outside :meth:`run`).
         """
         paths = dict(self._paths)
         direct = self._steps - self._booked_steps
@@ -128,19 +126,10 @@ class RingSystem:
             raise SimulationError(f"cycle count must be >= 0, got {cycles}")
         ring, data = self.ring, self.data
         uncontrolled = self.controller is None
-        if uncontrolled and not data.taps and ring.backend == "shard":
-            # Per-shard stream slicing: freeze the queued words into a
-            # picklable stimulus so each worker resolves its own lane
-            # slice for the whole chunk, then settle the host-side
-            # delivered/underrun accounting for what the chunk consumed.
-            stimulus = data.shard_stimulus(ring.cycles)
-            ring.run(cycles, host_in=stimulus)
-            data.settle(cycles, ring.shard.host_channels())
-            self._count_bulk("shard", cycles)
-            return
         if not uncontrolled:
             reason = "controller"
-        elif ring._lane_engine_active():
+        elif ring.backend == "batch" and (
+                ring.batch_size > 1 or ring._batch_engine is not None):
             reason = "lanes"
         else:
             reason = None

@@ -37,7 +37,7 @@ the compiler's :data:`~repro.compiler.library.GRAPH_LIBRARY`:
 * :mod:`repro.kernels.scenarios` — full streaming pipelines (synth
   voice, effects chain) context-switching fabric planes mid-stream;
 * :mod:`repro.kernels.taps` — lane-aware tap reading shared by the
-  hand-mapped kernels (correct on batch/shard rings).
+  hand-mapped kernels (correct on batch rings).
 """
 
 from repro.kernels import reference

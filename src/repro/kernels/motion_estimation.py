@@ -199,7 +199,7 @@ def full_search_me(reference_block: np.ndarray, search_area: np.ndarray,
 
     The produced SAD map is bit-exact against
     :func:`repro.kernels.reference.full_search` on every backend
-    (*ring_kwargs* selects the engine; on a lane backend the SADs are
+    (*ring_kwargs* selects the engine; on a batch ring the SADs are
     read from lane 0 — a scalar FIFO load reaches every lane, so all
     lanes compute the same map).
     """

@@ -169,18 +169,14 @@ def _run_with_injection(build, args, cycles: int) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     obj = ObjectCode.from_bytes(Path(args.object).read_bytes())
-    lane_backend = args.backend in Ring.LANE_BACKENDS
-    if lane_backend and load_system(obj).controller is not None:
+    batched = args.backend == "batch"
+    if batched and load_system(obj).controller is not None:
         print(f"error: --backend {args.backend} needs an uncontrolled "
               "program (the configuration controller drives one scalar "
               "fabric)", file=sys.stderr)
         return 1
-    if not lane_backend and args.batch_size != 1:
-        print("error: --batch-size requires --backend batch or shard",
-              file=sys.stderr)
-        return 1
-    if args.shard_workers is not None and args.backend != "shard":
-        print("error: --shard-workers requires --backend shard",
+    if not batched and args.batch_size != 1:
+        print("error: --batch-size requires --backend batch",
               file=sys.stderr)
         return 1
 
@@ -194,9 +190,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         system = load_system(obj, strict_fifos=args.strict_fifos)
         if args.backend is not None:
             system.ring.set_backend(
-                args.backend,
-                args.batch_size if lane_backend else 1,
-                shard_workers=args.shard_workers)
+                args.backend, args.batch_size if batched else 1)
             # Rebuild the data controller so channels/taps match the
             # lane count (streams are broadcast to every lane).
             from repro.host.streams import DataController
@@ -244,7 +238,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_ABORT
     taps = list(zip(tap_specs, system.data.taps))
     batch = (system.ring.batch_size
-             if system.ring.backend in Ring.LANE_BACKENDS else 1)
+             if system.ring.backend == "batch" else 1)
     if batch > 1:
         print(f"ran {system.cycles} cycles x {batch} lanes "
               f"({system.cycles * batch} lane-cycles)")
@@ -383,16 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "'native' fuses steady state into "
                             "time-vectorized NumPy kernels; "
                             "'batch' advances --batch-size streams at "
-                            "once, streams broadcast to every lane; "
-                            "'shard' splits those lanes across worker "
-                            "processes over shared memory)")
+                            "once, streams broadcast to every lane)")
     p_run.add_argument("--batch-size", type=int, default=1, metavar="N",
-                       help="lane count for --backend batch/shard")
-    p_run.add_argument("--shard-workers", type=int, default=None,
-                       metavar="W",
-                       help="worker-process count for --backend shard "
-                            "(default: one per CPU core, capped at the "
-                            "lane count)")
+                       help="lane count for --backend batch")
     p_run.add_argument("--plan-cache", type=int, default=None, metavar="N",
                        help="retain up to N compiled plans keyed by "
                             "configuration fingerprint (0 disables; "

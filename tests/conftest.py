@@ -2,19 +2,10 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.core.ring import Ring, RingGeometry
-
-# The shard suites pin 2-worker pools so every run exercises real
-# process boundaries regardless of the runner's core count; the
-# production core-count ceiling itself is pinned explicitly (with
-# REPRO_SHARD_MAX_WORKERS=1) in tests/core/test_shardpath.py.
-os.environ.setdefault("REPRO_SHARD_MAX_WORKERS", "8")
-
 
 @pytest.fixture
 def ring8() -> Ring:

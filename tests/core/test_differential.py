@@ -16,8 +16,6 @@ runs are reproducible; the classes together exercise 200+ examples.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,7 +108,7 @@ def _batch_host_in(ring: Ring, seed: int, batch: int):
 
 def _extract_lane(batch_ring: Ring, lane: int) -> dict:
     target = Ring(batch_ring.geometry)
-    batch_ring._lane_engine().store_lane(lane, target)
+    batch_ring.batch.store_lane(lane, target)
     return _state(target)
 
 
@@ -286,111 +284,13 @@ class TestDifferentialCachedAndMacro:
             )
 
 
-def _shard_ring(spec: dict, seed: int, batch: int, workers: int) -> Ring:
-    ring = build_ring(spec, backend="shard", batch_size=batch,
-                      shard_workers=workers)
-    engine = ring.shard
-    for layer, pos, _mw, _local, _routes, loads in spec["cells"]:
-        for channel in loads:
-            for lane in range(batch):
-                engine.push_fifo(
-                    layer, pos, channel,
-                    _lane_fifo_extra(seed, layer, pos, channel, lane),
-                    lane=lane)
-    return ring
-
-
-def _shard_chunk_words(channel: int, cycle: int, seed: int = 0,
-                       batch: int = 1):
-    """Module-level (hence picklable) full-batch chunk stimulus: the
-    exact per-lane words ``_batch_host_in`` presents live."""
-    return [_host_value(seed, channel, cycle, lane)
-            for lane in range(batch)]
-
-
-class TestDifferentialSharded:
-    """The sharded engine joins the bit-identity net: every lane, across
-    worker counts, both stimulus modes, through mid-run reconfiguration
-    and checkpoint rollback."""
-
-    @given(spec=ring_specs(min_layers=2, max_layers=4, min_width=1,
-                           max_width=2, max_local=4),
-           batch=st.integers(min_value=2, max_value=4),
-           workers=st.sampled_from([1, 2, 4]),
-           cycles=st.integers(min_value=1, max_value=12),
-           seed=st.integers(min_value=0, max_value=0xFFFF),
-           bus=st.integers(min_value=0, max_value=0xFFFF))
-    @settings(max_examples=15, **_SETTINGS)
-    def test_sharded_full_state_identity(self, spec, batch, workers,
-                                         cycles, seed, bus):
-        bring = _batch_ring(spec, seed, batch)
-        bring.run(cycles, bus=bus,
-                  host_in=_batch_host_in(bring, seed, batch))
-        sring = _shard_ring(spec, seed, batch, workers)
-        try:
-            sring.run(cycles, bus=bus,
-                      host_in=_batch_host_in(sring, seed, batch))
-            for lane in range(batch):
-                assert (_extract_lane(sring, lane)
-                        == _extract_lane(bring, lane)), (
-                    f"shard lane {lane} diverged at {workers} workers"
-                )
-        finally:
-            sring.shard.close()
-
-    @given(spec_a=ring_specs(min_layers=3, max_layers=3, min_width=2,
-                             max_width=2, max_local=4),
-           spec_b=ring_specs(min_layers=3, max_layers=3, min_width=2,
-                             max_width=2, max_local=4, fifo_loads=False),
-           batch=st.integers(min_value=2, max_value=4),
-           cycles=st.integers(min_value=1, max_value=10),
-           seed=st.integers(min_value=0, max_value=0xFFFF))
-    @settings(max_examples=10, **_SETTINGS)
-    def test_sharded_chunk_mode_reconfig_and_rollback(self, spec_a,
-                                                      spec_b, batch,
-                                                      cycles, seed):
-        """Chunk-mode (picklable) stimulus under A/B/A context churn,
-        then a checkpoint rollback-replay — both against the in-process
-        batch engine per lane."""
-        from repro.core.shardpath import CycleStimulus
-        from repro.core.snapshot import capture, restore, state_digest
-
-        stim = CycleStimulus(partial(_shard_chunk_words, seed=seed,
-                                     batch=batch))
-        bring = _batch_ring(spec_a, seed, batch)
-        sring = _shard_ring(spec_a, seed, batch, 2)
-        try:
-            for spec in (spec_b, spec_a):
-                for ring in (bring, sring):
-                    _apply_config_only(ring, spec)
-                bring.run(cycles,
-                          host_in=_batch_host_in(bring, seed, batch))
-                sring.run(cycles, host_in=stim)
-                for lane in range(batch):
-                    assert (_extract_lane(sring, lane)
-                            == _extract_lane(bring, lane)), (
-                        f"shard lane {lane} diverged under churn"
-                    )
-            snap = capture(sring)
-            sring.run(cycles, host_in=stim)
-            after = state_digest(sring)
-            restore(sring, snap)
-            sring.run(cycles, host_in=stim)
-            assert state_digest(sring) == after, (
-                "rollback-replay diverged on the sharded engine"
-            )
-        finally:
-            if sring._shard_engine is not None:
-                sring._shard_engine.close()
-
-
 class TestLaneInvariantLocalCounters:
     """Satellite audit pin: the local-sequencer phase is configuration-
     driven, never data-driven.  ``Dnode.commit()`` advances the sequencer
     unconditionally, so even lanes whose *data* diverges hard (distinct
     FIFO loads, per-lane underflows) keep bit-identical local counters —
-    the contract ``store_lane``'s lane-invariant scalar mirror and the
-    shard protocol's single broadcast counter both rely on."""
+    the contract ``store_lane``'s lane-invariant scalar mirror relies
+    on."""
 
     @given(spec=ring_specs(min_layers=2, max_layers=5, min_width=1,
                            max_width=2, max_local=6),

@@ -433,40 +433,51 @@ def test_fastpath_disabled_never_compiles():
 # ----------------------------------------------------------------------
 
 
-def _strict_pair():
+def _strict_rings():
+    """Interpreter, fast path and a 3-lane batch ring, all strict."""
     geometry = RingGeometry(layers=4, width=2)
     return (Ring(geometry, strict_fifos=True, fastpath=False),
-            Ring(geometry, strict_fifos=True, fastpath=True))
+            Ring(geometry, strict_fifos=True, fastpath=True),
+            Ring(geometry, strict_fifos=True, backend="batch",
+                 batch_size=3))
+
+
+def _load_strict(ring: Ring, microword: MicroWord) -> None:
+    ring.config.write_microword(0, 0, microword)
+    ring.push_fifo(0, 0, 1, [1, 2, 3])
+    if ring.backend == "batch":
+        # Deeper FIFOs on lanes 1-2: the batch must abort when its
+        # shallowest lane runs dry, exactly where a scalar ring does.
+        for lane in (1, 2):
+            ring.batch.push_fifo(0, 0, 1, [7] * lane, lane=lane)
 
 
 def test_strict_fifo_peek_error_identical():
-    reference, fast = _strict_pair()
+    reference, fast, batch = _strict_rings()
     errors = []
-    for ring in (reference, fast):
-        ring.config.write_microword(0, 0, MicroWord(
+    for ring in (reference, fast, batch):
+        _load_strict(ring, MicroWord(
             Opcode.MOV, Source.FIFO1, dst=Dest.OUT, flags=Flag.POP_FIFO1))
-        ring.push_fifo(0, 0, 1, [1, 2, 3])
         with pytest.raises(SimulationError) as excinfo:
             ring.run(10)
         errors.append(str(excinfo.value))
         assert ring.cycles == 3
-    assert errors[0] == errors[1] == "D0.0 read empty FIFO1 at cycle 3"
+    assert errors == ["D0.0 read empty FIFO1 at cycle 3"] * 3
     assert fast._plan is not None  # the error came from the compiled engine
+    # Lane 0 ran dry; the deeper lanes keep their undelivered words.
+    assert batch.batch.fifo_contents(0, 0, 1, lane=2) == [7, 7]
 
 
 def test_strict_fifo_pop_error_identical():
-    reference, fast = _strict_pair()
     errors = []
-    for ring in (reference, fast):
+    for ring in _strict_rings():
         # NOP reads nothing, so only the commit-phase pop sees the empty
         # FIFO — this exercises the pop thunk's strict raise.
-        ring.config.write_microword(0, 0, MicroWord(
-            Opcode.NOP, flags=Flag.POP_FIFO1))
-        ring.push_fifo(0, 0, 1, [1, 2, 3])
+        _load_strict(ring, MicroWord(Opcode.NOP, flags=Flag.POP_FIFO1))
         with pytest.raises(SimulationError) as excinfo:
             ring.run(10)
         errors.append(str(excinfo.value))
-    assert errors[0] == errors[1] == "D0.0 popped empty FIFO1 at cycle 3"
+    assert errors == ["D0.0 popped empty FIFO1 at cycle 3"] * 3
 
 
 def test_missing_host_reader_error_identical():

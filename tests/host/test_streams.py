@@ -232,7 +232,7 @@ class TestCaptureStateIsDeepCopy:
         assert dc.channel(0).pending() == 2
 
 
-class TestShardRunAccounting:
+class TestSettleAccounting:
     """settle() == the same number of live read + advance() clocks."""
 
     def _live_twin(self, batch: int):

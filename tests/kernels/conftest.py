@@ -5,8 +5,8 @@ Every execution backend the repo ships is described once, here, and the
 them.  A kernel test written against the fixture therefore becomes one
 *row* of the cross-engine x kernel conformance matrix: the same golden
 recipe, bit-identical on the interpreter, the compiled fast path, the
-native macro-kernel tier, the macro-stepped interpreter and both lane
-backends.
+native macro-kernel tier, the macro-stepped interpreter and the batch
+backend.
 
 Helpers:
 
@@ -35,7 +35,6 @@ ENGINES = {
     "native": {"backend": "native"},
     "macro": {"macro_step": 4},
     "batch": {"backend": "batch", "batch_size": 2},
-    "shard": {"backend": "shard", "batch_size": 2, "shard_workers": 2},
 }
 
 

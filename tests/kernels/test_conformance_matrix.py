@@ -9,7 +9,7 @@ kernel by going green across its whole row.
 
 Each cell drives the recipe through the shared ``engine`` fixture; the
 host plumbing is lane-aware (``tap_samples``), so the same cell covers
-scalar engines and both lane backends (where a scalar stream/FIFO push
+scalar engines and the batch backend (where a scalar stream/FIFO push
 broadcasts, making every lane compute the same answer as the golden
 model).
 """

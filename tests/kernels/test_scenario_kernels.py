@@ -242,9 +242,9 @@ class TestScenarioValidation:
 
 
 class TestLaneIndexingRegressions:
-    """The batch/shard tap drift: ``tap.samples`` on a lane backend is a
-    list of lane arrays.  The kernels now read lane 0 explicitly; these
-    pin the fixed helpers bit-identical to their scalar-engine runs."""
+    """The batch tap drift: ``tap.samples`` on a batch ring is a list of
+    lane arrays.  The kernels now read lane 0 explicitly; these pin the
+    fixed helpers bit-identical to their scalar-engine runs."""
 
     SIGNAL = [((3 * n + 5) % 40) - 20 for n in range(24)]
 

@@ -212,7 +212,7 @@ class TestRunBatchBackend:
     def test_batch_size_requires_batch_backend(self, ring_obj, capsys):
         code = main(["run", str(ring_obj), "--batch-size", "2"])
         assert code == 1
-        assert "--backend batch" in capsys.readouterr().err
+        assert "requires --backend batch" in capsys.readouterr().err
 
 
 SRC_FIFO = """
