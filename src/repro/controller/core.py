@@ -15,7 +15,10 @@ one-instruction-per-cycle hardware-multiplexing rate.
 Blocking behaviour: ``INW`` on an empty mailbox stalls (the instruction
 retries every cycle until data arrives); ``WAITI n`` occupies the
 controller for *n* cycles.  Both model real handshaking without any
-callback magic.
+callback magic.  The cycles after a ``WAITI`` instruction, like every
+cycle after ``HALT``, are *quiet*: no instruction executes, so the
+system may run them in bulk and advance the controller in closed form
+(:meth:`RiscController.quiet_cycles`, :meth:`RiscController.skip_quiet`).
 """
 
 from __future__ import annotations
@@ -171,6 +174,28 @@ class RiscController:
         commands = self._execute(instr)
         self.state.config_commands += len(commands)
         return commands
+
+    def quiet_cycles(self) -> Optional[int]:
+        """Upcoming cycles that execute no instruction.
+
+        The rest of a ``WAITI`` delay, or None (unbounded) once halted.
+        Quiet cycles emit no configuration commands and leave
+        :attr:`bus_out` alone, so the enclosing system may run them in
+        bulk and account for them with :meth:`skip_quiet`.
+        """
+        return None if self.halted else self._wait_remaining
+
+    def skip_quiet(self, cycles: int) -> None:
+        """The closed form of *cycles* quiet :meth:`step` calls."""
+        quiet = self.quiet_cycles()
+        if cycles < 0 or (quiet is not None and cycles > quiet):
+            raise SimulationError(
+                f"cannot skip {cycles} cycles: {quiet} quiet cycles left")
+        self.state.cycles += cycles
+        if quiet is not None:
+            self._wait_remaining -= cycles
+            self.state.stalls += cycles
+            self.state.wait_stalls += cycles
 
     def run_until_halt(self, max_cycles: int = 1_000_000) -> int:
         """Free-run (no fabric attached) until HALT; returns cycles used."""

@@ -18,9 +18,13 @@ a single NumPy array operation over all T/period executions at once:
 * register and SELF reads resolve at compile time to the nearest
   previous writer within the period (same period instance, or the
   previous one — a one-slot shift of that writer's result vector);
-* a single-writer MAC accumulating into its own destination register is
-  a linear recurrence with the closed form ``cumsum`` (exact in int64:
-  products are bounded by 2**30, so billions of terms fit);
+* an op that reads its own previous result is an accumulator with a
+  closed form when the recurrence is additive: a single-writer MAC
+  accumulating into its own destination register, or ``ADD x, x, v`` /
+  ``ADD x, v, x`` / ``SUB x, x, v`` where ``x`` is a register or the OUT
+  latch read through ``SELF``.  Each becomes ``(init ± cumsum(terms))
+  & 0xFFFF``, exact in int64 (terms are bounded by 2**30 and a window
+  holds at most :data:`MAX_WINDOW_CELLS` = 2**20 cycles);
 * FIFO reads/pops are schedule-determined, so the window is clipped to
   the **safe prefix** the current occupancy can serve with no underflow
   (:meth:`NativePlan.safe_cycles`); host-port reads are pre-gathered
@@ -38,7 +42,8 @@ output arrays, so re-running the Python version after a failed jitted
 call is safe.
 
 Eligibility — :func:`compile_native` returns None (the ring then falls
-back native → macro-step → fast path) when:
+back native → macro-step → fast path, and keeps the reason as
+:attr:`~repro.core.ring.Ring.native_refusal`) when:
 
 * the period exceeds :data:`~repro.core.macropath.MAX_PERIOD` or the
   unroll cap (same limits as the macro tier);
@@ -47,9 +52,11 @@ back native → macro-step → fast path) when:
   that error exactly);
 * the Dnode dependence graph over one cycle is cyclic (a ring-closing
   configuration where every layer feeds the next has no time-parallel
-  order), or a within-Dnode register dependence is a non-MAC recurrence
-  (e.g. a cross-phase register swap, or a saturating MACS accumulator —
-  saturation is not linear, so there is no closed form).
+  order), or a within-Dnode dependence is a recurrence with no closed
+  form: a cross-phase register swap, a saturating MACS accumulator
+  (saturation is not linear), ``SUB x, v, x`` (the sign alternates), or
+  any other op reading its own previous result (e.g. a ``MADD``
+  first-order IIR).
 
 Bit-identity: for every completed window the native tier commits
 exactly the interpreter's architectural state — OUT latches, register
@@ -372,8 +379,11 @@ class NativePlan:
                     sw.rp_write(s, j + 1, int(vo[depth + T - s]))
         for queue, pops, stats in meta["fifo_pops"]:
             total = n * pops
-            for _ in range(total):
-                queue.popleft()
+            if total == len(queue):
+                queue.clear()
+            else:
+                for _ in range(total):
+                    queue.popleft()
             stats.fifo_pops += total
         for stats in meta["all_stats"]:
             stats.cycles += T
@@ -390,23 +400,61 @@ class NativePlan:
         return [vos[i][depth + 1:] for i in taps]
 
 
-def compile_native(ring: "Ring") -> Optional[NativePlan]:
+def compile_native(ring: "Ring",
+                   refusal: Optional[List[str]] = None
+                   ) -> Optional[NativePlan]:
     """Compile *ring*'s current configuration into a native plan.
 
     Returns None when the configuration is ineligible; the caller falls
-    back to the macro-step / fast-path tiers.
+    back to the macro-step / fast-path tiers.  The reason for a refusal
+    is appended to *refusal* when a list is given.
     """
     try:
         return _compile(ring)
-    except _Ineligible:
+    except _Ineligible as exc:
+        if refusal is not None:
+            refusal.append(str(exc))
         return None
 
 
-def _compile(ring: "Ring") -> Optional[NativePlan]:
+def _additive_step(mw, a_self: bool, b_self: bool) -> Optional[str]:
+    """Sign of an additive self-recurrence ``x = x ± v``, else None.
+
+    ``ADD x, x, v`` and ``ADD x, v, x`` accumulate ``+v``; ``SUB x, x, v``
+    accumulates ``-v``.  ``SUB x, v, x`` alternates sign, and an op
+    reading its own result twice is not additive.
+    """
+    if a_self and b_self:
+        return None
+    if mw.op is Opcode.ADD:
+        return "+"
+    if mw.op is Opcode.SUB and a_self:
+        return "-"
+    return None
+
+
+def _cycle_members(deps: Dict[int, set], unordered: set) -> List[int]:
+    """The nodes of *unordered* that lie on a dependence cycle.
+
+    *unordered* is what a Kahn pass could not order: the cycles plus
+    everything downstream of them.  Pruning nodes nothing left depends
+    on strips the downstream part.
+    """
+    left = set(unordered)
+    while True:
+        used = {d for i in left for d in deps[i] if d in left}
+        if used >= left:
+            return sorted(left)
+        left = used
+
+
+def _compile(ring: "Ring") -> NativePlan:
     geometry = ring.geometry
     period = macro_period(ring)
     if period > MAX_PERIOD or period * geometry.dnodes > MAX_UNROLL_CELLS:
-        return None
+        raise _Ineligible(
+            f"period {period} over the unroll cap ({MAX_PERIOD} cycles, "
+            f"{MAX_UNROLL_CELLS} Dnode-cycles)")
     layers, width = geometry.layers, geometry.width
     depth = geometry.pipeline_depth
     P = period
@@ -417,6 +465,9 @@ def _compile(ring: "Ring") -> Optional[NativePlan]:
     # --- per-phase microword schedule (same extraction as macropath) --
     counter_entries = []
     schedule: Dict[Tuple[int, int], list] = {}
+    # Each Dnode's own schedule period (its LIMIT, 1 in global mode): the
+    # op at phase ph repeats at ph + own period.
+    own_period: Dict[Tuple[int, int], int] = {}
     for l in range(layers):
         for p in range(width):
             dn = ring._dnodes[l][p]
@@ -428,8 +479,10 @@ def _compile(ring: "Ring") -> Optional[NativePlan]:
                 slots = lc.slots()
                 schedule[(l, p)] = [slots[(c0 + j) % limit]
                                     for j in range(P)]
+                own_period[(l, p)] = limit
             else:
                 schedule[(l, p)] = [dn.global_word] * P
+                own_period[(l, p)] = 1
 
     # --- routed-port survey -------------------------------------------
     # The interpreter resolves BOTH routed ports of every position every
@@ -453,7 +506,9 @@ def _compile(ring: "Ring") -> Optional[NativePlan]:
                 elif src.kind is PortKind.RP:
                     if not (1 <= src.index <= depth
                             and 1 <= src.lane <= width):
-                        raise _Ineligible("out-of-range feedback tap")
+                        raise _Ineligible(
+                            f"switch {l} position {p} port {port}: "
+                            f"out-of-range feedback tap")
 
     # --- operand resolution -------------------------------------------
     init_index: Dict[tuple, int] = {}
@@ -489,6 +544,7 @@ def _compile(ring: "Ring") -> Optional[NativePlan]:
             dn = ring._dnodes[l][p]
             i = dn_index(l, p)
             sched = schedule[(l, p)]
+            L = own_period[(l, p)]
             reg_writers: List[List[int]] = [[] for _ in range(4)]
             out_writers: List[int] = []
             for phase, mw in enumerate(sched):
@@ -568,7 +624,9 @@ def _compile(ring: "Ring") -> Optional[NativePlan]:
                     stage = src.feedback_stage
                     lane = src.feedback_lane
                     if not (stage <= depth and lane <= width):
-                        raise _Ineligible("out-of-range feedback source")
+                        raise _Ineligible(
+                            f"D{l}.{p} phase {phase}: out-of-range "
+                            f"feedback source")
                     return ("vo", lu, lane - 1, stage)
                 raise _Ineligible(f"unhandled source {src!r}")
 
@@ -593,27 +651,29 @@ def _compile(ring: "Ring") -> Optional[NativePlan]:
                         return opnd[1]
                     return None
 
-                recurrent = False
-                deps = set()
-                for opnd in (a, b):
-                    d = dep_of(opnd)
-                    if d == phase:
-                        raise _Ineligible("operand self-recurrence")
-                    if d is not None:
-                        deps.add(d)
-                d = dep_of(acc)
-                if d == phase:
-                    # Single-writer MAC into its own register: linear
-                    # recurrence with an exact cumsum closed form.
-                    # MACS saturates (non-linear): no closed form.
+                # An operand whose nearest writer is this op's previous
+                # instance (phase - L, the same schedule slot) makes the
+                # op an accumulator; only additive ones have a closed
+                # form.  MACS saturates (non-linear): no closed form.
+                where = f"D{l}.{p} phase {phase}"
+                own = (phase - L) % P
+                a_self, b_self = dep_of(a) == own, dep_of(b) == own
+                closed = None
+                if a_self or b_self:
+                    closed = _additive_step(mw, a_self, b_self)
+                    if closed is None:
+                        raise _Ineligible(
+                            f"{where}: {mw.op.name} self-recurrence has "
+                            f"no closed form")
+                elif dep_of(acc) == own:
                     if mw.op is not Opcode.MAC:
-                        raise _Ineligible("saturating accumulator loop")
-                    recurrent = True
-                elif d is not None:
-                    deps.add(d)
+                        raise _Ineligible(
+                            f"{where}: saturating {mw.op.name} accumulator")
+                    closed = "+"
                 ops[i][phase] = {
-                    "mw": mw, "a": a, "b": b, "acc": acc,
-                    "recurrent": recurrent, "deps": deps,
+                    "mw": mw, "a": a, "b": b, "acc": acc, "a_self": a_self,
+                    "closed": closed, "slot": phase % L,
+                    "deps": {dep_of(x) for x in (a, b, acc)} - {None, own},
                     "reg_writers": reg_writers, "out_writers": out_writers,
                 }
             # Stash the writer maps even for all-NOP dnodes (needed for
@@ -621,32 +681,42 @@ def _compile(ring: "Ring") -> Optional[NativePlan]:
             ops[i]["_writers"] = (reg_writers, out_writers)  # type: ignore
 
     # --- within-Dnode op order (Kahn; any residual cycle bails) -------
-    op_order: Dict[int, List[int]] = {}
+    # The instances of one closed-form accumulator slot (phases s,
+    # s + L, ...) form one cumsum chain: one node, generated as a unit.
+    op_order: Dict[int, List[List[int]]] = {}
     for i, table in ops.items():
-        phases = [ph for ph in table if isinstance(ph, int)]
-        indeg = {ph: 0 for ph in phases}
-        users: Dict[int, List[int]] = {ph: [] for ph in phases}
-        for ph in phases:
-            for d in table[ph]["deps"]:
-                indeg[ph] += 1
-                users[d].append(ph)
-        ready = sorted(ph for ph in phases if indeg[ph] == 0)
-        order: List[int] = []
+        members: Dict[int, List[int]] = {}
+        node_of: Dict[int, int] = {}
+        for ph in sorted(ph for ph in table if isinstance(ph, int)):
+            node = table[ph]["slot"] if table[ph]["closed"] else ph
+            node_of[ph] = node
+            members.setdefault(node, []).append(ph)
+        indeg = {k: 0 for k in members}
+        users: Dict[int, List[int]] = {k: [] for k in members}
+        for k, group in members.items():
+            for d in {node_of[d] for ph in group
+                      for d in table[ph]["deps"]}:
+                indeg[k] += 1
+                users[d].append(k)
+        ready = sorted(k for k in members if indeg[k] == 0)
+        order: List[List[int]] = []
         while ready:
-            ph = ready.pop(0)
-            order.append(ph)
-            for u in sorted(users[ph]):
+            k = ready.pop(0)
+            order.append(members[k])
+            for u in sorted(users[k]):
                 indeg[u] -= 1
                 if indeg[u] == 0:
                     ready.append(u)
-        if len(order) != len(phases):
-            raise _Ineligible("cyclic register dependence")
+        if len(order) != len(members):
+            l, p = divmod(i, width)
+            raise _Ineligible(
+                f"D{l}.{p}: cyclic register dependence across phases")
         op_order[i] = order
 
     # --- Dnode-level dependence graph over the window -----------------
     dn_deps: Dict[int, set] = {i: set() for i in range(geometry.dnodes)}
     for i, table in ops.items():
-        for ph in op_order[i]:
+        for ph in (ph for group in op_order[i] for ph in group):
             rec = table[ph]
             for opnd in (rec["a"], rec["b"], rec["acc"]):
                 if opnd is not None and opnd[0] == "vo":
@@ -666,7 +736,9 @@ def _compile(ring: "Ring") -> Optional[NativePlan]:
             if indeg[u] == 0:
                 ready.append(u)
     if len(dn_order) != geometry.dnodes:
-        raise _Ineligible("cross-Dnode dependence cycle")
+        cycle = _cycle_members(dn_deps, set(dn_deps) - set(dn_order))
+        names = ", ".join("D%d.%d" % divmod(i, width) for i in cycle)
+        raise _Ineligible(f"cross-Dnode dependence cycle through {names}")
 
     # --- code generation ----------------------------------------------
     lines: List[str] = []
@@ -704,6 +776,34 @@ def _compile(ring: "Ring") -> Optional[NativePlan]:
             return f"_fv_{opnd[1]}", True
         raise _Ineligible(f"unhandled operand {opnd!r}")
 
+    def emit_chain(i: int, group: List[int]) -> None:
+        """One closed-form accumulator: the m instances per period of
+        ``x = x ± v`` (or a MAC's ``x = x + a*b``) are one running sum
+        over the m*n terms in time order."""
+        recs = [ops[i][ph] for ph in group]
+        m = len(group)
+        temp_count[0] += 1
+        t = f"_c{temp_count[0]}"
+        emit(f"{t} = np.empty(n * {m}, np.int64)")
+        for j, (ph, rec) in enumerate(zip(group, recs)):
+            if rec["mw"].op is Opcode.MAC:
+                a, _ = operand_expr(i, ph, rec["a"])
+                b, _ = operand_expr(i, ph, rec["b"])
+                term = f"{_sgn(a)} * {_sgn(b)}"
+            else:
+                term, _ = operand_expr(
+                    i, ph, rec["b"] if rec["a_self"] else rec["a"])
+            emit(f"{t}[{j}::{m}] = {term}")
+        # The first instance reads the previous period's last one, whose
+        # value at window entry is the ("res1", own, init) slot.
+        root = recs[0]
+        own = (root["acc"] if root["mw"].op is Opcode.MAC
+               else root["a"] if root["a_self"] else root["b"])
+        emit(f"{t} = (_INIT[{own[2]}] {root['closed']} np.cumsum({t})) "
+             f"& 65535")
+        for j, ph in enumerate(group):
+            emit(f"_r_{i}_{ph} = {t}[{j}::{m}]")
+
     fin_index: Dict[tuple, int] = {}
     fin_regs: List[tuple] = []
 
@@ -712,21 +812,17 @@ def _compile(ring: "Ring") -> Optional[NativePlan]:
         dn = ring._dnodes[l][p]
         table = ops[i]
         reg_writers, out_writers = table["_writers"]  # type: ignore
-        for ph in op_order[i]:
-            rec = table[ph]
+        for group in op_order[i]:
+            rec = table[group[0]]
+            if rec["closed"]:
+                emit_chain(i, group)
+                continue
+            ph = group[0]
             mw = rec["mw"]
             a, a_arr = operand_expr(i, ph, rec["a"])
             b = b_arr = None
             if rec["b"] is not None:
                 b, b_arr = operand_expr(i, ph, rec["b"])
-            if rec["recurrent"]:
-                acc_init = rec["acc"][2]
-                prod = (f"(np.zeros(n, np.int64) + "
-                        f"({_sgn(a)} * {_sgn(b)}))")
-                expr = (f"(np.cumsum({prod}) + "
-                        f"((_INIT[{acc_init}] ^ 32768) - 32768)) & 65535")
-                emit(f"_r_{i}_{ph} = {expr}")
-                continue
             acc = None
             acc_arr = False
             if rec["acc"] is not None:

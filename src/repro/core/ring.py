@@ -71,10 +71,12 @@ from repro.errors import ConfigurationError, SimulationError
 #: not eligible for macro-step fusion (period too large to unroll).
 _MACRO_INELIGIBLE = object()
 
-#: Sentinel cached on ``Ring._native`` when the current configuration is
-#: not eligible for time-vectorized execution (see
-#: :func:`repro.core.nativepath.compile_native`).
-_NATIVE_INELIGIBLE = object()
+
+class _NativeRefusal(str):
+    """Negative native-plan entry (on ``Ring._native`` and in the plan
+    cache): why the configuration cannot be time-vectorized (see
+    :func:`repro.core.nativepath.compile_native`)."""
+
 
 HostReader = Callable[[int], int]
 
@@ -337,7 +339,7 @@ class Ring:
         self.native_compiles = 0
         self.native_fallback_cycles = 0
         # Active native plan for the current configuration + entry phase
-        # (None = not compiled, _NATIVE_INELIGIBLE = cannot vectorize).
+        # (None = not compiled, a _NativeRefusal = cannot vectorize).
         self._native = None
         # Cached config_fingerprint() (None = recompute).
         self._fingerprint = None
@@ -548,8 +550,15 @@ class Ring:
             values = [values]
         else:
             values = list(values)
-        for v in values:
-            queue.append(word.check(v, "FIFO push"))
+        if (values and set(map(type, values)) == {int}
+                and 0 <= min(values) and max(values) <= word.MASK):
+            # Plain ints in range: one validation pass for the block.
+            queue.extend(values)
+        else:
+            # Anything else is checked word by word, so a bad word
+            # raises the same error after the same partial push.
+            for v in values:
+                queue.append(word.check(v, "FIFO push"))
         key = (layer, position, channel)
         depth = len(queue)
         if depth > self.fifo_high_water.get(key, 0):
@@ -949,10 +958,11 @@ class Ring:
         fingerprint *and* entry phase, exactly like macro kernels, so a
         restore or reconfiguration back to a known state re-adopts the
         compiled kernel with zero codegen.  Refusals are cached under the
-        same key, so each configuration is tried at most once.
+        same key with their reason (:attr:`native_refusal`), so each
+        configuration is tried at most once.
         """
         native = self._native
-        if native is _NATIVE_INELIGIBLE:
+        if isinstance(native, _NativeRefusal):
             return None
         if native is not None and native.matches_phase():
             return native
@@ -966,15 +976,30 @@ class Ring:
             key = ("native", phase, self.config_fingerprint())
             native = cache.get(key)
         if native is None:
-            native = compile_native(self)
+            refusal: List[str] = []
+            native = compile_native(self, refusal)
             if native is None:
-                native = _NATIVE_INELIGIBLE
+                native = _NativeRefusal(refusal[0])
             else:
                 self.native_compiles += 1
             if key is not None:
                 cache.put(key, native)
         self._native = native
-        return None if native is _NATIVE_INELIGIBLE else native
+        return None if isinstance(native, _NativeRefusal) else native
+
+    @property
+    def native_refusal(self) -> Optional[str]:
+        """Why the native tier refuses the current configuration.
+
+        None when the configuration (at the current entry phase) compiles
+        to a native plan.  Otherwise a reason naming what blocks
+        time-vectorization — the offending Dnode and phase for a
+        recurrence with no closed form, the Dnodes on a cross-Dnode
+        dependence cycle, an out-of-range feedback tap, or the period
+        cap.  Resolves (and caches) the plan like a run would.
+        """
+        native = self._ensure_native()
+        return None if native is not None else str(self._native)
 
     def _run_steady(self, plan, cycles: int, bus: int,
                     host_in: Optional[HostReader]) -> None:

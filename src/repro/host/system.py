@@ -18,12 +18,20 @@ fully configured up front and left in local mode — the stand-alone
 operating point the paper's multi-level reconfiguration enables.
 
 :meth:`RingSystem.run` executes the same clock in bulk wherever that is
-exact.  On a ``backend="native"`` ring an uncontrolled system runs its
-steady state through native windows: streams are handed to the kernel as
-arrays, taps are slices of the tapped Dnodes' output history, and the
-host side is settled in closed form after each window (see
-:mod:`repro.host.streams`).  :attr:`RingSystem.cycle_paths` records which
-path every cycle took and why a cycle had to be stepped alone.
+exact.  Bulk needs a *quiet* controller: none at all, one halted, or one
+sitting out a ``WAITI`` delay — the paper's local mode, where the Dnodes
+loop on their own while the controller idles.  A quiet span issues no
+configuration command and holds the bus at the controller's last
+``BUSW`` value, so it runs like an uncontrolled one: on a
+``backend="native"`` ring through native windows (streams are handed to
+the kernel as arrays, taps are slices of the tapped Dnodes' output
+history, and the host side is settled in closed form after each window,
+see :mod:`repro.host.streams`), or whole through ``Ring.run`` when the
+host side is idle.  The controller then advances over the span in closed
+form (:meth:`~repro.controller.core.RiscController.skip_quiet`); only
+cycles that execute an instruction are stepped one at a time.
+:attr:`RingSystem.cycle_paths` records which path every cycle took and
+why a cycle had to be stepped alone.
 """
 
 from __future__ import annotations
@@ -94,8 +102,9 @@ class RingSystem:
         Exported as ``system_cycles_total{path, reason}``.  Path
         ``"bulk"``: ``"native"`` (native windows with taps/streams) or
         ``"idle"`` (idle host side, whole chunk to ``Ring.run``).  Path
-        ``"per_cycle"`` names what forced the step: ``"controller"``,
-        ``"lanes"`` (batch engine with taps or queued words), the
+        ``"per_cycle"`` names what forced the step: ``"controller"`` (it
+        executed an instruction that cycle), ``"lanes"`` (batch engine
+        with taps or queued words), the
         :meth:`~repro.core.ring.Ring.native_span` refusals ``"trace"``,
         ``"backend"``, ``"no_plan"``, ``"native_refused"``,
         ``"remainder"``, ``"fifo_gated"``, or ``"direct"`` (:meth:`step`
@@ -110,49 +119,67 @@ class RingSystem:
     def run(self, cycles: int) -> None:
         """Advance *cycles* clocks, in bulk wherever that is exact.
 
-        * An uncontrolled system with an idle data controller (no taps,
-          no queued stream words) needs no per-cycle host servicing, so
-          the whole batch is handed to :meth:`repro.core.ring.Ring.run`.
-          Idleness is re-checked as the run progresses: once the queued
-          stream words drain mid-run, the remaining cycles take the bulk
-          path too.
-        * An uncontrolled system on a ``backend="native"`` ring runs its
-          steady state as native windows with taps and streams attached
-          (:meth:`repro.core.ring.Ring.native_span`), and steps per
-          cycle only where the native tier refuses.
-        * Everything else is stepped one cycle at a time.
+        Cycles in which the controller executes an instruction are
+        stepped one at a time.  Every quiet span (see the module
+        docstring) goes down the bulk ladder of :meth:`_run_quiet`.
         """
         if cycles < 0:
             raise SimulationError(f"cycle count must be >= 0, got {cycles}")
+        controller = self.controller
+        remaining = cycles
+        while remaining:
+            quiet = None if controller is None else \
+                controller.quiet_cycles()
+            if quiet == 0:
+                self._step_many(1, "controller")
+                remaining -= 1
+                continue
+            span = remaining if quiet is None else min(quiet, remaining)
+            self._run_quiet(span)
+            remaining -= span
+
+    def _run_quiet(self, cycles: int) -> None:
+        """Run *cycles* clocks over which the controller stays quiet.
+
+        * With an idle data controller (no taps, no queued stream words)
+          no per-cycle host servicing is needed, so the whole span is
+          handed to :meth:`repro.core.ring.Ring.run`.  Idleness is
+          re-checked as the span progresses: once the queued stream
+          words drain, the remaining cycles take this path too.
+        * On a ``backend="native"`` ring the steady state runs as native
+          windows with taps and streams attached
+          (:meth:`repro.core.ring.Ring.native_span`).
+        * The rest is stepped one cycle at a time, booked under the
+          reason the native tier gave.
+        """
         ring, data = self.ring, self.data
-        uncontrolled = self.controller is None
-        if not uncontrolled:
-            reason = "controller"
-        elif ring.backend == "batch" and (
+        bus = 0 if self.controller is None else self.controller.bus_out
+        if ring.backend == "batch" and (
                 ring.batch_size > 1 or ring._batch_engine is not None):
             reason = "lanes"
         else:
             reason = None
         remaining = cycles
         while remaining:
-            if uncontrolled and data.idle:
-                ring.run(remaining, host_in=data.bulk_host_in(ring))
+            if data.idle:
+                ring.run(remaining, bus=bus,
+                         host_in=data.bulk_host_in(ring))
                 data.clear_dry_latches()
                 self._count_bulk("idle", remaining)
                 return
-            # Every refusal but a missing plan holds for the rest of an
-            # uncontrolled run: the configuration cannot change and FIFO
+            # Every refusal but a missing plan holds for the rest of a
+            # quiet span: the configuration cannot change and FIFO
             # occupancy only drains.
             if reason is None or reason == "no_plan":
                 plan, span, reason = ring.native_span(remaining)
                 if span:
-                    self._run_window(plan, span)
+                    self._run_window(plan, span, bus)
                     remaining -= span
                     continue
             # Without taps, draining streams can make the host side idle
-            # mid-run: re-check it every cycle then.
-            steps = (remaining if reason != "no_plan"
-                     and (data.taps or not uncontrolled) else 1)
+            # mid-span: re-check it every cycle then.
+            steps = (remaining if reason != "no_plan" and data.taps
+                     else 1)
             self._step_many(steps, reason)
             remaining -= steps
 
@@ -163,18 +190,16 @@ class RingSystem:
             for _ in range(cycles):
                 self.step()
         finally:
-            self._book_steps(reason, self._steps - before)
+            stepped = self._steps - before
+            self._booked_steps += stepped
+            key = ("per_cycle", reason)
+            self._paths[key] = self._paths.get(key, 0) + stepped
 
-    def _book_steps(self, reason: str, stepped: int) -> None:
-        self._booked_steps += stepped
-        key = ("per_cycle", reason)
-        self._paths[key] = self._paths.get(key, 0) + stepped
-
-    def _run_window(self, plan, span: int) -> None:
+    def _run_window(self, plan, span: int, bus: int) -> None:
         """Run *span* native cycles, then settle streams and taps."""
         data = self.data
         outs = self.ring.run_native(
-            plan, span, host_in=data.window_reader(self.ring),
+            plan, span, bus=bus, host_in=data.window_reader(self.ring),
             taps=[(tap.layer, tap.position) for tap in data.taps])
         data.settle(span, plan.host_channels)
         for tap, values in zip(data.taps, outs):
@@ -182,6 +207,8 @@ class RingSystem:
         self._count_bulk("native", span)
 
     def _count_bulk(self, reason: str, cycles: int) -> None:
+        if self.controller is not None:
+            self.controller.skip_quiet(cycles)
         self.cycles += cycles
         key = ("bulk", reason)
         self._paths[key] = self._paths.get(key, 0) + cycles
@@ -226,25 +253,25 @@ class RingSystem:
         """Run until the controller halts (plus *drain* extra cycles).
 
         Returns the number of cycles executed.  Raises if no controller is
-        attached or the limit is hit — a silent infinite loop is always a
-        bug in the management code.
+        attached, or if the controller has not halted after *max_cycles*
+        + 1 cycles — a silent infinite loop is always a bug in the
+        management code.  The cycles go through :meth:`run`, one quiet
+        span or one instruction at a time, clipped to that budget so the
+        error fires on the same cycle as stepping would.
         """
-        if self.controller is None:
+        controller = self.controller
+        if controller is None:
             raise SimulationError("run_until_halt needs a controller")
         start = self.cycles
-        before = self._steps
-        try:
-            while not self.controller.halted:
-                self.step()
-                if self.cycles - start > max_cycles:
-                    raise SimulationError(
-                        f"controller did not halt within {max_cycles} "
-                        f"cycles"
-                    )
-            for _ in range(drain):
-                self.step()
-        finally:
-            self._book_steps("controller", self._steps - before)
+        while not controller.halted:
+            budget = max_cycles + 1 - (self.cycles - start)
+            self.run(max(1, min(controller.quiet_cycles(), budget)))
+            if self.cycles - start > max_cycles:
+                raise SimulationError(
+                    f"controller did not halt within {max_cycles} "
+                    f"cycles"
+                )
+        self.run(drain)
         return self.cycles - start
 
     def run_until_taps_full(self, max_cycles: int = 1_000_000) -> int:

@@ -470,6 +470,27 @@ class TestDifferentialNative:
         assert native.native_cycles + native.native_fallback_cycles \
             <= native.cycles
 
+    @given(spec=ring_specs(min_layers=2, max_layers=4, min_width=1,
+                           max_width=2, max_local=4, accumulators=True),
+           chunks=st.lists(st.integers(min_value=1, max_value=300),
+                           min_size=1, max_size=3),
+           seed=st.integers(min_value=0, max_value=0xFFFF),
+           bus=st.integers(min_value=0, max_value=0xFFFF))
+    @settings(max_examples=60, **_SETTINGS)
+    def test_native_accumulators_identity(self, spec, chunks, seed, bus):
+        """Fabrics rich in additive accumulators (``x = x ± v`` on
+        registers and SELF): the cumsum closed forms, their refusals
+        (doublings, ``SUB x, v, x``) and interleaved chains under longer
+        periods all match the interpreter over wrapping runs."""
+        interp = build_ring(spec, fastpath=False)
+        native = build_ring(spec, backend="native")
+        for chunk in chunks:
+            for ring in (interp, native):
+                ring.run(chunk, bus=bus,
+                         host_in=lambda ch, _r=ring: _host_value(
+                             seed, ch, _r.cycles, 0))
+            assert _state(native) == _state(interp)
+
     @given(spec_a=ring_specs(min_layers=3, max_layers=3, min_width=2,
                              max_width=2, max_local=4),
            spec_b=ring_specs(min_layers=3, max_layers=3, min_width=2,

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import word
 from repro.core.dnode import DnodeMode
-from repro.core.isa import MicroWord, Source
+from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
 from repro.core.switch import PortSource
 
@@ -46,9 +46,33 @@ def _legal_word(mw: MicroWord, width: int) -> MicroWord:
 
 
 @st.composite
+def accumulator_words(draw):
+    """An additive accumulator ``x = x ± v``: ``ADD x, x, v``,
+    ``ADD x, v, x`` or ``SUB x, x, v``, with ``x`` a register or OUT
+    (read through ``SELF``).  A *v* that is ``x`` itself (``ADD R0, R0,
+    R0``) makes it a doubling, which must stay off the closed form."""
+    target = draw(st.integers(0, 4))
+    if target == 4:
+        own, dst = Source.SELF, Dest.OUT
+    else:
+        own, dst = Source(target), Dest(target)
+    v = draw(st.sampled_from([
+        Source.IMM, Source.IN1, Source.IN2, Source.FIFO1, Source.BUS,
+        Source.R0, Source.R1, Source.SELF, Source.ZERO, Source.rp(2, 1)]))
+    form = draw(st.sampled_from(["add", "add_swapped", "sub"]))
+    op = Opcode.SUB if form == "sub" else Opcode.ADD
+    a, b = (v, own) if form == "add_swapped" else (own, v)
+    flags = draw(st.sampled_from(
+        [Flag.NONE, Flag.WRITE_OUT, Flag.POP_FIFO1]))
+    return MicroWord(op=op, src_a=a, src_b=b, dst=dst, flags=flags,
+                     imm=draw(st.integers(0, 0xFFFF)))
+
+
+@st.composite
 def ring_specs(draw, min_layers: int = 4, max_layers: int = 4,
                min_width: int = 2, max_width: int = 2,
-               max_local: int = 8, fifo_loads: bool = True):
+               max_local: int = 8, fifo_loads: bool = True,
+               accumulators: bool = False):
     """A replayable random fabric configuration.
 
     The spec is plain data so the *same* drawn configuration can be
@@ -57,18 +81,23 @@ def ring_specs(draw, min_layers: int = 4, max_layers: int = 4,
 
         {"layers": L, "width": W, "cells": [(layer, pos, microword,
           local_program_or_None, {port: route}, {channel: fifo_words})]}
+
+    With *accumulators*, microwords and local slots are also drawn from
+    :func:`accumulator_words`.
     """
+    words = microwords()
+    if accumulators:
+        words = st.one_of(microwords(), accumulator_words())
     layers = draw(st.integers(min_layers, max_layers))
     width = draw(st.integers(min_width, max_width))
     cells = []
     for layer in range(layers):
         for pos in range(width):
-            mw = _legal_word(draw(microwords()), width)
+            mw = _legal_word(draw(words), width)
             local = None
             if draw(st.booleans()):
                 local = [_legal_word(w, width) for w in draw(
-                    st.lists(microwords(), min_size=1,
-                             max_size=max_local))]
+                    st.lists(words, min_size=1, max_size=max_local))]
             routes = {port: draw(port_sources(width)) for port in (1, 2)}
             loads = {}
             if fifo_loads and draw(st.booleans()):

@@ -10,6 +10,7 @@ working / broken), and the single-registry backend contract shared by
 
 from __future__ import annotations
 
+import random
 import re
 import sys
 import types
@@ -87,6 +88,8 @@ class TestEligibility:
         ring.config.write_microword(1, 0, MicroWord(
             Opcode.MADD, Source.IN1, Source.SELF, Dest.OUT, imm=3))
         assert nativepath.compile_native(ring) is None
+        assert ring.native_refusal == (
+            "D1.0 phase 0: MADD self-recurrence has no closed form")
 
     def test_saturating_accumulator_is_ineligible(self):
         """MACS has no closed form (saturation breaks the cumsum)."""
@@ -96,12 +99,15 @@ class TestEligibility:
             flags=Flag.POP_FIFO1 | Flag.POP_FIFO2)])
         ring.config.write_mode(0, 0, DnodeMode.LOCAL)
         assert nativepath.compile_native(ring) is None
+        assert ring.native_refusal == (
+            "D0.0 phase 0: saturating MACS accumulator")
 
     def test_wrapping_accumulator_is_eligible(self):
         """Plain MAC accumulation has the cumsum closed form."""
         ring = Ring(RingGeometry(layers=2, width=2), backend="native")
         _mac_program(ring)
         assert nativepath.compile_native(ring) is not None
+        assert ring.native_refusal is None
 
     def test_cross_dnode_ring_cycle_is_ineligible(self):
         """A full wrap-around dataflow cycle cannot be vectorized."""
@@ -111,6 +117,21 @@ class TestEligibility:
             ring.config.write_microword(k, 0, MicroWord(
                 Opcode.ADD, Source.IN1, Source.IMM, Dest.OUT, imm=1))
         assert nativepath.compile_native(ring) is None
+        assert ring.native_refusal == (
+            "cross-Dnode dependence cycle through D0.0, D1.0")
+
+    def test_cycle_reason_names_only_the_cycle(self):
+        """Dnodes merely downstream of a ring-wrap cycle are not named:
+        D0.1 and D1.1 read the D0.0 <-> D1.0 loop but feed nothing back."""
+        ring = Ring(RingGeometry(layers=2, width=2), backend="native")
+        for k in range(2):
+            for p in range(2):
+                ring.config.write_switch_route(k, p, 1, PortSource.up(
+                    0 if (k, p) != (1, 1) else 1))
+                ring.config.write_microword(k, p, MicroWord(
+                    Opcode.ADD, Source.IN1, Source.IMM, Dest.OUT, imm=1))
+        assert ring.native_refusal == (
+            "cross-Dnode dependence cycle through D0.0, D1.0")
 
     def test_cross_phase_register_cycle_is_ineligible(self):
         """R0 <-> R1 swap across phases (biquad shape) falls back."""
@@ -138,6 +159,158 @@ class TestEligibility:
         ring.config.write_microword(1, 0, MicroWord(
             Opcode.MOV, Source.rp(3, 1), dst=Dest.OUT))
         assert nativepath.compile_native(ring) is None
+        assert ring.native_refusal == (
+            "D1.0 phase 0: out-of-range feedback source")
+
+    def test_out_of_range_routed_tap_is_ineligible(self):
+        ring = Ring(RingGeometry(layers=2, width=2, pipeline_depth=2),
+                    backend="native")
+        ring.config.write_switch_route(1, 1, 2, PortSource.rp(4, 1))
+        assert ring.native_refusal == (
+            "switch 1 position 1 port 2: out-of-range feedback tap")
+
+    def test_period_cap_is_ineligible(self):
+        """Coprime LIMITs push the period past the unroll cap."""
+        ring = Ring(RingGeometry(layers=2, width=2), backend="native")
+        for (layer, pos), limit in zip([(0, 0), (0, 1), (1, 0)],
+                                       (5, 7, 8)):
+            ring.config.write_local_program(layer, pos, [MicroWord(
+                Opcode.ADD, Source.IMM, Source.ZERO, Dest.R0, imm=1)]
+                * limit)
+            ring.config.write_mode(layer, pos, DnodeMode.LOCAL)
+        assert ring.native_refusal.startswith("period 280 over the unroll cap")
+
+
+def _words(seed: int, count: int) -> list:
+    """*count* seeded pseudo-random raw words."""
+    rng = random.Random(seed)
+    return [rng.getrandbits(16) for _ in range(count)]
+
+
+class TestClosedForms:
+    """Additive accumulators run native, bit-identical to the
+    interpreter, over runs long enough to wrap INT16 several times."""
+
+    CYCLES = 1200
+
+    def _check(self, build, wraps_of):
+        ring = build(backend="native")
+        assert ring.native_refusal is None
+        rn, ri = _twin(build, self.CYCLES, bus=0x7123)
+        assert rn.native_cycles >= self.CYCLES - 8
+        assert state_digest(rn) == state_digest(ri)
+        # The unbounded sum the accumulator wrapped: several times 2**16.
+        assert wraps_of(rn) >= 4 * 0x10000
+
+    def test_me_sad_loop(self):
+        """``absdiff r1, fifo1, fifo2 [pop] / add r0, r0, r1`` — the
+        Table 1 SAD loop."""
+        ref, cand = _words(1, self.CYCLES), _words(2, self.CYCLES)
+
+        def build(**kw):
+            ring = Ring(RingGeometry(layers=2, width=2), **kw)
+            ring.config.write_local_program(0, 0, [
+                MicroWord(Opcode.ABSDIFF, Source.FIFO1, Source.FIFO2,
+                          Dest.R1, flags=Flag.POP_FIFO1 | Flag.POP_FIFO2),
+                MicroWord(Opcode.ADD, Source.R0, Source.R1, Dest.R0),
+            ])
+            ring.config.write_mode(0, 0, DnodeMode.LOCAL)
+            ring.push_fifo(0, 0, 1, ref)
+            ring.push_fifo(0, 0, 2, cand)
+            return ring
+
+        def total(ring):
+            pairs = ring.dnode(0, 0).stats.fifo_pops // 2
+            return sum(abs(word.to_signed(a) - word.to_signed(b))
+                       for a, b in zip(ref[:pairs], cand[:pairs]))
+        self._check(build, total)
+        ring = build(backend="native")
+        ring.run(self.CYCLES)
+        assert ring.dnode(0, 0).regs._values[0] == total(ring) & 0xFFFF
+
+    def test_add_out_self_imm(self):
+        """``ADD OUT, SELF, IMM``: an arithmetic progression on OUT."""
+        def build(**kw):
+            ring = Ring(RingGeometry(layers=2, width=2), **kw)
+            ring.config.write_microword(0, 1, MicroWord(
+                Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT, imm=30001))
+            return ring
+        self._check(build, lambda ring: 30001 * ring.cycles)
+
+    def test_sub_r0_r0_fifo1(self):
+        """``SUB R0, R0, FIFO1 [pop]``, mirrored to OUT and read
+        downstream."""
+        words = _words(3, self.CYCLES + 8)
+
+        def build(**kw):
+            ring = Ring(RingGeometry(layers=2, width=2), **kw)
+            ring.config.write_microword(0, 0, MicroWord(
+                Opcode.SUB, Source.R0, Source.FIFO1, Dest.R0,
+                flags=Flag.POP_FIFO1 | Flag.WRITE_OUT))
+            ring.config.write_switch_route(1, 0, 1, PortSource.up(0))
+            ring.config.write_microword(1, 0, MicroWord(
+                Opcode.MOV, Source.IN1, dst=Dest.OUT))
+            ring.push_fifo(0, 0, 1, words)
+            return ring
+        self._check(build, lambda ring: sum(words[:ring.cycles]))
+
+    def test_chains_under_a_longer_period(self):
+        """A LIMIT-1 or global accumulator in a ring whose period is 6
+        repeats 6 or 3 times per period: one cumsum over the
+        interleaved terms (MAC, ADD with the self operand second, and a
+        global SELF accumulator over a host stream)."""
+        def build(**kw):
+            ring = Ring(RingGeometry(layers=3, width=2), **kw)
+            ring.config.write_local_program(0, 0, [
+                MicroWord(Opcode.MOV, Source.BUS, dst=Dest.R1),
+                MicroWord(Opcode.ADD, Source.R1, Source.R0, Dest.R0,
+                          flags=Flag.WRITE_OUT)])
+            ring.config.write_mode(0, 0, DnodeMode.LOCAL)
+            ring.config.write_local_program(0, 1, [MicroWord(
+                Opcode.MAC, Source.BUS, Source.IMM, Dest.R3, imm=0x8123)])
+            ring.config.write_mode(0, 1, DnodeMode.LOCAL)
+            ring.config.write_local_program(1, 0, [
+                MicroWord(Opcode.NOP)] * 3)
+            ring.config.write_mode(1, 0, DnodeMode.LOCAL)
+            ring.config.write_switch_route(1, 1, 1, PortSource.host(0))
+            ring.config.write_microword(1, 1, MicroWord(
+                Opcode.ADD, Source.IN1, Source.SELF, Dest.OUT))
+            return ring
+
+        def host_of(ring):
+            return lambda ch: (40503 * ring.cycles) & 0xFFFF
+        rn, ri = build(backend="native"), build(fastpath=False)
+        assert rn.native_refusal is None
+        rn.run(self.CYCLES, bus=0x7123, host_in=host_of(rn))
+        for _ in range(self.CYCLES):
+            ri.step(bus=0x7123, host_in=host_of(ri))
+        assert rn.native_cycles >= self.CYCLES - 8
+        assert state_digest(rn) == state_digest(ri)
+
+    @pytest.mark.parametrize("mw, reason", [
+        (MicroWord(Opcode.SUB, Source.IMM, Source.SELF, Dest.OUT, imm=3),
+         "D0.0 phase 0: SUB self-recurrence has no closed form"),
+        (MicroWord(Opcode.ADD, Source.R0, Source.R0, Dest.R0),
+         "D0.0 phase 0: ADD self-recurrence has no closed form"),
+        (MicroWord(Opcode.ADD, Source.R0, Source.SELF, Dest.R0,
+                   flags=Flag.WRITE_OUT),
+         "D0.0 phase 0: ADD self-recurrence has no closed form"),
+        (MicroWord(Opcode.ADDSAT, Source.SELF, Source.IMM, Dest.OUT, imm=9),
+         "D0.0 phase 0: ADDSAT self-recurrence has no closed form"),
+        (MicroWord(Opcode.MUL, Source.R1, Source.IMM, Dest.R1, imm=3),
+         "D0.0 phase 0: MUL self-recurrence has no closed form"),
+    ])
+    def test_non_additive_recurrences_stay_ineligible(self, mw, reason):
+        ring = Ring(RingGeometry(layers=2, width=1), backend="native")
+        ring.config.write_microword(0, 0, mw)
+        assert ring.native_refusal == reason
+        twin = Ring(RingGeometry(layers=2, width=1), fastpath=False)
+        twin.config.write_microword(0, 0, mw)
+        ring.run(40, bus=5)
+        for _ in range(40):
+            twin.step(bus=5)
+        assert ring.native_cycles == 0
+        assert state_digest(ring) == state_digest(twin)
 
 
 class TestFallbackLadder:
@@ -274,16 +447,16 @@ class TestPlanCacheAndSnapshots:
         attempts = []
         compile_native = ring_module.compile_native
 
-        def counted(ring):
+        def counted(ring, *args):
             attempts.append(ring.config_fingerprint())
-            return compile_native(ring)
+            return compile_native(ring, *args)
 
         monkeypatch.setattr(ring_module, "compile_native", counted)
         ring = Ring(RingGeometry(layers=2, width=1), backend="native")
         for _ in range(3):
-            for imm in (3, 5):  # SELF accumulators: operand recurrence
+            for imm in (3, 5):  # OUT = imm - OUT: alternating recurrence
                 ring.config.write_microword(0, 0, MicroWord(
-                    Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT, imm=imm))
+                    Opcode.SUB, Source.IMM, Source.SELF, Dest.OUT, imm=imm))
                 ring.run(6)
         assert len(attempts) == len(set(attempts)) == 2
         assert ring.native_compiles == 0

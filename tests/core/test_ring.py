@@ -200,6 +200,31 @@ class TestFifos:
         ring8.push_fifo(0, 0, 1, 7)
         assert list(ring8.fifo(0, 0, 1)) == [7]
 
+    @pytest.mark.parametrize("bad", [-5, 0x10000, 3.0, "7", None])
+    def test_bad_word_message_and_partial_push(self, ring8, bad):
+        """A block with one bad word falls back to word-by-word checks:
+        the words before it land, and the message names the bad word."""
+        with pytest.raises(ValueError) as err:
+            ring8.push_fifo(0, 0, 1, [1, 0xFFFF, bad, 4])
+        assert str(err.value) == \
+            f"FIFO push must be a 16-bit raw word, got {bad!r}"
+        assert list(ring8.fifo(0, 0, 1)) == [1, 0xFFFF]
+
+    def test_bools_and_int_subclasses_still_accepted(self, ring8):
+        class Raw(int):
+            pass
+        values = [True, Raw(513), 0, False, 0xFFFF]
+        ring8.push_fifo(0, 0, 2, values)
+        queue = ring8.fifo(0, 0, 2)
+        assert list(queue) == [1, 513, 0, 0, 0xFFFF]
+        # Stored as pushed, exactly as the per-word check leaves them.
+        assert [type(v) for v in queue] == [bool, Raw, int, bool, int]
+
+    def test_block_push_updates_high_water(self, ring8):
+        ring8.push_fifo(0, 0, 1, range(300))
+        assert len(ring8.fifo(0, 0, 1)) == 300
+        assert ring8.fifo_high_water[(0, 0, 1)] == 300
+
 
 class TestEngine:
     def test_cycle_counter(self, ring8):

@@ -10,11 +10,19 @@ mid-run, and everything a caller can observe must agree: tap samples and
 cycle counts, per-channel delivered/underrun counts and queues, and the
 final fabric digest.
 
+Controller-driven systems get the same treatment against a stricter
+reference: random controller programs over random configuration planes,
+where the bulk path runs the controller's quiet spans (``WAITI``
+countdowns, a halted drain) as windows and must match an interpreter
+system stepped one cycle at a time.
+
 The Hypothesis suites are derandomized (pinned example sequence, no
 deadline) like the ring-level differential suite.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -24,10 +32,13 @@ from repro.compiler import codegen
 from repro.compiler.library import fir8
 from repro.controller.core import RiscController
 from repro.controller.isa import Instruction, ROp
+from repro.core.config_memory import ConfigPlane
+from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
 from repro.core.snapshot import capture, restore, state_digest
 from repro.core.switch import PortKind, PortSource
+from repro.errors import SimulationError
 from repro.host.streams import OutputTap, StreamChannel
 from repro.host.system import RingSystem
 
@@ -169,10 +180,11 @@ class TestNativeWindows:
 
 
 def _selfloop_ring(**kwargs) -> Ring:
-    """An accumulator reading its own OUT: native-ineligible."""
+    """``OUT = 3 - OUT``: a SELF recurrence whose sign alternates, so it
+    has no cumsum closed form and stays native-ineligible."""
     ring = Ring(RingGeometry(layers=2, width=1), **kwargs)
     ring.config.write_microword(0, 0, MicroWord(
-        Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT, imm=3))
+        Opcode.SUB, Source.IMM, Source.SELF, Dest.OUT, imm=3))
     return ring
 
 
@@ -201,18 +213,27 @@ class TestPerCycleReasons:
         system.run(10)
         assert system.cycle_paths == expected
 
+    def test_selfloop_refusal_reason(self):
+        assert _selfloop_ring(backend="native").native_refusal == (
+            "D0.0 phase 0: SUB self-recurrence has no closed form")
+
     def test_controller_and_trace_and_direct(self):
         ring = _selfloop_ring(backend="native")
         ctrl = RiscController([Instruction(ROp.WAITI, imm=4),
                                Instruction(ROp.HALT)])
         system = RingSystem(ring, ctrl)
         system.data.add_tap(0, 0)
+        # Cycle 1 executes WAITI; cycles 2-3 are quiet and take the
+        # native ladder, which refuses: first for want of a plan (the
+        # fast path compiles after one stable cycle), then for good.
         system.run(3)
         system.step()
         system.controller = None
         ring.add_observer(lambda _ring: None)
         system.run(2)
-        assert system.cycle_paths == {("per_cycle", "controller"): 3,
+        assert system.cycle_paths == {("per_cycle", "controller"): 1,
+                                      ("per_cycle", "no_plan"): 1,
+                                      ("per_cycle", "native_refused"): 1,
                                       ("per_cycle", "direct"): 1,
                                       ("per_cycle", "trace"): 2}
 
@@ -274,3 +295,293 @@ class TestWindowForms:
         settled.settle(cycles, routed)
         assert (settled.delivered, settled.underruns, settled.pending()) \
             == (stepped.delivered, stepped.underruns, stepped.pending())
+
+
+# -- controller-driven systems -------------------------------------------
+
+#: Metric families that describe the engine, not the machine: which rung
+#: ran each cycle and what the plan caches did.
+_ENGINE_FAMILIES = frozenset({
+    "system_cycles_total", "native_cycles_total", "native_plan_compiles_total",
+    "native_fallback_cycles_total", "macro_step_cycles_total",
+    "ring_plan_compiles_total", "ring_plan_invalidations_total",
+    "plan_cache_hits_total", "plan_cache_misses_total",
+    "plan_cache_evictions_total",
+})
+
+
+def _plane(spec: dict) -> ConfigPlane:
+    """A whole-fabric configuration plane from a generated spec."""
+    microwords, modes, local_programs, routes = {}, {}, {}, {}
+    for layer, pos, mw, local, cell_routes, _loads in spec["cells"]:
+        microwords[(layer, pos)] = mw
+        modes[(layer, pos)] = (DnodeMode.LOCAL if local is not None
+                               else DnodeMode.GLOBAL)
+        if local is not None:
+            local_programs[(layer, pos)] = (tuple(local), len(local))
+        for port, route in cell_routes.items():
+            routes[(layer, pos, port)] = route
+    return ConfigPlane(microwords=microwords, modes=modes,
+                       local_programs=local_programs, switch_routes=routes)
+
+
+def _simple_instructions(planes: int):
+    return st.one_of(
+        st.builds(lambda rd, imm: Instruction(ROp.LDI, rd=rd, imm=imm),
+                  st.integers(1, 4), st.integers(0, 0xFFFF)),
+        st.builds(lambda n: Instruction(ROp.WAITI, imm=n),
+                  st.integers(0, 40)),
+        st.builds(lambda k: Instruction(ROp.CFGPLANE, plane=k),
+                  st.integers(0, planes - 1)),
+        st.builds(lambda rs: Instruction(ROp.BUSW, rs=rs),
+                  st.integers(1, 4)),
+    )
+
+
+@st.composite
+def controller_programs(draw, planes: int):
+    """Straight-line blocks and counted ``ADDI``/``BNE`` loops over
+    ``LDI``/``WAITI``/``CFGPLANE``/``BUSW``, ending in ``HALT``."""
+    simple = _simple_instructions(planes)
+    program = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            program.append(draw(simple))
+            continue
+        body = draw(st.lists(simple, min_size=1, max_size=4))
+        program += [Instruction(ROp.LDI, rd=14,
+                                imm=draw(st.integers(1, 3))),
+                    Instruction(ROp.LDI, rd=13, imm=0),
+                    *body,
+                    Instruction(ROp.ADDI, rd=14, rs=14, imm=-1),
+                    Instruction(ROp.BNE, rs=14, rt=13,
+                                imm=-(len(body) + 2))]
+    return program + [Instruction(ROp.HALT)]
+
+
+@st.composite
+def controlled_systems(draw):
+    """A fabric, 2-3 planes, a controller program, taps, dry streams,
+    run() chunks with a rollback, and a run_until_halt budget."""
+    layers = draw(st.integers(2, 3))
+    width = draw(st.integers(1, 2))
+    shape = dict(min_layers=layers, max_layers=layers, min_width=width,
+                 max_width=width, max_local=4)
+    base = draw(ring_specs(**shape, accumulators=True))
+    if draw(st.booleans()):
+        base = _feed_forward(base)
+    planes = []
+    for _ in range(draw(st.integers(2, 3))):
+        spec = draw(ring_specs(**shape, fifo_loads=False,
+                               accumulators=True))
+        if draw(st.integers(0, 3)):
+            spec = _feed_forward(spec)
+        planes.append(_plane(spec))
+    program = draw(controller_programs(len(planes)))
+    taps = draw(st.lists(st.tuples(
+        st.integers(0, layers - 1), st.integers(0, width - 1),
+        st.integers(0, 6), st.integers(1, 4),
+        st.one_of(st.none(), st.integers(0, 40))), min_size=1, max_size=3))
+    streams = draw(st.dictionaries(
+        st.integers(0, 3), st.lists(st.integers(0, 0xFFFF), max_size=40),
+        max_size=3))
+    chunks = draw(st.lists(st.integers(0, 80), max_size=4))
+    rollback = draw(st.integers(0, max(0, len(chunks) - 1)))
+    budget = draw(st.one_of(st.integers(0, 300), st.just(100_000)))
+    drain = draw(st.integers(0, 20))
+    return (base, planes, program, taps, streams, chunks, rollback,
+            budget, drain)
+
+
+def _controlled_system(case, **ring_kwargs) -> RingSystem:
+    base, planes, program, taps, streams = case[:5]
+    geometry = RingGeometry(layers=base["layers"], width=base["width"])
+    ring = apply_spec(Ring(geometry, **ring_kwargs), base)
+    system = RingSystem(ring, RiscController(program), planes=planes)
+    for channel, words in streams.items():
+        system.data.stream(channel, words)
+    for layer, pos, skip, every, limit in taps:
+        system.data.add_tap(layer, pos, skip=skip, every=every, limit=limit)
+    return system
+
+
+def _step_until_halt(system: RingSystem, max_cycles: int,
+                     drain: int) -> None:
+    """``run_until_halt`` as one :meth:`RingSystem.step` per cycle."""
+    start = system.cycles
+    while not system.controller.halted:
+        system.step()
+        if system.cycles - start > max_cycles:
+            raise SimulationError(
+                f"controller did not halt within {max_cycles} cycles")
+    for _ in range(drain):
+        system.step()
+
+
+def _capture_system(system: RingSystem):
+    """Fabric, host side, controller and cycle count (a test checkpoint:
+    :meth:`RingSystem.checkpoint` does not cover the controller)."""
+    controller = {key: value for key, value in vars(system.controller).items()
+                  if key != "fabric_reader"}
+    return (capture(system.ring), system.data.capture_state(),
+            copy.deepcopy(controller), system.cycles)
+
+
+def _restore_system(system: RingSystem, saved) -> None:
+    fabric, host, controller, cycles = saved
+    restore(system.ring, fabric)
+    system.data.restore_state(host)
+    vars(system.controller).update(copy.deepcopy(controller))
+    system.cycles = cycles
+
+
+def _drive(case, per_cycle: bool, **ring_kwargs):
+    """Run one generated controlled system; returns it and any error."""
+    chunks, rollback, budget, drain = case[5:]
+    system = _controlled_system(case, **ring_kwargs)
+
+    def advance(cycles):
+        if per_cycle:
+            for _ in range(cycles):
+                system.step()
+        else:
+            system.run(cycles)
+
+    try:
+        for k, chunk in enumerate(chunks):
+            if k == rollback:
+                saved = _capture_system(system)
+                advance(chunk)
+                _restore_system(system, saved)
+            advance(chunk)
+        if per_cycle:
+            _step_until_halt(system, budget, drain)
+        else:
+            system.run_until_halt(max_cycles=budget, drain=drain)
+    except SimulationError as exc:
+        return system, str(exc)
+    return system, None
+
+
+def _observables(system: RingSystem, error) -> dict:
+    ctrl = system.controller
+    metrics = {name: value
+               for name, value in system.metrics().as_dict().items()
+               if name not in _ENGINE_FAMILIES}
+    return {
+        "error": error,
+        "cycles": system.cycles,
+        "host": system.data.capture_state(),
+        "controller": (dict(vars(ctrl.state)), ctrl.pc, list(ctrl.regs),
+                       ctrl.halted, ctrl.bus_out, ctrl.quiet_cycles()),
+        "metrics": metrics,
+        "digest": state_digest(system.ring),
+    }
+
+
+class TestControllerDifferential:
+    """Controller-driven systems: bulk quiet spans == per-cycle steps.
+
+    The reference steps an interpreter system one :meth:`step` at a
+    time, which is the spec for the controller, the fabric and the host
+    side alike.  Every engine runs the same case through chunked
+    :meth:`RingSystem.run` calls (one rolled back over a checkpoint)
+    and :meth:`RingSystem.run_until_halt`, whose budget is sometimes
+    too small, so its error must fire on the same cycle.
+    """
+
+    @pytest.mark.parametrize("engine", [
+        {"backend": "native"}, {"backend": "fastpath"}])
+    @given(case=controlled_systems())
+    @settings(max_examples=100, **_SETTINGS)
+    def test_matches_per_cycle_stepping(self, engine, case):
+        bulk, bulk_error = _drive(case, per_cycle=False, **engine)
+        spec, spec_error = _drive(case, per_cycle=True, fastpath=False)
+        assert _observables(bulk, bulk_error) == \
+            _observables(spec, spec_error)
+        assert sum(bulk.cycle_paths.values()) >= bulk.cycles
+
+    def _waiting_system(self, **ring_kwargs) -> RingSystem:
+        """An accumulator plane run by a controller that sits in WAITI."""
+        ring = Ring(RingGeometry(layers=2, width=1), **ring_kwargs)
+        ring.config.write_switch_route(1, 0, 1, PortSource.up(0))
+        ring.config.write_microword(1, 0, MicroWord(
+            Opcode.ADD, Source.IN1, Source.SELF, Dest.OUT))
+        accumulate = ConfigPlane(microwords={(0, 0): MicroWord(
+            Opcode.ADD, Source.SELF, Source.BUS, Dest.OUT)})
+        unwind = ConfigPlane(microwords={(0, 0): MicroWord(
+            Opcode.SUB, Source.SELF, Source.BUS, Dest.OUT)})
+        program = [Instruction(ROp.LDI, rd=1, imm=12345),
+                   Instruction(ROp.BUSW, rs=1),
+                   Instruction(ROp.CFGPLANE, plane=0),
+                   Instruction(ROp.WAITI, imm=300),
+                   Instruction(ROp.CFGPLANE, plane=1),
+                   Instruction(ROp.WAITI, imm=50),
+                   Instruction(ROp.HALT)]
+        system = RingSystem(ring, RiscController(program),
+                            planes=[accumulate, unwind])
+        system.data.stream(0, list(range(100)))
+        system.data.add_tap(1, 0, every=7)
+        return system
+
+    def test_waiti_spans_run_native(self):
+        system = self._waiting_system(backend="native")
+        # 3 + (1 + 299) + 1 + (1 + 49) + 1 controller cycles, 30 drained.
+        assert system.run_until_halt(drain=30) == 385
+        # LDI, BUSW, CFGPLANE, WAITI; CFGPLANE, WAITI; HALT execute; the
+        # stall cycles and the drain (a halted controller) run native.
+        assert system.cycle_paths == {("per_cycle", "controller"): 7,
+                                      ("bulk", "native"): 299 + 49 + 30}
+        state = system.controller.state
+        assert (state.cycles, state.retired, state.wait_stalls) == \
+            (385, 7, 299 + 49)
+
+    def test_max_cycles_error_fires_mid_wait(self):
+        for per_cycle in (False, True):
+            system = self._waiting_system(backend="native")
+            with pytest.raises(SimulationError, match="within 100 cycles"):
+                if per_cycle:
+                    _step_until_halt(system, 100, 0)
+                else:
+                    system.run_until_halt(max_cycles=100)
+            assert system.cycles == system.controller.state.cycles == 101
+            assert system.controller.quiet_cycles() == 300 - 1 - 97
+
+    def test_checkpoint_mid_waiti_restores(self):
+        straight = self._waiting_system(backend="native")
+        straight.run_until_halt(drain=5)
+        system = self._waiting_system(backend="native")
+        system.run(40)
+        assert system.controller.quiet_cycles() == 263
+        saved = _capture_system(system)
+        system.run(200)
+        _restore_system(system, saved)
+        system.run_until_halt(drain=5)
+        restored, expected = (_observables(system, None),
+                              _observables(straight, None))
+        # Restoring a snapshot rewrites the configuration, and the
+        # configuration-write counters count those writes.
+        for observed in (restored, expected):
+            for family in ("ring_config_writes_total",
+                           "switch_route_writes_total"):
+                observed["metrics"].pop(family)
+        assert restored == expected
+
+    def test_full_search_me_waits_in_native_windows(self):
+        from repro.kernels import reference
+        from repro.kernels.motion_estimation import build_me_system
+        rng = np.random.default_rng(7)
+        block = rng.integers(0, 256, (8, 8))
+        area = rng.integers(0, 256, (24, 24))
+        system, meta = build_me_system(block, area,
+                                       ring_kwargs={"backend": "native"})
+        system.run_until_halt()
+        # 19 batches x 126 WAITI stall cycles run native; the preamble,
+        # the plane flips, the loop and HALT step.
+        assert system.cycle_paths == {("per_cycle", "controller"): 117,
+                                      ("bulk", "native"): 2394}
+        sads = [system.data.taps[c % 16].samples[
+                    meta["flush_sample_indices"][c // 16]]
+                for c in range(17 * 17)]
+        _, _, golden = reference.full_search(block, area)
+        assert sads == golden.reshape(-1).tolist()

@@ -22,8 +22,9 @@ from repro.core.ring import Ring
 from tests.kernels.conftest import ENGINES
 from repro.kernels import reference
 from repro.kernels.scenarios import (EFFECTS_CHORUS_DEPTH,
-                                     EFFECTS_GEOMETRY, SYNTH_GEOMETRY,
-                                     run_effects_chain, run_synth_voice)
+                                     EFFECTS_GEOMETRY, SYNTH_ECHO_LANE,
+                                     SYNTH_GEOMETRY, run_effects_chain,
+                                     run_synth_voice)
 
 from tests.kernels.conftest import fabric_state, make_ring
 
@@ -71,6 +72,20 @@ class TestSynthVoicePipeline:
         assert stepped.outputs == bulk.outputs
         assert stepped.stage_outputs == bulk.stage_outputs
         assert stepped.cycles == bulk.cycles
+
+    def test_voice_plane_native_echo_plane_refused(self):
+        """The NCO's ``ADD SELF`` phase accumulators have the cumsum
+        closed form; the echo's recirculating delay line is a ring-wrap
+        cycle through every layer of its lane."""
+        ring = Ring(SYNTH_GEOMETRY, backend="native")
+        result = run_synth_voice(ENVELOPE, FCW_A, FCW_B, ECHO_GAIN,
+                                 chunk=32, ring=ring)
+        assert result.outputs == SYNTH_GOLDEN
+        assert ring.native_cycles > 0
+        lane = ", ".join(f"D{k}.{SYNTH_ECHO_LANE}"
+                         for k in range(SYNTH_GEOMETRY.layers))
+        assert ring.native_refusal == (
+            f"cross-Dnode dependence cycle through {lane}")
 
 
 class TestEffectsChainPipeline:
