@@ -64,7 +64,7 @@ def _measure() -> dict:
     cycles = 3_000
     points = {}
 
-    ring = _fir_ring(fastpath=False)
+    ring = _fir_ring(backend="interpreter")
     ring.run(4, host_in=_host_zero)
     points["interpreter"] = (_cycles_per_second(ring, cycles), 1)
 

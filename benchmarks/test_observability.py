@@ -37,8 +37,8 @@ _PROBES = [Probe.out(0, 0), Probe.out(16, 1), Probe.reg(8, 0, 0),
            Probe.bus()]
 
 
-def _ring64(fastpath: bool = True) -> Ring:
-    ring = Ring(RingGeometry.ring(64), fastpath=fastpath)
+def _ring64(backend: str = "fastpath") -> Ring:
+    ring = Ring(RingGeometry.ring(64), backend=backend)
     _configure(ring)
     return ring
 
@@ -57,7 +57,7 @@ def _measure_operating_points() -> dict:
     cycles = 3_000
     points = {}
 
-    ring = _ring64(fastpath=False)
+    ring = _ring64(backend="interpreter")
     ring.run(4)
     points["interpreter"] = _cycles_per_second(ring, cycles)
 

@@ -1,4 +1,4 @@
-"""Plan cache under reconfiguration churn + macro-step fusion throughput.
+"""Plan cache under reconfiguration churn + the native ladder's macro rung.
 
 Two perf claims from the plan-cache work are pinned here:
 
@@ -6,10 +6,11 @@ Two perf claims from the plan-cache work are pinned here:
    contexts every few cycles pays a full plan compile per switch with
    the cache disabled, but only a fingerprint lookup with it enabled.
    The acceptance floor is 5x cycles/s cache-on vs cache-off.
-2. **Macro-stepping**: on a steady-state FIR the fused macro kernels
-   (K cycles of straight-line generated source per Python dispatch)
-   must beat the per-cycle fast path; K is swept over {1, 8, 64} where
-   K=1 *is* the per-cycle fast path.
+2. **Macro rung**: on a plane the native tier refuses (a recirculating
+   echo: a cross-Dnode dependence cycle through the ring closure), a
+   ``backend="native"`` ring falls to fused macro kernels (one period of
+   straight-line generated source per Python dispatch), which must beat
+   the per-cycle fast path while ending in the same state digest.
 
 Everything lands in ``BENCH_plancache.json`` so CI archives a perf
 data point per PR.  Run with ``pytest -s benchmarks/test_plan_cache.py``
@@ -27,6 +28,8 @@ from repro import word
 from repro.analysis import render_table
 from repro.core.isa import Dest, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
+from repro.core.snapshot import state_digest
+from repro.kernels.effects import build_echo
 from repro.kernels.fir import build_spatial_fir
 
 #: Acceptance floor: churn cycles/s with the plan cache enabled over the
@@ -37,8 +40,9 @@ TARGET_CHURN_SPEEDUP = 5.0
 #: Cycles run in each context before switching to the other one.
 CHURN_SPAN = 8
 
-#: Macro-step sweep; K=1 is per-cycle fast-path dispatch.
-MACRO_STEPS = (1, 8, 64)
+#: Echo plane for the macro-rung comparison (10 layers, Q16 gain).
+ECHO_GEOMETRY = RingGeometry(layers=10, width=2)
+ECHO_GAIN = 22000
 
 #: Where the recorded numbers land (repo root, picked up by CI artifacts).
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_plancache.json"
@@ -93,22 +97,26 @@ def _churn_cycles_per_second(cache: int, rounds: int = 150,
     return best, ring.plan_compiles
 
 
-def _steady_cycles_per_second(macro_step: int, cycles: int = 20_000,
-                              repeats: int = 3) -> float:
-    ring = _fir_ring(macro_step=macro_step if macro_step > 1 else 0)
-    ring.run(4, host_in=_host_zero)
+def _echo_cycles_per_second(backend: str, cycles: int = 20_000,
+                            repeats: int = 3) -> tuple[float, Ring]:
+    """Best-of-*repeats* steady-state throughput of the echo plane."""
+    ring = Ring(ECHO_GEOMETRY, backend=backend)
+    build_echo(ECHO_GAIN, ring=ring)
+
+    def host_in(channel: int) -> int:
+        return (7 * ring.cycles) & 0x7FF
+
+    ring.run(4, host_in=host_in)
     best = 0.0
     for _ in range(repeats):
         start = time.perf_counter()
-        ring.run(cycles, host_in=_host_zero)
+        ring.run(cycles, host_in=host_in)
         elapsed = time.perf_counter() - start
         best = max(best, cycles / elapsed)
-    if macro_step > 1:
-        assert ring.macro_cycles > 0, "fusion must actually engage"
-    return best
+    return best, ring
 
 
-def test_plan_cache_and_macro_step_throughput():
+def test_plan_cache_and_macro_rung_throughput():
     churn_off, compiles_off = _churn_cycles_per_second(cache=0)
     churn_on, compiles_on = _churn_cycles_per_second(cache=8)
     churn_speedup = churn_on / churn_off
@@ -122,13 +130,16 @@ def test_plan_cache_and_macro_step_throughput():
               f"cycles)",
     ))
 
-    macro_rates = {k: _steady_cycles_per_second(k) for k in MACRO_STEPS}
-    baseline = macro_rates[1]
+    baseline, fast = _echo_cycles_per_second("fastpath")
+    fused_rate, fused = _echo_cycles_per_second("native")
+    macro_speedup = fused_rate / baseline
     emit(render_table(
-        ["macro step", "cyc/s", "vs per-cycle fast path"],
-        [[f"K={k}", f"{rate:,.0f}", f"{rate / baseline:.1f}x"]
-         for k, rate in macro_rates.items()],
-        title="steady-state 8-tap FIR macro-step sweep",
+        ["engine", "cyc/s", "vs per-cycle fast path"],
+        [["fastpath (per-cycle plan)", f"{baseline:,.0f}", "1.0x"],
+         ["native -> macro rung", f"{fused_rate:,.0f}",
+          f"{macro_speedup:.1f}x"]],
+        title=f"steady-state echo plane ({ECHO_GEOMETRY.layers}x"
+              f"{ECHO_GEOMETRY.width}, native refused)",
     ))
 
     assert churn_speedup >= TARGET_CHURN_SPEEDUP, (
@@ -136,8 +147,11 @@ def test_plan_cache_and_macro_step_throughput():
         f"cache-disabled churn throughput (target "
         f"{TARGET_CHURN_SPEEDUP}x)"
     )
-    assert macro_rates[64] > baseline, (
-        f"macro K=64 ({macro_rates[64]:,.0f} cyc/s) must beat the "
+    assert fused.native_refusal is not None, "the echo plane must refuse"
+    assert fused.macro_cycles > 0, "fusion must actually engage"
+    assert state_digest(fused) == state_digest(fast)
+    assert fused_rate > baseline, (
+        f"the macro rung ({fused_rate:,.0f} cyc/s) must beat the "
         f"per-cycle fast path ({baseline:,.0f} cyc/s)"
     )
 
@@ -155,8 +169,10 @@ def test_plan_cache_and_macro_step_throughput():
         },
         "churn_speedup": round(churn_speedup, 2),
         "target_churn_speedup": TARGET_CHURN_SPEEDUP,
-        "macro_step_cycles_per_second": {
-            f"k{k}": round(rate) for k, rate in macro_rates.items()},
-        "macro64_speedup_vs_fastpath": round(macro_rates[64] / baseline, 2),
+        "echo_cycles_per_second": {
+            "fastpath": round(baseline),
+            "native_macro_rung": round(fused_rate),
+        },
+        "macro_rung_speedup_vs_fastpath": round(macro_speedup, 2),
     }, indent=2) + "\n")
     emit(f"wrote {BENCH_PATH.name}")

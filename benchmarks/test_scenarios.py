@@ -5,8 +5,9 @@ Two measurements, recorded in ``BENCH_scenarios.json`` for CI artifacts:
 * **per-kernel engine sweep** — steady-state fabric cycles/s for a
   representative slice of the scenario library (hand-mapped NCO and
   echo, compiled resampler/mixer/magnitude/CORDIC) on the interpreter,
-  the compiled fast path, the native tier and the macro-stepped
-  interpreter;
+  the compiled fast path and the native ladder (which runs its macro
+  rung where the native tier refuses, e.g. the echo's ring-closing
+  feedback);
 * **reconfiguration churn** — end-to-end samples/s of the two
   plane-switching pipelines (synth voice, effects chain) across chunk
   sizes, with the plan-cache telemetry that proves steady-state churn
@@ -39,10 +40,9 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / \
 #: Engine sweep for the per-kernel table (the batch backend is covered
 #: by ``BENCH_batch.json`` on its own terms).
 ENGINES = {
-    "interpreter": {"fastpath": False},
+    "interpreter": {"backend": "interpreter"},
     "fastpath": {},
     "native": {"backend": "native"},
-    "macro": {"macro_step": 4},
 }
 
 #: Acceptance floor: the compiled fast path over the interpreter on the

@@ -77,11 +77,11 @@ def _cycles_per_second(ring: Ring, cycles: int, repeats: int = 3) -> float:
 
 def _measure(dnodes: int, cycles: int) -> tuple:
     results = []
-    for fastpath in (False, True):
-        ring = Ring(RingGeometry.ring(dnodes), fastpath=fastpath)
+    for backend in ("interpreter", "fastpath"):
+        ring = Ring(RingGeometry.ring(dnodes), backend=backend)
         _configure(ring)
         ring.run(4)  # settle + (fast path) compile outside the timed region
-        if fastpath:
+        if backend == "fastpath":
             assert ring._plan is not None, "fast path failed to engage"
         results.append(_cycles_per_second(ring, cycles))
     return tuple(results)

@@ -181,7 +181,7 @@ class MetricsRegistry:
              "Cached plans evicted by the LRU capacity bound.",
              self._cache_counter("evictions")),
             ("macro_step_cycles_total", "counter",
-             "Cycles executed inside fused macro-step kernels.",
+             "Cycles executed by the native ladder's fused macro kernels.",
              getattr(ring, "macro_cycles", 0)),
             ("native_cycles_total", "counter",
              "Cycles executed inside time-vectorized native kernels.",

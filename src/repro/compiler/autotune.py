@@ -14,9 +14,9 @@ The search space per :class:`~repro.compiler.graph.DataflowGraph`:
 * **placement** — per-level lane orders
   (:data:`repro.compiler.schedule.LANE_ORDERS`; feedback taps only reach
   lanes 0..1, so lane order decides legality *and* shape);
-* **engine** — ``fastpath`` / ``native`` / ``batch`` out of
-  :attr:`repro.core.ring.Ring.BACKEND_REGISTRY`, macro-step fusion
-  targets, and plan-cache sizing.
+* **engine** — ``fastpath`` or ``native`` out of
+  :attr:`repro.core.ring.Ring.BACKEND_REGISTRY` (a ``batch`` ring at
+  one lane runs the fastpath plan, so it is not a separate variant).
 
 Scoring is *measured*, not modelled: each candidate is configured onto a
 private ring and timed with :func:`~repro.compiler.profiler.\
@@ -77,38 +77,17 @@ class Mapping:
     mode: str = "global"
     lane_order: str = "index"
     backend: str = "fastpath"
-    macro_step: int = 0
-    plan_cache: int = 8
 
     def ring_kwargs(self) -> Dict[str, object]:
         """Ring construction kwargs realising the engine choice."""
-        kwargs: Dict[str, object] = {
-            "backend": self.backend,
-            "plan_cache": self.plan_cache,
-        }
-        if self.macro_step:
-            kwargs["macro_step"] = self.macro_step
-        if self.backend == "batch":
-            kwargs["batch_size"] = 1
-        return kwargs
+        return {"backend": self.backend}
 
     def describe(self) -> str:
-        engine = self.backend
-        if self.macro_step:
-            engine += f"+macro{self.macro_step}"
-        return (f"{self.mode}/{self.lane_order}/{engine}"
-                f"/cache{self.plan_cache}")
+        return f"{self.mode}/{self.lane_order}/{self.backend}"
 
 
-#: Engine variants swept per surviving placement: (backend, macro_step,
-#: plan_cache).
-ENGINE_VARIANTS: Tuple[Tuple[str, int, int], ...] = (
-    ("fastpath", 0, 8),
-    ("fastpath", 64, 8),
-    ("fastpath", 64, 2),
-    ("batch", 0, 8),
-    ("native", 0, 8),
-)
+#: Engine variants (backends) swept per surviving placement.
+ENGINE_VARIANTS: Tuple[str, ...] = ("fastpath", "native")
 
 #: Lane orders the placement stage tries (reverse adds nothing the
 #: other two cannot reach on levelled graphs, so it stays fuzzer-only).
@@ -269,7 +248,7 @@ def _verify_bulk_engine(program: CompiledProgram, mapping: Mapping,
     """
     tuned = Ring(program.geometry, **mapping.ring_kwargs())
     program.configure(tuned)
-    reference = Ring(program.geometry, fastpath=False)
+    reference = Ring(program.geometry, backend="interpreter")
     program.configure(reference)
     tuned.run(cycles, bus=_SCORE_BUS, host_in=_score_host)
     reference.run(cycles, bus=_SCORE_BUS, host_in=_score_host)
@@ -370,11 +349,10 @@ def autotune_graph(graph: DataflowGraph,
 
     # Stage 2 — engine sweep on the best surviving placement.
     best = best_place
-    for backend, macro_step, plan_cache in ENGINE_VARIANTS:
+    for backend in ENGINE_VARIANTS:
         mapping = Mapping(mode=best_place.mapping.mode,
                           lane_order=best_place.mapping.lane_order,
-                          backend=backend, macro_step=macro_step,
-                          plan_cache=plan_cache)
+                          backend=backend)
         if mapping == best_place.mapping:
             continue
         scored = evaluate(mapping)
@@ -439,15 +417,8 @@ FUZZ_MAPPINGS = (
 
 
 def _fuzz_ring(engine: str, geometry: RingGeometry) -> Ring:
-    if engine == "interpreter":
-        return Ring(geometry, fastpath=False)
-    if engine == "fastpath":
-        return Ring(geometry)
-    if engine == "native":
-        return Ring(geometry, backend="native")
-    if engine == "batch":
-        return Ring(geometry, backend="batch", batch_size=2)
-    raise SimulationError(f"unknown fuzz engine {engine!r}")
+    return Ring(geometry, backend=engine,
+                batch_size=2 if engine == "batch" else 1)
 
 
 def _run_program(program: CompiledProgram, ring: Ring,

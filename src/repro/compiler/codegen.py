@@ -53,8 +53,8 @@ class CompiledProgram:
     #: Mode assignment emitted by :meth:`configure` (see :data:`MODES`).
     mode: str = "global"
     #: Keyword arguments for the default ring :meth:`build_system`
-    #: creates — the autotuner bakes its engine choice (backend,
-    #: macro_step, plan_cache) in here so ``program.run()`` executes on
+    #: creates — the autotuner bakes its engine choice (backend) in
+    #: here so ``program.run()`` executes on
     #: the tuned engine.
     ring_kwargs: Dict[str, object] = field(default_factory=dict)
 
@@ -204,7 +204,7 @@ def compile_graph(graph: DataflowGraph,
         lane_order: per-level lane order (see
             :data:`repro.compiler.schedule.LANE_ORDERS`).
         ring_kwargs: keyword arguments for the default ring
-            ``build_system`` creates (backend, macro_step, ...).
+            ``build_system`` creates (backend, batch_size, ...).
         autotune: search the mapping space instead of emitting the
             hand-shaped default — candidates are scored by measured
             cycles/s and verified bit-identical against

@@ -1,4 +1,4 @@
-"""Fused macro-step execution: one generated kernel per steady period.
+"""The macro rung: one generated kernel per steady period.
 
 The pre-decoded fast path (:mod:`repro.core.fastpath`) already removes
 per-cycle *decode*, but it still pays Python dispatch per cycle: one
@@ -23,7 +23,7 @@ fabric and compiles it with :func:`exec`:
   occupancy, stay inline and exact).
 
 The generated kernel advances ``periods x period`` cycles per call, so
-Python-level dispatch is paid once per macro-step.  The period is the
+Python-level dispatch is paid once per period.  The period is the
 LCM of the local-mode LIMIT values (1 for an all-global fabric); local
 slot selection is baked per phase against the counters observed at
 compile time, and :meth:`MacroPlan.matches_phase` guards re-entry (the
@@ -42,6 +42,11 @@ the last completed cycle is identical.
 Configurations whose period would bloat the generated source (LCM above
 :data:`MAX_PERIOD`, or too many statements overall) are ineligible and
 simply stay on the per-cycle fast path.
+
+Only a ``backend="native"`` ring runs these kernels: they are the middle
+rung of its ladder, taking whatever span of at least one period the
+native tier (:mod:`repro.core.nativepath`) refuses or leaves over.  Both
+tiers compile from one :class:`SteadySchedule`.
 """
 
 from __future__ import annotations
@@ -133,15 +138,79 @@ def _compute_expr(mw: MicroWord, a: str, b: Optional[str],
     raise SimulationError(f"opcode {op!r} has no macro template")
 
 
-class MacroPlan:
-    """One steady-state configuration fused into a generated kernel."""
+class Ineligible(Exception):
+    """A configuration a generated tier cannot compile; the message says
+    why (see :attr:`repro.core.ring.Ring.native_refusal`)."""
 
-    __slots__ = ("period", "_kernel", "_counter_entries")
 
-    def __init__(self, period: int, kernel, counter_entries):
+class SteadySchedule:
+    """One steady-state period of a ring's configuration, as both
+    generated tiers (this module and :mod:`repro.core.nativepath`) see it.
+
+    * ``period`` — the LCM of the local-mode LIMITs (1 for an all-global
+      fabric);
+    * ``words[(l, p)]`` — the microword the Dnode executes at each phase
+      of the period, starting from the live local counters;
+    * ``own_period[(l, p)]`` — the Dnode's own period (LIMIT, or 1);
+    * ``counter_entries`` — ``(LocalController, entry counter, limit)``
+      per local Dnode: the entry phase the schedule is baked against;
+    * ``stat_entries`` — ``(stats, totals, prefix)`` per Dnode that
+      executes anything: instruction/op/multiply totals over one period
+      and their per-phase prefix sums.
+
+    Raises :class:`Ineligible` when the period would bloat the generated
+    source (LCM above :data:`MAX_PERIOD`, or too many Dnode-cycles).
+    """
+
+    def __init__(self, ring: "Ring"):
+        period = macro_period(ring)
+        if (period > MAX_PERIOD
+                or period * ring.geometry.dnodes > MAX_UNROLL_CELLS):
+            raise Ineligible(
+                f"period {period} over the unroll cap ({MAX_PERIOD} "
+                f"cycles, {MAX_UNROLL_CELLS} Dnode-cycles)")
         self.period = period
-        self._kernel = kernel
-        self._counter_entries = counter_entries
+        self.words: Dict[tuple, List[MicroWord]] = {}
+        self.own_period: Dict[tuple, int] = {}
+        counter_entries = []
+        stat_entries = []
+        for l, layer in enumerate(ring._dnodes):
+            for p, dn in enumerate(layer):
+                if dn.mode is DnodeMode.LOCAL:
+                    lc = dn.local
+                    limit, c0 = lc.limit, lc._counter
+                    counter_entries.append((lc, c0, limit))
+                    slots = lc.slots()
+                    words = [slots[(c0 + j) % limit] for j in range(period)]
+                else:
+                    limit = 1
+                    words = [dn.global_word] * period
+                self.words[(l, p)] = words
+                self.own_period[(l, p)] = limit
+                prefix = [(0, 0, 0)]
+                for mw in words:
+                    pi, pa, pm = prefix[-1]
+                    if mw.op is not Opcode.NOP:
+                        pi += 1
+                        pa += _OP_COST.get(mw.op, 1)
+                        if mw.op in _MULTIPLY_OPS:
+                            pm += 1
+                    prefix.append((pi, pa, pm))
+                if prefix[-1] != (0, 0, 0):
+                    stat_entries.append((dn.stats, prefix[-1], tuple(prefix)))
+        self.counter_entries = tuple(counter_entries)
+        self.stat_entries = tuple(stat_entries)
+
+
+class SteadyPlan:
+    """A kernel compiled from a :class:`SteadySchedule`: valid only while
+    the local counters sit at the schedule's entry phase."""
+
+    __slots__ = ("period", "_counter_entries")
+
+    def __init__(self, schedule: SteadySchedule):
+        self.period = schedule.period
+        self._counter_entries = schedule.counter_entries
 
     def matches_phase(self) -> bool:
         """True when every local counter sits at the baked entry phase."""
@@ -150,9 +219,15 @@ class MacroPlan:
                 return False
         return True
 
-    def entry_phase(self) -> tuple:
-        """The baked entry counters (the ring's macro cache key part)."""
-        return tuple(c0 for _lc, c0, _limit in self._counter_entries)
+
+class MacroPlan(SteadyPlan):
+    """One steady-state configuration fused into a generated kernel."""
+
+    __slots__ = ("_kernel",)
+
+    def __init__(self, schedule: SteadySchedule, kernel):
+        super().__init__(schedule)
+        self._kernel = kernel
 
     def run(self, cycles: int, bus: int, host_in) -> None:
         """Advance *cycles* fabric clocks (must be a multiple of period)."""
@@ -181,16 +256,23 @@ def macro_period(ring: "Ring") -> int:
     return period
 
 
-def compile_macro(ring: "Ring") -> Optional[MacroPlan]:
+def compile_macro(ring: "Ring",
+                  refusal: Optional[List[str]] = None
+                  ) -> Optional[MacroPlan]:
     """Fuse *ring*'s current configuration into a macro kernel.
 
     Returns None when the configuration is ineligible (period too large
-    to unroll); the caller stays on the per-cycle fast path.
+    to unroll); the caller stays on the per-cycle fast path.  The reason
+    is appended to *refusal* when a list is given.
     """
-    geometry = ring.geometry
-    period = macro_period(ring)
-    if period > MAX_PERIOD or period * geometry.dnodes > MAX_UNROLL_CELLS:
+    try:
+        steady = SteadySchedule(ring)
+    except Ineligible as exc:
+        if refusal is not None:
+            refusal.append(str(exc))
         return None
+    geometry = ring.geometry
+    period = steady.period
 
     env: Dict[str, object] = {
         "_R": ring,
@@ -218,23 +300,6 @@ def compile_macro(ring: "Ring") -> Optional[MacroPlan]:
         if name not in env:
             env[name] = ring.fifo(l, p, ch)
         return name
-
-    # --- per-phase microword schedule ---------------------------------
-    counter_entries = []       # (LocalController, entry counter, limit)
-    schedule: Dict[tuple, List[MicroWord]] = {}
-    for l in range(layers):
-        for p in range(width):
-            dn = ring._dnodes[l][p]
-            if dn.mode is DnodeMode.LOCAL:
-                lc = dn.local
-                limit = lc.limit
-                c0 = lc._counter
-                counter_entries.append((lc, c0, limit))
-                slots = lc.slots()
-                schedule[(l, p)] = [slots[(c0 + j) % limit]
-                                    for j in range(period)]
-            else:
-                schedule[(l, p)] = [dn.global_word] * period
 
     # --- statement generators -----------------------------------------
 
@@ -298,7 +363,7 @@ def compile_macro(ring: "Ring") -> Optional[MacroPlan]:
             lu = ring.upstream_layer(l)
             for p in range(width):
                 dn = ring._dnodes[l][p]
-                mw = schedule[(l, p)][phase]
+                mw = steady.words[(l, p)][phase]
 
                 # Routed-port resolution, with the fetches the interpreter
                 # performs eagerly for every routed port (host reads and
@@ -409,29 +474,10 @@ def compile_macro(ring: "Ring") -> Optional[MacroPlan]:
     out.emit(2, "_finish(_cy - _cy0)")
 
     # --- hoisted statistics (closed-form, exact per completed cycle) --
-    all_stats = tuple(dn.stats for dn in ring.all_dnodes())
-    stat_entries = []
-    for l in range(layers):
-        for p in range(width):
-            dn = ring._dnodes[l][p]
-            prefix = [(0, 0, 0)]
-            for mw in schedule[(l, p)]:
-                pi, pa, pm = prefix[-1]
-                if mw.op is not Opcode.NOP:
-                    pi += 1
-                    pa += _OP_COST.get(mw.op, 1)
-                    if mw.op in _MULTIPLY_OPS:
-                        pm += 1
-                prefix.append((pi, pa, pm))
-            totals = prefix[-1]
-            if totals != (0, 0, 0):
-                stat_entries.append((dn.stats, totals, tuple(prefix)))
-
-    counters = tuple(counter_entries)
-
     def _finish(executed: int, _ring=ring, _period=period,
-                _all=all_stats, _entries=tuple(stat_entries),
-                _counters=counters) -> None:
+                _all=tuple(dn.stats for dn in ring.all_dnodes()),
+                _entries=steady.stat_entries,
+                _counters=steady.counter_entries) -> None:
         if not executed:
             return
         _ring.macro_cycles += executed
@@ -453,8 +499,9 @@ def compile_macro(ring: "Ring") -> Optional[MacroPlan]:
     source = out.source()
     code = compile(source, f"<macro period={period} ring={ring!r}>", "exec")
     exec(code, env)
-    return MacroPlan(period, env["_kernel"], counters)
+    return MacroPlan(steady, env["_kernel"])
 
 
-__all__ = ["MacroPlan", "compile_macro", "macro_period",
-           "MAX_PERIOD", "MAX_UNROLL_CELLS"]
+__all__ = ["Ineligible", "MacroPlan", "SteadyPlan", "SteadySchedule",
+           "compile_macro", "macro_period", "MAX_PERIOD",
+           "MAX_UNROLL_CELLS"]

@@ -1,6 +1,6 @@
 """Native tier: time-axis-vectorized macro kernels (NumPy / optional Numba).
 
-The macro-step engine (:mod:`repro.core.macropath`) removes per-cycle
+The macro rung (:mod:`repro.core.macropath`) removes per-cycle
 Python dispatch by unrolling one sequencer period into straight-line
 Python — but every cycle of every Dnode is still a handful of Python
 bytecode operations.  This module goes one axis further: it vectorizes
@@ -42,7 +42,7 @@ output arrays, so re-running the Python version after a failed jitted
 call is safe.
 
 Eligibility — :func:`compile_native` returns None (the ring then falls
-back native → macro-step → fast path, and keeps the reason as
+back native → macro → per-cycle plan, and keeps the reason as
 :attr:`~repro.core.ring.Ring.native_refusal`) when:
 
 * the period exceeds :data:`~repro.core.macropath.MAX_PERIOD` or the
@@ -74,9 +74,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro import word
-from repro.core.dnode import DnodeMode, _MULTIPLY_OPS, _OP_COST
 from repro.core.isa import Dest, Flag, Opcode, Source
-from repro.core.macropath import MAX_PERIOD, MAX_UNROLL_CELLS, macro_period
+from repro.core.macropath import Ineligible, SteadyPlan, SteadySchedule
 from repro.core.switch import PortKind
 from repro.errors import SimulationError
 
@@ -108,10 +107,6 @@ def numba_available() -> bool:
     except Exception:
         return False
     return hasattr(numba, "njit")
-
-
-class _Ineligible(Exception):
-    """Internal: configuration cannot be time-vectorized."""
 
 
 def _sgn(expr: str) -> str:
@@ -181,35 +176,21 @@ def _vector_expr(mw, a: str, b: Optional[str], acc: Optional[str]) -> str:
         return f"np.where({S(a)} < {S(b)}, 1, 0)"
     if op is Opcode.AVG2:
         return f"(({S(a)} + {S(b)}) >> 1) & 65535"
-    raise _Ineligible(f"opcode {op!r} has no native template")
+    raise Ineligible(f"opcode {op!r} has no native template")
 
 
-class NativePlan:
+class NativePlan(SteadyPlan):
     """One steady-state configuration compiled to a time-vector kernel."""
 
-    __slots__ = ("period", "source", "_core", "_jit", "_counter_entries",
-                 "_meta", "_max_periods")
+    __slots__ = ("source", "_core", "_jit", "_meta", "_max_periods")
 
-    def __init__(self, period, core, source, counter_entries, meta,
-                 max_periods):
-        self.period = period
+    def __init__(self, schedule, core, source, meta, max_periods):
+        super().__init__(schedule)
         self.source = source
         self._core = core
         self._jit = None
-        self._counter_entries = counter_entries
         self._meta = meta
         self._max_periods = max_periods
-
-    def matches_phase(self) -> bool:
-        """True when every local counter sits at the baked entry phase."""
-        for lc, c0, _limit in self._counter_entries:
-            if lc._counter != c0:
-                return False
-        return True
-
-    def entry_phase(self) -> tuple:
-        """The baked entry counters (the ring's native cache key part)."""
-        return tuple(c0 for _lc, c0, _limit in self._counter_entries)
 
     def safe_cycles(self, cycles: int) -> int:
         """Longest whole-period prefix of *cycles* this plan can run with
@@ -387,7 +368,7 @@ class NativePlan:
             stats.fifo_pops += total
         for stats in meta["all_stats"]:
             stats.cycles += T
-        for stats, ti, ta, tm in meta["stat_totals"]:
+        for stats, (ti, ta, tm), _prefix in meta["stat_entries"]:
             stats.instructions += n * ti
             stats.arithmetic_ops += n * ta
             if tm:
@@ -406,12 +387,12 @@ def compile_native(ring: "Ring",
     """Compile *ring*'s current configuration into a native plan.
 
     Returns None when the configuration is ineligible; the caller falls
-    back to the macro-step / fast-path tiers.  The reason for a refusal
+    back to the macro / per-cycle rungs.  The reason for a refusal
     is appended to *refusal* when a list is given.
     """
     try:
         return _compile(ring)
-    except _Ineligible as exc:
+    except Ineligible as exc:
         if refusal is not None:
             refusal.append(str(exc))
         return None
@@ -449,40 +430,15 @@ def _cycle_members(deps: Dict[int, set], unordered: set) -> List[int]:
 
 
 def _compile(ring: "Ring") -> NativePlan:
+    steady = SteadySchedule(ring)
+    schedule = steady.words
     geometry = ring.geometry
-    period = macro_period(ring)
-    if period > MAX_PERIOD or period * geometry.dnodes > MAX_UNROLL_CELLS:
-        raise _Ineligible(
-            f"period {period} over the unroll cap ({MAX_PERIOD} cycles, "
-            f"{MAX_UNROLL_CELLS} Dnode-cycles)")
     layers, width = geometry.layers, geometry.width
     depth = geometry.pipeline_depth
-    P = period
+    P = steady.period
 
     def dn_index(l: int, p: int) -> int:
         return l * width + p
-
-    # --- per-phase microword schedule (same extraction as macropath) --
-    counter_entries = []
-    schedule: Dict[Tuple[int, int], list] = {}
-    # Each Dnode's own schedule period (its LIMIT, 1 in global mode): the
-    # op at phase ph repeats at ph + own period.
-    own_period: Dict[Tuple[int, int], int] = {}
-    for l in range(layers):
-        for p in range(width):
-            dn = ring._dnodes[l][p]
-            if dn.mode is DnodeMode.LOCAL:
-                lc = dn.local
-                limit = lc.limit
-                c0 = lc._counter
-                counter_entries.append((lc, c0, limit))
-                slots = lc.slots()
-                schedule[(l, p)] = [slots[(c0 + j) % limit]
-                                    for j in range(P)]
-                own_period[(l, p)] = limit
-            else:
-                schedule[(l, p)] = [dn.global_word] * P
-                own_period[(l, p)] = 1
 
     # --- routed-port survey -------------------------------------------
     # The interpreter resolves BOTH routed ports of every position every
@@ -506,7 +462,7 @@ def _compile(ring: "Ring") -> NativePlan:
                 elif src.kind is PortKind.RP:
                     if not (1 <= src.index <= depth
                             and 1 <= src.lane <= width):
-                        raise _Ineligible(
+                        raise Ineligible(
                             f"switch {l} position {p} port {port}: "
                             f"out-of-range feedback tap")
 
@@ -544,7 +500,7 @@ def _compile(ring: "Ring") -> NativePlan:
             dn = ring._dnodes[l][p]
             i = dn_index(l, p)
             sched = schedule[(l, p)]
-            L = own_period[(l, p)]
+            L = steady.own_period[(l, p)]
             reg_writers: List[List[int]] = [[] for _ in range(4)]
             out_writers: List[int] = []
             for phase, mw in enumerate(sched):
@@ -597,7 +553,7 @@ def _compile(ring: "Ring") -> NativePlan:
                     return ("bus",)
                 if kind is PortKind.HOST:
                     return ("host", host_slot[(l, p, port)])
-                raise _Ineligible(f"unhandled port source {src!r}")
+                raise Ineligible(f"unhandled port source {src!r}")
 
             def resolve_src(phase, mw, src):
                 if src <= Source.R3:
@@ -624,11 +580,11 @@ def _compile(ring: "Ring") -> NativePlan:
                     stage = src.feedback_stage
                     lane = src.feedback_lane
                     if not (stage <= depth and lane <= width):
-                        raise _Ineligible(
+                        raise Ineligible(
                             f"D{l}.{p} phase {phase}: out-of-range "
                             f"feedback source")
                     return ("vo", lu, lane - 1, stage)
-                raise _Ineligible(f"unhandled source {src!r}")
+                raise Ineligible(f"unhandled source {src!r}")
 
             for phase, mw in enumerate(sched):
                 if mw.op is Opcode.NOP:
@@ -662,12 +618,12 @@ def _compile(ring: "Ring") -> NativePlan:
                 if a_self or b_self:
                     closed = _additive_step(mw, a_self, b_self)
                     if closed is None:
-                        raise _Ineligible(
+                        raise Ineligible(
                             f"{where}: {mw.op.name} self-recurrence has "
                             f"no closed form")
                 elif dep_of(acc) == own:
                     if mw.op is not Opcode.MAC:
-                        raise _Ineligible(
+                        raise Ineligible(
                             f"{where}: saturating {mw.op.name} accumulator")
                     closed = "+"
                 ops[i][phase] = {
@@ -709,7 +665,7 @@ def _compile(ring: "Ring") -> NativePlan:
                     ready.append(u)
         if len(order) != len(members):
             l, p = divmod(i, width)
-            raise _Ineligible(
+            raise Ineligible(
                 f"D{l}.{p}: cyclic register dependence across phases")
         op_order[i] = order
 
@@ -738,7 +694,7 @@ def _compile(ring: "Ring") -> NativePlan:
     if len(dn_order) != geometry.dnodes:
         cycle = _cycle_members(dn_deps, set(dn_deps) - set(dn_order))
         names = ", ".join("D%d.%d" % divmod(i, width) for i in cycle)
-        raise _Ineligible(f"cross-Dnode dependence cycle through {names}")
+        raise Ineligible(f"cross-Dnode dependence cycle through {names}")
 
     # --- code generation ----------------------------------------------
     lines: List[str] = []
@@ -774,7 +730,7 @@ def _compile(ring: "Ring") -> NativePlan:
             return (f"_hv_{opnd[1]}[{phase}:{phase} + n * {P}:{P}]"), True
         if tag == "fifo":
             return f"_fv_{opnd[1]}", True
-        raise _Ineligible(f"unhandled operand {opnd!r}")
+        raise Ineligible(f"unhandled operand {opnd!r}")
 
     def emit_chain(i: int, group: List[int]) -> None:
         """One closed-form accumulator: the m instances per period of
@@ -905,20 +861,6 @@ def _compile(ring: "Ring") -> NativePlan:
         if ppp:
             fifo_pops.append((queue, ppp, ring._dnodes[l][p].stats))
 
-    stat_totals = []
-    for l in range(layers):
-        for p in range(width):
-            ti = ta = tm = 0
-            for mw in schedule[(l, p)]:
-                if mw.op is not Opcode.NOP:
-                    ti += 1
-                    ta += _OP_COST.get(mw.op, 1)
-                    if mw.op in _MULTIPLY_OPS:
-                        tm += 1
-            if ti:
-                stat_totals.append(
-                    (ring._dnodes[l][p].stats, ti, ta, tm))
-
     meta = {
         "ring": ring,
         "depth": depth,
@@ -932,11 +874,10 @@ def _compile(ring: "Ring") -> NativePlan:
         "fin_count": len(fin_regs),
         "fin_regs": fin_regs,
         "all_stats": tuple(dn.stats for dn in ring.all_dnodes()),
-        "stat_totals": stat_totals,
+        "stat_entries": steady.stat_entries,
     }
     max_periods = max(1, MAX_WINDOW_CELLS // max(1, geometry.dnodes * P))
-    return NativePlan(P, env["_core"], source, tuple(counter_entries),
-                      meta, max_periods)
+    return NativePlan(steady, env["_core"], source, meta, max_periods)
 
 
 __all__ = ["NativePlan", "compile_native", "numba_available",

@@ -3,7 +3,7 @@
 The paper's headline feature is *dynamic* reconfiguration: the RISC
 configuration controller rewrites Dnode microinstructions every cycle
 (hardware multiplexing) or swaps between a small working set of contexts.
-Compiled engines (fast-path plans, batch kernel sets, macro-step kernels)
+Compiled engines (fast-path plans, batch kernel sets, macro/native plans)
 are pure functions of the fabric *configuration* — they close over the
 persistent state containers (register lists, OUT latches, FIFO deques,
 pipeline buffers) and read the runtime values through them — so a plan

@@ -38,14 +38,17 @@ Two execution engines drive the same semantics:
   configuration mutation invalidates it, so reconfiguration always takes
   effect on the very next cycle, exactly as before.
 
-Two compounding layers sit on top (see ``docs/architecture.md``, "Plan
-cache & macro-stepping"): compiled plans are retained in an LRU
+Compiled plans are retained in an LRU
 :class:`~repro.core.plancache.PlanCache` keyed by
 :meth:`Ring.config_fingerprint`, so multiplexing between known
-configurations re-adopts each plan in one lookup instead of recompiling;
-and ``macro_step=K`` fuses steady-state runs into generated kernels
-(:mod:`repro.core.macropath`) that pay Python dispatch once per
-sequencer period instead of once per Dnode per cycle.
+configurations re-adopts each plan in one lookup instead of recompiling
+(see ``docs/architecture.md``, "Plan cache & the native ladder").
+
+``backend`` is the one engine selector.  A ``"native"`` ring runs each
+steady-state span down a fall-back ladder: time-vectorized NumPy kernels
+(:mod:`repro.core.nativepath`), then — for whatever native refuses or
+leaves over — generated macro kernels (:mod:`repro.core.macropath`) that
+pay Python dispatch once per sequencer period, then the per-cycle plan.
 """
 
 from __future__ import annotations
@@ -67,15 +70,10 @@ from repro.core.plancache import DEFAULT_CAPACITY, PlanCache
 from repro.core.switch import PortKind, PortSource, Switch
 from repro.errors import ConfigurationError, SimulationError
 
-#: Sentinel cached on ``Ring._macro`` when the current configuration is
-#: not eligible for macro-step fusion (period too large to unroll).
-_MACRO_INELIGIBLE = object()
 
-
-class _NativeRefusal(str):
-    """Negative native-plan entry (on ``Ring._native`` and in the plan
-    cache): why the configuration cannot be time-vectorized (see
-    :func:`repro.core.nativepath.compile_native`)."""
+class _Refusal(str):
+    """Negative macro/native plan entry (on ``Ring._steady`` and in the
+    plan cache): why the tier cannot compile the configuration."""
 
 
 HostReader = Callable[[int], int]
@@ -264,9 +262,9 @@ class Ring:
     BACKEND_REGISTRY = {
         "interpreter": "reference cycle-by-cycle interpreter",
         "fastpath": "pre-decoded per-cycle closure plans",
-        "native": "time-vectorized NumPy macro kernels "
-                  "(optional Numba jit), falling back to "
-                  "macro-step/fastpath",
+        "native": "time-vectorized NumPy kernels (optional Numba "
+                  "jit), falling back to generated macro kernels, "
+                  "then the per-cycle plan",
         "batch": "lane-vectorized NumPy engine over batch_size streams",
     }
 
@@ -274,25 +272,12 @@ class Ring:
     BACKENDS = tuple(BACKEND_REGISTRY)
 
     @classmethod
-    def _check_backend(cls, backend: str) -> None:
+    def _check_backend(cls, backend: str, batch_size: int) -> None:
         if backend not in cls.BACKEND_REGISTRY:
             raise ConfigurationError(
                 f"unknown backend {backend!r}; expected one of "
                 f"{cls.BACKENDS}"
             )
-
-    def __init__(self, geometry: RingGeometry,
-                 strict_fifos: bool = False,
-                 fastpath: bool = True,
-                 backend: Optional[str] = None,
-                 batch_size: int = 1,
-                 plan_cache: int = DEFAULT_CAPACITY,
-                 macro_step: int = 0):
-        self.geometry = geometry
-        self.strict_fifos = strict_fifos
-        if backend is None:
-            backend = "fastpath" if fastpath else "interpreter"
-        self._check_backend(backend)
         if batch_size < 1:
             raise ConfigurationError(
                 f"batch size must be >= 1, got {batch_size}"
@@ -302,10 +287,15 @@ class Ring:
                 f"batch_size {batch_size} requires backend='batch', "
                 f"got {backend!r}"
             )
-        if macro_step < 0:
-            raise ConfigurationError(
-                f"macro step must be >= 0, got {macro_step}"
-            )
+
+    def __init__(self, geometry: RingGeometry,
+                 strict_fifos: bool = False,
+                 backend: str = "fastpath",
+                 batch_size: int = 1,
+                 plan_cache: int = DEFAULT_CAPACITY):
+        self.geometry = geometry
+        self.strict_fifos = strict_fifos
+        self._check_backend(backend, batch_size)
         self.backend = backend
         self.batch_size = batch_size
         # The scalar fast path also backs batch mode at B=1: one lane of
@@ -319,16 +309,10 @@ class Ring:
         self.fastpath_enabled = (backend in ("fastpath", "native")
                                  or (backend == "batch" and batch_size == 1))
         #: Configuration-fingerprinted LRU cache of compiled plans (and
-        #: macro kernels).  Capacity 0 disables caching entirely.
+        #: macro/native kernels).  Capacity 0 disables caching entirely.
         self.plan_cache = PlanCache(plan_cache)
-        #: Macro-step fusion target: 0/1 = off, K>1 = fuse runs of at
-        #: least K steady-state cycles into generated macro kernels.
-        self.macro_step = macro_step
         #: Cycles executed by fused macro kernels (coverage metric).
         self.macro_cycles = 0
-        # Active macro kernel for the current configuration + entry phase
-        # (None = not compiled, _MACRO_INELIGIBLE = period too large).
-        self._macro = None
         #: Native-tier lifetime counters: cycles executed by
         #: time-vectorized kernels, plans compiled, and cycles a
         #: ``backend="native"`` ring had to hand to the fall-back ladder
@@ -338,9 +322,10 @@ class Ring:
         self.native_cycles = 0
         self.native_compiles = 0
         self.native_fallback_cycles = 0
-        # Active native plan for the current configuration + entry phase
-        # (None = not compiled, a _NativeRefusal = cannot vectorize).
-        self._native = None
+        # Active "macro" / "native" plan per tier for the current
+        # configuration + entry phase (absent = not compiled, a _Refusal
+        # = the tier cannot compile it).
+        self._steady: Dict[str, object] = {}
         # Cached config_fingerprint() (None = recompute).
         self._fingerprint = None
         self._dnodes: List[List[Dnode]] = [
@@ -437,18 +422,9 @@ class Ring:
         state and compiles time-vectorized kernels for eligible
         steady-state spans.
         """
-        self._check_backend(backend)
         if batch_size is None:
             batch_size = self.batch_size if backend == "batch" else 1
-        if batch_size < 1:
-            raise ConfigurationError(
-                f"batch size must be >= 1, got {batch_size}"
-            )
-        if batch_size > 1 and backend != "batch":
-            raise ConfigurationError(
-                f"batch_size {batch_size} requires backend='batch', "
-                f"got {backend!r}"
-            )
+        self._check_backend(backend, batch_size)
         if self._batch_engine is not None and (
                 backend != "batch"
                 or self._batch_engine.batch != batch_size):
@@ -459,8 +435,7 @@ class Ring:
         self.fastpath_enabled = (backend in ("fastpath", "native")
                                  or (backend == "batch" and batch_size == 1))
         self._plan = None
-        self._macro = None
-        self._native = None
+        self._steady.clear()
         self._config_dirty = True
 
     def set_plan_cache(self, capacity: int) -> None:
@@ -473,15 +448,6 @@ class Ring:
         self.plan_cache = PlanCache(capacity)
         if self._batch_engine is not None:
             self._batch_engine.set_plan_cache(capacity)
-
-    def set_macro_step(self, macro_step: int) -> None:
-        """Set the macro-step fusion target (0/1 disables fusion)."""
-        if macro_step < 0:
-            raise ConfigurationError(
-                f"macro step must be >= 0, got {macro_step}"
-            )
-        self.macro_step = macro_step
-        self._macro = None
 
     def add_invalidation_listener(
             self, listener: Callable[[], None]) -> None:
@@ -824,8 +790,7 @@ class Ring:
         if self._plan is not None:
             self._plan = None
             self.plan_invalidations += 1
-        self._macro = None
-        self._native = None
+        self._steady.clear()
         self._fingerprint = None
         self._config_dirty = True
         for listener in self._invalidation_listeners:
@@ -916,76 +881,43 @@ class Ring:
             if cache.capacity:
                 cache.put(("plan", self.config_fingerprint()), plan)
 
-    def _ensure_macro(self):
-        """The macro kernel for the current configuration + entry phase.
+    def _steady_plan(self, tier: str):
+        """The *tier* ("macro" or "native") plan for the current
+        configuration + entry phase, or None when the tier refuses it.
 
-        Returns None when fusion is unavailable (ineligible period).
-        Kernels are cached in :attr:`plan_cache` keyed by fingerprint
-        *and* entry phase, so re-entering a known phase of a known
-        configuration skips codegen entirely.
+        Plans are cached in :attr:`plan_cache` keyed by tier, entry phase
+        and fingerprint, so a restore or reconfiguration back to a known
+        state re-adopts the compiled kernel with zero codegen.  Refusals
+        are cached under the same key as a :class:`_Refusal` carrying the
+        reason (:attr:`native_refusal`), so each configuration is tried
+        at most once per tier.
         """
-        macro = self._macro
-        if macro is _MACRO_INELIGIBLE:
+        plan = self._steady.get(tier)
+        if isinstance(plan, _Refusal):
             return None
-        if macro is not None and macro.matches_phase():
-            return macro
+        if plan is not None and plan.matches_phase():
+            return plan
         cache = self.plan_cache
-        key = None
+        key = plan = None
         if cache.capacity:
             phase = tuple(
                 dn.local._counter for layer in self._dnodes
                 for dn in layer if dn.mode is DnodeMode.LOCAL
             )
-            key = ("macro", phase, self.config_fingerprint())
-            macro = cache.get(key)
-            if macro is not None:
-                self._macro = macro
-                return macro
-        macro = compile_macro(self)
-        if macro is None:
-            self._macro = _MACRO_INELIGIBLE
-            return None
-        self._macro = macro
-        if key is not None:
-            cache.put(key, macro)
-        return macro
-
-    def _ensure_native(self):
-        """The native plan for the current configuration + entry phase.
-
-        Returns None when time-vectorization is unavailable (ineligible
-        configuration).  Plans are cached in :attr:`plan_cache` keyed by
-        fingerprint *and* entry phase, exactly like macro kernels, so a
-        restore or reconfiguration back to a known state re-adopts the
-        compiled kernel with zero codegen.  Refusals are cached under the
-        same key with their reason (:attr:`native_refusal`), so each
-        configuration is tried at most once.
-        """
-        native = self._native
-        if isinstance(native, _NativeRefusal):
-            return None
-        if native is not None and native.matches_phase():
-            return native
-        cache = self.plan_cache
-        key = native = None
-        if cache.capacity:
-            phase = tuple(
-                dn.local._counter for layer in self._dnodes
-                for dn in layer if dn.mode is DnodeMode.LOCAL
-            )
-            key = ("native", phase, self.config_fingerprint())
-            native = cache.get(key)
-        if native is None:
+            key = (tier, phase, self.config_fingerprint())
+            plan = cache.get(key)
+        if plan is None:
             refusal: List[str] = []
-            native = compile_native(self, refusal)
-            if native is None:
-                native = _NativeRefusal(refusal[0])
-            else:
+            compiler = compile_native if tier == "native" else compile_macro
+            plan = compiler(self, refusal)
+            if plan is None:
+                plan = _Refusal(refusal[0])
+            elif tier == "native":
                 self.native_compiles += 1
             if key is not None:
-                cache.put(key, native)
-        self._native = native
-        return None if isinstance(native, _NativeRefusal) else native
+                cache.put(key, plan)
+        self._steady[tier] = plan
+        return None if isinstance(plan, _Refusal) else plan
 
     @property
     def native_refusal(self) -> Optional[str]:
@@ -998,40 +930,33 @@ class Ring:
         dependence cycle, an out-of-range feedback tap, or the period
         cap.  Resolves (and caches) the plan like a run would.
         """
-        native = self._ensure_native()
-        return None if native is not None else str(self._native)
+        native = self._steady_plan("native")
+        return None if native is not None else str(self._steady["native"])
 
     def _run_steady(self, plan, cycles: int, bus: int,
                     host_in: Optional[HostReader]) -> None:
         """Run *cycles* on the compiled engines: native, macro, per-cycle.
 
-        With ``backend="native"``, the longest FIFO-safe period-multiple
-        prefix executes through the time-vectorized kernel; whatever it
-        cannot take (ineligible configuration, sub-period remainder,
-        unsafe FIFO window) falls down the ladder: macro-step fusion
-        first, the per-cycle plan last.  Otherwise, with macro-stepping
-        enabled and a long enough span, the bulk of the span executes in
-        period-multiples through the fused kernel; the sub-period
-        remainder (and everything, when fusion is off or ineligible)
-        goes through the per-cycle plan.
+        Only a ``backend="native"`` ring climbs the ladder: the longest
+        FIFO-safe period-multiple prefix executes through the
+        time-vectorized kernel; whatever it cannot take (ineligible
+        configuration, sub-period remainder, unsafe FIFO window) runs in
+        period-multiples through the fused macro kernel when that leftover
+        spans at least one period (and more than one cycle); the rest goes
+        through the per-cycle plan, which is all a fastpath ring uses.
         """
-        k = self.macro_step
         if self.backend == "native":
-            native = self._ensure_native()
+            native = self._steady_plan("native")
             safe = native.safe_cycles(cycles) if native is not None else 0
             if safe:
                 self._run_plan(native, safe, bus, host_in)
                 cycles -= safe
             if cycles:
                 self.native_fallback_cycles += cycles
-                # The remainder still deserves fusion even when the user
-                # never asked for macro-stepping explicitly.
-                k = max(k, 2)
-        if k > 1 and cycles >= k:
-            macro = self._ensure_macro()
-            if macro is not None and cycles >= max(k, macro.period):
-                fused = cycles - cycles % macro.period
-                if fused:
+            if cycles > 1:
+                macro = self._steady_plan("macro")
+                if macro is not None and cycles >= macro.period:
+                    fused = cycles - cycles % macro.period
                     self._run_plan(macro, fused, bus, host_in)
                     cycles -= fused
         if cycles:
@@ -1056,7 +981,7 @@ class Ring:
             return None, 0, "backend"
         if self._plan is None:
             return None, 0, "no_plan"
-        native = self._ensure_native()
+        native = self._steady_plan("native")
         if native is None:
             return None, 0, "native_refused"
         if cycles < native.period:

@@ -19,7 +19,7 @@ Engine interaction contract:
   invalidation listener fires, so no engine can keep executing a plan
   compiled for the pre-restore configuration.  Plans retained in the
   fingerprint cache stay valid (they are keyed by configuration and
-  close over the ring's stable state containers — native plans
+  close over the ring's stable state containers — macro and native plans
   additionally by entry phase), and restore immediately re-adopts
   the cached plan for the restored fingerprint via
   :meth:`~repro.core.ring.Ring.adopt_cached_plan` — a

@@ -233,10 +233,6 @@ class RingSystem:
         """Resize the ring's compiled-plan cache (0 disables caching)."""
         self.ring.set_plan_cache(capacity)
 
-    def set_macro_step(self, macro_step: int) -> None:
-        """Set the ring's macro-step fusion target (0/1 disables)."""
-        self.ring.set_macro_step(macro_step)
-
     def metrics(self):
         """Aggregate every live counter into a MetricsSnapshot.
 

@@ -169,7 +169,7 @@ def _configure_chorus_vca(ring: Ring, master_gain: int) -> None:
 def capture_plane(geometry: RingGeometry,
                   configure: Callable[[Ring], None]) -> ConfigPlane:
     """Configure a scratch interpreter ring, snapshot the full plane."""
-    scratch = Ring(geometry, fastpath=False)
+    scratch = Ring(geometry, backend="interpreter")
     configure(scratch)
     return scratch.config.capture_plane()
 

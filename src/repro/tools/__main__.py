@@ -197,8 +197,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             system.data = DataController(batch=system.ring.batch_size)
         if args.plan_cache is not None:
             system.set_plan_cache(args.plan_cache)
-        if args.macro_step is not None:
-            system.set_macro_step(args.macro_step)
         for spec in args.stream or []:
             channel, values = _parse_stream(spec)
             system.data.stream(channel, values)
@@ -375,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="execution engine (default: the ring's own; "
                             "'native' fuses steady state into "
-                            "time-vectorized NumPy kernels; "
+                            "time-vectorized NumPy kernels, falling "
+                            "back to generated macro kernels; "
                             "'batch' advances --batch-size streams at "
                             "once, streams broadcast to every lane)")
     p_run.add_argument("--batch-size", type=int, default=1, metavar="N",
@@ -384,9 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retain up to N compiled plans keyed by "
                             "configuration fingerprint (0 disables; "
                             "default: the ring's own, normally 8)")
-    p_run.add_argument("--macro-step", type=int, default=None, metavar="K",
-                       help="fuse steady-state runs of >= K cycles into "
-                            "generated macro kernels (0/1 disables)")
     p_run.add_argument("--strict-fifos", action="store_true",
                        help="abort the run (exit code 2, cycle + message "
                             "on stderr) on any FIFO underflow instead of "

@@ -54,25 +54,23 @@ def _fresh_autotuner():
 class TestMapping:
     def test_describe_names_every_axis(self):
         text = Mapping(mode="hybrid", lane_order="delay-first",
-                       backend="native", macro_step=64,
-                       plan_cache=2).describe()
-        assert text == "hybrid/delay-first/native+macro64/cache2"
+                       backend="native").describe()
+        assert text == "hybrid/delay-first/native"
 
     def test_ring_kwargs_scalar_engine(self):
-        kwargs = Mapping(backend="fastpath", macro_step=64).ring_kwargs()
-        assert kwargs == {"backend": "fastpath", "plan_cache": 8,
-                          "macro_step": 64}
+        kwargs = Mapping(backend="fastpath").ring_kwargs()
+        assert kwargs == {"backend": "fastpath"}
 
     def test_ring_kwargs_lane_engine_gets_batch_size(self):
-        kwargs = Mapping(backend="batch").ring_kwargs()
-        assert kwargs["batch_size"] == 1
+        ring = Ring(RingGeometry(layers=2, width=2),
+                    **Mapping(backend="batch").ring_kwargs())
+        assert ring.batch_size == 1
 
     def test_every_engine_variant_constructs_a_ring(self):
-        for backend, macro_step, plan_cache in ENGINE_VARIANTS:
-            mapping = Mapping(backend=backend, macro_step=macro_step,
-                              plan_cache=plan_cache)
+        assert ENGINE_VARIANTS == ("fastpath", "native")
+        for backend in ENGINE_VARIANTS:
             ring = Ring(RingGeometry(layers=2, width=2),
-                        **mapping.ring_kwargs())
+                        **Mapping(backend=backend).ring_kwargs())
             assert ring.backend == backend
 
 
@@ -101,7 +99,7 @@ class TestSearch:
         result = autotune_graph(build_graph("envelope"), **FAST)
         mappings = {c.mapping for c in result.candidates}
         assert {m.mode for m in mappings} == set(MODES)
-        assert len({(m.backend, m.macro_step) for m in mappings}) >= 4
+        assert {m.backend for m in mappings} == set(ENGINE_VARIANTS)
 
     def test_report_renders_ranked_table(self):
         result = autotune_graph(build_graph("envelope"), **FAST)

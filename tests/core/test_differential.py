@@ -25,8 +25,10 @@ from repro.core import alu
 from repro.core.batchpath import LANE_DTYPE, batch_execute_op
 from repro.core.dnode import DnodeMode
 from repro.core.isa import ACCUMULATING_OPS, Opcode
+from repro.core.macropath import macro_period
 from repro.core.ring import Ring, RingGeometry
 
+from tests.conftest import native_refused
 from tests.core.test_fuzz import apply_spec, build_ring, ring_specs
 
 _SETTINGS = dict(deadline=None, derandomize=True)
@@ -68,8 +70,8 @@ def _state(ring: Ring) -> dict:
 
 
 def _scalar_lane_ring(spec: dict, seed: int, lane: int,
-                      fastpath: bool) -> Ring:
-    ring = build_ring(spec, fastpath=fastpath)
+                      backend: str) -> Ring:
+    ring = build_ring(spec, backend=backend)
     for layer, pos, _mw, _local, _routes, loads in spec["cells"]:
         for channel in loads:
             ring.push_fifo(layer, pos, channel,
@@ -91,8 +93,8 @@ def _batch_ring(spec: dict, seed: int, batch: int) -> Ring:
     return ring
 
 
-def _run_lane_scalar(spec, seed, lane, cycles, bus, fastpath):
-    ring = _scalar_lane_ring(spec, seed, lane, fastpath=fastpath)
+def _run_lane_scalar(spec, seed, lane, cycles, bus, backend):
+    ring = _scalar_lane_ring(spec, seed, lane, backend=backend)
     ring.run(cycles, bus=bus,
              host_in=lambda ch: _host_value(seed, ch, ring.cycles, lane))
     return ring
@@ -128,9 +130,9 @@ class TestDifferentialBackends:
                   host_in=_batch_host_in(bring, seed, batch))
         for lane in range(batch):
             interp = _run_lane_scalar(spec, seed, lane, cycles, bus,
-                                      fastpath=False)
+                                      backend="interpreter")
             fast = _run_lane_scalar(spec, seed, lane, cycles, bus,
-                                    fastpath=True)
+                                    backend="fastpath")
             want = _state(interp)
             assert _state(fast) == want, f"fastpath diverged on {lane}"
             assert _extract_lane(bring, lane) == want, (
@@ -187,32 +189,36 @@ class TestDifferentialCachedAndMacro:
     random configuration churn (context A / context B / back to A) is
     driven through an interpreter ring, a cache-enabled fast-path ring
     (which re-adopts plans on the A/B/A returns), a cache-disabled ring
-    (fresh compile every switch), a macro-stepping ring, and the batch
-    backend with its kernel cache.  Any fingerprint collision, stale
+    (fresh compile every switch), the macro rung (a native ring with
+    native refused), and the batch backend with its kernel cache.  Any fingerprint collision, stale
     plan adoption, phase-mismatched macro kernel, or missed invalidation
     shows up as state divergence.
     """
 
     @given(spec=ring_specs(min_layers=2, max_layers=5, min_width=1,
                            max_width=2, max_local=6),
-           k=st.sampled_from([2, 8, 64]),
            chunks=st.lists(st.integers(min_value=1, max_value=40),
                            min_size=1, max_size=4),
            seed=st.integers(min_value=0, max_value=0xFFFF),
            bus=st.integers(min_value=0, max_value=0xFFFF))
     @settings(max_examples=50, **_SETTINGS)
-    def test_macro_stepped_full_state_identity(self, spec, k, chunks,
-                                               seed, bus):
-        interp = build_ring(spec, fastpath=False)
-        fused = build_ring(spec, macro_step=k)
-        for chunk in chunks:
-            interp.run(chunk, bus=bus,
-                       host_in=lambda ch: _host_value(seed, ch,
-                                                      interp.cycles, 0))
-            fused.run(chunk, bus=bus,
-                      host_in=lambda ch: _host_value(seed, ch,
-                                                     fused.cycles, 0))
-            assert _state(fused) == _state(interp)
+    def test_macro_stepped_full_state_identity(self, spec, chunks, seed,
+                                               bus):
+        """The macro rung (a native ring with native refused) over
+        random chunkings; a closing chunk of one period plus the plan
+        warm-up guarantees the rung runs."""
+        interp = build_ring(spec, backend="interpreter")
+        fused = build_ring(spec, backend="native")
+        with native_refused():
+            for chunk in chunks + [macro_period(fused) + 3]:
+                interp.run(chunk, bus=bus,
+                           host_in=lambda ch: _host_value(
+                               seed, ch, interp.cycles, 0))
+                fused.run(chunk, bus=bus,
+                          host_in=lambda ch: _host_value(
+                              seed, ch, fused.cycles, 0))
+                assert _state(fused) == _state(interp)
+        assert fused.macro_cycles > 0
 
     # Context A and context B share one geometry (3x2) so either
     # configuration is legal on the same fabric — the churn is a pure
@@ -229,22 +235,30 @@ class TestDifferentialCachedAndMacro:
                                                    cycles, rounds, seed):
         """A/B/A context churn: cache-hit plans == fresh compiles ==
         interpreter, at every switch boundary."""
-        interp = build_ring(spec_a, fastpath=False)
+        interp = build_ring(spec_a, backend="interpreter")
         cached = build_ring(spec_a, plan_cache=8)
         fresh = build_ring(spec_a, plan_cache=0)
-        fused = build_ring(spec_a, plan_cache=8, macro_step=2)
+        fused = build_ring(spec_a, plan_cache=8, backend="native")
         rings = (interp, cached, fresh, fused)
-        for round_no in range(rounds):
-            for spec in (spec_b, spec_a):
-                for ring in rings:
-                    _apply_config_only(ring, spec)
-                    ring.run(cycles,
-                             host_in=lambda ch, _r=ring:
-                             _host_value(seed, ch, _r.cycles, 0))
-                want = _state(interp)
-                assert _state(cached) == want, "cached plan diverged"
-                assert _state(fresh) == want, "fresh compile diverged"
-                assert _state(fused) == want, "macro kernel diverged"
+
+        def run_all(cycles):
+            for ring in rings:
+                ring.run(cycles, host_in=lambda ch, _r=ring:
+                         _host_value(seed, ch, _r.cycles, 0))
+            want = _state(interp)
+            assert _state(cached) == want, "cached plan diverged"
+            assert _state(fresh) == want, "fresh compile diverged"
+            assert _state(fused) == want, "macro kernel diverged"
+
+        with native_refused():
+            for round_no in range(rounds):
+                for spec in (spec_b, spec_a):
+                    for ring in rings:
+                        _apply_config_only(ring, spec)
+                    run_all(cycles)
+            # A closing bulk run long enough that the macro rung runs.
+            run_all(macro_period(fused) + 3)
+        assert fused.macro_cycles > 0
         if cycles >= 3:
             # Long enough per context for the uncached ring's deferred
             # compile to trigger at every switch: the cached ring pays
@@ -273,7 +287,8 @@ class TestDifferentialCachedAndMacro:
             "churn back to a seen context must hit the kernel cache"
         )
         for lane in range(batch):
-            scalar = _scalar_lane_ring(spec_a, seed, lane, fastpath=True)
+            scalar = _scalar_lane_ring(spec_a, seed, lane,
+                                       backend="fastpath")
             for spec in plan:
                 _apply_config_only(scalar, spec)
                 scalar.run(cycles,
@@ -382,7 +397,6 @@ class TestFaultRecoveryDifferential:
 
         reference = trace_for(backend="interpreter")
         assert trace_for(backend="fastpath") == reference
-        assert trace_for(backend="fastpath", macro_step=2) == reference
         assert trace_for(backend="native") == reference
         assert trace_for(backend="batch", batch_size=3) == reference
 
@@ -401,7 +415,6 @@ class TestFaultRecoveryDifferential:
 
         for kwargs in (dict(backend="interpreter"),
                        dict(backend="fastpath"),
-                       dict(backend="fastpath", macro_step=2),
                        dict(backend="native"),
                        dict(backend="batch", batch_size=3)):
             golden = build_ring(spec, **kwargs)
@@ -454,7 +467,7 @@ class TestDifferentialNative:
            bus=st.integers(min_value=0, max_value=0xFFFF))
     @settings(max_examples=50, **_SETTINGS)
     def test_native_full_state_identity(self, spec, chunks, seed, bus):
-        interp = build_ring(spec, fastpath=False)
+        interp = build_ring(spec, backend="interpreter")
         native = build_ring(spec, backend="native")
         for chunk in chunks:
             interp.run(chunk, bus=bus,
@@ -482,7 +495,7 @@ class TestDifferentialNative:
         registers and SELF): the cumsum closed forms, their refusals
         (doublings, ``SUB x, v, x``) and interleaved chains under longer
         periods all match the interpreter over wrapping runs."""
-        interp = build_ring(spec, fastpath=False)
+        interp = build_ring(spec, backend="interpreter")
         native = build_ring(spec, backend="native")
         for chunk in chunks:
             for ring in (interp, native):
@@ -503,7 +516,7 @@ class TestDifferentialNative:
                                           rounds, seed):
         """Mid-run A/B/A context churn on the native backend: cached
         native plans re-adopted across switches == interpreter."""
-        interp = build_ring(spec_a, fastpath=False)
+        interp = build_ring(spec_a, backend="interpreter")
         native = build_ring(spec_a, backend="native")
         for _round in range(rounds):
             for spec in (spec_b, spec_a):
@@ -536,7 +549,7 @@ class TestDifferentialNative:
         test in ``test_nativepath.py``.)"""
         from repro.core.snapshot import capture, restore, state_digest
         cut = min(cut, total)
-        interp = build_ring(spec, fastpath=False)
+        interp = build_ring(spec, backend="interpreter")
         interp.run(total, host_in=lambda ch: _host_value(
             seed, ch, interp.cycles, 0))
 

@@ -1,7 +1,7 @@
 """Bit-identity proof: the pre-decoded fast path vs the interpreter.
 
 Every test builds two rings with identical geometry and configuration —
-one with ``fastpath=False`` (the reference interpreter) and one with the
+one with ``backend="interpreter"`` (the reference interpreter) and one with the
 default fast path — drives both with the same bus/host/FIFO stimulus, and
 compares the complete observable state: cycle and underflow counters,
 every register, OUT latch, local-sequencer counter and statistics field of
@@ -167,8 +167,8 @@ def _state(ring: Ring) -> dict:
 
 def _make_pair(seed: int, layers: int = 4) -> tuple:
     geometry = RingGeometry(layers=layers, width=2)
-    reference = Ring(geometry, fastpath=False)
-    fast = Ring(geometry, fastpath=True)
+    reference = Ring(geometry, backend="interpreter")
+    fast = Ring(geometry, backend="fastpath")
     _apply_random_config(reference, random.Random(seed))
     _apply_random_config(fast, random.Random(seed))
     return reference, fast
@@ -230,8 +230,8 @@ def test_midrun_reconfiguration_all_backends(seed, batch_size):
     stimulus is broadcast, so all lanes mirror the scalar run).
     """
     geometry = RingGeometry(layers=4, width=2)
-    reference = Ring(geometry, fastpath=False)
-    fast = Ring(geometry, fastpath=True)
+    reference = Ring(geometry, backend="interpreter")
+    fast = Ring(geometry, backend="fastpath")
     batch = Ring(geometry, backend="batch", batch_size=batch_size)
     # B=1 rides the scalar fast path unless the vector engine has been
     # handed out; this test exercises the engine, so engage it.
@@ -423,7 +423,7 @@ def test_single_interpreted_cycle_before_compile():
 
 
 def test_fastpath_disabled_never_compiles():
-    ring = Ring(RingGeometry(layers=4, width=2), fastpath=False)
+    ring = Ring(RingGeometry(layers=4, width=2), backend="interpreter")
     ring.run(10)
     assert ring._plan is None
 
@@ -436,8 +436,8 @@ def test_fastpath_disabled_never_compiles():
 def _strict_rings():
     """Interpreter, fast path and a 3-lane batch ring, all strict."""
     geometry = RingGeometry(layers=4, width=2)
-    return (Ring(geometry, strict_fifos=True, fastpath=False),
-            Ring(geometry, strict_fifos=True, fastpath=True),
+    return (Ring(geometry, strict_fifos=True, backend="interpreter"),
+            Ring(geometry, strict_fifos=True, backend="fastpath"),
             Ring(geometry, strict_fifos=True, backend="batch",
                  batch_size=3))
 
@@ -482,8 +482,8 @@ def test_strict_fifo_pop_error_identical():
 
 def test_missing_host_reader_error_identical():
     errors = []
-    for fastpath in (False, True):
-        ring = Ring(RingGeometry(layers=4, width=2), fastpath=fastpath)
+    for backend in ("interpreter", "fastpath"):
+        ring = Ring(RingGeometry(layers=4, width=2), backend=backend)
         ring.config.write_switch_route(0, 0, 1, PortSource.host(2))
         with pytest.raises(SimulationError) as excinfo:
             ring.run(10)
@@ -497,9 +497,9 @@ def test_shallow_pipeline_tap_error_identical():
     # raises at port resolution; the compiled plan must raise identically
     # (the fetch stays eager precisely because it is observable).
     errors = []
-    for fastpath in (False, True):
+    for backend in ("interpreter", "fastpath"):
         ring = Ring(RingGeometry(layers=4, width=2, pipeline_depth=2),
-                    fastpath=fastpath)
+                    backend=backend)
         ring.config.write_switch_route(0, 0, 1, PortSource.rp(4, 1))
         with pytest.raises(SimulationError) as excinfo:
             ring.run(10)

@@ -66,7 +66,7 @@ def _mac_program(ring: Ring, layer=0, pos=0) -> None:
 def _twin(build, cycles, **run_kwargs):
     """Run *build* on native and interpreter rings; return both."""
     rn = build(backend="native")
-    ri = build(fastpath=False)
+    ri = build(backend="interpreter")
     rn.run(cycles, **run_kwargs)
     for _ in range(cycles):
         ri.step(**run_kwargs)
@@ -279,7 +279,7 @@ class TestClosedForms:
 
         def host_of(ring):
             return lambda ch: (40503 * ring.cycles) & 0xFFFF
-        rn, ri = build(backend="native"), build(fastpath=False)
+        rn, ri = build(backend="native"), build(backend="interpreter")
         assert rn.native_refusal is None
         rn.run(self.CYCLES, bus=0x7123, host_in=host_of(rn))
         for _ in range(self.CYCLES):
@@ -304,7 +304,7 @@ class TestClosedForms:
         ring = Ring(RingGeometry(layers=2, width=1), backend="native")
         ring.config.write_microword(0, 0, mw)
         assert ring.native_refusal == reason
-        twin = Ring(RingGeometry(layers=2, width=1), fastpath=False)
+        twin = Ring(RingGeometry(layers=2, width=1), backend="interpreter")
         twin.config.write_microword(0, 0, mw)
         ring.run(40, bus=5)
         for _ in range(40):
@@ -319,7 +319,7 @@ class TestFallbackLadder:
         ring.config.write_switch_route(1, 0, 1, PortSource.up(0))
         ring.config.write_microword(1, 0, MicroWord(
             Opcode.MADD, Source.IN1, Source.SELF, Dest.OUT, imm=3))
-        twin = Ring(RingGeometry(layers=2, width=2), fastpath=False)
+        twin = Ring(RingGeometry(layers=2, width=2), backend="interpreter")
         twin.config.write_switch_route(1, 0, 1, PortSource.up(0))
         twin.config.write_microword(1, 0, MicroWord(
             Opcode.MADD, Source.IN1, Source.SELF, Dest.OUT, imm=3))
@@ -343,7 +343,7 @@ class TestFallbackLadder:
 
     def test_fifo_gated_window_splits_native_and_fallback(self):
         """Exactly occ//pops periods run native; the starved tail falls
-        back to the per-cycle engines and still matches bit-for-bit."""
+        back down the ladder and still matches bit-for-bit."""
         def build(**kw):
             ring = Ring(RingGeometry(layers=2, width=2), **kw)
             _mac_program(ring)
@@ -353,6 +353,12 @@ class TestFallbackLadder:
         rn, ri = _twin(build, 16)
         assert rn.native_cycles == 8      # 10 loads - 2 warm-up cycles
         assert rn.native_fallback_cycles == 6
+        # The configuration is native-eligible, so this starved tail is
+        # where its macro rung runs: period 1 fuses all 6 cycles (reading
+        # the empty FIFOs as underflows) and leaves none to the per-cycle
+        # plan.
+        assert rn.macro_cycles == 6
+        assert rn.native_fallback_cycles - rn.macro_cycles == 0
         assert state_digest(rn) == state_digest(ri)
 
     def test_empty_fifo_blocks_the_window_entirely(self):
@@ -380,7 +386,7 @@ class TestFallbackLadder:
         seen = []
         rn = build(backend="native")
         rn.add_observer(lambda r: seen.append(r.cycles), interval=8)
-        ri = build(fastpath=False)
+        ri = build(backend="interpreter")
         rn.run(40, bus=7)
         for _ in range(40):
             ri.step(bus=7)
@@ -404,7 +410,7 @@ class TestPlanCacheAndSnapshots:
             ring.push_fifo(0, 0, 2, list(range(31, 61)))
             return ring
         rn, ri = _twin(build, 30)
-        plan = rn._native
+        plan = rn._steady["native"]
         assert plan is not None and plan.matches_phase()
         assert state_digest(rn) == state_digest(ri)
 
@@ -435,7 +441,7 @@ class TestPlanCacheAndSnapshots:
         # Re-adoption skips the interpreted warm-up: all 12 post-restore
         # cycles run on the native plan.
         assert ring.native_cycles == native_before + 12
-        twin = self._build(fastpath=False)
+        twin = self._build(backend="interpreter")
         for _ in range(32):
             twin.step(bus=7)
         assert state_digest(ring) == state_digest(twin)
@@ -469,7 +475,7 @@ class TestPlanCacheAndSnapshots:
         ring.run(10, bus=7)
         ring.set_backend("native")
         ring.run(10, bus=7)
-        twin = self._build(fastpath=False)
+        twin = self._build(backend="interpreter")
         for _ in range(30):
             twin.step(bus=7)
         assert state_digest(ring) == state_digest(twin)
@@ -489,7 +495,7 @@ class TestNumbaLadder:
     def test_numba_absent_uses_python_core(self, no_numba):
         assert not nativepath.numba_available()
         ring = self._run_pair()
-        assert not ring._native.jit_active()
+        assert not ring._steady["native"].jit_active()
 
     def test_numba_disabled_by_switch(self, monkeypatch):
         fake = types.ModuleType("numba")
@@ -499,7 +505,7 @@ class TestNumbaLadder:
         try:
             assert not nativepath.numba_available()
             ring = self._run_pair()
-            assert not ring._native.jit_active()
+            assert not ring._steady["native"].jit_active()
         finally:
             nativepath.set_numba_enabled(True)
 
@@ -517,7 +523,7 @@ class TestNumbaLadder:
         monkeypatch.setitem(sys.modules, "numba", fake)
         assert nativepath.numba_available()
         ring = self._run_pair()
-        assert ring._native.jit_active()
+        assert ring._steady["native"].jit_active()
         assert wrapped  # the core really went through @njit
 
     def test_broken_numba_falls_back_to_python_core(self, monkeypatch):
@@ -529,7 +535,7 @@ class TestNumbaLadder:
         fake.njit = njit
         monkeypatch.setitem(sys.modules, "numba", fake)
         ring = self._run_pair()  # bit-identity asserted inside
-        assert not ring._native.jit_active()
+        assert not ring._steady["native"].jit_active()
 
 
 class TestBackendRegistry:
@@ -547,6 +553,13 @@ class TestBackendRegistry:
             Ring(RingGeometry(layers=2, width=2), backend="turbo")
         for name in Ring.BACKEND_REGISTRY:
             assert name in str(err.value)
+
+    def test_backend_is_the_only_engine_selector(self):
+        """The old ``fastpath=`` alias is an error, never silently
+        ignored next to ``backend``."""
+        with pytest.raises(TypeError):
+            Ring(RingGeometry(layers=2, width=2), backend="native",
+                 fastpath=False)
 
     def test_cli_choices_match_registry(self):
         from repro.tools.__main__ import build_parser
@@ -596,7 +609,7 @@ class TestHostStreams:
             return lambda ch: sig[ring.cycles % len(sig)]
 
         rn = build(backend="native")
-        ri = build(fastpath=False)
+        ri = build(backend="interpreter")
         rn.run(40, host_in=host_of(rn))
         for _ in range(40):
             ri.step(host_in=host_of(ri))

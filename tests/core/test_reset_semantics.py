@@ -82,9 +82,9 @@ class TestPreserved:
         assert ring.plan_compiles == compiles
         assert ring.plan_invalidations == invalidations
 
-    def test_macro_cycles_counter(self):
-        # Fused macro execution only engages on the batch entry point.
-        ring = make_busy_ring(backend="fastpath", macro_step=2)
+    def test_macro_cycles_counter(self, refuse_native):
+        # The macro rung only engages on the bulk entry point.
+        ring = make_busy_ring(backend="native")
         ring.run(20)
         assert ring.macro_cycles > 0
         macro = ring.macro_cycles

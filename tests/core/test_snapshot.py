@@ -99,39 +99,57 @@ class TestCaptureRestore:
 # -- property-based round-trips across every engine -------------------
 
 
+from contextlib import nullcontext  # noqa: E402
+
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro.core.macropath import MAX_PERIOD, macro_period  # noqa: E402
 from repro.core.snapshot import state_digest  # noqa: E402
 
+from tests.conftest import native_refused  # noqa: E402
 from tests.core.test_fuzz import build_ring, ring_specs  # noqa: E402
 
-_ENGINE_KWARGS = [
-    dict(backend="interpreter"),
-    dict(backend="fastpath"),
-    dict(backend="fastpath", macro_step=3),
-    dict(backend="batch", batch_size=4),
+#: (id, Ring kwargs) per engine; "macro" is a native ring run with the
+#: native tier refused (``native_refused``), so it takes the macro rung.
+_ENGINES = [
+    ("interpreter", dict(backend="interpreter")),
+    ("fastpath", dict(backend="fastpath")),
+    ("macro", dict(backend="native")),
+    ("batch", dict(backend="batch", batch_size=4)),
 ]
-_ENGINE_IDS = ["interpreter", "fastpath", "macro", "batch"]
 
 
 class TestRoundTripProperty:
     """capture -> step K -> restore -> step K is bit-identical, on every
     execution engine, for arbitrary fabrics and warmup/replay windows."""
 
-    @pytest.mark.parametrize("kwargs", _ENGINE_KWARGS, ids=_ENGINE_IDS)
+    @pytest.mark.parametrize("engine", _ENGINES,
+                             ids=[name for name, _ in _ENGINES])
     @given(spec=ring_specs(), warmup=st.integers(0, 12),
            k=st.integers(1, 16), bus=st.integers(0, 0xFFFF))
     @settings(max_examples=25, deadline=None, derandomize=True)
-    def test_capture_step_restore_step(self, kwargs, spec, warmup, k, bus):
-        ring = build_ring(spec, **kwargs)
-        ring.run(warmup, bus=bus, host_in=lambda ch: bus & 0xFF)
-        snapshot = capture(ring)
-        ring.run(k, bus=bus, host_in=lambda ch: bus & 0xFF)
-        first = state_digest(ring)
-        restore(ring, snapshot)
-        assert state_digest(ring) == snapshot_digest_of(snapshot, ring)
-        ring.run(k, bus=bus, host_in=lambda ch: bus & 0xFF)
-        assert state_digest(ring) == first
+    def test_capture_step_restore_step(self, engine, spec, warmup, k, bus):
+        name, kwargs = engine
+        with native_refused() if name == "macro" else nullcontext():
+            ring = build_ring(spec, **kwargs)
+            period = macro_period(ring)
+            # The macro rung unrolls periods up to MAX_PERIOD; for those,
+            # both the forward and the replayed run are made long enough
+            # to reach it.
+            macro = name == "macro" and period <= MAX_PERIOD
+            if macro:
+                k += period + 3
+            ring.run(warmup, bus=bus, host_in=lambda ch: bus & 0xFF)
+            snapshot = capture(ring)
+            ring.run(k, bus=bus, host_in=lambda ch: bus & 0xFF)
+            first = state_digest(ring)
+            fused = ring.macro_cycles
+            restore(ring, snapshot)
+            assert state_digest(ring) == snapshot_digest_of(snapshot, ring)
+            ring.run(k, bus=bus, host_in=lambda ch: bus & 0xFF)
+            assert state_digest(ring) == first
+        if macro:
+            assert fused > 0 and ring.macro_cycles > fused
 
     @given(spec=ring_specs(), warmup=st.integers(1, 12),
            k=st.integers(1, 12))

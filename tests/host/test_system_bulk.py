@@ -126,7 +126,7 @@ class TestNativeMatchesInterpreter:
     @settings(max_examples=150, **_SETTINGS)
     def test_observables_identical(self, case):
         native = _run(case, backend="native")
-        interp = _run(case, fastpath=False)
+        interp = _run(case, backend="interpreter")
         # Queues, delivered/underrun counts, tap samples and _seen.
         assert native.data.capture_state() == interp.data.capture_state()
         assert state_digest(native.ring) == state_digest(interp.ring)
@@ -169,7 +169,7 @@ class TestNativeWindows:
     def test_run_until_taps_full_matches_per_cycle(self):
         program, stream = _fir_system()
         results = []
-        for kwargs in ({"backend": "native"}, {"fastpath": False}):
+        for kwargs in ({"backend": "native"}, {"backend": "interpreter"}):
             system = program.build_system(Ring(program.geometry, **kwargs))
             system.data.stream(0, [v & 0xFFFF for v in stream])
             tap = system.data.add_tap(1, 0, skip=5, every=3, limit=40)
@@ -496,7 +496,7 @@ class TestControllerDifferential:
     @settings(max_examples=100, **_SETTINGS)
     def test_matches_per_cycle_stepping(self, engine, case):
         bulk, bulk_error = _drive(case, per_cycle=False, **engine)
-        spec, spec_error = _drive(case, per_cycle=True, fastpath=False)
+        spec, spec_error = _drive(case, per_cycle=True, backend="interpreter")
         assert _observables(bulk, bulk_error) == \
             _observables(spec, spec_error)
         assert sum(bulk.cycle_paths.values()) >= bulk.cycles

@@ -19,19 +19,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.ring import Ring
-from tests.kernels.conftest import ENGINES
 from repro.kernels import reference
 from repro.kernels.scenarios import (EFFECTS_CHORUS_DEPTH,
                                      EFFECTS_GEOMETRY, SYNTH_ECHO_LANE,
                                      SYNTH_GEOMETRY, run_effects_chain,
                                      run_synth_voice)
 
-from tests.kernels.conftest import fabric_state, make_ring
-
-
-@pytest.fixture(params=sorted(ENGINES))
-def engine(request):
-    return request.param, dict(ENGINES[request.param])
+from tests.kernels.conftest import (  # noqa: F401 - shared fixture
+    bulk_tail, engine, fabric_state, make_ring)
 
 
 ENVELOPE = ([min(32767, 700 * n) for n in range(48)] +
@@ -162,20 +157,21 @@ class TestPipelineEngineMatrix:
         ring = make_ring(SYNTH_GEOMETRY, kwargs)
         result = run_synth_voice(ENVELOPE[:48], FCW_A, FCW_B, ECHO_GAIN,
                                  chunk=16, ring=ring)
-        twin = make_ring(SYNTH_GEOMETRY, {"fastpath": False})
+        twin = make_ring(SYNTH_GEOMETRY, {"backend": "interpreter"})
         want = run_synth_voice(ENVELOPE[:48], FCW_A, FCW_B, ECHO_GAIN,
                                chunk=16, ring=twin)
         assert result.outputs == want.outputs, (
             f"{name} diverged from interpreter")
         assert result.outputs == SYNTH_GOLDEN[:48]
         assert fabric_state(ring) == fabric_state(twin)
+        bulk_tail(name, ring, twin)
 
     def test_effects_chain_cross_engine(self, engine):
         name, kwargs = engine
         ring = make_ring(EFFECTS_GEOMETRY, kwargs)
         result = run_effects_chain(SIGNAL[:48], MASTER_GAIN, ECHO_GAIN,
                                    chunk=16, ring=ring)
-        twin = make_ring(EFFECTS_GEOMETRY, {"fastpath": False})
+        twin = make_ring(EFFECTS_GEOMETRY, {"backend": "interpreter"})
         want = run_effects_chain(SIGNAL[:48], MASTER_GAIN, ECHO_GAIN,
                                  chunk=16, ring=twin)
         assert result.outputs == want.outputs, (
@@ -184,3 +180,4 @@ class TestPipelineEngineMatrix:
             SIGNAL[:48], EFFECTS_CHORUS_DEPTH, MASTER_GAIN,
             EFFECTS_GEOMETRY.layers, ECHO_GAIN)
         assert fabric_state(ring) == fabric_state(twin)
+        bulk_tail(name, ring, twin)

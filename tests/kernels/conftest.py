@@ -5,8 +5,8 @@ Every execution backend the repo ships is described once, here, and the
 them.  A kernel test written against the fixture therefore becomes one
 *row* of the cross-engine x kernel conformance matrix: the same golden
 recipe, bit-identical on the interpreter, the compiled fast path, the
-native macro-kernel tier, the macro-stepped interpreter and the batch
-backend.
+native tier, the macro rung of the native ladder (native refused via
+the ``refuse_native`` seam) and the batch backend.
 
 Helpers:
 
@@ -17,7 +17,9 @@ Helpers:
   :class:`~repro.host.streams.BatchOutputTap`;
 * :func:`fabric_state` — the scalar architectural state of a ring
   (shape-compatible across engines, unlike ``state_digest`` which
-  includes the lane arrays of batch snapshots).
+  includes the lane arrays of batch snapshots);
+* :func:`bulk_tail` — run a ring and its interpreter twin on in bulk and
+  compare their state (where the ``macro`` column runs its rung).
 """
 
 from __future__ import annotations
@@ -29,11 +31,14 @@ from repro.core.ring import Ring, RingGeometry
 #: name -> Ring constructor kwargs, one entry per execution engine.
 #: ``tests/core/test_nativepath.py`` asserts this stays in sync with
 #: :attr:`Ring.BACKEND_REGISTRY`.
+#: ``"macro"`` is a native ring whose native compiler refuses (the
+#: ``refuse_native`` seam, applied by :func:`engine`), so its steady
+#: state runs on the macro rung.
 ENGINES = {
-    "interpreter": {"fastpath": False},
+    "interpreter": {"backend": "interpreter"},
     "fastpath": {},
     "native": {"backend": "native"},
-    "macro": {"macro_step": 4},
+    "macro": {"backend": "native"},
     "batch": {"backend": "batch", "batch_size": 2},
 }
 
@@ -41,12 +46,39 @@ ENGINES = {
 @pytest.fixture(params=sorted(ENGINES))
 def engine(request):
     """(name, ring_kwargs) for every execution engine, one per param."""
+    if request.param == "macro":
+        request.getfixturevalue("refuse_native")
     return request.param, dict(ENGINES[request.param])
 
 
 def make_ring(geometry: RingGeometry, engine_kwargs: dict) -> Ring:
     """A fresh ring of *geometry* running the given engine."""
     return Ring(geometry, **engine_kwargs)
+
+
+#: Cycles :func:`bulk_tail` runs: at least one period of every kernel.
+BULK_TAIL = 64
+
+
+def _tail_host(channel: int) -> int:
+    return 5 * channel + 3
+
+
+def bulk_tail(name: str, ring: Ring, twin: Ring,
+              cycles: int = BULK_TAIL) -> None:
+    """Run *ring* and its interpreter *twin* on for *cycles* through
+    ``Ring.run`` and assert identical architectural state.
+
+    A tapped or streamed system run on a native-refused configuration
+    dispatches cycle by cycle, so the steady-state ladder (and with it
+    the ``macro`` column's rung) only engages in a bulk run like this.
+    """
+    ring.run(cycles, host_in=_tail_host)
+    twin.run(cycles, host_in=_tail_host)
+    assert fabric_state(ring) == fabric_state(twin), (
+        f"{name} state diverged from interpreter in the bulk tail")
+    if name == "macro":
+        assert ring.macro_cycles > 0, "the macro rung never ran"
 
 
 def tap_samples(tap):

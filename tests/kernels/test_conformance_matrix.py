@@ -41,9 +41,10 @@ from repro.kernels.wavelet import (APPROX_LATENCY, BORDER_PREFIX_PAIRS,
                                    DETAIL_LATENCY, _border_streams,
                                    build_lifting_system)
 
-from tests.kernels.conftest import fabric_state, make_ring, tap_samples
+from tests.kernels.conftest import (bulk_tail, fabric_state, make_ring,
+                                   tap_samples)
 
-INTERPRETER = {"fastpath": False}
+INTERPRETER = {"backend": "interpreter"}
 
 
 def _signal(length: int, spread: int = 60, stride: int = 7):
@@ -62,6 +63,7 @@ def _matrix_cell(drive, engine):
     assert fabric_state(ring) == fabric_state(twin), (
         f"{name} architectural state diverged from interpreter"
     )
+    bulk_tail(name, ring, twin)
     return got
 
 

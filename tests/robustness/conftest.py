@@ -1,6 +1,6 @@
 """Shared fixtures for the robustness suite.
 
-``ENGINES`` parameterizes tests over all four execution engines; the
+``ENGINES`` parameterizes tests over four execution engines; the
 ``busy_factory`` builds identically configured rings with every kind of
 live state (registers, OUT chains, feedback pipeline taps, FIFO
 backlogs, a mid-loop local program), so faults have real state to land
@@ -14,13 +14,24 @@ from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
 from repro.core.switch import PortSource
 
-#: (id, Ring kwargs) for each execution engine.
+#: (id, Ring kwargs) for each execution engine.  "macro" is a native ring
+#: with the native tier refused (the ``refuse_native`` seam, applied by
+#: :func:`_macro_rung` and :func:`engine_kwargs`), so its bulk runs take
+#: the macro rung of the native ladder.
 ENGINES = [
     ("interpreter", dict(backend="interpreter")),
     ("fastpath", dict(backend="fastpath")),
-    ("macro", dict(backend="fastpath", macro_step=2)),
+    ("macro", dict(backend="native")),
     ("batch", dict(backend="batch", batch_size=4)),
 ]
+
+
+@pytest.fixture(autouse=True)
+def _macro_rung(request):
+    """Refuse native in every case parametrized with engine "macro"."""
+    callspec = getattr(request.node, "callspec", None)
+    if callspec is not None and callspec.params.get("engine") == "macro":
+        request.getfixturevalue("refuse_native")
 
 
 def make_busy_ring(**kwargs) -> Ring:
@@ -57,4 +68,7 @@ def busy_factory(**kwargs):
 @pytest.fixture(params=ENGINES, ids=[name for name, _ in ENGINES])
 def engine_kwargs(request):
     """Ring constructor kwargs for each execution engine."""
-    return request.param[1]
+    name, kwargs = request.param
+    if name == "macro":
+        request.getfixturevalue("refuse_native")
+    return kwargs
