@@ -7,6 +7,11 @@ engines land 5-10x), every winner proven bit-identical to the golden
 evaluator, and a repeat submission pays ~zero search via the
 graph+fabric-fingerprint memo.
 
+The scenario recipes ``mixer4`` and ``up2`` carry the same floor at the
+small search budget the tier-1 tests use (200 scored cycles, one
+repeat).  A single such search is too noisy to gate on a loaded host,
+so their claim is judged as the median of repeated searches.
+
 Results land in ``BENCH_autotune.json`` so CI archives a perf data point
 per PR.  Run with ``pytest -s benchmarks/test_autotune.py`` for the
 table.
@@ -15,6 +20,7 @@ table.
 from __future__ import annotations
 
 import json
+import statistics
 from pathlib import Path
 
 from benchmarks.conftest import emit
@@ -38,6 +44,12 @@ REPEATS = 3
 
 #: Samples for the final bit-identity demonstration per kernel.
 VERIFY_SAMPLES = 48
+
+#: Scenario recipes judged at the tier-1 search budget, and how many
+#: searches the median takes.
+RECIPES = ("mixer4", "up2")
+RECIPE_BUDGET = dict(score_cycles=200, repeats=1, verify_samples=12)
+RECIPE_SEARCHES = 5
 
 #: Where the recorded numbers land (repo root, picked up by CI).
 BENCH_PATH = Path(__file__).resolve().parent.parent / \
@@ -119,3 +131,24 @@ def test_autotune_speedup_and_memoized_resubmission():
             f"{stats['speedup']:.2f}x the default compile_graph "
             f"emission (target {TARGET_SPEEDUP}x)"
         )
+
+
+def test_scenario_recipe_speedup_median():
+    rows, medians = [], {}
+    for name in RECIPES:
+        speedups = sorted(
+            autotune_graph(build_graph(name), memo=False,
+                           **RECIPE_BUDGET).speedup
+            for _ in range(RECIPE_SEARCHES))
+        medians[name] = statistics.median(speedups)
+        rows.append([name, f"{medians[name]:.2f}x",
+                     f"{speedups[0]:.2f}x", f"{speedups[-1]:.2f}x"])
+    emit(render_table(
+        ["recipe", "median", "min", "max"], rows,
+        title=f"autotuned speedup over the default mapping, "
+              f"{RECIPE_SEARCHES} searches at "
+              f"{RECIPE_BUDGET['score_cycles']} scored cycles"))
+    for name, median in medians.items():
+        assert median >= TARGET_SPEEDUP, (
+            f"{name}: median autotuned speedup {median:.2f}x over "
+            f"{RECIPE_SEARCHES} searches (target {TARGET_SPEEDUP}x)")

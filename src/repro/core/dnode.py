@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro import word
 from repro.core.alu import execute_op
@@ -99,6 +99,34 @@ _MULTIPLY_OPS = frozenset(
 )
 
 
+def check_microword(microword: MicroWord) -> None:
+    """Reject anything but a :class:`MicroWord` as a global microword."""
+    if not isinstance(microword, MicroWord):
+        raise ConfigurationError(
+            f"expected MicroWord, got {type(microword).__name__}"
+        )
+
+
+def check_mode(mode: DnodeMode) -> None:
+    """Reject anything but a :class:`DnodeMode`."""
+    if not isinstance(mode, DnodeMode):
+        raise ConfigurationError(f"expected DnodeMode, got {mode!r}")
+
+
+def dnode_fingerprint(mode: DnodeMode, global_word: MicroWord,
+                       slots: Sequence[MicroWord], limit: int) -> tuple:
+    """The configuration digest of a Dnode holding these fields.
+
+    Covers exactly the configuration state a compiled plan depends on:
+    the mode bit plus either the global microword or the local
+    sequencer's LIMIT and *active* slots (writes to slots at or above
+    LIMIT cannot execute, so they do not perturb the fingerprint).
+    """
+    if mode is DnodeMode.GLOBAL:
+        return (0, global_word)
+    return (1, limit, tuple(slots[:limit]))
+
+
 class Dnode:
     """One reconfigurable datapath cell of the operative layer."""
 
@@ -129,23 +157,42 @@ class Dnode:
             self.on_config_change()
 
     def config_fingerprint(self) -> tuple:
-        """A stable, hashable digest of everything that selects execution.
-
-        Covers exactly the configuration state a compiled plan depends on:
-        the mode bit plus either the global microword or the local
-        sequencer's LIMIT and *active* slots (writes to slots at or above
-        LIMIT cannot execute, so they do not perturb the fingerprint).
-        Cached until the next configuration mutation.
+        """A stable, hashable digest of everything that selects execution
+        (see :func:`dnode_fingerprint`).  Cached until the next
+        configuration mutation.
         """
         fp = self._config_fp
         if fp is None:
-            if self._mode is DnodeMode.GLOBAL:
-                fp = (0, self._global_word)
-            else:
-                limit = self.local._limit
-                fp = (1, limit, tuple(self.local._slots[:limit]))
-            self._config_fp = fp
+            local = self.local
+            fp = self._config_fp = dnode_fingerprint(
+                self._mode, self._global_word, local._slots, local._limit)
         return fp
+
+    def rewrite(self, microword: Optional[MicroWord],
+                mode: Optional[DnodeMode], slot_writes: tuple,
+                limit: Optional[int], fingerprint: Optional[tuple]) -> None:
+        """Quietly overwrite pre-validated configuration fields.
+
+        The plane-apply path of
+        :class:`~repro.core.config_memory.ConfigMemory`: None leaves a
+        field as it is, *slot_writes* holds ``(slot, microword)`` pairs,
+        and a new LIMIT clamps the counter like
+        :meth:`LocalController.set_limit`.  No change hook fires — the
+        caller invalidates the ring once for the whole plane — and
+        *fingerprint* (None = recompute) replaces the cached one.
+        """
+        if microword is not None:
+            self._global_word = microword
+        if mode is not None:
+            self._mode = mode
+        local = self.local
+        for index, slot_word in slot_writes:
+            local._slots[index] = slot_word
+        if limit is not None:
+            local._limit = limit
+            if local._counter >= limit:
+                local._counter = 0
+        self._config_fp = fingerprint
 
     # ------------------------------------------------------------------
     # Configuration interface (used by the configuration layer/controller)
@@ -183,17 +230,13 @@ class Dnode:
 
     def configure(self, microword: MicroWord) -> None:
         """Write the global-mode microinstruction (configuration layer)."""
-        if not isinstance(microword, MicroWord):
-            raise ConfigurationError(
-                f"expected MicroWord, got {type(microword).__name__}"
-            )
+        check_microword(microword)
         self._global_word = microword
         self._config_changed()
 
     def set_mode(self, mode: DnodeMode) -> None:
         """Switch between global and local (stand-alone) execution."""
-        if not isinstance(mode, DnodeMode):
-            raise ConfigurationError(f"expected DnodeMode, got {mode!r}")
+        check_mode(mode)
         self._mode = mode
         self._config_changed()
 
@@ -313,4 +356,5 @@ class Dnode:
         )
 
 
-__all__ = ["Dnode", "DnodeMode", "DnodeInputs", "DnodeStats"]
+__all__ = ["Dnode", "DnodeMode", "DnodeInputs", "DnodeStats",
+           "check_microword", "check_mode", "dnode_fingerprint"]

@@ -23,6 +23,26 @@ from repro.errors import ConfigurationError
 NUM_SLOTS = 8
 
 
+def check_slot(index: int, microword: MicroWord) -> None:
+    """Validate one instruction-register write (slot index, word type)."""
+    if not 0 <= index < NUM_SLOTS:
+        raise ConfigurationError(
+            f"local slot index must be 0..{NUM_SLOTS - 1}, got {index}"
+        )
+    if not isinstance(microword, MicroWord):
+        raise ConfigurationError(
+            f"local slot expects a MicroWord, got {type(microword).__name__}"
+        )
+
+
+def check_limit(limit: int) -> None:
+    """Validate a LIMIT register value."""
+    if not 1 <= limit <= NUM_SLOTS:
+        raise ConfigurationError(
+            f"LIMIT must be 1..{NUM_SLOTS}, got {limit}"
+        )
+
+
 class LocalController:
     """The 9-register local sequencer of a Dnode."""
 
@@ -49,14 +69,7 @@ class LocalController:
 
     def load_slot(self, index: int, microword: MicroWord) -> None:
         """Write one of the 8 instruction registers."""
-        if not 0 <= index < NUM_SLOTS:
-            raise ConfigurationError(
-                f"local slot index must be 0..{NUM_SLOTS - 1}, got {index}"
-            )
-        if not isinstance(microword, MicroWord):
-            raise ConfigurationError(
-                f"local slot expects a MicroWord, got {type(microword).__name__}"
-            )
+        check_slot(index, microword)
         self._slots[index] = microword
         if self.on_change is not None:
             self.on_change()
@@ -82,10 +95,7 @@ class LocalController:
 
     def set_limit(self, limit: int) -> None:
         """Write the LIMIT register (the 9th register of the control unit)."""
-        if not 1 <= limit <= NUM_SLOTS:
-            raise ConfigurationError(
-                f"LIMIT must be 1..{NUM_SLOTS}, got {limit}"
-            )
+        check_limit(limit)
         self._limit = limit
         if self._counter >= limit:
             self._counter = 0

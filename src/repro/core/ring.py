@@ -60,7 +60,7 @@ from time import perf_counter
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import word
-from repro.core.config_memory import ConfigMemory
+from repro.core.config_memory import ConfigMemory, _Fingerprint
 from repro.core.dnode import Dnode, DnodeInputs, DnodeMode
 from repro.core.fastpath import compile_plan
 from repro.core.isa import FEEDBACK_DEPTH
@@ -79,27 +79,6 @@ class _Refusal(str):
 HostReader = Callable[[int], int]
 
 RingObserver = Callable[["Ring"], None]
-
-
-class _Fingerprint(tuple):
-    """A configuration fingerprint that computes its hash once.
-
-    Equal to (and hashing like) the plain tuple, so it mixes freely with
-    plain-tuple keys; the deep hash over every microword is paid on the
-    first lookup only.
-    """
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = tuple.__hash__(self)
-            return self._hash
-
-    def __reduce__(self):
-        # String hashes differ between processes: pickle a plain tuple,
-        # never the cached hash.
-        return tuple, (tuple(self),)
 
 
 class _CycleObserver:
@@ -328,6 +307,9 @@ class Ring:
         self._steady: Dict[str, object] = {}
         # Cached config_fingerprint() (None = recompute).
         self._fingerprint = None
+        # The last ConfigPlane applied, until any other configuration
+        # write (see repro.core.config_memory).
+        self._resident_plane = None
         self._dnodes: List[List[Dnode]] = [
             [Dnode(layer, pos) for pos in range(geometry.width)]
             for layer in range(geometry.layers)
@@ -786,12 +768,14 @@ class Ring:
         The dropped plan stays in :attr:`plan_cache`: the next cycle
         looks the new configuration up by fingerprint and re-adopts a
         cached plan with zero interpreted cycles when it was seen before.
+        Any configuration write also ends the resident plane's tenure.
         """
         if self._plan is not None:
             self._plan = None
             self.plan_invalidations += 1
         self._steady.clear()
         self._fingerprint = None
+        self._resident_plane = None
         self._config_dirty = True
         for listener in self._invalidation_listeners:
             listener()

@@ -42,6 +42,7 @@ must not rewrite history (a rollback still counts as a rollback).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config_memory import ConfigPlane
@@ -196,7 +197,7 @@ def snapshot_digest(snapshot: RingSnapshot) -> tuple:
     """The :func:`state_digest` of a snapshot without a target ring."""
 
     def freeze(value):
-        if isinstance(value, dict):
+        if isinstance(value, (dict, MappingProxyType)):
             return tuple(sorted(
                 (freeze(k), freeze(v)) for k, v in value.items()))
         if isinstance(value, (list, tuple)):

@@ -137,6 +137,20 @@ def decode_route(raw: int) -> PortSource:
     return PortSource(kind, index, lane)
 
 
+def routes_fingerprint(routes: Dict[Tuple[int, int], PortSource]) -> tuple:
+    """The digest of a ``(position, port) -> source`` routing table.
+
+    Explicit ZERO routes and absent entries read the same, so both are
+    excluded — restoring a configuration by either path yields the same
+    fingerprint.
+    """
+    return tuple(sorted(
+        (pos, port, _ROUTE_KIND_CODES[src.kind], src.index, src.lane)
+        for (pos, port), src in routes.items()
+        if src.kind is not PortKind.ZERO
+    ))
+
+
 class SwitchConfig:
     """Routing table of one switch: (downstream position, port) -> source.
 
@@ -160,25 +174,38 @@ class SwitchConfig:
         self._fp: Optional[tuple] = None
 
     def fingerprint(self) -> tuple:
-        """A stable, hashable digest of the routing table.
-
-        Explicit ZERO routes and absent entries read the same, so both
-        are excluded — restoring a configuration by either path yields
-        the same fingerprint.  Cached until the next routing mutation.
+        """A stable, hashable digest of the routing table (see
+        :func:`routes_fingerprint`).  Cached until the next routing
+        mutation.
         """
         fp = self._fp
         if fp is None:
-            fp = tuple(sorted(
-                (pos, port, _ROUTE_KIND_CODES[src.kind], src.index,
-                 src.lane)
-                for (pos, port), src in self._routes.items()
-                if src.kind is not PortKind.ZERO
-            ))
-            self._fp = fp
+            fp = self._fp = routes_fingerprint(self._routes)
         return fp
 
     def route(self, position: int, port: int, source: PortSource) -> None:
         """Connect input *port* (1 or 2) of downstream Dnode *position*."""
+        self.check_route(position, port, source)
+        self._routes[(position, port)] = source
+        self.writes += 1
+        self._fp = None
+        if self.on_change is not None:
+            self.on_change()
+
+    def rewrite(self, route_writes: tuple,
+                fingerprint: Optional[tuple]) -> None:
+        """Quietly apply pre-validated ``((position, port), source)``
+        writes: the plane-apply path of
+        :class:`~repro.core.config_memory.ConfigMemory`.  No change hook
+        fires and :attr:`writes` is left to the caller; *fingerprint*
+        (None = recompute) replaces the cached one.
+        """
+        self._routes.update(route_writes)
+        self._fp = fingerprint
+
+    def check_route(self, position: int, port: int,
+                    source: PortSource) -> None:
+        """Validate a :meth:`route` call without applying it."""
         self._check_position(position)
         self._check_port(port)
         if not isinstance(source, PortSource):
@@ -194,11 +221,6 @@ class SwitchConfig:
             raise ConfigurationError(
                 f"feedback lane {source.lane} out of range (width {self.width})"
             )
-        self._routes[(position, port)] = source
-        self.writes += 1
-        self._fp = None
-        if self.on_change is not None:
-            self.on_change()
 
     def source_for(self, position: int, port: int) -> PortSource:
         """Current routing of input *port* of downstream Dnode *position*."""

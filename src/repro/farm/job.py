@@ -91,7 +91,8 @@ class FarmResult:
     aborted: Optional[str] = None
     #: True when the job was paused and resumed on another worker.
     migrated: bool = False
-    #: True when the whole job executed off a cached compiled plan.
+    #: True when no plan was compiled and a cached plan was hit or
+    #: stayed adopted from the previous job.
     warm: bool = False
     #: Plan-cache hit / plan-compile deltas attributable to this job.
     plan_hits: int = 0

@@ -9,9 +9,8 @@ hardware context switch, not a rebuild: ``reset()`` the datapath, apply
 the job's configuration plane (complete, so nothing leaks from the
 previous tenant), re-adopt the cached compiled plan in one lookup, run.
 When the requested plane is already resident on the ring (back-to-back
-jobs of one fingerprint — the common case under affinity routing) even
-the plane write is skipped, which also keeps the adopted plan installed
-instead of invalidating and re-looking it up.
+jobs of one fingerprint — the common case under affinity routing)
+``apply_plane`` writes nothing and the adopted plan stays installed.
 
 A :class:`FarmWorker` is the parent-side handle: it spawns the executor
 into a worker process over a Pipe (fork-preferred context, ready
@@ -29,7 +28,6 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional, Tuple
 
-from repro.core.config_memory import ConfigPlane
 from repro.core.ring import Ring, RingGeometry
 from repro.core.snapshot import state_digest
 from repro.errors import SimulationError
@@ -49,11 +47,6 @@ class JobExecutor:
         self.worker = worker
         self.jobs_run = 0
         self._rings: Dict[Tuple[int, int, bool], Ring] = {}
-        # The configuration plane currently resident on each ring.
-        # ConfigPlane is a frozen snapshot, so an equal plane means the
-        # fabric is already configured — the context switch (and the
-        # plan invalidation it implies) can be skipped entirely.
-        self._resident: Dict[Tuple[int, int, bool], ConfigPlane] = {}
 
     def _ring_for(self, job: FarmJob) -> Ring:
         key = (job.layers, job.width, job.strict_fifos)
@@ -77,11 +70,10 @@ class JobExecutor:
         part of the checkpoint, so they are not re-applied.
         """
         job.validate()
-        key = (job.layers, job.width, job.strict_fifos)
         ring = self._ring_for(job)
         hits_before = ring.plan_cache.hits
         compiles_before = ring.plan_compiles
-        resident = False
+        adopted = False
         # Context switch: wipe the previous tenant's datapath state and
         # overwrite the *complete* configuration (capture_plane() planes
         # cover every address, including all local slots and routes).
@@ -92,28 +84,12 @@ class JobExecutor:
         if resume is not None:
             # restore() re-applies the checkpointed plane and re-adopts
             # the cached plan; taps above give restore_state its targets.
-            # The checkpoint overwrote the fabric configuration, so the
-            # resident marker for this shape is stale.
-            self._resident.pop(key, None)
             system.restore_checkpoint(resume)
         else:
-            # A plane write always drops the adopted compiled plan (a
-            # reconfiguration invalidates the fast path by contract), so
-            # re-applying an identical plane would cost both the ~1000
-            # config writes and a needless cache round-trip.  reset()
-            # preserves configuration, so when the resident plane equals
-            # the job's the fabric is already configured: skip both.
-            resident = self._resident.get(key) == job.plane
-            if not resident:
-                ring.config.apply_plane(job.plane)
-                # Shallow copy: inline executors share the caller's plane
-                # object, and a marker aliasing dicts the caller can still
-                # mutate would skip an apply the fabric actually needs.
-                self._resident[key] = ConfigPlane(
-                    dict(job.plane.microwords), dict(job.plane.modes),
-                    dict(job.plane.local_programs),
-                    dict(job.plane.switch_routes))
-            ring.adopt_cached_plan()
+            # reset() preserves configuration, so a job whose plane is
+            # already resident writes nothing and keeps its plan adopted.
+            ring.config.apply_plane(job.plane)
+            adopted = ring.adopt_cached_plan()
             for channel, values in sorted(job.streams.items()):
                 system.data.stream(channel, values)
             for layer, pos, channel, words in job.fifos:
@@ -141,7 +117,7 @@ class JobExecutor:
             digest=state_digest(ring) if job.want_digest else (),
             aborted=aborted,
             migrated=resume is not None,
-            warm=(hits > 0 or resident) and compiles == 0,
+            warm=(hits > 0 or adopted) and compiles == 0,
             plan_hits=hits,
             plan_compiles=compiles,
         )

@@ -38,8 +38,9 @@ from repro.compiler.schedule import LANE_ORDERS, schedule
 from repro.core.ring import Ring, RingGeometry
 
 #: Small search budget: candidate ranking may wobble at this size, but
-#: every property asserted here (verification, memoization, speedup
-#: floor vs baseline) is budget-independent.
+#: every property asserted here (verification, memoization, the winner
+#: never slower than the baseline it was measured against) is
+#: budget-independent.
 FAST = dict(score_cycles=200, repeats=1, verify_samples=12)
 
 
@@ -400,9 +401,18 @@ class TestScenarioRecipeTuning:
         graph = build_graph(name)
         result = autotune_graph(graph, **FAST)
         assert not result.cache_hit
-        # The macro/native engine variants leave the per-cycle default
-        # far behind on these shallow streaming graphs.
-        assert result.speedup >= 1.5
+        # Structure, not wall clock: the engine sweep scored and verified
+        # a native candidate, and the winner is the fastest verified
+        # candidate.  The measured >= 1.5x speedup is judged as a median
+        # over repeated searches in benchmarks/test_autotune.py.
+        assert result.mapping.backend in ENGINE_VARIANTS
+        verified = [c for c in result.candidates if c.verified]
+        assert any(c.mapping.backend == "native" for c in verified)
+        winner, = [c for c in result.candidates
+                   if c.mapping == result.mapping]
+        assert winner.verified
+        assert winner.cycles_per_second == max(
+            c.cycles_per_second for c in verified)
         # Winner reproduced the golden evaluator before being adopted.
         streams = library_streams(graph, 10)
         assert result.program.run(streams) == graph.evaluate(streams)

@@ -42,7 +42,7 @@ from repro.errors import SimulationError
 from repro.host.streams import OutputTap, StreamChannel
 from repro.host.system import RingSystem
 
-from tests.core.test_fuzz import apply_spec, ring_specs
+from tests.core.test_fuzz import apply_spec, build_ring, ring_specs
 
 _SETTINGS = dict(deadline=None, derandomize=True)
 
@@ -310,8 +310,16 @@ _ENGINE_FAMILIES = frozenset({
 })
 
 
-def _plane(spec: dict) -> ConfigPlane:
-    """A whole-fabric configuration plane from a generated spec."""
+def _plane(spec: dict, complete: bool = False) -> ConfigPlane:
+    """A configuration plane from a generated spec.
+
+    By default the plane lists only what the spec writes (a partial
+    plane).  With *complete* it is captured from a scratch ring, so it
+    covers every field and ``CFGPLANE`` takes the resident-plane and
+    memoized-diff paths of ``apply_plane``.
+    """
+    if complete:
+        return build_ring(spec, backend="interpreter").config.capture_plane()
     microwords, modes, local_programs, routes = {}, {}, {}, {}
     for layer, pos, mw, local, cell_routes, _loads in spec["cells"]:
         microwords[(layer, pos)] = mw
@@ -361,8 +369,9 @@ def controller_programs(draw, planes: int):
 
 @st.composite
 def controlled_systems(draw):
-    """A fabric, 2-3 planes, a controller program, taps, dry streams,
-    run() chunks with a rollback, and a run_until_halt budget."""
+    """A fabric, 2-3 partial or complete planes, a controller program,
+    taps, dry streams, run() chunks with a rollback, and a
+    run_until_halt budget."""
     layers = draw(st.integers(2, 3))
     width = draw(st.integers(1, 2))
     shape = dict(min_layers=layers, max_layers=layers, min_width=width,
@@ -376,7 +385,7 @@ def controlled_systems(draw):
                                accumulators=True))
         if draw(st.integers(0, 3)):
             spec = _feed_forward(spec)
-        planes.append(_plane(spec))
+        planes.append(_plane(spec, complete=draw(st.booleans())))
     program = draw(controller_programs(len(planes)))
     taps = draw(st.lists(st.tuples(
         st.integers(0, layers - 1), st.integers(0, width - 1),
