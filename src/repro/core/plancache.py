@@ -138,21 +138,6 @@ class PlanCache:
         self._entries.pop(key, None)
         self._missed.pop(key, None)
 
-    def snapshot_counters(self) -> dict:
-        """Plain-data view of the lifetime counters (serving telemetry).
-
-        Farm workers report these across process boundaries so the front
-        door can compute warm-hit ratios per worker without reaching
-        into live cache objects.
-        """
-        return {
-            "capacity": self.capacity,
-            "size": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
     def clear(self) -> None:
         """Drop every entry and the missed-fingerprint memory.
 

@@ -827,8 +827,8 @@ class Ring:
     def adopt_cached_plan(self) -> bool:
         """Re-adopt a compiled plan for the current configuration now.
 
-        Public hook for restore paths (checkpoint rollback, farm worker
-        job switches): after the configuration settles, one fingerprint
+        Public hook for restore paths (checkpoint rollback and
+        migration): after the configuration settles, one fingerprint
         lookup re-activates a cached plan immediately instead of waiting
         for the first ``step()`` to do it lazily.  Returns ``True`` when
         a compiled plan is active afterwards.  A scalar-fastpath-less

@@ -214,12 +214,12 @@ class RingSystem:
         self._paths[key] = self._paths.get(key, 0) + cycles
 
     def checkpoint(self):
-        """Capture a whole-system checkpoint (fabric + host streams).
+        """Capture a whole-system checkpoint (fabric, host streams and
+        controller).
 
         Returns a :class:`~repro.robustness.checkpoint.SystemCheckpoint`
-        restorable onto this system — or any same-geometry system with
-        the same tap topology, which is how the serving layer migrates a
-        running job between workers.
+        restorable onto this system — or onto a fresh system with the
+        same geometry, tap topology and controller program.
         """
         from repro.robustness.checkpoint import capture_system
         return capture_system(self)

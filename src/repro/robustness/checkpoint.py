@@ -22,6 +22,7 @@ quantified by :func:`throughput`/:func:`degradation_report`.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -142,29 +143,43 @@ def rollback_replay(ring: Ring, snapshot: RingSnapshot, target_cycle: int,
 # -- whole-system checkpoints -----------------------------------------
 
 
+#: Controller fields a checkpoint carries: everything that evolves as the
+#: program runs.  ``program``/``cfg_rom`` are fixed at construction and
+#: ``fabric_reader`` is wiring to the enclosing system, not state.
+_CONTROLLER_FIELDS = ("regs", "pc", "halted", "bus_out", "dmem", "state",
+                      "_wait_remaining", "in_box", "out_box")
+
+
 @dataclass
 class SystemCheckpoint:
     """A consistent checkpoint of a complete RingSystem.
 
-    Fabric state via :class:`~repro.core.snapshot.RingSnapshot` plus the
+    Fabric state via :class:`~repro.core.snapshot.RingSnapshot`, the
     host side (stream queues, delivery counters, tap collections) via
-    :meth:`~repro.host.streams.DataController.capture_state`, anchored at
-    the system cycle counter.  This is the unit the serving layer moves
-    between workers: pausing a job on one worker and resuming it on
-    another is exactly capture here / restore there.
+    :meth:`~repro.host.streams.DataController.capture_state`, and the
+    configuration controller's run state (``None`` for an uncontrolled
+    system), anchored at the system cycle counter.  Restored onto any
+    system with the same geometry, tap topology and controller program,
+    the run continues bit-identical from the captured cycle.
     """
 
     cycles: int
     snapshot: RingSnapshot
     host: dict
+    controller: Optional[dict] = None
 
 
 def capture_system(system) -> SystemCheckpoint:
     """Checkpoint *system* (a :class:`~repro.host.system.RingSystem`)."""
+    controller = None
+    if system.controller is not None:
+        controller = copy.deepcopy({name: getattr(system.controller, name)
+                                    for name in _CONTROLLER_FIELDS})
     return SystemCheckpoint(
         cycles=system.cycles,
         snapshot=capture(system.ring),
         host=system.data.capture_state(),
+        controller=controller,
     )
 
 
@@ -173,12 +188,19 @@ def restore_system(system, checkpoint: SystemCheckpoint) -> None:
 
     The data controller must already have the same tap topology the
     checkpoint was captured with (taps are identity, not data — create
-    them first, then restore).  The ring restore re-adopts a cached
-    compiled plan when the restored fingerprint is known, so resuming a
-    migrated job pays zero interpreted cycles on a warm worker.
+    them first, then restore), and the system must have a controller
+    exactly when the checkpoint carries one.  The ring restore re-adopts
+    a cached compiled plan when the restored fingerprint is known, so
+    the resumed run pays no interpreted cycles for a known
+    configuration.
     """
+    if (checkpoint.controller is None) != (system.controller is None):
+        raise ConfigurationError(
+            "checkpoint and system disagree on having a controller")
     restore(system.ring, checkpoint.snapshot)
     system.data.restore_state(checkpoint.host)
+    if checkpoint.controller is not None:
+        vars(system.controller).update(copy.deepcopy(checkpoint.controller))
     system.cycles = checkpoint.cycles
 
 

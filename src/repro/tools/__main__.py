@@ -5,7 +5,6 @@ Subcommands:
 * ``asm``      — assemble two-level source to binary object code;
 * ``dis``      — disassemble object code to a readable listing;
 * ``run``      — load object code, stream data in, print tap outputs;
-* ``serve``    — run the RingFarm TCP serving front door;
 * ``autotune`` — search the mapping space for a library kernel graph
   (measured-throughput scoring, bit-identity verification, memoized by
   graph+fabric fingerprint), optionally followed by the cross-engine
@@ -99,11 +98,11 @@ def _run_with_injection(build, args, cycles: int) -> int:
 
     The golden system records state digests at every checkpoint boundary;
     the faulted system compares against them, and on divergence restores
-    the last good checkpoint (fabric snapshot + host stream/tap state)
-    and replays.  Returns the faulted system (for tap/metric reporting)
+    the last good :meth:`~repro.host.system.RingSystem.checkpoint` and
+    replays.  Returns the faulted system (for tap/metric reporting)
     plus an exit status.
     """
-    from repro.core.snapshot import capture, restore, state_digest
+    from repro.core.snapshot import state_digest
     from repro.robustness.faults import FaultInjector
 
     every = args.checkpoint_every
@@ -121,7 +120,7 @@ def _run_with_injection(build, args, cycles: int) -> int:
     fault_cycle = (args.fault_cycle if args.fault_cycle is not None
                    else cycles // 2)
     event = injector.random_event(fault_cycle)
-    checkpoint = (0, capture(system.ring), system.data.capture_state())
+    checkpoint = system.checkpoint()
     system.ring.checkpoints += 1
     record = None
     detected_at = None
@@ -135,18 +134,15 @@ def _run_with_injection(build, args, cycles: int) -> int:
             continue
         if state_digest(system.ring) == digests[system.cycles]:
             if system.cycles % every == 0:
-                checkpoint = (system.cycles, capture(system.ring),
-                              system.data.capture_state())
+                checkpoint = system.checkpoint()
                 system.ring.checkpoints += 1
             continue
         if detected_at is not None:
             continue
         detected_at = system.cycles
-        rolled_back_to, snapshot, host_state = checkpoint
-        restore(system.ring, snapshot)
-        system.data.restore_state(host_state)
+        rolled_back_to = checkpoint.cycles
+        system.restore_checkpoint(checkpoint)
         system.ring.rollbacks += 1
-        system.cycles = rolled_back_to
         for _ in range(detected_at - rolled_back_to):
             system.step()
         system.ring.recovery_cycles += detected_at - rolled_back_to
@@ -218,8 +214,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             system = build()
             if system.controller is not None:
                 print("error: --inject supports uncontrolled programs "
-                      "only (controller state is not checkpointed)",
-                      file=sys.stderr)
+                      "only", file=sys.stderr)
                 return EXIT_FAILURE
             system, status = _run_with_injection(build, args, cycles)
         else:
@@ -301,36 +296,6 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
             print(f"  MISMATCH {line}", file=sys.stderr)
         if not report.ok:
             return EXIT_FAILURE
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.farm import RingFarm
-    from repro.farm.server import FarmServer
-
-    async def _serve() -> None:
-        farm = RingFarm(workers=args.workers,
-                        queue_depth=args.queue_depth,
-                        tenant_quota=args.tenant_quota,
-                        plan_cache=args.plan_cache,
-                        use_processes=not args.inline)
-        server = FarmServer(farm, host=args.host, port=args.port)
-        async with farm:
-            await server.start()
-            print(f"ringfarm serving on {server.host}:{server.port} "
-                  f"({args.workers} workers, "
-                  f"{'inline' if args.inline else 'processes'})")
-            try:
-                await server.serve_forever()
-            finally:
-                await server.stop()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("ringfarm stopped")
     return 0
 
 
@@ -430,25 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "configuration fuzzer (exit 1 on mismatch)")
     p_tune.set_defaults(func=_cmd_autotune)
 
-    p_serve = sub.add_parser(
-        "serve", help="serve compiled-plan jobs over TCP (RingFarm)")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8372)
-    p_serve.add_argument("--workers", type=int, default=2, metavar="N",
-                         help="worker-process pool size")
-    p_serve.add_argument("--queue-depth", type=int, default=16,
-                         metavar="N",
-                         help="bounded per-worker queue depth (full "
-                              "queues reject with retry-after)")
-    p_serve.add_argument("--tenant-quota", type=int, default=8,
-                         metavar="N",
-                         help="max queued + running jobs per tenant")
-    p_serve.add_argument("--plan-cache", type=int, default=8, metavar="N",
-                         help="per-worker compiled-plan cache capacity")
-    p_serve.add_argument("--inline", action="store_true",
-                         help="run workers in-process (no worker "
-                              "processes; for tests and tiny hosts)")
-    p_serve.set_defaults(func=_cmd_serve)
     return parser
 
 

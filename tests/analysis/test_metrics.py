@@ -164,7 +164,7 @@ class TestExportFormats:
 
     def test_prometheus_hostile_label_value(self):
         """Regression: a label value holding a newline, quote and
-        backslash (e.g. a farm tenant name) must stay on one line."""
+        backslash (e.g. a user-supplied name) must stay on one line."""
         from repro.analysis.metrics import Metric, MetricsSnapshot
         snap = MetricsSnapshot([Metric(
             "weird", "gauge", "escape test",

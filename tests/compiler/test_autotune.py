@@ -238,6 +238,7 @@ class TestLibrary:
         streams = library_streams(graph, 16)
         assert compile_graph(graph).run(streams) == \
             graph.evaluate(streams)
+        assert STATS.searches == 0  # the untuned path never searches
 
     def test_streams_deterministic_and_per_channel(self):
         graph = build_graph("cmul")
@@ -335,60 +336,6 @@ class TestCli:
         from repro.tools.__main__ import main
         assert main(["autotune", "fft1024"]) == 1
         assert "unknown library graph" in capsys.readouterr().err
-
-
-class TestFarmSubmitGraph:
-    def _run(self, coro):
-        import asyncio
-        return asyncio.run(coro)
-
-    def test_graph_submission_matches_golden(self):
-        from repro.farm import RingFarm
-
-        graph = build_graph("dct4")
-        streams = library_streams(graph, 10)
-        golden = graph.evaluate(streams)
-
-        async def scenario():
-            async with RingFarm(workers=1, use_processes=False) as farm:
-                return await farm.submit_graph("t0", graph, streams,
-                                               **FAST)
-
-        result, outputs = self._run(scenario())
-        assert outputs == golden
-        assert result.cycles_run == 10 + 4  # length + dct4 latency
-
-    def test_resubmission_is_memoized(self):
-        from repro.farm import RingFarm
-
-        graph = build_graph("envelope")
-        streams = library_streams(graph, 8)
-        golden = graph.evaluate(streams)
-
-        async def scenario():
-            async with RingFarm(workers=1, use_processes=False) as farm:
-                await farm.submit_graph("t0", graph, streams, **FAST)
-                return await farm.submit_graph(
-                    "t1", build_graph("envelope"), streams, **FAST)
-
-        _, outputs = self._run(scenario())
-        assert outputs == golden
-        assert STATS.cache_hits == 1
-
-    def test_untuned_submission_uses_default_mapping(self):
-        from repro.farm import RingFarm
-
-        graph = build_graph("cmul")
-        streams = library_streams(graph, 6)
-
-        async def scenario():
-            async with RingFarm(workers=1, use_processes=False) as farm:
-                return await farm.submit_graph("t0", graph, streams,
-                                               autotune=False)
-
-        _, outputs = self._run(scenario())
-        assert outputs == graph.evaluate(streams)
-        assert STATS.searches == 0
 
 
 class TestScenarioRecipeTuning:

@@ -329,15 +329,6 @@ class TestRestoreReadoption:
         data = json.loads(collect_metrics(ring).to_json())
         assert data["plan_cache_hits_total"] == hits + 1
 
-    def test_snapshot_counters_surface(self):
-        cache = PlanCache(3)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("nope")
-        assert cache.snapshot_counters() == {
-            "capacity": 3, "size": 1, "hits": 1, "misses": 1,
-            "evictions": 0}
-
 
 class TestBatchSizeOneRouting:
     """Satellite: B=1 batch mode must ride the scalar fast path."""

@@ -5,10 +5,12 @@ state as native windows: input streams are gathered as arrays, output
 taps are slices of each Dnode's output history, and the host side
 (delivered words, underruns, tap schedules) is settled in closed form.
 The reference interpreter is the spec, so every generated system runs on
-both engines with the same chunk splits and a capture/restore rollback
+both engines with the same chunk splits and a checkpoint rollback
 mid-run, and everything a caller can observe must agree: tap samples and
 cycle counts, per-channel delivered/underrun counts and queues, and the
-final fabric digest.
+final fabric digest.  Some native runs also move to a fresh ring and
+system at a chunk boundary (checkpoint there, restore on the fresh
+system) and must still match the uninterrupted interpreter run.
 
 Controller-driven systems get the same treatment against a stricter
 reference: random controller programs over random configuration planes,
@@ -22,8 +24,6 @@ deadline) like the ring-level differential suite.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,9 +36,9 @@ from repro.core.config_memory import ConfigPlane
 from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
-from repro.core.snapshot import capture, restore, state_digest
+from repro.core.snapshot import state_digest
 from repro.core.switch import PortKind, PortSource
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.host.streams import OutputTap, StreamChannel
 from repro.host.system import RingSystem
 
@@ -83,7 +83,8 @@ def _feed_forward(spec: dict) -> dict:
 
 @st.composite
 def systems(draw):
-    """A fabric, 1-4 taps, streams that run dry, chunks, a rollback."""
+    """A fabric, 1-4 taps, streams that run dry, chunks, a rollback and
+    an optional hand-off to a fresh system before one chunk."""
     spec = draw(ring_specs(min_layers=2, max_layers=4, min_width=1,
                            max_width=3, max_local=4))
     if draw(st.integers(0, 3)):
@@ -98,42 +99,59 @@ def systems(draw):
         max_size=4))
     chunks = draw(st.lists(st.integers(0, 64), min_size=1, max_size=5))
     rollback = draw(st.integers(0, len(chunks) - 1))
-    return spec, taps, streams, chunks, rollback
+    handoff = draw(st.one_of(st.none(), st.integers(0, len(chunks) - 1)))
+    return spec, taps, streams, chunks, rollback, handoff
 
 
-def _run(case, **ring_kwargs) -> RingSystem:
-    """Build and run one generated system on one engine."""
-    spec, taps, streams, chunks, rollback = case
+def _run(case, handoff: bool = False, **ring_kwargs):
+    """Build and run one generated system on one engine.
+
+    With *handoff* the run moves to a fresh ring and system before the
+    case's hand-off chunk.  Returns the system that finished and the
+    cycles it executed, the rolled-back chunk included.
+    """
+    spec, taps, streams, chunks, rollback, handoff_at = case
     geometry = RingGeometry(layers=spec["layers"], width=spec["width"])
-    system = RingSystem(apply_spec(Ring(geometry, **ring_kwargs), spec))
+
+    def build(ring: Ring) -> RingSystem:
+        system = RingSystem(ring)
+        for layer, pos, skip, every, limit in taps:
+            system.data.add_tap(layer, pos, skip=skip, every=every,
+                                limit=limit)
+        return system
+
+    system = build(apply_spec(Ring(geometry, **ring_kwargs), spec))
     for channel, words in streams.items():
         system.data.stream(channel, words)
-    for layer, pos, skip, every, limit in taps:
-        system.data.add_tap(layer, pos, skip=skip, every=every, limit=limit)
+    executed = 0
     for k, chunk in enumerate(chunks):
+        if handoff and k == handoff_at:
+            saved = system.checkpoint()
+            system = build(Ring(geometry, **ring_kwargs))
+            system.restore_checkpoint(saved)
+            executed = 0
         if k == rollback:
-            # Run a chunk, then roll fabric and host side back over it.
-            fabric, host = capture(system.ring), system.data.capture_state()
+            # Run a chunk, then roll the whole system back over it.
+            saved = system.checkpoint()
             system.run(chunk)
-            restore(system.ring, fabric)
-            system.data.restore_state(host)
+            system.restore_checkpoint(saved)
+            executed += chunk
         system.run(chunk)
-    return system
+        executed += chunk
+    return system, executed
 
 
 class TestNativeMatchesInterpreter:
     @given(case=systems())
     @settings(max_examples=150, **_SETTINGS)
     def test_observables_identical(self, case):
-        native = _run(case, backend="native")
-        interp = _run(case, backend="interpreter")
+        native, executed = _run(case, handoff=True, backend="native")
+        interp, _ = _run(case, backend="interpreter")
         # Queues, delivered/underrun counts, tap samples and _seen.
         assert native.data.capture_state() == interp.data.capture_state()
         assert state_digest(native.ring) == state_digest(interp.ring)
-        chunks, rollback = case[3], case[4]
-        assert native.cycles == interp.cycles == (sum(chunks)
-                                                  + chunks[rollback])
-        assert sum(native.cycle_paths.values()) == native.cycles
+        assert native.cycles == interp.cycles == sum(case[3])
+        assert sum(native.cycle_paths.values()) == executed
 
 
 def _fir_system(length: int = 256):
@@ -427,23 +445,6 @@ def _step_until_halt(system: RingSystem, max_cycles: int,
         system.step()
 
 
-def _capture_system(system: RingSystem):
-    """Fabric, host side, controller and cycle count (a test checkpoint:
-    :meth:`RingSystem.checkpoint` does not cover the controller)."""
-    controller = {key: value for key, value in vars(system.controller).items()
-                  if key != "fabric_reader"}
-    return (capture(system.ring), system.data.capture_state(),
-            copy.deepcopy(controller), system.cycles)
-
-
-def _restore_system(system: RingSystem, saved) -> None:
-    fabric, host, controller, cycles = saved
-    restore(system.ring, fabric)
-    system.data.restore_state(host)
-    vars(system.controller).update(copy.deepcopy(controller))
-    system.cycles = cycles
-
-
 def _drive(case, per_cycle: bool, **ring_kwargs):
     """Run one generated controlled system; returns it and any error."""
     chunks, rollback, budget, drain = case[5:]
@@ -459,9 +460,9 @@ def _drive(case, per_cycle: bool, **ring_kwargs):
     try:
         for k, chunk in enumerate(chunks):
             if k == rollback:
-                saved = _capture_system(system)
+                saved = system.checkpoint()
                 advance(chunk)
-                _restore_system(system, saved)
+                system.restore_checkpoint(saved)
             advance(chunk)
         if per_cycle:
             _step_until_halt(system, budget, drain)
@@ -562,9 +563,9 @@ class TestControllerDifferential:
         system = self._waiting_system(backend="native")
         system.run(40)
         assert system.controller.quiet_cycles() == 263
-        saved = _capture_system(system)
+        saved = system.checkpoint()
         system.run(200)
-        _restore_system(system, saved)
+        system.restore_checkpoint(saved)
         system.run_until_halt(drain=5)
         restored, expected = (_observables(system, None),
                               _observables(straight, None))
@@ -575,6 +576,31 @@ class TestControllerDifferential:
                            "switch_route_writes_total"):
                 observed["metrics"].pop(family)
         assert restored == expected
+
+    @pytest.mark.parametrize("backend", ["native", "interpreter"])
+    def test_rollback_across_cfgplane_is_bit_identical(self, backend):
+        # The rolled-back span ends the first WAITI, switches to the
+        # unwind plane and enters the second WAITI: unless the checkpoint
+        # rewinds the controller too, the rerun never switches planes.
+        straight = self._waiting_system(backend=backend)
+        straight.run_until_halt(drain=5)
+        system = self._waiting_system(backend=backend)
+        system.run(40)
+        saved = system.checkpoint()
+        system.run(300)
+        assert system.controller.quiet_cycles() == 14  # second WAITI
+        system.restore_checkpoint(saved)
+        system.run_until_halt(drain=5)
+        assert system.cycles == straight.cycles
+        assert [tap.samples for tap in system.data.taps] == \
+            [tap.samples for tap in straight.data.taps]
+        assert state_digest(system.ring) == state_digest(straight.ring)
+        ctrl, want = system.controller, straight.controller
+        assert (ctrl.regs, ctrl.pc, ctrl.halted, ctrl.bus_out, ctrl.state) \
+            == (want.regs, want.pc, want.halted, want.bus_out, want.state)
+        with pytest.raises(ConfigurationError, match="controller"):
+            RingSystem(Ring(RingGeometry(layers=2, width=1))) \
+                .restore_checkpoint(saved)
 
     def test_full_search_me_waits_in_native_windows(self):
         from repro.kernels import reference

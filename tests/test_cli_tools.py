@@ -267,12 +267,6 @@ class TestRunExitCodes:
         assert "RECOVERY FAILED" in capsys.readouterr().out
 
 
-class TestServeCommand:
-    def test_rejects_zero_workers(self, capsys):
-        assert main(["serve", "--workers", "0"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-
 class TestReportCommand:
     def test_generates_full_report(self, tmp_path, capsys):
         out = tmp_path / "REPORT.md"
