@@ -50,7 +50,8 @@ messages themselves are identical.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 import numpy as np
 
@@ -319,6 +320,9 @@ class BatchRing:
         self.invalidations = 0
         self._kernels = None
         self._stat_plan: Tuple = ()
+        #: Host channels the compiled kernels read every cycle (valid
+        #: once a run has compiled or adopted them).
+        self.host_channels: frozenset = frozenset()
         self._all_stats: Tuple = tuple(dn.stats for dn in ring.all_dnodes())
         #: Engine-owned kernel cache, keyed by the ring's configuration
         #: fingerprint.  Owned (not the ring's cache) because kernels
@@ -332,8 +336,15 @@ class BatchRing:
     # -- lifecycle -----------------------------------------------------
 
     def detach(self) -> None:
-        """Unhook from the ring's invalidation chain (engine retired)."""
+        """Unhook from the ring's invalidation chain (engine retired).
+
+        Also drops the compiled kernels and the kernel cache: their
+        closures bind this engine, and that cycle would keep a retired
+        engine's lane arrays alive until the cyclic collector ran.
+        """
         self.ring.remove_invalidation_listener(self._on_config_change)
+        self._kernels = None
+        self.plan_cache.clear()
         self._detached = True
 
     def _on_config_change(self) -> None:
@@ -475,7 +486,7 @@ class BatchRing:
             )
         if isinstance(values, (int, np.integer)):
             values = [int(values)]
-        checked = [word.check(int(v), "FIFO push") for v in values]
+        checked = word.check_block(values, "FIFO push")
         fifo = self._fifo_for((layer, position, channel))
         if lane is None:
             fifo.push_all(checked)
@@ -498,23 +509,40 @@ class BatchRing:
 
     # -- execution -----------------------------------------------------
 
-    def run(self, cycles: int, bus: int = 0,
-            host_in: Optional[Callable[[int], object]] = None) -> int:
+    def run(self, cycles: int, bus: int = 0, host_in=None,
+            taps: Optional[Sequence[Tuple[int, int]]] = None):
         """Advance every lane by *cycles* fabric clocks.
 
         ``bus`` is the (scalar) shared bus value; ``host_in(channel)``
         may return a scalar word or a ``(batch,)`` integer array.
-        Returns the number of cycles fully executed.
+        *host_in* may instead be a window reader
+        (:meth:`~repro.host.streams.DataController.window_reader`): each
+        routed channel's words for the whole run are then gathered once
+        as a ``(cycles, batch)`` array and nothing is consumed, so the
+        caller settles the streams afterwards (see :attr:`host_channels`).
+
+        Returns the number of cycles fully executed — or, given *taps*
+        (``(layer, position)`` pairs), one ``(cycles, batch)`` int64
+        array per tap of that Dnode's post-edge OUT values, row ``t``
+        being what an output tap observes after cycle ``t``.
         """
         if self._detached:
             raise SimulationError("batch engine is detached from its ring")
         if cycles < 0:
             raise SimulationError(f"cycle count must be >= 0, got {cycles}")
         word.check(bus, "bus value")
+        ring = self.ring
+        records = []
+        for layer, position in taps or ():
+            ring.dnode(layer, position)  # validates the address
+            records.append((self.outs[layer, position],
+                            np.empty((cycles, self.batch), np.int64)))
+        gather = getattr(host_in, "gather", None)
+        if gather is not None:
+            host_in = self._window_host(gather, cycles)
         if self._kernels is None:
             self._adopt_kernels()
         evals, shift, commits = self._kernels
-        ring = self.ring
         ring.last_bus = bus
         local_starts = [
             entry[2][0] if entry[0] == "l" else 0
@@ -522,12 +550,14 @@ class BatchRing:
         ]
         executed = 0
         try:
-            for _ in range(cycles):
+            for t in range(cycles):
                 for ev in evals:
                     ev(bus, host_in)
                 shift()
                 for cm in commits:
                     cm()
+                for view, out in records:
+                    out[t] = view
                 ring.cycles += 1
                 executed += 1
         finally:
@@ -539,7 +569,23 @@ class BatchRing:
                 # adopts the ring's value as the truth.
                 for (l, p), cell in self._counters.items():
                     ring._dnodes[l][p].local._counter = cell[0]
-        return executed
+        if taps is None:
+            return executed
+        return [out for _, out in records]
+
+    def _window_host(self, gather, cycles: int):
+        """A per-cycle host reader over windows gathered on first use."""
+        ring = self.ring
+        c0 = ring.cycles
+        windows: Dict[int, np.ndarray] = {}
+
+        def host_in(channel: int):
+            window = windows.get(channel)
+            if window is None:
+                window = windows[channel] = gather(channel, c0, cycles)
+            return window[ring.cycles - c0]
+
+        return host_in
 
     def step(self, bus: int = 0, host_in=None) -> None:
         """Advance every lane by one clock cycle."""
@@ -669,11 +715,11 @@ class BatchRing:
         key = ("batch", self.ring.config_fingerprint())
         entry = cache.get(key)
         if entry is not None:
-            self._kernels, self._stat_plan = entry
+            self._kernels, self._stat_plan, self.host_channels = entry
             self._adopt_counters()
             return
         self._compile()
-        cache.put(key, (self._kernels, self._stat_plan))
+        cache.put(key, (self._kernels, self._stat_plan, self.host_channels))
 
     def _compile(self) -> None:
         ring = self.ring
@@ -682,11 +728,16 @@ class BatchRing:
         evals = []
         commits = []
         stat_plan = []
+        routed = set()
         for l in range(g.layers):
             sw = ring._switches[l]
             lu = ring.upstream_layer(l)
             for p in range(g.width):
                 dn = ring._dnodes[l][p]
+                for port in (1, 2):
+                    src = sw.config.source_for(p, port)
+                    if src.kind is PortKind.HOST:
+                        routed.add(src.index)
                 ev, cm, stat = self._compile_dnode(dn, sw, l, p, lu)
                 if ev is not None:
                     evals.append(ev)
@@ -707,6 +758,7 @@ class BatchRing:
 
         self._kernels = (tuple(evals), shift, tuple(commits))
         self._stat_plan = tuple(stat_plan)
+        self.host_channels = frozenset(routed)
         self.compiles += 1
         ring.plan_compiles += 1
 

@@ -438,8 +438,11 @@ class Ring:
 
     def remove_invalidation_listener(
             self, listener: Callable[[], None]) -> None:
+        """Unhook *listener* (compared by equality, like observers)."""
+        # Equality, not identity: a bound method is a new object on
+        # every attribute access, so `is` would never match one.
         self._invalidation_listeners = [
-            l for l in self._invalidation_listeners if l is not listener
+            l for l in self._invalidation_listeners if l != listener
         ]
 
     # ------------------------------------------------------------------

@@ -24,8 +24,10 @@ Whole windows at once.  Under the synchronous-dataflow model every rate
 here is fixed: a stream presents one word per cycle and a tap's
 skip/every/limit schedule depends only on how many cycles it has seen.
 So a :class:`~repro.host.system.RingSystem` on a ``backend="native"``
-ring serves the ports a window of T cycles at a time, and the totals
-match T per-cycle clocks exactly:
+or ``backend="batch"`` ring serves the ports a window of T cycles at a
+time, and the totals match T per-cycle clocks exactly (on a batch ring
+every window array carries one column per lane:
+:meth:`BatchStreamChannel.window`, :meth:`BatchOutputTap.observe_window`):
 
 * :meth:`DataController.window_reader` hands the native kernel each
   routed channel's next T words as one int64 array
@@ -81,6 +83,32 @@ def _next_pick(seen: int, skip: int, every: int) -> int:
     """The first observation number after *seen* a tap schedule keeps."""
     first = max(seen, skip) + 1
     return first + (skip + 1 - first) % every
+
+
+def _window_picks(tap, values: np.ndarray, collected: int) -> np.ndarray:
+    """The rows of a window of post-edge outputs a tap schedule keeps.
+
+    The closed form of ``len(values)`` ``observe`` calls: the
+    skip/every schedule picks a strided slice, *limit* truncates it
+    (*collected* samples are already in), and the tap's seen-cycle count
+    advances by the window length.
+    """
+    seen = tap._seen
+    tap._seen = seen + len(values)
+    picked = values[_next_pick(seen, tap.skip, tap.every) - seen - 1::
+                    tap.every]
+    if tap.limit is not None:
+        picked = picked[:max(0, tap.limit - collected)]
+    return picked
+
+
+def _queue_window(queue: Deque[int], offset: int, out: np.ndarray) -> None:
+    """Fill *out* with the words presented from *offset* past the head
+    of *queue*, leaving the idle padding where it runs dry."""
+    avail = min(len(out), len(queue) - offset)
+    if avail > 0:
+        out[:avail] = np.fromiter(
+            itertools.islice(queue, offset, offset + avail), np.int64, avail)
 
 
 def _cycles_to_full(tap, collected: int) -> int:
@@ -148,11 +176,7 @@ class StreamChannel:
         or counted; :meth:`settle` accounts for the window afterwards.
         """
         out = np.full(cycles, self.idle_value, np.int64)
-        avail = min(cycles, len(self._queue) - offset)
-        if avail > 0:
-            out[:avail] = np.fromiter(
-                itertools.islice(self._queue, offset, offset + avail),
-                np.int64, avail)
+        _queue_window(self._queue, offset, out)
         return out
 
     def settle(self, executed: int, routed: bool) -> None:
@@ -224,7 +248,7 @@ class BatchStreamChannel:
         """Queue words on one lane (or broadcast to all when None)."""
         if isinstance(values, int):
             values = [values]
-        checked = [word.check(int(v), "stream word") for v in values]
+        checked = word.check_block(values, "stream word")
         if lane is None:
             for queue in self._queues:
                 queue.extend(checked)
@@ -259,6 +283,14 @@ class BatchStreamChannel:
             if queue:
                 queue.popleft()
                 self.delivered[lane] += 1
+
+    def window(self, offset: int, cycles: int) -> np.ndarray:
+        """Every lane's words over *cycles* clocks, as a ``(cycles,
+        batch)`` int64 array (see :meth:`StreamChannel.window`)."""
+        out = np.full((cycles, self.batch), self.idle_value, np.int64)
+        for lane, queue in enumerate(self._queues):
+            _queue_window(queue, offset, out[:, lane])
+        return out
 
     def settle(self, executed: int, routed: bool) -> None:
         """Account for *executed* clock edges at once, lane by lane (see
@@ -350,13 +382,8 @@ class OutputTap:
         skip/every schedule picks a strided slice, *limit* truncates it,
         and the seen-cycle count advances by the window length.
         """
-        seen = self._seen
-        self._seen = seen + len(values)
-        picked = values[_next_pick(seen, self.skip, self.every) - seen - 1::
-                        self.every]
-        if self.limit is not None:
-            picked = picked[:max(0, self.limit - len(self.samples))]
-        self.samples.extend(picked.tolist())
+        self.samples.extend(
+            _window_picks(self, values, len(self.samples)).tolist())
 
     def cycles_to_full(self) -> int:
         """Cycles until *limit* samples are collected (0 once full)."""
@@ -419,6 +446,15 @@ class BatchOutputTap:
         for lane, value in enumerate(values):
             self.samples[lane].append(int(value))
 
+    def observe_window(self, values: np.ndarray) -> None:
+        """Record a ``(cycles, batch)`` window of per-lane outputs at once
+        (the closed form of :meth:`observe`, see
+        :meth:`OutputTap.observe_window`)."""
+        picked = _window_picks(self, values, len(self.samples[0]))
+        if len(picked):
+            for stream, column in zip(self.samples, picked.T.tolist()):
+                stream.extend(column)
+
     def lane(self, lane: int) -> List[int]:
         """One lane's collected sample stream (a copy)."""
         return list(self.samples[lane])
@@ -445,7 +481,7 @@ class BatchOutputTap:
 
 
 class _WindowReader:
-    """Stream windows for the native tier (see
+    """Stream windows for the native tier and batch lanes (see
     :meth:`DataController.window_reader`)."""
 
     __slots__ = ("_data", "_base")
@@ -547,12 +583,14 @@ class DataController:
                 ch._dry_seen = False
 
     def window_reader(self, ring) -> "_WindowReader":
-        """A host resolver serving whole stream windows to the native tier.
+        """A host resolver serving whole stream windows to the native tier
+        and the batch engine.
 
         Its ``gather(channel, c0, cycles)`` returns the words *channel*
         presents on fabric cycles ``c0 .. c0 + cycles - 1``, counted from
-        the current cycle of *ring* (where the queue head is presented).
-        Nothing is consumed: call :meth:`settle` once the cycles ran.
+        the current cycle of *ring* (where the queue head is presented),
+        with one column per lane on a batch channel.  Nothing is
+        consumed: call :meth:`settle` once the cycles ran.
         """
         return _WindowReader(self, ring.cycles)
 
@@ -636,8 +674,16 @@ class DataController:
         return {"channels": channels, "taps": taps}
 
     def restore_state(self, state: dict) -> None:
-        """Rewind to a :meth:`capture_state` checkpoint (same topology)."""
-        for index, saved in state["channels"].items():
+        """Rewind to a :meth:`capture_state` checkpoint (same topology).
+
+        A channel opened after the checkpoint (pushed to, or read by a
+        routed port) did not exist then, so it is dropped; the next
+        access opens it afresh.
+        """
+        saved_channels = state["channels"]
+        for index in [i for i in self._channels if i not in saved_channels]:
+            del self._channels[index]
+        for index, saved in saved_channels.items():
             ch = self.channel(index)
             if isinstance(ch, BatchStreamChannel):
                 ch._queues = [deque(lane) for lane in saved["lanes"]]

@@ -26,10 +26,13 @@ configuration command and holds the bus at the controller's last
 ``backend="native"`` ring through native windows (streams are handed to
 the kernel as arrays, taps are slices of the tapped Dnodes' output
 history, and the host side is settled in closed form after each window,
-see :mod:`repro.host.streams`), or whole through ``Ring.run`` when the
-host side is idle.  The controller then advances over the span in closed
-form (:meth:`~repro.controller.core.RiscController.skip_quiet`); only
-cycles that execute an instruction are stepped one at a time.
+see :mod:`repro.host.streams`); on a ``backend="batch"`` ring through
+lane windows, the same protocol with every stream and tap carrying one
+column per lane and lane 0 written back once per window; or whole
+through ``Ring.run`` when the host side is idle.  The controller then
+advances over the span in closed form
+(:meth:`~repro.controller.core.RiscController.skip_quiet`); only cycles
+that execute an instruction are stepped one at a time.
 :attr:`RingSystem.cycle_paths` records which path every cycle took and
 why a cycle had to be stepped alone.
 """
@@ -47,6 +50,10 @@ from repro.controller.core import (
 )
 from repro.host.streams import DataController
 from repro.errors import SimulationError
+
+#: Longest lane window :meth:`RingSystem.run` gathers at once: bounds the
+#: ``(cycles, lanes)`` stream and tap arrays a long batch run allocates.
+LANE_WINDOW = 1024
 
 
 class RingSystem:
@@ -100,11 +107,13 @@ class RingSystem:
         """Cycles per execution path, ``{(path, reason): cycles}``.
 
         Exported as ``system_cycles_total{path, reason}``.  Path
-        ``"bulk"``: ``"native"`` (native windows with taps/streams) or
+        ``"bulk"``: ``"native"`` (native windows with taps/streams),
+        ``"lanes"`` (batch-engine lane windows with taps/streams) or
         ``"idle"`` (idle host side, whole chunk to ``Ring.run``).  Path
         ``"per_cycle"`` names what forced the step: ``"controller"`` (it
         executed an instruction that cycle), ``"lanes"`` (batch engine
-        with taps or queued words), the
+        with taps or queued words under a ring observer or with strict
+        FIFOs), the
         :meth:`~repro.core.ring.Ring.native_span` refusals ``"trace"``,
         ``"backend"``, ``"no_plan"``, ``"native_refused"``,
         ``"remainder"``, ``"fifo_gated"``, or ``"direct"`` (:meth:`step`
@@ -149,16 +158,21 @@ class RingSystem:
         * On a ``backend="native"`` ring the steady state runs as native
           windows with taps and streams attached
           (:meth:`repro.core.ring.Ring.native_span`).
+        * On a batch ring every cycle runs in lane windows
+          (:meth:`_run_lanes`) unless a ring observer must see each
+          cycle or a strict FIFO may raise mid-window.
         * The rest is stepped one cycle at a time, booked under the
-          reason the native tier gave.
+          reason the native tier gave (``"lanes"`` on a batch ring).
         """
         ring, data = self.ring, self.data
         bus = 0 if self.controller is None else self.controller.bus_out
-        if ring.backend == "batch" and (
-                ring.batch_size > 1 or ring._batch_engine is not None):
-            reason = "lanes"
-        else:
-            reason = None
+        lanes = ring.backend == "batch" and (
+            ring.batch_size > 1 or ring._batch_engine is not None)
+        # A lane window settles the host side after the fact, so it
+        # needs every cycle to run to completion without being watched:
+        # no ring observer, and no strict FIFO that may raise mid-window.
+        windows = lanes and ring._trace is None and not ring.strict_fifos
+        reason = "lanes" if lanes else None
         remaining = cycles
         while remaining:
             if data.idle:
@@ -167,6 +181,11 @@ class RingSystem:
                 data.clear_dry_latches()
                 self._count_bulk("idle", remaining)
                 return
+            if windows:
+                span = min(remaining, LANE_WINDOW)
+                self._run_lanes(span, bus)
+                remaining -= span
+                continue
             # Every refusal but a missing plan holds for the rest of a
             # quiet span: the configuration cannot change and FIFO
             # occupancy only drains.
@@ -205,6 +224,21 @@ class RingSystem:
         for tap, values in zip(data.taps, outs):
             tap.observe_window(values)
         self._count_bulk("native", span)
+
+    def _run_lanes(self, span: int, bus: int) -> None:
+        """Run *span* lockstep lane cycles as one window on the batch
+        engine, settle streams and taps, and write lane 0 back once."""
+        ring, data = self.ring, self.data
+        engine = ring._ensure_batch()
+        outs = engine.run(
+            span, bus, host_in=data.window_reader(ring),
+            taps=[(tap.layer, tap.position) for tap in data.taps])
+        engine.store_lane(0)
+        data.settle(span, engine.host_channels)
+        for tap, values in zip(data.taps, outs):
+            # A scalar data controller on a one-lane engine reads lane 0.
+            tap.observe_window(values if data.batch > 1 else values[:, 0])
+        self._count_bulk("lanes", span)
 
     def _count_bulk(self, reason: str, cycles: int) -> None:
         if self.controller is not None:

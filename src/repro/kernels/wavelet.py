@@ -28,6 +28,15 @@ Throughput: one (approx, detail) pair per cycle = 2 samples/cycle for a
 1-D pass; a 2-D transform passes every pixel twice (rows then columns),
 so the sustained 2-D rate is **1 pixel sample per clock cycle** — the
 paper's headline number.
+
+Simulation: the row passes of a 2-D level are independent firings of
+the one configured pipeline, and so are the column passes.
+:func:`dwt53_2d_fabric` therefore runs each sweep as the lanes of one
+``backend="batch"`` ring (one lane per row, then one per column), so a
+sweep is one lockstep system window instead of one short run per pass.
+The cycles it reports are still the sequential hardware count — one
+pass after another, summed per pass — so :func:`wavelet_cycle_model`
+and the paper's rate are unchanged.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import word
+from repro.core.batchpath import batch_to_signed
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
 from repro.core.switch import PortSource
@@ -52,6 +62,9 @@ DETAIL_LATENCY = 4
 APPROX_LATENCY = 8
 #: Extra mirrored pair prepended for the left border.
 BORDER_PREFIX_PAIRS = 1
+#: Idle words ahead of the odd samples in L2's FIFO2: they delay the odd
+#: stream to meet the prediction.
+ODD_FIFO_DELAY = 3
 
 
 @dataclass
@@ -110,25 +123,42 @@ def build_lifting_system(ring: Optional[Ring] = None) -> RingSystem:
     return RingSystem(ring)
 
 
-def _border_streams(signal: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """Even/odd streams with JPEG2000 symmetric-extension padding.
+def _border_index(n: int) -> Tuple[List[int], List[int]]:
+    """Sample indices of the even/odd streams of a length-*n* signal,
+    with JPEG2000 symmetric-extension padding.
 
     Prepends the mirrored pair ``(e_1, o_0)`` (left border: the first
     computed detail equals d_0, giving ``d_-1 = d_0``) and appends the
     mirrored even ``e_half-1`` (right border: ``e_half = e_half-1``).
     """
-    x = [int(v) for v in signal]
-    n = len(x)
     if n < 2 or n % 2:
         raise SimulationError(
             f"lifting needs an even-length signal >= 2, got {n}"
         )
-    evens = x[0::2]
-    odds = x[1::2]
+    evens = list(range(0, n, 2))
     mirror_even = evens[1] if len(evens) > 1 else evens[0]
-    even_stream = [mirror_even] + evens + [evens[-1]]
-    odd_stream = [odds[0]] + odds
-    return even_stream, odd_stream
+    return [mirror_even] + evens + [evens[-1]], [1] + list(range(1, n, 2))
+
+
+def _border_streams(signal: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Even/odd streams of *signal* (see :func:`_border_index`)."""
+    x = [int(v) for v in signal]
+    even_index, odd_index = _border_index(len(x))
+    return [x[i] for i in even_index], [x[i] for i in odd_index]
+
+
+def _coefficient_taps(system: RingSystem, half: int):
+    """The detail (L2) and approx (L6) taps of a pass of *half* pairs.
+
+    The first valid detail is the second one computed (the first is the
+    mirrored duplicate), likewise for approx.
+    """
+    return (system.data.add_tap(
+                2, 0, skip=DETAIL_LATENCY - 1 + BORDER_PREFIX_PAIRS,
+                limit=half),
+            system.data.add_tap(
+                6, 0, skip=APPROX_LATENCY - 1 + BORDER_PREFIX_PAIRS,
+                limit=half))
 
 
 def lifting53_forward_fabric(signal: Sequence[int],
@@ -146,16 +176,9 @@ def lifting53_forward_fabric(signal: Sequence[int],
     half = len(signal) // 2
 
     system.data.stream(0, [word.from_signed(v) for v in even_stream])
-    # Odd samples enter at L2's FIFO2, delayed to meet the prediction.
-    ring.push_fifo(2, 0, 2,
-                   [0] * 3 + [word.from_signed(v) for v in odd_stream])
-
-    # First valid detail is the second one computed (the first is the
-    # mirrored duplicate), likewise for approx.
-    detail_tap = system.data.add_tap(
-        2, 0, skip=DETAIL_LATENCY - 1 + BORDER_PREFIX_PAIRS, limit=half)
-    approx_tap = system.data.add_tap(
-        6, 0, skip=APPROX_LATENCY - 1 + BORDER_PREFIX_PAIRS, limit=half)
+    ring.push_fifo(2, 0, 2, [0] * ODD_FIFO_DELAY
+                   + [word.from_signed(v) for v in odd_stream])
+    detail_tap, approx_tap = _coefficient_taps(system, half)
 
     cycles = len(even_stream) + APPROX_LATENCY
     system.run(cycles)
@@ -172,12 +195,50 @@ def lifting53_forward_fabric(signal: Sequence[int],
     )
 
 
+def _lifting_lanes(ring: Ring, lines: np.ndarray) -> Tuple[np.ndarray, int]:
+    """One forward lifting level of every row of *lines*, row i on lane i.
+
+    Resets *ring* (a lifting-configured batch ring) to one lane per row
+    and runs all the passes in lockstep: each lane gets its own even
+    stream and odd-sample FIFO load, and two batch taps collect every
+    lane's coefficients.  Returns the rows packed ``[approx | detail]``
+    and the cycles the same passes take one after another on the
+    hardware (one pass per row).
+    """
+    count, n = lines.shape
+    even_index, odd_index = _border_index(n)
+    half = n // 2
+    evens = lines[:, even_index] & word.MASK
+    odds = np.zeros((count, ODD_FIFO_DELAY + len(odd_index)), np.int64)
+    odds[:, ODD_FIFO_DELAY:] = lines[:, odd_index] & word.MASK
+
+    ring.reset()
+    ring.set_backend("batch", count)
+    system = RingSystem(ring)
+    lanes = ring.batch
+    for lane in range(count):
+        system.data.stream(0, evens[lane], lane=lane)
+        lanes.push_fifo(2, 0, 2, odds[lane], lane=lane)
+    detail_tap, approx_tap = _coefficient_taps(system, half)
+    cycles = len(even_index) + APPROX_LATENCY
+    system.run(cycles)
+    packed = np.empty((count, n), np.int64)
+    packed[:, :half] = approx_tap.samples
+    packed[:, half:] = detail_tap.samples
+    return batch_to_signed(packed), count * cycles
+
+
 def dwt53_2d_fabric(image: np.ndarray) -> Tuple[np.ndarray, int]:
     """Full 2-D 5/3 DWT level on the fabric: rows then columns.
 
-    Each 1-D pass reuses the same pipeline after a datapath reset (the
-    configuration survives, as in hardware).  Returns the subband-packed
-    coefficient array and the total fabric cycles.
+    The row passes are independent firings of one configured pipeline,
+    so they run together as the lanes of one batch ring (one lane per
+    row), and then the column passes do (one lane per column).  The
+    configuration survives the datapath reset between the two sweeps,
+    as in hardware.  Returns the subband-packed coefficient array and
+    the total fabric cycles: still the sequential hardware count, one
+    1-D pass after another, summed per pass (see
+    :func:`wavelet_cycle_model`).
 
     Bit-exact against :func:`repro.kernels.reference.dwt53_2d`.
     """
@@ -185,34 +246,16 @@ def dwt53_2d_fabric(image: np.ndarray) -> Tuple[np.ndarray, int]:
     if image.ndim != 2:
         raise SimulationError(f"expected a 2-D image, got {image.shape}")
     rows, cols = image.shape
-    system = build_lifting_system()
-    total_cycles = 0
-
-    temp = np.zeros((rows, cols), dtype=np.int64)
-    for r in range(rows):
-        system.ring.reset()
-        system.data = _fresh_data(system)
-        result = lifting53_forward_fabric(image[r, :], system)
-        total_cycles += result.cycles
-        temp[r, :cols // 2] = result.approx
-        temp[r, cols // 2:] = result.detail
-
-    out = np.zeros_like(temp)
-    for c in range(cols):
-        system.ring.reset()
-        system.data = _fresh_data(system)
-        result = lifting53_forward_fabric(temp[:, c], system)
-        total_cycles += result.cycles
-        out[:rows // 2, c] = result.approx
-        out[rows // 2:, c] = result.detail
-    return out, total_cycles
-
-
-def _fresh_data(system: RingSystem):
-    """Replace the system's data controller (new streams/taps per pass)."""
-    from repro.host.streams import DataController
-
-    return DataController()
+    # Both sweeps' pass lengths up front: a column length the lifting
+    # cannot take fails before any row runs.
+    _border_index(cols)
+    _border_index(rows)
+    ring = build_lifting_system(Ring(RingGeometry.ring(16, width=2),
+                                     backend="batch",
+                                     batch_size=rows)).ring
+    temp, row_cycles = _lifting_lanes(ring, image.astype(np.int64))
+    coeffs, col_cycles = _lifting_lanes(ring, temp.T)
+    return np.ascontiguousarray(coeffs.T), row_cycles + col_cycles
 
 
 def dwt53_2d_multilevel_fabric(image: np.ndarray,

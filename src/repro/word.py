@@ -51,6 +51,27 @@ def check(raw: int, what: str = "value") -> int:
     return raw
 
 
+def check_block(values, what: str = "value") -> list:
+    """Validate a block of raw words in one pass; returns a list of ints.
+
+    A list of plain ints or a 1-D integer ndarray takes one range check
+    for the whole block.  Anything else, and any block holding a bad
+    word, is checked word by word as ``check(int(v), what)``, so a bad
+    word raises exactly the message :func:`check` gives for it.
+    """
+    dtype = getattr(values, "dtype", None)
+    if dtype is not None and dtype.kind in "iu" and values.ndim == 1:
+        if not values.size or (values.min() >= 0
+                               and values.max() <= MASK):
+            return values.tolist()
+    else:
+        values = list(values)
+        if not values or (set(map(type, values)) == {int}
+                          and 0 <= min(values) and max(values) <= MASK):
+            return values
+    return [check(int(v), what) for v in values]
+
+
 def saturate_signed(value: int) -> int:
     """Clamp a Python integer into signed 16-bit range and return raw bits.
 

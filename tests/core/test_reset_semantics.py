@@ -7,6 +7,11 @@ every counter the ring owns is asserted to land on the right side, so a
 future backend cannot silently change the contract.
 """
 
+import gc
+import weakref
+
+import pytest
+
 from repro.core.ring import Ring, RingGeometry
 from repro.core.snapshot import capture, restore
 
@@ -59,6 +64,42 @@ class TestCleared:
         assert ring._batch_engine is not None
         ring.reset()
         assert ring._batch_engine is None
+
+    @pytest.mark.parametrize("retire", [
+        lambda ring: ring.reset(),
+        lambda ring: ring.set_backend("batch", 3),
+    ], ids=["reset", "set_backend"])
+    def test_retired_engine_is_freed_and_unhooked(self, retire):
+        """A retired engine leaves no listener behind and is freed by
+        reference counting alone (no cycle through its kernels)."""
+        ring = make_busy_ring(backend="batch", batch_size=4)
+        baseline = len(ring._invalidation_listeners)
+        run_hard(ring)
+        old = weakref.ref(ring._batch_engine)
+        gc.disable()
+        try:
+            retire(ring)
+            assert old() is None
+        finally:
+            gc.enable()
+        assert len(ring._invalidation_listeners) == baseline
+        run_hard(ring)  # a new engine compiles its kernels
+        assert len(ring._invalidation_listeners) == baseline + 1
+        invalidations = ring.plan_invalidations
+        ring.config.write_local_limit(1, 0, 1)
+        assert ring.plan_invalidations == invalidations + 1
+
+    def test_repeated_resets_leave_one_listener(self):
+        ring = make_busy_ring(backend="batch", batch_size=4)
+        baseline = len(ring._invalidation_listeners)
+        for _ in range(5):
+            run_hard(ring)
+            ring.reset()
+        run_hard(ring)
+        assert len(ring._invalidation_listeners) == baseline + 1
+        invalidations = ring.plan_invalidations
+        ring.config.write_local_limit(1, 0, 1)
+        assert ring.plan_invalidations == invalidations + 1
 
 
 class TestPreserved:

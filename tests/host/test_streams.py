@@ -1,5 +1,8 @@
 """Tests for the data controller: stream channels and output taps."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.core.isa import Dest, MicroWord, Opcode, Source
@@ -270,3 +273,39 @@ class TestSettleAccounting:
     def test_rejects_negative_executed(self):
         with pytest.raises(HostError):
             DataController().settle(-1, routed=())
+
+
+class TestBatchPushValidation:
+    """Batch pushes validate a block in one pass; a bad word still
+    raises the per-word message and queues nothing."""
+
+    @pytest.mark.parametrize("values", [
+        [1, 70000, 3],
+        np.array([1, 70000, 3], dtype=np.int64),
+    ], ids=["list", "ndarray"])
+    def test_stream_push_message(self, values):
+        ch = BatchStreamChannel(2)
+        with pytest.raises(ValueError, match=re.escape(
+                "stream word must be a 16-bit raw word, got 70000")):
+            ch.push(values, lane=1)
+        assert ch.pending() == 0
+
+    @pytest.mark.parametrize("values", [
+        [1, -1, 3],
+        np.array([1, -1, 3], dtype=np.int64),
+    ], ids=["list", "ndarray"])
+    def test_fifo_push_message(self, values):
+        ring = make_ring(4, backend="batch", batch_size=2)
+        with pytest.raises(ValueError, match=re.escape(
+                "FIFO push must be a 16-bit raw word, got -1")):
+            ring.batch.push_fifo(0, 0, 1, values, lane=0)
+        assert ring.batch.fifo_contents(0, 0, 1, 0) == []
+
+    def test_int64_arrays_queue_plain_ints(self):
+        ring = make_ring(4, backend="batch", batch_size=2)
+        ring.batch.push_fifo(0, 0, 2, np.array([0, 0xFFFF]), lane=1)
+        assert ring.batch.fifo_contents(0, 0, 2, 1) == [0, 0xFFFF]
+        ch = BatchStreamChannel(2)
+        ch.push(np.array([7, 0xFFFF], dtype=np.int64))
+        assert [type(v) for v in ch._queues[0]] == [int, int]
+        assert ch.current().tolist() == [7, 7]

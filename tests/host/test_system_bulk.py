@@ -36,7 +36,7 @@ from repro.core.config_memory import ConfigPlane
 from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
-from repro.core.snapshot import state_digest
+from repro.core.snapshot import capture, snapshot_digest, state_digest
 from repro.core.switch import PortKind, PortSource
 from repro.errors import ConfigurationError, SimulationError
 from repro.host.streams import OutputTap, StreamChannel
@@ -154,6 +154,133 @@ class TestNativeMatchesInterpreter:
         assert sum(native.cycle_paths.values()) == executed
 
 
+@st.composite
+def lane_systems(draw):
+    """A fabric, 1-4 taps, per-lane streams and FIFO loads that run dry,
+    chunks and a rollback, for a batch ring of 2-4 lanes."""
+    spec = draw(ring_specs(min_layers=2, max_layers=4, min_width=1,
+                           max_width=3, max_local=4))
+    if draw(st.booleans()):
+        spec = _feed_forward(spec)
+    layers, width = spec["layers"], spec["width"]
+    batch = draw(st.integers(2, 4))
+    taps = draw(st.lists(st.tuples(
+        st.integers(0, layers - 1), st.integers(0, width - 1),
+        st.integers(0, 6), st.integers(1, 4),
+        st.one_of(st.none(), st.integers(0, 24))), min_size=1, max_size=4))
+    channels = draw(st.lists(st.integers(0, 3), max_size=3, unique=True))
+    streams = [{channel: draw(st.lists(st.integers(0, 0xFFFF),
+                                       max_size=24))
+                for channel in channels} for _ in range(batch)]
+    loads = [draw(st.lists(st.tuples(
+        st.integers(0, layers - 1), st.integers(0, width - 1),
+        st.sampled_from((1, 2)),
+        st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=8)),
+        max_size=2)) for _ in range(batch)]
+    chunks = draw(st.lists(st.integers(0, 64), min_size=1, max_size=5))
+    rollback = draw(st.integers(0, len(chunks) - 1))
+    return spec, taps, streams, loads, chunks, rollback
+
+
+def _lane_mirror(ring: Ring) -> tuple:
+    """Digest of a ring's scalar state without its lanes or FIFO
+    high-water marks (lane-specific FIFO loads bypass the scalar
+    queues, so the batch ring's marks cover broadcast pushes only)."""
+    snapshot = capture(ring)
+    snapshot.lanes = None
+    snapshot.fifo_high_water = {}
+    return snapshot_digest(snapshot)
+
+
+class TestBatchLanesMatchInterpreter:
+    """A batch system == one per-cycle interpreter system per lane.
+
+    Every lane gets its own streams and FIFO loads.  After each chunk
+    the lane-0 scalar mirror must match lane 0's interpreter ring; at
+    the end every lane's taps, stream counters and datapath must match
+    its own interpreter run.  One chunk is rolled back over a
+    ``system.checkpoint()``, and a ring with an every-cycle observer
+    must step per cycle yet agree all the same.
+    """
+
+    @staticmethod
+    def _build(case, ring: Ring, lane=None) -> RingSystem:
+        spec, taps, streams, loads = case[:4]
+        apply_spec(ring, spec)
+        system = RingSystem(ring)
+        for k, (lane_streams, lane_loads) in enumerate(zip(streams, loads)):
+            if lane is not None and k != lane:
+                continue
+            for layer, pos, channel, words in lane_loads:
+                if lane is None:
+                    ring.batch.push_fifo(layer, pos, channel, words, lane=k)
+                else:
+                    ring.push_fifo(layer, pos, channel, words)
+            for channel, words in lane_streams.items():
+                if lane is None:
+                    system.data.stream(channel, words, lane=k)
+                else:
+                    system.data.stream(channel, words)
+        for layer, pos, skip, every, limit in taps:
+            system.data.add_tap(layer, pos, skip=skip, every=every,
+                                limit=limit)
+        return system
+
+    @pytest.mark.parametrize("trace", [False, True],
+                             ids=["windows", "traced"])
+    @given(case=lane_systems())
+    @settings(max_examples=60, **_SETTINGS)
+    def test_every_lane_matches_its_interpreter_run(self, trace, case):
+        spec, _, streams, _, chunks, rollback = case
+        geometry = RingGeometry(layers=spec["layers"], width=spec["width"])
+        batch = len(streams)
+        system = self._build(case, Ring(geometry, backend="batch",
+                                        batch_size=batch))
+        if trace:
+            system.ring.add_observer(lambda _ring: None)
+        refs = [self._build(case, Ring(geometry, backend="interpreter"),
+                            lane=k) for k in range(batch)]
+        executed = 0
+        for k, chunk in enumerate(chunks):
+            if k == rollback:
+                saved = system.checkpoint()
+                system.run(chunk)
+                system.restore_checkpoint(saved)
+                executed += chunk
+            system.run(chunk)
+            executed += chunk
+            for ref in refs:
+                ref.run(chunk)
+            if system.cycles:
+                # Lane 0 is written back once a run has moved the lanes;
+                # until then lane-specific loads live in the engine only.
+                assert _lane_mirror(system.ring) == \
+                    _lane_mirror(refs[0].ring)
+
+        assert system.cycles == sum(chunks)
+        path = ("per_cycle" if trace else "bulk", "lanes")
+        assert system.cycle_paths == ({path: executed} if executed else {})
+        engine = system.ring.batch
+        target = build_ring(spec, backend="interpreter")
+        target.reset()  # store_lane writes only the FIFOs lanes hold
+        for lane, ref in enumerate(refs):
+            for tap, want in zip(system.data.taps, ref.data.taps):
+                assert (tap.lane(lane), tap._seen) == \
+                    (want.samples, want._seen)
+            for index, channel in system.data._channels.items():
+                want = ref.data.channel(index)
+                assert (channel.delivered[lane], channel.underruns[lane],
+                        channel.lane_pending(lane)) == \
+                    (want.delivered, want.underruns, want.pending())
+            engine.store_lane(lane, target=target)
+            assert _lane_mirror(target) == _lane_mirror(ref.ring)
+            width = geometry.width
+            for layer in range(geometry.layers):
+                for pos in range(width):
+                    assert engine.lane_regs(layer, pos)[:, lane].tolist() \
+                        == ref.ring.dnode(layer, pos).regs.snapshot()
+
+
 def _fir_system(length: int = 256):
     program = codegen.compile_graph(fir8(),
                                     ring_kwargs={"backend": "native"})
@@ -230,6 +357,61 @@ class TestPerCycleReasons:
         system.data.add_tap(0, 0)
         system.run(10)
         assert system.cycle_paths == expected
+
+    @staticmethod
+    def _lane_system(**ring_kwargs) -> RingSystem:
+        """``OUT = IN1 + 1`` over 3 lanes, each streaming its own words."""
+        ring = Ring(RingGeometry(layers=2, width=1), backend="batch",
+                    batch_size=3, **ring_kwargs)
+        ring.config.write_switch_route(0, 0, 1, PortSource.host(0))
+        ring.config.write_microword(0, 0, MicroWord(
+            Opcode.ADD, Source.IN1, Source.IMM, Dest.OUT, imm=1))
+        system = RingSystem(ring)
+        for lane in range(3):
+            system.data.stream(0, [10 * lane + k for k in range(4)],
+                               lane=lane)
+        system.data.add_tap(0, 0, limit=6)
+        return system
+
+    def test_tapped_streamed_lanes_run_in_windows(self):
+        system = self._lane_system()
+        system.run(10)
+        assert system.cycle_paths == {("bulk", "lanes"): 10}
+        assert system.data.taps[0].lane(2) == [21, 22, 23, 24, 1, 1]
+        assert system.data.channel(0).underruns == [6, 6, 6]
+        assert system.ring.dnode(0, 0).out == 1  # lane 0 written back
+
+    def test_one_lane_engine_feeds_scalar_taps(self):
+        """A one-lane ring whose engine was handed out keeps a scalar
+        data controller; its windows read lane 0."""
+        results, paths = [], []
+        for kwargs in ({"backend": "batch", "batch_size": 1}, {}):
+            ring = Ring(RingGeometry(layers=2, width=1), **kwargs)
+            if kwargs:
+                ring.batch  # engage the lane engine at B=1
+            ring.config.write_switch_route(0, 0, 1, PortSource.host(0))
+            ring.config.write_microword(0, 0, MicroWord(
+                Opcode.ADD, Source.IN1, Source.IMM, Dest.OUT, imm=1))
+            system = RingSystem(ring)
+            system.data.stream(0, [5, 6, 7])
+            tap = system.data.add_tap(0, 0, skip=1, limit=4)
+            system.run(6)
+            # The digest's last field is the lane state (lanes only).
+            results.append((tap.samples, system.data.channel(0).underruns,
+                            state_digest(ring)[:-1]))
+            paths.append(system.cycle_paths)
+        assert results[0] == results[1]
+        assert results[0][0] == [7, 8, 1, 1]
+        assert paths[0] == {("bulk", "lanes"): 6}
+
+    @pytest.mark.parametrize("kind", ["trace", "strict"])
+    def test_watched_or_strict_lanes_step(self, kind):
+        system = self._lane_system(strict_fifos=kind == "strict")
+        if kind == "trace":
+            system.ring.add_observer(lambda _ring: None)
+        system.run(10)
+        assert system.cycle_paths == {("per_cycle", "lanes"): 10}
+        assert system.data.taps[0].lane(2) == [21, 22, 23, 24, 1, 1]
 
     def test_selfloop_refusal_reason(self):
         assert _selfloop_ring(backend="native").native_refusal == (

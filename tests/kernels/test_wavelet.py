@@ -86,6 +86,37 @@ class Test2D:
         _, cycles = dwt53_2d_fabric(img)
         assert cycles == wavelet_cycle_model(8, 12)
 
+    @pytest.mark.parametrize("shape", [(10, 6), (8, 2), (2, 2)])
+    def test_row_and_column_lane_counts(self, rng, shape):
+        """Row and column sweeps run as different lane counts (6x10 is
+        :meth:`test_non_square`); 2-sample rows make a 2-lane column
+        sweep."""
+        img = rng.integers(-500, 500, shape)
+        coeffs, cycles = dwt53_2d_fabric(img)
+        assert np.array_equal(coeffs, dwt53_2d(img))
+        assert cycles == wavelet_cycle_model(*shape)
+
+    def test_full_range_16_bit_matches_pass_by_pass(self, rng):
+        """Full-range inputs wrap in the 16-bit datapath exactly as one
+        1-D fabric pass after another does."""
+        img = rng.integers(-32768, 32768, (6, 8))
+        img[0, :4] = [-32768, 32767, -32768, 32767]
+        temp = np.zeros_like(img)
+        for r in range(6):
+            result = lifting53_forward_fabric(img[r])
+            temp[r] = result.approx + result.detail
+        want = np.zeros_like(img)
+        for c in range(8):
+            result = lifting53_forward_fabric(temp[:, c])
+            want[:, c] = result.approx + result.detail
+        coeffs, _ = dwt53_2d_fabric(img)
+        assert np.array_equal(coeffs, want)
+        assert not np.array_equal(coeffs, dwt53_2d(img))  # it did wrap
+
+    def test_odd_column_length_rejected(self):
+        with pytest.raises(SimulationError, match="got 3"):
+            dwt53_2d_fabric(np.zeros((3, 4), dtype=int))
+
     def test_requires_2d(self):
         with pytest.raises(SimulationError):
             dwt53_2d_fabric(np.arange(8))
