@@ -6,7 +6,9 @@ result for all B streams with a handful of NumPy array operations, so
 aggregate lane-cycles per second grow far faster than the per-lane cost.
 This benchmark measures a steady-state 8-tap spatial FIR (the paper's
 canonical data-oriented kernel) on the interpreter, the scalar fast
-path, and the batch backend at B = 1/8/32, asserts the acceptance
+path (the per-cycle plan: a native ring with native and macro refused
+by the ``bulk_refused`` test seam), the native ladder (for reference)
+and the batch backend at B = 1/8/32, asserts the acceptance
 target — batch-32 sustains at least 4x the scalar fast path's aggregate
 throughput — and records everything in ``BENCH_batch.json`` so CI
 archives a perf data point per PR.
@@ -24,6 +26,7 @@ from benchmarks.conftest import emit
 from repro.analysis import render_table
 from repro.core.ring import Ring, RingGeometry
 from repro.kernels.fir import build_spatial_fir
+from tests.conftest import bulk_refused
 
 #: Acceptance floor: batch-32 aggregate lane-cycles/s over the scalar
 #: fast path's cycles/s on the same FIR configuration.  Measured ratios
@@ -68,10 +71,16 @@ def _measure() -> dict:
     ring.run(4, host_in=_host_zero)
     points["interpreter"] = (_cycles_per_second(ring, cycles), 1)
 
+    with bulk_refused():
+        ring = _fir_ring()
+        ring.run(4, host_in=_host_zero)
+        assert ring._plan is not None
+        points["fastpath"] = (_cycles_per_second(ring, cycles), 1)
+    assert ring.native_cycles == ring.macro_cycles == 0
+
     ring = _fir_ring()
     ring.run(4, host_in=_host_zero)
-    assert ring._plan is not None
-    points["fastpath"] = (_cycles_per_second(ring, cycles), 1)
+    points["native"] = (_cycles_per_second(ring, cycles), 1)
 
     for batch in (1, 8, BATCH):
         ring = _fir_ring(backend="batch", batch_size=batch)

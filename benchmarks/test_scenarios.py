@@ -5,7 +5,8 @@ Two measurements, recorded in ``BENCH_scenarios.json`` for CI artifacts:
 * **per-kernel engine sweep** — steady-state fabric cycles/s for a
   representative slice of the scenario library (hand-mapped NCO and
   echo, compiled resampler/mixer/magnitude/CORDIC) on the interpreter,
-  the compiled fast path and the native ladder (which runs its macro
+  the compiled fast path (the per-cycle plan, held there by the
+  ``bulk_refused`` test seam) and the native ladder (which runs its macro
   rung where the native tier refuses, e.g. the echo's ring-closing
   feedback);
 * **reconfiguration churn** — end-to-end samples/s of the two
@@ -32,16 +33,18 @@ from repro.kernels.effects import build_echo
 from repro.kernels.nco import NCO_LAYERS, build_nco
 from repro.kernels.scenarios import (EFFECTS_GEOMETRY, SYNTH_GEOMETRY,
                                      run_effects_chain, run_synth_voice)
+from tests.conftest import rung_seam
 
 #: Where the recorded numbers land (repo root, picked up by CI artifacts).
 BENCH_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_scenarios.json"
 
 #: Engine sweep for the per-kernel table (the batch backend is covered
-#: by ``BENCH_batch.json`` on its own terms).
+#: by ``BENCH_batch.json`` on its own terms).  "fastpath" is a native
+#: ring held on its per-cycle plan by :func:`rung_seam`.
 ENGINES = {
     "interpreter": {"backend": "interpreter"},
-    "fastpath": {},
+    "fastpath": {"backend": "native"},
     "native": {"backend": "native"},
 }
 
@@ -102,10 +105,11 @@ def _kernel_rings():
 def test_scenario_kernel_engine_sweep_and_pipeline_churn():
     kernels = {}
     for name, make in _kernel_rings().items():
-        kernels[name] = {
-            engine: round(_cycles_per_second(make(dict(kwargs))))
-            for engine, kwargs in ENGINES.items()
-        }
+        kernels[name] = {}
+        for engine, kwargs in ENGINES.items():
+            with rung_seam(engine):
+                kernels[name][engine] = round(
+                    _cycles_per_second(make(dict(kwargs))))
 
     emit(render_table(
         ["kernel"] + list(ENGINES),

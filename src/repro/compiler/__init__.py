@@ -19,7 +19,7 @@ architectures."  This package builds that tool:
 * :mod:`repro.compiler.library` — named kernel graphs (FIR-8, DCT-4,
   complex multiply, envelope follower) with deterministic test streams;
 * :mod:`repro.compiler.autotune` — the compiler autopilot: a
-  measured-throughput search over mode x placement x engine mappings,
+  measured-throughput search over mode x placement mappings,
   verified bit-identical against the golden evaluator and memoized by
   graph+fabric fingerprint (``compile_graph(..., autotune=True)``).
 

@@ -13,10 +13,11 @@ The search space per :class:`~repro.compiler.graph.DataflowGraph`:
   pure mapping choice, see :data:`repro.compiler.codegen.MODES`);
 * **placement** — per-level lane orders
   (:data:`repro.compiler.schedule.LANE_ORDERS`; feedback taps only reach
-  lanes 0..1, so lane order decides legality *and* shape);
-* **engine** — ``fastpath`` or ``native`` out of
-  :attr:`repro.core.ring.Ring.BACKEND_REGISTRY` (a ``batch`` ring at
-  one lane runs the fastpath plan, so it is not a separate variant).
+  lanes 0..1, so lane order decides legality *and* shape).
+
+Every candidate runs on the default ``native`` ring: its ladder already
+falls back to macro kernels and the per-cycle plan wherever native
+refuses, so the engine is not a search axis.
 
 Scoring is *measured*, not modelled: each candidate is configured onto a
 private ring and timed with :func:`~repro.compiler.profiler.\
@@ -28,7 +29,7 @@ on deterministic streams; the winner additionally proves its *bulk
 engine* path bit-identical to the reference interpreter by state digest.
 
 Winning mappings are memoized in an LRU keyed by (graph canonical
-fingerprint, fabric shape, backend availability) — a repeat submission
+fingerprint, fabric shape, Numba availability) — a repeat submission
 pays one dict lookup plus a recompile, no search.
 
 :func:`fuzz_conformance` reuses the machinery as a coverage-guided
@@ -42,7 +43,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import word
 from repro.compiler.codegen import MODES, CompiledProgram, compile_graph
@@ -76,20 +77,12 @@ class Mapping:
 
     mode: str = "global"
     lane_order: str = "index"
-    backend: str = "fastpath"
-
-    def ring_kwargs(self) -> Dict[str, object]:
-        """Ring construction kwargs realising the engine choice."""
-        return {"backend": self.backend}
 
     def describe(self) -> str:
-        return f"{self.mode}/{self.lane_order}/{self.backend}"
+        return f"{self.mode}/{self.lane_order}"
 
 
-#: Engine variants (backends) swept per surviving placement.
-ENGINE_VARIANTS: Tuple[str, ...] = ("fastpath", "native")
-
-#: Lane orders the placement stage tries (reverse adds nothing the
+#: Lane orders the placement search tries (reverse adds nothing the
 #: other two cannot reach on levelled graphs, so it stays fuzzer-only).
 PLACEMENT_ORDERS = ("index", "delay-first")
 
@@ -122,7 +115,7 @@ class AutotuneStats:
 #: :meth:`repro.analysis.metrics.MetricsRegistry.collect`.
 STATS = AutotuneStats()
 
-#: Best-known-mapping memo: (graph fingerprint, fabric shape, backend
+#: Best-known-mapping memo: (graph fingerprint, fabric shape, Numba
 #: availability) -> (Mapping, measured cycles/s, baseline cycles/s).
 MEMO = PlanCache(64)
 
@@ -135,11 +128,11 @@ def reset_autotune_state() -> None:
 
 def memo_key(graph: DataflowGraph,
              geometry: Optional[RingGeometry]) -> tuple:
-    """The LRU key: graph content, fabric shape, backend availability."""
+    """The LRU key: graph content, fabric shape, Numba availability."""
     shape = (None if geometry is None else
              (geometry.layers, geometry.width, geometry.pipeline_depth))
     return ("autotune", graph.fingerprint(), shape,
-            tuple(Ring.BACKENDS), nativepath.numba_available())
+            nativepath.numba_available())
 
 
 def _program_for(graph: DataflowGraph,
@@ -159,8 +152,7 @@ def _program_for(graph: DataflowGraph,
         geometry = RingGeometry(layers=max(placement.levels, 2),
                                 width=width)
     return compile_graph(graph, geometry=geometry, mode=mapping.mode,
-                         lane_order=mapping.lane_order,
-                         ring_kwargs=mapping.ring_kwargs())
+                         lane_order=mapping.lane_order)
 
 
 @dataclass
@@ -237,7 +229,7 @@ def _verify(program: CompiledProgram, golden: Dict[int, List[int]],
     return None
 
 
-def _verify_bulk_engine(program: CompiledProgram, mapping: Mapping,
+def _verify_bulk_engine(program: CompiledProgram,
                         cycles: int = 192) -> Optional[str]:
     """Digest-check the mapping's *bulk* engine against the interpreter.
 
@@ -246,7 +238,7 @@ def _verify_bulk_engine(program: CompiledProgram, mapping: Mapping,
     verification never touches — so the winner must additionally prove
     that path bit-identical to the reference interpreter.
     """
-    tuned = Ring(program.geometry, **mapping.ring_kwargs())
+    tuned = Ring(program.geometry)
     program.configure(tuned)
     reference = Ring(program.geometry, backend="interpreter")
     program.configure(reference)
@@ -258,10 +250,10 @@ def _verify_bulk_engine(program: CompiledProgram, mapping: Mapping,
     return None
 
 
-def _score(program: CompiledProgram, mapping: Mapping,
-           score_cycles: int, repeats: int) -> float:
-    """Measured steady-state cycles/s of *mapping* on a private ring."""
-    ring = Ring(program.geometry, **mapping.ring_kwargs())
+def _score(program: CompiledProgram, score_cycles: int,
+           repeats: int) -> float:
+    """Measured steady-state cycles/s of *program* on a private ring."""
+    ring = Ring(program.geometry)
     program.configure(ring)
     return measured_cycles_per_second(
         ring, score_cycles, bus=_SCORE_BUS, host_in=_score_host,
@@ -277,12 +269,10 @@ def autotune_graph(graph: DataflowGraph,
                    memo: bool = True) -> AutotuneResult:
     """Search the mapping space for *graph*; return the measured winner.
 
-    Two staged sweeps keep the candidate budget bounded: placement
-    variants (mode x lane order) are scored on the default engine first,
-    then every engine variant is scored on the best surviving placement.
-    Every candidate that would win is first verified bit-identical to
-    the golden evaluator; the winner's bulk engine is digest-checked
-    against the reference interpreter on top.
+    Every placement variant (mode x lane order) is scored on the
+    default engine.  Every candidate that would win is first verified
+    bit-identical to the golden evaluator; the winner's bulk engine is
+    digest-checked against the reference interpreter on top.
 
     Args:
         graph: the dataflow graph to map.
@@ -330,35 +320,16 @@ def autotune_graph(graph: DataflowGraph,
             scored.error = failure
             return scored
         scored.verified = True
-        scored.cycles_per_second = _score(program, mapping,
-                                          score_cycles, repeats)
+        scored.cycles_per_second = _score(program, score_cycles, repeats)
         return scored
 
-    # Stage 1 — placement sweep on the default engine.  The plain
-    # default mapping doubles as the speedup baseline.
+    # The plain default mapping doubles as the speedup baseline.
     baseline = evaluate(Mapping())
-    best_place = baseline
     for lane_order in PLACEMENT_ORDERS:
         for mode in MODES:
-            if mode == "global" and lane_order == "index":
-                continue  # == baseline
-            scored = evaluate(Mapping(mode=mode, lane_order=lane_order))
-            if scored.verified and (scored.cycles_per_second
-                                    > best_place.cycles_per_second):
-                best_place = scored
-
-    # Stage 2 — engine sweep on the best surviving placement.
-    best = best_place
-    for backend in ENGINE_VARIANTS:
-        mapping = Mapping(mode=best_place.mapping.mode,
-                          lane_order=best_place.mapping.lane_order,
-                          backend=backend)
-        if mapping == best_place.mapping:
-            continue
-        scored = evaluate(mapping)
-        if scored.verified and (scored.cycles_per_second
-                                > best.cycles_per_second):
-            best = scored
+            mapping = Mapping(mode=mode, lane_order=lane_order)
+            if mapping != baseline.mapping:
+                evaluate(mapping)
 
     # The winner's bulk engine must be bit-identical to the interpreter;
     # on divergence (never observed — this is the safety net) fall back
@@ -368,7 +339,7 @@ def autotune_graph(graph: DataflowGraph,
     winner = None
     for scored in ranked:
         program = _program_for(graph, geometry, scored.mapping)
-        failure = _verify_bulk_engine(program, scored.mapping)
+        failure = _verify_bulk_engine(program)
         if failure is None:
             winner = scored
             break
@@ -406,8 +377,8 @@ FUZZ_OPS = ("mov", "add", "sub", "mul", "and", "or", "xor", "min",
 #: :attr:`Ring.BACKEND_REGISTRY` matrix.
 FUZZ_ENGINES = Ring.BACKENDS
 
-#: Candidate mappings each fuzz graph sweeps (engine choice is the
-#: separate FUZZ_ENGINES axis, so these vary the emission only).
+#: Candidate mappings each fuzz graph sweeps (the engine is the
+#: separate FUZZ_ENGINES axis).
 FUZZ_MAPPINGS = (
     Mapping(),
     Mapping(mode="local"),
@@ -567,7 +538,7 @@ class FuzzReport:
 def fuzz_conformance(rounds: int = 16, seed: int = 2002,
                      samples: int = 10,
                      max_nodes: int = 28) -> FuzzReport:
-    """Coverage-guided conformance hammer across all four backends.
+    """Coverage-guided conformance hammer across every backend.
 
     Each round mutates a corpus genome into a fresh graph, compiles it
     under :data:`FUZZ_MAPPINGS`, executes every compiled candidate on

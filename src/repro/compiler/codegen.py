@@ -53,9 +53,7 @@ class CompiledProgram:
     #: Mode assignment emitted by :meth:`configure` (see :data:`MODES`).
     mode: str = "global"
     #: Keyword arguments for the default ring :meth:`build_system`
-    #: creates — the autotuner bakes its engine choice (backend) in
-    #: here so ``program.run()`` executes on
-    #: the tuned engine.
+    #: creates (backend, batch_size, ...).
     ring_kwargs: Dict[str, object] = field(default_factory=dict)
 
     @property

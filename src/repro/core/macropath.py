@@ -43,8 +43,8 @@ Configurations whose period would bloat the generated source (LCM above
 :data:`MAX_PERIOD`, or too many statements overall) are ineligible and
 simply stay on the per-cycle fast path.
 
-Only a ``backend="native"`` ring runs these kernels: they are the middle
-rung of its ladder, taking whatever span of at least one period the
+These kernels are the middle rung of the native ladder that every
+compiled scalar ring climbs, taking whatever span of at least one period the
 native tier (:mod:`repro.core.nativepath`) refuses or leaves over.  Both
 tiers compile from one :class:`SteadySchedule`.
 """

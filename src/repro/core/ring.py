@@ -44,11 +44,13 @@ Compiled plans are retained in an LRU
 configurations re-adopts each plan in one lookup instead of recompiling
 (see ``docs/architecture.md``, "Plan cache & the native ladder").
 
-``backend`` is the one engine selector.  A ``"native"`` ring runs each
-steady-state span down a fall-back ladder: time-vectorized NumPy kernels
-(:mod:`repro.core.nativepath`), then — for whatever native refuses or
-leaves over — generated macro kernels (:mod:`repro.core.macropath`) that
-pay Python dispatch once per sequencer period, then the per-cycle plan.
+``backend`` is the one engine selector.  A ``"native"`` ring (the
+default) runs each steady-state span down a fall-back ladder:
+time-vectorized NumPy kernels (:mod:`repro.core.nativepath`), then — for
+whatever native refuses or leaves over — generated macro kernels
+(:mod:`repro.core.macropath`) that pay Python dispatch once per sequencer
+period, then the per-cycle plan.  The per-cycle plan is a rung, not a
+backend: nothing selects it alone.
 """
 
 from __future__ import annotations
@@ -143,9 +145,17 @@ class _CycleObserver:
 class RingProfile:
     """Wall-clock accounting of one :meth:`Ring.profile` session.
 
-    Separates the time spent in the two execution engines and in plan
-    compilation, so a workload's fast-path coverage (and the compile
+    Separates interpreted cycles from compiled ones and both from code
+    generation, so a workload's compiled coverage (and the compile
     overhead paid for it) is directly measurable.
+
+    ``fastpath_cycles`` / ``fastpath_seconds`` count every compiled
+    rung: the native, macro and per-cycle plans of the scalar ladder and
+    the batch engine (a lane window books lockstep cycles, not
+    lane-cycles).  ``compile_seconds`` covers per-cycle plan compiles
+    and native and macro code generation; ``plan_compiles`` counts the
+    per-cycle plans only.  The field names predate the ladder and stay
+    because the benchmark suite (``benchmarks/suite``) reads them.
     """
 
     interpreted_cycles: int = 0
@@ -240,7 +250,6 @@ class Ring:
     #: adding an engine is one entry here.
     BACKEND_REGISTRY = {
         "interpreter": "reference cycle-by-cycle interpreter",
-        "fastpath": "pre-decoded per-cycle closure plans",
         "native": "time-vectorized NumPy kernels (optional Numba "
                   "jit), falling back to generated macro kernels, "
                   "then the per-cycle plan",
@@ -269,7 +278,7 @@ class Ring:
 
     def __init__(self, geometry: RingGeometry,
                  strict_fifos: bool = False,
-                 backend: str = "fastpath",
+                 backend: str = "native",
                  batch_size: int = 1,
                  plan_cache: int = DEFAULT_CAPACITY):
         self.geometry = geometry
@@ -277,16 +286,6 @@ class Ring:
         self._check_backend(backend, batch_size)
         self.backend = backend
         self.batch_size = batch_size
-        # The scalar fast path also backs batch mode at B=1: one lane of
-        # NumPy-array indexing is strictly slower than the scalar plan
-        # (~6x in BENCH_batch.json), and the lane-0 writeback contract is
-        # trivially the scalar state itself.  The vector engine is only
-        # engaged at B>1 or once `ring.batch` has been handed out.  The
-        # native tier sits on top of the fast path (its per-cycle
-        # remainder and fall-back ladder), so it enables the scalar plan
-        # machinery too.
-        self.fastpath_enabled = (backend in ("fastpath", "native")
-                                 or (backend == "batch" and batch_size == 1))
         #: Configuration-fingerprinted LRU cache of compiled plans (and
         #: macro/native kernels).  Capacity 0 disables caching entirely.
         self.plan_cache = PlanCache(plan_cache)
@@ -386,6 +385,19 @@ class Ring:
             )
         return self._ensure_batch()
 
+    @property
+    def fastpath_enabled(self) -> bool:
+        """Does this ring run compiled scalar plans (the native ladder)?
+
+        Every backend but the interpreter does.  The ladder also backs
+        batch mode at B=1: one lane of NumPy-array indexing is strictly
+        slower than the scalar plan (~6x in BENCH_batch.json), and the
+        lane-0 writeback contract is trivially the scalar state itself.
+        The vector engine is only engaged at B>1 or once `ring.batch`
+        has been handed out.
+        """
+        return self.backend != "interpreter" and self.batch_size == 1
+
     def _ensure_batch(self):
         if self._batch_engine is None:
             from repro.core.batchpath import BatchRing
@@ -414,8 +426,6 @@ class Ring:
             self._batch_engine = None
         self.backend = backend
         self.batch_size = batch_size
-        self.fastpath_enabled = (backend in ("fastpath", "native")
-                                 or (backend == "batch" and batch_size == 1))
         self._plan = None
         self._steady.clear()
         self._config_dirty = True
@@ -682,7 +692,7 @@ class Ring:
         if self.backend == "batch" and (
                 self.batch_size > 1 or self._batch_engine is not None):
             engine = self._ensure_batch()
-            engine.run(1, bus, host_in)
+            self._run_plan(engine, 1, bus, host_in)
             engine.store_lane(0)
             if self._trace is not None:
                 self._trace(self)
@@ -708,16 +718,21 @@ class Ring:
         self._maybe_compile()
 
     def _run_plan(self, plan, cycles: int, bus: int,
-                  host_in: Optional[HostReader]) -> None:
-        """Execute *cycles* through the compiled plan, timing if profiled."""
+                  host_in: Optional[HostReader], *taps):
+        """Execute *cycles* on a compiled rung, booked if profiled.
+
+        *plan* is a per-cycle, macro or native plan or the batch engine;
+        *taps* is passed through to its ``run`` and its result returned.
+        The profile books cycles off :attr:`cycles`, so a batch window
+        counts lockstep cycles, not lane-cycles.
+        """
         profile = self._profile
         if profile is None:
-            plan.run(cycles, bus, host_in)
-            return
+            return plan.run(cycles, bus, host_in, *taps)
         before = self.cycles
         began = perf_counter()
         try:
-            plan.run(cycles, bus, host_in)
+            return plan.run(cycles, bus, host_in, *taps)
         finally:
             profile.fastpath_seconds += perf_counter() - began
             profile.fastpath_cycles += self.cycles - before
@@ -834,9 +849,9 @@ class Ring:
         migration): after the configuration settles, one fingerprint
         lookup re-activates a cached plan immediately instead of waiting
         for the first ``step()`` to do it lazily.  Returns ``True`` when
-        a compiled plan is active afterwards.  A scalar-fastpath-less
-        backend (vector batch) never adopts scalar plans, so this is a
-        no-op there.
+        a compiled plan is active afterwards.  The interpreter and a
+        vector batch ring never adopt scalar plans, so this is a no-op
+        there.
         """
         if not self.fastpath_enabled:
             return False
@@ -896,7 +911,11 @@ class Ring:
         if plan is None:
             refusal: List[str] = []
             compiler = compile_native if tier == "native" else compile_macro
+            profile = self._profile
+            began = perf_counter()
             plan = compiler(self, refusal)
+            if profile is not None:
+                profile.compile_seconds += perf_counter() - began
             if plan is None:
                 plan = _Refusal(refusal[0])
             elif tier == "native":
@@ -924,28 +943,26 @@ class Ring:
                     host_in: Optional[HostReader]) -> None:
         """Run *cycles* on the compiled engines: native, macro, per-cycle.
 
-        Only a ``backend="native"`` ring climbs the ladder: the longest
-        FIFO-safe period-multiple prefix executes through the
+        The longest FIFO-safe period-multiple prefix executes through the
         time-vectorized kernel; whatever it cannot take (ineligible
         configuration, sub-period remainder, unsafe FIFO window) runs in
         period-multiples through the fused macro kernel when that leftover
         spans at least one period (and more than one cycle); the rest goes
-        through the per-cycle plan, which is all a fastpath ring uses.
+        through the per-cycle plan.
         """
-        if self.backend == "native":
-            native = self._steady_plan("native")
-            safe = native.safe_cycles(cycles) if native is not None else 0
-            if safe:
-                self._run_plan(native, safe, bus, host_in)
-                cycles -= safe
-            if cycles:
-                self.native_fallback_cycles += cycles
-            if cycles > 1:
-                macro = self._steady_plan("macro")
-                if macro is not None and cycles >= macro.period:
-                    fused = cycles - cycles % macro.period
-                    self._run_plan(macro, fused, bus, host_in)
-                    cycles -= fused
+        native = self._steady_plan("native")
+        safe = native.safe_cycles(cycles) if native is not None else 0
+        if safe:
+            self._run_plan(native, safe, bus, host_in)
+            cycles -= safe
+        if cycles:
+            self.native_fallback_cycles += cycles
+        if cycles > 1:
+            macro = self._steady_plan("macro")
+            if macro is not None and cycles >= macro.period:
+                fused = cycles - cycles % macro.period
+                self._run_plan(macro, fused, bus, host_in)
+                cycles -= fused
         if cycles:
             self._run_plan(plan, cycles, bus, host_in)
 
@@ -956,15 +973,16 @@ class Ring:
         period multiple of *cycles* that the native plan for the current
         configuration and entry phase accepts at this cycle boundary; run
         it with :meth:`run_native`.  When *span* is 0, *reason* says why:
-        ``"trace"`` (an observer is attached), ``"backend"`` (not a
-        native ring), ``"no_plan"`` (no compiled plan yet),
+        ``"trace"`` (an observer is attached), ``"backend"`` (the ring
+        runs no compiled scalar plans: an interpreter or a vector batch
+        ring), ``"no_plan"`` (no compiled plan yet),
         ``"native_refused"`` (ineligible configuration), ``"remainder"``
         (less than one period left) or ``"fifo_gated"`` (the FIFO
         occupancies cannot feed a whole period).
         """
         if self._trace is not None:
             return None, 0, "trace"
-        if self.backend != "native":
+        if not self.fastpath_enabled:
             return None, 0, "backend"
         if self._plan is None:
             return None, 0, "no_plan"
@@ -994,16 +1012,7 @@ class Ring:
             nodes.append(layer * width + position)
         word.check(bus, "bus value")
         self.last_bus = bus
-        profile = self._profile
-        if profile is None:
-            return plan.run(cycles, bus, host_in, nodes)
-        before = self.cycles
-        began = perf_counter()
-        try:
-            return plan.run(cycles, bus, host_in, nodes)
-        finally:
-            profile.fastpath_seconds += perf_counter() - began
-            profile.fastpath_cycles += self.cycles - before
+        return self._run_plan(plan, cycles, bus, host_in, nodes)
 
     def run(self, cycles: int, bus: int = 0,
             host_in: Optional[HostReader] = None) -> None:
@@ -1068,7 +1077,7 @@ class Ring:
                 if stride is not None:
                     chunk = min(stride, remaining)
                     fire = chunk == stride
-            engine.run(chunk, bus, host_in)
+            self._run_plan(engine, chunk, bus, host_in)
             remaining -= chunk
             engine.store_lane(0)
             if fire:

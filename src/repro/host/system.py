@@ -22,15 +22,15 @@ exact.  Bulk needs a *quiet* controller: none at all, one halted, or one
 sitting out a ``WAITI`` delay — the paper's local mode, where the Dnodes
 loop on their own while the controller idles.  A quiet span issues no
 configuration command and holds the bus at the controller's last
-``BUSW`` value, so it runs like an uncontrolled one: on a
-``backend="native"`` ring through native windows (streams are handed to
-the kernel as arrays, taps are slices of the tapped Dnodes' output
-history, and the host side is settled in closed form after each window,
-see :mod:`repro.host.streams`); on a ``backend="batch"`` ring through
-lane windows, the same protocol with every stream and tap carrying one
-column per lane and lane 0 written back once per window; or whole
-through ``Ring.run`` when the host side is idle.  The controller then
-advances over the span in closed form
+``BUSW`` value, so it runs like an uncontrolled one: on a scalar ring
+(``backend="native"``, the default) through native windows (streams are
+handed to the kernel as arrays, taps are slices of the tapped Dnodes'
+output history, and the host side is settled in closed form after each
+window, see :mod:`repro.host.streams`); on a ``backend="batch"`` ring
+through lane windows, the same protocol with every stream and tap
+carrying one column per lane and lane 0 written back once per window; or
+whole through ``Ring.run`` when the host side is idle.  The controller
+then advances over the span in closed form
 (:meth:`~repro.controller.core.RiscController.skip_quiet`); only cycles
 that execute an instruction are stepped one at a time.
 :attr:`RingSystem.cycle_paths` records which path every cycle took and
@@ -155,7 +155,7 @@ class RingSystem:
           handed to :meth:`repro.core.ring.Ring.run`.  Idleness is
           re-checked as the span progresses: once the queued stream
           words drain, the remaining cycles take this path too.
-        * On a ``backend="native"`` ring the steady state runs as native
+        * On a scalar compiled ring the steady state runs as native
           windows with taps and streams attached
           (:meth:`repro.core.ring.Ring.native_span`).
         * On a batch ring every cycle runs in lane windows
@@ -230,9 +230,9 @@ class RingSystem:
         engine, settle streams and taps, and write lane 0 back once."""
         ring, data = self.ring, self.data
         engine = ring._ensure_batch()
-        outs = engine.run(
-            span, bus, host_in=data.window_reader(ring),
-            taps=[(tap.layer, tap.position) for tap in data.taps])
+        outs = ring._run_plan(
+            engine, span, bus, data.window_reader(ring),
+            [(tap.layer, tap.position) for tap in data.taps])
         engine.store_lane(0)
         data.settle(span, engine.host_channels)
         for tap, values in zip(data.taps, outs):

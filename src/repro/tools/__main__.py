@@ -333,13 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--cycles", type=int, default=None,
                        help="run exactly N cycles instead of to HALT")
     p_run.add_argument("--max-cycles", type=int, default=1_000_000)
+    # No argparse choices: Ring rejects an unknown name with the
+    # registry's own error, which lists every backend.
     p_run.add_argument("--backend",
-                       choices=Ring.BACKENDS,
+                       metavar="{" + ",".join(Ring.BACKENDS) + "}",
                        default=None,
-                       help="execution engine (default: the ring's own; "
-                            "'native' fuses steady state into "
+                       help="execution engine (default: the ring's own, "
+                            "'native', which fuses steady state into "
                             "time-vectorized NumPy kernels, falling "
-                            "back to generated macro kernels; "
+                            "back to generated macro kernels and the "
+                            "per-cycle plan; "
                             "'batch' advances --batch-size streams at "
                             "once, streams broadcast to every lane)")
     p_run.add_argument("--batch-size", type=int, default=1, metavar="N",

@@ -7,19 +7,20 @@ The tentpole contract pinned here:
 * the winner is at least as fast as the default ``compile_graph``
   emission (the baseline is itself a candidate);
 * a repeat submission hits the (graph fingerprint, fabric shape,
-  backend availability) memo and pays no search;
+  Numba availability) memo and pays no search;
 * the configuration fuzzer drives mutated graphs across every mapping
   variant and every execution engine, bit-comparing all of them;
 * the ``autotune_*`` metric families surface the whole story.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.compiler.autotune import (
-    ENGINE_VARIANTS,
     MEMO,
+    PLACEMENT_ORDERS,
     STATS,
     Mapping,
     autotune_graph,
@@ -54,25 +55,14 @@ def _fresh_autotuner():
 
 class TestMapping:
     def test_describe_names_every_axis(self):
-        text = Mapping(mode="hybrid", lane_order="delay-first",
-                       backend="native").describe()
-        assert text == "hybrid/delay-first/native"
+        text = Mapping(mode="hybrid", lane_order="delay-first").describe()
+        assert text == "hybrid/delay-first"
 
-    def test_ring_kwargs_scalar_engine(self):
-        kwargs = Mapping(backend="fastpath").ring_kwargs()
-        assert kwargs == {"backend": "fastpath"}
-
-    def test_ring_kwargs_lane_engine_gets_batch_size(self):
-        ring = Ring(RingGeometry(layers=2, width=2),
-                    **Mapping(backend="batch").ring_kwargs())
-        assert ring.batch_size == 1
-
-    def test_every_engine_variant_constructs_a_ring(self):
-        assert ENGINE_VARIANTS == ("fastpath", "native")
-        for backend in ENGINE_VARIANTS:
-            ring = Ring(RingGeometry(layers=2, width=2),
-                        **Mapping(backend=backend).ring_kwargs())
-            assert ring.backend == backend
+    def test_mapping_has_no_engine_axis(self):
+        """The engine is not searched: every candidate runs on the
+        default native ring, whose ladder picks the rung."""
+        assert [f.name for f in dataclasses.fields(Mapping)] == [
+            "mode", "lane_order"]
 
 
 class TestSearch:
@@ -97,10 +87,15 @@ class TestSearch:
         assert result.program.run(streams) == graph.evaluate(streams)
 
     def test_search_covers_placements_and_engines(self):
+        """Every placement is scored once, and the winner runs on the
+        default engine (native, with its fall-back ladder)."""
         result = autotune_graph(build_graph("envelope"), **FAST)
-        mappings = {c.mapping for c in result.candidates}
+        mappings = [c.mapping for c in result.candidates]
+        assert len(mappings) == len(set(mappings)) == \
+            len(MODES) * len(PLACEMENT_ORDERS)
         assert {m.mode for m in mappings} == set(MODES)
-        assert {m.backend for m in mappings} == set(ENGINE_VARIANTS)
+        assert {m.lane_order for m in mappings} == set(PLACEMENT_ORDERS)
+        assert result.program.build_system().ring.backend == "native"
 
     def test_report_renders_ranked_table(self):
         result = autotune_graph(build_graph("envelope"), **FAST)
@@ -163,7 +158,8 @@ class TestCompileGraphIntegration:
     def test_autotune_flag_returns_tuned_program(self):
         program = compile_graph(build_graph("envelope"), autotune=True,
                                 **FAST)
-        assert program.ring_kwargs  # engine choice baked in
+        # No engine choice to bake in: it runs on the default ring.
+        assert program.ring_kwargs == {}
         streams = library_streams(build_graph("envelope"), 8)
         golden = build_graph("envelope").evaluate(streams)
         assert program.run(streams) == golden
@@ -348,13 +344,11 @@ class TestScenarioRecipeTuning:
         graph = build_graph(name)
         result = autotune_graph(graph, **FAST)
         assert not result.cache_hit
-        # Structure, not wall clock: the engine sweep scored and verified
-        # a native candidate, and the winner is the fastest verified
-        # candidate.  The measured >= 1.5x speedup is judged as a median
-        # over repeated searches in benchmarks/test_autotune.py.
-        assert result.mapping.backend in ENGINE_VARIANTS
+        # Structure, not wall clock: the winner is the fastest verified
+        # candidate.  The measured >= 1.5x speedup over the per-cycle
+        # rung is judged as a median over repeated searches in
+        # benchmarks/test_autotune.py.
         verified = [c for c in result.candidates if c.verified]
-        assert any(c.mapping.backend == "native" for c in verified)
         winner, = [c for c in result.candidates
                    if c.mapping == result.mapping]
         assert winner.verified

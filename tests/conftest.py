@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -38,6 +38,79 @@ def refuse_native():
     """:func:`native_refused` for the whole test."""
     with native_refused():
         yield
+
+
+def _refuse_macro(ring, refusal=None):
+    if refusal is not None:
+        refusal.append("macro rung refused by the per-cycle test seam")
+    return None
+
+
+@contextmanager
+def bulk_refused():
+    """Send every compiled scalar ring down to the per-cycle plan.
+
+    Refuses both bulk rungs of the native ladder
+    (``repro.core.ring.compile_native`` and ``compile_macro``), so every
+    steady-state span runs on the per-cycle plan, the ladder's last
+    rung.  Tests using it assert ``native_cycles == macro_cycles == 0``
+    (and, where they profile, compiled cycles: :func:`assert_rung_ran`),
+    so the case cannot quietly turn into a native run.  This form serves
+    loops and Hypothesis bodies; :func:`refuse_bulk` is the fixture.
+    """
+    with native_refused(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ring_module, "compile_macro", _refuse_macro)
+        yield
+
+
+@pytest.fixture
+def refuse_bulk():
+    """:func:`bulk_refused` for the whole test."""
+    with bulk_refused():
+        yield
+
+
+#: Engine-matrix column -> the seam that pins its rung of the native
+#: ladder.  Column ``"fastpath"`` is the per-cycle plan
+#: (:mod:`repro.core.fastpath`), the ladder's last rung; the other
+#: columns name a backend and need no seam.
+RUNG_SEAMS = {"macro": native_refused, "fastpath": bulk_refused}
+
+
+def rung_seam(column: str):
+    """The seam context that pins engine-matrix *column*'s rung."""
+    seam = RUNG_SEAMS.get(column)
+    return nullcontext() if seam is None else seam()
+
+
+def assert_rung_ran(column: str, ring: Ring, profile) -> None:
+    """Engine-matrix *column*'s engine or rung ran under *profile*.
+
+    ``interpreter``: every profiled cycle interpreted.  ``batch``: the
+    lane engine ran.  ``native``: native kernels ran unless the
+    configuration is refused with a reason.  ``macro``: macro kernels
+    ran and native never did.  ``fastpath``: compiled cycles ran and
+    neither bulk rung ever took one, so the column cannot quietly turn
+    into a native run.
+    """
+    if column == "interpreter":
+        assert profile.fastpath_cycles == 0, "a compiled rung ran"
+        assert profile.interpreted_cycles > 0, "the interpreter never ran"
+    elif column == "batch":
+        assert ring._batch_engine is not None, "the lane engine never ran"
+        assert profile.fastpath_cycles > 0, "no lane cycle was booked"
+    elif column == "native":
+        assert ring.native_cycles > 0 or ring.native_refusal, (
+            "native kernels never ran on an accepted configuration")
+    elif column == "macro":
+        assert ring.native_cycles == 0, "native ran under the seam"
+        assert ring.macro_cycles > 0, "the macro rung never ran"
+    elif column == "fastpath":
+        assert ring.native_cycles == ring.macro_cycles == 0, (
+            "a bulk rung ran under the per-cycle seam")
+        assert profile.fastpath_cycles > 0, "the per-cycle plan never ran"
+    else:
+        raise AssertionError(f"unknown engine column {column!r}")
 
 
 @pytest.fixture

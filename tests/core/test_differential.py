@@ -5,8 +5,9 @@ NumPy kernels must be indistinguishable from B scalar rings run one
 after another, which in turn must match the interpreter.  These property
 tests draw random fabric shapes, microprograms, routes, FIFO loads and
 host streams (reusing the spec generators of ``test_fuzz.py``), run the
-same configuration on the interpreter, the compiled fast path and one
-batch engine, and compare the complete architectural state per lane:
+same configuration on the interpreter, the per-cycle plan (the native
+ladder's last rung, pinned by the ``bulk_refused`` seam) and one batch
+engine, and compare the complete architectural state per lane:
 Dnode outputs and register files, switch feedback pipelines, FIFO
 contents and pop/underflow accounting, and the activity statistics.
 
@@ -28,7 +29,7 @@ from repro.core.isa import ACCUMULATING_OPS, Opcode
 from repro.core.macropath import macro_period
 from repro.core.ring import Ring, RingGeometry
 
-from tests.conftest import native_refused
+from tests.conftest import bulk_refused, native_refused, rung_seam
 from tests.core.test_fuzz import apply_spec, build_ring, ring_specs
 
 _SETTINGS = dict(deadline=None, derandomize=True)
@@ -115,7 +116,7 @@ def _extract_lane(batch_ring: Ring, lane: int) -> dict:
 
 
 class TestDifferentialBackends:
-    """interpreter == fastpath == every batch lane, full state."""
+    """interpreter == per-cycle plan == every batch lane, full state."""
 
     @given(spec=ring_specs(min_layers=2, max_layers=5, min_width=1,
                            max_width=2, max_local=6),
@@ -131,10 +132,12 @@ class TestDifferentialBackends:
         for lane in range(batch):
             interp = _run_lane_scalar(spec, seed, lane, cycles, bus,
                                       backend="interpreter")
-            fast = _run_lane_scalar(spec, seed, lane, cycles, bus,
-                                    backend="fastpath")
+            with bulk_refused():
+                fast = _run_lane_scalar(spec, seed, lane, cycles, bus,
+                                        backend="native")
+            assert fast.native_cycles == fast.macro_cycles == 0
             want = _state(interp)
-            assert _state(fast) == want, f"fastpath diverged on {lane}"
+            assert _state(fast) == want, f"per-cycle diverged on {lane}"
             assert _extract_lane(bring, lane) == want, (
                 f"batch lane {lane} diverged"
             )
@@ -288,7 +291,7 @@ class TestDifferentialCachedAndMacro:
         )
         for lane in range(batch):
             scalar = _scalar_lane_ring(spec_a, seed, lane,
-                                       backend="fastpath")
+                                       backend="interpreter")
             for spec in plan:
                 _apply_config_only(scalar, spec)
                 scalar.run(cycles,
@@ -396,7 +399,8 @@ class TestFaultRecoveryDifferential:
             return result.trace()
 
         reference = trace_for(backend="interpreter")
-        assert trace_for(backend="fastpath") == reference
+        with bulk_refused():
+            assert trace_for(backend="native") == reference
         assert trace_for(backend="native") == reference
         assert trace_for(backend="batch", batch_size=3) == reference
 
@@ -413,30 +417,32 @@ class TestFaultRecoveryDifferential:
         from repro.robustness.checkpoint import (default_driver,
                                                  rollback_replay)
 
-        for kwargs in (dict(backend="interpreter"),
-                       dict(backend="fastpath"),
-                       dict(backend="native"),
-                       dict(backend="batch", batch_size=3)):
-            golden = build_ring(spec, **kwargs)
-            for cycle in range(24):
-                default_driver(golden, cycle)
-            golden_final = state_digest(golden)
+        for column, kwargs in (("interpreter", dict(backend="interpreter")),
+                               ("fastpath", dict(backend="native")),
+                               ("native", dict(backend="native")),
+                               ("batch", dict(backend="batch",
+                                              batch_size=3))):
+            with rung_seam(column):
+                golden = build_ring(spec, **kwargs)
+                for cycle in range(24):
+                    default_driver(golden, cycle)
+                golden_final = state_digest(golden)
 
-            ring = build_ring(spec, **kwargs)
-            injector = FaultInjector(ring, seed=seed)
-            event = injector.random_event(cut)
-            snapshot = capture(ring)  # cycle 0 is clean by construction
-            for cycle in range(24):
-                if cycle == event.cycle:
-                    injector.inject(event)
-                default_driver(ring, cycle)
-                # The fault lands *before* cycle `cut` executes, so any
-                # boundary at or before `cut` snapshots clean state.
-                if ring.cycles % 8 == 0 and ring.cycles <= event.cycle:
-                    snapshot = capture(ring)
-            digest = rollback_replay(ring, snapshot, 24)
-            assert digest == golden_final, (
-                f"{kwargs}: {event.site.describe()} recovery diverged")
+                ring = build_ring(spec, **kwargs)
+                injector = FaultInjector(ring, seed=seed)
+                event = injector.random_event(cut)
+                snapshot = capture(ring)  # cycle 0 is clean by construction
+                for cycle in range(24):
+                    if cycle == event.cycle:
+                        injector.inject(event)
+                    default_driver(ring, cycle)
+                    # The fault lands *before* cycle `cut` executes, so any
+                    # boundary at or before `cut` snapshots clean state.
+                    if ring.cycles % 8 == 0 and ring.cycles <= event.cycle:
+                        snapshot = capture(ring)
+                digest = rollback_replay(ring, snapshot, 24)
+                assert digest == golden_final, (
+                    f"{column}: {event.site.describe()} recovery diverged")
 
 
 class TestDifferentialNative:

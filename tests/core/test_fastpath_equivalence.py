@@ -1,8 +1,9 @@
 """Bit-identity proof: the pre-decoded fast path vs the interpreter.
 
 Every test builds two rings with identical geometry and configuration —
-one with ``backend="interpreter"`` (the reference interpreter) and one with the
-default fast path — drives both with the same bus/host/FIFO stimulus, and
+one with ``backend="interpreter"`` (the reference interpreter) and one
+native ring held on the per-cycle plan (:mod:`repro.core.fastpath`, the
+native ladder's last rung) by the ``refuse_bulk`` seam — drives both with the same bus/host/FIFO stimulus, and
 compares the complete observable state: cycle and underflow counters,
 every register, OUT latch, local-sequencer counter and statistics field of
 every Dnode, every feedback-pipeline tap of every switch, the remaining
@@ -31,6 +32,8 @@ from repro.core.dnode import DnodeMode
 from repro.core.ring import Ring, RingGeometry
 from repro.core.switch import PortSource
 from repro.errors import SimulationError
+
+pytestmark = pytest.mark.usefixtures("refuse_bulk")
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -168,7 +171,7 @@ def _state(ring: Ring) -> dict:
 def _make_pair(seed: int, layers: int = 4) -> tuple:
     geometry = RingGeometry(layers=layers, width=2)
     reference = Ring(geometry, backend="interpreter")
-    fast = Ring(geometry, backend="fastpath")
+    fast = Ring(geometry, backend="native")
     _apply_random_config(reference, random.Random(seed))
     _apply_random_config(fast, random.Random(seed))
     return reference, fast
@@ -182,6 +185,7 @@ def _assert_equivalent(seed: int, cycles: int, layers: int = 4) -> None:
     fast.run(cycles, bus=bus, host_in=fast_host)
     if cycles >= 3:
         assert fast._plan is not None, "fast path never engaged"
+    assert fast.native_cycles == fast.macro_cycles == 0
     assert ref_host.calls == fast_host.calls
     assert _state(reference) == _state(fast)
 
@@ -231,7 +235,7 @@ def test_midrun_reconfiguration_all_backends(seed, batch_size):
     """
     geometry = RingGeometry(layers=4, width=2)
     reference = Ring(geometry, backend="interpreter")
-    fast = Ring(geometry, backend="fastpath")
+    fast = Ring(geometry, backend="native")
     batch = Ring(geometry, backend="batch", batch_size=batch_size)
     # B=1 rides the scalar fast path unless the vector engine has been
     # handed out; this test exercises the engine, so engage it.
@@ -437,7 +441,7 @@ def _strict_rings():
     """Interpreter, fast path and a 3-lane batch ring, all strict."""
     geometry = RingGeometry(layers=4, width=2)
     return (Ring(geometry, strict_fifos=True, backend="interpreter"),
-            Ring(geometry, strict_fifos=True, backend="fastpath"),
+            Ring(geometry, strict_fifos=True, backend="native"),
             Ring(geometry, strict_fifos=True, backend="batch",
                  batch_size=3))
 
@@ -482,7 +486,7 @@ def test_strict_fifo_pop_error_identical():
 
 def test_missing_host_reader_error_identical():
     errors = []
-    for backend in ("interpreter", "fastpath"):
+    for backend in ("interpreter", "native"):
         ring = Ring(RingGeometry(layers=4, width=2), backend=backend)
         ring.config.write_switch_route(0, 0, 1, PortSource.host(2))
         with pytest.raises(SimulationError) as excinfo:
@@ -497,7 +501,7 @@ def test_shallow_pipeline_tap_error_identical():
     # raises at port resolution; the compiled plan must raise identically
     # (the fetch stays eager precisely because it is observable).
     errors = []
-    for backend in ("interpreter", "fastpath"):
+    for backend in ("interpreter", "native"):
         ring = Ring(RingGeometry(layers=4, width=2, pipeline_depth=2),
                     backend=backend)
         ring.config.write_switch_route(0, 0, 1, PortSource.rp(4, 1))

@@ -2,7 +2,7 @@
 
 Covers what the fuzz and conformance suites pin only indirectly: the
 eligibility rules and the fallback ladder (native -> macro-step ->
-fastpath), phase-keyed plan caching and snapshot re-adoption, the
+per-cycle plan), phase-keyed plan caching and snapshot re-adoption, the
 safe-cycle FIFO gating formulas, the optional-Numba ladder (absent /
 working / broken), and the single-registry backend contract shared by
 ``Ring.set_backend``, the CLI and the documentation.
@@ -562,6 +562,7 @@ class TestBackendRegistry:
                  fastpath=False)
 
     def test_cli_choices_match_registry(self):
+        """The CLI lists the registry and leaves validation to it."""
         from repro.tools.__main__ import build_parser
         parser = build_parser()
         run_parser = None
@@ -570,7 +571,45 @@ class TestBackendRegistry:
         assert run_parser is not None
         backend_action = next(a for a in run_parser._actions
                               if a.dest == "backend")
-        assert tuple(backend_action.choices) == Ring.BACKENDS
+        assert backend_action.choices is None
+        assert backend_action.metavar == \
+            "{" + ",".join(Ring.BACKENDS) + "}"
+
+    def test_registry_is_interpreter_native_batch(self):
+        assert Ring.BACKENDS == ("interpreter", "native", "batch")
+
+    def test_native_is_the_default(self):
+        geometry = RingGeometry(layers=2, width=2)
+        assert Ring(geometry).backend == "native"
+
+    def _assert_unknown_fastpath(self, error: str) -> None:
+        assert error == ("unknown backend 'fastpath'; expected one of "
+                         "('interpreter', 'native', 'batch')")
+
+    def test_fastpath_is_not_a_backend(self):
+        with pytest.raises(ConfigurationError) as err:
+            Ring(RingGeometry(layers=2, width=2), backend="fastpath")
+        self._assert_unknown_fastpath(str(err.value))
+        ring = Ring(RingGeometry(layers=2, width=2))
+        with pytest.raises(ConfigurationError) as err:
+            ring.set_backend("fastpath")
+        self._assert_unknown_fastpath(str(err.value))
+        assert ring.backend == "native"
+
+    def test_cli_rejects_fastpath_with_the_registry_error(self, tmp_path,
+                                                         capsys):
+        from repro.tools.__main__ import main
+        source = tmp_path / "prog.asm"
+        source.write_text(".ring boot\ndnode 0.0 global\n"
+                          "    add out, self, #1\n")
+        assert main(["asm", str(source)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(source.with_suffix(".obj")),
+                     "--backend", "fastpath", "--cycles", "4"]) == 1
+        captured = capsys.readouterr()
+        self._assert_unknown_fastpath(
+            captured.err.strip().removeprefix("error: "))
+        assert "ran" not in captured.out
 
     def test_docs_table_matches_registry(self):
         """docs/architecture.md's engine table lists every backend."""
@@ -639,3 +678,24 @@ class TestMetrics:
             ring.native_cycles > 0
         assert report.value("native_plan_compiles_total") == 1
         assert report.value("native_fallback_cycles_total") == 0
+
+    def test_native_codegen_is_booked_as_compile_time(self):
+        """Native code generation lands in ``compile_seconds`` even when
+        the per-cycle plan is already cached, so a short run on a fresh
+        ring shows what it paid for native."""
+        from repro.compiler.codegen import compile_graph
+        from repro.compiler.library import fir8
+        program = compile_graph(fir8())
+        ring = Ring(program.geometry, backend="native")
+        program.configure(ring)
+        for _ in range(2):  # interpret, then compile the per-cycle plan
+            ring.step(host_in=lambda channel: 0)
+        assert ring.plan_compiles == 1 and ring.native_compiles == 0
+        ring.reset()
+        stream = [(5 * n) % 23 - 11 for n in range(64)]
+        with ring.profile() as profile:
+            outputs = program.run(stream, ring=ring)
+        assert outputs == fir8().evaluate({0: stream})
+        assert profile.plan_compiles == 0
+        assert ring.native_compiles == 1 and ring.native_cycles > 0
+        assert profile.compile_seconds > 0

@@ -288,7 +288,10 @@ class TestRingCacheIntegration:
         ring = make_ring(8)
         _configure(ring, "a")
         ring.run(4)
-        assert len(ring.plan_cache) == 1
+        # The per-cycle plan and the native ladder's entries (here a
+        # native refusal and a macro kernel).
+        assert sorted(key[0] for key in ring.plan_cache.keys()) == [
+            "macro", "native", "plan"]
         ring.set_plan_cache(0)
         assert ring.plan_cache.capacity == 0
         _configure(ring, "b")
@@ -321,13 +324,16 @@ class TestRestoreReadoption:
         compiles = ring.plan_compiles
         with ring.profile() as prof:
             restore(ring, snap)  # eager re-adoption inside restore()
+            assert ring.plan_cache.hits == hits + 1
+            # The run re-adopts the native refusal and the macro kernel.
             ring.run(5)
-        assert ring.plan_cache.hits == hits + 1
+        assert ring.plan_cache.hits == hits + 3
         assert ring.plan_compiles == compiles
         assert prof.interpreted_cycles == 0
         assert prof.plan_compiles == 0
+        assert prof.compile_seconds == 0
         data = json.loads(collect_metrics(ring).to_json())
-        assert data["plan_cache_hits_total"] == hits + 1
+        assert data["plan_cache_hits_total"] == hits + 3
 
 
 class TestBatchSizeOneRouting:

@@ -114,7 +114,7 @@ class TestPreserved:
         assert ring.config_fingerprint() == fingerprint
 
     def test_engine_lifetime_counters(self):
-        ring = run_hard(make_busy_ring(backend="fastpath"))
+        ring = run_hard(make_busy_ring())
         compiles = ring.plan_compiles
         assert compiles > 0
         ring.config.write_local_limit(1, 0, 2)  # force an invalidation
@@ -133,7 +133,7 @@ class TestPreserved:
         assert ring.macro_cycles == macro
 
     def test_plan_cache_contents_and_stats(self):
-        ring = run_hard(make_busy_ring(backend="fastpath"))
+        ring = run_hard(make_busy_ring())
         cached = len(ring.plan_cache)
         assert cached > 0
         hits, misses = ring.plan_cache.hits, ring.plan_cache.misses
@@ -143,7 +143,7 @@ class TestPreserved:
             (hits, misses)
 
     def test_active_plan_survives_without_recompile(self):
-        ring = run_hard(make_busy_ring(backend="fastpath"))
+        ring = run_hard(make_busy_ring())
         assert ring._plan is not None
         plan = ring._plan
         compiles = ring.plan_compiles

@@ -99,21 +99,21 @@ class TestCaptureRestore:
 # -- property-based round-trips across every engine -------------------
 
 
-from contextlib import nullcontext  # noqa: E402
-
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core.macropath import MAX_PERIOD, macro_period  # noqa: E402
 from repro.core.snapshot import state_digest  # noqa: E402
 
-from tests.conftest import native_refused  # noqa: E402
+from tests.conftest import rung_seam  # noqa: E402
 from tests.core.test_fuzz import build_ring, ring_specs  # noqa: E402
 
-#: (id, Ring kwargs) per engine; "macro" is a native ring run with the
-#: native tier refused (``native_refused``), so it takes the macro rung.
+#: (id, Ring kwargs) per engine; "macro" and "fastpath" are native rings
+#: run under ``rung_seam``, so they take the macro rung and the
+#: per-cycle plan.
 _ENGINES = [
     ("interpreter", dict(backend="interpreter")),
-    ("fastpath", dict(backend="fastpath")),
+    ("fastpath", dict(backend="native")),
+    ("native", dict(backend="native")),
     ("macro", dict(backend="native")),
     ("batch", dict(backend="batch", batch_size=4)),
 ]
@@ -130,7 +130,7 @@ class TestRoundTripProperty:
     @settings(max_examples=25, deadline=None, derandomize=True)
     def test_capture_step_restore_step(self, engine, spec, warmup, k, bus):
         name, kwargs = engine
-        with native_refused() if name == "macro" else nullcontext():
+        with rung_seam(name):
             ring = build_ring(spec, **kwargs)
             period = macro_period(ring)
             # The macro rung unrolls periods up to MAX_PERIOD; for those,
@@ -150,6 +150,8 @@ class TestRoundTripProperty:
             assert state_digest(ring) == first
         if macro:
             assert fused > 0 and ring.macro_cycles > fused
+        if name == "fastpath":
+            assert ring.native_cycles == ring.macro_cycles == 0
 
     @given(spec=ring_specs(), warmup=st.integers(1, 12),
            k=st.integers(1, 12))

@@ -42,6 +42,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.host.streams import OutputTap, StreamChannel
 from repro.host.system import RingSystem
 
+from tests.conftest import rung_seam
 from tests.core.test_fuzz import apply_spec, build_ring, ring_specs
 
 _SETTINGS = dict(deadline=None, derandomize=True)
@@ -346,7 +347,7 @@ class TestPerCycleReasons:
     @pytest.mark.parametrize("build, expected", [
         (lambda: _selfloop_ring(backend="native"),
          {("per_cycle", "no_plan"): 2, ("per_cycle", "native_refused"): 8}),
-        (lambda: _selfloop_ring(),
+        (lambda: _selfloop_ring(backend="interpreter"),
          {("per_cycle", "backend"): 10}),
         (lambda: _fifo_ring(backend="native"),
          {("per_cycle", "no_plan"): 2, ("bulk", "native"): 4,
@@ -682,16 +683,26 @@ class TestControllerDifferential:
     too small, so its error must fire on the same cycle.
     """
 
+    # Native ladder columns: the whole ladder, then its per-cycle
+    # ("fastpath") and macro rungs pinned by the tests/conftest.py seams.
+    # One-element tuples keep the test ids engine0..engine2.
     @pytest.mark.parametrize("engine", [
-        {"backend": "native"}, {"backend": "fastpath"}])
+        ("native",), ("fastpath",), ("macro",)])
     @given(case=controlled_systems())
     @settings(max_examples=100, **_SETTINGS)
     def test_matches_per_cycle_stepping(self, engine, case):
-        bulk, bulk_error = _drive(case, per_cycle=False, **engine)
+        column, = engine
+        with rung_seam(column):
+            bulk, bulk_error = _drive(case, per_cycle=False,
+                                      backend="native")
         spec, spec_error = _drive(case, per_cycle=True, backend="interpreter")
         assert _observables(bulk, bulk_error) == \
             _observables(spec, spec_error)
         assert sum(bulk.cycle_paths.values()) >= bulk.cycles
+        if column != "native":
+            assert bulk.ring.native_cycles == 0
+        if column == "fastpath":
+            assert bulk.ring.macro_cycles == 0
 
     def _waiting_system(self, **ring_kwargs) -> RingSystem:
         """An accumulator plane run by a controller that sits in WAITI."""

@@ -117,9 +117,12 @@ class TestReconfigurationChurn:
         rounds = len(ENVELOPE) // 16
         assert result.switches == 2 * rounds
         # One compile per plane on the first round; every later
-        # apply_plane re-adopts from the cache by fingerprint.
+        # apply_plane re-adopts from the cache by fingerprint: the
+        # per-cycle plan and the native tier's entry (the voice plane's
+        # kernel, the echo plane's cached refusal).
         assert result.plan_compiles == 2
-        assert result.plan_hits == 2 * rounds - 2
+        assert ring.native_compiles == 1
+        assert result.plan_hits == 2 * (2 * rounds - 2)
 
     def test_effects_chain_plan_readoption(self):
         ring = Ring(EFFECTS_GEOMETRY)
@@ -127,7 +130,8 @@ class TestReconfigurationChurn:
                                    chunk=24, ring=ring)
         rounds = len(SIGNAL) // 24
         assert result.plan_compiles == 2
-        assert result.plan_hits == 2 * rounds - 2
+        assert ring.native_compiles == 1
+        assert result.plan_hits == 2 * (2 * rounds - 2)
 
     def test_steady_state_has_zero_interpreted_cycles(self):
         ring = Ring(SYNTH_GEOMETRY)

@@ -4,9 +4,10 @@ Every execution backend the repo ships is described once, here, and the
 ``engine`` fixture parametrizes any test that requests it over all of
 them.  A kernel test written against the fixture therefore becomes one
 *row* of the cross-engine x kernel conformance matrix: the same golden
-recipe, bit-identical on the interpreter, the compiled fast path, the
-native tier, the macro rung of the native ladder (native refused via
-the ``refuse_native`` seam) and the batch backend.
+recipe, bit-identical on the interpreter, the native ladder, its macro
+rung (native refused via the ``refuse_native`` seam), its per-cycle
+``fastpath`` rung (native and macro refused via the ``refuse_bulk``
+seam) and the batch backend.
 
 Helpers:
 
@@ -18,8 +19,8 @@ Helpers:
 * :func:`fabric_state` — the scalar architectural state of a ring
   (shape-compatible across engines, unlike ``state_digest`` which
   includes the lane arrays of batch snapshots);
-* :func:`bulk_tail` — run a ring and its interpreter twin on in bulk and
-  compare their state (where the ``macro`` column runs its rung).
+* :func:`bulk_tail` — run a ring and its interpreter twin on in bulk,
+  compare their state and assert that the column's own rung ran.
 """
 
 from __future__ import annotations
@@ -28,15 +29,18 @@ import pytest
 
 from repro.core.ring import Ring, RingGeometry
 
-#: name -> Ring constructor kwargs, one entry per execution engine.
-#: ``tests/core/test_nativepath.py`` asserts this stays in sync with
-#: :attr:`Ring.BACKEND_REGISTRY`.
-#: ``"macro"`` is a native ring whose native compiler refuses (the
-#: ``refuse_native`` seam, applied by :func:`engine`), so its steady
-#: state runs on the macro rung.
+from tests.conftest import assert_rung_ran, rung_seam
+
+#: name -> Ring constructor kwargs, one entry per execution engine and
+#: native-ladder rung.  ``tests/core/test_nativepath.py`` asserts this
+#: covers :attr:`Ring.BACKEND_REGISTRY`.
+#: ``"macro"`` is a native ring whose native compiler refuses, and
+#: ``"fastpath"`` one whose native and macro compilers refuse (the
+#: ``tests/conftest.py`` seams, applied by :func:`engine`), so their
+#: steady state runs on the macro rung and on the per-cycle plan.
 ENGINES = {
     "interpreter": {"backend": "interpreter"},
-    "fastpath": {},
+    "fastpath": {"backend": "native"},
     "native": {"backend": "native"},
     "macro": {"backend": "native"},
     "batch": {"backend": "batch", "batch_size": 2},
@@ -46,9 +50,8 @@ ENGINES = {
 @pytest.fixture(params=sorted(ENGINES))
 def engine(request):
     """(name, ring_kwargs) for every execution engine, one per param."""
-    if request.param == "macro":
-        request.getfixturevalue("refuse_native")
-    return request.param, dict(ENGINES[request.param])
+    with rung_seam(request.param):
+        yield request.param, dict(ENGINES[request.param])
 
 
 def make_ring(geometry: RingGeometry, engine_kwargs: dict) -> Ring:
@@ -67,18 +70,20 @@ def _tail_host(channel: int) -> int:
 def bulk_tail(name: str, ring: Ring, twin: Ring,
               cycles: int = BULK_TAIL) -> None:
     """Run *ring* and its interpreter *twin* on for *cycles* through
-    ``Ring.run`` and assert identical architectural state.
+    ``Ring.run``, assert identical architectural state, and assert that
+    column *name*'s own engine or rung ran.
 
     A tapped or streamed system run on a native-refused configuration
     dispatches cycle by cycle, so the steady-state ladder (and with it
-    the ``macro`` column's rung) only engages in a bulk run like this.
+    the ``macro`` and ``fastpath`` columns' rungs) only engages in a
+    bulk run like this.
     """
-    ring.run(cycles, host_in=_tail_host)
+    with ring.profile() as profile:
+        ring.run(cycles, host_in=_tail_host)
     twin.run(cycles, host_in=_tail_host)
     assert fabric_state(ring) == fabric_state(twin), (
         f"{name} state diverged from interpreter in the bulk tail")
-    if name == "macro":
-        assert ring.macro_cycles > 0, "the macro rung never ran"
+    assert_rung_ran(name, ring, profile)
 
 
 def tap_samples(tap):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.ring import Ring
 from repro.errors import SimulationError
 from repro.kernels.reference import dwt53_2d, idwt53_2d, lifting53_forward
 from repro.kernels.wavelet import (
@@ -112,6 +113,27 @@ class Test2D:
         coeffs, _ = dwt53_2d_fabric(img)
         assert np.array_equal(coeffs, want)
         assert not np.array_equal(coeffs, dwt53_2d(img))  # it did wrap
+
+    def test_lane_windows_are_booked_in_the_profile(self, rng,
+                                                    monkeypatch):
+        """A profiled run books each sweep's lane windows as compiled
+        lockstep cycles: one per sequential cycle per lane, so the
+        profile reads the hardware count divided by the 8 lanes."""
+        sessions = []
+        init = Ring.__init__
+
+        def profiled_init(ring, *args, **kwargs):
+            init(ring, *args, **kwargs)
+            session = ring.profile()
+            sessions.append((session, session.__enter__()))
+
+        monkeypatch.setattr(Ring, "__init__", profiled_init)
+        _, cycles = dwt53_2d_fabric(rng.integers(0, 256, (8, 8)))
+        (session, profile), = sessions
+        session.__exit__(None, None, None)
+        assert profile.interpreted_cycles == 0
+        assert profile.fastpath_cycles == cycles // 8 > 0
+        assert profile.fastpath_seconds > 0
 
     def test_odd_column_length_rejected(self):
         with pytest.raises(SimulationError, match="got 3"):

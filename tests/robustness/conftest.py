@@ -1,6 +1,6 @@
 """Shared fixtures for the robustness suite.
 
-``ENGINES`` parameterizes tests over four execution engines; the
+``ENGINES`` parameterizes tests over the execution engines and rungs; the
 ``busy_factory`` builds identically configured rings with every kind of
 live state (registers, OUT chains, feedback pipeline taps, FIFO
 backlogs, a mid-loop local program), so faults have real state to land
@@ -14,24 +14,29 @@ from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
 from repro.core.switch import PortSource
 
+from tests.conftest import rung_seam
+
 #: (id, Ring kwargs) for each execution engine.  "macro" is a native ring
-#: with the native tier refused (the ``refuse_native`` seam, applied by
-#: :func:`_macro_rung` and :func:`engine_kwargs`), so its bulk runs take
-#: the macro rung of the native ladder.
+#: with the native tier refused and "fastpath" one with native and macro
+#: refused (the ``tests/conftest.py`` seams, applied by
+#: :func:`_rung_seam`), so their bulk runs take the macro rung and the
+#: per-cycle plan of the native ladder.
 ENGINES = [
     ("interpreter", dict(backend="interpreter")),
-    ("fastpath", dict(backend="fastpath")),
+    ("fastpath", dict(backend="native")),
+    ("native", dict(backend="native")),
     ("macro", dict(backend="native")),
     ("batch", dict(backend="batch", batch_size=4)),
 ]
 
 
 @pytest.fixture(autouse=True)
-def _macro_rung(request):
-    """Refuse native in every case parametrized with engine "macro"."""
+def _rung_seam(request):
+    """Pin the rung of every case parametrized with a seamed engine."""
     callspec = getattr(request.node, "callspec", None)
-    if callspec is not None and callspec.params.get("engine") == "macro":
-        request.getfixturevalue("refuse_native")
+    column = None if callspec is None else callspec.params.get("engine")
+    with rung_seam(column):
+        yield
 
 
 def make_busy_ring(**kwargs) -> Ring:
@@ -64,11 +69,3 @@ def busy_factory(**kwargs):
     """A zero-argument factory of identical busy rings."""
     return lambda: make_busy_ring(**kwargs)
 
-
-@pytest.fixture(params=ENGINES, ids=[name for name, _ in ENGINES])
-def engine_kwargs(request):
-    """Ring constructor kwargs for each execution engine."""
-    name, kwargs = request.param
-    if name == "macro":
-        request.getfixturevalue("refuse_native")
-    return kwargs

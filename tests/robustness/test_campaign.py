@@ -1,13 +1,11 @@
 """FaultCampaign: seeded sweeps with golden-run verification."""
 
-from contextlib import nullcontext
-
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.robustness import FaultCampaign, FaultKind
 
-from tests.conftest import native_refused
+from tests.conftest import rung_seam
 from tests.robustness.conftest import ENGINES, busy_factory
 
 CYCLES = 40
@@ -45,7 +43,7 @@ class TestCrossEngine:
         architecture, not of the execution backend."""
         traces = {}
         for name, kwargs in ENGINES:
-            with native_refused() if name == "macro" else nullcontext():
+            with rung_seam(name):
                 traces[name] = FaultCampaign(
                     busy_factory(**kwargs), cycles=CYCLES,
                     checkpoint_every=EVERY, seed=7,

@@ -16,7 +16,8 @@ from repro.robustness import (
     throughput,
 )
 
-from tests.robustness.conftest import make_busy_ring
+from tests.conftest import assert_rung_ran
+from tests.robustness.conftest import ENGINES, make_busy_ring
 
 
 class TestCheckpointManager:
@@ -59,15 +60,16 @@ class TestCheckpointManager:
 
 
 class TestRollbackReplay:
-    def test_converges_to_golden(self, engine_kwargs):
-        golden = make_busy_ring(**engine_kwargs)
-        golden.run(20)
+    @pytest.mark.parametrize("engine,kwargs", ENGINES,
+                             ids=[name for name, _ in ENGINES])
+    def test_converges_to_golden(self, engine, kwargs):
+        golden = make_busy_ring(**kwargs)
+        with golden.profile() as profile:
+            golden.run(20)
         target_digest = state_digest(golden)
-        if engine_kwargs.get("backend") == "native":
-            # The "macro" entry: its bulk golden run took the macro rung.
-            assert golden.macro_cycles > 0
+        assert_rung_ran(engine, golden, profile)
 
-        ring = make_busy_ring(**engine_kwargs)
+        ring = make_busy_ring(**kwargs)
         manager = CheckpointManager(ring, every=8)
         manager.run(14)
         ring.dnode(0, 0).regs._values[0] ^= 0x40  # corrupt mid-interval
@@ -95,7 +97,7 @@ class TestRollbackReplay:
 
 class TestGracefulDegradation:
     def test_disable_parks_on_nop_and_invalidates(self):
-        ring = make_busy_ring(backend="fastpath")
+        ring = make_busy_ring()
         ring.run(6)
         assert ring._plan is not None
         disable_dnode(ring, 0, 0)
@@ -134,7 +136,7 @@ class TestGracefulDegradation:
         assert report["throughput_loss_percent"] > 0
 
     def test_degraded_fabric_still_runs(self):
-        ring = make_busy_ring(backend="fastpath")
+        ring = make_busy_ring()
         ring.run(10)
         disable_dnode(ring, 0, 0)
         remap_around(ring, 0, 0)

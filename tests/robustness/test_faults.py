@@ -119,7 +119,7 @@ class TestRuntimeInjection:
 
 class TestConfigInjection:
     def test_config_word_flip_drops_compiled_plan(self):
-        ring = make_busy_ring(backend="fastpath")
+        ring = make_busy_ring()
         ring.run(6)  # compile + adopt a plan
         assert ring._plan is not None
         invalidations = ring.plan_invalidations

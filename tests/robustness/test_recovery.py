@@ -68,7 +68,7 @@ def test_recovery_digest_matches_across_backends(engine, kwargs):
     """The *recovered* state digest is one value for all engines —
     recovery does not just work per engine, it converges to the same
     bit-exact fabric state everywhere."""
-    reference = make_busy_ring()  # scalar fastpath reference
+    reference = make_busy_ring(backend="interpreter")
     reference.run(CYCLES)
     reference_digest = state_digest(reference)
 
