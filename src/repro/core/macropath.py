@@ -46,13 +46,18 @@ simply stay on the per-cycle fast path.
 These kernels are the middle rung of the native ladder that every
 compiled scalar ring climbs, taking whatever span of at least one period the
 native tier (:mod:`repro.core.nativepath`) refuses or leaves over.  Both
-tiers compile from one :class:`SteadySchedule`.
+tiers compile from one :class:`SteadySchedule` and serve the same window
+protocol (:meth:`MacroPlan.run`): a host reader with a ``gather`` method
+hands over each routed channel's words for the whole window, and the
+caller gets each tapped Dnode's post-edge outputs back as an array.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+
+import numpy as np
 
 from repro import word
 from repro.core.dnode import DnodeMode, _MULTIPLY_OPS, _OP_COST
@@ -143,6 +148,19 @@ class Ineligible(Exception):
     why (see :attr:`repro.core.ring.Ring.native_refusal`)."""
 
 
+def _fifo_error(message: str, host_reads: tuple) -> SimulationError:
+    """A strict-FIFO error raised inside a macro kernel.
+
+    ``host_reads`` names the host channels the aborted cycle read before
+    the error, in the interpreter's read order.  A window reader serves
+    those words from its gathered arrays without touching the channels,
+    so the caller replays the reads to count a dry port's underrun.
+    """
+    exc = SimulationError(message)
+    exc.host_reads = host_reads
+    return exc
+
+
 class SteadySchedule:
     """One steady-state period of a ring's configuration, as both
     generated tiers (this module and :mod:`repro.core.nativepath`) see it.
@@ -156,7 +174,10 @@ class SteadySchedule:
       per local Dnode: the entry phase the schedule is baked against;
     * ``stat_entries`` — ``(stats, totals, prefix)`` per Dnode that
       executes anything: instruction/op/multiply totals over one period
-      and their per-phase prefix sums.
+      and their per-phase prefix sums;
+    * ``host_ports`` — ``(layer, position, port, channel)`` per routed
+      host port, in the interpreter's read order (layer, position,
+      port): every routed port is read every cycle.
 
     Raises :class:`Ineligible` when the period would bloat the generated
     source (LCM above :data:`MAX_PERIOD`, or too many Dnode-cycles).
@@ -200,16 +221,33 @@ class SteadySchedule:
                     stat_entries.append((dn.stats, prefix[-1], tuple(prefix)))
         self.counter_entries = tuple(counter_entries)
         self.stat_entries = tuple(stat_entries)
+        host_ports = []
+        for l, sw in enumerate(ring._switches):
+            for p in range(ring.geometry.width):
+                for port in (1, 2):
+                    src = sw.config.source_for(p, port)
+                    if src.kind is PortKind.HOST:
+                        host_ports.append((l, p, port, src.index))
+        self.host_ports = tuple(host_ports)
 
 
 class SteadyPlan:
     """A kernel compiled from a :class:`SteadySchedule`: valid only while
-    the local counters sit at the schedule's entry phase."""
+    the local counters sit at the schedule's entry phase.
 
-    __slots__ = ("period", "_counter_entries")
+    ``rung`` names the tier (``"native"`` or ``"macro"``);
+    ``host_channels`` are the host channels the configuration routes
+    (each read every cycle).
+    """
+
+    rung = ""
+
+    __slots__ = ("period", "host_channels", "_counter_entries")
 
     def __init__(self, schedule: SteadySchedule):
         self.period = schedule.period
+        self.host_channels = frozenset(
+            ch for *_, ch in schedule.host_ports)
         self._counter_entries = schedule.counter_entries
 
     def matches_phase(self) -> bool:
@@ -223,15 +261,50 @@ class SteadyPlan:
 class MacroPlan(SteadyPlan):
     """One steady-state configuration fused into a generated kernel."""
 
-    __slots__ = ("_kernel",)
+    rung = "macro"
 
-    def __init__(self, schedule: SteadySchedule, kernel):
+    __slots__ = ("_kernel", "_ring", "_nodes")
+
+    def __init__(self, schedule: SteadySchedule, kernel, ring: "Ring"):
         super().__init__(schedule)
         self._kernel = kernel
+        self._ring = ring
+        self._nodes = tuple(ring.all_dnodes())
 
-    def run(self, cycles: int, bus: int, host_in) -> None:
-        """Advance *cycles* fabric clocks (must be a multiple of period)."""
-        self._kernel(cycles // self.period, bus, host_in)
+    def run(self, cycles: int, bus: int, host_in,
+            taps: Sequence[int] = ()) -> List[np.ndarray]:
+        """Advance *cycles* fabric clocks (must be a multiple of period).
+
+        A *host_in* with a ``gather(channel, c0, cycles)`` method hands
+        over each routed channel's words once for the whole run (stream
+        words were range-checked when pushed); a plain closure is called
+        per read and its words are checked.  Returns, for each Dnode
+        index (``layer * width + position``) in *taps*, its post-edge
+        outputs: element ``t`` is what an output tap observes after
+        cycle ``t``.
+
+        Every completed cycle is committed.  An error that aborts the
+        run (a strict-FIFO error, say) keeps the cycles before it and
+        carries ``window_taps``, the tap outputs of those cycles; a
+        strict-FIFO error also carries ``host_reads`` (see
+        :func:`_fifo_error`).
+        """
+        windows = None
+        gather = getattr(host_in, "gather", None)
+        if gather is not None:
+            c0 = self._ring.cycles
+            windows = {ch: gather(ch, c0, cycles).tolist()
+                       for ch in self.host_channels}
+        outs: List[list] = [[] for _ in taps]
+        sinks = tuple((self._nodes[i], out.append)
+                      for i, out in zip(taps, outs))
+        try:
+            self._kernel(cycles // self.period, bus, host_in, windows,
+                         sinks)
+        except Exception as exc:
+            exc.window_taps = [np.array(out, np.int64) for out in outs]
+            raise
+        return [np.array(out, np.int64) for out in outs]
 
 
 class _Emitter:
@@ -279,6 +352,7 @@ def compile_macro(ring: "Ring",
         "_chk": word.check,
         "_sat": word.saturate_signed,
         "_SE": SimulationError,
+        "_fifo_error": _fifo_error,
     }
     layers, width = geometry.layers, geometry.width
     depth = geometry.pipeline_depth
@@ -304,19 +378,25 @@ def compile_macro(ring: "Ring",
     # --- statement generators -----------------------------------------
 
     out = _Emitter()
+    # Host channels the cycle being emitted has read so far.
+    cycle_reads: List[int] = []
 
     def emit_host_fetch(indent, l, p, port, channel, sw_index):
         temp = f"_hv_{l}_{p}_{port}"
-        out.emit(indent, "if host_in is None:")
-        out.emit(indent + 1, "raise _SE(")
-        out.emit(indent + 2,
+        cycle_reads.append(channel)
+        out.emit(indent, "if _gw is None:")
+        out.emit(indent + 1, "if host_in is None:")
+        out.emit(indent + 2, "raise _SE(")
+        out.emit(indent + 3,
                  f"\"switch {sw_index} routes port {port} of position "
                  f"{p} to host channel {channel}, but no host \"")
-        out.emit(indent + 2, "\"reader was supplied\"")
-        out.emit(indent + 1, ")")
-        out.emit(indent,
+        out.emit(indent + 3, "\"reader was supplied\"")
+        out.emit(indent + 2, ")")
+        out.emit(indent + 1,
                  f"{temp} = _chk(host_in({channel}), "
                  f"'host channel {channel}')")
+        out.emit(indent, "else:")
+        out.emit(indent + 1, f"{temp} = _g_{channel}[_cy - _cy0]")
         return temp
 
     def emit_fifo_peek(indent, l, p, ch, name):
@@ -325,9 +405,10 @@ def compile_macro(ring: "Ring",
         out.emit(indent, f"if {q}:")
         out.emit(indent + 1, f"{temp} = _chk({q}[0], '{name} FIFO{ch}')")
         out.emit(indent, "elif _R.strict_fifos:")
-        out.emit(indent + 1, "raise _SE(")
+        out.emit(indent + 1, "raise _fifo_error(")
         out.emit(indent + 2,
-                 f"f\"D{l}.{p} read empty FIFO{ch} at cycle {{_cy}}\"")
+                 f"f\"D{l}.{p} read empty FIFO{ch} at cycle {{_cy}}\", "
+                 f"{tuple(cycle_reads)!r}")
         out.emit(indent + 1, ")")
         out.emit(indent, "else:")
         out.emit(indent + 1, "_R.fifo_underflows += 1")
@@ -340,9 +421,10 @@ def compile_macro(ring: "Ring",
         out.emit(indent + 1, f"{q}.popleft()")
         out.emit(indent + 1, f"_st_{l}_{p}.fifo_pops += 1")
         out.emit(indent, "elif _R.strict_fifos:")
-        out.emit(indent + 1, "raise _SE(")
+        out.emit(indent + 1, "raise _fifo_error(")
         out.emit(indent + 2,
-                 f"f\"D{l}.{p} popped empty FIFO{ch} at cycle {{_cy}}\"")
+                 f"f\"D{l}.{p} popped empty FIFO{ch} at cycle {{_cy}}\", "
+                 f"{tuple(cycle_reads)!r}")
         out.emit(indent + 1, ")")
         out.emit(indent, "else:")
         out.emit(indent + 1, "_R.fifo_underflows += 1")
@@ -356,8 +438,10 @@ def compile_macro(ring: "Ring",
                 f"[(_hd_{sw_index} + {stage - 1}) % {depth}]"), True
 
     def emit_cycle(indent: int, phase: int) -> None:
-        """One fabric clock: evals, shifts, commits, cycle accounting."""
+        """One fabric clock: evals, shifts, commits, cycle accounting,
+        tap samples."""
         commits: List[tuple] = []   # deferred commit emissions
+        cycle_reads.clear()
         for l in range(layers):
             sw = ring._switches[l]
             lu = ring.upstream_layer(l)
@@ -457,11 +541,19 @@ def compile_macro(ring: "Ring",
 
         out.emit(indent, "_cy += 1")
         out.emit(indent, "_R.cycles = _cy")
+        out.emit(indent, "for _tn, _ta in _tb:")
+        out.emit(indent + 1, "_ta(_tn._out)")
 
     # --- kernel assembly ----------------------------------------------
-    out.emit(0, "def _kernel(periods, bus, host_in):")
+    # _gw: None (call host_in per read) or {channel: the window's words};
+    # _tb: (dnode, append) per tap, fed each cycle's post-edge output.
+    out.emit(0, "def _kernel(periods, bus, host_in, _gw, _tb):")
     out.emit(1, "_cy = _R.cycles")
     out.emit(1, "_cy0 = _cy")
+    if steady.host_ports:
+        out.emit(1, "if _gw is not None:")
+        for ch in sorted({ch for *_, ch in steady.host_ports}):
+            out.emit(2, f"_g_{ch} = _gw[{ch}]")
     for k in range(layers):
         out.emit(1, f"_hd_{k} = _sw_{k}._head")
     out.emit(1, "try:")
@@ -499,7 +591,7 @@ def compile_macro(ring: "Ring",
     source = out.source()
     code = compile(source, f"<macro period={period} ring={ring!r}>", "exec")
     exec(code, env)
-    return MacroPlan(steady, env["_kernel"])
+    return MacroPlan(steady, env["_kernel"], ring)
 
 
 __all__ = ["Ineligible", "MacroPlan", "SteadyPlan", "SteadySchedule",

@@ -182,6 +182,8 @@ def _vector_expr(mw, a: str, b: Optional[str], acc: Optional[str]) -> str:
 class NativePlan(SteadyPlan):
     """One steady-state configuration compiled to a time-vector kernel."""
 
+    rung = "native"
+
     __slots__ = ("source", "_core", "_jit", "_meta", "_max_periods")
 
     def __init__(self, schedule, core, source, meta, max_periods):
@@ -223,11 +225,6 @@ class NativePlan(SteadyPlan):
     def jit_active(self) -> bool:
         """True when the kernel currently runs through a jitted build."""
         return self._jit is not None and self._jit is not _JIT_OFF
-
-    @property
-    def host_channels(self) -> frozenset:
-        """Host channels the configuration routes (read every cycle)."""
-        return frozenset(ch for *_, ch in self._meta["host_ports"])
 
     def run(self, cycles: int, bus: int, host_in,
             taps: Sequence[int] = ()) -> List[np.ndarray]:
@@ -325,13 +322,17 @@ class NativePlan(SteadyPlan):
         for i, (kind, obj, idx) in enumerate(meta["init_fill"]):
             init[i] = obj[idx] if kind == "reg" else obj._out
 
-        vos: List[np.ndarray] = []
-        for dn, down_sw, p in meta["vo_seed"]:
-            vo = np.empty(T + depth + 1, np.int64)
-            vo[depth] = dn._out
-            for s in range(1, depth + 1):
-                vo[depth - s] = down_sw.rp_read(s, p + 1)
-            vos.append(vo)
+        # Visible-out history, one row per Dnode: the downstream
+        # pipeline's stages depth..1, then the live OUT latch.
+        seed = []
+        for dn, pipe, down_sw in meta["vo_seed"]:
+            head = down_sw._head
+            row = pipe[head:] + pipe[:head]
+            row.reverse()
+            row.append(dn._out)
+            seed.append(row)
+        vos = np.empty((len(seed), T + depth + 1), np.int64)
+        vos[:, :depth + 1] = seed
 
         fin = np.zeros(max(1, meta["fin_count"]), np.int64)
         args = (n, bus, init, fin, *vos, *hv, *fv)
@@ -351,13 +352,25 @@ class NativePlan(SteadyPlan):
 
         for values, r, k in meta["fin_regs"]:
             values[r] = int(fin[k])
-        for i, (dn, _sw, _p) in enumerate(meta["vo_seed"]):
-            dn._out = int(vos[i][depth + T])
-        for sw, lane_vo in meta["pipes"]:
-            for j, vi in enumerate(lane_vo):
-                vo = vos[vi]
-                for s in range(1, depth + 1):
-                    sw.rp_write(s, j + 1, int(vo[depth + T - s]))
+        for (dn, _pipe, _sw), out in zip(meta["vo_seed"],
+                                         vos[:, depth + T].tolist()):
+            dn._out = out
+        # Pipeline write-back: each lane takes its upstream Dnode's last
+        # depth visible outputs (stage 1 first), rotated to the head.
+        tail = vos[:, T:T + depth]
+        if tail.min() < 0 or tail.max() > word.MASK:
+            # Per word, so the first bad one raises where rp_write would.
+            for sw, lanes in meta["pipes"]:
+                for j, (_pipe, vi) in enumerate(lanes):
+                    for s in range(1, depth + 1):
+                        sw.rp_write(s, j + 1, int(vos[vi, depth + T - s]))
+        stages = tail[:, ::-1].tolist()
+        for sw, lanes in meta["pipes"]:
+            head = sw._head
+            for pipe, vi in lanes:
+                # In place: macro kernels bind these list objects.
+                lane = stages[vi]
+                pipe[:] = lane[-head:] + lane[:-head]
         for queue, pops, stats in meta["fifo_pops"]:
             total = n * pops
             if total == len(queue):
@@ -444,11 +457,12 @@ def _compile(ring: "Ring") -> NativePlan:
     # The interpreter resolves BOTH routed ports of every position every
     # cycle: host channels are read (in layer/position/port order) and
     # out-of-range feedback taps raise, whether or not the microword
-    # uses the operand.  Host ports become pre-gathered arrays; an
-    # out-of-range tap anywhere makes the window ineligible so the
-    # fall-back engines surface the identical runtime error.
-    host_ports: List[Tuple[int, int, int, int]] = []
-    host_slot: Dict[Tuple[int, int, int], int] = {}
+    # uses the operand.  Host ports (the schedule's) become pre-gathered
+    # arrays; an out-of-range tap anywhere makes the window ineligible
+    # so the fall-back engines surface the identical runtime error.
+    host_ports = steady.host_ports
+    host_slot = {(l, p, port): slot
+                 for slot, (l, p, port, _ch) in enumerate(host_ports)}
     port_src: Dict[Tuple[int, int, int], object] = {}
     for l in range(layers):
         sw = ring._switches[l]
@@ -456,10 +470,7 @@ def _compile(ring: "Ring") -> NativePlan:
             for port in (1, 2):
                 src = sw.config.source_for(p, port)
                 port_src[(l, p, port)] = src
-                if src.kind is PortKind.HOST:
-                    host_slot[(l, p, port)] = len(host_ports)
-                    host_ports.append((l, p, port, src.index))
-                elif src.kind is PortKind.RP:
+                if src.kind is PortKind.RP:
                     if not (1 <= src.index <= depth
                             and 1 <= src.lane <= width):
                         raise Ineligible(
@@ -842,12 +853,13 @@ def _compile(ring: "Ring") -> NativePlan:
     for i in range(geometry.dnodes):
         l, p = divmod(i, width)
         down = ring._switches[(l + 1) % layers]
-        vo_seed.append((ring._dnodes[l][p], down, p))
+        vo_seed.append((ring._dnodes[l][p], down._pipes[p], down))
     pipes = []
     for k in range(layers):
         lu = ring.upstream_layer(k)
-        pipes.append((ring._switches[k],
-                      [dn_index(lu, j) for j in range(width)]))
+        sw = ring._switches[k]
+        pipes.append((sw, tuple((sw._pipes[j], dn_index(lu, j))
+                                for j in range(width))))
 
     fifo_gates = []
     fifo_pops = []

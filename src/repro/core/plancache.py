@@ -79,13 +79,18 @@ class PlanCache:
         """Cache keys in LRU order (oldest first); test/debug helper."""
         return list(self._entries.keys())
 
-    def get(self, key: Hashable) -> Optional[Any]:
-        """Look *key* up, counting a hit (and refreshing LRU) or a miss."""
+    def get(self, key: Hashable, count_miss: bool = True) -> Optional[Any]:
+        """Look *key* up, counting a hit (and refreshing LRU) or a miss.
+
+        With *count_miss* False a miss leaves no trace: a hit-only
+        probe for callers that fall back to a counted lookup later.
+        """
         if not self.capacity:
             return None
         entry = self._entries.get(key, _MISSING)
         if entry is _MISSING:
-            self.misses += 1
+            if count_miss:
+                self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1

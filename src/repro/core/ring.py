@@ -698,7 +698,9 @@ class Ring:
                 self._trace(self)
             return
         plan = self._plan
-        if plan is None and self.fastpath_enabled:
+        if plan is None and self.fastpath_enabled and self._config_dirty:
+            # A configuration that already stepped one cycle without a
+            # plan missed the cache then; it compiles after this cycle.
             plan = self._adopt_cached_plan()
         if plan is not None:
             self._run_plan(plan, 1, bus, host_in)
@@ -842,6 +844,22 @@ class Ring:
             self._config_dirty = False
         return plan
 
+    def _adopt_cached_hit(self):
+        """Adopt the cached plan for the current configuration on a hit.
+
+        The hit-only twin of :meth:`_adopt_cached_plan` for the window
+        boundary: a miss is neither counted nor noted, so a first-time
+        fingerprint keeps the deferred compile policy of the cycle that
+        steps it (a never-repeating reconfiguration stream still
+        compiles nothing).
+        """
+        plan = self.plan_cache.get(("plan", self.config_fingerprint()),
+                                   count_miss=False)
+        if plan is not None:
+            self._plan = plan
+            self._config_dirty = False
+        return plan
+
     def adopt_cached_plan(self) -> bool:
         """Re-adopt a compiled plan for the current configuration now.
 
@@ -966,44 +984,56 @@ class Ring:
         if cycles:
             self._run_plan(plan, cycles, bus, host_in)
 
-    def native_span(self, cycles: int):
-        """How much of the next *cycles* the native tier takes right now.
+    def window_span(self, cycles: int):
+        """How much of the next *cycles* one bulk window takes right now.
 
-        Returns ``(plan, span, reason)``.  *span* is the longest FIFO-safe
-        period multiple of *cycles* that the native plan for the current
-        configuration and entry phase accepts at this cycle boundary; run
-        it with :meth:`run_native`.  When *span* is 0, *reason* says why:
+        Returns ``(plan, span, reason)``.  The span climbs the ladder:
+        the longest FIFO-safe period multiple of *cycles* the native
+        plan for the current configuration and entry phase accepts,
+        else the longest period multiple for the macro kernel (which
+        handles FIFO underflow cycle-exactly).  Run it with
+        :meth:`run_window`.  A plan cached for the configuration is
+        adopted here on a hit, so a switch back to a known configuration
+        needs no stepped cycle.  *reason* is set only when *span* is 0:
         ``"trace"`` (an observer is attached), ``"backend"`` (the ring
         runs no compiled scalar plans: an interpreter or a vector batch
-        ring), ``"no_plan"`` (no compiled plan yet),
-        ``"native_refused"`` (ineligible configuration), ``"remainder"``
-        (less than one period left) or ``"fifo_gated"`` (the FIFO
-        occupancies cannot feed a whole period).
+        ring), ``"no_plan"`` (a first-time configuration, before its
+        plan is compiled), or, when neither native nor macro takes the
+        span, ``"native_refused"`` (ineligible configuration),
+        ``"remainder"`` (less than one period left) or ``"fifo_gated"``
+        (the FIFO occupancies cannot feed a whole native period).
         """
         if self._trace is not None:
             return None, 0, "trace"
         if not self.fastpath_enabled:
             return None, 0, "backend"
-        if self._plan is None:
+        if self._plan is None and self._adopt_cached_hit() is None:
             return None, 0, "no_plan"
         native = self._steady_plan("native")
-        if native is None:
-            return None, 0, "native_refused"
-        if cycles < native.period:
-            return None, 0, "remainder"
-        span = native.safe_cycles(cycles)
+        if native is not None:
+            if cycles < native.period:
+                return None, 0, "remainder"
+            span = native.safe_cycles(cycles)
+            if span:
+                return native, span, None
+        macro = self._steady_plan("macro")
+        if macro is None:
+            return (None, 0,
+                    "native_refused" if native is None else "fifo_gated")
+        span = cycles - cycles % macro.period
         if not span:
-            return None, 0, "fifo_gated"
-        return native, span, None
+            return None, 0, "remainder"
+        return macro, span, None
 
-    def run_native(self, plan, cycles: int, bus: int = 0,
+    def run_window(self, plan, cycles: int, bus: int = 0,
                    host_in: Optional[HostReader] = None,
                    taps: Sequence[Tuple[int, int]] = ()) -> list:
-        """Run a span granted by :meth:`native_span` on its plan.
+        """Run a span granted by :meth:`window_span` on its plan.
 
         Returns one int64 array of *cycles* post-edge output values per
         ``(layer, position)`` in *taps* — what an output tap on that
-        Dnode observes over the span.
+        Dnode observes over the span.  A macro window's cycles count as
+        native fall-back cycles, as in :meth:`run`.
         """
         width = self.geometry.width
         nodes = []
@@ -1012,7 +1042,12 @@ class Ring:
             nodes.append(layer * width + position)
         word.check(bus, "bus value")
         self.last_bus = bus
-        return self._run_plan(plan, cycles, bus, host_in, nodes)
+        before = self.cycles
+        try:
+            return self._run_plan(plan, cycles, bus, host_in, nodes)
+        finally:
+            if plan.rung == "macro":
+                self.native_fallback_cycles += self.cycles - before
 
     def run(self, cycles: int, bus: int = 0,
             host_in: Optional[HostReader] = None) -> None:

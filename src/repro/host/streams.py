@@ -29,8 +29,8 @@ time, and the totals match T per-cycle clocks exactly (on a batch ring
 every window array carries one column per lane:
 :meth:`BatchStreamChannel.window`, :meth:`BatchOutputTap.observe_window`):
 
-* :meth:`DataController.window_reader` hands the native kernel each
-  routed channel's next T words as one int64 array
+* :meth:`DataController.window_reader` hands the native or macro
+  kernel each routed channel's next T words as one int64 array
   (:meth:`StreamChannel.window`: the queued head, padded with the idle
   value) — nothing is consumed yet;
 * the kernel returns each tapped Dnode's post-edge outputs over the
@@ -481,7 +481,7 @@ class BatchOutputTap:
 
 
 class _WindowReader:
-    """Stream windows for the native tier and batch lanes (see
+    """Stream windows for the native and macro tiers and batch lanes (see
     :meth:`DataController.window_reader`)."""
 
     __slots__ = ("_data", "_base")
@@ -583,8 +583,8 @@ class DataController:
                 ch._dry_seen = False
 
     def window_reader(self, ring) -> "_WindowReader":
-        """A host resolver serving whole stream windows to the native tier
-        and the batch engine.
+        """A host resolver serving whole stream windows to the native
+        and macro tiers and the batch engine.
 
         Its ``gather(channel, c0, cycles)`` returns the words *channel*
         presents on fabric cycles ``c0 .. c0 + cycles - 1``, counted from

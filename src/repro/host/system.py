@@ -23,14 +23,14 @@ sitting out a ``WAITI`` delay — the paper's local mode, where the Dnodes
 loop on their own while the controller idles.  A quiet span issues no
 configuration command and holds the bus at the controller's last
 ``BUSW`` value, so it runs like an uncontrolled one: on a scalar ring
-(``backend="native"``, the default) through native windows (streams are
-handed to the kernel as arrays, taps are slices of the tapped Dnodes'
-output history, and the host side is settled in closed form after each
-window, see :mod:`repro.host.streams`); on a ``backend="batch"`` ring
-through lane windows, the same protocol with every stream and tap
-carrying one column per lane and lane 0 written back once per window; or
-whole through ``Ring.run`` when the host side is idle.  The controller
-then advances over the span in closed form
+(``backend="native"``, the default) through windows on the native or
+the macro rung (streams are handed to the kernel as arrays, taps come
+back as the tapped Dnodes' output history, and the host side is settled
+in closed form after each window, see :mod:`repro.host.streams`); on a
+``backend="batch"`` ring through lane windows, the same protocol with
+every stream and tap carrying one column per lane and lane 0 written
+back once per window; or whole through ``Ring.run`` when the host side
+is idle.  The controller then advances over the span in closed form
 (:meth:`~repro.controller.core.RiscController.skip_quiet`); only cycles
 that execute an instruction are stepped one at a time.
 :attr:`RingSystem.cycle_paths` records which path every cycle took and
@@ -107,17 +107,19 @@ class RingSystem:
         """Cycles per execution path, ``{(path, reason): cycles}``.
 
         Exported as ``system_cycles_total{path, reason}``.  Path
-        ``"bulk"``: ``"native"`` (native windows with taps/streams),
-        ``"lanes"`` (batch-engine lane windows with taps/streams) or
-        ``"idle"`` (idle host side, whole chunk to ``Ring.run``).  Path
-        ``"per_cycle"`` names what forced the step: ``"controller"`` (it
-        executed an instruction that cycle), ``"lanes"`` (batch engine
-        with taps or queued words under a ring observer or with strict
-        FIFOs), the
-        :meth:`~repro.core.ring.Ring.native_span` refusals ``"trace"``,
-        ``"backend"``, ``"no_plan"``, ``"native_refused"``,
-        ``"remainder"``, ``"fifo_gated"``, or ``"direct"`` (:meth:`step`
-        called outside :meth:`run`).
+        ``"bulk"``: ``"native"`` or ``"macro"`` (windows on that rung
+        with taps/streams), ``"lanes"`` (batch-engine lane windows with
+        taps/streams) or ``"idle"`` (idle host side, whole chunk to
+        ``Ring.run``).  Path ``"per_cycle"`` names what forced the step:
+        ``"controller"`` (it executed an instruction that cycle),
+        ``"lanes"`` (batch engine with taps or queued words under a ring
+        observer or with strict FIFOs), the
+        :meth:`~repro.core.ring.Ring.window_span` refusals ``"trace"``,
+        ``"backend"``, ``"no_plan"`` (a first-time configuration only:
+        a cached plan is adopted at the window boundary), the refusals
+        for which neither native nor macro took the span
+        (``"native_refused"``, ``"remainder"``, ``"fifo_gated"``), or
+        ``"direct"`` (:meth:`step` called outside :meth:`run`).
         """
         paths = dict(self._paths)
         direct = self._steps - self._booked_steps
@@ -155,14 +157,14 @@ class RingSystem:
           handed to :meth:`repro.core.ring.Ring.run`.  Idleness is
           re-checked as the span progresses: once the queued stream
           words drain, the remaining cycles take this path too.
-        * On a scalar compiled ring the steady state runs as native
-          windows with taps and streams attached
-          (:meth:`repro.core.ring.Ring.native_span`).
+        * On a scalar compiled ring the steady state runs as native or
+          macro windows with taps and streams attached
+          (:meth:`repro.core.ring.Ring.window_span`).
         * On a batch ring every cycle runs in lane windows
           (:meth:`_run_lanes`) unless a ring observer must see each
           cycle or a strict FIFO may raise mid-window.
         * The rest is stepped one cycle at a time, booked under the
-          reason the native tier gave (``"lanes"`` on a batch ring).
+          reason the ladder gave (``"lanes"`` on a batch ring).
         """
         ring, data = self.ring, self.data
         bus = 0 if self.controller is None else self.controller.bus_out
@@ -190,7 +192,7 @@ class RingSystem:
             # quiet span: the configuration cannot change and FIFO
             # occupancy only drains.
             if reason is None or reason == "no_plan":
-                plan, span, reason = ring.native_span(remaining)
+                plan, span, reason = ring.window_span(remaining)
                 if span:
                     self._run_window(plan, span, bus)
                     remaining -= span
@@ -215,15 +217,34 @@ class RingSystem:
             self._paths[key] = self._paths.get(key, 0) + stepped
 
     def _run_window(self, plan, span: int, bus: int) -> None:
-        """Run *span* native cycles, then settle streams and taps."""
-        data = self.data
-        outs = self.ring.run_native(
-            plan, span, bus=bus, host_in=data.window_reader(self.ring),
-            taps=[(tap.layer, tap.position) for tap in data.taps])
-        data.settle(span, plan.host_channels)
-        for tap, values in zip(data.taps, outs):
-            tap.observe_window(values)
-        self._count_bulk("native", span)
+        """Run *span* cycles on a native or macro plan, then settle
+        streams and taps.
+
+        An error inside a macro window (a strict-FIFO error, say) keeps
+        the cycles before it: those are settled and booked all the
+        same, and the aborted cycle's host-port reads are replayed, so
+        the host side matches per-cycle stepping up to the error.
+        """
+        ring, data = self.ring, self.data
+        c0 = ring.cycles
+        outs, reads = (), ()
+        try:
+            outs = ring.run_window(
+                plan, span, bus=bus, host_in=data.window_reader(ring),
+                taps=[(tap.layer, tap.position) for tap in data.taps])
+        except Exception as exc:
+            outs = getattr(exc, "window_taps", ())
+            reads = getattr(exc, "host_reads", ())
+            raise
+        finally:
+            done = ring.cycles - c0
+            data.settle(done, plan.host_channels)
+            for channel in reads:
+                data.host_in(channel)
+            for tap, values in zip(data.taps, outs):
+                tap.observe_window(values)
+            if done:
+                self._count_bulk(plan.rung, done)
 
     def _run_lanes(self, span: int, bus: int) -> None:
         """Run *span* lockstep lane cycles as one window on the batch

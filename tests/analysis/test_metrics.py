@@ -111,6 +111,25 @@ class TestSystemMetrics:
         with pytest.raises(KeyError):
             snap.value("controller_cycles_total")
 
+    def test_macro_windows_are_exported(self):
+        """``OUT = 3 - OUT`` is native-refused: with a tap attached its
+        steady state runs as macro windows, exported by path and
+        reason."""
+        ring = make_ring(4)
+        ring.config.write_microword(0, 0, MicroWord(
+            Opcode.SUB, Source.IMM, Source.SELF, Dest.OUT, imm=3))
+        system = RingSystem(ring)
+        system.data.add_tap(0, 0)
+        system.run(12)
+        snap = system.metrics()
+        assert snap.value("system_cycles_total", path="bulk",
+                          reason="macro") == 10
+        assert snap.value("system_cycles_total", path="per_cycle",
+                          reason="no_plan") == 2
+        assert snap.value("macro_step_cycles_total") == 10
+        assert ('repro_system_cycles_total{path="bulk",reason="macro"} 10'
+                in snap.to_prometheus())
+
     def test_mailbox_stall_split(self):
         ctrl = RiscController([Instruction(ROp.INW, rd=1, ch=0),
                                Instruction(ROp.HALT)])

@@ -1,9 +1,11 @@
 """System-level differential oracle for bulk ``RingSystem.run``.
 
 On a ``backend="native"`` ring an uncontrolled system runs its steady
-state as native windows: input streams are gathered as arrays, output
-taps are slices of each Dnode's output history, and the host side
+state as native or macro windows: input streams are gathered as arrays,
+output taps come back as each Dnode's output history, and the host side
 (delivered words, underruns, tap schedules) is settled in closed form.
+Half the generated fabrics hold a Dnode native refuses, so the macro
+rung must serve their windows.
 The reference interpreter is the spec, so every generated system runs on
 both engines with the same chunk splits and a checkpoint rollback
 mid-run, and everything a caller can observe must agree: tap samples and
@@ -32,6 +34,7 @@ from repro.compiler import codegen
 from repro.compiler.library import fir8
 from repro.controller.core import RiscController
 from repro.controller.isa import Instruction, ROp
+from repro.core import ring as ring_module
 from repro.core.config_memory import ConfigPlane
 from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
@@ -42,7 +45,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.host.streams import OutputTap, StreamChannel
 from repro.host.system import RingSystem
 
-from tests.conftest import rung_seam
+from tests.conftest import _refuse_macro, bulk_refused, rung_seam
 from tests.core.test_fuzz import apply_spec, build_ring, ring_specs
 
 _SETTINGS = dict(deadline=None, derandomize=True)
@@ -83,13 +86,53 @@ def _feed_forward(spec: dict) -> dict:
 
 
 @st.composite
+def nonlinear_words(draw):
+    """A word native refuses and macro runs: ``MULH`` or a shift fed
+    back through ``SELF``, or a saturating ``MACS`` accumulator (its
+    result also written to OUT, where taps see it)."""
+    v = draw(st.sampled_from([Source.IMM, Source.IN1, Source.IN2,
+                              Source.BUS, Source.R1, Source.SELF]))
+    imm = draw(st.integers(0, 0xFFFF))
+    kind = draw(st.sampled_from([Opcode.MULH, Opcode.SHL, Opcode.SHR,
+                                 Opcode.ASR, Opcode.MACS]))
+    if kind is Opcode.MACS:
+        a = draw(st.sampled_from([Source.SELF, Source.IN1, Source.IMM]))
+        return MicroWord(Opcode.MACS, a, v, Dest(draw(st.integers(0, 3))),
+                         flags=Flag.WRITE_OUT, imm=imm)
+    return MicroWord(kind, Source.SELF, v, Dest.OUT, imm=imm)
+
+
+def _plant(draw, spec: dict) -> dict:
+    """Make one Dnode of a spec nonlinear, in global mode or as a local
+    program of 1-4 nonlinear slots (a local period above 1).
+
+    Every slot writes what the next one reads back (OUT, or the MACS
+    register), so native refuses the fabric: a self-recurrence with no
+    closed form, or a cyclic dependence across phases.
+    """
+    cells = list(spec["cells"])
+    k = draw(st.integers(0, len(cells) - 1))
+    layer, pos, _mw, _local, routes, loads = cells[k]
+    local = draw(st.one_of(st.none(), st.lists(nonlinear_words(),
+                                               min_size=1, max_size=4)))
+    cells[k] = (layer, pos, draw(nonlinear_words()), local, routes, loads)
+    return dict(spec, cells=cells)
+
+
+@st.composite
 def systems(draw):
     """A fabric, 1-4 taps, streams that run dry, chunks, a rollback and
-    an optional hand-off to a fresh system before one chunk."""
+    an optional hand-off to a fresh system before one chunk.
+
+    Half the fabrics get a nonlinear Dnode (:func:`_plant`) and a last
+    chunk of 64 cycles, so the macro rung must serve windows."""
     spec = draw(ring_specs(min_layers=2, max_layers=4, min_width=1,
                            max_width=3, max_local=4))
     if draw(st.integers(0, 3)):
         spec = _feed_forward(spec)
+    nonlinear = draw(st.booleans())
+    if nonlinear:
+        spec = _plant(draw, spec)
     layers, width = spec["layers"], spec["width"]
     taps = draw(st.lists(st.tuples(
         st.integers(0, layers - 1), st.integers(0, width - 1),
@@ -99,9 +142,22 @@ def systems(draw):
         st.integers(0, 3), st.lists(st.integers(0, 0xFFFF), max_size=24),
         max_size=4))
     chunks = draw(st.lists(st.integers(0, 64), min_size=1, max_size=5))
+    if nonlinear:
+        chunks.append(64)
     rollback = draw(st.integers(0, len(chunks) - 1))
     handoff = draw(st.one_of(st.none(), st.integers(0, len(chunks) - 1)))
-    return spec, taps, streams, chunks, rollback, handoff
+    return spec, taps, streams, chunks, rollback, handoff, nonlinear
+
+
+def _assert_ladder_served(paths: dict, nonlinear: bool) -> None:
+    """No span was stepped for want of a bulk rung: the macro rung takes
+    every span native refuses or FIFO-gates (the generated periods are
+    far below the unroll cap), and a nonlinear fabric's long span ran
+    as macro windows."""
+    assert ("per_cycle", "native_refused") not in paths
+    assert ("per_cycle", "fifo_gated") not in paths
+    if nonlinear:
+        assert paths.get(("bulk", "macro"), 0) > 0
 
 
 def _run(case, handoff: bool = False, **ring_kwargs):
@@ -111,7 +167,7 @@ def _run(case, handoff: bool = False, **ring_kwargs):
     case's hand-off chunk.  Returns the system that finished and the
     cycles it executed, the rolled-back chunk included.
     """
-    spec, taps, streams, chunks, rollback, handoff_at = case
+    spec, taps, streams, chunks, rollback, handoff_at, _ = case
     geometry = RingGeometry(layers=spec["layers"], width=spec["width"])
 
     def build(ring: Ring) -> RingSystem:
@@ -153,6 +209,7 @@ class TestNativeMatchesInterpreter:
         assert state_digest(native.ring) == state_digest(interp.ring)
         assert native.cycles == interp.cycles == sum(case[3])
         assert sum(native.cycle_paths.values()) == executed
+        _assert_ladder_served(native.cycle_paths, case[-1])
 
 
 @st.composite
@@ -344,20 +401,45 @@ def _fifo_ring(**kwargs) -> Ring:
 
 
 class TestPerCycleReasons:
+    # Native refuses the selfloop ring and gates the drained FIFO ring;
+    # the macro rung takes both spans as windows.  The per-cycle
+    # reasons for a span neither rung takes are pinned below with the
+    # bulk_refused seam.
     @pytest.mark.parametrize("build, expected", [
         (lambda: _selfloop_ring(backend="native"),
-         {("per_cycle", "no_plan"): 2, ("per_cycle", "native_refused"): 8}),
+         {("per_cycle", "no_plan"): 2, ("bulk", "macro"): 8}),
         (lambda: _selfloop_ring(backend="interpreter"),
          {("per_cycle", "backend"): 10}),
         (lambda: _fifo_ring(backend="native"),
          {("per_cycle", "no_plan"): 2, ("bulk", "native"): 4,
-          ("per_cycle", "fifo_gated"): 4}),
+          ("bulk", "macro"): 4}),
     ])
     def test_reasons(self, build, expected):
         system = RingSystem(build())
         system.data.add_tap(0, 0)
         system.run(10)
         assert system.cycle_paths == expected
+
+    @pytest.mark.parametrize("build", [_selfloop_ring, _fifo_ring])
+    def test_reasons_when_no_bulk_rung_takes_the_span(self, build):
+        with bulk_refused():
+            system = RingSystem(build())
+            system.data.add_tap(0, 0)
+            system.run(10)
+        assert system.cycle_paths == {("per_cycle", "no_plan"): 2,
+                                      ("per_cycle", "native_refused"): 8}
+
+    def test_fifo_gated_when_macro_is_refused(self):
+        """Native takes the FIFO-safe prefix; with the macro rung
+        refused the drained rest steps per cycle as ``fifo_gated``."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ring_module, "compile_macro", _refuse_macro)
+            system = RingSystem(_fifo_ring())
+            system.data.add_tap(0, 0)
+            system.run(10)
+        assert system.cycle_paths == {("per_cycle", "no_plan"): 2,
+                                      ("bulk", "native"): 4,
+                                      ("per_cycle", "fifo_gated"): 4}
 
     @staticmethod
     def _lane_system(**ring_kwargs) -> RingSystem:
@@ -425,8 +507,9 @@ class TestPerCycleReasons:
         system = RingSystem(ring, ctrl)
         system.data.add_tap(0, 0)
         # Cycle 1 executes WAITI; cycles 2-3 are quiet and take the
-        # native ladder, which refuses: first for want of a plan (the
-        # fast path compiles after one stable cycle), then for good.
+        # native ladder: the first steps for want of a plan (the fast
+        # path compiles after one stable cycle), the second is a macro
+        # window (native refuses the configuration).
         system.run(3)
         system.step()
         system.controller = None
@@ -434,7 +517,7 @@ class TestPerCycleReasons:
         system.run(2)
         assert system.cycle_paths == {("per_cycle", "controller"): 1,
                                       ("per_cycle", "no_plan"): 1,
-                                      ("per_cycle", "native_refused"): 1,
+                                      ("bulk", "macro"): 1,
                                       ("per_cycle", "direct"): 1,
                                       ("per_cycle", "trace"): 2}
 
@@ -452,6 +535,134 @@ class TestPerCycleReasons:
         for _ in range(3):
             system.run(4)
         assert system.data.channel(0).underruns == 12
+
+
+def _strict_macs_system(kind: str, backend: str) -> RingSystem:
+    """A strict-FIFO fabric native refuses, draining mid-run.
+
+    D0.0 adds 1 to a host stream that runs dry after 5 words; D1.0 is a
+    saturating ``MACS`` accumulator that *kind* ``"read"`` feeds from its
+    FIFO (popping it) and *kind* ``"pop"`` only pops.  Either way the
+    8-word FIFO runs empty on cycle 8, a cycle whose routed host port
+    already read the dry stream.
+    """
+    ring = Ring(RingGeometry(layers=2, width=1), strict_fifos=True,
+                backend=backend)
+    ring.config.write_switch_route(0, 0, 1, PortSource.host(0))
+    ring.config.write_microword(0, 0, MicroWord(
+        Opcode.ADD, Source.IN1, Source.IMM, Dest.OUT, imm=1))
+    ring.config.write_switch_route(1, 0, 1, PortSource.up(0))
+    source = Source.FIFO1 if kind == "read" else Source.IN1
+    ring.config.write_microword(1, 0, MicroWord(
+        Opcode.MACS, source, Source.IMM, Dest.R0,
+        flags=Flag.POP_FIFO1 | Flag.WRITE_OUT, imm=3))
+    ring.push_fifo(1, 0, 1, [100 * k for k in range(1, 9)])
+    system = RingSystem(ring)
+    system.data.stream(0, [10, 20, 30, 40, 50])
+    system.data.add_tap(1, 0)
+    system.data.add_tap(0, 0, skip=1, every=2)
+    return system
+
+
+class TestMacroWindows:
+    @pytest.mark.parametrize("kind", ["read", "pop"])
+    def test_strict_fifo_error_mid_window_matches_stepping(self, kind):
+        observed, paths = [], []
+        for backend in ("native", "interpreter"):
+            system = _strict_macs_system(kind, backend)
+            with pytest.raises(SimulationError) as error:
+                system.run(30)
+            channel = system.data.channel(0)
+            observed.append((
+                str(error.value), system.ring.cycles, system.cycles,
+                [tap.samples for tap in system.data.taps],
+                [tap._seen for tap in system.data.taps],
+                channel.delivered, channel.underruns, channel.pending()))
+            paths.append(system.cycle_paths)
+        native, stepped = observed
+        assert native == stepped
+        verb = "read" if kind == "read" else "popped"
+        assert native[0] == f"D1.0 {verb} empty FIFO1 at cycle 8"
+        assert native[1:3] == (8, 8)
+        # Cycles 5-7 and the aborted cycle 8 read the dry stream.
+        assert native[5:7] == (5, 4)
+        assert paths == [{("per_cycle", "no_plan"): 2, ("bulk", "macro"): 6},
+                         {("per_cycle", "backend"): 8}]
+
+    def test_novel_reconfiguration_stream_never_compiles(self):
+        """A never-repeating per-cycle reconfiguration stream through
+        ``RingSystem.run``: the window boundary's plan lookup is
+        hit-only, so each fingerprint misses once and nothing
+        compiles."""
+        ring = Ring(RingGeometry(layers=2, width=1))
+        ring.config.write_switch_route(0, 0, 1, PortSource.host(0))
+        system = RingSystem(ring)
+        system.data.stream(0, list(range(100, 140)))
+        tap = system.data.add_tap(0, 0)
+        for k in range(24):
+            ring.config.write_microword(0, 0, MicroWord(
+                Opcode.ADD, Source.IN1, Source.IMM, Dest.OUT, imm=k))
+            system.run(1)
+        assert ring.plan_compiles == 0
+        assert ring.native_compiles == 0
+        assert ring.plan_cache.misses == 24
+        assert system.cycle_paths == {("per_cycle", "no_plan"): 24}
+        assert tap.samples == [100 + 2 * k for k in range(24)]
+
+    def test_known_plane_switch_steps_no_cycle(self):
+        """A switch back to a cached configuration adopts its plan at
+        the window boundary: its span runs whole as a window."""
+        ring = _selfloop_ring()
+        selfloop = ring.config.capture_plane()
+        system = RingSystem(ring)
+        system.data.add_tap(0, 0)
+        system.run(10)
+        ring.config.write_microword(0, 0, MicroWord(
+            Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT, imm=1))
+        system.run(10)
+        ring.config.apply_plane(selfloop)
+        hits = ring.plan_cache.hits
+        system.run(10)
+        assert system.cycle_paths == {("per_cycle", "no_plan"): 4,
+                                      ("bulk", "macro"): 18,
+                                      ("bulk", "native"): 8}
+        # The per-cycle plan, the native refusal and the macro kernel.
+        assert ring.plan_cache.hits == hits + 3
+
+    def test_native_window_writes_pipelines_in_place(self):
+        """Native write-back keeps each pipeline list (macro kernels bind
+        them) and rotates the stages to the switch's head."""
+        program, stream = _fir_system(64)
+        ring = Ring(program.geometry)
+        pipes = [list(map(id, ring.switch(k)._pipes))
+                 for k in range(ring.geometry.layers)]
+        reference = Ring(program.geometry, backend="interpreter")
+        for fabric in (ring, reference):
+            system = program.build_system(fabric)
+            system.data.stream(0, [v & 0xFFFF for v in stream])
+            system.data.add_tap(1, 0)
+            system.run(40)
+        assert ring.native_cycles == 38
+        assert [list(map(id, ring.switch(k)._pipes))
+                for k in range(ring.geometry.layers)] == pipes
+        assert state_digest(ring) == state_digest(reference)
+
+    def test_native_write_back_checks_words_like_rp_write(self):
+        """A word outside 16 bits fails the write-back exactly where
+        ``Switch.rp_write`` would have raised for it."""
+        ring = Ring(RingGeometry(layers=2, width=1))
+        ring.config.write_microword(1, 0, MicroWord(
+            Opcode.ADD, Source.IN1, Source.IMM, Dest.OUT, imm=1))
+        ring.config.write_switch_route(1, 0, 1, PortSource.up(0))
+        system = RingSystem(ring)
+        system.data.add_tap(1, 0)
+        system.run(4)
+        assert ring.native_cycles == 2
+        ring.dnode(0, 0)._out = 0x12345  # D0.0 never writes OUT
+        with pytest.raises(ValueError, match=(
+                r"switch 1 lane 0 must be a 16-bit raw word, "
+                r"got 74565")):
+            system.run(8)
 
 
 class TestWindowForms:
@@ -580,14 +791,24 @@ def controlled_systems(draw):
     base = draw(ring_specs(**shape, accumulators=True))
     if draw(st.booleans()):
         base = _feed_forward(base)
+    # Nonlinear cases plant a nonlinear Dnode in the base and in every
+    # plane, and wait 100 cycles before HALT: a quiet span under a
+    # native-refused configuration, served by macro windows.
+    nonlinear = draw(st.booleans())
+    if nonlinear:
+        base = _plant(draw, base)
     planes = []
     for _ in range(draw(st.integers(2, 3))):
         spec = draw(ring_specs(**shape, fifo_loads=False,
                                accumulators=True))
         if draw(st.integers(0, 3)):
             spec = _feed_forward(spec)
+        if nonlinear:
+            spec = _plant(draw, spec)
         planes.append(_plane(spec, complete=draw(st.booleans())))
     program = draw(controller_programs(len(planes)))
+    if nonlinear:
+        program.insert(-1, Instruction(ROp.WAITI, imm=100))
     taps = draw(st.lists(st.tuples(
         st.integers(0, layers - 1), st.integers(0, width - 1),
         st.integers(0, 6), st.integers(1, 4),
@@ -600,7 +821,7 @@ def controlled_systems(draw):
     budget = draw(st.one_of(st.integers(0, 300), st.just(100_000)))
     drain = draw(st.integers(0, 20))
     return (base, planes, program, taps, streams, chunks, rollback,
-            budget, drain)
+            budget, drain, nonlinear)
 
 
 def _controlled_system(case, **ring_kwargs) -> RingSystem:
@@ -630,7 +851,7 @@ def _step_until_halt(system: RingSystem, max_cycles: int,
 
 def _drive(case, per_cycle: bool, **ring_kwargs):
     """Run one generated controlled system; returns it and any error."""
-    chunks, rollback, budget, drain = case[5:]
+    chunks, rollback, budget, drain, _ = case[5:]
     system = _controlled_system(case, **ring_kwargs)
 
     def advance(cycles):
@@ -703,6 +924,10 @@ class TestControllerDifferential:
             assert bulk.ring.native_cycles == 0
         if column == "fastpath":
             assert bulk.ring.macro_cycles == 0
+        else:
+            # A run_until_halt error may stop short of the last WAITI.
+            _assert_ladder_served(bulk.cycle_paths,
+                                  case[-1] and bulk_error is None)
 
     def _waiting_system(self, **ring_kwargs) -> RingSystem:
         """An accumulator plane run by a controller that sits in WAITI."""

@@ -119,10 +119,11 @@ class TestReconfigurationChurn:
         # One compile per plane on the first round; every later
         # apply_plane re-adopts from the cache by fingerprint: the
         # per-cycle plan and the native tier's entry (the voice plane's
-        # kernel, the echo plane's cached refusal).
+        # kernel, the echo plane's cached refusal), plus the echo
+        # plane's macro kernel, which serves its windows.
         assert result.plan_compiles == 2
         assert ring.native_compiles == 1
-        assert result.plan_hits == 2 * (2 * rounds - 2)
+        assert result.plan_hits == (2 + 3) * (rounds - 1)
 
     def test_effects_chain_plan_readoption(self):
         ring = Ring(EFFECTS_GEOMETRY)
@@ -131,7 +132,7 @@ class TestReconfigurationChurn:
         rounds = len(SIGNAL) // 24
         assert result.plan_compiles == 2
         assert ring.native_compiles == 1
-        assert result.plan_hits == 2 * (2 * rounds - 2)
+        assert result.plan_hits == (2 + 3) * (rounds - 1)
 
     def test_steady_state_has_zero_interpreted_cycles(self):
         ring = Ring(SYNTH_GEOMETRY)
