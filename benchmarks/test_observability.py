@@ -23,6 +23,7 @@ from benchmarks.conftest import emit
 from benchmarks.test_steady_state_throughput import _configure
 from repro.analysis import render_table
 from repro.analysis.trace import Probe, SignalTrace
+from repro.core.plancache import KERNELS
 from repro.core.ring import Ring, RingGeometry
 
 #: Acceptance floor: an interval-64 sampled trace on Ring-64 must keep at
@@ -38,6 +39,9 @@ _PROBES = [Probe.out(0, 0), Probe.out(16, 1), Probe.reg(8, 0, 0),
 
 
 def _ring64(backend: str = "native") -> Ring:
+    # Every operating point starts cold: a fresh ring would otherwise
+    # bind the kernels an earlier one left in the process-wide cache.
+    KERNELS.clear()
     ring = Ring(RingGeometry.ring(64), backend=backend)
     _configure(ring)
     return ring

@@ -28,6 +28,7 @@ from benchmarks.conftest import emit
 from repro.analysis import render_table
 from repro.compiler.codegen import compile_graph
 from repro.compiler.library import build_graph
+from repro.core.plancache import KERNELS
 from repro.core.ring import Ring, RingGeometry
 from repro.kernels.effects import build_echo
 from repro.kernels.nco import NCO_LAYERS, build_nco
@@ -128,12 +129,16 @@ def test_scenario_kernel_engine_sweep_and_pipeline_churn():
     signal = [((7 * n + 11) % 120) - 60 for n in range(960)]
     pipelines = {}
     for chunk in (32, 96, 480):
+        # Each pipeline starts cold, as a fresh process would: a fresh
+        # ring would otherwise bind the previous chunk size's kernels.
+        KERNELS.clear()
         ring = Ring(SYNTH_GEOMETRY)
         start = time.perf_counter()
         synth = run_synth_voice(envelope, chunk=chunk, ring=ring)
         synth_elapsed = time.perf_counter() - start
         assert synth.plan_compiles == 2   # one per plane, ever
 
+        KERNELS.clear()
         ring = Ring(EFFECTS_GEOMETRY)
         start = time.perf_counter()
         effects = run_effects_chain(signal, chunk=chunk, ring=ring)

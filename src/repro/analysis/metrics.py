@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
+from repro.core.plancache import KERNELS
 from repro.errors import SimulationError
 
 Labels = Tuple[Tuple[str, str], ...]
@@ -180,6 +181,17 @@ class MetricsRegistry:
             ("plan_cache_evictions_total", "counter",
              "Cached plans evicted by the LRU capacity bound.",
              self._cache_counter("evictions")),
+            ("kernel_cache_hits_total", "counter",
+             "Process-wide kernel templates bound to a ring instead of "
+             "compiled (all rings of the process).",
+             KERNELS.hits),
+            ("kernel_cache_misses_total", "counter",
+             "Process-wide kernel template lookups that found nothing "
+             "(all rings of the process).",
+             KERNELS.misses),
+            ("kernel_cache_evictions_total", "counter",
+             "Kernel templates evicted by the process-wide LRU bound.",
+             KERNELS.evictions),
             ("macro_step_cycles_total", "counter",
              "Cycles executed by the native ladder's fused macro kernels.",
              getattr(ring, "macro_cycles", 0)),

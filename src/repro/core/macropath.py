@@ -50,6 +50,14 @@ tiers compile from one :class:`SteadySchedule` and serve the same window
 protocol (:meth:`MacroPlan.run`): a host reader with a ``gather`` method
 hands over each routed channel's words for the whole window, and the
 caller gets each tapped Dnode's post-edge outputs back as an array.
+
+Compilation is split in two.  :func:`macro_template` generates the
+source and compiles it into a :class:`MacroTemplate` that holds no
+ring: the code object, the schedule by Dnode index and the FIFOs it
+touches.  Binding (:class:`MacroPlan`) executes that code object in
+globals naming one ring's state containers, which costs microseconds,
+so the ring can keep templates in the process-wide kernel cache and
+bind them to every fresh ring (see :mod:`repro.core.plancache`).
 """
 
 from __future__ import annotations
@@ -165,19 +173,24 @@ class SteadySchedule:
     """One steady-state period of a ring's configuration, as both
     generated tiers (this module and :mod:`repro.core.nativepath`) see it.
 
+    Ring-free: Dnodes are named by their flat index ``layer * width +
+    position``, so one schedule serves every ring with the same geometry,
+    configuration and entry phase (see :mod:`repro.core.plancache`).
+
     * ``period`` — the LCM of the local-mode LIMITs (1 for an all-global
       fabric);
     * ``words[(l, p)]`` — the microword the Dnode executes at each phase
       of the period, starting from the live local counters;
     * ``own_period[(l, p)]`` — the Dnode's own period (LIMIT, or 1);
-    * ``counter_entries`` — ``(LocalController, entry counter, limit)``
-      per local Dnode: the entry phase the schedule is baked against;
-    * ``stat_entries`` — ``(stats, totals, prefix)`` per Dnode that
+    * ``counter_entries`` — ``(node, entry counter, limit)`` per local
+      Dnode: the entry phase the schedule is baked against;
+    * ``stat_entries`` — ``(node, totals, prefix)`` per Dnode that
       executes anything: instruction/op/multiply totals over one period
       and their per-phase prefix sums;
     * ``host_ports`` — ``(layer, position, port, channel)`` per routed
       host port, in the interpreter's read order (layer, position,
-      port): every routed port is read every cycle.
+      port): every routed port is read every cycle; ``host_channels``
+      is the set of their channels.
 
     Raises :class:`Ineligible` when the period would bloat the generated
     source (LCM above :data:`MAX_PERIOD`, or too many Dnode-cycles).
@@ -195,12 +208,14 @@ class SteadySchedule:
         self.own_period: Dict[tuple, int] = {}
         counter_entries = []
         stat_entries = []
+        width = ring.geometry.width
         for l, layer in enumerate(ring._dnodes):
             for p, dn in enumerate(layer):
+                node = l * width + p
                 if dn.mode is DnodeMode.LOCAL:
                     lc = dn.local
                     limit, c0 = lc.limit, lc._counter
-                    counter_entries.append((lc, c0, limit))
+                    counter_entries.append((node, c0, limit))
                     slots = lc.slots()
                     words = [slots[(c0 + j) % limit] for j in range(period)]
                 else:
@@ -218,37 +233,48 @@ class SteadySchedule:
                             pm += 1
                     prefix.append((pi, pa, pm))
                 if prefix[-1] != (0, 0, 0):
-                    stat_entries.append((dn.stats, prefix[-1], tuple(prefix)))
+                    stat_entries.append((node, prefix[-1], tuple(prefix)))
         self.counter_entries = tuple(counter_entries)
         self.stat_entries = tuple(stat_entries)
         host_ports = []
         for l, sw in enumerate(ring._switches):
-            for p in range(ring.geometry.width):
+            for p in range(width):
                 for port in (1, 2):
                     src = sw.config.source_for(p, port)
                     if src.kind is PortKind.HOST:
                         host_ports.append((l, p, port, src.index))
         self.host_ports = tuple(host_ports)
+        self.host_channels = frozenset(ch for *_, ch in host_ports)
+
+    def bind_stats(self, nodes) -> tuple:
+        """``stat_entries`` with each node index replaced by its Dnode's
+        statistics record (*nodes* is ``ring.all_dnodes()``)."""
+        return tuple((nodes[i].stats, totals, prefix)
+                     for i, totals, prefix in self.stat_entries)
 
 
 class SteadyPlan:
-    """A kernel compiled from a :class:`SteadySchedule`: valid only while
-    the local counters sit at the schedule's entry phase.
+    """A kernel template bound to one ring: valid only while the local
+    counters sit at the schedule's entry phase.
 
     ``rung`` names the tier (``"native"`` or ``"macro"``);
+    ``template`` is the ring-free kernel it was bound from;
     ``host_channels`` are the host channels the configuration routes
     (each read every cycle).
     """
 
     rung = ""
 
-    __slots__ = ("period", "host_channels", "_counter_entries")
+    __slots__ = ("template", "period", "host_channels", "_counter_entries")
 
-    def __init__(self, schedule: SteadySchedule):
+    def __init__(self, template, nodes):
+        schedule = template.schedule
+        self.template = template
         self.period = schedule.period
-        self.host_channels = frozenset(
-            ch for *_, ch in schedule.host_ports)
-        self._counter_entries = schedule.counter_entries
+        self.host_channels = schedule.host_channels
+        self._counter_entries = tuple(
+            (nodes[i].local, c0, limit)
+            for i, c0, limit in schedule.counter_entries)
 
     def matches_phase(self) -> bool:
         """True when every local counter sits at the baked entry phase."""
@@ -259,17 +285,38 @@ class SteadyPlan:
 
 
 class MacroPlan(SteadyPlan):
-    """One steady-state configuration fused into a generated kernel."""
+    """A :class:`MacroTemplate` bound to one ring."""
 
     rung = "macro"
 
-    __slots__ = ("_kernel", "_ring", "_nodes")
+    __slots__ = ("_kernel", "_ring", "_nodes", "_stat_entries")
 
-    def __init__(self, schedule: SteadySchedule, kernel, ring: "Ring"):
-        super().__init__(schedule)
-        self._kernel = kernel
+    def __init__(self, template: "MacroTemplate", ring: "Ring"):
+        nodes = tuple(ring.all_dnodes())
+        super().__init__(template, nodes)
         self._ring = ring
-        self._nodes = tuple(ring.all_dnodes())
+        self._nodes = nodes
+        self._stat_entries = template.schedule.bind_stats(nodes)
+        env: Dict[str, object] = {
+            "_R": ring,
+            "_chk": word.check,
+            "_sat": word.saturate_signed,
+            "_SE": SimulationError,
+            "_fifo_error": _fifo_error,
+            "_finish": self._finish,
+        }
+        for l, sw in enumerate(ring._switches):
+            env[f"_sw_{l}"] = sw
+            for j, pipe in enumerate(sw._pipes):
+                env[f"_pp_{l}_{j}"] = pipe
+            for p, dn in enumerate(ring._dnodes[l]):
+                env[f"_d_{l}_{p}"] = dn
+                env[f"_rv_{l}_{p}"] = dn.regs._values
+                env[f"_st_{l}_{p}"] = dn.stats
+        for l, p, ch in template.fifos:
+            env[f"_q_{l}_{p}_{ch}"] = ring.fifo(l, p, ch)
+        exec(template.code, env)
+        self._kernel = env["_kernel"]
 
     def run(self, cycles: int, bus: int, host_in,
             taps: Sequence[int] = ()) -> List[np.ndarray]:
@@ -306,6 +353,46 @@ class MacroPlan(SteadyPlan):
             raise
         return [np.array(out, np.int64) for out in outs]
 
+    def _finish(self, executed: int) -> None:
+        """The hoisted statistics of *executed* kernel cycles
+        (closed-form, exact per completed cycle)."""
+        if not executed:
+            return
+        self._ring.macro_cycles += executed
+        full, extra = divmod(executed, self.period)
+        for dn in self._nodes:
+            dn.stats.cycles += executed
+        for stats, totals, prefix in self._stat_entries:
+            ti, ta, tm = totals
+            pi, pa, pm = prefix[extra]
+            stats.instructions += full * ti + pi
+            stats.arithmetic_ops += full * ta + pa
+            if tm or pm:
+                stats.multiplies += full * tm + pm
+        for lc, c0, limit in self._counter_entries:
+            lc._counter = (c0 + executed) % limit
+
+
+class MacroTemplate:
+    """A compiled macro kernel with no ring in it.
+
+    ``code`` defines ``_kernel`` over the names a :class:`MacroPlan`
+    puts in its globals: each Dnode, register file, statistics record,
+    switch and pipeline lane by position, the FIFOs in ``fifos`` and
+    the ring.
+    """
+
+    __slots__ = ("schedule", "code", "fifos")
+
+    def __init__(self, schedule: SteadySchedule, code, fifos):
+        self.schedule = schedule
+        self.code = code
+        self.fifos = fifos
+
+    def bind(self, ring: "Ring") -> MacroPlan:
+        """Exec the shared code over *ring*'s state containers."""
+        return MacroPlan(self, ring)
+
 
 class _Emitter:
     """Source assembly helper: lines at explicit indent levels."""
@@ -334,46 +421,33 @@ def compile_macro(ring: "Ring",
                   ) -> Optional[MacroPlan]:
     """Fuse *ring*'s current configuration into a macro kernel.
 
-    Returns None when the configuration is ineligible (period too large
-    to unroll); the caller stays on the per-cycle fast path.  The reason
-    is appended to *refusal* when a list is given.
+    Returns the :class:`MacroTemplate` bound to *ring*, or None when the
+    configuration is ineligible (period too large to unroll); the caller
+    stays on the per-cycle fast path.  The reason is appended to
+    *refusal* when a list is given.
     """
     try:
-        steady = SteadySchedule(ring)
+        return macro_template(ring).bind(ring)
     except Ineligible as exc:
         if refusal is not None:
             refusal.append(str(exc))
         return None
+
+
+def macro_template(ring: "Ring") -> MacroTemplate:
+    """Generate and compile the macro kernel for *ring*'s configuration
+    and entry phase; raises :class:`Ineligible` when it has none."""
+    steady = SteadySchedule(ring)
     geometry = ring.geometry
     period = steady.period
-
-    env: Dict[str, object] = {
-        "_R": ring,
-        "_chk": word.check,
-        "_sat": word.saturate_signed,
-        "_SE": SimulationError,
-        "_fifo_error": _fifo_error,
-    }
     layers, width = geometry.layers, geometry.width
     depth = geometry.pipeline_depth
-
-    # --- bindings over the persistent state containers ----------------
-    for l in range(layers):
-        sw = ring._switches[l]
-        env[f"_sw_{l}"] = sw
-        for j in range(width):
-            env[f"_pp_{l}_{j}"] = sw._pipes[j]
-        for p in range(width):
-            dn = ring._dnodes[l][p]
-            env[f"_d_{l}_{p}"] = dn
-            env[f"_rv_{l}_{p}"] = dn.regs._values
-            env[f"_st_{l}_{p}"] = dn.stats
+    fifos: List[tuple] = []
 
     def fifo_name(l: int, p: int, ch: int) -> str:
-        name = f"_q_{l}_{p}_{ch}"
-        if name not in env:
-            env[name] = ring.fifo(l, p, ch)
-        return name
+        if (l, p, ch) not in fifos:
+            fifos.append((l, p, ch))
+        return f"_q_{l}_{p}_{ch}"
 
     # --- statement generators -----------------------------------------
 
@@ -565,35 +639,12 @@ def compile_macro(ring: "Ring",
         out.emit(2, f"_sw_{k}._head = _hd_{k}")
     out.emit(2, "_finish(_cy - _cy0)")
 
-    # --- hoisted statistics (closed-form, exact per completed cycle) --
-    def _finish(executed: int, _ring=ring, _period=period,
-                _all=tuple(dn.stats for dn in ring.all_dnodes()),
-                _entries=steady.stat_entries,
-                _counters=steady.counter_entries) -> None:
-        if not executed:
-            return
-        _ring.macro_cycles += executed
-        full, extra = divmod(executed, _period)
-        for stats in _all:
-            stats.cycles += executed
-        for stats, totals, prefix in _entries:
-            ti, ta, tm = totals
-            pi, pa, pm = prefix[extra]
-            stats.instructions += full * ti + pi
-            stats.arithmetic_ops += full * ta + pa
-            if tm or pm:
-                stats.multiplies += full * tm + pm
-        for lc, c0, limit in _counters:
-            lc._counter = (c0 + executed) % limit
-
-    env["_finish"] = _finish
-
     source = out.source()
-    code = compile(source, f"<macro period={period} ring={ring!r}>", "exec")
-    exec(code, env)
-    return MacroPlan(steady, env["_kernel"], ring)
+    code = compile(source, f"<macro period={period}>", "exec")
+    return MacroTemplate(steady, code, tuple(fifos))
 
 
-__all__ = ["Ineligible", "MacroPlan", "SteadyPlan", "SteadySchedule",
-           "compile_macro", "macro_period", "MAX_PERIOD",
+__all__ = ["Ineligible", "MacroPlan", "MacroTemplate", "SteadyPlan",
+           "SteadySchedule", "compile_macro", "macro_template",
+           "macro_period", "MAX_PERIOD",
            "MAX_UNROLL_CELLS"]

@@ -41,6 +41,15 @@ any compile or first-call failure.  ``_core`` only ever overwrites its
 output arrays, so re-running the Python version after a failed jitted
 call is safe.
 
+``_core`` takes every piece of state as an argument, so it holds no
+ring: :func:`native_template` builds a :class:`NativeTemplate` (the
+kernel, its jitted build and the window schedule by Dnode index and
+FIFO key) once per configuration and entry phase, and
+:meth:`NativeTemplate.bind` maps it onto a ring's state containers.  The
+ring keeps templates in the process-wide kernel cache
+(:mod:`repro.core.plancache`), so every fresh ring with a configuration
+the process has compiled binds it in microseconds and shares one jit.
+
 Eligibility — :func:`compile_native` returns None (the ring then falls
 back native → macro → per-cycle plan, and keeps the reason as
 :attr:`~repro.core.ring.Ring.native_refusal`) when:
@@ -179,20 +188,99 @@ def _vector_expr(mw, a: str, b: Optional[str], acc: Optional[str]) -> str:
     raise Ineligible(f"opcode {op!r} has no native template")
 
 
+class NativeTemplate:
+    """A compiled native kernel with no ring in it.
+
+    ``core`` is the pure-array kernel (``source`` its text), shared by
+    every ring bound to it, and so is its jitted build (``jit``).  The
+    rest is the window's schedule by Dnode index and FIFO key, which a
+    :class:`NativePlan` maps to one ring's state containers.
+    """
+
+    __slots__ = ("schedule", "source", "core", "jit", "init_fill",
+                 "fin_regs", "fifo_reads", "fifo_gates", "max_periods")
+
+    def __init__(self, schedule, core, source, init_fill, fin_regs,
+                 fifo_reads, fifo_gates, max_periods):
+        self.schedule = schedule
+        self.source = source
+        self.core = core
+        self.jit = None
+        self.init_fill = init_fill
+        self.fin_regs = fin_regs
+        self.fifo_reads = fifo_reads
+        self.fifo_gates = fifo_gates
+        self.max_periods = max_periods
+
+    def kernel(self):
+        """The kernel to call: the jitted build once resolved, else
+        ``core``.  Resolution happens once per template."""
+        jit = self.jit
+        if jit is None:
+            jit = _JIT_OFF
+            if numba_available():
+                try:
+                    import numba
+                    jit = numba.njit(cache=False)(self.core)
+                except Exception:
+                    jit = _JIT_OFF
+            self.jit = jit
+        return self.core if jit is _JIT_OFF else jit
+
+    def bind(self, ring: "Ring") -> "NativePlan":
+        """The plan that runs this kernel over *ring*'s state."""
+        return NativePlan(self, ring)
+
+
 class NativePlan(SteadyPlan):
-    """One steady-state configuration compiled to a time-vector kernel."""
+    """A :class:`NativeTemplate` bound to one ring."""
 
     rung = "native"
 
-    __slots__ = ("source", "_core", "_jit", "_meta", "_max_periods")
+    __slots__ = ("_meta",)
 
-    def __init__(self, schedule, core, source, meta, max_periods):
-        super().__init__(schedule)
-        self.source = source
-        self._core = core
-        self._jit = None
-        self._meta = meta
-        self._max_periods = max_periods
+    def __init__(self, template: NativeTemplate, ring: "Ring"):
+        nodes = tuple(ring.all_dnodes())
+        super().__init__(template, nodes)
+        geometry = ring.geometry
+        layers, width = geometry.layers, geometry.width
+        fifo = ring.fifo
+        vo_seed = []
+        for i, dn in enumerate(nodes):
+            down = ring._switches[(i // width + 1) % layers]
+            vo_seed.append((dn, down._pipes[i % width], down))
+        pipes = []
+        for k, sw in enumerate(ring._switches):
+            lu = ring.upstream_layer(k)
+            pipes.append((sw, tuple((sw._pipes[j], lu * width + j)
+                                    for j in range(width))))
+        self._meta = {
+            "ring": ring,
+            "depth": geometry.pipeline_depth,
+            "host_ports": template.schedule.host_ports,
+            "fifo_reads": [(fifo(*key), prefix, ppp)
+                           for key, prefix, ppp in template.fifo_reads],
+            "fifo_gates": [(fifo(*key), ppp, maxprefix)
+                           for key, ppp, maxprefix in template.fifo_gates],
+            "fifo_pops": [(fifo(*key), ppp,
+                           nodes[key[0] * width + key[1]].stats)
+                          for key, ppp, _ in template.fifo_gates if ppp],
+            "init_fill": [("reg", nodes[i].regs._values, r) if kind == "reg"
+                          else ("out", nodes[i], 0)
+                          for kind, i, r in template.init_fill],
+            "vo_seed": vo_seed,
+            "pipes": pipes,
+            "fin_count": len(template.fin_regs),
+            "fin_regs": [(nodes[i].regs._values, r, k)
+                         for i, r, k in template.fin_regs],
+            "all_stats": tuple(dn.stats for dn in nodes),
+            "stat_entries": template.schedule.bind_stats(nodes),
+        }
+
+    @property
+    def source(self) -> str:
+        """The generated kernel's source text."""
+        return self.template.source
 
     def safe_cycles(self, cycles: int) -> int:
         """Longest whole-period prefix of *cycles* this plan can run with
@@ -224,7 +312,8 @@ class NativePlan(SteadyPlan):
 
     def jit_active(self) -> bool:
         """True when the kernel currently runs through a jitted build."""
-        return self._jit is not None and self._jit is not _JIT_OFF
+        jit = self.template.jit
+        return jit is not None and jit is not _JIT_OFF
 
     def run(self, cycles: int, bus: int, host_in,
             taps: Sequence[int] = ()) -> List[np.ndarray]:
@@ -237,7 +326,7 @@ class NativePlan(SteadyPlan):
         n = cycles // self.period
         parts: List[List[np.ndarray]] = [[] for _ in taps]
         while n > 0:
-            m = min(n, self._max_periods)
+            m = min(n, self.template.max_periods)
             for acc, values in zip(parts, self._window(m, bus, host_in,
                                                        taps)):
                 acc.append(values)
@@ -246,19 +335,6 @@ class NativePlan(SteadyPlan):
                 for acc in parts]
 
     # ------------------------------------------------------------------
-
-    def _resolve_kernel(self):
-        jit = self._jit
-        if jit is None:
-            jit = _JIT_OFF
-            if numba_available():
-                try:
-                    import numba
-                    jit = numba.njit(cache=False)(self._core)
-                except Exception:
-                    jit = _JIT_OFF
-            self._jit = jit
-        return self._core if jit is _JIT_OFF else jit
 
     def _window(self, n: int, bus: int, host_in,
                 taps: Sequence[int] = ()) -> List[np.ndarray]:
@@ -336,19 +412,21 @@ class NativePlan(SteadyPlan):
 
         fin = np.zeros(max(1, meta["fin_count"]), np.int64)
         args = (n, bus, init, fin, *vos, *hv, *fv)
-        core = self._resolve_kernel()
-        if core is self._core:
+        template = self.template
+        core = template.kernel()
+        if core is template.core:
             core(*args)
         else:
             try:
                 core(*args)
             except Exception:
                 # A jitted build that fails at call time (unsupported
-                # construct surfacing late) is retired permanently; the
-                # kernel only overwrites its outputs, so re-running the
-                # NumPy version recomputes the window exactly.
-                self._jit = _JIT_OFF
-                self._core(*args)
+                # construct surfacing late) is retired permanently, for
+                # every ring bound to the template; the kernel only
+                # overwrites its outputs, so re-running the NumPy
+                # version recomputes the window exactly.
+                template.jit = _JIT_OFF
+                template.core(*args)
 
         for values, r, k in meta["fin_regs"]:
             values[r] = int(fin[k])
@@ -399,12 +477,13 @@ def compile_native(ring: "Ring",
                    ) -> Optional[NativePlan]:
     """Compile *ring*'s current configuration into a native plan.
 
-    Returns None when the configuration is ineligible; the caller falls
-    back to the macro / per-cycle rungs.  The reason for a refusal
-    is appended to *refusal* when a list is given.
+    Returns the :func:`native_template` bound to *ring*, or None when
+    the configuration is ineligible; the caller falls back to the macro
+    / per-cycle rungs.  The reason for a refusal is appended to
+    *refusal* when a list is given.
     """
     try:
-        return _compile(ring)
+        return native_template(ring).bind(ring)
     except Ineligible as exc:
         if refusal is not None:
             refusal.append(str(exc))
@@ -442,7 +521,9 @@ def _cycle_members(deps: Dict[int, set], unordered: set) -> List[int]:
         left = used
 
 
-def _compile(ring: "Ring") -> NativePlan:
+def native_template(ring: "Ring") -> NativeTemplate:
+    """Generate and compile the native kernel for *ring*'s configuration
+    and entry phase; raises :class:`Ineligible` when it has none."""
     steady = SteadySchedule(ring)
     schedule = steady.words
     geometry = ring.geometry
@@ -490,7 +571,7 @@ def _compile(ring: "Ring") -> NativePlan:
         return idx
 
     fifo_slot: Dict[Tuple[int, int, int, int], int] = {}
-    fifo_reads: List[tuple] = []      # (queue, prefix, pops_per_period)
+    fifo_reads: List[tuple] = []      # ((l, p, ch), prefix, pops/period)
     fifo_read_prefixes: Dict[Tuple[int, int, int], int] = {}
     pop_phases: Dict[Tuple[int, int, int], List[int]] = {}
     for (l, p), sched in schedule.items():
@@ -508,7 +589,6 @@ def _compile(ring: "Ring") -> NativePlan:
     for l in range(layers):
         lu = ring.upstream_layer(l)
         for p in range(width):
-            dn = ring._dnodes[l][p]
             i = dn_index(l, p)
             sched = schedule[(l, p)]
             L = steady.own_period[(l, p)]
@@ -533,8 +613,7 @@ def _compile(ring: "Ring") -> NativePlan:
 
             def resolve_reg(phase, r):
                 return resolve_writers(
-                    phase, reg_writers[r], ("reg", l, p, r),
-                    ("reg", dn.regs._values, r))
+                    phase, reg_writers[r], ("reg", l, p, r), ("reg", i, r))
 
             def fifo_operand(phase, ch):
                 pops = pop_phases.get((l, p, ch), ())
@@ -547,8 +626,7 @@ def _compile(ring: "Ring") -> NativePlan:
                 if slot is None:
                     slot = len(fifo_reads)
                     fifo_slot[key] = slot
-                    fifo_reads.append(
-                        (ring.fifo(l, p, ch), prefix, len(pops)))
+                    fifo_reads.append(((l, p, ch), prefix, len(pops)))
                 return ("fifo", slot)
 
             def port_operand(phase, port):
@@ -583,8 +661,7 @@ def _compile(ring: "Ring") -> NativePlan:
                     return ("const", mw.imm)
                 if src is Source.SELF:
                     return resolve_writers(
-                        phase, out_writers, ("out", l, p),
-                        ("out", dn, 0))
+                        phase, out_writers, ("out", l, p), ("out", i, 0))
                 if src is Source.ZERO:
                     return ("const", 0)
                 if src.is_feedback:
@@ -775,8 +852,6 @@ def _compile(ring: "Ring") -> NativePlan:
     fin_regs: List[tuple] = []
 
     for i in dn_order:
-        l, p = divmod(i, width)
-        dn = ring._dnodes[l][p]
         table = ops[i]
         reg_writers, out_writers = table["_writers"]  # type: ignore
         for group in op_order[i]:
@@ -806,7 +881,7 @@ def _compile(ring: "Ring") -> NativePlan:
             if writers:
                 k = len(fin_regs)
                 fin_index[(i, r)] = k
-                fin_regs.append((dn.regs._values, r, k))
+                fin_regs.append((i, r, k))
                 emit(f"_FIN[{k}] = _r_{i}_{max(writers)}[n - 1]")
 
         # Visible-out materialization: strided stores for write phases,
@@ -845,52 +920,19 @@ def _compile(ring: "Ring") -> NativePlan:
     body = lines if lines else ["    pass"]
     source = "\n".join([header] + body) + "\n"
     env: Dict[str, object] = {"np": np}
-    code = compile(source, f"<native period={P} ring={ring!r}>", "exec")
-    exec(code, env)
-
-    # --- runtime metadata ---------------------------------------------
-    vo_seed = []
-    for i in range(geometry.dnodes):
-        l, p = divmod(i, width)
-        down = ring._switches[(l + 1) % layers]
-        vo_seed.append((ring._dnodes[l][p], down._pipes[p], down))
-    pipes = []
-    for k in range(layers):
-        lu = ring.upstream_layer(k)
-        sw = ring._switches[k]
-        pipes.append((sw, tuple((sw._pipes[j], dn_index(lu, j))
-                                for j in range(width))))
+    exec(compile(source, f"<native period={P}>", "exec"), env)
 
     fifo_gates = []
-    fifo_pops = []
     keys = set(pop_phases) | set(fifo_read_prefixes)
     for key in sorted(keys):
-        l, p, ch = key
-        queue = ring.fifo(l, p, ch)
-        ppp = len(pop_phases.get(key, ()))
-        maxprefix = fifo_read_prefixes.get(key)
-        fifo_gates.append((queue, ppp, maxprefix))
-        if ppp:
-            fifo_pops.append((queue, ppp, ring._dnodes[l][p].stats))
-
-    meta = {
-        "ring": ring,
-        "depth": depth,
-        "host_ports": host_ports,
-        "fifo_reads": fifo_reads,
-        "fifo_gates": fifo_gates,
-        "fifo_pops": fifo_pops,
-        "init_fill": init_fill,
-        "vo_seed": vo_seed,
-        "pipes": pipes,
-        "fin_count": len(fin_regs),
-        "fin_regs": fin_regs,
-        "all_stats": tuple(dn.stats for dn in ring.all_dnodes()),
-        "stat_entries": steady.stat_entries,
-    }
+        fifo_gates.append((key, len(pop_phases.get(key, ())),
+                           fifo_read_prefixes.get(key)))
     max_periods = max(1, MAX_WINDOW_CELLS // max(1, geometry.dnodes * P))
-    return NativePlan(steady, env["_core"], source, meta, max_periods)
+    return NativeTemplate(steady, env["_core"], source, tuple(init_fill),
+                          tuple(fin_regs), tuple(fifo_reads),
+                          tuple(fifo_gates), max_periods)
 
 
-__all__ = ["NativePlan", "compile_native", "numba_available",
+__all__ = ["NativePlan", "NativeTemplate", "compile_native",
+           "native_template", "numba_available",
            "set_numba_enabled", "MAX_WINDOW_CELLS"]

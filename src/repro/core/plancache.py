@@ -1,15 +1,13 @@
-"""Configuration-fingerprinted LRU cache of compiled execution plans.
+"""Two levels of compiled-plan caching, both keyed by configuration.
 
 The paper's headline feature is *dynamic* reconfiguration: the RISC
 configuration controller rewrites Dnode microinstructions every cycle
 (hardware multiplexing) or swaps between a small working set of contexts.
-Compiled engines (fast-path plans, batch kernel sets, macro/native plans)
-are pure functions of the fabric *configuration* — they close over the
-persistent state containers (register lists, OUT latches, FIFO deques,
-pipeline buffers) and read the runtime values through them — so a plan
+Compiled engines (per-cycle plans, batch kernel sets, macro/native
+kernels) are pure functions of the fabric *configuration*, so a kernel
 compiled for a configuration stays valid whenever that exact
-configuration is restored.  This module provides the two pieces that
-exploit it:
+configuration is restored, on the same ring or on another one.  This
+module provides the pieces that exploit it:
 
 * a **stable configuration fingerprint**: every Dnode contributes its
   mode plus the microwords that can actually execute (the global word in
@@ -18,17 +16,36 @@ exploit it:
   and drop it on their own mutation hook, so assembling the full
   fingerprint is O(components) tuple packing with no re-hashing of
   unchanged parts;
-* a bounded :class:`PlanCache` (LRU on an ``OrderedDict``) keyed by those
-  fingerprints, with hit/miss/eviction counters surfaced through
+* a bounded :class:`PlanCache` (LRU on an ``OrderedDict``) with
+  hit/miss/eviction counters surfaced through
   :mod:`repro.analysis.metrics`.
 
-The cache also remembers recently *missed* fingerprints: the first time a
-configuration appears the ring keeps its deferred compile-after-one-
-stable-cycle policy (so a never-repeating per-cycle reconfiguration
-stream still pays zero compiles), but a fingerprint that misses twice is
-evidently part of a multiplexing working set and is compiled immediately
-— from then on every switch back to it re-adopts the cached plan with
-zero interpreted cycles.
+It is used at two levels:
+
+* **per ring** (``Ring.plan_cache``, capacity ``Ring(plan_cache=)``):
+  plans *bound* to that ring — per-cycle plans, which close over the
+  ring's state containers, and native/macro plans bound from a
+  template — so a switch back to a known configuration re-adopts its
+  plan in one lookup;
+* **per process** (:data:`KERNELS`, capacity :data:`KERNEL_CAPACITY`):
+  ring-free native and macro *templates* (the generated code plus its
+  schedule as Dnode indices), and the native tier's refusals, keyed by
+  ``(tier, geometry, entry phase, fingerprint)``.  A ring whose own
+  cache misses looks here next and binds a hit to its state in
+  microseconds, so a fresh ring with a configuration the process has
+  compiled before pays no code generation and steps no first-time
+  cycle.  The cache holds no reference to any ring.  A ring built with
+  ``plan_cache=0`` bypasses both levels.
+
+Neither lookup ever compiles on a miss.  The per-ring cache also
+remembers recently *missed* fingerprints: the first time a configuration
+appears the ring keeps its deferred compile-after-one-stable-cycle
+policy (so a never-repeating per-cycle reconfiguration stream still pays
+zero compiles), but a fingerprint that misses twice is evidently part of
+a multiplexing working set and its per-cycle plan is compiled
+immediately.  The per-cycle plan itself is compiled lazily when the
+bulk rungs were adopted from a cache: only the first span that needs
+it (a remainder, a refused span or a stepped cycle) builds it.
 """
 
 from __future__ import annotations
@@ -40,6 +57,10 @@ from repro.errors import ConfigurationError
 
 #: Default number of compiled plans a ring retains (``Ring(plan_cache=)``).
 DEFAULT_CAPACITY = 8
+
+#: Number of native/macro templates and native refusals the process
+#: retains across rings (:data:`KERNELS`).
+KERNEL_CAPACITY = 64
 
 _MISSING = object()
 
@@ -159,4 +180,8 @@ class PlanCache:
         )
 
 
-__all__ = ["PlanCache", "DEFAULT_CAPACITY"]
+#: The process-wide template cache (see the module docstring).
+KERNELS = PlanCache(KERNEL_CAPACITY)
+
+
+__all__ = ["PlanCache", "DEFAULT_CAPACITY", "KERNELS", "KERNEL_CAPACITY"]

@@ -41,8 +41,11 @@ Two execution engines drive the same semantics:
 Compiled plans are retained in an LRU
 :class:`~repro.core.plancache.PlanCache` keyed by
 :meth:`Ring.config_fingerprint`, so multiplexing between known
-configurations re-adopts each plan in one lookup instead of recompiling
-(see ``docs/architecture.md``, "Plan cache & the native ladder").
+configurations re-adopts each plan in one lookup instead of recompiling.
+Native and macro kernels are also kept, ring-free, in the process-wide
+:data:`~repro.core.plancache.KERNELS` cache, so a fresh ring binds a
+kernel another ring compiled instead of generating it again (see
+``docs/architecture.md``, "The plan cache").
 
 ``backend`` is the one engine selector.  A ``"native"`` ring (the
 default) runs each steady-state span down a fall-back ladder:
@@ -68,14 +71,15 @@ from repro.core.fastpath import compile_plan
 from repro.core.isa import FEEDBACK_DEPTH
 from repro.core.macropath import compile_macro
 from repro.core.nativepath import compile_native
-from repro.core.plancache import DEFAULT_CAPACITY, PlanCache
+from repro.core.plancache import DEFAULT_CAPACITY, KERNELS, PlanCache
 from repro.core.switch import PortKind, PortSource, Switch
 from repro.errors import ConfigurationError, SimulationError
 
 
 class _Refusal(str):
-    """Negative macro/native plan entry (on ``Ring._steady`` and in the
-    plan cache): why the tier cannot compile the configuration."""
+    """Negative macro/native plan entry (on ``Ring._steady`` and in both
+    plan caches): why the tier cannot compile the configuration."""
+
 
 
 HostReader = Callable[[int], int]
@@ -153,9 +157,11 @@ class RingProfile:
     rung: the native, macro and per-cycle plans of the scalar ladder and
     the batch engine (a lane window books lockstep cycles, not
     lane-cycles).  ``compile_seconds`` covers per-cycle plan compiles
-    and native and macro code generation; ``plan_compiles`` counts the
-    per-cycle plans only.  The field names predate the ladder and stay
-    because the benchmark suite (``benchmarks/suite``) reads them.
+    and native and macro code generation on cache misses; binding a
+    cached template to the ring is not code generation and is not
+    booked.  ``plan_compiles`` counts the per-cycle plans only.  The
+    field names predate the ladder and stay because the benchmark suite
+    (``benchmarks/suite``) reads them.
     """
 
     interpreted_cycles: int = 0
@@ -306,6 +312,9 @@ class Ring:
         self._steady: Dict[str, object] = {}
         # Cached config_fingerprint() (None = recompute).
         self._fingerprint = None
+        # Local controllers of the local-mode Dnodes, whose counters are
+        # the entry phase (None = recompute after a configuration write).
+        self._locals = None
         # The last ConfigPlane applied, until any other configuration
         # write (see repro.core.config_memory).
         self._resident_plane = None
@@ -356,6 +365,10 @@ class Ring:
         # hardware multiplexing never pays compile overhead).
         self._plan = None
         self._config_dirty = True
+        # Bulk plans for the current configuration came from a cache, so
+        # it needs no stable cycle: the per-cycle plan is compiled on the
+        # first span that needs it.
+        self._adopted = False
         #: Extra callbacks fired on every configuration mutation (the
         #: batch engine hooks in here, reusing the fast-path wiring).
         self._invalidation_listeners: List[Callable[[], None]] = []
@@ -427,6 +440,7 @@ class Ring:
         self.backend = backend
         self.batch_size = batch_size
         self._plan = None
+        self._adopted = False
         self._steady.clear()
         self._config_dirty = True
 
@@ -507,19 +521,7 @@ class Ring:
                   values) -> None:
         """Append one or more raw words to a Dnode input FIFO."""
         queue = self.fifo(layer, position, channel)
-        if isinstance(values, int):
-            values = [values]
-        else:
-            values = list(values)
-        if (values and set(map(type, values)) == {int}
-                and 0 <= min(values) and max(values) <= word.MASK):
-            # Plain ints in range: one validation pass for the block.
-            queue.extend(values)
-        else:
-            # Anything else is checked word by word, so a bad word
-            # raises the same error after the same partial push.
-            for v in values:
-                queue.append(word.check(v, "FIFO push"))
+        values = word.extend_checked(queue, values, "FIFO push")
         key = (layer, position, channel)
         depth = len(queue)
         if depth > self.fifo_high_water.get(key, 0):
@@ -702,6 +704,8 @@ class Ring:
             # A configuration that already stepped one cycle without a
             # plan missed the cache then; it compiles after this cycle.
             plan = self._adopt_cached_plan()
+        elif plan is None and self._adopted:
+            plan = self._install_plan()
         if plan is not None:
             self._run_plan(plan, 1, bus, host_in)
             if self._trace is not None:
@@ -795,8 +799,10 @@ class Ring:
             self.plan_invalidations += 1
         self._steady.clear()
         self._fingerprint = None
+        self._locals = None
         self._resident_plane = None
         self._config_dirty = True
+        self._adopted = False
         for listener in self._invalidation_listeners:
             listener()
 
@@ -825,8 +831,11 @@ class Ring:
         On a hit the cached plan is adopted immediately — including on
         the first cycle after a reconfiguration, which previously always
         interpreted.  On a miss while the configuration is freshly
-        mutated, a fingerprint that has missed before is evidently part
-        of a multiplexing working set and is compiled eagerly; a
+        mutated, a configuration with a cached native or macro plan
+        (on this ring or as a process-wide template) is known, so its
+        per-cycle plan is compiled now for the cycle being stepped; a
+        fingerprint that has missed before is evidently part of a
+        multiplexing working set and is compiled eagerly too.  A
         first-time fingerprint keeps the legacy deferred policy (so a
         never-repeating per-cycle reconfiguration stream still compiles
         nothing).
@@ -836,29 +845,53 @@ class Ring:
             return None
         key = ("plan", self.config_fingerprint())
         plan = cache.get(key)
-        if plan is None and self._config_dirty and cache.note_miss(key):
-            plan = self._compile_plan_timed()
-            cache.put(key, plan)
+        if plan is None and self._config_dirty:
+            if self._adopt_cached_hit():
+                plan = self._install_plan()
+            elif cache.note_miss(key):
+                plan = self._compile_plan_timed()
+                cache.put(key, plan)
         if plan is not None:
             self._plan = plan
             self._config_dirty = False
         return plan
 
-    def _adopt_cached_hit(self):
-        """Adopt the cached plan for the current configuration on a hit.
+    def _adopt_cached_hit(self) -> bool:
+        """Adopt cached plans for the current configuration on a hit.
 
         The hit-only twin of :meth:`_adopt_cached_plan` for the window
-        boundary: a miss is neither counted nor noted, so a first-time
-        fingerprint keeps the deferred compile policy of the cycle that
-        steps it (a never-repeating reconfiguration stream still
-        compiles nothing).
+        boundary and :meth:`run`.  A per-cycle plan in the ring's cache
+        becomes the active plan.  Otherwise a native or macro plan from
+        either cache level (a process-wide template is bound to this
+        ring) makes the configuration ready with no stable cycle, and
+        the per-cycle plan is compiled when a span first needs it.  A
+        miss is neither counted nor noted and compiles nothing, so a
+        first-time fingerprint keeps the deferred compile policy of the
+        cycle that steps it (a never-repeating reconfiguration stream
+        still compiles nothing).  Returns True on a hit.
         """
-        plan = self.plan_cache.get(("plan", self.config_fingerprint()),
-                                   count_miss=False)
+        cache = self.plan_cache
+        if not cache.capacity:
+            return False
+        plan = cache.get(("plan", self.config_fingerprint()),
+                         count_miss=False)
         if plan is not None:
             self._plan = plan
             self._config_dirty = False
-        return plan
+            return True
+        for tier in ("native", "macro"):
+            steady = self._steady.get(tier)
+            if steady is None or not (isinstance(steady, _Refusal)
+                                      or steady.matches_phase()):
+                steady = self._cached_steady(self._steady_key(tier), False)
+                if steady is None:
+                    continue
+                self._steady[tier] = steady
+            if not isinstance(steady, _Refusal):
+                self._adopted = True
+                self._config_dirty = False
+                return True
+        return False
 
     def adopt_cached_plan(self) -> bool:
         """Re-adopt a compiled plan for the current configuration now.
@@ -873,9 +906,10 @@ class Ring:
         """
         if not self.fastpath_enabled:
             return False
-        if self._plan is not None:
+        if self._plan is not None or self._adopted:
             return True
-        return self._adopt_cached_plan() is not None
+        return (self._adopt_cached_hit()
+                or self._adopt_cached_plan() is not None)
 
     def _compile_plan_timed(self):
         """Compile a fast-path plan for the current configuration."""
@@ -895,37 +929,67 @@ class Ring:
         if self._config_dirty:
             self._config_dirty = False
         elif self.fastpath_enabled and self._plan is None:
-            plan = self._compile_plan_timed()
-            self._plan = plan
-            cache = self.plan_cache
-            if cache.capacity:
-                cache.put(("plan", self.config_fingerprint()), plan)
+            self._install_plan()
+
+    def _install_plan(self):
+        """Compile the per-cycle plan for the current configuration and
+        make it the active plan (cached by fingerprint)."""
+        plan = self._plan = self._compile_plan_timed()
+        cache = self.plan_cache
+        if cache.capacity:
+            cache.put(("plan", self.config_fingerprint()), plan)
+        return plan
+
+    def _entry_phase(self) -> tuple:
+        """The local-mode Dnodes' sequencer counters, layer-major."""
+        controllers = self._locals
+        if controllers is None:
+            controllers = self._locals = tuple(
+                dn.local for layer in self._dnodes for dn in layer
+                if dn.mode is DnodeMode.LOCAL)
+        return tuple(lc._counter for lc in controllers)
+
+    def _steady_key(self, tier: str) -> tuple:
+        """Cache key of the *tier* plan for the current configuration and
+        entry phase; the same at both cache levels."""
+        return (tier, self.geometry, self._entry_phase(),
+                self.config_fingerprint())
+
+    def _cached_steady(self, key: tuple, count_miss: bool = True):
+        """The ring's cached plan or refusal under *key*, else the
+        process-wide template bound to this ring (None on a miss at
+        both levels; nothing is compiled)."""
+        cache = self.plan_cache
+        if not cache.capacity:
+            return None
+        plan = cache.get(key, count_miss)
+        if plan is None:
+            template = KERNELS.get(key, count_miss)
+            if template is not None:
+                plan = (template if isinstance(template, _Refusal)
+                        else template.bind(self))
+                cache.put(key, plan)
+        return plan
 
     def _steady_plan(self, tier: str):
         """The *tier* ("macro" or "native") plan for the current
         configuration + entry phase, or None when the tier refuses it.
 
-        Plans are cached in :attr:`plan_cache` keyed by tier, entry phase
-        and fingerprint, so a restore or reconfiguration back to a known
-        state re-adopts the compiled kernel with zero codegen.  Refusals
-        are cached under the same key as a :class:`_Refusal` carrying the
-        reason (:attr:`native_refusal`), so each configuration is tried
-        at most once per tier.
+        Looked up in the ring's :attr:`plan_cache`, then in the
+        process-wide template cache (:data:`~repro.core.plancache.KERNELS`),
+        and compiled only when both miss; a compiled template enters
+        both levels.  Refusals are cached the same way as a
+        :class:`_Refusal` carrying the reason (:attr:`native_refusal`),
+        so each configuration is tried at most once per tier and
+        process.
         """
         plan = self._steady.get(tier)
         if isinstance(plan, _Refusal):
             return None
         if plan is not None and plan.matches_phase():
             return plan
-        cache = self.plan_cache
-        key = plan = None
-        if cache.capacity:
-            phase = tuple(
-                dn.local._counter for layer in self._dnodes
-                for dn in layer if dn.mode is DnodeMode.LOCAL
-            )
-            key = (tier, phase, self.config_fingerprint())
-            plan = cache.get(key)
+        key = self._steady_key(tier)
+        plan = self._cached_steady(key)
         if plan is None:
             refusal: List[str] = []
             compiler = compile_native if tier == "native" else compile_macro
@@ -935,11 +999,14 @@ class Ring:
             if profile is not None:
                 profile.compile_seconds += perf_counter() - began
             if plan is None:
-                plan = _Refusal(refusal[0])
-            elif tier == "native":
-                self.native_compiles += 1
-            if key is not None:
-                cache.put(key, plan)
+                plan = shared = _Refusal(refusal[0])
+            else:
+                shared = plan.template
+                if tier == "native":
+                    self.native_compiles += 1
+            if self.plan_cache.capacity:
+                self.plan_cache.put(key, plan)
+                KERNELS.put(key, shared)
         self._steady[tier] = plan
         return None if isinstance(plan, _Refusal) else plan
 
@@ -957,7 +1024,7 @@ class Ring:
         native = self._steady_plan("native")
         return None if native is not None else str(self._steady["native"])
 
-    def _run_steady(self, plan, cycles: int, bus: int,
+    def _run_steady(self, cycles: int, bus: int,
                     host_in: Optional[HostReader]) -> None:
         """Run *cycles* on the compiled engines: native, macro, per-cycle.
 
@@ -966,7 +1033,8 @@ class Ring:
         configuration, sub-period remainder, unsafe FIFO window) runs in
         period-multiples through the fused macro kernel when that leftover
         spans at least one period (and more than one cycle); the rest goes
-        through the per-cycle plan.
+        through the per-cycle plan, compiled here if this is the first
+        span that needs it.
         """
         native = self._steady_plan("native")
         safe = native.safe_cycles(cycles) if native is not None else 0
@@ -982,6 +1050,9 @@ class Ring:
                 self._run_plan(macro, fused, bus, host_in)
                 cycles -= fused
         if cycles:
+            plan = self._plan
+            if plan is None:
+                plan = self._install_plan()
             self._run_plan(plan, cycles, bus, host_in)
 
     def window_span(self, cycles: int):
@@ -992,14 +1063,16 @@ class Ring:
         plan for the current configuration and entry phase accepts,
         else the longest period multiple for the macro kernel (which
         handles FIFO underflow cycle-exactly).  Run it with
-        :meth:`run_window`.  A plan cached for the configuration is
-        adopted here on a hit, so a switch back to a known configuration
-        needs no stepped cycle.  *reason* is set only when *span* is 0:
+        :meth:`run_window`.  A plan cached for the configuration, on
+        this ring or as a process-wide template, is adopted here on a
+        hit, so a switch back to a known configuration, or a fresh ring
+        with one, needs no stepped cycle; the per-cycle plan does not
+        gate the window.  *reason* is set only when *span* is 0:
         ``"trace"`` (an observer is attached), ``"backend"`` (the ring
         runs no compiled scalar plans: an interpreter or a vector batch
-        ring), ``"no_plan"`` (a first-time configuration, before its
-        plan is compiled), or, when neither native nor macro takes the
-        span, ``"native_refused"`` (ineligible configuration),
+        ring), ``"no_plan"`` (a first-time configuration, before it has
+        been stable for a cycle), or, when neither native nor macro
+        takes the span, ``"native_refused"`` (ineligible configuration),
         ``"remainder"`` (less than one period left) or ``"fifo_gated"``
         (the FIFO occupancies cannot feed a whole native period).
         """
@@ -1007,7 +1080,8 @@ class Ring:
             return None, 0, "trace"
         if not self.fastpath_enabled:
             return None, 0, "backend"
-        if self._plan is None and self._adopt_cached_hit() is None:
+        if (self._plan is None and not self._adopted
+                and not self._adopt_cached_hit()):
             return None, 0, "no_plan"
         native = self._steady_plan("native")
         if native is not None:
@@ -1069,23 +1143,24 @@ class Ring:
             return
         remaining = cycles
         while remaining > 0:
-            plan = self._plan
-            if plan is not None:
+            if (self._plan is not None or self._adopted
+                    or (self._config_dirty and self.fastpath_enabled
+                        and self._adopt_cached_hit())):
                 trace = self._trace
                 if trace is None:
                     self.last_bus = bus
-                    self._run_steady(plan, remaining, bus, host_in)
+                    self._run_steady(remaining, bus, host_in)
                     return
                 stride = self._trace_stride()
                 if stride is None:
                     # Every observer's window is exhausted: free-run.
                     self.last_bus = bus
-                    self._run_steady(plan, remaining, bus, host_in)
+                    self._run_steady(remaining, bus, host_in)
                     return
                 if stride > 1:
                     chunk = min(stride, remaining)
                     self.last_bus = bus
-                    self._run_steady(plan, chunk, bus, host_in)
+                    self._run_steady(chunk, bus, host_in)
                     remaining -= chunk
                     if chunk == stride:
                         trace(self)

@@ -141,11 +141,13 @@ class StreamChannel:
             self.push(values)
 
     def push(self, values) -> None:
-        """Queue one word or an iterable of words for streaming."""
-        if isinstance(values, int):
-            values = [values]
-        for v in values:
-            self._queue.append(word.check(v, "stream word"))
+        """Queue one word or an iterable of words for streaming.
+
+        A block of plain in-range ints is queued in one ``extend``; a
+        bad word raises after the words before it were queued
+        (:func:`repro.word.extend_checked`).
+        """
+        word.extend_checked(self._queue, values, "stream word")
 
     def current(self) -> int:
         """The word presented on the port this cycle.

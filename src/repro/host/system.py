@@ -116,7 +116,8 @@ class RingSystem:
         observer or with strict FIFOs), the
         :meth:`~repro.core.ring.Ring.window_span` refusals ``"trace"``,
         ``"backend"``, ``"no_plan"`` (a first-time configuration only:
-        a cached plan is adopted at the window boundary), the refusals
+        a plan cached on the ring, or a kernel the process compiled for
+        another ring, is adopted at the window boundary), the refusals
         for which neither native nor macro took the span
         (``"native_refused"``, ``"remainder"``, ``"fifo_gated"``), or
         ``"direct"`` (:meth:`step` called outside :meth:`run`).

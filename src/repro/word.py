@@ -72,6 +72,24 @@ def check_block(values, what: str = "value") -> list:
     return [check(int(v), what) for v in values]
 
 
+def extend_checked(queue, values, what: str = "value") -> list:
+    """Append one raw word or a block of them to *queue*.
+
+    Plain ints in range take one range check and one ``extend`` for the
+    whole block.  Anything else is checked word by word as
+    :func:`check`, so a bad word raises the same error after the same
+    partial push as a word-by-word loop.  Returns the block as a list.
+    """
+    values = [values] if isinstance(values, int) else list(values)
+    if (values and set(map(type, values)) == {int}
+            and 0 <= min(values) and max(values) <= MASK):
+        queue.extend(values)
+    else:
+        for v in values:
+            queue.append(check(v, what))
+    return values
+
+
 def saturate_signed(value: int) -> int:
     """Clamp a Python integer into signed 16-bit range and return raw bits.
 

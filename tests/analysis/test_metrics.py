@@ -72,6 +72,27 @@ class TestRingMetrics:
         assert snap.value("switch_route_writes_total", switch="2") == 1
         assert snap.value("switch_route_writes_total", switch="0") == 0
 
+    def test_process_kernel_cache_counters(self):
+        """A second ring with the same configuration binds the first
+        one's kernels instead of compiling them: native, and macro for
+        the cycles native's FIFO gate leaves (the FIFO is empty).  Both
+        export formats carry the process-wide counters next to the
+        per-ring ``plan_cache_*`` families."""
+        names = ("kernel_cache_hits_total", "kernel_cache_misses_total",
+                 "kernel_cache_evictions_total")
+        before = collect_metrics(busy_ring())
+        first = busy_ring()
+        first.run(10)
+        second = busy_ring()
+        second.run(10)
+        snap = collect_metrics(second)
+        assert [snap.value(n) - before.value(n) for n in names] == [2, 2, 0]
+        assert second.native_compiles == 0
+        hits = int(snap.value("kernel_cache_hits_total"))
+        assert json.loads(snap.to_json())["kernel_cache_hits_total"] == hits
+        assert f"repro_kernel_cache_hits_total {hits}" in \
+            snap.to_prometheus().splitlines()
+
     def test_unknown_sample_raises(self):
         snap = collect_metrics(make_ring(4))
         with pytest.raises(KeyError):

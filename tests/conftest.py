@@ -7,8 +7,52 @@ from contextlib import contextmanager, nullcontext
 import numpy as np
 import pytest
 
+from repro.core import plancache
 from repro.core import ring as ring_module
 from repro.core.ring import Ring, RingGeometry
+
+
+@pytest.fixture(autouse=True)
+def _fresh_kernel_cache():
+    """Empty the process-wide kernel cache before every test, so a test
+    that counts compiles sees the same cache whatever ran before it."""
+    plancache.KERNELS.clear()
+
+
+class _HiddenTiers:
+    """The process-wide kernel cache with some tiers hidden from the ring.
+
+    A seam that refuses a tier must also hide it here: a template
+    another ring compiled must not skip the seam, and a seam refusal
+    must not enter the cache.  Lookups of a hidden tier miss and its
+    stores are dropped; every other key goes to the real cache.
+    """
+
+    def __init__(self, cache, tiers):
+        self._cache = cache
+        self._tiers = tiers
+
+    def get(self, key, count_miss=True):
+        if key[0] in self._tiers:
+            return None
+        return self._cache.get(key, count_miss)
+
+    def put(self, key, value):
+        if key[0] not in self._tiers:
+            self._cache.put(key, value)
+
+
+@contextmanager
+def _tiers_refused(**compilers):
+    """Patch the ring module's *compilers* (``compile_<tier>``) and hide
+    their tiers in the process-wide kernel cache."""
+    tiers = {name[len("compile_"):] for name in compilers}
+    with pytest.MonkeyPatch.context() as patch:
+        for name, compiler in compilers.items():
+            patch.setattr(ring_module, name, compiler)
+        patch.setattr(ring_module, "KERNELS",
+                      _HiddenTiers(plancache.KERNELS, tiers))
+        yield
 
 
 def _refuse_native(ring, refusal=None):
@@ -25,11 +69,12 @@ def native_refused():
     appends a reason and returns None), so the native ladder runs each
     span of at least one period on a generated macro kernel.  Tests
     using it assert ``ring.macro_cycles > 0``, so the case cannot
-    quietly turn into a second native run.  This form serves loops and
-    Hypothesis bodies; :func:`refuse_native` is the fixture.
+    quietly turn into a second native run.  Native templates in the
+    process-wide kernel cache are hidden for the duration.  This form
+    serves loops and Hypothesis bodies; :func:`refuse_native` is the
+    fixture.
     """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ring_module, "compile_native", _refuse_native)
+    with _tiers_refused(compile_native=_refuse_native):
         yield
 
 
@@ -55,11 +100,13 @@ def bulk_refused():
     steady-state span runs on the per-cycle plan, the ladder's last
     rung.  Tests using it assert ``native_cycles == macro_cycles == 0``
     (and, where they profile, compiled cycles: :func:`assert_rung_ran`),
-    so the case cannot quietly turn into a native run.  This form serves
-    loops and Hypothesis bodies; :func:`refuse_bulk` is the fixture.
+    so the case cannot quietly turn into a native run.  Both tiers'
+    templates in the process-wide kernel cache are hidden for the
+    duration.  This form serves loops and Hypothesis bodies;
+    :func:`refuse_bulk` is the fixture.
     """
-    with native_refused(), pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ring_module, "compile_macro", _refuse_macro)
+    with _tiers_refused(compile_native=_refuse_native,
+                        compile_macro=_refuse_macro):
         yield
 
 

@@ -526,6 +526,29 @@ class TestNumbaLadder:
         assert ring._steady["native"].jit_active()
         assert wrapped  # the core really went through @njit
 
+    def test_second_ring_shares_the_jitted_build(self, monkeypatch):
+        """A fresh ring binds the cached template, so its kernel is the
+        first ring's jitted build, jitted once, and stays bit-identical
+        to the interpreter."""
+        wrapped = []
+        fake = types.ModuleType("numba")
+
+        def njit(*args, **kwargs):
+            def deco(fn):
+                wrapped.append(fn.__name__)
+                return fn
+            return deco
+
+        fake.njit = njit
+        monkeypatch.setitem(sys.modules, "numba", fake)
+        first = self._run_pair()
+        second = self._run_pair()  # bit-identity asserted inside
+        assert second.native_compiles == 0
+        assert wrapped == ["_core"]
+        assert (second._steady["native"].template
+                is first._steady["native"].template)
+        assert second._steady["native"].jit_active()
+
     def test_broken_numba_falls_back_to_python_core(self, monkeypatch):
         fake = types.ModuleType("numba")
 

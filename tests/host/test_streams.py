@@ -50,6 +50,18 @@ class TestStreamChannel:
         with pytest.raises(ValueError):
             StreamChannel([70000])
 
+    def test_bad_word_mid_block_keeps_the_partial_push(self):
+        """A block push with a bad word raises what a word-by-word push
+        would, after queueing the words in front of it."""
+        ch = StreamChannel([9])
+        with pytest.raises(ValueError, match=re.escape(
+                "stream word must be a 16-bit raw word, got 70000")):
+            ch.push([1, 2, 70000, 3])
+        assert list(ch._queue) == [9, 1, 2]
+        with pytest.raises(ValueError, match="got 2.0"):
+            ch.push([4, 2.0])
+        assert list(ch._queue) == [9, 1, 2, 4]
+
 
 class TestOutputTap:
     def test_collects_in_order(self):

@@ -26,6 +26,9 @@ deadline) like the ring-level differential suite.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +37,7 @@ from repro.compiler import codegen
 from repro.compiler.library import fir8
 from repro.controller.core import RiscController
 from repro.controller.isa import Instruction, ROp
+from repro.core import plancache
 from repro.core import ring as ring_module
 from repro.core.config_memory import ConfigPlane
 from repro.core.dnode import DnodeMode
@@ -45,7 +49,12 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.host.streams import OutputTap, StreamChannel
 from repro.host.system import RingSystem
 
-from tests.conftest import _refuse_macro, bulk_refused, rung_seam
+from tests.conftest import (
+    _refuse_macro,
+    bulk_refused,
+    native_refused,
+    rung_seam,
+)
 from tests.core.test_fuzz import apply_spec, build_ring, ring_specs
 
 _SETTINGS = dict(deadline=None, derandomize=True)
@@ -718,7 +727,8 @@ _ENGINE_FAMILIES = frozenset({
     "native_fallback_cycles_total", "macro_step_cycles_total",
     "ring_plan_compiles_total", "ring_plan_invalidations_total",
     "plan_cache_hits_total", "plan_cache_misses_total",
-    "plan_cache_evictions_total",
+    "plan_cache_evictions_total", "kernel_cache_hits_total",
+    "kernel_cache_misses_total", "kernel_cache_evictions_total",
 })
 
 
@@ -1038,3 +1048,158 @@ class TestControllerDifferential:
                 for c in range(17 * 17)]
         _, _, golden = reference.full_search(block, area)
         assert sads == golden.reshape(-1).tolist()
+
+
+# -- rings sharing the process-wide kernel cache ------------------------
+
+class TestSharedKernelCache:
+    """Two rings share the process-wide kernel cache
+    (:data:`repro.core.plancache.KERNELS`).
+
+    The second ring binds the templates the first one compiled instead
+    of generating code, and must still match the per-cycle interpreter
+    bit for bit.  The cache holds no ring, a ``plan_cache=0`` ring
+    bypasses it, and a test seam still refuses a tier the cache holds.
+    """
+
+    @given(case=systems())
+    @settings(max_examples=60, **_SETTINGS)
+    def test_uncontrolled_second_ring_matches_interpreter(self, case):
+        plancache.KERNELS.clear()
+        _run(case, backend="native")
+        shared, executed = _run(case, handoff=True, backend="native")
+        interp, _ = _run(case, backend="interpreter")
+        assert shared.data.capture_state() == interp.data.capture_state()
+        assert state_digest(shared.ring) == state_digest(interp.ring)
+        assert shared.cycles == interp.cycles == sum(case[3])
+        assert sum(shared.cycle_paths.values()) == executed
+        _assert_ladder_served(shared.cycle_paths, case[-1])
+
+    @given(case=controlled_systems())
+    @settings(max_examples=60, **_SETTINGS)
+    def test_controlled_second_ring_matches_per_cycle_stepping(self, case):
+        plancache.KERNELS.clear()
+        _drive(case, per_cycle=False, backend="native")
+        shared, shared_error = _drive(case, per_cycle=False,
+                                      backend="native")
+        spec, spec_error = _drive(case, per_cycle=True,
+                                  backend="interpreter")
+        assert _observables(shared, shared_error) == \
+            _observables(spec, spec_error)
+
+    @staticmethod
+    def _switching_system(**ring_kwargs) -> RingSystem:
+        """A controller that applies a plane at cycle 0, sits in WAITI,
+        switches to a second plane (native-refused: macro windows) and
+        waits again; a stream feeds layer 0 and two taps sample it."""
+        ring = Ring(RingGeometry(layers=2, width=1), **ring_kwargs)
+        ring.config.write_switch_route(0, 0, 1, PortSource.host(0))
+        ring.config.write_switch_route(1, 0, 1, PortSource.up(0))
+        ring.config.write_microword(1, 0, MicroWord(
+            Opcode.ADD, Source.IN1, Source.SELF, Dest.OUT))
+        accumulate = ConfigPlane(microwords={(0, 0): MicroWord(
+            Opcode.ADD, Source.IN1, Source.BUS, Dest.OUT)})
+        echo = ConfigPlane(microwords={(0, 0): MicroWord(
+            Opcode.MULH, Source.IN1, Source.SELF, Dest.OUT)})
+        program = [Instruction(ROp.CFGPLANE, plane=0),
+                   Instruction(ROp.LDI, rd=1, imm=7),
+                   Instruction(ROp.BUSW, rs=1),
+                   Instruction(ROp.WAITI, imm=120),
+                   Instruction(ROp.CFGPLANE, plane=1),
+                   Instruction(ROp.WAITI, imm=60),
+                   Instruction(ROp.HALT)]
+        system = RingSystem(ring, RiscController(program),
+                            planes=[accumulate, echo])
+        system.data.stream(0, [(37 * k) & 0xFFFF for k in range(150)])
+        system.data.add_tap(0, 0, every=3)
+        system.data.add_tap(1, 0, skip=5)
+        return system
+
+    def test_second_ring_adopts_at_cycle_zero(self):
+        """The first ring compiles both planes' kernels.  A fresh ring
+        running the same program, with a checkpoint rollback across the
+        plane switch, binds them from cycle 0 on: no code generation, no
+        interpreted cycle, no first-time step, and the per-cycle
+        interpreter's results bit for bit."""
+        first = self._switching_system()
+        first.run_until_halt(drain=4)
+        assert first.ring.native_compiles == 1
+        assert first.cycle_paths.get(("bulk", "macro"), 0) > 0
+        misses = plancache.KERNELS.misses
+        shared = self._switching_system()
+        with shared.ring.profile() as profile:
+            shared.run(40)
+            saved = shared.checkpoint()
+            shared.run(100)  # past the switch to the echo plane
+            shared.restore_checkpoint(saved)
+            shared.run_until_halt(drain=4)
+        spec = self._switching_system(backend="interpreter")
+        _step_until_halt(spec, 1_000, 4)
+        restored, expected = (_observables(shared, None),
+                              _observables(spec, None))
+        # A restore rewrites the configuration; those writes are counted.
+        for observed in (restored, expected):
+            for family in ("ring_config_writes_total",
+                           "switch_route_writes_total"):
+                observed["metrics"].pop(family)
+        assert restored == expected
+        assert plancache.KERNELS.misses == misses
+        assert shared.ring.native_compiles == 0
+        assert profile.interpreted_cycles == 0
+        assert set(shared.cycle_paths) == {("per_cycle", "controller"),
+                                           ("bulk", "native"),
+                                           ("bulk", "macro")}
+
+    def test_cache_holds_no_ring(self):
+        """A ring that compiled kernels is collectable, and its kernels
+        stay cached for the next ring."""
+        system = self._switching_system()
+        system.run_until_halt()
+        cached = len(plancache.KERNELS)
+        assert cached >= 3  # native, echo refusal, macro
+        ref = weakref.ref(system.ring)
+        del system
+        gc.collect()
+        assert ref() is None
+        assert len(plancache.KERNELS) == cached
+        again = self._switching_system()
+        again.run_until_halt()
+        assert again.ring.native_compiles == 0
+
+    def test_plan_cache_zero_recompiles_on_every_switch(self):
+        """``plan_cache=0`` bypasses both cache levels: every switch back
+        to a plane compiles its per-cycle plan and its native kernel
+        again, and nothing enters the process-wide cache."""
+        ring = Ring(RingGeometry(layers=2, width=1), plan_cache=0)
+        ring.config.write_switch_route(0, 0, 1, PortSource.host(0))
+        planes = [ConfigPlane(microwords={(0, 0): MicroWord(
+            Opcode.ADD, Source.IN1, Source.IMM, Dest.OUT, imm=k)})
+            for k in (1, 2)]
+        system = RingSystem(ring)
+        tap = system.data.add_tap(0, 0)
+        for k in range(6):
+            ring.config.apply_plane(planes[k % 2])
+            system.data.stream(0, list(range(10)))
+            system.run(10)
+        assert ring.native_compiles == ring.plan_compiles == 6
+        assert len(plancache.KERNELS) == 0
+        assert tap.samples == [v + 1 + k % 2 for k in range(6)
+                               for v in range(10)]
+
+    def test_seam_refuses_a_cached_native_kernel(self):
+        """A native kernel in the process-wide cache cannot skip the
+        ``native_refused`` seam, and the seam's refusal never enters the
+        cache: a fresh ring with the same configuration runs macro."""
+        program = codegen.compile_graph(fir8())
+        samples = list(range(-20, 20))
+        golden = program.run(samples)
+        template_keys = plancache.KERNELS.keys()
+        assert [key[0] for key in template_keys] == ["native"]
+        with native_refused():
+            ring = Ring(program.geometry, **program.ring_kwargs)
+            assert program.run(samples, ring=ring) == golden
+        assert ring.native_cycles == 0 and ring.macro_cycles > 0
+        assert ring.native_refusal.startswith("native tier refused")
+        assert plancache.KERNELS.keys()[:1] == template_keys
+        assert not any(isinstance(plancache.KERNELS._entries[key], str)
+                       for key in plancache.KERNELS.keys())

@@ -137,6 +137,8 @@ class TestRunPlanCacheFlags:
         assert "plan_cache_hits_total" in data
         assert "plan_cache_misses_total" in data
         assert "plan_cache_evictions_total" in data
+        for name in ("hits", "misses", "evictions"):
+            assert f"kernel_cache_{name}_total" in data
 
     def test_plan_cache_zero_disables_caching(self, ring_obj, capsys):
         import json
