@@ -203,8 +203,8 @@ class MetricsRegistry:
              getattr(ring, "native_compiles", 0)),
             ("native_fallback_cycles_total", "counter",
              "Cycles a native-backend ring handed down the fall-back "
-             "ladder (ineligible config, remainder, unsafe FIFO "
-             "window).",
+             "ladder (ineligible config, remainder, strict-FIFO "
+             "window), or a batch ring ran on per-cycle lane kernels.",
              getattr(ring, "native_fallback_cycles", 0)),
             ("ring_config_writes_total", "counter",
              "Configuration words written through ConfigMemory.",

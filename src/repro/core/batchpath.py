@@ -36,15 +36,29 @@ ops/multiplies are lane-invariant and applied in closed form per run,
 while FIFO pops and underflows — which depend on per-lane occupancy —
 are tracked as per-lane arrays.
 
+These per-cycle lane kernels are the last rung of a two-rung lane
+ladder.  :meth:`BatchRing.run` runs the whole periods of a span of two
+or more cycles as one native lane window
+(:class:`~repro.core.nativepath.NativeLanePlan`: the native tier's
+time-vectorized kernel with a trailing lane axis, bound to this
+engine's lane arrays and FIFOs from the process-wide template cache),
+and leaves the per-cycle kernels what native cannot take: a one-cycle
+step, a sub-period remainder, a native-refused configuration, strict
+FIFOs.  They are compiled the first time a span needs them, so an
+engine whose spans all run native builds none.
+
 Plan lifetime mirrors the fast path: the ring fires its invalidation
 hook on every configuration write (Dnode microwords and modes, local
-slots/LIMIT, switch routes), the batch kernels are dropped, and the next
-``run()`` recompiles them over the *preserved* lane state — mid-run
-reconfiguration behaves identically to the scalar engines.
+slots/LIMIT, switch routes), the lane plan and the per-cycle kernels
+are dropped, and the next ``run()`` rebinds or recompiles over the
+*preserved* lane state — mid-run reconfiguration behaves identically to
+the scalar engines.
 
 Known divergence (shared with the fast path): inside a cycle aborted by
 a strict-FIFO error the partial state differs from the interpreter, and
-closed-form instruction counts cover completed cycles only.  Error
+closed-form instruction counts cover completed cycles only.  Like a
+scalar native window, a native lane window whose host read raises (a
+missing reader, an invalid word) commits none of its cycles.  Error
 messages themselves are identical.
 """
 
@@ -196,13 +210,13 @@ class _BatchFifo:
 
     def _grow(self, needed: int) -> None:
         cap = self.capacity
-        new_cap = max(needed, cap * 2)
-        new = np.zeros((new_cap, self.batch), dtype=LANE_DTYPE)
-        for lane in range(self.batch):
-            c = int(self.count[lane])
-            if c:
-                idx = (int(self.head[lane]) + np.arange(c)) % cap
-                new[:c, lane] = self.data[idx, lane]
+        new = np.zeros((max(needed, cap * 2), self.batch), dtype=LANE_DTYPE)
+        # Unroll every lane to head 0; rows past a lane's count carry
+        # stale words no read sees.
+        rows = int(self.count.max())
+        if rows:
+            idx = (self.head + np.arange(rows)[:, None]) % cap
+            new[:rows] = self.data[idx, self._lanes]
         self.data = new
         self.head[:] = 0
 
@@ -219,15 +233,19 @@ class _BatchFifo:
 
     def push_all(self, values: List[int]) -> None:
         """Append the same words to every lane."""
-        n = len(values)
+        self.push_rows(np.broadcast_to(
+            np.asarray(values, dtype=LANE_DTYPE), (self.batch, len(values))))
+
+    def push_rows(self, block) -> None:
+        """Append row i of a ``(batch, n)`` block to lane i."""
+        n = block.shape[1]
         if not n:
             return
         if int(self.count.max()) + n > self.capacity:
             self._grow(int(self.count.max()) + n)
-        arr = np.asarray(values, dtype=LANE_DTYPE)
         idx = (self.head[None, :] + self.count[None, :]
                + np.arange(n)[:, None]) % self.capacity
-        self.data[idx, self._lanes[None, :]] = arr[:, None]
+        self.data[idx, self._lanes[None, :]] = np.transpose(block)
         self.count += n
 
     def peek(self):
@@ -315,19 +333,25 @@ class BatchRing:
             (l, p): [0] for l in range(layers) for p in range(width)
         }
         self._fifos: Dict[Tuple[int, int, int], _BatchFifo] = {}
-        #: Kernel lifecycle counters (mirror the ring's plan counters).
+        #: Kernel lifecycle counters (mirror the ring's plan counters):
+        #: per-cycle kernel sets compiled, and kernel sets or lane plans
+        #: dropped by reconfiguration.
         self.compiles = 0
         self.invalidations = 0
         self._kernels = None
+        # Active native lane plan (None = not resolved, a str = refused).
+        self._native = None
         self._stat_plan: Tuple = ()
-        #: Host channels the compiled kernels read every cycle (valid
-        #: once a run has compiled or adopted them).
+        #: Host channels the configuration routes, read every cycle
+        #: (valid once a run has bound a lane plan or compiled kernels).
         self.host_channels: frozenset = frozenset()
         self._all_stats: Tuple = tuple(dn.stats for dn in ring.all_dnodes())
-        #: Engine-owned kernel cache, keyed by the ring's configuration
-        #: fingerprint.  Owned (not the ring's cache) because kernels
-        #: close over *this* engine's lane arrays and FIFO objects — an
-        #: entry must never outlive the engine or survive a resync.
+        #: Engine-owned cache of per-cycle kernels (keyed by the ring's
+        #: configuration fingerprint) and bound native lane plans (keyed
+        #: like the ring's steady plans).  Owned (not the ring's cache)
+        #: because both bind *this* engine's lane arrays and FIFO
+        #: objects — an entry must never outlive the engine or survive a
+        #: resync.
         self.plan_cache = PlanCache(ring.plan_cache.capacity)
         self._detached = False
         ring.add_invalidation_listener(self._on_config_change)
@@ -344,12 +368,14 @@ class BatchRing:
         """
         self.ring.remove_invalidation_listener(self._on_config_change)
         self._kernels = None
+        self._native = None
         self.plan_cache.clear()
         self._detached = True
 
     def _on_config_change(self) -> None:
-        if self._kernels is not None:
+        if self._kernels is not None or self._native is not None:
             self._kernels = None
+            self._native = None
             self.invalidations += 1
             self.ring.plan_invalidations += 1
 
@@ -383,8 +409,10 @@ class BatchRing:
             self._fifos[key] = fifo
         self.lane_underflows[:] = ring.fifo_underflows
         self._kernels = None
-        # Compiled kernels close over the _BatchFifo objects just
-        # replaced above, so every cached entry is stale.
+        self._native = None
+        # Compiled kernels and lane plans bind the _BatchFifo objects
+        # just replaced above, so every cached entry is stale; the next
+        # run rebinds the lane plan from the process-wide template.
         self.plan_cache.clear()
 
     def set_plan_cache(self, capacity: int) -> None:
@@ -425,9 +453,9 @@ class BatchRing:
     def restore_lanes(self, state: dict) -> None:
         """Load a :meth:`capture_lanes` snapshot back into the lanes.
 
-        Replaces every FIFO object (compiled kernels close over them),
-        so the kernel table and the engine cache are dropped exactly as
-        in :meth:`resync`.
+        Replaces every FIFO object (compiled kernels and lane plans bind
+        them), so the kernel table, the lane plan and the engine cache
+        are dropped exactly as in :meth:`resync`.
         """
         if state["batch"] != self.batch:
             raise SimulationError(
@@ -452,6 +480,7 @@ class BatchRing:
             self.lane_fifo_pops[key][:] = np.asarray(counts,
                                                      dtype=np.int64)
         self._kernels = None
+        self._native = None
         self.plan_cache.clear()
         # Re-align the scalar mirror (including the pipeline rotation
         # head) with the restored lane 0 — the writeback contract.
@@ -478,14 +507,27 @@ class BatchRing:
 
     def push_fifo(self, layer: int, position: int, channel: int,
                   values, lane: Optional[int] = None) -> None:
-        """Queue words on one lane's FIFO (``lane=None`` = every lane)."""
+        """Queue words on one lane's FIFO (``lane=None`` = every lane).
+
+        A 2-D ``(batch, n)`` block queues row i on lane i; it is
+        range-checked whole, and nothing is queued if a word is bad.
+        """
         self.ring.dnode(layer, position)
         if channel not in (1, 2):
             raise ConfigurationError(
                 f"FIFO channel must be 1 or 2, got {channel}"
             )
-        if isinstance(values, (int, np.integer)):
-            values = [int(values)]
+        if word.is_rows(values):
+            if lane is not None or len(values) != self.batch:
+                raise ConfigurationError(
+                    f"a 2-D FIFO block needs one row per lane "
+                    f"({self.batch}) and no lane, got {len(values)} rows"
+                    f" and lane={lane}"
+                )
+            rows = np.asarray(word.check_rows(values, "FIFO push"))
+            self._fifo_for((layer, position, channel)).push_rows(
+                rows.reshape(self.batch, -1))
+            return
         checked = word.check_block(values, "FIFO push")
         fifo = self._fifo_for((layer, position, channel))
         if lane is None:
@@ -521,6 +563,12 @@ class BatchRing:
         as a ``(cycles, batch)`` array and nothing is consumed, so the
         caller settles the streams afterwards (see :attr:`host_channels`).
 
+        The whole periods of a span of two or more cycles run as one
+        native lane window when the configuration has a native kernel
+        and the FIFOs are not strict; the rest (a one-cycle step, a
+        sub-period remainder, a native-refused configuration, strict
+        FIFOs) runs on the per-cycle lane kernels.
+
         Returns the number of cycles fully executed — or, given *taps*
         (``(layer, position)`` pairs), one ``(cycles, batch)`` int64
         array per tap of that Dnode's post-edge OUT values, row ``t``
@@ -532,46 +580,78 @@ class BatchRing:
             raise SimulationError(f"cycle count must be >= 0, got {cycles}")
         word.check(bus, "bus value")
         ring = self.ring
-        records = []
+        width = ring.geometry.width
+        nodes = []
         for layer, position in taps or ():
             ring.dnode(layer, position)  # validates the address
-            records.append((self.outs[layer, position],
-                            np.empty((cycles, self.batch), np.int64)))
+            nodes.append(layer * width + position)
+        records = [np.empty((cycles, self.batch), np.int64) for _ in nodes]
+        ring.last_bus = bus
+        done = 0
+        plan = self._native_plan() if cycles > 1 else None
+        if plan is not None:
+            done = cycles - cycles % plan.period
+            if done:
+                self.host_channels = plan.host_channels
+                outs = plan.run(done, bus, host_in, nodes)
+                for record, values in zip(records, outs):
+                    record[:done] = values
+        if done < cycles:
+            done += self._run_per_cycle(cycles - done, bus, host_in,
+                                        nodes, records, done)
+        return done if taps is None else records
+
+    def _native_plan(self):
+        """The native lane plan for the current configuration and entry
+        phase, or None when the lanes must run per cycle (refused
+        configuration or strict FIFOs)."""
+        if self.ring.strict_fifos:
+            return None
+        plan = self._native
+        if plan is None or not (isinstance(plan, str)
+                                or plan.matches_phase()):
+            plan = self._native = self.ring._lane_plan(self)
+        return None if isinstance(plan, str) else plan
+
+    def _run_per_cycle(self, cycles: int, bus: int, host_in, nodes,
+                       records, offset: int) -> int:
+        """Run *cycles* on the per-cycle lane kernels (compiled the first
+        time a span needs them), tap rows from *offset* on."""
+        ring = self.ring
         gather = getattr(host_in, "gather", None)
         if gather is not None:
             host_in = self._window_host(gather, cycles)
         if self._kernels is None:
             self._adopt_kernels()
         evals, shift, commits = self._kernels
-        ring.last_bus = bus
+        views = [self.outs[divmod(i, ring.geometry.width)] for i in nodes]
         local_starts = [
             entry[2][0] if entry[0] == "l" else 0
             for entry in self._stat_plan
         ]
         executed = 0
         try:
-            for t in range(cycles):
+            for t in range(offset, offset + cycles):
                 for ev in evals:
                     ev(bus, host_in)
                 shift()
                 for cm in commits:
                     cm()
-                for view, out in records:
+                for view, out in zip(views, records):
                     out[t] = view
                 ring.cycles += 1
                 executed += 1
         finally:
             if executed:
                 self._apply_stats(executed, local_starts)
+                ring.native_fallback_cycles += executed
                 # Keep the ring's local-slot counters current: a
                 # configuration write between runs may reset or clamp
                 # them (load_program / set_limit), and the next compile
                 # adopts the ring's value as the truth.
                 for (l, p), cell in self._counters.items():
                     ring._dnodes[l][p].local._counter = cell[0]
-        if taps is None:
-            return executed
-        return [out for _, out in records]
+        return executed
 
     def _window_host(self, gather, cycles: int):
         """A per-cycle host reader over windows gathered on first use."""

@@ -25,8 +25,12 @@ a single NumPy array operation over all T/period executions at once:
   latch read through ``SELF``.  Each becomes ``(init ± cumsum(terms))
   & 0xFFFF``, exact in int64 (terms are bounded by 2**30 and a window
   holds at most :data:`MAX_WINDOW_CELLS` = 2**20 cycles);
-* FIFO reads/pops are schedule-determined, so the window is clipped to
-  the **safe prefix** the current occupancy can serve with no underflow
+* FIFO reads/pops are schedule-determined, so a window gathers each
+  read site's words as one vector and its **underflow tail** has a
+  closed form (:func:`fifo_tail`): a read past the occupancy reads 0
+  and a pop on an empty queue dequeues nothing, each counting one
+  underflow.  Only strict FIFOs, whose underflow must raise at its
+  cycle, clip the window to the **safe prefix** the occupancy can serve
   (:meth:`NativePlan.safe_cycles`); host-port reads are pre-gathered
   into per-port arrays — whole stream windows from a resolver with a
   ``gather`` method, otherwise one poll per cycle in interpreter order;
@@ -49,6 +53,16 @@ FIFO key) once per configuration and entry phase, and
 ring keeps templates in the process-wide kernel cache
 (:mod:`repro.core.plancache`), so every fresh ring with a configuration
 the process has compiled binds it in microseconds and shares one jit.
+
+The same emitter serves a batch ring's lanes: ``native_template(ring,
+lanes=True)`` generates the kernel with a trailing lane axis on every
+array, and :meth:`NativeTemplate.bind_lanes` maps it onto a
+:class:`~repro.core.batchpath.BatchRing`'s lane arrays and lane FIFOs
+(:class:`NativeLanePlan`).  It is cached under its own tier,
+``"native_lanes"``, because one source cannot serve both shapes: an
+accumulator's running sum is ``np.cumsum`` over a 1-D vector, and over
+the time axis of a 2-D one (a loop in the jitted build, as Numba's
+``cumsum`` takes no axis).
 
 Eligibility — :func:`compile_native` returns None (the ring then falls
 back native → macro → per-cycle plan, and keeps the reason as
@@ -91,8 +105,9 @@ from repro.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.ring import Ring
 
-#: Cap on Dnode-count x window-cycles per kernel call: windows beyond it
-#: are split, bounding peak VO-array memory (~8 MB of int64 at the cap).
+#: Cap on Dnode-count x window-cycles (x lanes) per kernel call: windows
+#: beyond it are split, bounding peak VO-array memory (~8 MB of int64 at
+#: the cap).
 MAX_WINDOW_CELLS = 1 << 20
 
 #: Sentinel: jit resolution finished, native kernel runs as plain NumPy.
@@ -188,29 +203,104 @@ def _vector_expr(mw, a: str, b: Optional[str], acc: Optional[str]) -> str:
     raise Ineligible(f"opcode {op!r} has no native template")
 
 
+def _cumsum_rows(t):
+    """Running sum down the time axis of a lane kernel's accumulator
+    terms (``np.cumsum`` over axis 0)."""
+    return np.cumsum(t, axis=0)
+
+
+def _cumsum_rows_loop(t):
+    """:func:`_cumsum_rows` as a loop, for the jitted lane build (Numba's
+    ``np.cumsum`` takes no axis)."""
+    out = t.copy()
+    for k in range(1, out.shape[0]):
+        out[k] += out[k - 1]
+    return out
+
+
+def fifo_tail(occupancy, n: int, ppp: int, reads):
+    """Pops that land and underflows counted by *n* periods on a
+    non-strict FIFO holding *occupancy* words (an int, or an array with
+    one per lane).
+
+    Pops are set by the schedule: *ppp* per period, and each read of
+    *reads* (``(prefix, reads per period)``) sees the word *prefix* pops
+    into its period.  A pop on an empty queue dequeues nothing, and a
+    read past the occupancy reads 0; each counts one underflow.
+    Returns ``(landed, underflows)``.
+    """
+    lo, hi = ((np.minimum, np.maximum) if isinstance(occupancy, np.ndarray)
+              else (min, max))
+    landed = lo(occupancy, n * ppp)
+    underflows = n * ppp - landed
+    for prefix, count in reads:
+        if ppp:
+            # Periods whose read still finds a word: ceil((occ - prefix)
+            # / ppp), clipped to the window.
+            served = lo(hi(-((prefix - occupancy) // ppp), 0), n)
+        else:
+            served = n * (occupancy > prefix)
+        underflows = underflows + count * (n - served)
+    return landed, underflows
+
+
+def _queue_reads(queue, prefix: int, ppp: int, n: int) -> np.ndarray:
+    """A read site's words over *n* periods off a scalar queue (0 past
+    its occupancy)."""
+    if not ppp:
+        return np.full(n, queue[0] if queue else 0, np.int64)
+    needed = prefix + (n - 1) * ppp + 1
+    avail = min(needed, len(queue))
+    if avail == needed:
+        words = np.fromiter(itertools.islice(queue, needed), np.int64,
+                            needed)
+    else:
+        words = np.zeros(needed, np.int64)
+        words[:avail] = np.fromiter(
+            itertools.islice(queue, avail), np.int64, avail)
+    return words[prefix::ppp]
+
+
+def _lane_reads(fifo, prefix: int, ppp: int, n: int) -> np.ndarray:
+    """A read site's ``(n, lanes)`` words off a lane FIFO (0 past each
+    lane's occupancy)."""
+    index = (prefix + ppp * np.arange(n))[:, None]
+    words = fifo.data[(fifo.head + index) % fifo.capacity, fifo._lanes]
+    return np.where(index < fifo.count, words, 0).astype(np.int64)
+
+
 class NativeTemplate:
     """A compiled native kernel with no ring in it.
 
     ``core`` is the pure-array kernel (``source`` its text), shared by
     every ring bound to it, and so is its jitted build (``jit``).  The
     rest is the window's schedule by Dnode index and FIFO key, which a
-    :class:`NativePlan` maps to one ring's state containers.
+    :class:`NativePlan` maps to one ring's state containers, or, for a
+    lane template (``lanes``), a :class:`NativeLanePlan` to one batch
+    engine's lane arrays.
     """
 
-    __slots__ = ("schedule", "source", "core", "jit", "init_fill",
-                 "fin_regs", "fifo_reads", "fifo_gates", "max_periods")
+    __slots__ = ("schedule", "source", "lanes", "core", "jit", "init_fill",
+                 "fin_regs", "fifo_reads", "fifo_gates")
 
-    def __init__(self, schedule, core, source, init_fill, fin_regs,
-                 fifo_reads, fifo_gates, max_periods):
+    def __init__(self, schedule, source, lanes, init_fill, fin_regs,
+                 fifo_reads, fifo_gates):
         self.schedule = schedule
         self.source = source
-        self.core = core
+        self.lanes = lanes
+        self.core = self._exec(_cumsum_rows)
         self.jit = None
         self.init_fill = init_fill
         self.fin_regs = fin_regs
         self.fifo_reads = fifo_reads
         self.fifo_gates = fifo_gates
-        self.max_periods = max_periods
+
+    def _exec(self, cumsum_rows):
+        env: Dict[str, object] = {"np": np, "_cumsum_rows": cumsum_rows}
+        name = f"<native period={self.schedule.period}" + (
+            " lanes>" if self.lanes else ">")
+        exec(compile(self.source, name, "exec"), env)
+        return env["_core"]
 
     def kernel(self):
         """The kernel to call: the jitted build once resolved, else
@@ -221,27 +311,88 @@ class NativeTemplate:
             if numba_available():
                 try:
                     import numba
-                    jit = numba.njit(cache=False)(self.core)
+                    core = self.core
+                    if self.lanes:
+                        core = self._exec(
+                            numba.njit(cache=False)(_cumsum_rows_loop))
+                    jit = numba.njit(cache=False)(core)
                 except Exception:
                     jit = _JIT_OFF
             self.jit = jit
         return self.core if jit is _JIT_OFF else jit
 
+    def call(self, args) -> None:
+        """Run the kernel on *args*, retiring a jitted build that fails.
+
+        A jitted build that fails at call time (an unsupported construct
+        surfacing late) is retired permanently, for every plan bound to
+        the template; the kernel only overwrites its outputs, so
+        re-running the NumPy version recomputes the window exactly.
+        """
+        core = self.kernel()
+        if core is self.core:
+            core(*args)
+            return
+        try:
+            core(*args)
+        except Exception:
+            self.jit = _JIT_OFF
+            self.core(*args)
+
     def bind(self, ring: "Ring") -> "NativePlan":
         """The plan that runs this kernel over *ring*'s state."""
         return NativePlan(self, ring)
 
+    def bind_lanes(self, engine) -> "NativeLanePlan":
+        """The plan that runs this lane kernel over a batch *engine*'s
+        lanes."""
+        return NativeLanePlan(self, engine)
 
-class NativePlan(SteadyPlan):
-    """A :class:`NativeTemplate` bound to one ring."""
+
+class _NativeWindows(SteadyPlan):
+    """What both bindings of a native kernel share: a run is a series of
+    windows of at most ``_max_periods`` periods, which bounds the
+    visible-out arrays to :data:`MAX_WINDOW_CELLS` cells per lane."""
 
     rung = "native"
 
-    __slots__ = ("_meta",)
+    __slots__ = ("_meta", "_max_periods")
+
+    def __init__(self, template: NativeTemplate, nodes, lanes: int):
+        super().__init__(template, nodes)
+        self._max_periods = max(1, MAX_WINDOW_CELLS // (
+            len(nodes) * self.period * lanes))
+
+    def run(self, cycles: int, bus: int, host_in,
+            taps: Sequence[int] = ()) -> List[np.ndarray]:
+        """Advance *cycles* fabric clocks (a period multiple; on a
+        strict-FIFO ring, a safe one).
+
+        Returns, for each Dnode index (``layer * width + position``) in
+        *taps*, its post-edge output values over the run: element ``t``
+        is what an output tap observes after cycle ``t`` (a row of one
+        value per lane on a lane plan).
+        """
+        n = cycles // self.period
+        parts: List[List[np.ndarray]] = [[] for _ in taps]
+        while n > 0:
+            m = min(n, self._max_periods)
+            for acc, values in zip(parts, self._window(m, bus, host_in,
+                                                       taps)):
+                acc.append(values)
+            n -= m
+        return [np.concatenate(acc) if acc else np.empty(0, np.int64)
+                for acc in parts]
+
+
+class NativePlan(_NativeWindows):
+    """A :class:`NativeTemplate` bound to one ring."""
+
+    __slots__ = ()
 
     def __init__(self, template: NativeTemplate, ring: "Ring"):
         nodes = tuple(ring.all_dnodes())
-        super().__init__(template, nodes)
+        super().__init__(template, nodes, 1)
         geometry = ring.geometry
         layers, width = geometry.layers, geometry.width
         fifo = ring.fifo
@@ -260,11 +411,10 @@ class NativePlan(SteadyPlan):
             "host_ports": template.schedule.host_ports,
             "fifo_reads": [(fifo(*key), prefix, ppp)
                            for key, prefix, ppp in template.fifo_reads],
-            "fifo_gates": [(fifo(*key), ppp, maxprefix)
-                           for key, ppp, maxprefix in template.fifo_gates],
-            "fifo_pops": [(fifo(*key), ppp,
-                           nodes[key[0] * width + key[1]].stats)
-                          for key, ppp, _ in template.fifo_gates if ppp],
+            "fifo_gates": [(fifo(*key), ppp, maxprefix, reads,
+                            nodes[key[0] * width + key[1]].stats)
+                           for key, ppp, maxprefix, reads
+                           in template.fifo_gates],
             "init_fill": [("reg", nodes[i].regs._values, r) if kind == "reg"
                           else ("out", nodes[i], 0)
                           for kind, i, r in template.init_fill],
@@ -283,19 +433,24 @@ class NativePlan(SteadyPlan):
         return self.template.source
 
     def safe_cycles(self, cycles: int) -> int:
-        """Longest whole-period prefix of *cycles* this plan can run with
-        no FIFO underflow, given the live queue occupancies.
+        """Longest whole-period prefix of *cycles* this plan can run.
 
-        The schedule fixes pops-per-period and the read offsets within a
-        period, so safety is a pure occupancy computation; the unsafe
-        remainder falls back to the macro/fast-path tiers, which handle
-        underflow (and strict-FIFO errors) cycle-exactly.
+        On a non-strict ring that is every whole period: pops are set by
+        the schedule, so FIFO underflow tails have a closed form
+        (:func:`fifo_tail`).  With strict FIFOs an underflow must raise
+        at its exact cycle, so the prefix stops short of the first one;
+        safety is a pure occupancy computation, and the unsafe remainder
+        falls back to the macro/per-cycle rungs, which raise
+        cycle-exactly.
         """
         per = self.period
         n = cycles // per
         if n <= 0:
             return 0
-        for queue, ppp, maxprefix in self._meta["fifo_gates"]:
+        if not self._meta["ring"].strict_fifos:
+            return n * per
+        for queue, ppp, maxprefix, _reads, _stats in self._meta[
+                "fifo_gates"]:
             occ = len(queue)
             if ppp == 0:
                 # Reads but never a pop: any occupancy serves forever.
@@ -315,25 +470,6 @@ class NativePlan(SteadyPlan):
         jit = self.template.jit
         return jit is not None and jit is not _JIT_OFF
 
-    def run(self, cycles: int, bus: int, host_in,
-            taps: Sequence[int] = ()) -> List[np.ndarray]:
-        """Advance *cycles* fabric clocks (must be a safe period multiple).
-
-        Returns, for each Dnode index (``layer * width + position``) in
-        *taps*, its post-edge output values over the run: element ``t``
-        is what an output tap observes after cycle ``t``.
-        """
-        n = cycles // self.period
-        parts: List[List[np.ndarray]] = [[] for _ in taps]
-        while n > 0:
-            m = min(n, self.template.max_periods)
-            for acc, values in zip(parts, self._window(m, bus, host_in,
-                                                       taps)):
-                acc.append(values)
-            n -= m
-        return [np.concatenate(acc) if acc else np.empty(0, np.int64)
-                for acc in parts]
-
     # ------------------------------------------------------------------
 
     def _window(self, n: int, bus: int, host_in,
@@ -349,50 +485,13 @@ class NativePlan(SteadyPlan):
         T = n * self.period
         c0 = ring.cycles
 
-        # Host gather.  A resolver with a ``gather(channel, c0, T)``
-        # method (the data controller's stream windows) hands over each
-        # routed channel's T words as one array; stream words were
-        # range-checked when pushed.  A plain closure is polled per cycle
-        # in the interpreter's routed-port order (layer, position, port),
-        # with ring.cycles tracking the simulated cycle so cycle-dependent
-        # closures observe exactly what they would per-cycle.  Nothing is
-        # committed if a read raises.
-        host_ports = meta["host_ports"]
-        hv: List[np.ndarray] = []
-        gather = getattr(host_in, "gather", None)
-        if host_ports and gather is not None:
-            windows: Dict[int, np.ndarray] = {}
-            for *_, ch in host_ports:
-                if ch not in windows:
-                    windows[ch] = gather(ch, c0, T)
-            hv = [windows[ch] for *_, ch in host_ports]
-        elif host_ports:
-            if host_in is None:
-                l, p, port, ch = host_ports[0]
-                raise SimulationError(
-                    f"switch {l} routes port {port} of position {p} to "
-                    f"host channel {ch}, but no host reader was supplied"
-                )
-            hv = [np.empty(T, np.int64) for _ in host_ports]
-            try:
-                for j in range(T):
-                    ring.cycles = c0 + j
-                    for slot, (_l, _p, _port, ch) in enumerate(host_ports):
-                        hv[slot][j] = word.check(
-                            host_in(ch), f"host channel {ch}")
-            finally:
-                ring.cycles = c0
+        # Host gather; nothing is committed if a read raises.
+        hv = _host_windows(meta["host_ports"], host_in, ring, T,
+                           _host_word, ())
 
         # FIFO gather: each read site gets its length-n value vector.
-        fv: List[np.ndarray] = []
-        for queue, prefix, ppp in meta["fifo_reads"]:
-            if ppp:
-                needed = prefix + (n - 1) * ppp + 1
-                head = np.fromiter(
-                    itertools.islice(queue, needed), np.int64, needed)
-                fv.append(head[prefix::ppp][:n])
-            else:
-                fv.append(np.zeros(n, np.int64) + queue[0])
+        fv = [_queue_reads(queue, prefix, ppp, n)
+              for queue, prefix, ppp in meta["fifo_reads"]]
 
         init = np.empty(max(1, len(meta["init_fill"])), np.int64)
         for i, (kind, obj, idx) in enumerate(meta["init_fill"]):
@@ -411,22 +510,7 @@ class NativePlan(SteadyPlan):
         vos[:, :depth + 1] = seed
 
         fin = np.zeros(max(1, meta["fin_count"]), np.int64)
-        args = (n, bus, init, fin, *vos, *hv, *fv)
-        template = self.template
-        core = template.kernel()
-        if core is template.core:
-            core(*args)
-        else:
-            try:
-                core(*args)
-            except Exception:
-                # A jitted build that fails at call time (unsupported
-                # construct surfacing late) is retired permanently, for
-                # every ring bound to the template; the kernel only
-                # overwrites its outputs, so re-running the NumPy
-                # version recomputes the window exactly.
-                template.jit = _JIT_OFF
-                template.core(*args)
+        self.template.call((n, bus, init, fin, *vos, *hv, *fv))
 
         for values, r, k in meta["fin_regs"]:
             values[r] = int(fin[k])
@@ -449,21 +533,19 @@ class NativePlan(SteadyPlan):
                 # In place: macro kernels bind these list objects.
                 lane = stages[vi]
                 pipe[:] = lane[-head:] + lane[:-head]
-        for queue, pops, stats in meta["fifo_pops"]:
-            total = n * pops
-            if total == len(queue):
-                queue.clear()
-            else:
-                for _ in range(total):
-                    queue.popleft()
-            stats.fifo_pops += total
-        for stats in meta["all_stats"]:
-            stats.cycles += T
-        for stats, (ti, ta, tm), _prefix in meta["stat_entries"]:
-            stats.instructions += n * ti
-            stats.arithmetic_ops += n * ta
-            if tm:
-                stats.multiplies += n * tm
+        underflows = 0
+        for queue, ppp, _maxprefix, reads, stats in meta["fifo_gates"]:
+            landed, under = fifo_tail(len(queue), n, ppp, reads)
+            underflows += under
+            if landed:
+                if landed == len(queue):
+                    queue.clear()
+                else:
+                    for _ in range(landed):
+                        queue.popleft()
+                stats.fifo_pops += landed
+        ring.fifo_underflows += underflows
+        _book_stats(meta, n, T)
         # Entry phase is period-preserving (every LIMIT divides the
         # period), so local counters are already correct; only the
         # global clocks move.
@@ -472,17 +554,187 @@ class NativePlan(SteadyPlan):
         return [vos[i][depth + 1:] for i in taps]
 
 
+def _host_word(value, channel: int) -> int:
+    return word.check(value, f"host channel {channel}")
+
+
+def _host_windows(host_ports, host_in, ring, T: int, check, lane_shape):
+    """Each routed host port's words over a T-cycle window.
+
+    A resolver with a ``gather(channel, c0, T)`` method (the data
+    controller's stream windows) hands over each routed channel's words
+    as one array; stream words were range-checked when pushed.  A plain
+    closure is polled per cycle in the interpreter's routed-port order
+    (layer, position, port), each value validated by ``check(value,
+    channel)``, with ``ring.cycles`` tracking the simulated cycle so
+    cycle-dependent closures observe exactly what they would per cycle.
+    *lane_shape* is ``()`` for a scalar ring, ``(lanes,)`` for lanes.
+    """
+    if not host_ports:
+        return []
+    c0 = ring.cycles
+    gather = getattr(host_in, "gather", None)
+    if gather is not None:
+        windows: Dict[int, np.ndarray] = {}
+        for *_, ch in host_ports:
+            if ch not in windows:
+                window = gather(ch, c0, T)
+                if window.ndim == 1 and lane_shape:
+                    # A one-lane engine under a scalar data controller.
+                    window = np.repeat(window[:, None], lane_shape[0], 1)
+                windows[ch] = window
+        return [windows[ch] for *_, ch in host_ports]
+    if host_in is None:
+        l, p, port, ch = host_ports[0]
+        raise SimulationError(
+            f"switch {l} routes port {port} of position {p} to "
+            f"host channel {ch}, but no host reader was supplied"
+        )
+    hv = [np.empty((T,) + lane_shape, np.int64) for _ in host_ports]
+    try:
+        for j in range(T):
+            ring.cycles = c0 + j
+            for slot, (_l, _p, _port, ch) in enumerate(host_ports):
+                hv[slot][j] = check(host_in(ch), ch)
+    finally:
+        ring.cycles = c0
+    return hv
+
+
+def _book_stats(meta, n: int, T: int) -> None:
+    """Lane-invariant statistics of an n-period, T-cycle window."""
+    for stats in meta["all_stats"]:
+        stats.cycles += T
+    for stats, (ti, ta, tm), _prefix in meta["stat_entries"]:
+        stats.instructions += n * ti
+        stats.arithmetic_ops += n * ta
+        if tm:
+            stats.multiplies += n * tm
+
+
+class NativeLanePlan(_NativeWindows):
+    """A lane :class:`NativeTemplate` bound to one batch engine.
+
+    The kernel's arrays carry a trailing lane axis: ``(T, lanes)`` host
+    windows, ``(n, lanes)`` FIFO read vectors and ``(T + depth + 1,
+    lanes)`` visible-out arrays.  A window reads the engine's ``outs`` /
+    ``regs`` / ``pipes`` lane arrays and lane FIFOs and writes them back;
+    statistics are lane-invariant and go to the ring's Dnodes, FIFO pops
+    and underflows per lane (:func:`fifo_tail`).  Only non-strict rings
+    run it: a strict underflow must raise at its cycle.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, template: NativeTemplate, engine):
+        ring = engine.ring
+        nodes = tuple(ring.all_dnodes())
+        super().__init__(template, nodes, engine.batch)
+        geometry = ring.geometry
+        layers, width = geometry.layers, geometry.width
+        regs_per_node = engine.regs.shape[2]
+        init = template.init_fill
+        self._meta = {
+            "engine": engine,
+            "depth": geometry.pipeline_depth,
+            "host_ports": template.schedule.host_ports,
+            "fifo_reads": [(engine._fifo_for(key), prefix, ppp)
+                           for key, prefix, ppp in template.fifo_reads],
+            "fifo_gates": [(engine._fifo_for(key), ppp, reads,
+                            engine.lane_fifo_pops[key[:2]])
+                           for key, ppp, _maxprefix, reads
+                           in template.fifo_gates],
+            "init_regs": (
+                [k for k, (kind, *_) in enumerate(init) if kind == "reg"],
+                [i * regs_per_node + r for kind, i, r in init
+                 if kind == "reg"]),
+            "init_outs": (
+                [k for k, (kind, *_) in enumerate(init) if kind == "out"],
+                [i for kind, i, _ in init if kind == "out"]),
+            "init_count": max(1, len(init)),
+            "fin_count": max(1, len(template.fin_regs)),
+            "fin_regs": ([k for _i, _r, k in template.fin_regs],
+                         [i * regs_per_node + r
+                          for i, r, _k in template.fin_regs]),
+            # Dnode (l, p) feeds lane p of switch l + 1; switch k is fed
+            # by its upstream layer.
+            "down": [(l + 1) % layers for l in range(layers)],
+            "up": [ring.upstream_layer(k) for k in range(layers)],
+            "all_stats": tuple(dn.stats for dn in nodes),
+            "stat_entries": template.schedule.bind_stats(nodes),
+        }
+
+    def _window(self, n: int, bus: int, host_in,
+                taps: Sequence[int]) -> List[np.ndarray]:
+        meta = self._meta
+        engine = meta["engine"]
+        ring = engine.ring
+        depth = meta["depth"]
+        lanes = engine.batch
+        T = n * self.period
+        c0 = ring.cycles
+        hv = _host_windows(meta["host_ports"], host_in, ring, T,
+                           engine._host_word, (lanes,))
+        fv = [_lane_reads(fifo, prefix, ppp, n)
+              for fifo, prefix, ppp in meta["fifo_reads"]]
+
+        nodes = engine.outs.shape[0] * engine.outs.shape[1]
+        outs = engine.outs.reshape(nodes, lanes)
+        regs = engine.regs.reshape(-1, lanes)
+        init = np.empty((meta["init_count"], lanes), np.int64)
+        slots, rows = meta["init_regs"]
+        init[slots] = regs[rows]
+        slots, rows = meta["init_outs"]
+        init[slots] = outs[rows]
+
+        # Visible-out history, one (T + depth + 1, lanes) block per
+        # Dnode: the downstream pipeline's stages depth..1, then the
+        # live OUT latch.
+        head = engine._head
+        stage = (head + np.arange(depth)) % depth   # stages 1..depth
+        vos = np.empty((nodes, T + depth + 1, lanes), np.int64)
+        vos[:, :depth] = engine.pipes[meta["down"]].reshape(
+            nodes, depth, lanes)[:, stage[::-1]]
+        vos[:, depth] = outs
+
+        fin = np.zeros((meta["fin_count"], lanes), np.int64)
+        self.template.call((n, bus, init, fin, *vos, *hv, *fv))
+
+        slots, rows = meta["fin_regs"]
+        regs[rows] = fin[slots]
+        outs[:] = vos[:, depth + T]
+        # Each pipeline lane takes its upstream Dnode's last depth
+        # visible outputs, stage 1 first, at the shared head.
+        engine.pipes[:, :, stage] = vos[:, T:T + depth][:, ::-1].reshape(
+            -1, engine.outs.shape[1], depth, lanes)[meta["up"]]
+        for fifo, ppp, reads, pops in meta["fifo_gates"]:
+            landed, under = fifo_tail(fifo.count, n, ppp, reads)
+            if ppp:
+                fifo.head += landed
+                fifo.head %= fifo.capacity
+                fifo.count -= landed
+                pops += landed
+            engine.lane_underflows += under
+        _book_stats(meta, n, T)
+        ring.cycles = c0 + T
+        ring.native_cycles += T
+        return [vos[i, depth + 1:] for i in taps]
+
+
 def compile_native(ring: "Ring",
-                   refusal: Optional[List[str]] = None
-                   ) -> Optional[NativePlan]:
+                   refusal: Optional[List[str]] = None,
+                   engine=None):
     """Compile *ring*'s current configuration into a native plan.
 
-    Returns the :func:`native_template` bound to *ring*, or None when
-    the configuration is ineligible; the caller falls back to the macro
-    / per-cycle rungs.  The reason for a refusal is appended to
-    *refusal* when a list is given.
+    Returns the :func:`native_template` bound to *ring* — or, given the
+    ring's batch *engine*, the lane template bound to its lanes — or
+    None when the configuration is ineligible; the caller falls back to
+    the macro / per-cycle rungs.  The reason for a refusal is appended
+    to *refusal* when a list is given.
     """
     try:
+        if engine is not None:
+            return native_template(ring, lanes=True).bind_lanes(engine)
         return native_template(ring).bind(ring)
     except Ineligible as exc:
         if refusal is not None:
@@ -521,9 +773,15 @@ def _cycle_members(deps: Dict[int, set], unordered: set) -> List[int]:
         left = used
 
 
-def native_template(ring: "Ring") -> NativeTemplate:
+def native_template(ring: "Ring", lanes: bool = False) -> NativeTemplate:
     """Generate and compile the native kernel for *ring*'s configuration
-    and entry phase; raises :class:`Ineligible` when it has none."""
+    and entry phase; raises :class:`Ineligible` when it has none.
+
+    With *lanes* the kernel's arrays carry a trailing lane axis (see
+    :class:`NativeLanePlan`): the same schedule and emitter, with
+    per-lane temporaries and a row-wise running sum in place of the 1-D
+    ``np.cumsum``, which takes no axis under Numba.
+    """
     steady = SteadySchedule(ring)
     schedule = steady.words
     geometry = ring.geometry
@@ -573,6 +831,9 @@ def native_template(ring: "Ring") -> NativeTemplate:
     fifo_slot: Dict[Tuple[int, int, int, int], int] = {}
     fifo_reads: List[tuple] = []      # ((l, p, ch), prefix, pops/period)
     fifo_read_prefixes: Dict[Tuple[int, int, int], int] = {}
+    # Operand reads per period at each (l, p, ch, prefix): each read of
+    # an empty queue counts one underflow.
+    fifo_read_counts: Dict[Tuple[int, int, int, int], int] = {}
     pop_phases: Dict[Tuple[int, int, int], List[int]] = {}
     for (l, p), sched in schedule.items():
         for phase, mw in enumerate(sched):
@@ -622,6 +883,7 @@ def native_template(ring: "Ring") -> NativeTemplate:
                 if seen is None or prefix > seen:
                     fifo_read_prefixes[(l, p, ch)] = prefix
                 key = (l, p, ch, prefix)
+                fifo_read_counts[key] = fifo_read_counts.get(key, 0) + 1
                 slot = fifo_slot.get(key)
                 if slot is None:
                     slot = len(fifo_reads)
@@ -787,6 +1049,10 @@ def native_template(ring: "Ring") -> NativeTemplate:
     # --- code generation ----------------------------------------------
     lines: List[str] = []
     temp_count = [0]
+    # Shape of one op's result vector: n periods (by lane).
+    shape = "(n, _B)" if lanes else "n"
+    if lanes:
+        lines.append("    _B = _INIT.shape[1]")
 
     def emit(text: str) -> None:
         lines.append("    " + text)
@@ -810,7 +1076,7 @@ def native_template(ring: "Ring") -> NativeTemplate:
             psi, ii = opnd[1], opnd[2]
             temp_count[0] += 1
             t = f"_t{temp_count[0]}"
-            emit(f"{t} = np.empty(n, np.int64)")
+            emit(f"{t} = np.empty({shape}, np.int64)")
             emit(f"{t}[0] = _INIT[{ii}]")
             emit(f"{t}[1:] = _r_{i}_{psi}[:n - 1]")
             return t, True
@@ -828,7 +1094,8 @@ def native_template(ring: "Ring") -> NativeTemplate:
         m = len(group)
         temp_count[0] += 1
         t = f"_c{temp_count[0]}"
-        emit(f"{t} = np.empty(n * {m}, np.int64)")
+        size = f"(n * {m}, _B)" if lanes else f"n * {m}"
+        emit(f"{t} = np.empty({size}, np.int64)")
         for j, (ph, rec) in enumerate(zip(group, recs)):
             if rec["mw"].op is Opcode.MAC:
                 a, _ = operand_expr(i, ph, rec["a"])
@@ -843,7 +1110,8 @@ def native_template(ring: "Ring") -> NativeTemplate:
         root = recs[0]
         own = (root["acc"] if root["mw"].op is Opcode.MAC
                else root["a"] if root["a_self"] else root["b"])
-        emit(f"{t} = (_INIT[{own[2]}] {root['closed']} np.cumsum({t})) "
+        cumsum = "_cumsum_rows" if lanes else "np.cumsum"
+        emit(f"{t} = (_INIT[{own[2]}] {root['closed']} {cumsum}({t})) "
              f"& 65535")
         for j, ph in enumerate(group):
             emit(f"_r_{i}_{ph} = {t}[{j}::{m}]")
@@ -871,7 +1139,7 @@ def native_template(ring: "Ring") -> NativeTemplate:
                 acc, acc_arr = operand_expr(i, ph, rec["acc"])
             expr = _vector_expr(mw, a, b, acc)
             if not (a_arr or b_arr or acc_arr):
-                expr = f"np.zeros(n, np.int64) + ({expr})"
+                expr = f"np.zeros({shape}, np.int64) + ({expr})"
             emit(f"_r_{i}_{ph} = {expr}")
 
         # Final register values: the chronologically last writer's last
@@ -919,20 +1187,20 @@ def native_template(ring: "Ring") -> NativeTemplate:
     header = f"def _core({', '.join(params)}):"
     body = lines if lines else ["    pass"]
     source = "\n".join([header] + body) + "\n"
-    env: Dict[str, object] = {"np": np}
-    exec(compile(source, f"<native period={P}>", "exec"), env)
-
     fifo_gates = []
     keys = set(pop_phases) | set(fifo_read_prefixes)
     for key in sorted(keys):
+        reads = tuple((prefix, count) for (*k, prefix), count
+                      in sorted(fifo_read_counts.items())
+                      if tuple(k) == key)
         fifo_gates.append((key, len(pop_phases.get(key, ())),
-                           fifo_read_prefixes.get(key)))
-    max_periods = max(1, MAX_WINDOW_CELLS // max(1, geometry.dnodes * P))
-    return NativeTemplate(steady, env["_core"], source, tuple(init_fill),
+                           fifo_read_prefixes.get(key), reads))
+    return NativeTemplate(steady, source, lanes, tuple(init_fill),
                           tuple(fin_regs), tuple(fifo_reads),
-                          tuple(fifo_gates), max_periods)
+                          tuple(fifo_gates))
 
 
-__all__ = ["NativePlan", "NativeTemplate", "compile_native",
+__all__ = ["NativeLanePlan", "NativePlan", "NativeTemplate",
+           "compile_native", "fifo_tail",
            "native_template", "numba_available",
            "set_numba_enabled", "MAX_WINDOW_CELLS"]

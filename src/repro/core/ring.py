@@ -298,11 +298,12 @@ class Ring:
         #: Cycles executed by fused macro kernels (coverage metric).
         self.macro_cycles = 0
         #: Native-tier lifetime counters: cycles executed by
-        #: time-vectorized kernels, plans compiled, and cycles a
-        #: ``backend="native"`` ring had to hand to the fall-back ladder
-        #: (ineligible configuration, sub-period remainders, unsafe FIFO
-        #: windows).  Host-side accounting like ``macro_cycles`` —
-        #: preserved across :meth:`reset` and snapshot restore.
+        #: time-vectorized kernels (native lane windows included), plans
+        #: compiled, and cycles handed to the fall-back ladder
+        #: (ineligible configuration, sub-period remainders, strict-FIFO
+        #: windows; on lanes, the per-cycle lane kernels).  Host-side
+        #: accounting like ``macro_cycles`` — preserved across
+        #: :meth:`reset` and snapshot restore.
         self.native_cycles = 0
         self.native_compiles = 0
         self.native_fallback_cycles = 0
@@ -1010,17 +1011,58 @@ class Ring:
         self._steady[tier] = plan
         return None if isinstance(plan, _Refusal) else plan
 
+    def _lane_plan(self, engine):
+        """The native lane plan of the batch *engine* for the current
+        configuration and entry phase, or a :class:`_Refusal`.
+
+        Bound lane plans hold the engine's lane arrays, so they live in
+        the engine's own cache, which it drops when it is retired or
+        resynced.  Their ring-free template is looked up in, or compiled
+        into, the process-wide kernel cache under its own tier,
+        ``"native_lanes"``, exactly like a scalar template.
+        """
+        key = self._steady_key("native_lanes")
+        cache = engine.plan_cache
+        plan = cache.get(key)
+        if plan is not None:
+            return plan
+        template = KERNELS.get(key) if cache.capacity else None
+        if template is None:
+            refusal: List[str] = []
+            began = perf_counter()
+            plan = compile_native(self, refusal, engine)
+            if self._profile is not None:
+                self._profile.compile_seconds += perf_counter() - began
+            if plan is None:
+                plan = template = _Refusal(refusal[0])
+            else:
+                template = plan.template
+                self.native_compiles += 1
+            if cache.capacity:
+                KERNELS.put(key, template)
+        elif isinstance(template, _Refusal):
+            plan = template
+        else:
+            plan = template.bind_lanes(engine)
+        cache.put(key, plan)
+        return plan
+
     @property
     def native_refusal(self) -> Optional[str]:
         """Why the native tier refuses the current configuration.
 
         None when the configuration (at the current entry phase) compiles
-        to a native plan.  Otherwise a reason naming what blocks
-        time-vectorization — the offending Dnode and phase for a
-        recurrence with no closed form, the Dnodes on a cross-Dnode
-        dependence cycle, an out-of-range feedback tap, or the period
-        cap.  Resolves (and caches) the plan like a run would.
+        to a native plan — the lane plan on a ring running batch lanes.
+        Otherwise a reason naming what blocks time-vectorization — the
+        offending Dnode and phase for a recurrence with no closed form,
+        the Dnodes on a cross-Dnode dependence cycle, an out-of-range
+        feedback tap, or the period cap.  Resolves (and caches) the plan
+        like a run would.
         """
+        if self.backend == "batch" and (
+                self.batch_size > 1 or self._batch_engine is not None):
+            plan = self._lane_plan(self._ensure_batch())
+            return str(plan) if isinstance(plan, _Refusal) else None
         native = self._steady_plan("native")
         return None if native is not None else str(self._steady["native"])
 
@@ -1028,13 +1070,13 @@ class Ring:
                     host_in: Optional[HostReader]) -> None:
         """Run *cycles* on the compiled engines: native, macro, per-cycle.
 
-        The longest FIFO-safe period-multiple prefix executes through the
-        time-vectorized kernel; whatever it cannot take (ineligible
-        configuration, sub-period remainder, unsafe FIFO window) runs in
-        period-multiples through the fused macro kernel when that leftover
-        spans at least one period (and more than one cycle); the rest goes
-        through the per-cycle plan, compiled here if this is the first
-        span that needs it.
+        The longest period-multiple prefix (FIFO-safe, with strict FIFOs)
+        executes through the time-vectorized kernel; whatever it cannot
+        take (ineligible configuration, sub-period remainder, a strict
+        FIFO's unsafe window) runs in period-multiples through the fused
+        macro kernel when that leftover spans at least one period (and
+        more than one cycle); the rest goes through the per-cycle plan,
+        compiled here if this is the first span that needs it.
         """
         native = self._steady_plan("native")
         safe = native.safe_cycles(cycles) if native is not None else 0
@@ -1059,11 +1101,11 @@ class Ring:
         """How much of the next *cycles* one bulk window takes right now.
 
         Returns ``(plan, span, reason)``.  The span climbs the ladder:
-        the longest FIFO-safe period multiple of *cycles* the native
-        plan for the current configuration and entry phase accepts,
-        else the longest period multiple for the macro kernel (which
-        handles FIFO underflow cycle-exactly).  Run it with
-        :meth:`run_window`.  A plan cached for the configuration, on
+        the longest period multiple of *cycles* the native plan for the
+        current configuration and entry phase accepts (FIFO-safe, with
+        strict FIFOs), else the longest period multiple for the macro
+        kernel (which raises a strict underflow cycle-exactly).  Run it
+        with :meth:`run_window`.  A plan cached for the configuration, on
         this ring or as a process-wide template, is adopted here on a
         hit, so a switch back to a known configuration, or a fresh ring
         with one, needs no stepped cycle; the per-cycle plan does not
@@ -1074,7 +1116,8 @@ class Ring:
         been stable for a cycle), or, when neither native nor macro
         takes the span, ``"native_refused"`` (ineligible configuration),
         ``"remainder"`` (less than one period left) or ``"fifo_gated"``
-        (the FIFO occupancies cannot feed a whole native period).
+        (strict FIFOs whose occupancies cannot feed a whole native
+        period).
         """
         if self._trace is not None:
             return None, 0, "trace"

@@ -232,8 +232,9 @@ class BatchStreamChannel:
     one word per lane (idle value where a lane has run dry, with the
     underrun counted *for that lane only*), :meth:`advance` consumes the
     presented word on every lane that had one.  Push the same stimulus
-    to every lane with ``push(values)`` or a lane-specific stream with
-    ``push(values, lane=i)``.
+    to every lane with ``push(values)``, a lane-specific stream with
+    ``push(values, lane=i)``, or every lane's own stream at once with
+    ``push(block)``, a 2-D ``(lanes, n)`` block with one row per lane.
     """
 
     def __init__(self, batch: int, idle_value: int = 0):
@@ -247,9 +248,24 @@ class BatchStreamChannel:
         self._dry_seen = [False] * batch
 
     def push(self, values, lane: Optional[int] = None) -> None:
-        """Queue words on one lane (or broadcast to all when None)."""
-        if isinstance(values, int):
-            values = [values]
+        """Queue words on one lane (or broadcast to all when None).
+
+        A 2-D ``(lanes, n)`` block queues row i on lane i; it is
+        range-checked whole, and nothing is queued if a word is bad.
+        """
+        if word.is_rows(values):
+            if lane is not None or len(values) != self.batch:
+                raise HostError(
+                    f"a 2-D stream block needs one row per lane "
+                    f"({self.batch}) and no lane, got {len(values)} rows"
+                    f" and lane={lane}"
+                )
+            rows = word.check_rows(values, "stream word")
+            if not isinstance(rows, list):
+                rows = rows.tolist()
+            for queue, row in zip(self._queues, rows):
+                queue.extend(row)
+            return
         checked = word.check_block(values, "stream word")
         if lane is None:
             for queue in self._queues:
@@ -527,7 +543,8 @@ class DataController:
         """Queue *values* on channel *index* (convenience).
 
         *lane* targets one lane of a batch channel; with the default
-        (None) a batch channel broadcasts the words to every lane.
+        (None) a batch channel broadcasts the words to every lane, or
+        queues row i of a 2-D ``(lanes, n)`` block on lane i.
         """
         ch = self.channel(index)
         if lane is None:

@@ -119,7 +119,8 @@ class RingSystem:
         a plan cached on the ring, or a kernel the process compiled for
         another ring, is adopted at the window boundary), the refusals
         for which neither native nor macro took the span
-        (``"native_refused"``, ``"remainder"``, ``"fifo_gated"``), or
+        (``"native_refused"``, ``"remainder"``, ``"fifo_gated"``: strict
+        FIFOs only), or
         ``"direct"`` (:meth:`step` called outside :meth:`run`).
         """
         paths = dict(self._paths)
@@ -162,8 +163,9 @@ class RingSystem:
           macro windows with taps and streams attached
           (:meth:`repro.core.ring.Ring.window_span`).
         * On a batch ring every cycle runs in lane windows
-          (:meth:`_run_lanes`) unless a ring observer must see each
-          cycle or a strict FIFO may raise mid-window.
+          (:meth:`_run_lanes`: native lane windows, then per-cycle lane
+          kernels) unless a ring observer must see each cycle or a
+          strict FIFO may raise mid-window.
         * The rest is stepped one cycle at a time, booked under the
           reason the ladder gave (``"lanes"`` on a batch ring).
         """

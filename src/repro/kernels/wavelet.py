@@ -200,10 +200,11 @@ def _lifting_lanes(ring: Ring, lines: np.ndarray) -> Tuple[np.ndarray, int]:
 
     Resets *ring* (a lifting-configured batch ring) to one lane per row
     and runs all the passes in lockstep: each lane gets its own even
-    stream and odd-sample FIFO load, and two batch taps collect every
-    lane's coefficients.  Returns the rows packed ``[approx | detail]``
-    and the cycles the same passes take one after another on the
-    hardware (one pass per row).
+    stream and odd-sample FIFO load (one block load per queue, a row
+    per lane), and two batch taps collect every lane's coefficients.
+    Returns the rows packed ``[approx | detail]`` and the cycles the
+    same passes take one after another on the hardware (one pass per
+    row).
     """
     count, n = lines.shape
     even_index, odd_index = _border_index(n)
@@ -215,10 +216,8 @@ def _lifting_lanes(ring: Ring, lines: np.ndarray) -> Tuple[np.ndarray, int]:
     ring.reset()
     ring.set_backend("batch", count)
     system = RingSystem(ring)
-    lanes = ring.batch
-    for lane in range(count):
-        system.data.stream(0, evens[lane], lane=lane)
-        lanes.push_fifo(2, 0, 2, odds[lane], lane=lane)
+    system.data.stream(0, evens)
+    ring.batch.push_fifo(2, 0, 2, odds)
     detail_tap, approx_tap = _coefficient_taps(system, half)
     cycles = len(even_index) + APPROX_LATENCY
     system.run(cycles)

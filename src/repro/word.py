@@ -9,6 +9,8 @@ code can reason in two's complement while the simulator stays in raw bits.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 WIDTH = 16
 MASK = (1 << WIDTH) - 1
 SIGN_BIT = 1 << (WIDTH - 1)
@@ -55,10 +57,13 @@ def check_block(values, what: str = "value") -> list:
     """Validate a block of raw words in one pass; returns a list of ints.
 
     A list of plain ints or a 1-D integer ndarray takes one range check
-    for the whole block.  Anything else, and any block holding a bad
-    word, is checked word by word as ``check(int(v), what)``, so a bad
-    word raises exactly the message :func:`check` gives for it.
+    for the whole block.  Any integer scalar (a NumPy one included) is a
+    block of one word.  Anything else, and any block holding a bad word,
+    is checked word by word as ``check(int(v), what)``, so a bad word
+    raises exactly the message :func:`check` gives for it.
     """
+    if isinstance(values, Integral):
+        return [check(int(values), what)]
     dtype = getattr(values, "dtype", None)
     if dtype is not None and dtype.kind in "iu" and values.ndim == 1:
         if not values.size or (values.min() >= 0
@@ -72,22 +77,67 @@ def check_block(values, what: str = "value") -> list:
     return [check(int(v), what) for v in values]
 
 
+def is_rows(values) -> bool:
+    """True when *values* is a 2-D block of words, one row per lane: a
+    2-D ndarray, or a list or tuple of rows."""
+    ndim = getattr(values, "ndim", None)
+    if ndim is not None:
+        return ndim == 2
+    if not isinstance(values, (list, tuple)) or not values:
+        return False
+    first = values[0]
+    return isinstance(first, (list, tuple)) or getattr(first, "ndim", 0) == 1
+
+
+def check_rows(block, what: str = "value"):
+    """Validate a 2-D block of raw words, one row per lane, before the
+    caller queues any row.
+
+    An integer ndarray takes one range check for the whole block and is
+    returned as it is.  Otherwise every row is checked as
+    :func:`check_block`, so the first bad word (row by row) raises its
+    :func:`check` message, and the rows come back as lists of ints.
+    """
+    dtype = getattr(block, "dtype", None)
+    if dtype is not None and dtype.kind in "iu" and (
+            not block.size
+            or (block.min() >= 0 and block.max() <= MASK)):
+        return block
+    return [check_block(row, what) for row in block]
+
+
 def extend_checked(queue, values, what: str = "value") -> list:
     """Append one raw word or a block of them to *queue*.
 
-    Plain ints in range take one range check and one ``extend`` for the
+    Any integer scalar (a NumPy one included) is one word, and so is
+    every integer element of a block.  Plain ints in range (an integer
+    ndarray's included) take one range check and one ``extend`` for the
     whole block.  Anything else is checked word by word as
     :func:`check`, so a bad word raises the same error after the same
     partial push as a word-by-word loop.  Returns the block as a list.
     """
-    values = [values] if isinstance(values, int) else list(values)
+    if isinstance(values, Integral):
+        values = [_plain(values)]
+    elif getattr(values, "dtype", None) is not None and \
+            values.dtype.kind in "iu":
+        values = values.tolist()
+    else:
+        values = list(values)
     if (values and set(map(type, values)) == {int}
             and 0 <= min(values) and max(values) <= MASK):
         queue.extend(values)
     else:
         for v in values:
-            queue.append(check(v, what))
+            queue.append(check(_plain(v), what))
     return values
+
+
+def _plain(value):
+    """A NumPy integer scalar as a Python int; anything else (Python
+    ints, bools and int subclasses included) as it is."""
+    if isinstance(value, Integral) and not isinstance(value, int):
+        return int(value)
+    return value
 
 
 def saturate_signed(value: int) -> int:

@@ -33,13 +33,20 @@ class _HiddenTiers:
         self._tiers = tiers
 
     def get(self, key, count_miss=True):
-        if key[0] in self._tiers:
+        if self._hidden(key):
             return None
         return self._cache.get(key, count_miss)
 
     def put(self, key, value):
-        if key[0] not in self._tiers:
+        if not self._hidden(key):
             self._cache.put(key, value)
+
+    def _hidden(self, key):
+        """A refused tier, and its lane variant (``"native_lanes"``)."""
+        tier = key[0]
+        if tier.endswith("_lanes"):
+            tier = tier[:-len("_lanes")]
+        return tier in self._tiers
 
 
 @contextmanager
@@ -55,7 +62,7 @@ def _tiers_refused(**compilers):
         yield
 
 
-def _refuse_native(ring, refusal=None):
+def _refuse_native(ring, refusal=None, engine=None):
     if refusal is not None:
         refusal.append("native tier refused by the macro-rung test seam")
     return None
@@ -67,7 +74,8 @@ def native_refused():
 
     ``repro.core.ring.compile_native`` refuses every configuration (it
     appends a reason and returns None), so the native ladder runs each
-    span of at least one period on a generated macro kernel.  Tests
+    span of at least one period on a generated macro kernel, and a
+    batch ring's lanes run on the per-cycle lane kernels.  Tests
     using it assert ``ring.macro_cycles > 0``, so the case cannot
     quietly turn into a second native run.  Native templates in the
     process-wide kernel cache are hidden for the duration.  This form
@@ -134,7 +142,8 @@ def assert_rung_ran(column: str, ring: Ring, profile) -> None:
     """Engine-matrix *column*'s engine or rung ran under *profile*.
 
     ``interpreter``: every profiled cycle interpreted.  ``batch``: the
-    lane engine ran.  ``native``: native kernels ran unless the
+    lane engine ran, on native lane windows unless the configuration is
+    refused with a reason.  ``native``: native kernels ran unless the
     configuration is refused with a reason.  ``macro``: macro kernels
     ran and native never did.  ``fastpath``: compiled cycles ran and
     neither bulk rung ever took one, so the column cannot quietly turn
@@ -146,6 +155,8 @@ def assert_rung_ran(column: str, ring: Ring, profile) -> None:
     elif column == "batch":
         assert ring._batch_engine is not None, "the lane engine never ran"
         assert profile.fastpath_cycles > 0, "no lane cycle was booked"
+        assert ring.native_cycles > 0 or ring.native_refusal, (
+            "native lane windows never ran on an accepted configuration")
     elif column == "native":
         assert ring.native_cycles > 0 or ring.native_refusal, (
             "native kernels never ran on an accepted configuration")

@@ -25,7 +25,7 @@ from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
 from repro.core.snapshot import capture, restore, state_digest
 from repro.core.switch import PortSource
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 
 REPO = Path(__file__).resolve().parent.parent.parent
 
@@ -341,34 +341,49 @@ class TestFallbackLadder:
         assert rn.native_compiles == 1
         assert state_digest(rn) == state_digest(ri)
 
+    @staticmethod
+    def _loaded_mac(words=10, **kw):
+        ring = Ring(RingGeometry(layers=2, width=2), **kw)
+        _mac_program(ring)
+        ring.push_fifo(0, 0, 1, list(range(1, words + 1)))
+        ring.push_fifo(0, 0, 2, list(range(11, words + 11)))
+        return ring
+
     def test_fifo_gated_window_splits_native_and_fallback(self):
-        """Exactly occ//pops periods run native; the starved tail falls
-        back down the ladder and still matches bit-for-bit."""
-        def build(**kw):
-            ring = Ring(RingGeometry(layers=2, width=2), **kw)
-            _mac_program(ring)
-            ring.push_fifo(0, 0, 1, list(range(1, 11)))
-            ring.push_fifo(0, 0, 2, list(range(11, 21)))
-            return ring
-        rn, ri = _twin(build, 16)
+        """With strict FIFOs exactly occ//pops periods run native; the
+        starved tail falls back down the ladder, which raises the
+        interpreter's error at the interpreter's cycle."""
+        rn = self._loaded_mac(backend="native", strict_fifos=True)
+        ri = self._loaded_mac(backend="interpreter", strict_fifos=True)
+        with pytest.raises(SimulationError) as native_error:
+            rn.run(16)
+        with pytest.raises(SimulationError) as interpreter_error:
+            for _ in range(16):
+                ri.step()
+        assert str(native_error.value) == str(interpreter_error.value)
         assert rn.native_cycles == 8      # 10 loads - 2 warm-up cycles
-        assert rn.native_fallback_cycles == 6
-        # The configuration is native-eligible, so this starved tail is
-        # where its macro rung runs: period 1 fuses all 6 cycles (reading
-        # the empty FIFOs as underflows) and leaves none to the per-cycle
-        # plan.
-        assert rn.macro_cycles == 6
-        assert rn.native_fallback_cycles - rn.macro_cycles == 0
+        assert rn.cycles == ri.cycles == 10
+
+    def test_underflow_tail_runs_native(self):
+        """Without strict FIFOs the starved tail has a closed form: the
+        native window runs through it, reading 0 and counting the
+        underflows, and matches the interpreter bit-for-bit."""
+        rn, ri = _twin(self._loaded_mac, 16)
+        assert rn.native_cycles == 14     # every cycle after warm-up
+        assert rn.native_fallback_cycles == rn.macro_cycles == 0
+        # 6 starved cycles, each with 2 empty reads and 2 empty pops.
+        assert rn.fifo_underflows == ri.fifo_underflows == 24
         assert state_digest(rn) == state_digest(ri)
 
     def test_empty_fifo_blocks_the_window_entirely(self):
-        def build(**kw):
-            ring = Ring(RingGeometry(layers=2, width=2), **kw)
-            _mac_program(ring)
-            return ring
-        rn, ri = _twin(build, 10)
-        assert rn.native_cycles == 0
-        assert rn.native_fallback_cycles > 0
+        """With strict FIFOs an empty queue's safe prefix is empty; a
+        non-strict ring runs the whole span native, reading underflows
+        exactly as the interpreter does."""
+        strict = self._loaded_mac(0, backend="native", strict_fifos=True)
+        assert nativepath.compile_native(strict).safe_cycles(10) == 0
+        rn, ri = _twin(lambda **kw: self._loaded_mac(0, **kw), 10)
+        assert rn.native_cycles == 8
+        assert rn.fifo_underflows == ri.fifo_underflows > 0
         assert state_digest(rn) == state_digest(ri)
 
     def test_step_never_engages_native(self):

@@ -13,7 +13,7 @@ from repro.host.streams import (
     OutputTap,
     StreamChannel,
 )
-from repro.errors import HostError
+from repro.errors import ConfigurationError, HostError
 
 
 class TestStreamChannel:
@@ -321,3 +321,102 @@ class TestBatchPushValidation:
         ch.push(np.array([7, 0xFFFF], dtype=np.int64))
         assert [type(v) for v in ch._queues[0]] == [int, int]
         assert ch.current().tolist() == [7, 7]
+
+
+class TestBlockLaneLoads:
+    """A 2-D ``(lanes, n)`` block queues row i on lane i in one call; it
+    is range-checked whole, so a bad word queues nothing anywhere."""
+
+    def test_stream_block_fills_each_lane(self):
+        ch = BatchStreamChannel(3)
+        ch.push(np.array([[1, 2], [3, 4], [5, 6]], dtype=np.int64))
+        assert [list(q) for q in ch._queues] == [[1, 2], [3, 4], [5, 6]]
+        assert [type(v) for v in ch._queues[2]] == [int, int]
+        assert ch.current().tolist() == [1, 3, 5]
+
+    def test_fifo_block_fills_each_lane(self):
+        ring = make_ring(4, backend="batch", batch_size=3)
+        ring.batch.push_fifo(0, 0, 1, [9], lane=1)
+        ring.batch.push_fifo(0, 0, 1, np.arange(6).reshape(3, 2))
+        assert [ring.batch.fifo_contents(0, 0, 1, lane)
+                for lane in range(3)] == [[0, 1], [9, 2, 3], [4, 5]]
+
+    def test_fifo_block_grows_past_the_lane_capacity(self):
+        ring = make_ring(4, backend="batch", batch_size=2)
+        block = np.arange(40).reshape(2, 20)
+        ring.batch.push_fifo(0, 0, 2, block)
+        assert [ring.batch.fifo_contents(0, 0, 2, lane)
+                for lane in range(2)] == block.tolist()
+
+    def test_data_controller_streams_a_block(self):
+        data = DataController(batch=2)
+        data.stream(0, np.array([[1, 2, 3], [4, 5, 6]]))
+        assert data.channel(0).current().tolist() == [1, 4]
+
+    @pytest.mark.parametrize("block", [
+        np.array([[1, 2], [3, 70000]], dtype=np.int64),
+        [[1, 2], [3, 70000]],
+    ], ids=["ndarray", "lists"])
+    def test_bad_word_queues_nothing(self, block):
+        ch = BatchStreamChannel(2)
+        with pytest.raises(ValueError, match=re.escape(
+                "stream word must be a 16-bit raw word, got 70000")):
+            ch.push(block)
+        assert ch.pending() == 0
+        ring = make_ring(4, backend="batch", batch_size=2)
+        with pytest.raises(ValueError, match=re.escape(
+                "FIFO push must be a 16-bit raw word, got 70000")):
+            ring.batch.push_fifo(0, 0, 1, block)
+        assert [ring.batch.fifo_contents(0, 0, 1, lane)
+                for lane in range(2)] == [[], []]
+
+    def test_block_needs_one_row_per_lane(self):
+        with pytest.raises(HostError, match="one row per lane"):
+            BatchStreamChannel(3).push(np.zeros((2, 4), np.int64))
+        with pytest.raises(HostError, match="one row per lane"):
+            BatchStreamChannel(2).push(np.zeros((2, 4), np.int64), lane=0)
+        ring = make_ring(4, backend="batch", batch_size=3)
+        with pytest.raises(ConfigurationError, match="one row per lane"):
+            ring.batch.push_fifo(0, 0, 1, np.zeros((2, 4), np.int64))
+
+
+class TestNumpyIntegerScalars:
+    """A NumPy integer scalar is one word at every push entry point."""
+
+    def test_ring_push_fifo(self):
+        ring = make_ring(4)
+        ring.push_fifo(0, 0, 1, np.int64(5))
+        ring.push_fifo(0, 0, 1, [np.uint16(6)])
+        assert list(ring.fifo(0, 0, 1)) == [5, 6]
+        assert [type(v) for v in ring.fifo(0, 0, 1)] == [int, int]
+
+    def test_stream_channel_push(self):
+        ch = StreamChannel()
+        ch.push(np.int64(5))
+        ch.push(np.array([6, 7], dtype=np.int32))
+        assert list(ch._queue) == [5, 6, 7]
+        assert [type(v) for v in ch._queue] == [int, int, int]
+
+    def test_batch_stream_channel_push(self):
+        ch = BatchStreamChannel(2)
+        ch.push(np.int64(5))
+        ch.push(np.int32(6), lane=1)
+        assert [list(q) for q in ch._queues] == [[5], [5, 6]]
+
+    def test_batch_ring_push_fifo(self):
+        ring = make_ring(4, backend="batch", batch_size=2)
+        ring.batch.push_fifo(0, 0, 1, np.int64(5))
+        ring.batch.push_fifo(0, 0, 1, np.int16(6), lane=0)
+        assert [ring.batch.fifo_contents(0, 0, 1, lane)
+                for lane in range(2)] == [[5, 6], [5]]
+
+    @pytest.mark.parametrize("push", [
+        lambda v: make_ring(4).push_fifo(0, 0, 1, v),
+        lambda v: StreamChannel().push(v),
+        lambda v: BatchStreamChannel(2).push(v),
+        lambda v: make_ring(4, backend="batch",
+                            batch_size=2).batch.push_fifo(0, 0, 1, v),
+    ], ids=["ring", "stream", "batch_stream", "batch_fifo"])
+    def test_out_of_range_scalar_raises_the_word_message(self, push):
+        with pytest.raises(ValueError, match="got 70000"):
+            push(np.int64(70000))

@@ -39,6 +39,7 @@ from repro.controller.core import RiscController
 from repro.controller.isa import Instruction, ROp
 from repro.core import plancache
 from repro.core import ring as ring_module
+from repro.core.batchpath import BatchRing
 from repro.core.config_memory import ConfigPlane
 from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
@@ -48,6 +49,7 @@ from repro.core.switch import PortKind, PortSource
 from repro.errors import ConfigurationError, SimulationError
 from repro.host.streams import OutputTap, StreamChannel
 from repro.host.system import RingSystem
+from repro.kernels import reference, wavelet
 
 from tests.conftest import (
     _refuse_macro,
@@ -60,27 +62,29 @@ from tests.core.test_fuzz import apply_spec, build_ring, ring_specs
 _SETTINGS = dict(deadline=None, derandomize=True)
 
 
-def _no_loop_source(src: Source) -> Source:
+def _no_loop_source(src: Source, fifos: bool) -> Source:
     if src <= Source.R3 or src is Source.SELF:
         return Source.IN1
-    if src in (Source.FIFO1, Source.FIFO2):
+    if src in (Source.FIFO1, Source.FIFO2) and not fifos:
         return Source.IN2
     return src
 
 
-def _no_loop_word(mw: MicroWord) -> MicroWord:
-    pops = Flag.POP_FIFO1 | Flag.POP_FIFO2
-    return MicroWord(op=mw.op, src_a=_no_loop_source(mw.src_a),
-                     src_b=_no_loop_source(mw.src_b), dst=mw.dst,
+def _no_loop_word(mw: MicroWord, fifos: bool) -> MicroWord:
+    pops = 0 if fifos else Flag.POP_FIFO1 | Flag.POP_FIFO2
+    return MicroWord(op=mw.op, src_a=_no_loop_source(mw.src_a, fifos),
+                     src_b=_no_loop_source(mw.src_b, fifos), dst=mw.dst,
                      flags=mw.flags & ~pops, imm=mw.imm)
 
 
-def _feed_forward(spec: dict) -> dict:
+def _feed_forward(spec: dict, fifos: bool = False) -> dict:
     """Make a generated fabric feed-forward in time.
 
     Layer 0 reads the host instead of the last layer (no ring-closing
-    ``up()`` route) and no microword reads a register, its own OUT or a
-    FIFO, or pops one, so most such fabrics reach long native windows.
+    ``up()`` route) and no microword reads a register or its own OUT,
+    so most such fabrics reach long native windows.  FIFO reads and
+    pops go too, unless *fifos* keeps them (so native windows run the
+    queues dry).
     """
     cells = []
     for layer, pos, mw, local, routes, loads in spec["cells"]:
@@ -89,8 +93,9 @@ def _feed_forward(spec: dict) -> dict:
                              is PortKind.UP else route)
                       for port, route in routes.items()}
         if local is not None:
-            local = [_no_loop_word(w) for w in local]
-        cells.append((layer, pos, _no_loop_word(mw), local, routes, loads))
+            local = [_no_loop_word(w, fifos) for w in local]
+        cells.append((layer, pos, _no_loop_word(mw, fifos), local, routes,
+                      loads))
     return dict(spec, cells=cells)
 
 
@@ -222,6 +227,47 @@ class TestNativeMatchesInterpreter:
 
 
 @st.composite
+def underflow_systems(draw):
+    """Fabrics native takes that keep their FIFO reads and pops, whose
+    loads (up to 8 words) run dry mid-window: the :func:`systems` case
+    shape, with a last chunk of 48 cycles so native windows run the
+    underflow tails."""
+    spec = _cut_feedback_into_layer0(_feed_forward(draw(ring_specs(
+        min_layers=2, max_layers=4, min_width=1, max_width=3,
+        max_local=4)), fifos=True))
+    layers, width = spec["layers"], spec["width"]
+    taps = draw(st.lists(st.tuples(
+        st.integers(0, layers - 1), st.integers(0, width - 1),
+        st.integers(0, 6), st.integers(1, 4),
+        st.one_of(st.none(), st.integers(0, 24))), min_size=1, max_size=4))
+    streams = draw(st.dictionaries(
+        st.integers(0, 3), st.lists(st.integers(0, 0xFFFF), max_size=24),
+        max_size=4))
+    chunks = draw(st.lists(st.integers(0, 48), min_size=1, max_size=4))
+    chunks.append(48)
+    rollback = draw(st.integers(0, len(chunks) - 1))
+    handoff = draw(st.one_of(st.none(), st.integers(0, len(chunks) - 1)))
+    return spec, taps, streams, chunks, rollback, handoff, False
+
+
+class TestNativeUnderflowTails:
+    @given(case=underflow_systems())
+    @settings(max_examples=80, **_SETTINGS)
+    def test_underflow_tails_match_interpreter(self, case):
+        """A non-strict native window reads a drained queue as zeros,
+        counts the underflows and pops in closed form, and matches the
+        per-cycle interpreter; no span is FIFO-gated."""
+        native, executed = _run(case, handoff=True, backend="native")
+        interp, _ = _run(case, backend="interpreter")
+        assert native.data.capture_state() == interp.data.capture_state()
+        assert state_digest(native.ring) == state_digest(interp.ring)
+        assert sum(native.cycle_paths.values()) == executed
+        _assert_ladder_served(native.cycle_paths, False)
+        if native.ring.native_refusal is None:
+            assert native.ring.native_cycles > 0
+
+
+@st.composite
 def lane_systems(draw):
     """A fabric, 1-4 taps, per-lane streams and FIFO loads that run dry,
     chunks and a rollback, for a batch ring of 2-4 lanes."""
@@ -327,25 +373,239 @@ class TestBatchLanesMatchInterpreter:
         assert system.cycles == sum(chunks)
         path = ("per_cycle" if trace else "bulk", "lanes")
         assert system.cycle_paths == ({path: executed} if executed else {})
-        engine = system.ring.batch
-        target = build_ring(spec, backend="interpreter")
-        target.reset()  # store_lane writes only the FIFOs lanes hold
-        for lane, ref in enumerate(refs):
-            for tap, want in zip(system.data.taps, ref.data.taps):
-                assert (tap.lane(lane), tap._seen) == \
-                    (want.samples, want._seen)
-            for index, channel in system.data._channels.items():
-                want = ref.data.channel(index)
-                assert (channel.delivered[lane], channel.underruns[lane],
-                        channel.lane_pending(lane)) == \
-                    (want.delivered, want.underruns, want.pending())
-            engine.store_lane(lane, target=target)
-            assert _lane_mirror(target) == _lane_mirror(ref.ring)
-            width = geometry.width
-            for layer in range(geometry.layers):
-                for pos in range(width):
-                    assert engine.lane_regs(layer, pos)[:, lane].tolist() \
-                        == ref.ring.dnode(layer, pos).regs.snapshot()
+        _assert_lanes_match(system, refs, spec)
+
+
+def _assert_lanes_match(system: RingSystem, refs, spec: dict) -> None:
+    """Every lane's taps, stream counters and datapath match its own
+    interpreter system in *refs* (a one-lane ring's data controller is
+    scalar)."""
+    engine = system.ring.batch
+    geometry = system.ring.geometry
+    target = build_ring(spec, backend="interpreter")
+    target.reset()  # store_lane writes only the FIFOs lanes hold
+    one = system.data.batch == 1
+    for lane, ref in enumerate(refs):
+        for tap, want in zip(system.data.taps, ref.data.taps):
+            samples = tap.samples if one else tap.lane(lane)
+            assert (list(samples), tap._seen) == \
+                (list(want.samples), want._seen)
+        for index, channel in system.data._channels.items():
+            want = ref.data.channel(index)
+            got = ((channel.delivered, channel.underruns,
+                    channel.pending()) if one else
+                   (channel.delivered[lane], channel.underruns[lane],
+                    channel.lane_pending(lane)))
+            assert got == (want.delivered, want.underruns, want.pending())
+        engine.store_lane(lane, target=target)
+        assert _lane_mirror(target) == _lane_mirror(ref.ring)
+        for layer in range(geometry.layers):
+            for pos in range(geometry.width):
+                assert engine.lane_regs(layer, pos)[:, lane].tolist() \
+                    == ref.ring.dnode(layer, pos).regs.snapshot()
+
+
+def _cut_feedback_into_layer0(spec: dict) -> dict:
+    """Layer 0 reads the host instead of the last layer's feedback
+    pipelines too, so no dependence closes the ring."""
+    def cut(src: Source) -> Source:
+        return Source.IN1 if src.is_feedback else src
+
+    cells = []
+    for layer, pos, mw, local, routes, loads in spec["cells"]:
+        if layer == 0:
+            routes = {port: (PortSource.host(port) if route.kind
+                             is PortKind.RP else route)
+                      for port, route in routes.items()}
+            words = [mw] + (local or [])
+            words = [MicroWord(op=w.op, src_a=cut(w.src_a),
+                               src_b=cut(w.src_b), dst=w.dst,
+                               flags=w.flags, imm=w.imm) for w in words]
+            mw, local = words[0], (words[1:] if local is not None
+                                   else None)
+        cells.append((layer, pos, mw, local, routes, loads))
+    return dict(spec, cells=cells)
+
+
+@st.composite
+def native_lane_systems(draw):
+    """Fabrics native takes on lanes, with 1-4 lanes whose streams and
+    FIFO loads differ in length, so lanes run dry mid-window at
+    different cycles; chunks, a checkpoint rollback and a point where
+    the engine's lanes are captured and restored in place.
+
+    The fabrics are feed-forward but keep their FIFO reads and pops; a
+    quarter get a nonlinear Dnode (:func:`_plant`), which native
+    refuses, so their lanes run per cycle."""
+    spec = _feed_forward(draw(ring_specs(
+        min_layers=2, max_layers=4, min_width=1, max_width=3,
+        max_local=4)), fifos=True)
+    spec = _cut_feedback_into_layer0(spec)
+    refused = draw(st.integers(0, 3)) == 3
+    if refused:
+        spec = _plant(draw, spec)
+    layers, width = spec["layers"], spec["width"]
+    batch = draw(st.sampled_from((2, 3, 4, 1)))
+    taps = draw(st.lists(st.tuples(
+        st.integers(0, layers - 1), st.integers(0, width - 1),
+        st.integers(0, 6), st.integers(1, 4),
+        st.one_of(st.none(), st.integers(0, 24))), min_size=1, max_size=4))
+    channels = draw(st.lists(st.integers(0, 3), max_size=3, unique=True))
+    words = st.integers(0, 0xFFFF)
+    streams = [{channel: draw(st.lists(words, max_size=40))
+                for channel in channels} for _ in range(batch)]
+    loads = [[(layer, pos, channel, draw(st.lists(words, max_size=12)))
+              for layer in range(layers) for pos in range(width)
+              for channel in (1, 2)] for _ in range(batch)]
+    chunks = draw(st.lists(st.integers(0, 48), min_size=1, max_size=5))
+    rollback = draw(st.integers(0, len(chunks) - 1))
+    relane = draw(st.integers(0, len(chunks) - 1))
+    return (spec, taps, streams, loads, chunks, rollback, relane, refused)
+
+
+def _lane_period(ring: Ring) -> int:
+    """The period of a lane ring's native plan (its configuration is
+    accepted)."""
+    return ring._lane_plan(ring.batch).period
+
+
+class TestNativeLanes:
+    """Native lane windows == one per-cycle interpreter system per lane.
+
+    The same oracle as :class:`TestBatchLanesMatchInterpreter`, on
+    fabrics native accepts (and a quarter it refuses), at B=1 and B>1,
+    with queues that run dry mid-window.  Every lockstep cycle is booked
+    once: on a native lane window or on the per-cycle lane kernels.
+    """
+
+    @staticmethod
+    def _build(case, ring: Ring, lane=None) -> RingSystem:
+        spec, taps, streams, loads = case[:4]
+        apply_spec(ring, spec)
+        system = RingSystem(ring)
+        one = lane is None and ring.batch_size == 1
+        for k, (lane_streams, lane_loads) in enumerate(zip(streams, loads)):
+            if lane is not None and k != lane:
+                continue
+            for layer, pos, channel, words in lane_loads:
+                if lane is None:
+                    ring.batch.push_fifo(layer, pos, channel, words, lane=k)
+                else:
+                    ring.push_fifo(layer, pos, channel, words)
+            for channel, words in lane_streams.items():
+                if lane is None and not one:
+                    system.data.stream(channel, words, lane=k)
+                else:
+                    system.data.stream(channel, words)
+        for layer, pos, skip, every, limit in taps:
+            system.data.add_tap(layer, pos, skip=skip, every=every,
+                                limit=limit)
+        return system
+
+    @given(case=native_lane_systems())
+    @settings(max_examples=80, **_SETTINGS)
+    def test_every_lane_matches_its_interpreter_run(self, case):
+        spec, _, streams, _, chunks, rollback, relane, refused = case
+        geometry = RingGeometry(layers=spec["layers"], width=spec["width"])
+        batch = len(streams)
+        ring = Ring(geometry, backend="batch", batch_size=batch)
+        ring.batch  # engage the lane engine (B=1 included)
+        system = self._build(case, ring)
+        refs = [self._build(case, Ring(geometry, backend="interpreter"),
+                            lane=k) for k in range(batch)]
+        executed = 0
+        for k, chunk in enumerate(chunks):
+            if k == relane:
+                # Replaces every lane FIFO: the lane plan must rebind.
+                engine = system.ring.batch
+                engine.restore_lanes(engine.capture_lanes())
+            if k == rollback:
+                saved = system.checkpoint()
+                system.run(chunk)
+                system.restore_checkpoint(saved)
+                executed += chunk
+            system.run(chunk)
+            executed += chunk
+            for ref in refs:
+                ref.run(chunk)
+            if system.cycles:
+                assert _lane_mirror(system.ring) == \
+                    _lane_mirror(refs[0].ring)
+        ring = system.ring
+        assert system.cycles == sum(chunks)
+        assert system.cycle_paths == (
+            {("bulk", "lanes"): executed} if executed else {})
+        assert ring.native_cycles + ring.native_fallback_cycles == executed
+        reason = ring.native_refusal
+        if refused:
+            assert reason and ring.native_cycles == 0
+        elif reason is None and max(chunks) >= 2 * _lane_period(ring):
+            assert ring.native_cycles > 0
+        _assert_lanes_match(system, refs, spec)
+
+    def test_second_dwt_call_runs_every_lane_cycle_native(self):
+        """Once a process has compiled the lifting lane template, every
+        sweep's fresh engine binds it: a second ``dwt53_2d_fabric`` call
+        runs all its lockstep cycles on native lane windows, steps none
+        on the per-cycle lane kernels, builds none of them and compiles
+        nothing."""
+        image = (np.arange(64).reshape(8, 8) * 37) % 256
+        wavelet.dwt53_2d_fabric(image)
+        rings, closures, compiles = [], [], []
+        build, compile_closures = (wavelet.build_lifting_system,
+                                   BatchRing._compile)
+        compile_native = ring_module.compile_native
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wavelet, "build_lifting_system",
+                          lambda ring: rings.append(ring) or build(ring))
+            patch.setattr(BatchRing, "_compile",
+                          lambda engine: closures.append(engine)
+                          or compile_closures(engine))
+            patch.setattr(ring_module, "compile_native",
+                          lambda *args: compiles.append(args)
+                          or compile_native(*args))
+            coeffs, _ = wavelet.dwt53_2d_fabric(image)
+        assert np.array_equal(coeffs, reference.dwt53_2d(image))
+        ring, = rings
+        # One row sweep and one column sweep of 8-sample passes.
+        assert ring.native_cycles == 2 * (8 // 2 + 2
+                                          + wavelet.APPROX_LATENCY)
+        assert ring.native_fallback_cycles == 0
+        assert closures == [] and compiles == []
+
+    def test_refused_lane_configuration_names_its_reason(self):
+        """A configuration native refuses runs its lanes per cycle, and
+        ``native_refusal`` names the reason a scalar ring gives."""
+        def configure(ring):
+            ring.config.write_switch_route(1, 0, 1, PortSource.up(0))
+            ring.config.write_microword(1, 0, MicroWord(
+                Opcode.MADD, Source.IN1, Source.SELF, Dest.OUT, imm=3))
+            return ring
+
+        geometry = RingGeometry(layers=2, width=2)
+        lanes = configure(Ring(geometry, backend="batch", batch_size=3))
+        scalar = configure(Ring(geometry))
+        assert lanes.native_refusal == scalar.native_refusal
+        assert "no closed form" in lanes.native_refusal
+        lanes.run(20, bus=5)
+        assert lanes.native_cycles == 0
+        assert lanes.native_fallback_cycles == 20
+        assert lanes.batch.compiles == 1
+
+    def test_kernel_cache_holds_no_engine(self):
+        """A sweep's lane template stays cached, but neither the batch
+        ring nor its engine is kept alive by it."""
+        image = (np.arange(16).reshape(4, 4) * 29) % 256
+        ring = wavelet.build_lifting_system(Ring(
+            RingGeometry.ring(16), backend="batch", batch_size=4)).ring
+        wavelet._lifting_lanes(ring, image)
+        assert ring.native_cycles > 0
+        assert any(key[0] == "native_lanes"
+                   for key in plancache.KERNELS.keys())
+        refs = weakref.ref(ring), weakref.ref(ring.batch)
+        del ring
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 def _fir_system(length: int = 256):
@@ -410,18 +670,17 @@ def _fifo_ring(**kwargs) -> Ring:
 
 
 class TestPerCycleReasons:
-    # Native refuses the selfloop ring and gates the drained FIFO ring;
-    # the macro rung takes both spans as windows.  The per-cycle
-    # reasons for a span neither rung takes are pinned below with the
-    # bulk_refused seam.
+    # Native refuses the selfloop ring, whose spans the macro rung takes
+    # as windows, and runs the drained FIFO ring's underflow tail in
+    # closed form.  The per-cycle reasons for a span neither rung takes
+    # are pinned below with the bulk_refused seam.
     @pytest.mark.parametrize("build, expected", [
         (lambda: _selfloop_ring(backend="native"),
          {("per_cycle", "no_plan"): 2, ("bulk", "macro"): 8}),
         (lambda: _selfloop_ring(backend="interpreter"),
          {("per_cycle", "backend"): 10}),
         (lambda: _fifo_ring(backend="native"),
-         {("per_cycle", "no_plan"): 2, ("bulk", "native"): 4,
-          ("bulk", "macro"): 4}),
+         {("per_cycle", "no_plan"): 2, ("bulk", "native"): 8}),
     ])
     def test_reasons(self, build, expected):
         system = RingSystem(build())
@@ -439,16 +698,18 @@ class TestPerCycleReasons:
                                       ("per_cycle", "native_refused"): 8}
 
     def test_fifo_gated_when_macro_is_refused(self):
-        """Native takes the FIFO-safe prefix; with the macro rung
-        refused the drained rest steps per cycle as ``fifo_gated``."""
+        """With strict FIFOs native takes only the FIFO-safe prefix; with
+        the macro rung refused the drained rest steps per cycle as
+        ``fifo_gated``, and its first read of the empty queue raises."""
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ring_module, "compile_macro", _refuse_macro)
-            system = RingSystem(_fifo_ring())
+            system = RingSystem(_fifo_ring(strict_fifos=True))
             system.data.add_tap(0, 0)
-            system.run(10)
+            with pytest.raises(SimulationError, match="empty FIFO1"):
+                system.run(10)
         assert system.cycle_paths == {("per_cycle", "no_plan"): 2,
                                       ("bulk", "native"): 4,
-                                      ("per_cycle", "fifo_gated"): 4}
+                                      ("per_cycle", "fifo_gated"): 0}
 
     @staticmethod
     def _lane_system(**ring_kwargs) -> RingSystem:

@@ -197,7 +197,10 @@ class TestRunBatchBackend:
         capsys.readouterr()
         data = json.loads(metrics.read_text())
         assert data["batch_lanes"] == 3
-        assert data["batch_plan_compiles_total"] == 1
+        # Every lockstep cycle ran on a native lane window, so no
+        # per-cycle lane kernels were built.
+        assert data["native_cycles_total"] == 4
+        assert data["batch_plan_compiles_total"] == 0
         assert "lane=2" in data["batch_lane_fifo_underflows_total"]
 
     def test_batch_rejects_controller_program(self, asm_file, capsys):
