@@ -2,8 +2,8 @@
 
 The perf claim: for library kernel graphs, the autotuner's
 measured-throughput search finds a mapping at least 1.5x faster than the
-default ``compile_graph`` emission on the per-cycle plan (reached
-through the ``bulk_refused`` test seam), every winner proven
+default ``compile_graph`` emission on the macro rung (reached
+through the ``native_refused`` test seam), every winner proven
 bit-identical to the golden evaluator, and a repeat submission pays
 ~zero search via the graph+fabric-fingerprint memo.  The search varies
 placement only and runs on the default native engine, so its gain over
@@ -34,10 +34,10 @@ from repro.compiler.autotune import (Mapping, _program_for, _score,
 from repro.compiler.library import build_graph, library_streams
 from repro.core import nativepath
 from repro.core.ring import Ring, RingGeometry
-from tests.conftest import bulk_refused
+from tests.conftest import native_refused
 
 #: Acceptance floor: winner cycles/s over the default mapping on the
-#: per-cycle plan, required on every benchmarked kernel graph.
+#: macro rung, required on every benchmarked kernel graph.
 TARGET_SPEEDUP = 1.5
 
 #: Kernel graphs the autopilot must beat the floor on.
@@ -61,11 +61,11 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_autotune.json"
 
 
-def _per_cycle_default(graph, score_cycles: int, repeats: int) -> float:
-    """Cycles/s of the default mapping on the per-cycle plan, scored
+def _macro_default(graph, score_cycles: int, repeats: int) -> float:
+    """Cycles/s of the default mapping on the macro rung, scored
     exactly as the search scores its candidates."""
     program = _program_for(graph, None, Mapping())
-    with bulk_refused():
+    with native_refused():
         return _score(program, score_cycles, repeats)
 
 
@@ -103,12 +103,12 @@ def test_autotune_speedup_and_memoized_resubmission():
             f"{first.search_ms:.1f} ms search"
         )
 
-        per_cycle = _per_cycle_default(graph, SCORE_CYCLES, REPEATS)
-        speedup = first.cycles_per_second / per_cycle
+        macro = _macro_default(graph, SCORE_CYCLES, REPEATS)
+        speedup = first.cycles_per_second / macro
         record["kernels"][name] = {
             "mapping": first.mapping.describe(),
             "cycles_per_second": round(first.cycles_per_second),
-            "per_cycle_default_cycles_per_second": round(per_cycle),
+            "macro_default_cycles_per_second": round(macro),
             "native_default_cycles_per_second":
                 round(first.baseline_cycles_per_second),
             "speedup": round(speedup, 2),
@@ -133,7 +133,7 @@ def test_autotune_speedup_and_memoized_resubmission():
         data["autotune_candidates_evaluated_total"]
 
     emit(render_table(
-        ["graph", "winner", "cyc/s", "vs per-cycle default",
+        ["graph", "winner", "cyc/s", "vs macro default",
          "vs native default", "search ms", "resubmit ms"],
         rows,
         title=f"compiler autopilot, {SCORE_CYCLES:,} scored cycles per "
@@ -146,7 +146,7 @@ def test_autotune_speedup_and_memoized_resubmission():
         assert stats["speedup"] >= TARGET_SPEEDUP, (
             f"{name}: autotuned mapping sustained only "
             f"{stats['speedup']:.2f}x the default compile_graph "
-            f"emission on the per-cycle plan (target {TARGET_SPEEDUP}x)"
+            f"emission on the macro rung (target {TARGET_SPEEDUP}x)"
         )
 
 
@@ -157,10 +157,10 @@ def test_scenario_recipe_speedup_median():
         for _ in range(RECIPE_SEARCHES):
             graph = build_graph(name)
             result = autotune_graph(graph, memo=False, **RECIPE_BUDGET)
-            per_cycle = _per_cycle_default(
+            macro = _macro_default(
                 graph, RECIPE_BUDGET["score_cycles"],
                 RECIPE_BUDGET["repeats"])
-            speedups.append(result.cycles_per_second / per_cycle)
+            speedups.append(result.cycles_per_second / macro)
             native_speedups.append(result.speedup)
         speedups.sort()
         medians[name] = statistics.median(speedups)
@@ -171,10 +171,10 @@ def test_scenario_recipe_speedup_median():
         ["recipe", "median", "min", "max", "median vs native default"],
         rows,
         title=f"autotuned speedup over the default mapping on the "
-              f"per-cycle plan, {RECIPE_SEARCHES} searches at "
+              f"macro rung, {RECIPE_SEARCHES} searches at "
               f"{RECIPE_BUDGET['score_cycles']} scored cycles"))
     for name, median in medians.items():
         assert median >= TARGET_SPEEDUP, (
             f"{name}: median autotuned speedup {median:.2f}x over the "
-            f"per-cycle default across {RECIPE_SEARCHES} searches "
+            f"macro default across {RECIPE_SEARCHES} searches "
             f"(target {TARGET_SPEEDUP}x)")

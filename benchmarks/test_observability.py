@@ -1,11 +1,12 @@
 """Observability overhead: what does watching the fabric cost?
 
 The tier-2 sampled tracer exists so that waveform capture does not force
-a Ring-64 run back onto the per-cycle interpreter: :meth:`Ring.run`
-chunk-runs the compiled plan between capture points.  This benchmark
+a Ring-64 run back onto per-cycle dispatch: :meth:`Ring.run`
+chunk-runs the compiled ladder between capture points.  This benchmark
 measures Ring-64 steady-state throughput in four operating points —
 interpreter, the untraced native ladder (the default engine), every-cycle
-trace, and an interval-64 sampled trace — asserts the acceptance target (a sampled trace still
+trace (one macro step per cycle), and an interval-64 sampled trace —
+asserts the acceptance target (a sampled trace still
 beats the bare interpreter by at least 5x), exercises the tier-3
 :meth:`Ring.profile` accounting, and records everything in
 ``BENCH_observability.json`` so CI archives a perf data point per PR.
@@ -67,7 +68,7 @@ def _measure_operating_points() -> dict:
 
     ring = _ring64()
     ring.run(4)
-    assert ring._plan is not None
+    assert ring._steady, "no compiled kernel was adopted"
     points["native"] = _cycles_per_second(ring, cycles)
 
     ring = _ring64()
@@ -79,14 +80,15 @@ def _measure_operating_points() -> dict:
     trace = SignalTrace(ring, _PROBES, interval=64)
     ring.run(4)
     points["traced_sampled_64"] = _cycles_per_second(ring, cycles)
-    assert ring._plan is not None, "sampled trace knocked out the plan"
+    assert ring.native_cycles + ring.macro_cycles > 0, (
+        "sampled trace knocked out the compiled ladder")
     assert trace.cycles > 0, "sampled trace captured nothing"
     return points
 
 
 def test_sampled_trace_keeps_fastpath_throughput():
-    """The sampled trace keeps the compiled ladder (native, macro and
-    the per-cycle plan, formerly all "the fast path") engaged."""
+    """The sampled trace keeps the compiled ladder (native and macro)
+    engaged."""
     points = _measure_operating_points()
     sampled_speedup = points["traced_sampled_64"] / points["interpreter"]
     untraced_speedup = points["native"] / points["interpreter"]

@@ -1,13 +1,14 @@
-"""Steady-state simulation throughput: interpreter vs pre-decoded fast path.
+"""Steady-state simulation throughput: interpreter vs the macro rung.
 
-The fast path (:mod:`repro.core.fastpath`) exists so that large rings —
-the paper's Ring-64 SoC operating point — simulate at a useful speed: in
-steady state the configuration is static, so per-cycle routing resolution
-and microword dispatch are pure overhead.  This benchmark measures fabric
-cycles per second on a representative DSP configuration (forward MADD
-chains, local-mode MAC loops, feedback taps) for Ring-8/16/64 with the
-fast path disabled and enabled, and asserts the tentpole target: at least
-a 3x steady-state speedup on Ring-64.
+Generated kernels exist so that large rings — the paper's Ring-64 SoC
+operating point — simulate at a useful speed: in steady state the
+configuration is static, so per-cycle routing resolution and microword
+dispatch are pure overhead.  This benchmark measures fabric cycles per
+second on a representative DSP configuration (forward MADD chains,
+local-mode MAC loops, feedback taps) for Ring-8/16/64 on the interpreter
+and on the macro rung (:mod:`repro.core.macropath`, a native ring with
+the native tier refused), and asserts the tentpole target: at least a
+3x steady-state speedup on Ring-64.
 
 Run with ``pytest -s benchmarks/test_steady_state_throughput.py`` to see
 the reproduced table.
@@ -23,9 +24,9 @@ from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
 from repro.core.switch import PortSource
-from tests.conftest import bulk_refused
+from tests.conftest import native_refused
 
-#: Ring-64 acceptance floor (steady-state cycles/sec, fast path over
+#: Ring-64 acceptance floor (steady-state cycles/sec, macro rung over
 #: interpreter).  The measured ratio is typically far higher; 3x keeps the
 #: assertion robust on loaded CI machines.
 TARGET_SPEEDUP = 3.0
@@ -78,19 +79,19 @@ def _cycles_per_second(ring: Ring, cycles: int, repeats: int = 3) -> float:
 
 def _rate(ring: Ring, cycles: int) -> float:
     _configure(ring)
-    ring.run(4)  # settle + (fast path) compile outside the timed region
+    ring.run(4)  # settle + compile outside the timed region
     return _cycles_per_second(ring, cycles)
 
 
 def _measure(dnodes: int, cycles: int) -> tuple:
     geometry = RingGeometry.ring(dnodes)
     interp = _rate(Ring(geometry, backend="interpreter"), cycles)
-    # The fast path: a native ring held on its per-cycle plan.
-    with bulk_refused():
+    # The macro rung: a native ring with the native tier refused.
+    with native_refused():
         ring = Ring(geometry)
         fast = _rate(ring, cycles)
-    assert ring._plan is not None, "fast path failed to engage"
-    assert ring.native_cycles == ring.macro_cycles == 0
+    assert ring.native_cycles == 0
+    assert ring.macro_cycles > 0, "the macro rung failed to engage"
     return interp, fast
 
 
@@ -99,10 +100,10 @@ def test_ring64_steady_state_speedup():
     speedup = fast / interp
     emit(
         f"Ring-64 steady state: interpreter {interp:,.0f} cyc/s, "
-        f"fast path {fast:,.0f} cyc/s -> {speedup:.1f}x"
+        f"macro rung {fast:,.0f} cyc/s -> {speedup:.1f}x"
     )
     assert speedup >= TARGET_SPEEDUP, (
-        f"fast path delivered only {speedup:.2f}x on Ring-64 "
+        f"macro rung delivered only {speedup:.2f}x on Ring-64 "
         f"(target {TARGET_SPEEDUP}x)"
     )
 
@@ -114,11 +115,11 @@ def test_throughput_scaling_table():
         rows.append([f"Ring-{dnodes}", f"{interp:,.0f}", f"{fast:,.0f}",
                      f"{fast / interp:.1f}x"])
     emit(render_table(
-        ["fabric", "interpreter cyc/s", "fast path cyc/s", "speedup"],
+        ["fabric", "interpreter cyc/s", "macro cyc/s", "speedup"],
         rows,
         title="Steady-state simulation throughput",
     ))
-    # Larger fabrics must not lose the advantage: the fast path's per-cycle
-    # cost is linear in *active* Dnodes with no global re-decode, so the
-    # ratio should hold (or grow) with ring size.
+    # Larger fabrics must not lose the advantage: the macro kernel's
+    # per-cycle cost is linear in *active* Dnodes with no global
+    # re-decode, so the ratio should hold (or grow) with ring size.
     assert all(float(r[3][:-1]) >= 1.5 for r in rows)

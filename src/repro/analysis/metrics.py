@@ -168,9 +168,10 @@ class MetricsRegistry:
              "FIFO reads/pops that found an empty queue.",
              ring.fifo_underflows),
             ("ring_plan_compiles_total", "counter",
-             "Fast-path plans compiled.", ring.plan_compiles),
+             "Macro kernels this ring generated.", ring.plan_compiles),
             ("ring_plan_invalidations_total", "counter",
-             "Compiled plans dropped by reconfiguration.",
+             "Configuration writes that dropped an active compiled "
+             "kernel.",
              ring.plan_invalidations),
             ("plan_cache_hits_total", "counter",
              "Compiled plans re-adopted from the fingerprint cache.",
@@ -203,8 +204,9 @@ class MetricsRegistry:
              getattr(ring, "native_compiles", 0)),
             ("native_fallback_cycles_total", "counter",
              "Cycles a native-backend ring handed down the fall-back "
-             "ladder (ineligible config, remainder, strict-FIFO "
-             "window), or a batch ring ran on per-cycle lane kernels.",
+             "ladder (ineligible config, sub-period remainder, "
+             "strict-FIFO window), or a batch ring ran on per-cycle lane "
+             "kernels.",
              getattr(ring, "native_fallback_cycles", 0)),
             ("ring_config_writes_total", "counter",
              "Configuration words written through ConfigMemory.",

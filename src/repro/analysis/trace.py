@@ -12,11 +12,11 @@ every cycle:
 
 A trace may be *sampled*: ``interval=N`` captures only after every N-th
 cycle, and ``start``/``stop`` bound an inclusive cycle window.  A sampled
-trace does not force the ring off its compiled fast path —
+trace does not force the ring off its compiled tiers —
 :meth:`~repro.core.ring.Ring.run` chunk-runs the batch between capture
 points, and the samples are bit-identical to an every-cycle trace
-decimated to the same schedule (proven by the fast-path equivalence
-suite).  Traces attach through the ring's chained-observer interface, so
+decimated to the same schedule (proven by
+``tests/core/test_fastpath_equivalence.py``).  Traces attach through the ring's chained-observer interface, so
 several traces (or a trace plus a metrics observer) can coexist and
 detach independently.
 

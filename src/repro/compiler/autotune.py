@@ -16,8 +16,8 @@ The search space per :class:`~repro.compiler.graph.DataflowGraph`:
   lanes 0..1, so lane order decides legality *and* shape).
 
 Every candidate runs on the default ``native`` ring: its ladder already
-falls back to macro kernels and the per-cycle plan wherever native
-refuses, so the engine is not a search axis.
+falls back to macro kernels (and the interpreter over their unroll
+cap) wherever native refuses, so the engine is not a search axis.
 
 Scoring is *measured*, not modelled: each candidate is configured onto a
 private ring and timed with :func:`~repro.compiler.profiler.\
@@ -234,7 +234,7 @@ def _verify_bulk_engine(program: CompiledProgram,
     """Digest-check the mapping's *bulk* engine against the interpreter.
 
     Scoring and production runs take :meth:`Ring.run`'s steady-state
-    ladder (native / macro / per-cycle plan), which per-cycle tap
+    ladder (native / macro / interpreter), which per-cycle tap
     verification never touches — so the winner must additionally prove
     that path bit-identical to the reference interpreter.
     """

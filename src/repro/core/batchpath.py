@@ -1,8 +1,8 @@
 """Vectorized multi-stream execution backend for the ring fabric.
 
-The fast path (:mod:`repro.core.fastpath`) exploits the configuration
-being *static between controller writes*; this module exploits a second
-invariant: the configuration is also *lane-invariant*.  Control flow —
+The scalar generated tiers (:mod:`repro.core.nativepath`,
+:mod:`repro.core.macropath`) exploit the configuration being *static
+between controller writes*; this module exploits a second invariant: the configuration is also *lane-invariant*.  Control flow —
 which microword executes, which writes are staged, how local sequencers
 advance, which FIFO pops are requested — is decided entirely by the
 configuration, never by data.  So B independent sample streams pushed
@@ -12,8 +12,8 @@ every state element grows a trailing *lane* axis of length B and each
 per-cycle action becomes one NumPy array operation over all lanes.
 
 :class:`BatchRing` compiles the attached ring's configuration into flat
-per-Dnode array kernels (the same eval / shift / commit phase structure
-as the fast path) over ``int32`` state arrays:
+per-Dnode array kernels (the interpreter's eval / shift / commit phase
+structure) over ``int32`` state arrays:
 
 * ``outs[layer, position, lane]`` — OUT registers,
 * ``regs[layer, position, r, lane]`` — register files,
@@ -47,14 +47,14 @@ step, a sub-period remainder, a native-refused configuration, strict
 FIFOs.  They are compiled the first time a span needs them, so an
 engine whose spans all run native builds none.
 
-Plan lifetime mirrors the fast path: the ring fires its invalidation
+Plan lifetime mirrors the scalar kernels: the ring fires its invalidation
 hook on every configuration write (Dnode microwords and modes, local
 slots/LIMIT, switch routes), the lane plan and the per-cycle kernels
 are dropped, and the next ``run()`` rebinds or recompiles over the
 *preserved* lane state — mid-run reconfiguration behaves identically to
 the scalar engines.
 
-Known divergence (shared with the fast path): inside a cycle aborted by
+Known divergence (shared with the macro rung): inside a cycle aborted by
 a strict-FIFO error the partial state differs from the interpreter, and
 closed-form instruction counts cover completed cycles only.  Like a
 scalar native window, a native lane window whose host read raises (a
@@ -840,7 +840,6 @@ class BatchRing:
         self._stat_plan = tuple(stat_plan)
         self.host_channels = frozenset(routed)
         self.compiles += 1
-        ring.plan_compiles += 1
 
     def _rp_getter(self, sw: Switch, layer: int, stage: int, lane: int):
         if not (1 <= stage <= sw.pipeline_depth and 1 <= lane <= sw.width):
@@ -874,7 +873,7 @@ class BatchRing:
 
     def _compile_ports(self, sw: Switch, layer: int, pos: int,
                        up_layer: int):
-        """Mirror of the fast path's port resolution, over lane arrays."""
+        """Mirror of the interpreter's port resolution, over lane arrays."""
         getters = {}
         eagers = []
         cell = [0, 0]

@@ -1,55 +1,63 @@
-"""The macro rung: one generated kernel per steady period.
+"""The macro rung: one generated kernel per steady configuration.
 
-The pre-decoded fast path (:mod:`repro.core.fastpath`) already removes
-per-cycle *decode*, but it still pays Python dispatch per cycle: one
-closure call per operand fetch, per compute, per commit action, plus the
-three thunk loops.  For a *steady-state* configuration the entire cycle
-schedule is known at compile time — which microword each Dnode executes
-at each phase of the local-sequencer period, which FIFOs pop, how the
-feedback pipelines rotate — so this module goes one step further and
-**generates straight-line Python source** for one full period of the
-fabric and compiles it with :func:`exec`:
+The paper's scalability argument (§4.2) rests on the configuration being
+*static between controller writes*: routing, microwords and modes are
+latched state, and the clock merely moves data through them.  For such a
+configuration the entire cycle schedule is known at compile time — which
+microword each Dnode executes at each phase of the local-sequencer
+period, which FIFOs pop, how the feedback pipelines rotate — so this
+module **generates straight-line Python source** for one full period of
+the fabric and compiles it with :func:`exec`:
 
 * operand fetches become inline expressions over the persistent state
   containers (``regs._values[i]``, ``dn._out``, pipeline ring-buffer
   indexing with the head tracked in a local variable);
 * the ALU is inlined per opcode (sign reinterpretation is the branchless
   ``(v ^ 0x8000) - 0x8000``, masking is ``& 0xFFFF``), so a MAC is one
-  Python expression instead of five closure calls;
+  Python expression;
 * results live in local temporaries between the evaluate and commit
   phases — the master-slave staging registers are bypassed entirely;
 * per-Dnode statistics are hoisted out of the loop and applied in closed
   form per run (pops and underflows, which depend on runtime FIFO
   occupancy, stay inline and exact).
 
-The generated kernel advances ``periods x period`` cycles per call, so
-Python-level dispatch is paid once per period.  The period is the
-LCM of the local-mode LIMIT values (1 for an all-global fabric); local
-slot selection is baked per phase against the counters observed at
-compile time, and :meth:`MacroPlan.matches_phase` guards re-entry (the
-ring recompiles — or fetches a cached kernel — for a new entry phase).
+The period is the LCM of the local-mode LIMIT values (1 for an
+all-global fabric); local slot selection is baked per phase against the
+counters observed at compile time.  Each cycle of the unrolled period is
+guarded by its phase and followed by an end-of-run check, so one kernel
+enters at any phase of its schedule's orbit (every counter state the
+sequencers reach from the baked one) and stops after any number of
+cycles: a controller-stepped cycle, a sub-period remainder and a
+thousand-cycle window all run the same code, and
+:meth:`MacroPlan.matches_phase` accepts every counter state of the
+orbit.  Stepping a period-P configuration therefore compiles one kernel,
+not one per phase.
 
 Bit-identity: for every completed cycle the kernel is bit-identical to
-the fast path (and therefore the interpreter) on all architectural state
-— OUT latches, register files, pipelines, FIFO contents, pop/underflow
-accounting, statistics, host-read order, and error messages.  Inside a
-cycle aborted by a strict-FIFO error the macro kernel diverges slightly
-further than the fast path already does from the interpreter: staged
-writes of the aborted cycle are discarded (they lived in locals) and the
-aborted cycle contributes no instruction counts.  Committed state up to
-the last completed cycle is identical.
+the interpreter on all architectural state — OUT latches, register
+files, pipelines, FIFO contents, pop/underflow accounting, statistics,
+host-read order, and error messages.  A strict-FIFO error aborts a run
+cycle-exactly: every cycle before it is committed, the message names the
+same Dnode, FIFO and cycle as the interpreter's, and ``ring.cycles``
+stays on the aborted cycle, which adds no statistics and does not
+advance the local counters.  The aborted cycle's partial state is the
+kernel's own: an empty read commits none of its writes (they lived in
+locals), and an empty pop comes after the pipelines shifted and after
+the stores and pops of the Dnodes before it (and the popping Dnode's own
+stores) landed.
 
 Configurations whose period would bloat the generated source (LCM above
-:data:`MAX_PERIOD`, or too many statements overall) are ineligible and
-simply stay on the per-cycle fast path.
+:data:`MAX_PERIOD`, or more than :data:`MAX_UNROLL_CELLS` Dnode-cycles)
+are ineligible and run on the interpreter.
 
-These kernels are the middle rung of the native ladder that every
-compiled scalar ring climbs, taking whatever span of at least one period the
-native tier (:mod:`repro.core.nativepath`) refuses or leaves over.  Both
-tiers compile from one :class:`SteadySchedule` and serve the same window
-protocol (:meth:`MacroPlan.run`): a host reader with a ``gather`` method
-hands over each routed channel's words for the whole window, and the
-caller gets each tapped Dnode's post-edge outputs back as an array.
+These kernels are the second rung of the ladder every compiled scalar
+ring climbs (native, macro, interpreter), taking every span the native
+tier (:mod:`repro.core.nativepath`) refuses or leaves over, and every
+cycle :meth:`~repro.core.ring.Ring.step` advances.  Both tiers compile
+from one :class:`SteadySchedule` and serve the same window protocol
+(:meth:`MacroPlan.run`): a host reader with a ``gather`` method hands
+over each routed channel's words for the whole window, and the caller
+gets each tapped Dnode's post-edge outputs back as an array.
 
 Compilation is split in two.  :func:`macro_template` generates the
 source and compiles it into a :class:`MacroTemplate` that holds no
@@ -254,13 +262,14 @@ class SteadySchedule:
 
 
 class SteadyPlan:
-    """A kernel template bound to one ring: valid only while the local
-    counters sit at the schedule's entry phase.
+    """A kernel template bound to one ring.
 
     ``rung`` names the tier (``"native"`` or ``"macro"``);
     ``template`` is the ring-free kernel it was bound from;
     ``host_channels`` are the host channels the configuration routes
-    (each read every cycle).
+    (each read every cycle).  A native plan is valid only while the
+    local counters sit at the schedule's entry phase; a macro plan
+    overrides :meth:`matches_phase` to accept any phase of the orbit.
     """
 
     rung = ""
@@ -289,7 +298,8 @@ class MacroPlan(SteadyPlan):
 
     rung = "macro"
 
-    __slots__ = ("_kernel", "_ring", "_nodes", "_stat_entries")
+    __slots__ = ("_kernel", "_ring", "_nodes", "_stat_entries", "_locals",
+                 "_phases")
 
     def __init__(self, template: "MacroTemplate", ring: "Ring"):
         nodes = tuple(ring.all_dnodes())
@@ -297,13 +307,14 @@ class MacroPlan(SteadyPlan):
         self._ring = ring
         self._nodes = nodes
         self._stat_entries = template.schedule.bind_stats(nodes)
+        self._locals = tuple(lc for lc, _c0, _limit in self._counter_entries)
+        self._phases = template.phases
         env: Dict[str, object] = {
             "_R": ring,
             "_chk": word.check,
             "_sat": word.saturate_signed,
             "_SE": SimulationError,
             "_fifo_error": _fifo_error,
-            "_finish": self._finish,
         }
         for l, sw in enumerate(ring._switches):
             env[f"_sw_{l}"] = sw
@@ -318,10 +329,20 @@ class MacroPlan(SteadyPlan):
         exec(template.code, env)
         self._kernel = env["_kernel"]
 
+    def phase(self) -> Optional[int]:
+        """Where the live local counters sit in the baked period, or
+        None when they are outside the schedule's orbit."""
+        return self._phases.get(tuple(lc._counter for lc in self._locals))
+
+    def matches_phase(self) -> bool:
+        """True when the live counters are anywhere in the orbit."""
+        return self.phase() is not None
+
     def run(self, cycles: int, bus: int, host_in,
             taps: Sequence[int] = ()) -> List[np.ndarray]:
-        """Advance *cycles* fabric clocks (must be a multiple of period).
+        """Advance *cycles* fabric clocks from the current phase.
 
+        The live counters must be in the orbit (:meth:`matches_phase`).
         A *host_in* with a ``gather(channel, c0, cycles)`` method hands
         over each routed channel's words once for the whole run (stream
         words were range-checked when pushed); a plain closure is called
@@ -336,41 +357,47 @@ class MacroPlan(SteadyPlan):
         strict-FIFO error also carries ``host_reads`` (see
         :func:`_fifo_error`).
         """
+        ring = self._ring
+        c0 = ring.cycles
+        entry = self.phase()
         windows = None
         gather = getattr(host_in, "gather", None)
         if gather is not None:
-            c0 = self._ring.cycles
             windows = {ch: gather(ch, c0, cycles).tolist()
                        for ch in self.host_channels}
         outs: List[list] = [[] for _ in taps]
         sinks = tuple((self._nodes[i], out.append)
                       for i, out in zip(taps, outs))
         try:
-            self._kernel(cycles // self.period, bus, host_in, windows,
-                         sinks)
+            self._kernel(cycles, entry, bus, host_in, windows, sinks)
         except Exception as exc:
             exc.window_taps = [np.array(out, np.int64) for out in outs]
             raise
+        finally:
+            self._finish(entry, ring.cycles - c0)
         return [np.array(out, np.int64) for out in outs]
 
-    def _finish(self, executed: int) -> None:
-        """The hoisted statistics of *executed* kernel cycles
-        (closed-form, exact per completed cycle)."""
+    def _finish(self, entry: int, executed: int) -> None:
+        """The hoisted statistics and counter advance of *executed*
+        kernel cycles entered at phase *entry* (closed-form, exact per
+        completed cycle)."""
         if not executed:
             return
         self._ring.macro_cycles += executed
-        full, extra = divmod(executed, self.period)
+        end = entry + executed
+        full, extra = divmod(end, self.period)
         for dn in self._nodes:
             dn.stats.cycles += executed
         for stats, totals, prefix in self._stat_entries:
             ti, ta, tm = totals
             pi, pa, pm = prefix[extra]
-            stats.instructions += full * ti + pi
-            stats.arithmetic_ops += full * ta + pa
-            if tm or pm:
-                stats.multiplies += full * tm + pm
+            si, sa, sm = prefix[entry]
+            stats.instructions += full * ti + pi - si
+            stats.arithmetic_ops += full * ta + pa - sa
+            if tm:
+                stats.multiplies += full * tm + pm - sm
         for lc, c0, limit in self._counter_entries:
-            lc._counter = (c0 + executed) % limit
+            lc._counter = (c0 + end) % limit
 
 
 class MacroTemplate:
@@ -379,15 +406,20 @@ class MacroTemplate:
     ``code`` defines ``_kernel`` over the names a :class:`MacroPlan`
     puts in its globals: each Dnode, register file, statistics record,
     switch and pipeline lane by position, the FIFOs in ``fifos`` and
-    the ring.
+    the ring.  ``phases`` maps each counter state of the schedule's
+    orbit (local Dnodes layer-major) to its phase in the baked period.
     """
 
-    __slots__ = ("schedule", "code", "fifos")
+    __slots__ = ("schedule", "code", "fifos", "phases")
 
     def __init__(self, schedule: SteadySchedule, code, fifos):
         self.schedule = schedule
         self.code = code
         self.fifos = fifos
+        entries = schedule.counter_entries
+        self.phases = {
+            tuple((c0 + j) % limit for _node, c0, limit in entries): j
+            for j in range(schedule.period)}
 
     def bind(self, ring: "Ring") -> MacroPlan:
         """Exec the shared code over *ring*'s state containers."""
@@ -423,8 +455,8 @@ def compile_macro(ring: "Ring",
 
     Returns the :class:`MacroTemplate` bound to *ring*, or None when the
     configuration is ineligible (period too large to unroll); the caller
-    stays on the per-cycle fast path.  The reason is appended to
-    *refusal* when a list is given.
+    interprets it.  The reason is appended to *refusal* when a list is
+    given.
     """
     try:
         return macro_template(ring).bind(ring)
@@ -436,7 +468,8 @@ def compile_macro(ring: "Ring",
 
 def macro_template(ring: "Ring") -> MacroTemplate:
     """Generate and compile the macro kernel for *ring*'s configuration
-    and entry phase; raises :class:`Ineligible` when it has none."""
+    and the orbit of its entry phase; raises :class:`Ineligible` when
+    it has none."""
     steady = SteadySchedule(ring)
     geometry = ring.geometry
     period = steady.period
@@ -598,7 +631,7 @@ def macro_template(ring: "Ring") -> MacroTemplate:
                     commits.append(("pop", l, p, ch))
 
         # Shifts: before commits, so pipelines capture this cycle's
-        # forward-visible OUT values (same order as the fast path).
+        # forward-visible OUT values.
         for k in range(layers):
             lu = ring.upstream_layer(k)
             out.emit(indent, f"_hd_{k} = (_hd_{k} - 1) % {depth}")
@@ -619,11 +652,15 @@ def macro_template(ring: "Ring") -> MacroTemplate:
         out.emit(indent + 1, "_ta(_tn._out)")
 
     # --- kernel assembly ----------------------------------------------
-    # _gw: None (call host_in per read) or {channel: the window's words};
-    # _tb: (dnode, append) per tap, fed each cycle's post-edge output.
-    out.emit(0, "def _kernel(periods, bus, host_in, _gw, _tb):")
+    # _ph: the entry phase; _gw: None (call host_in per read) or
+    # {channel: the window's words}; _tb: (dnode, append) per tap, fed
+    # each cycle's post-edge output.  The first pass through the period
+    # skips the phases before _ph; every cycle but the period's last
+    # checks for the end of the run (the loop test covers the last).
+    out.emit(0, "def _kernel(cycles, _ph, bus, host_in, _gw, _tb):")
     out.emit(1, "_cy = _R.cycles")
     out.emit(1, "_cy0 = _cy")
+    out.emit(1, "_end = _cy + cycles")
     if steady.host_ports:
         out.emit(1, "if _gw is not None:")
         for ch in sorted({ch for *_, ch in steady.host_ports}):
@@ -631,13 +668,21 @@ def macro_template(ring: "Ring") -> MacroTemplate:
     for k in range(layers):
         out.emit(1, f"_hd_{k} = _sw_{k}._head")
     out.emit(1, "try:")
-    out.emit(2, "for _ in range(periods):")
+    out.emit(2, "while _cy != _end:")
     for phase in range(period):
-        emit_cycle(3, phase)
+        if period == 1:
+            emit_cycle(3, phase)
+            continue
+        out.emit(3, f"if _ph <= {phase}:")
+        emit_cycle(4, phase)
+        if phase < period - 1:
+            out.emit(4, "if _cy == _end:")
+            out.emit(5, "break")
+    if period > 1:
+        out.emit(3, "_ph = 0")
     out.emit(1, "finally:")
     for k in range(layers):
         out.emit(2, f"_sw_{k}._head = _hd_{k}")
-    out.emit(2, "_finish(_cy - _cy0)")
 
     source = out.source()
     code = compile(source, f"<macro period={period}>", "exec")

@@ -65,7 +65,7 @@ the time axis of a 2-D one (a loop in the jitted build, as Numba's
 ``cumsum`` takes no axis).
 
 Eligibility — :func:`compile_native` returns None (the ring then falls
-back native → macro → per-cycle plan, and keeps the reason as
+back native → macro → interpreter, and keeps the reason as
 :attr:`~repro.core.ring.Ring.native_refusal`) when:
 
 * the period exceeds :data:`~repro.core.macropath.MAX_PERIOD` or the
@@ -440,8 +440,7 @@ class NativePlan(_NativeWindows):
         (:func:`fifo_tail`).  With strict FIFOs an underflow must raise
         at its exact cycle, so the prefix stops short of the first one;
         safety is a pure occupancy computation, and the unsafe remainder
-        falls back to the macro/per-cycle rungs, which raise
-        cycle-exactly.
+        falls back to the macro rung, which raises cycle-exactly.
         """
         per = self.period
         n = cycles // per
@@ -729,7 +728,7 @@ def compile_native(ring: "Ring",
     Returns the :func:`native_template` bound to *ring* — or, given the
     ring's batch *engine*, the lane template bound to its lanes — or
     None when the configuration is ineligible; the caller falls back to
-    the macro / per-cycle rungs.  The reason for a refusal is appended
+    the macro and interpreter rungs.  The reason for a refusal is appended
     to *refusal* when a list is given.
     """
     try:

@@ -3,8 +3,8 @@
 The paper's headline feature is *dynamic* reconfiguration: the RISC
 configuration controller rewrites Dnode microinstructions every cycle
 (hardware multiplexing) or swaps between a small working set of contexts.
-Compiled engines (per-cycle plans, batch kernel sets, macro/native
-kernels) are pure functions of the fabric *configuration*, so a kernel
+Compiled engines (batch kernel sets, macro/native kernels) are pure
+functions of the fabric *configuration*, so a kernel
 compiled for a configuration stays valid whenever that exact
 configuration is restored, on the same ring or on another one.  This
 module provides the pieces that exploit it:
@@ -23,14 +23,14 @@ module provides the pieces that exploit it:
 It is used at two levels:
 
 * **per ring** (``Ring.plan_cache``, capacity ``Ring(plan_cache=)``):
-  plans *bound* to that ring — per-cycle plans, which close over the
-  ring's state containers, and native/macro plans bound from a
-  template — so a switch back to a known configuration re-adopts its
-  plan in one lookup;
+  native/macro plans *bound* to that ring's state containers from a
+  template, and the tiers' refusals, so a switch back to a known
+  configuration re-adopts its kernels in one lookup per tier;
 * **per process** (:data:`KERNELS`, capacity :data:`KERNEL_CAPACITY`):
   ring-free native and macro *templates* (the generated code plus its
-  schedule as Dnode indices), and the native tier's refusals, keyed by
-  ``(tier, geometry, entry phase, fingerprint)``.  A ring whose own
+  schedule as Dnode indices), and the tiers' refusals, keyed by
+  ``(tier, geometry, entry phase, fingerprint)``; a macro kernel serves
+  every phase of its sequencers' orbit, so its key names the orbit.  A ring whose own
   cache misses looks here next and binds a hit to its state in
   microseconds, so a fresh ring with a configuration the process has
   compiled before pays no code generation and steps no first-time
@@ -38,14 +38,11 @@ It is used at two levels:
   ``plan_cache=0`` bypasses both levels.
 
 Neither lookup ever compiles on a miss.  The per-ring cache also
-remembers recently *missed* fingerprints: the first time a configuration
-appears the ring keeps its deferred compile-after-one-stable-cycle
-policy (so a never-repeating per-cycle reconfiguration stream still pays
-zero compiles), but a fingerprint that misses twice is evidently part of
-a multiplexing working set and its per-cycle plan is compiled
-immediately.  The per-cycle plan itself is compiled lazily when the
-bulk rungs were adopted from a cache: only the first span that needs
-it (a remainder, a refused span or a stepped cycle) builds it.
+remembers recently *missed* configurations: the first time one appears
+the ring interprets its first stepped cycle and compiles nothing for it
+(so a never-repeating per-cycle reconfiguration stream pays zero
+compiles), but one that misses twice is evidently part of a
+multiplexing working set and its macro kernel is compiled immediately.
 """
 
 from __future__ import annotations
@@ -122,13 +119,16 @@ class PlanCache:
 
         A True return means the configuration is recurring (part of a
         multiplexing working set) and is worth compiling eagerly instead
-        of waiting out the stable-cycle deferral.
+        of waiting out the stepped-cycle deferral.  A first miss counts
+        in :attr:`misses`; a repeat is counted by the lookup that
+        compiles it.
         """
         if not self.capacity:
             return False
         if key in self._missed:
             self._missed.move_to_end(key)
             return True
+        self.misses += 1
         self._missed[key] = True
         if len(self._missed) > self._missed_capacity:
             self._missed.popitem(last=False)

@@ -27,33 +27,36 @@ The shared ``bus`` value and host stream channels are supplied per cycle
 by the caller (the controller / data controller live in
 :mod:`repro.controller` and :mod:`repro.host`).
 
-Two execution engines drive the same semantics:
+Two kinds of engine drive the same semantics:
 
 * the **interpreter** (:meth:`Ring._step_interpreted`) re-resolves switch
   routing and microword dispatch every cycle — the reference
   implementation;
-* the **fast path** (:mod:`repro.core.fastpath`) pre-decodes the current
-  configuration into direct per-Dnode closures and is used automatically
-  whenever the configuration has been stable for a full cycle.  Every
-  configuration mutation invalidates it, so reconfiguration always takes
-  effect on the very next cycle, exactly as before.
+* the **generated tiers** compile the current configuration, which is
+  static between controller writes.  A ``"native"`` ring (the default)
+  runs each steady-state span down a fall-back ladder: time-vectorized
+  NumPy kernels (:mod:`repro.core.nativepath`), then — for whatever
+  native refuses or leaves over, and for every cycle :meth:`Ring.step`
+  advances — generated macro kernels (:mod:`repro.core.macropath`),
+  which enter at any phase of their sequencer period and stop after
+  any cycle, then the interpreter for configurations over the macro
+  unroll cap.  Every configuration mutation invalidates the active
+  kernels, so reconfiguration takes effect on the very next cycle.
 
-Compiled plans are retained in an LRU
+A configuration seen for the first time is interpreted for one cycle
+before anything is compiled for it, so a controller that rewrites the
+fabric every cycle (hardware multiplexing) never pays code generation.
+Compiled kernels are retained in an LRU
 :class:`~repro.core.plancache.PlanCache` keyed by
 :meth:`Ring.config_fingerprint`, so multiplexing between known
-configurations re-adopts each plan in one lookup instead of recompiling.
-Native and macro kernels are also kept, ring-free, in the process-wide
+configurations re-adopts each kernel in one lookup instead of
+recompiling.  They are also kept, ring-free, in the process-wide
 :data:`~repro.core.plancache.KERNELS` cache, so a fresh ring binds a
 kernel another ring compiled instead of generating it again (see
 ``docs/architecture.md``, "The plan cache").
 
-``backend`` is the one engine selector.  A ``"native"`` ring (the
-default) runs each steady-state span down a fall-back ladder:
-time-vectorized NumPy kernels (:mod:`repro.core.nativepath`), then — for
-whatever native refuses or leaves over — generated macro kernels
-(:mod:`repro.core.macropath`) that pay Python dispatch once per sequencer
-period, then the per-cycle plan.  The per-cycle plan is a rung, not a
-backend: nothing selects it alone.
+``backend`` is the one engine selector: ``"interpreter"``, ``"native"``
+or ``"batch"``.
 """
 
 from __future__ import annotations
@@ -61,15 +64,15 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from math import lcm
 from time import perf_counter
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import word
 from repro.core.config_memory import ConfigMemory, _Fingerprint
 from repro.core.dnode import Dnode, DnodeInputs, DnodeMode
-from repro.core.fastpath import compile_plan
 from repro.core.isa import FEEDBACK_DEPTH
-from repro.core.macropath import compile_macro
+from repro.core.macropath import MAX_PERIOD, compile_macro
 from repro.core.nativepath import compile_native
 from repro.core.plancache import DEFAULT_CAPACITY, KERNELS, PlanCache
 from repro.core.switch import PortKind, PortSource, Switch
@@ -81,6 +84,8 @@ class _Refusal(str):
     plan caches): why the tier cannot compile the configuration."""
 
 
+#: Kept for the benchmark suite's tracer, which wraps it by name; unused.
+compile_plan = compile_macro
 
 HostReader = Callable[[int], int]
 
@@ -94,7 +99,7 @@ class _CycleObserver:
     post-commit :attr:`Ring.cycles` value, so interval 4 fires after
     cycles 4, 8, 12, ...); ``start``/``stop`` bound an inclusive capture
     window on the same cycle index.  The schedule is what lets
-    :meth:`Ring.run` keep batches on the compiled fast path between
+    :meth:`Ring.run` keep batches on the compiled tiers between
     captures instead of dropping to per-cycle dispatch.
     """
 
@@ -154,14 +159,13 @@ class RingProfile:
     overhead paid for it) is directly measurable.
 
     ``fastpath_cycles`` / ``fastpath_seconds`` count every compiled
-    rung: the native, macro and per-cycle plans of the scalar ladder and
-    the batch engine (a lane window books lockstep cycles, not
-    lane-cycles).  ``compile_seconds`` covers per-cycle plan compiles
-    and native and macro code generation on cache misses; binding a
-    cached template to the ring is not code generation and is not
-    booked.  ``plan_compiles`` counts the per-cycle plans only.  The
-    field names predate the ladder and stay because the benchmark suite
-    (``benchmarks/suite``) reads them.
+    rung: the native and macro kernels of the scalar ladder and the
+    batch engine (a lane window books lockstep cycles, not lane-cycles).
+    ``compile_seconds`` covers native and macro code generation on cache
+    misses; binding a cached template to the ring is not code generation
+    and is not booked.  ``plan_compiles`` counts the macro kernels
+    generated.  The field names predate the ladder and stay because the
+    benchmark suite (``benchmarks/suite``) reads them.
     """
 
     interpreted_cycles: int = 0
@@ -258,7 +262,7 @@ class Ring:
         "interpreter": "reference cycle-by-cycle interpreter",
         "native": "time-vectorized NumPy kernels (optional Numba "
                   "jit), falling back to generated macro kernels, "
-                  "then the per-cycle plan",
+                  "then the interpreter",
         "batch": "lane-vectorized NumPy engine over batch_size streams",
     }
 
@@ -338,7 +342,9 @@ class Ring:
         #: FIFO depth high-water marks, keyed like :attr:`_fifos`
         #: ((layer, position, channel)); updated on every push.
         self.fifo_high_water: Dict[Tuple[int, int, int], int] = {}
-        #: Fast-path lifecycle counters (always-on, config-path cost only).
+        #: Kernel lifecycle counters (always-on, config-path cost only):
+        #: macro kernels this ring generated, and configuration writes
+        #: that dropped an active compiled kernel.
         self.plan_compiles = 0
         self.plan_invalidations = 0
         #: Robustness-layer counters (:mod:`repro.robustness`): faults
@@ -358,20 +364,13 @@ class Ring:
         #: callback for the single always-on observer, otherwise a
         #: dispatcher that applies each observer's capture schedule.
         self._trace: Optional[Callable[["Ring"], None]] = None
-        # Steady-state fast path: compiled plan + invalidation wiring.
-        # `_plan` is the active pre-decoded engine (None = interpret);
-        # `_config_dirty` means a mutation happened during/after the last
-        # interpreted cycle, deferring compilation until the configuration
-        # has been stable for one full cycle (so controller-driven
-        # hardware multiplexing never pays compile overhead).
-        self._plan = None
+        # A first-time configuration: it has not yet been stepped for a
+        # cycle and no kernel for it was found in a cache, so nothing is
+        # compiled for it yet (controller-driven hardware multiplexing
+        # never pays compile overhead).
         self._config_dirty = True
-        # Bulk plans for the current configuration came from a cache, so
-        # it needs no stable cycle: the per-cycle plan is compiled on the
-        # first span that needs it.
-        self._adopted = False
         #: Extra callbacks fired on every configuration mutation (the
-        #: batch engine hooks in here, reusing the fast-path wiring).
+        #: batch engine hooks in here, reusing the kernel wiring).
         self._invalidation_listeners: List[Callable[[], None]] = []
         #: Lazily created batch engine (backend == "batch" only).
         self._batch_engine = None
@@ -401,11 +400,11 @@ class Ring:
 
     @property
     def fastpath_enabled(self) -> bool:
-        """Does this ring run compiled scalar plans (the native ladder)?
+        """Does this ring run compiled scalar kernels (the native ladder)?
 
         Every backend but the interpreter does.  The ladder also backs
         batch mode at B=1: one lane of NumPy-array indexing is strictly
-        slower than the scalar plan (~6x in BENCH_batch.json), and the
+        slower than the scalar kernels, and the
         lane-0 writeback contract is trivially the scalar state itself.
         The vector engine is only engaged at B>1 or once `ring.batch`
         has been handed out.
@@ -440,8 +439,6 @@ class Ring:
             self._batch_engine = None
         self.backend = backend
         self.batch_size = batch_size
-        self._plan = None
-        self._adopted = False
         self._steady.clear()
         self._config_dirty = True
 
@@ -575,7 +572,7 @@ class Ring:
         ``interval`` fires the callback only after cycles whose post-commit
         index is a multiple of it; ``start``/``stop`` bound an inclusive
         cycle window.  A sampled observer (interval > 1 or a window) keeps
-        :meth:`run` on the compiled fast path between captures: the batch
+        :meth:`run` on the compiled tiers between captures: the batch
         is chunk-run up to each capture point instead of dropping to
         per-cycle dispatch.  Re-adding an already-registered callback
         replaces its schedule.  Returns *callback* (the removal handle).
@@ -644,14 +641,14 @@ class Ring:
         """Context manager timing the engines while the block runs.
 
         Yields a :class:`RingProfile` that accumulates wall-clock seconds
-        and cycle counts separately for the interpreter, the compiled fast
-        path, and plan compilation.  Profiling adds one predicate per
-        dispatch decision — nothing on the per-cycle fast path itself.
+        and cycle counts separately for the interpreter, the compiled
+        tiers, and code generation.  Profiling adds one predicate per
+        dispatch decision — nothing inside a compiled kernel.
 
         Args:
             warmup: cycles to run *untimed* before the profile attaches.
-                First-touch costs (plan compilation, macro/native codegen,
-                any Numba jit) land in the warm-up chunk instead of the
+                First-touch costs (macro/native code generation, any
+                Numba jit) land in the warm-up chunk instead of the
                 measured region, so the profile reports steady-state
                 throughput — the number the compiler autopilot scores
                 candidate mappings by.
@@ -677,10 +674,12 @@ class Ring:
              host_in: Optional[HostReader] = None) -> None:
         """Advance the fabric by one clock cycle.
 
-        Dispatches to the pre-decoded fast path when the current
-        configuration has a valid compiled plan; otherwise interprets the
-        cycle and (once the configuration has been stable for a full
-        cycle) compiles a fresh plan for subsequent cycles.
+        On a compiled ring the cycle runs on the configuration's macro
+        kernel, entered at the current sequencer phase and stopped after
+        one cycle.  It is interpreted instead on the interpreter
+        backend, for the first cycle of a first-time configuration (see
+        :meth:`_step_plan`) and for a configuration over the macro
+        unroll cap.
 
         Args:
             bus: value currently driven on the shared bus by the
@@ -697,21 +696,35 @@ class Ring:
             engine = self._ensure_batch()
             self._run_plan(engine, 1, bus, host_in)
             engine.store_lane(0)
-            if self._trace is not None:
-                self._trace(self)
-            return
-        plan = self._plan
-        if plan is None and self.fastpath_enabled and self._config_dirty:
-            # A configuration that already stepped one cycle without a
-            # plan missed the cache then; it compiles after this cycle.
-            plan = self._adopt_cached_plan()
-        elif plan is None and self._adopted:
-            plan = self._install_plan()
-        if plan is not None:
-            self._run_plan(plan, 1, bus, host_in)
-            if self._trace is not None:
-                self._trace(self)
-            return
+        else:
+            macro = self._step_plan()
+            if macro is not None:
+                self._run_plan(macro, 1, bus, host_in)
+            else:
+                self._interpret(bus, host_in)
+        if self._trace is not None:
+            self._trace(self)
+
+    def _step_plan(self):
+        """The macro plan :meth:`step` runs the next cycle on, or None.
+
+        A first-time configuration (no kernel for it in either cache)
+        compiles nothing for its first stepped cycle, so a
+        reconfiguration stream that never repeats never pays code
+        generation; a fingerprint that missed before is evidently part
+        of a multiplexing working set and compiles at once.
+        """
+        if not self.fastpath_enabled:
+            return None
+        if self._config_dirty and not self._adopt_cached_hit():
+            if not self.plan_cache.note_miss(self._steady_key("macro")):
+                return None
+            self._config_dirty = False
+        return self._steady_plan("macro")
+
+    def _interpret(self, bus: int, host_in: Optional[HostReader]) -> None:
+        """One interpreted cycle, booked if profiled.  The configuration
+        has been stepped now, so it may compile from the next cycle on."""
         profile = self._profile
         if profile is None:
             self._step_interpreted(bus, host_in)
@@ -722,15 +735,15 @@ class Ring:
             finally:
                 profile.interpreted_seconds += perf_counter() - began
             profile.interpreted_cycles += 1
-        self._maybe_compile()
+        self._config_dirty = False
 
     def _run_plan(self, plan, cycles: int, bus: int,
                   host_in: Optional[HostReader], *taps):
         """Execute *cycles* on a compiled rung, booked if profiled.
 
-        *plan* is a per-cycle, macro or native plan or the batch engine;
-        *taps* is passed through to its ``run`` and its result returned.
-        The profile books cycles off :attr:`cycles`, so a batch window
+        *plan* is a macro or native plan or the batch engine; *taps* is
+        passed through to its ``run`` and its result returned.  The
+        profile books cycles off :attr:`cycles`, so a batch window
         counts lockstep cycles, not lane-cycles.
         """
         profile = self._profile
@@ -780,30 +793,28 @@ class Ring:
         for k in range(geometry.layers):
             self._switches[k].shift(visible_outs[self.upstream_layer(k)])
         self.cycles += 1
-        if self._trace is not None:
-            self._trace(self)
 
     def _invalidate_fastpath(self) -> None:
-        """Configuration mutated: drop the compiled plan, defer recompile.
+        """Configuration mutated: drop the active kernels.
 
         Wired into every configuration write path — Dnode microwords and
         modes, local-sequencer slots and LIMIT, switch routing, and thereby
         every :class:`~repro.core.config_memory.ConfigMemory` write.
 
-        The dropped plan stays in :attr:`plan_cache`: the next cycle
+        The dropped kernels stay in :attr:`plan_cache`: the next cycle
         looks the new configuration up by fingerprint and re-adopts a
-        cached plan with zero interpreted cycles when it was seen before.
-        Any configuration write also ends the resident plane's tenure.
+        cached kernel with zero interpreted cycles when it was seen
+        before.  Any configuration write also ends the resident plane's
+        tenure.
         """
-        if self._plan is not None:
-            self._plan = None
+        steady = self._steady
+        if any(not isinstance(plan, _Refusal) for plan in steady.values()):
             self.plan_invalidations += 1
-        self._steady.clear()
+        steady.clear()
         self._fingerprint = None
         self._locals = None
         self._resident_plane = None
         self._config_dirty = True
-        self._adopted = False
         for listener in self._invalidation_listeners:
             listener()
 
@@ -814,7 +825,7 @@ class Ring:
         microwords, layer-major order) with every switch's routing
         fingerprint.  Cached until the next configuration mutation (each
         component also caches its own part), and the digest hashes only
-        once, so the plan, macro and native cache lookups after a
+        once, so the macro and native cache lookups after a
         reconfiguration share one computation.
         """
         fp = self._fingerprint
@@ -826,60 +837,19 @@ class Ring:
             ))
         return fp
 
-    def _adopt_cached_plan(self):
-        """Plan-cache lookup for the current configuration.
-
-        On a hit the cached plan is adopted immediately — including on
-        the first cycle after a reconfiguration, which previously always
-        interpreted.  On a miss while the configuration is freshly
-        mutated, a configuration with a cached native or macro plan
-        (on this ring or as a process-wide template) is known, so its
-        per-cycle plan is compiled now for the cycle being stepped; a
-        fingerprint that has missed before is evidently part of a
-        multiplexing working set and is compiled eagerly too.  A
-        first-time fingerprint keeps the legacy deferred policy (so a
-        never-repeating per-cycle reconfiguration stream still compiles
-        nothing).
-        """
-        cache = self.plan_cache
-        if not cache.capacity:
-            return None
-        key = ("plan", self.config_fingerprint())
-        plan = cache.get(key)
-        if plan is None and self._config_dirty:
-            if self._adopt_cached_hit():
-                plan = self._install_plan()
-            elif cache.note_miss(key):
-                plan = self._compile_plan_timed()
-                cache.put(key, plan)
-        if plan is not None:
-            self._plan = plan
-            self._config_dirty = False
-        return plan
-
     def _adopt_cached_hit(self) -> bool:
-        """Adopt cached plans for the current configuration on a hit.
+        """Adopt cached kernels for the current configuration on a hit.
 
-        The hit-only twin of :meth:`_adopt_cached_plan` for the window
-        boundary and :meth:`run`.  A per-cycle plan in the ring's cache
-        becomes the active plan.  Otherwise a native or macro plan from
-        either cache level (a process-wide template is bound to this
-        ring) makes the configuration ready with no stable cycle, and
-        the per-cycle plan is compiled when a span first needs it.  A
-        miss is neither counted nor noted and compiles nothing, so a
-        first-time fingerprint keeps the deferred compile policy of the
-        cycle that steps it (a never-repeating reconfiguration stream
-        still compiles nothing).  Returns True on a hit.
+        A native or macro plan from either cache level (a process-wide
+        template is bound to this ring) makes the configuration ready
+        for the compiled tiers with no stepped cycle; the other tier is
+        resolved when a span first needs it.  A miss is neither counted
+        nor noted and compiles nothing, so a first-time fingerprint
+        keeps the deferred compile policy of the cycle that steps it.
+        Returns True on a hit.
         """
-        cache = self.plan_cache
-        if not cache.capacity:
+        if not self.plan_cache.capacity:
             return False
-        plan = cache.get(("plan", self.config_fingerprint()),
-                         count_miss=False)
-        if plan is not None:
-            self._plan = plan
-            self._config_dirty = False
-            return True
         for tier in ("native", "macro"):
             steady = self._steady.get(tier)
             if steady is None or not (isinstance(steady, _Refusal)
@@ -889,72 +859,52 @@ class Ring:
                     continue
                 self._steady[tier] = steady
             if not isinstance(steady, _Refusal):
-                self._adopted = True
                 self._config_dirty = False
                 return True
         return False
 
     def adopt_cached_plan(self) -> bool:
-        """Re-adopt a compiled plan for the current configuration now.
+        """Re-adopt a compiled kernel for the current configuration now.
 
         Public hook for restore paths (checkpoint rollback and
         migration): after the configuration settles, one fingerprint
-        lookup re-activates a cached plan immediately instead of waiting
-        for the first ``step()`` to do it lazily.  Returns ``True`` when
-        a compiled plan is active afterwards.  The interpreter and a
-        vector batch ring never adopt scalar plans, so this is a no-op
-        there.
+        lookup re-activates a cached kernel immediately instead of
+        waiting for the first ``step()`` to do it lazily.  Returns
+        ``True`` when the compiled tiers may run the configuration
+        afterwards.  The interpreter and a vector batch ring never adopt
+        scalar kernels, so this is a no-op there.
         """
         if not self.fastpath_enabled:
             return False
-        if self._plan is not None or self._adopted:
-            return True
-        return (self._adopt_cached_hit()
-                or self._adopt_cached_plan() is not None)
+        return not self._config_dirty or self._adopt_cached_hit()
 
-    def _compile_plan_timed(self):
-        """Compile a fast-path plan for the current configuration."""
-        profile = self._profile
-        if profile is None:
-            plan = compile_plan(self)
-        else:
-            began = perf_counter()
-            plan = compile_plan(self)
-            profile.compile_seconds += perf_counter() - began
-            profile.plan_compiles += 1
-        self.plan_compiles += 1
-        return plan
-
-    def _maybe_compile(self) -> None:
-        """Compile a plan once the configuration survived a stable cycle."""
-        if self._config_dirty:
-            self._config_dirty = False
-        elif self.fastpath_enabled and self._plan is None:
-            self._install_plan()
-
-    def _install_plan(self):
-        """Compile the per-cycle plan for the current configuration and
-        make it the active plan (cached by fingerprint)."""
-        plan = self._plan = self._compile_plan_timed()
-        cache = self.plan_cache
-        if cache.capacity:
-            cache.put(("plan", self.config_fingerprint()), plan)
-        return plan
-
-    def _entry_phase(self) -> tuple:
-        """The local-mode Dnodes' sequencer counters, layer-major."""
+    def _local_controllers(self) -> tuple:
+        """The local-mode Dnodes' sequencers, layer-major."""
         controllers = self._locals
         if controllers is None:
             controllers = self._locals = tuple(
                 dn.local for layer in self._dnodes for dn in layer
                 if dn.mode is DnodeMode.LOCAL)
-        return tuple(lc._counter for lc in controllers)
+        return controllers
 
     def _steady_key(self, tier: str) -> tuple:
         """Cache key of the *tier* plan for the current configuration and
-        entry phase; the same at both cache levels."""
-        return (tier, self.geometry, self._entry_phase(),
-                self.config_fingerprint())
+        entry phase; the same at both cache levels.
+
+        A native kernel is baked against the exact sequencer counters.
+        A macro kernel serves every phase of their orbit, so its key
+        names the orbit by its least counter state (None over the unroll
+        cap, where macro refuses every phase alike).
+        """
+        controllers = self._local_controllers()
+        phase = tuple(lc._counter for lc in controllers)
+        if tier == "macro":
+            limits = tuple(lc.limit for lc in controllers)
+            period = lcm(*limits)
+            phase = None if period > MAX_PERIOD else min(
+                tuple((c + j) % limit for c, limit in zip(phase, limits))
+                for j in range(period))
+        return (tier, self.geometry, phase, self.config_fingerprint())
 
     def _cached_steady(self, key: tuple, count_miss: bool = True):
         """The ring's cached plan or refusal under *key*, else the
@@ -1005,6 +955,10 @@ class Ring:
                 shared = plan.template
                 if tier == "native":
                     self.native_compiles += 1
+                else:
+                    self.plan_compiles += 1
+                    if profile is not None:
+                        profile.plan_compiles += 1
             if self.plan_cache.capacity:
                 self.plan_cache.put(key, plan)
                 KERNELS.put(key, shared)
@@ -1068,34 +1022,30 @@ class Ring:
 
     def _run_steady(self, cycles: int, bus: int,
                     host_in: Optional[HostReader]) -> None:
-        """Run *cycles* on the compiled engines: native, macro, per-cycle.
+        """Run *cycles* down the ladder: native, macro, interpreter.
 
         The longest period-multiple prefix (FIFO-safe, with strict FIFOs)
         executes through the time-vectorized kernel; whatever it cannot
         take (ineligible configuration, sub-period remainder, a strict
-        FIFO's unsafe window) runs in period-multiples through the fused
-        macro kernel when that leftover spans at least one period (and
-        more than one cycle); the rest goes through the per-cycle plan,
-        compiled here if this is the first span that needs it.
+        FIFO's unsafe window) runs on the macro kernel, and on the
+        interpreter when the configuration is over the macro unroll cap.
+        Interpreted cycles here fire no observer: :meth:`run` only comes
+        here between observer captures.
         """
         native = self._steady_plan("native")
         safe = native.safe_cycles(cycles) if native is not None else 0
         if safe:
             self._run_plan(native, safe, bus, host_in)
             cycles -= safe
-        if cycles:
-            self.native_fallback_cycles += cycles
-        if cycles > 1:
-            macro = self._steady_plan("macro")
-            if macro is not None and cycles >= macro.period:
-                fused = cycles - cycles % macro.period
-                self._run_plan(macro, fused, bus, host_in)
-                cycles -= fused
-        if cycles:
-            plan = self._plan
-            if plan is None:
-                plan = self._install_plan()
-            self._run_plan(plan, cycles, bus, host_in)
+        if not cycles:
+            return
+        self.native_fallback_cycles += cycles
+        macro = self._steady_plan("macro")
+        if macro is not None:
+            self._run_plan(macro, cycles, bus, host_in)
+            return
+        for _ in range(cycles):
+            self._interpret(bus, host_in)
 
     def window_span(self, cycles: int):
         """How much of the next *cycles* one bulk window takes right now.
@@ -1103,33 +1053,29 @@ class Ring:
         Returns ``(plan, span, reason)``.  The span climbs the ladder:
         the longest period multiple of *cycles* the native plan for the
         current configuration and entry phase accepts (FIFO-safe, with
-        strict FIFOs), else the longest period multiple for the macro
-        kernel (which raises a strict underflow cycle-exactly).  Run it
-        with :meth:`run_window`.  A plan cached for the configuration, on
+        strict FIFOs), else all of *cycles* on the macro kernel (which
+        raises a strict underflow cycle-exactly).  Run it with
+        :meth:`run_window`.  A kernel cached for the configuration, on
         this ring or as a process-wide template, is adopted here on a
         hit, so a switch back to a known configuration, or a fresh ring
-        with one, needs no stepped cycle; the per-cycle plan does not
-        gate the window.  *reason* is set only when *span* is 0:
-        ``"trace"`` (an observer is attached), ``"backend"`` (the ring
-        runs no compiled scalar plans: an interpreter or a vector batch
-        ring), ``"no_plan"`` (a first-time configuration, before it has
-        been stable for a cycle), or, when neither native nor macro
-        takes the span, ``"native_refused"`` (ineligible configuration),
-        ``"remainder"`` (less than one period left) or ``"fifo_gated"``
-        (strict FIFOs whose occupancies cannot feed a whole native
-        period).
+        with one, needs no stepped cycle.  *reason* is set only when
+        *span* is 0: ``"trace"`` (an observer is attached),
+        ``"backend"`` (the ring runs no compiled scalar kernels: an
+        interpreter or a vector batch ring), ``"no_plan"`` (a first-time
+        configuration, before it has been stepped for a cycle) or, when
+        neither native nor macro takes the span, ``"native_refused"``
+        (the configuration is over the macro unroll cap) or
+        ``"fifo_gated"`` (strict FIFOs starve native while macro is
+        refused, which only a test seam does).
         """
         if self._trace is not None:
             return None, 0, "trace"
         if not self.fastpath_enabled:
             return None, 0, "backend"
-        if (self._plan is None and not self._adopted
-                and not self._adopt_cached_hit()):
+        if self._config_dirty and not self._adopt_cached_hit():
             return None, 0, "no_plan"
         native = self._steady_plan("native")
-        if native is not None:
-            if cycles < native.period:
-                return None, 0, "remainder"
+        if native is not None and cycles >= native.period:
             span = native.safe_cycles(cycles)
             if span:
                 return native, span, None
@@ -1137,10 +1083,7 @@ class Ring:
         if macro is None:
             return (None, 0,
                     "native_refused" if native is None else "fifo_gated")
-        span = cycles - cycles % macro.period
-        if not span:
-            return None, 0, "remainder"
-        return macro, span, None
+        return macro, cycles, None
 
     def run_window(self, plan, cycles: int, bus: int = 0,
                    host_in: Optional[HostReader] = None,
@@ -1170,12 +1113,13 @@ class Ring:
             host_in: Optional[HostReader] = None) -> None:
         """Step the fabric *cycles* times with constant bus/host context.
 
-        In steady state (no observer, valid plan) the whole batch executes
-        inside the compiled fast path with no per-cycle dispatch.  With
-        only *sampled* observers installed (a capture interval or cycle
-        window), the batch is chunk-run on the same compiled plan between
-        capture points, so tracing no longer forces per-cycle interpreted
-        dispatch; only an every-cycle observer does.
+        In steady state (no observer, a configuration ready for the
+        compiled tiers) the whole batch runs down the ladder of
+        :meth:`_run_steady` with no per-cycle dispatch.  With only
+        *sampled* observers installed (a capture interval or cycle
+        window), the batch is chunk-run the same way between capture
+        points, so tracing does not force per-cycle dispatch; only an
+        every-cycle observer does.
         """
         if cycles < 0:
             raise SimulationError(f"cycle count must be >= 0, got {cycles}")
@@ -1186,9 +1130,8 @@ class Ring:
             return
         remaining = cycles
         while remaining > 0:
-            if (self._plan is not None or self._adopted
-                    or (self._config_dirty and self.fastpath_enabled
-                        and self._adopt_cached_hit())):
+            if self.fastpath_enabled and (not self._config_dirty
+                                          or self._adopt_cached_hit()):
                 trace = self._trace
                 if trace is None:
                     self.last_bus = bus
@@ -1262,9 +1205,11 @@ class Ring:
           the plan cache (contents *and* hit/miss/eviction statistics),
           the robustness counters (``faults_injected``, ``checkpoints``,
           ``rollbacks``, ``recovery_cycles``) — and the active compiled
-          plan: it closes over the stable state containers just cleared
-          in place and the configuration is untouched, so the next step
-          resumes on the fast path without recompiling.
+          kernels: they close over the stable state containers just
+          cleared in place and the configuration is untouched, so the
+          next step resumes on them without recompiling (a macro kernel
+          whose orbit does not hold the cleared counters is looked up
+          again by its key).
         """
         for dn in self.all_dnodes():
             dn.reset()

@@ -15,16 +15,15 @@ Engine interaction contract:
 
 * ``restore()`` ends with an explicit
   :meth:`~repro.core.ring.Ring._invalidate_fastpath` — the active
-  compiled plan, macro kernel and native plan are dropped and every
-  invalidation listener fires, so no engine can keep executing a plan
-  compiled for the pre-restore configuration.  Plans retained in the
-  fingerprint cache stay valid (they are keyed by configuration and
-  close over the ring's stable state containers — macro and native plans
-  additionally by entry phase), and restore immediately re-adopts
-  the cached plan for the restored fingerprint via
+  macro and native kernels are dropped and every invalidation listener
+  fires, so no engine can keep executing a kernel compiled for the
+  pre-restore configuration.  Kernels retained in the fingerprint cache
+  stay valid (they are keyed by configuration and entry phase and bound
+  to the ring's stable state containers), and restore immediately
+  re-adopts the cached kernels for the restored fingerprint via
   :meth:`~repro.core.ring.Ring.adopt_cached_plan` — a
-  restore-to-known-config pays one cache lookup, zero recompiles and
-  zero interpreted warm-up cycles.
+  restore-to-known-config pays one cache lookup per tier, zero
+  recompiles and zero interpreted warm-up cycles.
 * A ring running the batch backend captures the full per-lane state
   (:meth:`~repro.core.batchpath.BatchRing.capture_lanes`); restoring
   onto a batch ring of the same lane count rebuilds every lane, not
@@ -168,14 +167,14 @@ def restore(ring: Ring, snapshot: RingSnapshot) -> None:
         ring._ensure_batch().restore_lanes(snapshot.lanes)
     # Contract: a restore is a configuration event.  apply_plane() above
     # already fired the invalidation hooks, but the runtime-state writes
-    # happened afterwards — invalidate once more so the active plan and
-    # macro kernel are dropped *after* the last mutation and every
-    # listener observes the completed restore.
+    # happened afterwards — invalidate once more so the active kernels
+    # are dropped *after* the last mutation and every listener observes
+    # the completed restore.
     ring._invalidate_fastpath()
     # Restore-to-known-config must not pay a recompile or an interpreted
     # warm-up cycle: the restored configuration is final at this point,
-    # so re-adopt a cached plan eagerly in one fingerprint lookup.  A
-    # miss leaves the lazy step()-time policy in charge, unchanged.
+    # so re-adopt cached kernels eagerly, one lookup per tier.  A miss
+    # leaves the lazy step()-time policy in charge, unchanged.
     ring.adopt_cached_plan()
 
 

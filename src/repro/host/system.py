@@ -119,8 +119,9 @@ class RingSystem:
         a plan cached on the ring, or a kernel the process compiled for
         another ring, is adopted at the window boundary), the refusals
         for which neither native nor macro took the span
-        (``"native_refused"``, ``"remainder"``, ``"fifo_gated"``: strict
-        FIFOs only), or
+        (``"native_refused"``: over the macro unroll cap;
+        ``"fifo_gated"``: strict FIFOs with macro refused, only under a
+        test seam), or
         ``"direct"`` (:meth:`step` called outside :meth:`run`).
         """
         paths = dict(self._paths)

@@ -104,8 +104,10 @@ def biquad(signal: Sequence[int], b0: int, a1: int, a2: int,
            layer: int = 0, position: int = 0) -> IirResult:
     """Run a second-order recursive section on one local-mode Dnode.
 
-    Bit-exact against :func:`reference_biquad` while outputs stay within
-    16 bits.
+    The section runs as one :meth:`RingSystem.run`; an output tap keeps
+    the Dnode's output after each publish slot (slot 2 of every
+    five-cycle sample).  Bit-exact against :func:`reference_biquad`
+    while outputs stay within 16 bits.
     """
     if ring is None:
         ring = Ring(RingGeometry(layers=2, width=2))
@@ -114,14 +116,12 @@ def biquad(signal: Sequence[int], b0: int, a1: int, a2: int,
     ring.config.write_mode(layer, position, DnodeMode.LOCAL)
     ring.push_fifo(layer, position, 1,
                    [word.from_signed(int(v)) for v in signal])
-    dn = ring.dnode(layer, position)
-    outputs: List[int] = []
-    for _ in signal:
-        for slot in range(len(program)):
-            ring.step()
-            if slot == 2:  # y[n] committed by the publish slot
-                outputs.append(word.to_signed(dn.out))
-    return IirResult(outputs=outputs, cycles=ring.cycles, dnodes_used=1)
+    system = RingSystem(ring)
+    tap = system.data.add_tap(layer, position, skip=2, every=len(program),
+                              limit=len(signal))
+    system.run(len(program) * len(signal))
+    return IirResult(outputs=[word.to_signed(v) for v in tap_lane0(tap)],
+                     cycles=ring.cycles, dnodes_used=1)
 
 
 def reference_biquad(signal: Sequence[int], b0: int, a1: int,

@@ -87,7 +87,7 @@ class ScenarioResult:
     cycles: int
     switches: int               # apply_plane() invocations
     plan_hits: int              # plan-cache re-adoptions on the ring
-    plan_compiles: int          # fresh plan compilations on the ring
+    plan_compiles: int          # macro kernels the ring generated
     chunk: int
 
 

@@ -3,8 +3,8 @@
 The paper's scalability argument rests on the fabric staying correct
 while it is dynamically reconfigured; this package adds the matching
 robustness story — what happens when state is corrupted or a Dnode
-misbehaves — working identically across all four execution engines
-(interpreter, fast path, batch, the native ladder):
+misbehaves — working identically across every execution engine
+(the interpreter, the native ladder with its macro rung, batch):
 
 * :mod:`repro.robustness.faults` — seeded, deterministic fault models:
   SEU bit-flips in register files, OUT registers, switch feedback

@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "'native', which fuses steady state into "
                             "time-vectorized NumPy kernels, falling "
                             "back to generated macro kernels and the "
-                            "per-cycle plan; "
+                            "interpreter; "
                             "'batch' advances --batch-size streams at "
                             "once, streams broadcast to every lane)")
     p_run.add_argument("--batch-size", type=int, default=1, metavar="N",

@@ -30,14 +30,16 @@ class TestRingMetrics:
         ring.run(10)
         snap = collect_metrics(ring)
         assert snap.value("ring_cycles_total") == 10
-        assert snap.value("ring_plan_compiles_total") == 1
+        # Native takes every cycle after the first: no macro kernel.
+        assert snap.value("ring_plan_compiles_total") == 0
+        assert snap.value("native_plan_compiles_total") == 1
         assert snap.value("ring_plan_invalidations_total") == 0
         assert snap.value("ring_config_writes_total") == 3
         assert snap.value("ring_instructions_total") == 20
 
     def test_plan_invalidation_counted_only_when_plan_dropped(self):
         ring = busy_ring()
-        ring.run(10)  # plan compiled
+        ring.run(10)  # native kernel compiled
         ring.config.write_microword(0, 0, MicroWord(Opcode.NOP))
         ring.config.write_microword(0, 0, MicroWord(Opcode.NOP))
         snap = collect_metrics(ring)
@@ -144,11 +146,11 @@ class TestSystemMetrics:
         system.run(12)
         snap = system.metrics()
         assert snap.value("system_cycles_total", path="bulk",
-                          reason="macro") == 10
+                          reason="macro") == 11
         assert snap.value("system_cycles_total", path="per_cycle",
-                          reason="no_plan") == 2
-        assert snap.value("macro_step_cycles_total") == 10
-        assert ('repro_system_cycles_total{path="bulk",reason="macro"} 10'
+                          reason="no_plan") == 1
+        assert snap.value("macro_step_cycles_total") == 11
+        assert ('repro_system_cycles_total{path="bulk",reason="macro"} 11'
                 in snap.to_prometheus())
 
     def test_mailbox_stall_split(self):

@@ -78,7 +78,7 @@ class TestProfileWarmup:
     The warm-up chunk pays plan compilation / engine-adoption cost
     outside the timed region, so the profile measures the plan-cache
     hit path — pinned by profiling the same ring twice and asserting the
-    second session compiles nothing and runs fully on the fast path.
+    second session compiles nothing and runs fully on the compiled tiers.
     """
 
     def test_warmup_cycles_excluded_from_profile(self):

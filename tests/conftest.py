@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import plancache
 from repro.core import ring as ring_module
+from repro.core.macropath import MacroPlan
 from repro.core.ring import Ring, RingGeometry
 
 
@@ -73,9 +74,9 @@ def native_refused():
     """Send every ``backend="native"`` ring down to the macro rung.
 
     ``repro.core.ring.compile_native`` refuses every configuration (it
-    appends a reason and returns None), so the native ladder runs each
-    span of at least one period on a generated macro kernel, and a
-    batch ring's lanes run on the per-cycle lane kernels.  Tests
+    appends a reason and returns None), so the native ladder runs every
+    span and stepped cycle on a generated macro kernel, and a batch
+    ring's lanes run on the per-cycle lane kernels.  Tests
     using it assert ``ring.macro_cycles > 0``, so the case cannot
     quietly turn into a second native run.  Native templates in the
     process-wide kernel cache are hidden for the duration.  This form
@@ -95,23 +96,23 @@ def refuse_native():
 
 def _refuse_macro(ring, refusal=None):
     if refusal is not None:
-        refusal.append("macro rung refused by the per-cycle test seam")
+        refusal.append("macro rung refused by the interpreter test seam")
     return None
 
 
 @contextmanager
 def bulk_refused():
-    """Send every compiled scalar ring down to the per-cycle plan.
+    """Send every compiled scalar ring down to the interpreter.
 
-    Refuses both bulk rungs of the native ladder
-    (``repro.core.ring.compile_native`` and ``compile_macro``), so every
-    steady-state span runs on the per-cycle plan, the ladder's last
-    rung.  Tests using it assert ``native_cycles == macro_cycles == 0``
-    (and, where they profile, compiled cycles: :func:`assert_rung_ran`),
-    so the case cannot quietly turn into a native run.  Both tiers'
-    templates in the process-wide kernel cache are hidden for the
-    duration.  This form serves loops and Hypothesis bodies;
-    :func:`refuse_bulk` is the fixture.
+    Refuses both compiled rungs of the native ladder
+    (``repro.core.ring.compile_native`` and ``compile_macro``), so a
+    native ring interprets every cycle, the ladder's last rung, as a
+    configuration over the macro unroll cap does.  Tests using it
+    assert ``native_cycles == macro_cycles == 0``, so the case cannot
+    quietly turn into a compiled run.  Both tiers' templates in the
+    process-wide kernel cache are hidden for the duration.  This form
+    serves loops and Hypothesis bodies; :func:`refuse_bulk` is the
+    fixture.
     """
     with _tiers_refused(compile_native=_refuse_native,
                         compile_macro=_refuse_macro):
@@ -125,11 +126,48 @@ def refuse_bulk():
         yield
 
 
+def _one_cycle_calls(run):
+    """*run* (``MacroPlan.run``) split into one call per cycle."""
+
+    def run_cycles(plan, cycles, bus, host_in, taps=()):
+        done = [[] for _ in taps]
+        try:
+            for _ in range(cycles):
+                for out, values in zip(done, run(plan, 1, bus, host_in,
+                                                  taps)):
+                    out.append(values)
+        except Exception as exc:
+            exc.window_taps = [np.concatenate(out + [partial])
+                               for out, partial in zip(done,
+                                                       exc.window_taps)]
+            raise
+        return [np.concatenate(out) if out else np.zeros(0, np.int64)
+                for out in done]
+
+    return run_cycles
+
+
+@contextmanager
+def macro_stepped():
+    """Run every macro cycle of a native ring as its own kernel call.
+
+    Refuses the native tier like :func:`native_refused` and splits each
+    ``MacroPlan.run`` into one-cycle calls, so the macro kernel is
+    entered at every phase of its period and stopped after every cycle,
+    as :meth:`Ring.step` drives it, while the ring's windows, runs and
+    steps dispatch as usual.
+    """
+    with native_refused(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MacroPlan, "run", _one_cycle_calls(MacroPlan.run))
+        yield
+
+
 #: Engine-matrix column -> the seam that pins its rung of the native
-#: ladder.  Column ``"fastpath"`` is the per-cycle plan
-#: (:mod:`repro.core.fastpath`), the ladder's last rung; the other
-#: columns name a backend and need no seam.
-RUNG_SEAMS = {"macro": native_refused, "fastpath": bulk_refused}
+#: ladder.  Column ``"fastpath"`` runs the macro rung one cycle per
+#: kernel call (:func:`macro_stepped`); the id is the one the column had
+#: when it pinned the retired per-cycle plan, kept so test ids stay
+#: stable.  The other columns name a backend and need no seam.
+RUNG_SEAMS = {"macro": native_refused, "fastpath": macro_stepped}
 
 
 def rung_seam(column: str):
@@ -144,10 +182,9 @@ def assert_rung_ran(column: str, ring: Ring, profile) -> None:
     ``interpreter``: every profiled cycle interpreted.  ``batch``: the
     lane engine ran, on native lane windows unless the configuration is
     refused with a reason.  ``native``: native kernels ran unless the
-    configuration is refused with a reason.  ``macro``: macro kernels
-    ran and native never did.  ``fastpath``: compiled cycles ran and
-    neither bulk rung ever took one, so the column cannot quietly turn
-    into a native run.
+    configuration is refused with a reason.  ``macro`` and
+    ``fastpath``: macro kernels ran and native never did, so neither
+    column can quietly turn into a native run.
     """
     if column == "interpreter":
         assert profile.fastpath_cycles == 0, "a compiled rung ran"
@@ -160,13 +197,9 @@ def assert_rung_ran(column: str, ring: Ring, profile) -> None:
     elif column == "native":
         assert ring.native_cycles > 0 or ring.native_refusal, (
             "native kernels never ran on an accepted configuration")
-    elif column == "macro":
+    elif column in ("macro", "fastpath"):
         assert ring.native_cycles == 0, "native ran under the seam"
         assert ring.macro_cycles > 0, "the macro rung never ran"
-    elif column == "fastpath":
-        assert ring.native_cycles == ring.macro_cycles == 0, (
-            "a bulk rung ran under the per-cycle seam")
-        assert profile.fastpath_cycles > 0, "the per-cycle plan never ran"
     else:
         raise AssertionError(f"unknown engine column {column!r}")
 

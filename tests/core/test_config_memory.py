@@ -192,15 +192,15 @@ class TestResidentPlane:
         plane = ring.config.capture_plane()
         ring.config.apply_plane(plane)
         ring.run(8, bus=3)
-        plan, invalidations = ring._plan, ring.plan_invalidations
+        plans, invalidations = dict(ring._steady), ring.plan_invalidations
         hits, routes = ring.plan_cache.hits, ring.switch(0).config.writes
-        assert plan is not None
+        assert plans
         # A decoded copy is equal content, not the same object.
         for again in (plane, pickle.loads(pickle.dumps(plane))):
             writes = ring.config.writes
             ring.config.apply_plane(again)
             assert ring.config.writes == writes + 1
-        assert ring._plan is plan
+        assert ring._steady == plans
         assert ring.plan_invalidations == invalidations
         assert ring.plan_cache.hits == hits
         # Route counters still count every route the plane lists.

@@ -5,9 +5,8 @@ NumPy kernels must be indistinguishable from B scalar rings run one
 after another, which in turn must match the interpreter.  These property
 tests draw random fabric shapes, microprograms, routes, FIFO loads and
 host streams (reusing the spec generators of ``test_fuzz.py``), run the
-same configuration on the interpreter, the per-cycle plan (the native
-ladder's last rung, pinned by the ``bulk_refused`` seam) and one batch
-engine, and compare the complete architectural state per lane:
+same configuration on the interpreter, the macro rung (pinned by the
+``native_refused`` seam) and one batch engine, and compare the complete architectural state per lane:
 Dnode outputs and register files, switch feedback pipelines, FIFO
 contents and pop/underflow accounting, and the activity statistics.
 
@@ -29,7 +28,7 @@ from repro.core.isa import ACCUMULATING_OPS, Opcode
 from repro.core.macropath import macro_period
 from repro.core.ring import Ring, RingGeometry
 
-from tests.conftest import bulk_refused, native_refused, rung_seam
+from tests.conftest import native_refused, rung_seam
 from tests.core.test_fuzz import apply_spec, build_ring, ring_specs
 
 _SETTINGS = dict(deadline=None, derandomize=True)
@@ -116,7 +115,7 @@ def _extract_lane(batch_ring: Ring, lane: int) -> dict:
 
 
 class TestDifferentialBackends:
-    """interpreter == per-cycle plan == every batch lane, full state."""
+    """interpreter == macro rung == every batch lane, full state."""
 
     @given(spec=ring_specs(min_layers=2, max_layers=5, min_width=1,
                            max_width=2, max_local=6),
@@ -132,12 +131,12 @@ class TestDifferentialBackends:
         for lane in range(batch):
             interp = _run_lane_scalar(spec, seed, lane, cycles, bus,
                                       backend="interpreter")
-            with bulk_refused():
+            with native_refused():
                 fast = _run_lane_scalar(spec, seed, lane, cycles, bus,
                                         backend="native")
-            assert fast.native_cycles == fast.macro_cycles == 0
+            assert fast.native_cycles == 0
             want = _state(interp)
-            assert _state(fast) == want, f"per-cycle diverged on {lane}"
+            assert _state(fast) == want, f"macro diverged on {lane}"
             assert _extract_lane(bring, lane) == want, (
                 f"batch lane {lane} diverged"
             )
@@ -190,8 +189,8 @@ class TestDifferentialCachedAndMacro:
 
     Extends the backend identity fuzz to the plan-cache layer: the same
     random configuration churn (context A / context B / back to A) is
-    driven through an interpreter ring, a cache-enabled fast-path ring
-    (which re-adopts plans on the A/B/A returns), a cache-disabled ring
+    driven through an interpreter ring, a cache-enabled native ring
+    (which re-adopts kernels on the A/B/A returns), a cache-disabled ring
     (fresh compile every switch), the macro rung (a native ring with
     native refused), and the batch backend with its kernel cache.  Any fingerprint collision, stale
     plan adoption, phase-mismatched macro kernel, or missed invalidation
@@ -399,7 +398,7 @@ class TestFaultRecoveryDifferential:
             return result.trace()
 
         reference = trace_for(backend="interpreter")
-        with bulk_refused():
+        with native_refused():
             assert trace_for(backend="native") == reference
         assert trace_for(backend="native") == reference
         assert trace_for(backend="batch", batch_size=3) == reference
@@ -418,7 +417,7 @@ class TestFaultRecoveryDifferential:
                                                  rollback_replay)
 
         for column, kwargs in (("interpreter", dict(backend="interpreter")),
-                               ("fastpath", dict(backend="native")),
+                               ("macro", dict(backend="native")),
                                ("native", dict(backend="native")),
                                ("batch", dict(backend="batch",
                                               batch_size=3))):

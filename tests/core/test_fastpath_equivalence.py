@@ -1,18 +1,26 @@
-"""Bit-identity proof: the pre-decoded fast path vs the interpreter.
+"""Bit-identity proof: macro stepping vs the interpreter.
 
 Every test builds two rings with identical geometry and configuration —
 one with ``backend="interpreter"`` (the reference interpreter) and one
-native ring held on the per-cycle plan (:mod:`repro.core.fastpath`, the
-native ladder's last rung) by the ``refuse_bulk`` seam — drives both with the same bus/host/FIFO stimulus, and
-compares the complete observable state: cycle and underflow counters,
-every register, OUT latch, local-sequencer counter and statistics field of
-every Dnode, every feedback-pipeline tap of every switch, the remaining
-contents of every FIFO, and the exact sequence of host-port reads.
+native ring held on the macro rung (:mod:`repro.core.macropath`) by the
+``refuse_native`` seam — drives both with the same bus/host/FIFO
+stimulus, and compares the complete observable state: cycle and
+underflow counters, every register, OUT latch, local-sequencer counter
+and statistics field of every Dnode, every feedback-pipeline tap of
+every switch, the remaining contents of every FIFO, and the exact
+sequence of host-port reads.
+
+The macro ring is driven in a mix of single ``step()`` calls and short
+runs (:func:`_drive`), so its kernel is entered at arbitrary phases of
+its sequencer period and stopped after arbitrary cycle counts.
+Configurations over the macro unroll cap run on the interpreter rung of
+the same ring.
 
 Programs are randomised (seeded ``random`` plus a hypothesis sweep) over
 global, local and mixed modes, all opcodes, FIFO and Rp-feedback sources,
-host streams and the shared bus, with mid-run reconfiguration and resets
-thrown in to exercise plan invalidation.
+host streams and the shared bus, with mid-run reconfiguration on every
+write path, A/B/A re-adoption and resets thrown in to exercise kernel
+invalidation.
 """
 
 import random
@@ -29,11 +37,13 @@ from repro.core.isa import (
     Source,
 )
 from repro.core.dnode import DnodeMode
+from repro.core.macropath import (MAX_PERIOD, MAX_UNROLL_CELLS, MacroPlan,
+                                  macro_period)
 from repro.core.ring import Ring, RingGeometry
 from repro.core.switch import PortSource
 from repro.errors import SimulationError
 
-pytestmark = pytest.mark.usefixtures("refuse_bulk")
+pytestmark = pytest.mark.usefixtures("refuse_native")
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -160,7 +170,7 @@ def _state(ring: Ring) -> dict:
              for stage in range(1, g.pipeline_depth + 1)]
             for lane in range(1, g.width + 1)
         ]
-    # FIFO deques are created on demand (the fast-path compiler touches
+    # FIFO deques are created on demand (the macro compiler touches
     # some the interpreter never would), so compare contents only.
     state["fifos"] = {
         key: list(queue) for key, queue in ring._fifos.items() if queue
@@ -177,15 +187,45 @@ def _make_pair(seed: int, layers: int = 4) -> tuple:
     return reference, fast
 
 
+#: Chunk sizes :func:`_drive` cycles through; 1 is a ``step()`` call.
+_CHUNKS = (1, 2, 1, 3, 5, 1, 7, 4)
+
+
+def _drive(ring: Ring, cycles: int, bus: int = 0, host_in=None) -> None:
+    """Advance *ring* by *cycles* in a fixed mix of single steps and
+    short runs, so a macro kernel enters and stops at varied phases."""
+    chunks = iter(_CHUNKS * (cycles // len(_CHUNKS) + 1))
+    while cycles:
+        chunk = min(next(chunks), cycles)
+        if chunk == 1:
+            ring.step(bus=bus, host_in=host_in)
+        else:
+            ring.run(chunk, bus=bus, host_in=host_in)
+        cycles -= chunk
+
+
+def _macro_eligible(ring: Ring) -> bool:
+    """Is the configuration within the macro unroll cap?"""
+    period = macro_period(ring)
+    return (period <= MAX_PERIOD
+            and period * ring.geometry.dnodes <= MAX_UNROLL_CELLS)
+
+
+def _macro_active(ring: Ring) -> bool:
+    """Does *ring* hold a macro kernel for its current configuration?"""
+    return isinstance(ring._steady.get("macro"), MacroPlan)
+
+
 def _assert_equivalent(seed: int, cycles: int, layers: int = 4) -> None:
     reference, fast = _make_pair(seed, layers)
     ref_host, fast_host = _HostLog(), _HostLog()
     bus = (seed * 9973) & word.MASK
     reference.run(cycles, bus=bus, host_in=ref_host)
-    fast.run(cycles, bus=bus, host_in=fast_host)
-    if cycles >= 3:
-        assert fast._plan is not None, "fast path never engaged"
-    assert fast.native_cycles == fast.macro_cycles == 0
+    _drive(fast, cycles, bus=bus, host_in=fast_host)
+    if cycles >= 2 and _macro_eligible(fast):
+        assert _macro_active(fast), "the macro rung never engaged"
+        assert fast.macro_cycles >= cycles - 1  # one first-time cycle
+    assert fast.native_cycles == 0
     assert ref_host.calls == fast_host.calls
     assert _state(reference) == _state(fast)
 
@@ -210,15 +250,99 @@ def test_midrun_reconfiguration_invalidates_plan(seed):
     reference, fast = _make_pair(seed)
     ref_host, fast_host = _HostLog(), _HostLog()
     reference.run(15, host_in=ref_host)
-    fast.run(15, host_in=fast_host)
-    assert fast._plan is not None
+    _drive(fast, 15, host_in=fast_host)
+    assert _macro_active(fast) == _macro_eligible(fast)
     _apply_random_config(reference, random.Random(seed + 1000))
     _apply_random_config(fast, random.Random(seed + 1000))
-    assert fast._plan is None, "reconfiguration must drop the plan"
+    assert not fast._steady, "reconfiguration must drop the kernels"
     reference.run(15, host_in=ref_host)
-    fast.run(15, host_in=fast_host)
-    assert fast._plan is not None, "plan must be recompiled after stability"
+    _drive(fast, 15, host_in=fast_host)
+    assert _macro_active(fast) == _macro_eligible(fast), (
+        "the kernel must be rebuilt once the configuration was stepped")
     assert ref_host.calls == fast_host.calls
+    assert _state(reference) == _state(fast)
+
+
+def _write_paths():
+    """One configuration write per ConfigMemory write path, each
+    changing what the fabric computes."""
+    add = MicroWord(Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT, imm=3)
+    mov = MicroWord(Opcode.MOV, Source.IN1, dst=Dest.OUT)
+    return {
+        "microword": lambda cfg: cfg.write_microword(0, 0, add),
+        "mode": lambda cfg: cfg.write_mode(1, 0, DnodeMode.GLOBAL),
+        "local_slot": lambda cfg: cfg.write_local_slot(1, 0, 1, add),
+        "local_limit": lambda cfg: cfg.write_local_limit(1, 0, 2),
+        "local_program": lambda cfg: cfg.write_local_program(
+            1, 0, [add, mov]),
+        "switch_route": lambda cfg: cfg.write_switch_route(
+            1, 0, 1, PortSource.up(1)),
+        "plane": lambda cfg: cfg.apply_plane(_other_plane()),
+    }
+
+
+def _other_plane():
+    ring = Ring(RingGeometry(layers=4, width=2))
+    ring.config.write_microword(2, 1, MicroWord(
+        Opcode.SUB, Source.SELF, Source.IMM, Dest.OUT, imm=1))
+    return ring.config.capture_plane()
+
+
+def _local_ring(backend: str) -> Ring:
+    """A ring with a period-3 local program and a global counter."""
+    ring = Ring(RingGeometry(layers=4, width=2), backend=backend)
+    cfg = ring.config
+    cfg.write_microword(0, 0, MicroWord(
+        Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT, imm=1))
+    cfg.write_local_program(1, 0, [
+        MicroWord(Opcode.MAC, Source.IN1, Source.IMM, Dest.R1, imm=2),
+        MicroWord(Opcode.MOV, Source.R1, dst=Dest.OUT),
+        MicroWord(Opcode.ADD, Source.R1, Source.BUS, Dest.OUT)])
+    cfg.write_mode(1, 0, DnodeMode.LOCAL)
+    cfg.write_switch_route(1, 0, 1, PortSource.up(0))
+    return ring
+
+
+@pytest.mark.parametrize("path", sorted(_write_paths()))
+def test_every_write_path_invalidates_the_macro_kernel(path):
+    reference, fast = _local_ring("interpreter"), _local_ring("native")
+    for ring in (reference, fast):
+        _drive(ring, 7, bus=9)
+    assert _macro_active(fast)
+    invalidations = fast.plan_invalidations
+    write = _write_paths()[path]
+    for ring in (reference, fast):
+        write(ring.config)
+    assert not fast._steady, f"a {path} write must drop the kernel"
+    assert fast.plan_invalidations == invalidations + 1
+    for ring in (reference, fast):
+        _drive(ring, 11, bus=9)
+    assert _macro_active(fast)
+    assert _state(reference) == _state(fast)
+
+
+def test_aba_readoption_steps_on_macro():
+    """A, B, A again: the second visit to A re-adopts its macro kernel
+    from the cache, at whatever phase the sequencer reached, and steps
+    on it with no compile and no interpreted cycle."""
+    reference, fast = _local_ring("interpreter"), _local_ring("native")
+    plane_a = fast.config.capture_plane()
+    plane_b = _other_plane()
+    for plane in (plane_a, plane_b):
+        for ring in (reference, fast):
+            ring.config.apply_plane(plane)
+            _drive(ring, 8, bus=4)
+    compiles = fast.plan_compiles
+    assert compiles == 2
+    for ring in (reference, fast):
+        ring.config.apply_plane(plane_a)
+    with fast.profile() as profile:
+        for _ in range(5):
+            fast.step(bus=4)
+    reference.run(5, bus=4)
+    assert fast.plan_compiles == compiles
+    assert profile.interpreted_cycles == 0
+    assert profile.fastpath_cycles == 5
     assert _state(reference) == _state(fast)
 
 
@@ -230,14 +354,14 @@ def test_midrun_reconfiguration_all_backends(seed, batch_size):
     The batch engine must drop its compiled kernels on any configuration
     write (via the ring's invalidation listeners), keep the lane state,
     recompile exactly once on the next run, and end bit-identical to the
-    interpreter and the scalar fast path — on every lane (the host
-    stimulus is broadcast, so all lanes mirror the scalar run).
+    interpreter and the macro rung — on every lane (the host stimulus is
+    broadcast, so all lanes mirror the scalar run).
     """
     geometry = RingGeometry(layers=4, width=2)
     reference = Ring(geometry, backend="interpreter")
     fast = Ring(geometry, backend="native")
     batch = Ring(geometry, backend="batch", batch_size=batch_size)
-    # B=1 rides the scalar fast path unless the vector engine has been
+    # B=1 rides the scalar ladder unless the vector engine has been
     # handed out; this test exercises the engine, so engage it.
     batch.batch
     rings = (reference, fast, batch)
@@ -253,7 +377,7 @@ def test_midrun_reconfiguration_all_backends(seed, batch_size):
     ring_invalidations = batch.plan_invalidations
     for ring in rings:
         _apply_random_config(ring, random.Random(seed + 1000))
-    assert fast._plan is None, "reconfiguration must drop the plan"
+    assert not fast._steady, "reconfiguration must drop the kernels"
     assert engine._kernels is None, (
         "reconfiguration must drop the batch kernels"
     )
@@ -276,44 +400,44 @@ def test_midrun_reconfiguration_all_backends(seed, batch_size):
 @pytest.mark.parametrize("seed", range(5))
 def test_reset_midstream_stays_equivalent(seed):
     # reset() clears registers/pipelines/FIFOs *in place*, so an existing
-    # compiled plan (whose closures bind those containers) stays valid.
+    # macro kernel (whose globals bind those containers) stays valid.
     reference, fast = _make_pair(seed)
     ref_host, fast_host = _HostLog(), _HostLog()
     reference.run(12, host_in=ref_host)
-    fast.run(12, host_in=fast_host)
+    _drive(fast, 12, host_in=fast_host)
     reference.reset()
     fast.reset()
     for ring in (reference, fast):
         ring.push_fifo(0, 0, 1, [7, 8, 9])
     reference.run(12, host_in=ref_host)
-    fast.run(12, host_in=fast_host)
+    _drive(fast, 12, host_in=fast_host)
     assert ref_host.calls == fast_host.calls
     assert _state(reference) == _state(fast)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_reset_with_live_fifo_handles_and_compiled_plan(seed):
-    # Harder reset scenario: FIFOs already hold data when the plan
-    # compiles (so the plan's pop/peek closures bind those exact deques),
-    # then reset() empties them in place mid-run.  The plan survives and
+    # Harder reset scenario: FIFOs already hold data when the kernel
+    # binds (so its pop/peek globals name those exact deques), then
+    # reset() empties them in place mid-run.  The kernel survives and
     # must keep matching the interpreter on the refilled state.
     reference, fast = _make_pair(seed + 2000)
     ref_host, fast_host = _HostLog(), _HostLog()
     reference.run(9, host_in=ref_host)
-    fast.run(9, host_in=fast_host)
-    assert fast._plan is not None
-    plan_before = fast._plan
+    _drive(fast, 9, host_in=fast_host)
+    assert _macro_active(fast) == _macro_eligible(fast)
+    plan_before = fast._steady.get("macro")
     reference.reset()
     fast.reset()
-    assert fast._plan is plan_before, \
-        "reset clears state in place; it must not drop the plan"
+    assert fast._steady.get("macro") is plan_before, \
+        "reset clears state in place; it must not drop the kernel"
     rng = random.Random(seed + 3000)
     refill = [rng.randrange(1 << word.WIDTH) for _ in range(6)]
     for ring in (reference, fast):
         ring.push_fifo(0, 0, 1, refill)
         ring.push_fifo(1, 1, 2, refill[:3])
     reference.run(9, host_in=ref_host)
-    fast.run(9, host_in=fast_host)
+    _drive(fast, 9, host_in=fast_host)
     assert ref_host.calls == fast_host.calls
     assert _state(reference) == _state(fast)
 
@@ -337,7 +461,7 @@ def test_reset_counters_identical_across_engines(seed):
 
 
 # ----------------------------------------------------------------------
-# Sampled-trace equivalence: the chunk-running fast path must capture
+# Sampled-trace equivalence: chunk-running between captures must capture
 # the same cycles with the same values as the per-cycle interpreter.
 # ----------------------------------------------------------------------
 
@@ -361,9 +485,9 @@ def test_sampled_trace_bit_identical_across_engines(seed, interval):
     bus = (seed * 7919) & word.MASK
     reference.run(40, bus=bus, host_in=ref_host)
     fast.run(40, bus=bus, host_in=fast_host)
-    if interval > 1:
-        assert fast._plan is not None, \
-            "a sampled trace must not keep the ring off the fast path"
+    if interval > 1 and _macro_eligible(fast):
+        assert fast.macro_cycles > 0, \
+            "a sampled trace must not keep the ring off the macro rung"
     assert fast_trace.sampled_at == ref_trace.sampled_at
     assert fast_trace.samples == ref_trace.samples
     assert _state(reference) == _state(fast)
@@ -376,7 +500,7 @@ def test_windowed_trace_bit_identical_across_engines(seed):
     ref_host, fast_host = _HostLog(), _HostLog()
     reference.run(40, host_in=ref_host)
     fast.run(40, host_in=fast_host)
-    assert fast._plan is not None
+    assert fast.macro_cycles > 0 or not _macro_eligible(fast)
     assert fast_trace.sampled_at == ref_trace.sampled_at == [12, 16, 20,
                                                              24, 28]
     assert fast_trace.samples == ref_trace.samples
@@ -410,8 +534,9 @@ def test_per_cycle_reconfiguration_never_compiles():
         ring.config.write_microword(0, 0, MicroWord(
             Opcode.MOV, Source.IMM, dst=Dest.OUT, imm=i))
         ring.step()
-        assert ring._plan is None
+        assert not ring._steady
         assert ring.dnode(0, 0).out == i
+    assert ring.plan_compiles == ring.macro_cycles == 0
 
 
 def test_single_interpreted_cycle_before_compile():
@@ -419,9 +544,10 @@ def test_single_interpreted_cycle_before_compile():
     ring.config.write_microword(0, 0, MicroWord(
         Opcode.ADD, Source.SELF, Source.IMM, dst=Dest.OUT, imm=1))
     ring.step()
-    assert ring._plan is None          # config was dirty this cycle
+    assert not ring._steady            # config was dirty this cycle
     ring.step()
-    assert ring._plan is not None      # stable for a full cycle: compiled
+    assert _macro_active(ring)         # stepped once: compiled, ran
+    assert ring.plan_compiles == ring.macro_cycles == 1
     ring.run(10)
     assert ring.dnode(0, 0).out == 12
 
@@ -429,7 +555,7 @@ def test_single_interpreted_cycle_before_compile():
 def test_fastpath_disabled_never_compiles():
     ring = Ring(RingGeometry(layers=4, width=2), backend="interpreter")
     ring.run(10)
-    assert ring._plan is None
+    assert not ring._steady and ring.plan_compiles == 0
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +564,7 @@ def test_fastpath_disabled_never_compiles():
 
 
 def _strict_rings():
-    """Interpreter, fast path and a 3-lane batch ring, all strict."""
+    """Interpreter, macro rung and a 3-lane batch ring, all strict."""
     geometry = RingGeometry(layers=4, width=2)
     return (Ring(geometry, strict_fifos=True, backend="interpreter"),
             Ring(geometry, strict_fifos=True, backend="native"),
@@ -467,7 +593,7 @@ def test_strict_fifo_peek_error_identical():
         errors.append(str(excinfo.value))
         assert ring.cycles == 3
     assert errors == ["D0.0 read empty FIFO1 at cycle 3"] * 3
-    assert fast._plan is not None  # the error came from the compiled engine
+    assert fast.macro_cycles == 2  # the error came from the macro kernel
     # Lane 0 ran dry; the deeper lanes keep their undelivered words.
     assert batch.batch.fifo_contents(0, 0, 1, lane=2) == [7, 7]
 
@@ -476,7 +602,7 @@ def test_strict_fifo_pop_error_identical():
     errors = []
     for ring in _strict_rings():
         # NOP reads nothing, so only the commit-phase pop sees the empty
-        # FIFO — this exercises the pop thunk's strict raise.
+        # FIFO — this exercises the kernel's strict pop raise.
         _load_strict(ring, MicroWord(Opcode.NOP, flags=Flag.POP_FIFO1))
         with pytest.raises(SimulationError) as excinfo:
             ring.run(10)
@@ -498,7 +624,7 @@ def test_missing_host_reader_error_identical():
 
 def test_shallow_pipeline_tap_error_identical():
     # Geometry with a 2-deep pipeline but a stage-4 route: the interpreter
-    # raises at port resolution; the compiled plan must raise identically
+    # raises at port resolution; the macro kernel must raise identically
     # (the fetch stays eager precisely because it is observable).
     errors = []
     for backend in ("interpreter", "native"):

@@ -1,11 +1,11 @@
 """The macro rung: bit-identity, phase handling, error paths, caps.
 
-The fused kernels generated by :mod:`repro.core.macropath` replace the
-per-cycle thunk dispatch with straight-line source.  They run only on
-the native ladder, for spans the native tier refuses, so every ring here
-is a ``backend="native"`` ring with the native tier refused (the
-``refuse_native`` seam), and every behavioural contract of the fast path
-is re-asserted against the interpreter:
+The fused kernels generated by :mod:`repro.core.macropath` replace
+per-cycle dispatch with straight-line source.  They run on the native
+ladder, for spans the native tier refuses or leaves over and for every
+stepped cycle, so every ring here is a ``backend="native"`` ring with
+the native tier refused (the ``refuse_native`` seam), and every
+behavioural contract is re-asserted against the interpreter:
 architectural state (including statistics and FIFO accounting), host
 read ordering (``host_in`` observes the advancing cycle counter), local
 sequencer phases across odd chunk boundaries, strict-FIFO error messages
@@ -91,9 +91,8 @@ def _host(ring: Ring):
 class TestMacroEquivalence:
     @pytest.mark.parametrize("periods", [2, 8, 64])
     def test_bit_identical_to_interpreter(self, periods):
-        """Calls of *periods* sequencer periods plus one cycle: each
-        fuses whole periods and leaves a one-cycle remainder to the
-        per-cycle plan, so every call enters at a new phase."""
+        """Calls of *periods* sequencer periods plus one cycle, so every
+        call enters the one kernel at a new phase."""
         ref = make_ring(8, backend="interpreter")
         macro = make_ring(8, backend="native")
         for ring in (ref, macro):
@@ -102,12 +101,13 @@ class TestMacroEquivalence:
             for start in range(0, 401, span):
                 ring.run(min(span, 401 - start), bus=5,
                          host_in=_host(ring))
-        assert macro.macro_cycles > 0, "fusion must actually engage"
+        assert macro.macro_cycles == 400, "every cycle but the first fuses"
+        assert macro.plan_compiles == 1
         assert _state(macro) == _state(ref)
 
     def test_odd_chunks_cross_phases(self):
         """Chunk boundaries land on every sequencer phase; each re-entry
-        needs a phase-matching kernel (cached or recompiled)."""
+        enters the one kernel at its phase."""
         ref = make_ring(8, backend="interpreter")
         macro = make_ring(8, backend="native")
         for ring in (ref, macro):
@@ -120,25 +120,40 @@ class TestMacroEquivalence:
         assert macro.macro_cycles > 0
 
     def test_macro_kernels_are_cached_by_phase(self):
+        """Runs entering at different phases share one kernel, cached
+        under the orbit of its phase and re-adopted after a switch."""
         ring = make_ring(8, backend="native")
         _configure_mixed(ring)
+        plane = ring.config.capture_plane()
         for chunk in (25, 25, 25, 25):
             ring.run(chunk, host_in=_host(ring))
         macro_keys = [k for k in ring.plan_cache.keys()
                       if k[0] == "macro"]
-        assert macro_keys, "macro kernels must land in the plan cache"
+        assert len(macro_keys) == 1, "one kernel serves every phase"
+        assert ring.plan_compiles == 1
+        ring.config.write_microword(0, 0, MicroWord(Opcode.NOP))
+        ring.run(3, host_in=_host(ring))
+        ring.config.apply_plane(plane)
+        ring.run(25, host_in=_host(ring))
         assert ring.plan_cache.hits > 0
+        assert ring.plan_compiles == 2  # the NOP configuration's kernel
 
     def test_macro_respects_every_cycle_observer(self):
-        """An every-cycle observer forces per-cycle dispatch; fusion must
-        stay out of the way entirely."""
+        """An every-cycle observer forces per-cycle dispatch: each cycle
+        is one step, on the macro kernel after the first-time cycle,
+        and the observer sees every one of them."""
+        ref = make_ring(8, backend="interpreter")
         ring = make_ring(8, backend="native")
-        _configure_mixed(ring)
+        for r in (ref, ring):
+            _configure_mixed(r)
         seen = []
         ring.add_observer(lambda r: seen.append(r.cycles))
         ring.run(20, host_in=_host(ring))
+        ref.run(20, host_in=_host(ref))
         assert seen == list(range(1, 21))
-        assert ring.macro_cycles == 0
+        assert ring.macro_cycles == 19
+        assert ring.native_cycles == 0
+        assert _state(ring) == _state(ref)
 
     def test_macro_with_sampled_observer(self):
         ref = make_ring(8, backend="interpreter")

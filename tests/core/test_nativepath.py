@@ -2,7 +2,7 @@
 
 Covers what the fuzz and conformance suites pin only indirectly: the
 eligibility rules and the fallback ladder (native -> macro-step ->
-per-cycle plan), phase-keyed plan caching and snapshot re-adoption, the
+interpreter), phase-keyed plan caching and snapshot re-adoption, the
 safe-cycle FIFO gating formulas, the optional-Numba ladder (absent /
 working / broken), and the single-registry backend contract shared by
 ``Ring.set_backend``, the CLI and the documentation.
@@ -361,7 +361,7 @@ class TestFallbackLadder:
             for _ in range(16):
                 ri.step()
         assert str(native_error.value) == str(interpreter_error.value)
-        assert rn.native_cycles == 8      # 10 loads - 2 warm-up cycles
+        assert rn.native_cycles == 9      # 10 loads - 1 warm-up cycle
         assert rn.cycles == ri.cycles == 10
 
     def test_underflow_tail_runs_native(self):
@@ -369,7 +369,7 @@ class TestFallbackLadder:
         native window runs through it, reading 0 and counting the
         underflows, and matches the interpreter bit-for-bit."""
         rn, ri = _twin(self._loaded_mac, 16)
-        assert rn.native_cycles == 14     # every cycle after warm-up
+        assert rn.native_cycles == 15     # every cycle after warm-up
         assert rn.native_fallback_cycles == rn.macro_cycles == 0
         # 6 starved cycles, each with 2 empty reads and 2 empty pops.
         assert rn.fifo_underflows == ri.fifo_underflows == 24
@@ -382,7 +382,7 @@ class TestFallbackLadder:
         strict = self._loaded_mac(0, backend="native", strict_fifos=True)
         assert nativepath.compile_native(strict).safe_cycles(10) == 0
         rn, ri = _twin(lambda **kw: self._loaded_mac(0, **kw), 10)
-        assert rn.native_cycles == 8
+        assert rn.native_cycles == 9
         assert rn.fifo_underflows == ri.fifo_underflows > 0
         assert state_digest(rn) == state_digest(ri)
 
@@ -719,14 +719,14 @@ class TestMetrics:
 
     def test_native_codegen_is_booked_as_compile_time(self):
         """Native code generation lands in ``compile_seconds`` even when
-        the per-cycle plan is already cached, so a short run on a fresh
+        the macro kernel is already cached, so a short run on a fresh
         ring shows what it paid for native."""
         from repro.compiler.codegen import compile_graph
         from repro.compiler.library import fir8
         program = compile_graph(fir8())
         ring = Ring(program.geometry, backend="native")
         program.configure(ring)
-        for _ in range(2):  # interpret, then compile the per-cycle plan
+        for _ in range(2):  # interpret, then compile the macro kernel
             ring.step(host_in=lambda channel: 0)
         assert ring.plan_compiles == 1 and ring.native_compiles == 0
         ring.reset()

@@ -11,7 +11,7 @@ Three layers of coverage:
   repeated A/B/A context switch re-adopts cached plans with *zero*
   interpreter cycles, cache-hit plans are bit-identical to fresh
   compiles, per-cycle unique reconfiguration still never compiles, and
-  batch mode at B=1 rides the scalar fast path.
+  batch mode at B=1 rides the scalar ladder.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import pytest
 from repro.analysis.metrics import collect_metrics
 from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
+from repro.core.macropath import MacroPlan
 from repro.core.plancache import PlanCache
 from repro.core.ring import Ring, RingGeometry, make_ring
 from repro.core.switch import PortSource
@@ -272,7 +273,7 @@ class TestRingCacheIntegration:
             ring.dnode(0, 0).configure(
                 MicroWord(Opcode.MOV, Source.IMM, dst=Dest.OUT, imm=i))
             ring.step()
-            assert ring._plan is None
+            assert not ring._steady
         assert ring.plan_compiles == 0
         assert len(ring.plan_cache) == 0
 
@@ -280,7 +281,8 @@ class TestRingCacheIntegration:
         ring = make_ring(8, plan_cache=0)
         _configure(ring, "a")
         ring.run(4)
-        assert ring._plan is not None
+        assert isinstance(ring._steady.get("macro"), MacroPlan)
+        assert ring.plan_compiles == 1
         assert ring.plan_cache.hits == 0
         assert ring.plan_cache.misses == 0
 
@@ -288,10 +290,10 @@ class TestRingCacheIntegration:
         ring = make_ring(8)
         _configure(ring, "a")
         ring.run(4)
-        # The per-cycle plan and the native ladder's entries (here a
-        # native refusal and a macro kernel).
+        # The native ladder's entries: a native refusal and a macro
+        # kernel.
         assert sorted(key[0] for key in ring.plan_cache.keys()) == [
-            "macro", "native", "plan"]
+            "macro", "native"]
         ring.set_plan_cache(0)
         assert ring.plan_cache.capacity == 0
         _configure(ring, "b")
@@ -311,7 +313,7 @@ class TestRingCacheIntegration:
 
 class TestRestoreReadoption:
     """Satellite: restoring a checkpoint of a known configuration costs
-    exactly one cache lookup — no recompile, no interpreted cycles."""
+    one cache lookup per tier — no recompile, no interpreted cycles."""
 
     def test_restore_to_known_config_is_one_cache_hit(self):
         from repro.core.snapshot import capture, restore
@@ -324,20 +326,21 @@ class TestRestoreReadoption:
         compiles = ring.plan_compiles
         with ring.profile() as prof:
             restore(ring, snap)  # eager re-adoption inside restore()
-            assert ring.plan_cache.hits == hits + 1
-            # The run re-adopts the native refusal and the macro kernel.
+            # The native refusal and the macro kernel, one hit each; the
+            # run needs no further lookup.
+            assert ring.plan_cache.hits == hits + 2
             ring.run(5)
-        assert ring.plan_cache.hits == hits + 3
+        assert ring.plan_cache.hits == hits + 2
         assert ring.plan_compiles == compiles
         assert prof.interpreted_cycles == 0
         assert prof.plan_compiles == 0
         assert prof.compile_seconds == 0
         data = json.loads(collect_metrics(ring).to_json())
-        assert data["plan_cache_hits_total"] == hits + 3
+        assert data["plan_cache_hits_total"] == hits + 2
 
 
 class TestBatchSizeOneRouting:
-    """Satellite: B=1 batch mode must ride the scalar fast path."""
+    """Satellite: B=1 batch mode must ride the scalar ladder."""
 
     def test_b1_uses_scalar_plan_not_engine(self):
         ring = make_ring(8, backend="batch", batch_size=1)
@@ -345,7 +348,7 @@ class TestBatchSizeOneRouting:
         _configure(ring, "a")
         ring.run(8)
         assert ring._batch_engine is None, "no vector engine at B=1"
-        assert ring._plan is not None, "scalar plan compiled instead"
+        assert ring.macro_cycles == 7, "scalar kernels ran instead"
 
     def test_b1_matches_fastpath_bit_for_bit(self):
         batch = make_ring(8, backend="batch", batch_size=1)

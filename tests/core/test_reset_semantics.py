@@ -144,11 +144,11 @@ class TestPreserved:
 
     def test_active_plan_survives_without_recompile(self):
         ring = run_hard(make_busy_ring())
-        assert ring._plan is not None
-        plan = ring._plan
+        plan = ring._steady.get("macro")
+        assert plan is not None
         compiles = ring.plan_compiles
         ring.reset()
-        assert ring._plan is plan  # same closure over cleared containers
+        assert ring._steady["macro"] is plan  # bound to cleared containers
         run_hard(ring)
         assert ring.plan_compiles == compiles  # resumed, not recompiled
 

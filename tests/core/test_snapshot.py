@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
+from repro.core.macropath import SteadyPlan
+from repro.core.plancache import KERNELS
 from repro.core.ring import Ring, RingGeometry, make_ring
 from repro.core.snapshot import capture, restore
 from repro.core.switch import PortSource
@@ -108,8 +110,8 @@ from tests.conftest import rung_seam  # noqa: E402
 from tests.core.test_fuzz import build_ring, ring_specs  # noqa: E402
 
 #: (id, Ring kwargs) per engine; "macro" and "fastpath" are native rings
-#: run under ``rung_seam``, so they take the macro rung and the
-#: per-cycle plan.
+#: run under ``rung_seam``, so they take the macro rung, the second one
+#: cycle per kernel call.
 _ENGINES = [
     ("interpreter", dict(backend="interpreter")),
     ("fastpath", dict(backend="native")),
@@ -136,7 +138,7 @@ class TestRoundTripProperty:
             # The macro rung unrolls periods up to MAX_PERIOD; for those,
             # both the forward and the replayed run are made long enough
             # to reach it.
-            macro = name == "macro" and period <= MAX_PERIOD
+            macro = name in ("macro", "fastpath") and period <= MAX_PERIOD
             if macro:
                 k += period + 3
             ring.run(warmup, bus=bus, host_in=lambda ch: bus & 0xFF)
@@ -150,8 +152,7 @@ class TestRoundTripProperty:
             assert state_digest(ring) == first
         if macro:
             assert fused > 0 and ring.macro_cycles > fused
-        if name == "fastpath":
-            assert ring.native_cycles == ring.macro_cycles == 0
+            assert ring.native_cycles == 0
 
     @given(spec=ring_specs(), warmup=st.integers(1, 12),
            k=st.integers(1, 12))
@@ -211,30 +212,34 @@ class TestObservabilityRoundTrip:
         snapshot = capture(source)
         target = busy_ring()
         target.run(4, host_in=lambda ch: 1)
-        assert target._plan is not None
+        assert target._steady
         invalidations = target.plan_invalidations
+        compiles = target.plan_compiles, target.native_compiles
         restore(target, snapshot)
         assert target.plan_invalidations == invalidations + 1
         # busy_ring() twins share a configuration, so the target's cache
-        # already holds the plan for the restored fingerprint and the
+        # already holds a kernel for the restored fingerprint and the
         # restore re-adopts it eagerly — without a recompile.
-        cached = target.plan_cache.get(
-            ("plan", target.config_fingerprint()))
-        assert target._plan is cached is not None
+        assert any(isinstance(plan, SteadyPlan)
+                   for plan in target._steady.values())
+        assert (target.plan_compiles, target.native_compiles) == compiles
 
     def test_restore_to_unknown_config_leaves_no_plan(self):
         """With no cached plan for the restored fingerprint, restore must
-        not conjure one up (no hidden recompile)."""
+        not conjure one up (no hidden recompile).  The source ring's
+        kernels are dropped from the process-wide cache, so the restored
+        configuration is unknown to the whole process."""
         source = busy_ring()
         snapshot = capture(source)
+        KERNELS.clear()
         target = make_ring(8)
         target.config.write_microword(3, 1, MicroWord(
             Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT, imm=9))
         target.run(4, host_in=lambda ch: 1)
-        compiles = target.plan_compiles
+        compiles = target.plan_compiles, target.native_compiles
         restore(target, snapshot)
-        assert target._plan is None
-        assert target.plan_compiles == compiles
+        assert not target._steady
+        assert (target.plan_compiles, target.native_compiles) == compiles
 
     def test_capture_has_no_side_effects(self):
         """capture() must not materialize FIFO queues: digests before

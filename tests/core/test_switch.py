@@ -205,7 +205,7 @@ class TestRotatingPipelineBuffer:
                     assert sw.rp_read(stage, lane) == naive[lane - 1][stage - 1]
 
     def test_reset_preserves_pipe_identity(self):
-        # The fast-path engine closes over the pipeline lists, so reset
+        # Generated kernels bind the pipeline lists, so reset
         # must clear them in place rather than replace them.
         sw = Switch(0, 2)
         pipes = sw._pipes

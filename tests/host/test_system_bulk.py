@@ -27,7 +27,9 @@ deadline) like the ring-level differential suite.
 from __future__ import annotations
 
 import gc
+import math
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from repro.core.batchpath import BatchRing
 from repro.core.config_memory import ConfigPlane
 from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
+from repro.core.macropath import MacroPlan
 from repro.core.ring import Ring, RingGeometry
 from repro.core.snapshot import capture, snapshot_digest, state_digest
 from repro.core.switch import PortKind, PortSource
@@ -57,7 +60,14 @@ from tests.conftest import (
     native_refused,
     rung_seam,
 )
-from tests.core.test_fuzz import apply_spec, build_ring, ring_specs
+from tests.core.test_fuzz import (
+    _legal_word,
+    accumulator_words,
+    apply_spec,
+    build_ring,
+    ring_specs,
+)
+from tests.core.test_isa import microwords
 
 _SETTINGS = dict(deadline=None, derandomize=True)
 
@@ -622,8 +632,8 @@ class TestNativeWindows:
         outputs = program.run(stream, ring=ring)
         assert list(outputs.values()) == list(
             fir8().evaluate({0: stream}).values())
-        # Only the warm-up cycles before the first plan run per cycle.
-        assert ring.native_cycles == ring.cycles - 2
+        # Only the first-time cycle before the first kernel is stepped.
+        assert ring.native_cycles == ring.cycles - 1
 
     def test_cycle_paths_explain_every_cycle(self):
         program, stream = _fir_system()
@@ -631,11 +641,11 @@ class TestNativeWindows:
         system.data.stream(0, [v & 0xFFFF for v in stream])
         system.data.add_tap(1, 0)
         system.run(100)
-        assert system.cycle_paths == {("per_cycle", "no_plan"): 2,
-                                      ("bulk", "native"): 98}
+        assert system.cycle_paths == {("per_cycle", "no_plan"): 1,
+                                      ("bulk", "native"): 99}
         snap = system.metrics()
         assert snap.value("system_cycles_total", path="bulk",
-                          reason="native") == 98
+                          reason="native") == 99
         assert "repro_system_cycles_total{" in snap.to_prometheus()
 
     def test_run_until_taps_full_matches_per_cycle(self):
@@ -673,14 +683,14 @@ class TestPerCycleReasons:
     # Native refuses the selfloop ring, whose spans the macro rung takes
     # as windows, and runs the drained FIFO ring's underflow tail in
     # closed form.  The per-cycle reasons for a span neither rung takes
-    # are pinned below with the bulk_refused seam.
+    # are pinned below with the bulk_refused seam (interpreter only).
     @pytest.mark.parametrize("build, expected", [
         (lambda: _selfloop_ring(backend="native"),
-         {("per_cycle", "no_plan"): 2, ("bulk", "macro"): 8}),
+         {("per_cycle", "no_plan"): 1, ("bulk", "macro"): 9}),
         (lambda: _selfloop_ring(backend="interpreter"),
          {("per_cycle", "backend"): 10}),
         (lambda: _fifo_ring(backend="native"),
-         {("per_cycle", "no_plan"): 2, ("bulk", "native"): 8}),
+         {("per_cycle", "no_plan"): 1, ("bulk", "native"): 9}),
     ])
     def test_reasons(self, build, expected):
         system = RingSystem(build())
@@ -694,8 +704,8 @@ class TestPerCycleReasons:
             system = RingSystem(build())
             system.data.add_tap(0, 0)
             system.run(10)
-        assert system.cycle_paths == {("per_cycle", "no_plan"): 2,
-                                      ("per_cycle", "native_refused"): 8}
+        assert system.cycle_paths == {("per_cycle", "no_plan"): 1,
+                                      ("per_cycle", "native_refused"): 9}
 
     def test_fifo_gated_when_macro_is_refused(self):
         """With strict FIFOs native takes only the FIFO-safe prefix; with
@@ -707,8 +717,8 @@ class TestPerCycleReasons:
             system.data.add_tap(0, 0)
             with pytest.raises(SimulationError, match="empty FIFO1"):
                 system.run(10)
-        assert system.cycle_paths == {("per_cycle", "no_plan"): 2,
-                                      ("bulk", "native"): 4,
+        assert system.cycle_paths == {("per_cycle", "no_plan"): 1,
+                                      ("bulk", "native"): 5,
                                       ("per_cycle", "fifo_gated"): 0}
 
     @staticmethod
@@ -776,9 +786,8 @@ class TestPerCycleReasons:
                                Instruction(ROp.HALT)])
         system = RingSystem(ring, ctrl)
         system.data.add_tap(0, 0)
-        # Cycle 1 executes WAITI; cycles 2-3 are quiet and take the
-        # native ladder: the first steps for want of a plan (the fast
-        # path compiles after one stable cycle), the second is a macro
+        # Cycle 1 executes WAITI, the configuration's first-time cycle;
+        # cycles 2-3 are quiet and take the native ladder as one macro
         # window (native refuses the configuration).
         system.run(3)
         system.step()
@@ -786,8 +795,7 @@ class TestPerCycleReasons:
         ring.add_observer(lambda _ring: None)
         system.run(2)
         assert system.cycle_paths == {("per_cycle", "controller"): 1,
-                                      ("per_cycle", "no_plan"): 1,
-                                      ("bulk", "macro"): 1,
+                                      ("bulk", "macro"): 2,
                                       ("per_cycle", "direct"): 1,
                                       ("per_cycle", "trace"): 2}
 
@@ -856,7 +864,7 @@ class TestMacroWindows:
         assert native[1:3] == (8, 8)
         # Cycles 5-7 and the aborted cycle 8 read the dry stream.
         assert native[5:7] == (5, 4)
-        assert paths == [{("per_cycle", "no_plan"): 2, ("bulk", "macro"): 6},
+        assert paths == [{("per_cycle", "no_plan"): 1, ("bulk", "macro"): 7},
                          {("per_cycle", "backend"): 8}]
 
     def test_novel_reconfiguration_stream_never_compiles(self):
@@ -893,11 +901,11 @@ class TestMacroWindows:
         ring.config.apply_plane(selfloop)
         hits = ring.plan_cache.hits
         system.run(10)
-        assert system.cycle_paths == {("per_cycle", "no_plan"): 4,
-                                      ("bulk", "macro"): 18,
-                                      ("bulk", "native"): 8}
-        # The per-cycle plan, the native refusal and the macro kernel.
-        assert ring.plan_cache.hits == hits + 3
+        assert system.cycle_paths == {("per_cycle", "no_plan"): 2,
+                                      ("bulk", "macro"): 19,
+                                      ("bulk", "native"): 9}
+        # The native refusal and the macro kernel.
+        assert ring.plan_cache.hits == hits + 2
 
     def test_native_window_writes_pipelines_in_place(self):
         """Native write-back keeps each pipeline list (macro kernels bind
@@ -912,7 +920,7 @@ class TestMacroWindows:
             system.data.stream(0, [v & 0xFFFF for v in stream])
             system.data.add_tap(1, 0)
             system.run(40)
-        assert ring.native_cycles == 38
+        assert ring.native_cycles == 39
         assert [list(map(id, ring.switch(k)._pipes))
                 for k in range(ring.geometry.layers)] == pipes
         assert state_digest(ring) == state_digest(reference)
@@ -927,7 +935,7 @@ class TestMacroWindows:
         system = RingSystem(ring)
         system.data.add_tap(1, 0)
         system.run(4)
-        assert ring.native_cycles == 2
+        assert ring.native_cycles == 3
         ring.dnode(0, 0)._out = 0x12345  # D0.0 never writes OUT
         with pytest.raises(ValueError, match=(
                 r"switch 1 lane 0 must be a 16-bit raw word, "
@@ -1175,9 +1183,10 @@ class TestControllerDifferential:
     too small, so its error must fire on the same cycle.
     """
 
-    # Native ladder columns: the whole ladder, then its per-cycle
-    # ("fastpath") and macro rungs pinned by the tests/conftest.py seams.
-    # One-element tuples keep the test ids engine0..engine2.
+    # Native ladder columns: the whole ladder, then its macro rung one
+    # cycle per kernel call ("fastpath") and in whole windows ("macro"),
+    # pinned by the tests/conftest.py seams.  One-element tuples keep
+    # the test ids engine0..engine2.
     @pytest.mark.parametrize("engine", [
         ("native",), ("fastpath",), ("macro",)])
     @given(case=controlled_systems())
@@ -1193,12 +1202,9 @@ class TestControllerDifferential:
         assert sum(bulk.cycle_paths.values()) >= bulk.cycles
         if column != "native":
             assert bulk.ring.native_cycles == 0
-        if column == "fastpath":
-            assert bulk.ring.macro_cycles == 0
-        else:
-            # A run_until_halt error may stop short of the last WAITI.
-            _assert_ladder_served(bulk.cycle_paths,
-                                  case[-1] and bulk_error is None)
+        # A run_until_halt error may stop short of the last WAITI.
+        _assert_ladder_served(bulk.cycle_paths,
+                              case[-1] and bulk_error is None)
 
     def _waiting_system(self, **ring_kwargs) -> RingSystem:
         """An accumulator plane run by a controller that sits in WAITI."""
@@ -1429,8 +1435,9 @@ class TestSharedKernelCache:
 
     def test_plan_cache_zero_recompiles_on_every_switch(self):
         """``plan_cache=0`` bypasses both cache levels: every switch back
-        to a plane compiles its per-cycle plan and its native kernel
-        again, and nothing enters the process-wide cache."""
+        to a plane compiles its native kernel again (native takes every
+        cycle after the first-time one, so no macro kernel is needed),
+        and nothing enters the process-wide cache."""
         ring = Ring(RingGeometry(layers=2, width=1), plan_cache=0)
         ring.config.write_switch_route(0, 0, 1, PortSource.host(0))
         planes = [ConfigPlane(microwords={(0, 0): MicroWord(
@@ -1442,7 +1449,8 @@ class TestSharedKernelCache:
             ring.config.apply_plane(planes[k % 2])
             system.data.stream(0, list(range(10)))
             system.run(10)
-        assert ring.native_compiles == ring.plan_compiles == 6
+        assert ring.native_compiles == 6
+        assert ring.plan_compiles == 0
         assert len(plancache.KERNELS) == 0
         assert tap.samples == [v + 1 + k % 2 for k in range(6)
                                for v in range(10)]
@@ -1464,3 +1472,282 @@ class TestSharedKernelCache:
         assert plancache.KERNELS.keys()[:1] == template_keys
         assert not any(isinstance(plancache.KERNELS._entries[key], str)
                        for key in plancache.KERNELS.keys())
+
+
+def _local_cells(draw, spec: dict, count: int) -> dict:
+    """*spec* with every cell global but 1 to *count* of them, which run
+    local programs of LIMIT 2-8 (so the period stays under the macro
+    unroll cap)."""
+    width = spec["width"]
+    cells = [(layer, pos, mw, None, routes, loads)
+             for layer, pos, mw, _local, routes, loads in spec["cells"]]
+    chosen = draw(st.lists(st.integers(0, len(cells) - 1), min_size=1,
+                           max_size=count, unique=True))
+    words = st.one_of(microwords(), accumulator_words(), nonlinear_words())
+    for k in chosen:
+        layer, pos, mw, _local, routes, loads = cells[k]
+        limit = draw(st.integers(2, 8))
+        program = [_legal_word(w, width) for w in draw(
+            st.lists(words, min_size=limit, max_size=limit))]
+        cells[k] = (layer, pos, mw, program, routes, loads)
+    return dict(spec, cells=cells)
+
+
+def _spec_period(spec: dict) -> int:
+    return math.lcm(*(len(cell[3]) for cell in spec["cells"]
+                      if cell[3] is not None))
+
+
+def _busy_instructions():
+    """Controller instructions that execute in one cycle each."""
+    return st.one_of(
+        st.builds(lambda rd, imm: Instruction(ROp.LDI, rd=rd, imm=imm),
+                  st.integers(1, 4), st.integers(0, 0xFFFF)),
+        st.builds(lambda rs: Instruction(ROp.BUSW, rs=rs),
+                  st.integers(1, 4)))
+
+
+def _taps_and_streams(draw, layers: int, width: int):
+    taps = draw(st.lists(st.tuples(
+        st.integers(0, layers - 1), st.integers(0, width - 1),
+        st.integers(0, 6), st.integers(1, 4),
+        st.one_of(st.none(), st.integers(0, 40))), min_size=1, max_size=3))
+    streams = draw(st.dictionaries(
+        st.integers(0, 3), st.lists(st.integers(0, 0xFFFF), max_size=40),
+        max_size=3))
+    return taps, streams
+
+
+@st.composite
+def stepped_systems(draw):
+    """A fabric with one or two local programs of LIMIT 2-8 and a
+    controller that executes an instruction on every cycle of each
+    block, each block at least one period long, with ``WAITI`` spans
+    between them.  Returns a :func:`controlled_systems`-shaped case
+    (no planes, no chunks) and the fabric's period."""
+    layers = draw(st.integers(2, 3))
+    width = draw(st.integers(1, 2))
+    spec = draw(ring_specs(min_layers=layers, max_layers=layers,
+                           min_width=width, max_width=width, max_local=1,
+                           accumulators=True))
+    spec = _local_cells(draw, spec, 2)
+    period = _spec_period(spec)
+    program = []
+    for _ in range(draw(st.integers(1, 3))):
+        program += draw(st.lists(_busy_instructions(),
+                                 min_size=period + 1,
+                                 max_size=period + 6))
+        program.append(Instruction(ROp.WAITI, imm=draw(st.integers(0, 20))))
+    program.append(Instruction(ROp.HALT))
+    taps, streams = _taps_and_streams(draw, layers, width)
+    case = (spec, [], program, taps, streams, [], 0, 100_000,
+            draw(st.integers(0, 8)), False)
+    return case, period
+
+
+@st.composite
+def remainder_systems(draw):
+    """An uncontrolled fabric with one or two local programs of LIMIT
+    2-8, taps and streams, and ``run`` chunks of 1 to 2 periods + 1."""
+    layers = draw(st.integers(2, 3))
+    width = draw(st.integers(1, 2))
+    spec = draw(ring_specs(min_layers=layers, max_layers=layers,
+                           min_width=width, max_width=width, max_local=1,
+                           accumulators=True))
+    spec = _local_cells(draw, spec, 2)
+    period = _spec_period(spec)
+    taps, streams = _taps_and_streams(draw, layers, width)
+    chunks = draw(st.lists(st.integers(1, 2 * period + 1), min_size=2,
+                           max_size=8))
+    return spec, taps, streams, chunks
+
+
+@st.composite
+def strict_stepped_systems(draw):
+    """A feed-forward fabric with strict FIFOs in which one local
+    program of LIMIT 2-8 reads (or only pops) FIFO1 in one slot, 1-6
+    words deep, under a controller that steps every cycle until the
+    queue runs dry.  Every other local program has one slot, so the
+    period stays under the macro unroll cap."""
+    layers = draw(st.integers(2, 3))
+    width = draw(st.integers(1, 2))
+    spec = _feed_forward(draw(ring_specs(
+        min_layers=layers, max_layers=layers, min_width=width,
+        max_width=width, max_local=1, fifo_loads=False,
+        accumulators=True)))
+    cells = list(spec["cells"])
+    k = draw(st.integers(0, len(cells) - 1))
+    layer, pos, mw, _local, routes, _loads = cells[k]
+    limit = draw(st.integers(2, 8))
+    program = [MicroWord(Opcode.ADD, Source.IN1, Source.IMM, Dest.OUT,
+                         imm=j) for j in range(limit)]
+    if draw(st.booleans()):
+        fifo_word = MicroWord(Opcode.MOV, Source.FIFO1, dst=Dest.OUT,
+                              flags=Flag.POP_FIFO1)
+    else:
+        fifo_word = MicroWord(Opcode.NOP, flags=Flag.POP_FIFO1)
+    program[draw(st.integers(0, limit - 1))] = fifo_word
+    words = draw(st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=6))
+    cells[k] = (layer, pos, mw, program, routes, {1: words})
+    spec = dict(spec, cells=cells)
+    busy = draw(st.lists(_busy_instructions(),
+                         min_size=limit * (len(words) + 2),
+                         max_size=limit * (len(words) + 2) + 4))
+    taps, streams = _taps_and_streams(draw, layers, width)
+    return (spec, [], busy + [Instruction(ROp.HALT)], taps, streams, [],
+            0, 100_000, 0, False)
+
+
+@contextmanager
+def _macro_calls():
+    """Record ``(entry phase, cycles, raised)`` per ``MacroPlan.run``."""
+    calls = []
+    run = MacroPlan.run
+
+    def recording(plan, cycles, *args):
+        entry = plan.phase()
+        try:
+            result = run(plan, cycles, *args)
+        except Exception:
+            calls.append((entry, cycles, True))
+            raise
+        calls.append((entry, cycles, False))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MacroPlan, "run", recording)
+        yield calls
+
+
+def _period_four_ring(**ring_kwargs) -> Ring:
+    """A period-4 local program feeding a global accumulator."""
+    ring = Ring(RingGeometry(layers=2, width=1), **ring_kwargs)
+    ring.config.write_local_program(0, 0, [
+        MicroWord(Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT, imm=3),
+        MicroWord(Opcode.MULH, Source.SELF, Source.BUS, Dest.OUT),
+        MicroWord(Opcode.SUB, Source.SELF, Source.IMM, Dest.OUT, imm=1),
+        MicroWord(Opcode.XOR, Source.SELF, Source.BUS, Dest.OUT)])
+    ring.config.write_mode(0, 0, DnodeMode.LOCAL)
+    ring.config.write_switch_route(1, 0, 1, PortSource.up(0))
+    ring.config.write_microword(1, 0, MicroWord(
+        Opcode.ADD, Source.IN1, Source.SELF, Dest.OUT))
+    return ring
+
+
+class TestMacroStepping:
+    """Macro kernels enter at any phase and stop at any cycle.
+
+    They serve controller-stepped cycles and sub-period remainders, and
+    raise a strict-FIFO error on a stepped cycle exactly where the
+    per-cycle interpreter does.  Every generated case is checked against
+    the interpreter, stepped one cycle at a time where a controller
+    runs.
+    """
+
+    @given(drawn=stepped_systems())
+    @settings(max_examples=60, **_SETTINGS)
+    def test_stepped_cycles_enter_every_phase(self, drawn):
+        case, period = drawn
+        plancache.KERNELS.clear()
+        with _macro_calls() as calls:
+            bulk, bulk_error = _drive(case, per_cycle=False,
+                                      backend="native")
+        spec, spec_error = _drive(case, per_cycle=True,
+                                  backend="interpreter")
+        assert _observables(bulk, bulk_error) == \
+            _observables(spec, spec_error)
+        assert bulk_error is None
+        # Every controller-stepped cycle but the configuration's
+        # first-time one ran as a one-cycle macro call, and a block of
+        # more than a period of them entered every phase.
+        stepped = bulk.cycle_paths[("per_cycle", "controller")]
+        entries = [entry for entry, cycles, _ in calls if cycles == 1]
+        assert len(entries) >= stepped - 1
+        assert set(entries) == set(range(period))
+        assert bulk.ring.plan_compiles == 1
+
+    @given(drawn=remainder_systems())
+    @settings(max_examples=60, **_SETTINGS)
+    def test_sub_period_remainders_run_on_macro(self, drawn):
+        spec, taps, streams, chunks = drawn
+        results = []
+        for backend in ("native", "interpreter"):
+            ring = build_ring(spec, backend=backend)
+            system = RingSystem(ring)
+            for channel, words in streams.items():
+                system.data.stream(channel, words)
+            for layer, pos, skip, every, limit in taps:
+                system.data.add_tap(layer, pos, skip=skip, every=every,
+                                    limit=limit)
+            for chunk in chunks:
+                system.run(chunk)
+            results.append((system.data.capture_state(),
+                            state_digest(ring), system.cycle_paths))
+        (host, digest, paths), (want_host, want_digest, _) = results
+        assert host == want_host
+        assert digest == want_digest
+        # Only the first-time cycle steps; every remainder is a window.
+        assert paths.get(("per_cycle", "no_plan"), 0) <= 1
+        assert set(paths) <= {("per_cycle", "no_plan"), ("bulk", "native"),
+                              ("bulk", "macro")}
+
+    @given(case=strict_stepped_systems())
+    @settings(max_examples=60, **_SETTINGS)
+    def test_strict_fifo_error_on_a_stepped_macro_cycle(self, case):
+        with _macro_calls() as calls:
+            bulk, bulk_error = _drive(case, per_cycle=False,
+                                      backend="native", strict_fifos=True)
+        spec, spec_error = _drive(case, per_cycle=True,
+                                  backend="interpreter", strict_fifos=True)
+        # The message and cycle, the taps and the streams' underruns
+        # match; the aborted cycle's partial fabric state is each
+        # engine's own (see repro.core.macropath).
+        got, want = (_observables(bulk, bulk_error),
+                     _observables(spec, spec_error))
+        for key in ("error", "cycles", "host", "controller"):
+            assert got[key] == want[key], key
+        assert bulk.ring.cycles == spec.ring.cycles
+        assert "empty FIFO1" in bulk_error
+        assert calls and calls[-1][1:] == (1, True), (
+            "the error must come from a stepped macro cycle")
+
+    @pytest.mark.parametrize("capacity", [8, 0])
+    def test_stepping_a_period_four_configuration_compiles_once(
+            self, capacity):
+        ring = _period_four_ring(plan_cache=capacity)
+        reference = _period_four_ring(backend="interpreter")
+        for cycle in range(12):
+            ring.step(bus=cycle + 5)
+            reference.step(bus=cycle + 5)
+        assert ring.plan_compiles == 1
+        assert ring.macro_cycles == 11
+        assert state_digest(ring) == state_digest(reference)
+
+    def test_over_cap_configuration_steps_on_the_interpreter(self):
+        def build(**ring_kwargs):
+            ring = Ring(RingGeometry(layers=2, width=2), **ring_kwargs)
+            for (layer, pos), limit in zip([(0, 0), (0, 1), (1, 0)],
+                                           (5, 7, 8)):
+                ring.config.write_local_program(layer, pos, [
+                    MicroWord(Opcode.ADD, Source.SELF, Source.IMM,
+                              Dest.OUT, imm=j) for j in range(limit)])
+                ring.config.write_mode(layer, pos, DnodeMode.LOCAL)
+            return ring
+
+        ring, reference = build(), build(backend="interpreter")
+        with ring.profile() as profile:
+            for _ in range(12):
+                ring.step()
+                reference.step()
+        assert profile.interpreted_cycles == 12
+        assert ring.macro_cycles == ring.plan_compiles == 0
+        assert ring.native_refusal == (
+            "period 280 over the unroll cap (64 cycles, 4096 Dnode-cycles)")
+        systems = [RingSystem(r) for r in (ring, reference)]
+        for system in systems:
+            system.data.add_tap(1, 0)
+            system.run(20)
+        assert systems[0].cycle_paths == {("per_cycle", "native_refused"): 20}
+        assert systems[0].data.taps[0].samples == \
+            systems[1].data.taps[0].samples
+        assert state_digest(ring) == state_digest(reference)

@@ -116,23 +116,23 @@ class TestReconfigurationChurn:
                                  chunk=16, ring=ring)
         rounds = len(ENVELOPE) // 16
         assert result.switches == 2 * rounds
-        # One compile per plane on the first round; every later
-        # apply_plane re-adopts from the cache by fingerprint: the
-        # per-cycle plan and the native tier's entry (the voice plane's
-        # kernel, the echo plane's cached refusal), plus the echo
-        # plane's macro kernel, which serves its windows.
-        assert result.plan_compiles == 2
+        # One kernel per plane on the first round: the voice plane's
+        # native kernel and the echo plane's macro kernel (native
+        # refuses it).  Every later apply_plane re-adopts from the cache
+        # by fingerprint: the voice plane's native kernel, the echo
+        # plane's cached native refusal and its macro kernel.
+        assert result.plan_compiles == 1
         assert ring.native_compiles == 1
-        assert result.plan_hits == (2 + 3) * (rounds - 1)
+        assert result.plan_hits == (1 + 2) * (rounds - 1)
 
     def test_effects_chain_plan_readoption(self):
         ring = Ring(EFFECTS_GEOMETRY)
         result = run_effects_chain(SIGNAL, MASTER_GAIN, ECHO_GAIN,
                                    chunk=24, ring=ring)
         rounds = len(SIGNAL) // 24
-        assert result.plan_compiles == 2
+        assert result.plan_compiles == 1
         assert ring.native_compiles == 1
-        assert result.plan_hits == (2 + 3) * (rounds - 1)
+        assert result.plan_hits == (1 + 2) * (rounds - 1)
 
     def test_steady_state_has_zero_interpreted_cycles(self):
         ring = Ring(SYNTH_GEOMETRY)

@@ -5,9 +5,9 @@ Every execution backend the repo ships is described once, here, and the
 them.  A kernel test written against the fixture therefore becomes one
 *row* of the cross-engine x kernel conformance matrix: the same golden
 recipe, bit-identical on the interpreter, the native ladder, its macro
-rung (native refused via the ``refuse_native`` seam), its per-cycle
-``fastpath`` rung (native and macro refused via the ``refuse_bulk``
-seam) and the batch backend.
+rung (native refused via the ``refuse_native`` seam), the macro rung
+entered one cycle per kernel call (column ``fastpath``, via the
+``macro_stepped`` seam) and the batch backend.
 
 Helpers:
 
@@ -35,9 +35,9 @@ from tests.conftest import assert_rung_ran, rung_seam
 #: native-ladder rung.  ``tests/core/test_nativepath.py`` asserts this
 #: covers :attr:`Ring.BACKEND_REGISTRY`.
 #: ``"macro"`` is a native ring whose native compiler refuses, and
-#: ``"fastpath"`` one whose native and macro compilers refuse (the
-#: ``tests/conftest.py`` seams, applied by :func:`engine`), so their
-#: steady state runs on the macro rung and on the per-cycle plan.
+#: ``"fastpath"`` one that also runs each macro cycle as its own kernel
+#: call (the ``tests/conftest.py`` seams, applied by :func:`engine`), so
+#: both run on the macro rung, the second entering it at every phase.
 ENGINES = {
     "interpreter": {"backend": "interpreter"},
     "fastpath": {"backend": "native"},
@@ -74,9 +74,8 @@ def bulk_tail(name: str, ring: Ring, twin: Ring,
     column *name*'s own engine or rung ran.
 
     A tapped or streamed system run on a native-refused configuration
-    dispatches cycle by cycle, so the steady-state ladder (and with it
-    the ``macro`` and ``fastpath`` columns' rungs) only engages in a
-    bulk run like this.
+    may still step cycles one by one, so each column's rung is checked
+    on a bulk run like this.
     """
     with ring.profile() as profile:
         ring.run(cycles, host_in=_tail_host)

@@ -17,10 +17,10 @@ from repro.core.switch import PortSource
 from tests.conftest import rung_seam
 
 #: (id, Ring kwargs) for each execution engine.  "macro" is a native ring
-#: with the native tier refused and "fastpath" one with native and macro
-#: refused (the ``tests/conftest.py`` seams, applied by
-#: :func:`_rung_seam`), so their bulk runs take the macro rung and the
-#: per-cycle plan of the native ladder.
+#: with the native tier refused and "fastpath" one that also runs each
+#: macro cycle as its own kernel call (the ``tests/conftest.py`` seams,
+#: applied by :func:`_rung_seam`), so both take the macro rung of the
+#: native ladder, the second entering it at every phase.
 ENGINES = [
     ("interpreter", dict(backend="interpreter")),
     ("fastpath", dict(backend="native")),

@@ -99,9 +99,9 @@ class TestGracefulDegradation:
     def test_disable_parks_on_nop_and_invalidates(self):
         ring = make_busy_ring()
         ring.run(6)
-        assert ring._plan is not None
+        assert ring._steady
         disable_dnode(ring, 0, 0)
-        assert ring._plan is None
+        assert not ring._steady
         dn = ring.dnode(0, 0)
         assert dn.mode is DnodeMode.LOCAL
         assert dn.local.slots()[0] == NOP_WORD

@@ -120,13 +120,13 @@ class TestRuntimeInjection:
 class TestConfigInjection:
     def test_config_word_flip_drops_compiled_plan(self):
         ring = make_busy_ring()
-        ring.run(6)  # compile + adopt a plan
-        assert ring._plan is not None
+        ring.run(6)  # compile + adopt a kernel
+        assert ring._steady
         invalidations = ring.plan_invalidations
         inj = FaultInjector(ring, seed=0)
         record = inj.inject(_event(inj, FaultKind.CONFIG_WORD, (0, 0)))
         assert record.applied
-        assert ring._plan is None
+        assert not ring._steady
         assert ring.plan_invalidations > invalidations
 
     def test_config_word_flip_changes_word(self):
