@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro import word
 from repro.asm.microasm import format_dnode_op
 from repro.compiler.graph import CompileError, DataflowGraph
@@ -30,6 +32,26 @@ from repro.core.switch import PortSource
 from repro.host.system import RingSystem
 
 Streams = Union[Sequence[int], Dict[int, Sequence[int]]]
+
+
+def _int64(values) -> np.ndarray:
+    """*values* (an array, a sequence or any iterable of numbers) as one
+    int64 array, each value truncated like ``int(v)``."""
+    if getattr(values, "dtype", None) is not None:
+        return np.asarray(values, np.int64)
+    if not hasattr(values, "__len__"):
+        values = list(values)
+    return np.fromiter(values, np.int64, len(values))
+
+
+def _raw_words(samples) -> np.ndarray:
+    """Signed samples as raw 16-bit words (wrapping), in one array."""
+    return _int64(samples) & word.MASK
+
+
+def _signed(raw: Sequence[int]) -> List[int]:
+    """Raw 16-bit words as signed ints, flipped in one array pass."""
+    return ((_int64(raw) ^ word.SIGN_BIT) - word.SIGN_BIT).tolist()
 
 
 #: Dnode execution-mode assignments the code generator can emit.  A
@@ -112,12 +134,13 @@ class CompiledProgram:
         compare directly against :meth:`DataflowGraph.evaluate`.
         """
         if not isinstance(streams, dict):
-            streams = {0: list(streams)}
-        length = max((len(v) for v in streams.values()), default=0)
+            streams = {0: streams}
+        raw = {channel: _raw_words(samples)
+               for channel, samples in streams.items()}
+        length = max((len(v) for v in raw.values()), default=0)
         system = self.build_system(ring)
-        for channel, samples in streams.items():
-            system.data.stream(
-                channel, [word.from_signed(int(v)) for v in samples])
+        for channel, words in raw.items():
+            system.data.stream(channel, words)
         taps = {}
         for graph_index, phys_index in self.placement.outputs:
             p = self.placement.phys[phys_index]
@@ -128,9 +151,8 @@ class CompiledProgram:
         # Batch rings hand out BatchOutputTaps; lane 0 always carries
         # the scalar answer (host streams broadcast across lanes).
         return {
-            graph_index: [word.to_signed(v) for v in
-                          (tap.lane(0) if hasattr(tap, "lane")
-                           else tap.samples)]
+            graph_index: _signed(tap.lane(0) if hasattr(tap, "lane")
+                                 else tap.samples)
             for graph_index, tap in taps.items()
         }
 

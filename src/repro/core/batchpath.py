@@ -264,12 +264,14 @@ class _BatchFifo:
         self.count -= ok
         return ok
 
+    def lane_words(self, lane: int) -> np.ndarray:
+        """One lane's queued words, head first, as an int64 array."""
+        idx = (int(self.head[lane]) + np.arange(int(self.count[lane]))
+               ) % self.capacity
+        return self.data[idx, lane].astype(np.int64)
+
     def contents(self, lane: int) -> List[int]:
-        c = int(self.count[lane])
-        if not c:
-            return []
-        idx = (int(self.head[lane]) + np.arange(c)) % self.capacity
-        return [int(v) for v in self.data[idx, lane]]
+        return self.lane_words(lane).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +407,7 @@ class BatchRing:
         for key, queue in ring._fifos.items():
             fifo = _BatchFifo(self.batch)
             if queue:
-                fifo.push_all(list(queue))
+                fifo.push_all(queue.view())
             self._fifos[key] = fifo
         self.lane_underflows[:] = ring.fifo_underflows
         self._kernels = None
@@ -743,7 +745,7 @@ class BatchRing:
         for key, fifo in self._fifos.items():
             queue = target.fifo(*key)
             queue.clear()
-            queue.extend(fifo.contents(lane))
+            queue.extend(fifo.lane_words(lane))
         target.cycles = ring.cycles
         target.fifo_underflows = int(self.lane_underflows[lane])
         if target is not ring:

@@ -307,6 +307,13 @@ class Dnode:
         self._pops_pending = ()
         return pops
 
+    def discard(self) -> None:
+        """Drop everything :meth:`evaluate` staged: the cycle aborted
+        before its clock edge, so no later edge may commit it."""
+        self.regs.discard()
+        self._out_pending = None
+        self._pops_pending = ()
+
     def count_fifo_pop(self) -> None:
         """Fabric callback: one requested pop actually dequeued a word."""
         self.stats.fifo_pops += 1

@@ -509,8 +509,9 @@ def macro_template(ring: "Ring") -> MacroTemplate:
     def emit_fifo_peek(indent, l, p, ch, name):
         q = fifo_name(l, p, ch)
         temp = f"_fv_{l}_{p}_{ch}"
-        out.emit(indent, f"if {q}:")
-        out.emit(indent + 1, f"{temp} = _chk({q}[0], '{name} FIFO{ch}')")
+        out.emit(indent, f"{temp} = {q}.peek()")
+        out.emit(indent, f"if {temp} is not None:")
+        out.emit(indent + 1, f"{temp} = _chk({temp}, '{name} FIFO{ch}')")
         out.emit(indent, "elif _R.strict_fifos:")
         out.emit(indent + 1, "raise _fifo_error(")
         out.emit(indent + 2,
@@ -524,8 +525,7 @@ def macro_template(ring: "Ring") -> MacroTemplate:
 
     def emit_fifo_pop(indent, l, p, ch):
         q = fifo_name(l, p, ch)
-        out.emit(indent, f"if {q}:")
-        out.emit(indent + 1, f"{q}.popleft()")
+        out.emit(indent, f"if {q}.drop(1):")
         out.emit(indent + 1, f"_st_{l}_{p}.fifo_pops += 1")
         out.emit(indent, "elif _R.strict_fifos:")
         out.emit(indent + 1, "raise _fifo_error(")

@@ -91,7 +91,6 @@ the interpreter is bounded to the error cycle itself.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -245,19 +244,16 @@ def fifo_tail(occupancy, n: int, ppp: int, reads):
 
 
 def _queue_reads(queue, prefix: int, ppp: int, n: int) -> np.ndarray:
-    """A read site's words over *n* periods off a scalar queue (0 past
-    its occupancy)."""
+    """A read site's words over *n* periods off a scalar
+    :class:`~repro.core.wordqueue.WordQueue` (0 past its occupancy): a
+    strided slice of the queue's buffer when it holds them all."""
     if not ppp:
         return np.full(n, queue[0] if queue else 0, np.int64)
     needed = prefix + (n - 1) * ppp + 1
-    avail = min(needed, len(queue))
-    if avail == needed:
-        words = np.fromiter(itertools.islice(queue, needed), np.int64,
-                            needed)
-    else:
-        words = np.zeros(needed, np.int64)
-        words[:avail] = np.fromiter(
-            itertools.islice(queue, avail), np.int64, avail)
+    words = queue.view(0, needed)
+    if len(words) < needed:
+        words = np.concatenate(
+            (words, np.zeros(needed - len(words), np.int64)))
     return words[prefix::ppp]
 
 
@@ -537,11 +533,7 @@ class NativePlan(_NativeWindows):
             landed, under = fifo_tail(len(queue), n, ppp, reads)
             underflows += under
             if landed:
-                if landed == len(queue):
-                    queue.clear()
-                else:
-                    for _ in range(landed):
-                        queue.popleft()
+                queue.drop(landed)
                 stats.fifo_pops += landed
         ring.fifo_underflows += underflows
         _book_stats(meta, n, T)

@@ -68,6 +68,10 @@ class RegisterFile:
             self._values[self._pending_index] = self._pending_value
             self._pending_index = None
 
+    def discard(self) -> None:
+        """Drop the staged write, if any (its cycle was aborted)."""
+        self._pending_index = None
+
     def snapshot(self) -> List[int]:
         """Copy of the committed register values (debug/trace helper)."""
         return list(self._values)

@@ -61,12 +61,11 @@ or ``"batch"``.
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import lcm
 from time import perf_counter
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import word
 from repro.core.config_memory import ConfigMemory, _Fingerprint
@@ -76,6 +75,7 @@ from repro.core.macropath import MAX_PERIOD, compile_macro
 from repro.core.nativepath import compile_native
 from repro.core.plancache import DEFAULT_CAPACITY, KERNELS, PlanCache
 from repro.core.switch import PortKind, PortSource, Switch
+from repro.core.wordqueue import WordQueue
 from repro.errors import ConfigurationError, SimulationError
 
 
@@ -331,7 +331,7 @@ class Ring:
             Switch(k, geometry.width, geometry.pipeline_depth)
             for k in range(geometry.layers)
         ]
-        self._fifos: Dict[Tuple[int, int, int], Deque[int]] = {}
+        self._fifos: Dict[Tuple[int, int, int], WordQueue] = {}
         self.config = ConfigMemory(self)
         self.cycles = 0
         self.fifo_underflows = 0
@@ -505,21 +505,33 @@ class Ring:
     # FIFO interface (Dnode sources FIFO1 / FIFO2)
     # ------------------------------------------------------------------
 
-    def fifo(self, layer: int, position: int, channel: int) -> Deque[int]:
-        """The input FIFO *channel* (1 or 2) of a Dnode; created on demand."""
+    def fifo(self, layer: int, position: int, channel: int) -> WordQueue:
+        """The input FIFO *channel* (1 or 2) of a Dnode; created on demand.
+
+        A :class:`~repro.core.wordqueue.WordQueue`: the deque subset
+        (``len``, ``q[i]``, iteration, ``append``/``extend``/``popleft``/
+        ``clear``) plus block pushes, gathers and pops.  The same object
+        serves the Dnode for the ring's life — :meth:`reset` and a
+        snapshot restore empty it in place — so a held handle stays live.
+        """
         if channel not in (1, 2):
             raise ConfigurationError(f"FIFO channel must be 1 or 2, got {channel}")
         self.dnode(layer, position)  # validates the address
         key = (layer, position, channel)
         if key not in self._fifos:
-            self._fifos[key] = deque()
+            self._fifos[key] = WordQueue()
         return self._fifos[key]
 
     def push_fifo(self, layer: int, position: int, channel: int,
                   values) -> None:
-        """Append one or more raw words to a Dnode input FIFO."""
+        """Append one or more raw words to a Dnode input FIFO.
+
+        An integer array or a list of ints takes one range check; a bad
+        word raises :func:`repro.word.check`'s message after the words in
+        front of it were queued (:meth:`WordQueue.push`).
+        """
         queue = self.fifo(layer, position, channel)
-        values = word.extend_checked(queue, values, "FIFO push")
+        values = queue.push(values, "FIFO push")
         key = (layer, position, channel)
         depth = len(queue)
         if depth > self.fifo_high_water.get(key, 0):
@@ -531,7 +543,8 @@ class Ring:
 
     def _fifo_peek(self, layer: int, position: int, channel: int) -> int:
         queue = self._fifos.get((layer, position, channel))
-        if not queue:
+        value = queue.peek() if queue is not None else None
+        if value is None:
             if self.strict_fifos:
                 raise SimulationError(
                     f"D{layer}.{position} read empty FIFO{channel} at cycle "
@@ -539,7 +552,7 @@ class Ring:
                 )
             self.fifo_underflows += 1
             return 0
-        return queue[0]
+        return value
 
     def _fifo_pop(self, layer: int, position: int, channel: int) -> bool:
         """Apply one requested pop; report whether a word actually left.
@@ -549,8 +562,7 @@ class Ring:
         so pop statistics never drift from real dequeues.
         """
         queue = self._fifos.get((layer, position, channel))
-        if queue:
-            queue.popleft()
+        if queue is not None and queue.drop(1):
             return True
         if self.strict_fifos:
             raise SimulationError(
@@ -759,7 +771,21 @@ class Ring:
 
     def _step_interpreted(self, bus: int,
                           host_in: Optional[HostReader]) -> None:
-        """One clock cycle through the reference interpreter."""
+        """One clock cycle through the reference interpreter.
+
+        A cycle that raises (a strict-FIFO underflow, a bad host word)
+        commits nothing more: every Dnode's staged writes are discarded,
+        so a later cycle cannot commit them.
+        """
+        try:
+            self._interpret_cycle(bus, host_in)
+        except BaseException:
+            for dn in self.all_dnodes():
+                dn.discard()
+            raise
+
+    def _interpret_cycle(self, bus: int,
+                         host_in: Optional[HostReader]) -> None:
         geometry = self.geometry
 
         # Phase 1: resolve inputs and evaluate every Dnode combinationally.

@@ -7,7 +7,10 @@ bandwidth data oriented computation".
 
 * :class:`StreamChannel` — an input stream presented on a direct port:
   one 16-bit word per fabric cycle (the head value is stable within a
-  cycle; the channel advances at the clock edge).
+  cycle; the channel advances at the clock edge).  Its words wait in a
+  :class:`~repro.core.wordqueue.WordQueue`, the same int64 buffer as a
+  Dnode input FIFO: a block push is range-checked once, a window is a
+  slice of the buffer and settling a window moves the head.
 * :class:`OutputTap` — samples a Dnode's output register every cycle
   (optionally after a pipeline-fill delay), collecting result streams.
 * :class:`DataController` — the bank of channels and taps a
@@ -16,7 +19,7 @@ bandwidth data oriented computation".
 With the ring's batch backend (``backend="batch"``) the same port
 serves B independent streams at once: construct the controller with
 ``batch=B`` and it hands out :class:`BatchStreamChannel` /
-:class:`BatchOutputTap` instead — per-lane queues, per-lane underrun
+:class:`BatchOutputTap` instead — per-lane deques, per-lane underrun
 accounting, per-lane sample streams — while keeping the exact same
 per-cycle protocol (``current``/``advance``/``observe``).
 
@@ -31,13 +34,13 @@ every window array carries one column per lane:
 
 * :meth:`DataController.window_reader` hands the native or macro
   kernel each routed channel's next T words as one int64 array
-  (:meth:`StreamChannel.window`: the queued head, padded with the idle
-  value) — nothing is consumed yet;
+  (:meth:`StreamChannel.window`: a slice of the queue from its head,
+  padded with the idle value) — nothing is consumed yet;
 * the kernel returns each tapped Dnode's post-edge outputs over the
   window, and :meth:`OutputTap.observe_window` applies the tap's
   schedule to them in closed form, advancing its cycle count exactly as
   T :meth:`~OutputTap.observe` calls would;
-* :meth:`DataController.settle` then pops the consumed words, counts
+* :meth:`DataController.settle` then drops the consumed words, counts
   them delivered, and counts one underrun per dry cycle on every routed
   channel (the per-cycle contract: a routed port is read every cycle,
   and a dry read counts once per cycle).
@@ -52,11 +55,13 @@ from typing import Deque, Dict, Iterable, List, Optional
 import numpy as np
 
 from repro import word
+from repro.core.wordqueue import WordQueue
 from repro.errors import HostError
 
 
 def _pop(queue: Deque[int], count: int) -> int:
-    """Pop up to *count* words off *queue*; returns how many went."""
+    """Pop up to *count* words off a lane's deque; returns how many
+    went."""
     count = min(count, len(queue))
     if count == len(queue):
         queue.clear()
@@ -104,7 +109,7 @@ def _window_picks(tap, values: np.ndarray, collected: int) -> np.ndarray:
 
 def _queue_window(queue: Deque[int], offset: int, out: np.ndarray) -> None:
     """Fill *out* with the words presented from *offset* past the head
-    of *queue*, leaving the idle padding where it runs dry."""
+    of a lane's deque, leaving the idle padding where it runs dry."""
     avail = min(len(out), len(queue) - offset)
     if avail > 0:
         out[:avail] = np.fromiter(
@@ -132,7 +137,7 @@ class StreamChannel:
 
     def __init__(self, values: Optional[Iterable[int]] = None,
                  idle_value: int = 0):
-        self._queue: Deque[int] = deque()
+        self._queue = WordQueue()
         self.idle_value = word.check(idle_value, "idle value")
         self.delivered = 0
         self.underruns = 0
@@ -143,11 +148,11 @@ class StreamChannel:
     def push(self, values) -> None:
         """Queue one word or an iterable of words for streaming.
 
-        A block of plain in-range ints is queued in one ``extend``; a
-        bad word raises after the words before it were queued
-        (:func:`repro.word.extend_checked`).
+        An integer array or a list of ints is range-checked once and
+        copied in whole; a bad word raises after the words before it
+        were queued (:meth:`~repro.core.wordqueue.WordQueue.push`).
         """
-        word.extend_checked(self._queue, values, "stream word")
+        self._queue.push(values, "stream word")
 
     def current(self) -> int:
         """The word presented on the port this cycle.
@@ -156,19 +161,18 @@ class StreamChannel:
         one cycle (datapath, trace observer, metrics), a dry queue counts
         at most one underrun until the next clock edge.
         """
-        if not self._queue:
+        value = self._queue.peek()
+        if value is None:
             if not self._dry_seen:
                 self._dry_seen = True
                 self.underruns += 1
             return self.idle_value
-        return self._queue[0]
+        return value
 
     def advance(self) -> None:
         """Clock edge: consume the presented word."""
         self._dry_seen = False
-        if self._queue:
-            self._queue.popleft()
-            self.delivered += 1
+        self.delivered += self._queue.drop(1)
 
     def window(self, offset: int, cycles: int) -> np.ndarray:
         """The words presented over *cycles* clocks, as one int64 array.
@@ -177,8 +181,11 @@ class StreamChannel:
         :attr:`idle_value` where the queue runs dry.  Nothing is consumed
         or counted; :meth:`settle` accounts for the window afterwards.
         """
+        words = self._queue.view(offset, cycles)
+        if len(words) == cycles:
+            return words.copy()
         out = np.full(cycles, self.idle_value, np.int64)
-        _queue_window(self._queue, offset, out)
+        out[:len(words)] = words
         return out
 
     def settle(self, executed: int, routed: bool) -> None:
@@ -189,7 +196,7 @@ class StreamChannel:
         """
         if not executed:
             return
-        consumed = _pop(self._queue, executed)
+        consumed = self._queue.drop(executed)
         self.delivered += consumed
         if routed:
             self.underruns += _dry_cycles(executed, consumed,
@@ -204,10 +211,7 @@ class StreamChannel:
         looks like.  Returns how many words were dropped (0 when the
         queue was already dry).
         """
-        if not self._queue:
-            return 0
-        self._queue.popleft()
-        return 1
+        return self._queue.drop(1)
 
     def pending(self) -> int:
         """Words still queued."""
@@ -710,7 +714,8 @@ class DataController:
                 ch.underruns = list(saved["underruns"])
                 ch._dry_seen = [False] * ch.batch
             else:
-                ch._queue = deque(saved["queue"])
+                ch._queue.clear()
+                ch._queue.extend(saved["queue"])
                 ch.delivered = saved["delivered"]
                 ch.underruns = saved["underruns"]
                 ch._dry_seen = False

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro import word
 from repro.compiler.codegen import compile_graph
 from repro.compiler.graph import CompileError, DataflowGraph
@@ -118,7 +120,7 @@ def echo_fabric(signal: Sequence[int], gain: int,
     """
     system = build_echo(gain, ring=ring, lane=lane, layers=layers)
     depth = system.ring.geometry.layers
-    system.data.stream(0, [word.from_signed(int(v)) for v in signal])
+    system.data.stream(0, np.asarray(signal, np.int64) & word.MASK)
     tap = system.data.add_tap(0, lane, limit=len(signal))
     system.run(len(signal))
     return EffectResult(

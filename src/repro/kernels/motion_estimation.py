@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import word
 from repro.controller.core import RiscController
@@ -65,26 +66,32 @@ class MotionEstimationResult:
 
 def _deal_candidates(reference_block: np.ndarray, search_area: np.ndarray,
                      n_dnodes: int):
-    """Round-robin candidate deal: per-Dnode (ref, cand) pair streams."""
+    """Round-robin candidate deal: per-Dnode (ref, cand) pair streams.
+
+    Returns ``(n_dnodes, batches * pairs)`` int64 arrays, one row per
+    Dnode: the reference block repeated once per batch, and the
+    candidates the Dnode handles, each flattened row-major (a sliding
+    window view of the search area).  Slots past the last candidate
+    carry the reference block, a padding SAD ignored on readout.
+    """
     bh, bw = reference_block.shape
     sh, sw = search_area.shape
     ny, nx = sh - bh + 1, sw - bw + 1
     n_candidates = ny * nx
     batches = -(-n_candidates // n_dnodes)  # ceil
+    pairs = bh * bw
 
-    ref_flat = [int(v) & 0xFFFF for v in reference_block.reshape(-1)]
-    ref_stream = [[] for _ in range(n_dnodes)]
-    cand_stream = [[] for _ in range(n_dnodes)]
-    for c in range(batches * n_dnodes):
-        dnode = c % n_dnodes
-        if c < n_candidates:
-            dy, dx = divmod(c, nx)
-            cand = search_area[dy:dy + bh, dx:dx + bw].reshape(-1)
-            cand_flat = [int(v) & 0xFFFF for v in cand]
-        else:
-            cand_flat = ref_flat  # padding candidate (ignored on readout)
-        ref_stream[dnode].extend(ref_flat)
-        cand_stream[dnode].extend(cand_flat)
+    ref_flat = reference_block.reshape(-1).astype(np.int64) & word.MASK
+    cands = np.empty((batches * n_dnodes, pairs), np.int64)
+    cands[:n_candidates] = sliding_window_view(
+        search_area, (bh, bw)).reshape(n_candidates, pairs)
+    cands[:n_candidates] &= word.MASK
+    cands[n_candidates:] = ref_flat
+    # Candidate c goes to Dnode c % n_dnodes, in batch c // n_dnodes.
+    cand_stream = cands.reshape(batches, n_dnodes, pairs).transpose(
+        1, 0, 2).reshape(n_dnodes, batches * pairs)
+    ref_stream = np.broadcast_to(np.tile(ref_flat, batches),
+                                 (n_dnodes, batches * pairs))
     return ref_stream, cand_stream, (ny, nx), batches
 
 

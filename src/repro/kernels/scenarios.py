@@ -38,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
+import numpy as np
+
 from repro import word
 from repro.core.config_memory import ConfigPlane
 from repro.core.isa import Dest, MicroWord, Opcode, Source
@@ -226,15 +228,14 @@ def run_synth_voice(envelope: Sequence[int],
         env_chunk = envelope[k * chunk:(k + 1) * chunk]
         ring.config.apply_plane(voice_plane)
         switches += 1
-        system.data.stream(
-            0, [word.from_signed(int(v)) for v in env_chunk])
+        system.data.stream(0, np.asarray(env_chunk, np.int64) & word.MASK)
         tap = system.data.add_tap(*VOICE_OUT, limit=chunk)
         _advance(system, chunk, per_cycle)
         dry = _collect(system, tap)
         dry_all.extend(dry)
         ring.config.apply_plane(echo_plane)
         switches += 1
-        system.data.stream(0, [word.from_signed(v) for v in dry])
+        system.data.stream(0, np.asarray(dry, np.int64) & word.MASK)
         tap = system.data.add_tap(0, SYNTH_ECHO_LANE, limit=chunk)
         _advance(system, chunk, per_cycle)
         wet_all.extend(_collect(system, tap))
@@ -288,8 +289,8 @@ def run_effects_chain(signal: Sequence[int],
                   else samples[lo - _CHORUS_PREFIX:lo])
         ring.config.apply_plane(chorus_plane)
         switches += 1
-        system.data.stream(0, [word.from_signed(v) for v in
-                               prefix + samples[lo:lo + chunk]])
+        system.data.stream(0, np.asarray(prefix + samples[lo:lo + chunk],
+                                         np.int64) & word.MASK)
         tap = system.data.add_tap(*EFFECTS_OUT, skip=_CHORUS_SKIP,
                                   limit=chunk)
         _advance(system, chunk + _CHORUS_SKIP, per_cycle)
@@ -297,7 +298,7 @@ def run_effects_chain(signal: Sequence[int],
         stage_all.extend(stage)
         ring.config.apply_plane(echo_plane)
         switches += 1
-        system.data.stream(0, [word.from_signed(v) for v in stage])
+        system.data.stream(0, np.asarray(stage, np.int64) & word.MASK)
         tap = system.data.add_tap(0, EFFECTS_ECHO_LANE, limit=chunk)
         _advance(system, chunk, per_cycle)
         wet_all.extend(_collect(system, tap))

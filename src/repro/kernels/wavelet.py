@@ -175,9 +175,10 @@ def lifting53_forward_fabric(signal: Sequence[int],
     even_stream, odd_stream = _border_streams(signal)
     half = len(signal) // 2
 
-    system.data.stream(0, [word.from_signed(v) for v in even_stream])
-    ring.push_fifo(2, 0, 2, [0] * ODD_FIFO_DELAY
-                   + [word.from_signed(v) for v in odd_stream])
+    system.data.stream(0, np.asarray(even_stream, np.int64) & word.MASK)
+    odds = np.zeros(ODD_FIFO_DELAY + len(odd_stream), np.int64)
+    odds[ODD_FIFO_DELAY:] = np.asarray(odd_stream, np.int64) & word.MASK
+    ring.push_fifo(2, 0, 2, odds)
     detail_tap, approx_tap = _coefficient_taps(system, half)
 
     cycles = len(even_stream) + APPROX_LATENCY

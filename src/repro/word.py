@@ -106,40 +106,6 @@ def check_rows(block, what: str = "value"):
     return [check_block(row, what) for row in block]
 
 
-def extend_checked(queue, values, what: str = "value") -> list:
-    """Append one raw word or a block of them to *queue*.
-
-    Any integer scalar (a NumPy one included) is one word, and so is
-    every integer element of a block.  Plain ints in range (an integer
-    ndarray's included) take one range check and one ``extend`` for the
-    whole block.  Anything else is checked word by word as
-    :func:`check`, so a bad word raises the same error after the same
-    partial push as a word-by-word loop.  Returns the block as a list.
-    """
-    if isinstance(values, Integral):
-        values = [_plain(values)]
-    elif getattr(values, "dtype", None) is not None and \
-            values.dtype.kind in "iu":
-        values = values.tolist()
-    else:
-        values = list(values)
-    if (values and set(map(type, values)) == {int}
-            and 0 <= min(values) and max(values) <= MASK):
-        queue.extend(values)
-    else:
-        for v in values:
-            queue.append(check(_plain(v), what))
-    return values
-
-
-def _plain(value):
-    """A NumPy integer scalar as a Python int; anything else (Python
-    ints, bools and int subclasses included) as it is."""
-    if isinstance(value, Integral) and not isinstance(value, int):
-        return int(value)
-    return value
-
-
 def saturate_signed(value: int) -> int:
     """Clamp a Python integer into signed 16-bit range and return raw bits.
 

@@ -8,6 +8,8 @@ from repro.core.ring import Ring, RingGeometry, make_ring
 from repro.core.switch import PortSource
 from repro.errors import ConfigurationError, SimulationError
 
+from tests.conftest import rung_seam
+
 
 def mov_out_in1():
     return MicroWord(Opcode.MOV, Source.IN1, dst=Dest.OUT)
@@ -217,13 +219,72 @@ class TestFifos:
         ring8.push_fifo(0, 0, 2, values)
         queue = ring8.fifo(0, 0, 2)
         assert list(queue) == [1, 513, 0, 0, 0xFFFF]
-        # Stored as pushed, exactly as the per-word check leaves them.
-        assert [type(v) for v in queue] == [bool, Raw, int, bool, int]
+        # A WordQueue stores 16-bit words and hands back plain ints.
+        assert [type(v) for v in queue] == [int, int, int, int, int]
 
     def test_block_push_updates_high_water(self, ring8):
         ring8.push_fifo(0, 0, 1, range(300))
         assert len(ring8.fifo(0, 0, 1)) == 300
         assert ring8.fifo_high_water[(0, 0, 1)] == 300
+
+
+class TestAbortedCycle:
+    """A cycle aborted by a strict-FIFO error commits nothing later.
+
+    D0.0 stages ``R0 = OUT = SELF + 7`` before D1.0's read of an empty
+    FIFO1 aborts the cycle.  The next cycle runs both Dnodes as NOPs and
+    must leave D0.0 at 0, and the one after adds 7 once.  With *warm*
+    kernels (compiled by an earlier ring) every cycle but the
+    interpreter's binds a macro kernel, so the abort and the NOP cycle
+    run on the macro rung.
+    """
+
+    @staticmethod
+    def _ring(column: str) -> Ring:
+        backend = "interpreter" if column == "interpreter" else "native"
+        ring = Ring(RingGeometry(layers=2, width=1), strict_fifos=True,
+                    backend=backend)
+        ring.config.write_microword(0, 0, MicroWord(
+            Opcode.ADD, Source.SELF, Source.IMM, Dest.R0,
+            flags=Flag.WRITE_OUT, imm=7))
+        ring.config.write_microword(1, 0, MicroWord(
+            Opcode.MOV, Source.FIFO1, dst=Dest.OUT, flags=Flag.POP_FIFO1))
+        return ring
+
+    @staticmethod
+    def _write_both(ring: Ring, first: MicroWord) -> None:
+        ring.config.write_microword(0, 0, first)
+        ring.config.write_microword(1, 0, MicroWord(Opcode.NOP))
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("column", ["interpreter", "native",
+                                        "fastpath"])
+    def test_staged_writes_are_discarded(self, column, warm):
+        nop = MicroWord(Opcode.NOP)
+        again = MicroWord(Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT,
+                          imm=7)
+        with rung_seam(column):
+            if warm:
+                warmup = self._ring(column)
+                warmup.push_fifo(1, 0, 1, [1, 2])
+                warmup.run(2)
+                for first in (nop, again):
+                    self._write_both(warmup, first)
+                    warmup.run(2)
+            ring = self._ring(column)
+            with pytest.raises(SimulationError,
+                               match="D1.0 read empty FIFO1 at cycle 0"):
+                ring.step()
+            self._write_both(ring, nop)
+            ring.step()
+            d00 = ring.dnode(0, 0)
+            assert (d00.out, d00.regs.read(0)) == (0, 0)
+            self._write_both(ring, again)
+            ring.step()
+            assert d00.out == 7
+            assert ring.cycles == 2
+        if warm and column != "interpreter":
+            assert ring.macro_cycles == 2
 
 
 class TestEngine:

@@ -20,6 +20,11 @@ where the bulk path runs the controller's quiet spans (``WAITI``
 countdowns, a halted drain) as windows and must match an interpreter
 system stepped one cycle at a time.
 
+Ring FIFOs and host streams are word queues gathered as slices and
+popped by moving a head, so :class:`TestDryQueues` drains them mid-window
+on every rung (native and macro windows, one-cycle macro calls and
+stepped cycles), refills them, and pushes in every accepted form.
+
 The Hypothesis suites are derandomized (pinned example sequence, no
 deadline) like the ring-level differential suite.
 """
@@ -1751,3 +1756,195 @@ class TestMacroStepping:
         assert systems[0].data.taps[0].samples == \
             systems[1].data.taps[0].samples
         assert state_digest(ring) == state_digest(reference)
+
+
+#: How a generated case hands its words to a queue: one list, one int64
+#: array, one NumPy scalar per push, or a list of NumPy scalars.
+_PUSH_FORMS = ("list", "array", "scalars", "scalar_list")
+
+
+def _push_as(push, words, form: str) -> None:
+    """Push *words* in *form*; every form pushes at least once, so an
+    empty load opens its queue or channel as a list push does."""
+    if form == "array":
+        push(np.asarray(words, np.int64))
+    elif form == "scalars" and words:
+        for value in words:
+            push(np.int64(value))
+    elif form == "scalar_list":
+        push([np.uint16(value) for value in words])
+    else:
+        push(list(words))
+
+
+@st.composite
+def dry_queue_systems(draw, strict: bool = False):
+    """Fabrics whose FIFOs and host streams run dry mid-window.
+
+    A feed-forward fabric that keeps its FIFO reads and pops, with one
+    planted Dnode that adds FIFO1 (popped every cycle, 1-8 words) to
+    host channel 0 (1-24 words), so both queues run dry inside the
+    last 48-cycle chunk if not before.  Half the fabrics also get a
+    nonlinear Dnode, so macro windows serve them.  Loads are pushed in
+    one drawn form (:data:`_PUSH_FORMS`), and before one drawn chunk
+    every loaded queue is refilled (another form), so a drained queue
+    fills again.  Each case carries a rollback chunk and an optional
+    hand-off to a fresh ring.
+    """
+    spec = _cut_feedback_into_layer0(_feed_forward(draw(ring_specs(
+        min_layers=2, max_layers=4, min_width=1, max_width=3,
+        max_local=4)), fifos=True))
+    cells = list(spec["cells"])
+    k = draw(st.integers(0, len(cells) - 1))
+    layer, pos, _mw, _local, routes, _loads = cells[k]
+    reader = MicroWord(Opcode.ADD, Source.FIFO1, Source.IN1, Dest.OUT,
+                       flags=Flag.POP_FIFO1)
+    cells[k] = (layer, pos, reader, None, {**routes, 1: PortSource.host(0)},
+                {1: draw(st.lists(st.integers(0, 0xFFFF), min_size=1,
+                                  max_size=8))})
+    spec = dict(spec, cells=cells)
+    nonlinear = not strict and draw(st.booleans())
+    if nonlinear:
+        spec = _plant(draw, spec)
+    layers, width = spec["layers"], spec["width"]
+    taps = draw(st.lists(st.tuples(
+        st.integers(0, layers - 1), st.integers(0, width - 1),
+        st.integers(0, 6), st.integers(1, 4),
+        st.one_of(st.none(), st.integers(0, 24))), min_size=1, max_size=4))
+    streams = draw(st.dictionaries(
+        st.integers(1, 3), st.lists(st.integers(0, 0xFFFF), max_size=24),
+        max_size=3))
+    streams[0] = draw(st.lists(st.integers(0, 0xFFFF), min_size=1,
+                               max_size=24))
+    chunks = draw(st.lists(st.integers(0, 48), min_size=1, max_size=4))
+    chunks.append(48)
+    forms = (draw(st.sampled_from(_PUSH_FORMS)),
+             draw(st.sampled_from(_PUSH_FORMS)))
+    refill = (draw(st.integers(0, len(chunks) - 1)),
+              draw(st.lists(st.integers(0, 0xFFFF), max_size=12)))
+    rollback = draw(st.integers(0, len(chunks) - 1))
+    handoff = draw(st.one_of(st.none(), st.integers(0, len(chunks) - 1)))
+    return dict(spec=spec, taps=taps, streams=streams, chunks=chunks,
+                forms=forms, refill=refill, rollback=rollback,
+                handoff=handoff, nonlinear=nonlinear)
+
+
+def _dry_run(case, forms=None, step: bool = False, handoff: bool = False,
+             **ring_kwargs):
+    """Run one :func:`dry_queue_systems` case; returns the system that
+    finished and the error message that stopped it (or None).
+
+    *forms* overrides the case's push forms; *step* advances one
+    :meth:`RingSystem.step` per cycle instead of one ``run`` per chunk.
+    """
+    spec = case["spec"]
+    forms = forms or case["forms"]
+    geometry = RingGeometry(layers=spec["layers"], width=spec["width"])
+    loads = [(layer, pos, channel, words)
+             for layer, pos, *_, cell_loads in spec["cells"]
+             for channel, words in cell_loads.items()]
+
+    def build(ring: Ring) -> RingSystem:
+        system = RingSystem(ring)
+        for layer, pos, skip, every, limit in case["taps"]:
+            system.data.add_tap(layer, pos, skip=skip, every=every,
+                                limit=limit)
+        return system
+
+    def load(system: RingSystem, form: str, refill=None) -> None:
+        ring = system.ring
+        for layer, pos, channel, words in loads:
+            _push_as(lambda v, l=layer, p=pos, c=channel:
+                     ring.push_fifo(l, p, c, v),
+                     words if refill is None else refill, form)
+        for channel, words in case["streams"].items():
+            _push_as(lambda v, c=channel: system.data.stream(c, v),
+                     words if refill is None else refill, form)
+
+    def advance(system: RingSystem, cycles: int) -> None:
+        if step:
+            for _ in range(cycles):
+                system.step()
+        else:
+            system.run(cycles)
+
+    bare = dict(spec, cells=[cell[:5] + ({},) for cell in spec["cells"]])
+    system = build(apply_spec(Ring(geometry, **ring_kwargs), bare))
+    load(system, forms[0])
+    refill_at, refill_words = case["refill"]
+    try:
+        for k, chunk in enumerate(case["chunks"]):
+            if handoff and k == case["handoff"]:
+                saved = system.checkpoint()
+                system = build(Ring(geometry, **ring_kwargs))
+                system.restore_checkpoint(saved)
+            if k == refill_at:
+                load(system, forms[1], refill_words)
+            if k == case["rollback"]:
+                saved = system.checkpoint()
+                advance(system, chunk)
+                system.restore_checkpoint(saved)
+            advance(system, chunk)
+    except SimulationError as exc:
+        return system, str(exc)
+    return system, None
+
+
+#: Engine columns of the dry-queue differential: (rung seam, drive).
+#: ``fastpath`` runs every macro window one cycle per kernel call
+#: (:func:`tests.conftest.macro_stepped`); ``stepped`` drives a native
+#: ring one :meth:`RingSystem.step` at a time.
+_DRY_COLUMNS = {"native": ("native", False), "macro": ("macro", False),
+                "fastpath": ("fastpath", False),
+                "stepped": ("native", True)}
+
+
+class TestDryQueues:
+    """Word queues that run dry mid-window, on every rung.
+
+    Ring FIFOs and host streams are :class:`~repro.core.wordqueue
+    .WordQueue` buffers: windows gather them as slices and pop them by
+    moving the head.  Each generated case drains them inside native
+    windows, macro windows (whole, or one cycle per kernel call) and
+    stepped cycles, refills them, rolls back and hands off to a fresh
+    ring, with pushes given as lists, int64 arrays and NumPy scalars.
+    The per-cycle interpreter, fed plain lists, is the spec.
+    """
+
+    @pytest.mark.parametrize("column", list(_DRY_COLUMNS))
+    @given(case=dry_queue_systems())
+    @settings(max_examples=40, **_SETTINGS)
+    def test_dry_queues_match_interpreter(self, column, case):
+        seam, step = _DRY_COLUMNS[column]
+        with rung_seam(seam):
+            got, got_error = _dry_run(case, step=step, handoff=True)
+        want, want_error = _dry_run(case, forms=("list", "list"),
+                                    backend="interpreter")
+        assert got_error is want_error is None
+        assert got.data.capture_state() == want.data.capture_state()
+        assert state_digest(got.ring) == state_digest(want.ring)
+        assert got.cycles == want.cycles == sum(case["chunks"])
+        if not step:
+            _assert_ladder_served(got.cycle_paths, case["nonlinear"])
+        if column == "native" and got.ring.native_refusal is None:
+            assert got.ring.native_cycles > 0
+
+    @pytest.mark.parametrize("column", list(_DRY_COLUMNS))
+    @given(case=dry_queue_systems(strict=True))
+    @settings(max_examples=30, **_SETTINGS)
+    def test_strict_fifo_error_on_the_exact_cycle(self, column, case):
+        """A strict FIFO raises on the cycle the interpreter does, with
+        its message, taps and stream underruns; the aborted cycle's
+        partial fabric state is each engine's own."""
+        seam, step = _DRY_COLUMNS[column]
+        with rung_seam(seam):
+            got, got_error = _dry_run(case, step=step, handoff=True,
+                                      strict_fifos=True)
+        want, want_error = _dry_run(case, forms=("list", "list"),
+                                    backend="interpreter",
+                                    strict_fifos=True)
+        assert got_error == want_error
+        assert "empty FIFO" in want_error
+        assert got.ring.cycles == want.ring.cycles
+        assert got.cycles == want.cycles
+        assert got.data.capture_state() == want.data.capture_state()
