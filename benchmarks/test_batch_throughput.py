@@ -90,8 +90,8 @@ def _measure() -> dict:
             ring.batch
         ring.run(4, host_in=_host_zero)
         assert ring._batch_engine is not None
-        # The native lane rung served the warm-up (it builds no
-        # per-cycle lane kernels).
+        # The native lane rung served the warm-up (it builds no macro
+        # lane kernel).
         assert ring.native_cycles == 4
         points[f"batch_{batch}"] = (_cycles_per_second(ring, cycles), batch)
     return points

@@ -205,7 +205,7 @@ class MetricsRegistry:
             ("native_fallback_cycles_total", "counter",
              "Cycles a native-backend ring handed down the fall-back "
              "ladder (ineligible config, sub-period remainder, "
-             "strict-FIFO window), or a batch ring ran on per-cycle lane "
+             "strict-FIFO window), or a batch ring ran on macro lane "
              "kernels.",
              getattr(ring, "native_fallback_cycles", 0)),
             ("ring_config_writes_total", "counter",
@@ -333,10 +333,8 @@ class MetricsRegistry:
         scalar = [
             ("batch_lanes", "gauge",
              "Independent streams advanced per batch step.", lanes),
-            ("batch_plan_compiles_total", "counter",
-             "Batch kernel sets compiled.", engine.compiles),
             ("batch_plan_invalidations_total", "counter",
-             "Batch kernel sets dropped by reconfiguration.",
+             "Lane plans dropped by reconfiguration.",
              engine.invalidations),
             ("batch_fifo_underflows_total", "counter",
              "FIFO underflows summed across every lane.",

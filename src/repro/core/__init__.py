@@ -29,7 +29,7 @@ from repro.core.config_memory import ConfigMemory, ConfigPlane
 from repro.core.address_map import AddressMap
 from repro.core.snapshot import RingSnapshot, capture, restore
 from repro.core.ring import Ring, RingGeometry
-from repro.core.batchpath import BatchRing, batch_execute_op
+from repro.core.batchpath import BatchRing
 
 __all__ = [
     "Flag",
@@ -56,5 +56,4 @@ __all__ = [
     "Ring",
     "RingGeometry",
     "BatchRing",
-    "batch_execute_op",
 ]

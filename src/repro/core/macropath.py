@@ -66,6 +66,16 @@ touches.  Binding (:class:`MacroPlan`) executes that code object in
 globals naming one ring's state containers, which costs microseconds,
 so the ring can keep templates in the process-wide kernel cache and
 bind them to every fresh ring (see :mod:`repro.core.plancache`).
+
+The same emitter serves a batch ring's lanes, as the native one does:
+``macro_template(ring, lanes=True)`` emits the kernel over a
+:class:`~repro.core.batchpath.BatchRing`'s lane arrays, every value a
+row of one word per lane and every op the NumPy expression the native
+kernels use (:func:`_vector_expr`), and :class:`MacroLanePlan` binds it
+(cached under tier ``"macro_lanes"``).  It is the second rung of the
+lane ladder, taking every lane cycle native does not; over the unroll
+cap a lane kernel is baked for one cycle at the live phase instead
+(``period=1``) and called once per cycle.
 """
 
 from __future__ import annotations
@@ -91,19 +101,40 @@ MAX_UNROLL_CELLS = 4096
 
 
 def _signed(expr: str) -> str:
-    """Branchless signed reinterpretation of a canonical 16-bit value."""
+    """Branchless signed reinterpretation of a canonical 16-bit value
+    (elementwise on arrays)."""
     return f"((({expr}) ^ 32768) - 32768)"
 
 
+def _clip(expr: str) -> str:
+    """Saturate to signed 16-bit range, then re-encode as raw bits."""
+    return f"(np.minimum(np.maximum({expr}, -32768), 32767) & 65535)"
+
+
 def _compute_expr(mw: MicroWord, a: str, b: Optional[str],
-                  acc: Optional[str]) -> str:
+                  acc: Optional[str], vector: bool = False) -> str:
     """Inline Python expression for one microword's combinational result.
 
     Operand expressions are pure (temporaries / attribute / index reads),
-    so duplicating them inside a template is safe.
+    so duplicating them inside a template is safe.  With *vector* the
+    operands may be NumPy arrays and the expression is elementwise (see
+    :func:`_vector_expr`).
     """
     op = mw.op
     S = _signed
+    if vector:
+        sat, absolute = _clip, "np.abs"
+
+        def pick(cond: str, x: str, y: str) -> str:
+            return f"np.where({cond}, {x}, {y})"
+    else:
+        absolute = "abs"
+
+        def sat(expr: str) -> str:
+            return f"_sat({expr})"
+
+        def pick(cond: str, x: str, y: str) -> str:
+            return f"(({x}) if {cond} else ({y}))"
     if op is Opcode.MOV:
         return a
     if op is Opcode.ADD:
@@ -117,7 +148,7 @@ def _compute_expr(mw: MicroWord, a: str, b: Optional[str],
     if op is Opcode.MAC:
         return f"({S(a)} * {S(b)} + {S(acc)}) & 65535"
     if op is Opcode.MACS:
-        return f"_sat({S(a)} * {S(b)} + {S(acc)})"
+        return sat(f"{S(a)} * {S(b)} + {S(acc)}")
     if op is Opcode.MADD or op is Opcode.MSUB:
         coeff = word.to_signed(mw.imm)
         sign = "+" if op is Opcode.MADD else "-"
@@ -133,7 +164,7 @@ def _compute_expr(mw: MicroWord, a: str, b: Optional[str],
     if op is Opcode.NEG:
         return f"(-{S(a)}) & 65535"
     if op is Opcode.ABS:
-        return f"abs({S(a)}) & 65535"
+        return f"{absolute}({S(a)}) & 65535"
     if op is Opcode.SHL:
         return f"(({a}) << (({b}) & 15)) & 65535"
     if op is Opcode.SHR:
@@ -141,22 +172,31 @@ def _compute_expr(mw: MicroWord, a: str, b: Optional[str],
     if op is Opcode.ASR:
         return f"({S(a)} >> (({b}) & 15)) & 65535"
     if op is Opcode.ABSDIFF:
-        return f"abs({S(a)} - {S(b)}) & 65535"
+        return f"{absolute}({S(a)} - {S(b)}) & 65535"
     if op is Opcode.MIN:
-        return f"(({a}) if {S(a)} <= {S(b)} else ({b}))"
+        return pick(f"{S(a)} <= {S(b)}", a, b)
     if op is Opcode.MAX:
-        return f"(({a}) if {S(a)} >= {S(b)} else ({b}))"
+        return pick(f"{S(a)} >= {S(b)}", a, b)
     if op is Opcode.ADDSAT:
-        return f"_sat({S(a)} + {S(b)})"
+        return sat(f"{S(a)} + {S(b)}")
     if op is Opcode.SUBSAT:
-        return f"_sat({S(a)} - {S(b)})"
+        return sat(f"{S(a)} - {S(b)}")
     if op is Opcode.CMPEQ:
-        return f"(1 if ({a}) == ({b}) else 0)"
+        return pick(f"({a}) == ({b})", "1", "0")
     if op is Opcode.CMPLT:
-        return f"(1 if {S(a)} < {S(b)} else 0)"
+        return pick(f"{S(a)} < {S(b)}", "1", "0")
     if op is Opcode.AVG2:
         return f"(({S(a)} + {S(b)}) >> 1) & 65535"
-    raise SimulationError(f"opcode {op!r} has no macro template")
+    raise Ineligible(f"opcode {op!r} has no generated form")
+
+
+def _vector_expr(mw: MicroWord, a: str, b: Optional[str],
+                 acc: Optional[str]) -> str:
+    """NumPy array expression for one microword, elementwise over
+    operand arrays: the one the native kernels and the macro lane
+    kernels share (saturation clips, comparisons select with
+    ``np.where``)."""
+    return _compute_expr(mw, a, b, acc, vector=True)
 
 
 class Ineligible(Exception):
@@ -201,16 +241,19 @@ class SteadySchedule:
       is the set of their channels.
 
     Raises :class:`Ineligible` when the period would bloat the generated
-    source (LCM above :data:`MAX_PERIOD`, or too many Dnode-cycles).
+    source (LCM above :data:`MAX_PERIOD`, or too many Dnode-cycles).  An
+    explicit *period* bakes that many cycles from the live phase instead
+    (one, for a lane kernel over the cap), with no cap to check.
     """
 
-    def __init__(self, ring: "Ring"):
-        period = macro_period(ring)
-        if (period > MAX_PERIOD
-                or period * ring.geometry.dnodes > MAX_UNROLL_CELLS):
-            raise Ineligible(
-                f"period {period} over the unroll cap ({MAX_PERIOD} "
-                f"cycles, {MAX_UNROLL_CELLS} Dnode-cycles)")
+    def __init__(self, ring: "Ring", period: Optional[int] = None):
+        if period is None:
+            period = macro_period(ring)
+            if (period > MAX_PERIOD
+                    or period * ring.geometry.dnodes > MAX_UNROLL_CELLS):
+                raise Ineligible(
+                    f"period {period} over the unroll cap ({MAX_PERIOD} "
+                    f"cycles, {MAX_UNROLL_CELLS} Dnode-cycles)")
         self.period = period
         self.words: Dict[tuple, List[MicroWord]] = {}
         self.own_period: Dict[tuple, int] = {}
@@ -301,7 +344,8 @@ class MacroPlan(SteadyPlan):
     __slots__ = ("_kernel", "_ring", "_nodes", "_stat_entries", "_locals",
                  "_phases")
 
-    def __init__(self, template: "MacroTemplate", ring: "Ring"):
+    def __init__(self, template: "MacroTemplate", ring: "Ring",
+                 env: Optional[Dict[str, object]] = None):
         nodes = tuple(ring.all_dnodes())
         super().__init__(template, nodes)
         self._ring = ring
@@ -309,25 +353,28 @@ class MacroPlan(SteadyPlan):
         self._stat_entries = template.schedule.bind_stats(nodes)
         self._locals = tuple(lc for lc, _c0, _limit in self._counter_entries)
         self._phases = template.phases
-        env: Dict[str, object] = {
-            "_R": ring,
-            "_chk": word.check,
-            "_sat": word.saturate_signed,
-            "_SE": SimulationError,
-            "_fifo_error": _fifo_error,
-        }
-        for l, sw in enumerate(ring._switches):
-            env[f"_sw_{l}"] = sw
-            for j, pipe in enumerate(sw._pipes):
-                env[f"_pp_{l}_{j}"] = pipe
-            for p, dn in enumerate(ring._dnodes[l]):
-                env[f"_d_{l}_{p}"] = dn
-                env[f"_rv_{l}_{p}"] = dn.regs._values
-                env[f"_st_{l}_{p}"] = dn.stats
-        for l, p, ch in template.fifos:
-            env[f"_q_{l}_{p}_{ch}"] = ring.fifo(l, p, ch)
+        if env is None:
+            env = {
+                "_R": ring,
+                "_chk": word.check,
+                "_sat": word.saturate_signed,
+                "_SE": SimulationError,
+                "_fifo_error": _fifo_error,
+            }
+            for l, sw in enumerate(ring._switches):
+                env[f"_sw_{l}"] = sw
+                for j, pipe in enumerate(sw._pipes):
+                    env[f"_pp_{l}_{j}"] = pipe
+                for p, dn in enumerate(ring._dnodes[l]):
+                    env[f"_d_{l}_{p}"] = dn
+                    env[f"_rv_{l}_{p}"] = dn.regs._values
+                    env[f"_st_{l}_{p}"] = dn.stats
+            for l, p, ch in template.fifos:
+                env[f"_q_{l}_{p}_{ch}"] = ring.fifo(l, p, ch)
         exec(template.code, env)
-        self._kernel = env["_kernel"]
+        # Popped, so the kernel's globals do not hold the kernel: a
+        # retired engine is then freed by reference counting alone.
+        self._kernel = env.pop("_kernel")
 
     def phase(self) -> Optional[int]:
         """Where the live local counters sit in the baked period, or
@@ -400,13 +447,83 @@ class MacroPlan(SteadyPlan):
             lc._counter = (c0 + end) % limit
 
 
+class MacroLanePlan(MacroPlan):
+    """A lane :class:`MacroTemplate` bound to one batch engine.
+
+    The kernel runs the scalar kernel's cycles over the engine's
+    ``outs`` / ``regs`` / ``pipes`` lane arrays and lane FIFOs: every
+    operand is a row of one word per lane, an op is one NumPy expression
+    (:func:`_vector_expr`), and FIFO peeks and pops count underflows and
+    pops per lane.  Control is lane-invariant, so the local counters,
+    statistics and cycle count stay the ring's, advanced in closed form
+    exactly as on a scalar ring.
+    """
+
+    __slots__ = ("_outs", "_batch")
+
+    def __init__(self, template: "MacroTemplate", engine):
+        ring = engine.ring
+        env: Dict[str, object] = {
+            "np": np,
+            "_R": ring,
+            "_E": engine,
+            "_hw": engine._host_word,
+            "_SE": SimulationError,
+            "_fifo_error": _fifo_error,
+            "_U": engine.lane_underflows,
+            "_O": engine.outs,
+            "_PP": engine.pipes,
+            "_UP": np.array([ring.upstream_layer(k)
+                             for k in range(ring.geometry.layers)]),
+        }
+        for l, sw in enumerate(ring._switches):
+            env[f"_sw_{l}"] = sw
+            for j in range(ring.geometry.width):
+                env[f"_pp_{l}_{j}"] = engine.pipes[l, j]
+                env[f"_o_{l}_{j}"] = engine.outs[l, j]
+                env[f"_rv_{l}_{j}"] = engine.regs[l, j]
+                env[f"_fp_{l}_{j}"] = engine.lane_fifo_pops[(l, j)]
+        for key in template.fifos:
+            env["_q_%d_%d_%d" % key] = engine._fifo_for(key)
+        super().__init__(template, ring, env)
+        self._batch = engine.batch
+        self._outs = engine.outs.reshape(-1, engine.batch)
+
+    def run(self, cycles: int, bus: int, host_in,
+            taps: Sequence[int] = ()) -> List[np.ndarray]:
+        """Advance every lane *cycles* fabric clocks from the current
+        phase (see :meth:`MacroPlan.run`).
+
+        *host_in* may return a word or a ``(lanes,)`` array per read; a
+        window reader's ``gather`` hands over ``(cycles, lanes)`` arrays.
+        Returns one ``(cycles, lanes)`` array of post-edge outputs per
+        Dnode index in *taps*.
+        """
+        ring = self._ring
+        c0 = ring.cycles
+        entry = self.phase()
+        windows = None
+        gather = getattr(host_in, "gather", None)
+        if gather is not None:
+            windows = {ch: gather(ch, c0, cycles)
+                       for ch in self.host_channels}
+        outs = [np.empty((cycles, self._batch), np.int64) for _ in taps]
+        sinks = tuple((self._outs[i], out) for i, out in zip(taps, outs))
+        try:
+            self._kernel(cycles, entry, bus, host_in, windows, sinks)
+        finally:
+            self._finish(entry, ring.cycles - c0)
+        return outs
+
+
 class MacroTemplate:
     """A compiled macro kernel with no ring in it.
 
     ``code`` defines ``_kernel`` over the names a :class:`MacroPlan`
     puts in its globals: each Dnode, register file, statistics record,
     switch and pipeline lane by position, the FIFOs in ``fifos`` and
-    the ring.  ``phases`` maps each counter state of the schedule's
+    the ring (a lane kernel's, over the lane rows and lane FIFOs a
+    :class:`MacroLanePlan` binds).  ``phases`` maps each counter state of the schedule's
     orbit (local Dnodes layer-major) to its phase in the baked period.
     """
 
@@ -424,6 +541,10 @@ class MacroTemplate:
     def bind(self, ring: "Ring") -> MacroPlan:
         """Exec the shared code over *ring*'s state containers."""
         return MacroPlan(self, ring)
+
+    def bind_lanes(self, engine) -> MacroLanePlan:
+        """Exec the shared lane code over a batch *engine*'s lanes."""
+        return MacroLanePlan(self, engine)
 
 
 class _Emitter:
@@ -449,16 +570,18 @@ def macro_period(ring: "Ring") -> int:
 
 
 def compile_macro(ring: "Ring",
-                  refusal: Optional[List[str]] = None
-                  ) -> Optional[MacroPlan]:
+                  refusal: Optional[List[str]] = None,
+                  engine=None) -> Optional[MacroPlan]:
     """Fuse *ring*'s current configuration into a macro kernel.
 
-    Returns the :class:`MacroTemplate` bound to *ring*, or None when the
-    configuration is ineligible (period too large to unroll); the caller
-    interprets it.  The reason is appended to *refusal* when a list is
-    given.
+    Returns the :class:`MacroTemplate` bound to *ring* — or, given the
+    ring's batch *engine*, the lane template bound to its lanes — or
+    None when the configuration is ineligible (period too large to
+    unroll).  The reason is appended to *refusal* when a list is given.
     """
     try:
+        if engine is not None:
+            return macro_template(ring, lanes=True).bind_lanes(engine)
         return macro_template(ring).bind(ring)
     except Ineligible as exc:
         if refusal is not None:
@@ -466,11 +589,18 @@ def compile_macro(ring: "Ring",
         return None
 
 
-def macro_template(ring: "Ring") -> MacroTemplate:
+def macro_template(ring: "Ring", lanes: bool = False,
+                   period: Optional[int] = None) -> MacroTemplate:
     """Generate and compile the macro kernel for *ring*'s configuration
     and the orbit of its entry phase; raises :class:`Ineligible` when
-    it has none."""
-    steady = SteadySchedule(ring)
+    it has none.
+
+    With *lanes* the kernel runs a batch engine's lanes
+    (:class:`MacroLanePlan`): the same schedule and cycle structure, with
+    every value a row of one word per lane.  An explicit *period* bakes
+    that many cycles from the live phase (see :class:`SteadySchedule`).
+    """
+    steady = SteadySchedule(ring, period)
     geometry = ring.geometry
     period = steady.period
     layers, width = geometry.layers, geometry.width
@@ -481,6 +611,28 @@ def macro_template(ring: "Ring") -> MacroTemplate:
         if (l, p, ch) not in fifos:
             fifos.append((l, p, ch))
         return f"_q_{l}_{p}_{ch}"
+
+    # Where the two variants name state differently: a lane kernel's OUT
+    # latches are rows of the engine's outs array, stored into in place,
+    # and its pipelines share the engine's one rotation head.
+    if lanes:
+        def out_of(l: int, p: int) -> str:
+            return f"_o_{l}_{p}"
+
+        def store_out(l: int, p: int, value: str) -> str:
+            return f"_o_{l}_{p}[:] = {value}"
+
+        def head(k: int) -> str:
+            return "_hd"
+    else:
+        def out_of(l: int, p: int) -> str:
+            return f"_d_{l}_{p}._out"
+
+        def store_out(l: int, p: int, value: str) -> str:
+            return f"_d_{l}_{p}._out = {value}"
+
+        def head(k: int) -> str:
+            return f"_hd_{k}"
 
     # --- statement generators -----------------------------------------
 
@@ -499,25 +651,40 @@ def macro_template(ring: "Ring") -> MacroTemplate:
                  f"{p} to host channel {channel}, but no host \"")
         out.emit(indent + 3, "\"reader was supplied\"")
         out.emit(indent + 2, ")")
-        out.emit(indent + 1,
-                 f"{temp} = _chk(host_in({channel}), "
-                 f"'host channel {channel}')")
+        if lanes:
+            out.emit(indent + 1,
+                     f"{temp} = _hw(host_in({channel}), {channel})")
+        else:
+            out.emit(indent + 1,
+                     f"{temp} = _chk(host_in({channel}), "
+                     f"'host channel {channel}')")
         out.emit(indent, "else:")
         out.emit(indent + 1, f"{temp} = _g_{channel}[_cy - _cy0]")
         return temp
 
+    def emit_fifo_error(indent, l, p, ch, what):
+        out.emit(indent, "raise _fifo_error(")
+        out.emit(indent + 1,
+                 f"f\"D{l}.{p} {what} empty FIFO{ch} at cycle {{_cy}}\", "
+                 f"{tuple(cycle_reads)!r}")
+        out.emit(indent, ")")
+
     def emit_fifo_peek(indent, l, p, ch, name):
         q = fifo_name(l, p, ch)
         temp = f"_fv_{l}_{p}_{ch}"
+        if lanes:
+            # Empty lanes read 0 and each counts one underflow.
+            out.emit(indent, f"{temp}, _fe = {q}.peek()")
+            out.emit(indent, "if _fe.any():")
+            out.emit(indent + 1, "if _R.strict_fifos:")
+            emit_fifo_error(indent + 2, l, p, ch, "read")
+            out.emit(indent + 1, "_U[:] += _fe")
+            return temp
         out.emit(indent, f"{temp} = {q}.peek()")
         out.emit(indent, f"if {temp} is not None:")
         out.emit(indent + 1, f"{temp} = _chk({temp}, '{name} FIFO{ch}')")
         out.emit(indent, "elif _R.strict_fifos:")
-        out.emit(indent + 1, "raise _fifo_error(")
-        out.emit(indent + 2,
-                 f"f\"D{l}.{p} read empty FIFO{ch} at cycle {{_cy}}\", "
-                 f"{tuple(cycle_reads)!r}")
-        out.emit(indent + 1, ")")
+        emit_fifo_error(indent + 1, l, p, ch, "read")
         out.emit(indent, "else:")
         out.emit(indent + 1, "_R.fifo_underflows += 1")
         out.emit(indent + 1, f"{temp} = 0")
@@ -525,14 +692,18 @@ def macro_template(ring: "Ring") -> MacroTemplate:
 
     def emit_fifo_pop(indent, l, p, ch):
         q = fifo_name(l, p, ch)
+        if lanes:
+            out.emit(indent, f"_fe = {q}.count == 0")
+            out.emit(indent, "if _fe.any():")
+            out.emit(indent + 1, "if _R.strict_fifos:")
+            emit_fifo_error(indent + 2, l, p, ch, "popped")
+            out.emit(indent + 1, "_U[:] += _fe")
+            out.emit(indent, f"_fp_{l}_{p}[:] += {q}.pop()")
+            return
         out.emit(indent, f"if {q}.drop(1):")
         out.emit(indent + 1, f"_st_{l}_{p}.fifo_pops += 1")
         out.emit(indent, "elif _R.strict_fifos:")
-        out.emit(indent + 1, "raise _fifo_error(")
-        out.emit(indent + 2,
-                 f"f\"D{l}.{p} popped empty FIFO{ch} at cycle {{_cy}}\", "
-                 f"{tuple(cycle_reads)!r}")
-        out.emit(indent + 1, ")")
+        emit_fifo_error(indent + 1, l, p, ch, "popped")
         out.emit(indent, "else:")
         out.emit(indent + 1, "_R.fifo_underflows += 1")
 
@@ -542,7 +713,7 @@ def macro_template(ring: "Ring") -> MacroTemplate:
             # Out-of-range taps reproduce the interpreter's runtime error.
             return f"_sw_{sw_index}.rp_read({stage}, {lane})", False
         return (f"_pp_{sw_index}_{lane - 1}"
-                f"[(_hd_{sw_index} + {stage - 1}) % {depth}]"), True
+                f"[({head(sw_index)} + {stage - 1}) % {depth}]"), True
 
     def emit_cycle(indent: int, phase: int) -> None:
         """One fabric clock: evals, shifts, commits, cycle accounting,
@@ -566,7 +737,7 @@ def macro_template(ring: "Ring") -> MacroTemplate:
                     if kind is PortKind.ZERO:
                         port_exprs[port] = "0"
                     elif kind is PortKind.UP:
-                        port_exprs[port] = f"_d_{lu}_{src.index}._out"
+                        port_exprs[port] = out_of(lu, src.index)
                     elif kind is PortKind.RP:
                         expr, in_range = rp_expr(l, src.index, src.lane)
                         if not in_range:
@@ -604,7 +775,7 @@ def macro_template(ring: "Ring") -> MacroTemplate:
                         if src is Source.IMM:
                             return str(mw.imm)
                         if src is Source.SELF:
-                            return f"_d_{l}_{p}._out"
+                            return out_of(l, p)
                         if src is Source.ZERO:
                             return "0"
                         if src.is_feedback:
@@ -617,27 +788,37 @@ def macro_template(ring: "Ring") -> MacroTemplate:
                     acc = (f"_rv_{l}_{p}[{int(mw.dst)}]"
                            if mw.op in (Opcode.MAC, Opcode.MACS) else None)
                     temp = f"_t_{l}_{p}"
-                    out.emit(indent,
-                             f"{temp} = {_compute_expr(mw, a, b, acc)}")
+                    if not lanes:
+                        expr = _compute_expr(mw, a, b, acc)
+                    elif mw.op is Opcode.MOV:
+                        # A lane operand may be a view of state that a
+                        # commit below overwrites: copy it.
+                        expr = f"np.copy({a})"
+                    else:
+                        expr = _vector_expr(mw, a, b, acc)
+                    out.emit(indent, f"{temp} = {expr}")
                     if mw.dst.is_register:
                         commits.append(
                             ("store",
                              f"_rv_{l}_{p}[{int(mw.dst)}] = {temp}"))
                     if (mw.dst is Dest.OUT
                             or mw.flags & Flag.WRITE_OUT):
-                        commits.append(
-                            ("store", f"_d_{l}_{p}._out = {temp}"))
+                        commits.append(("store", store_out(l, p, temp)))
                 for ch in pops:
                     commits.append(("pop", l, p, ch))
 
         # Shifts: before commits, so pipelines capture this cycle's
         # forward-visible OUT values.
-        for k in range(layers):
-            lu = ring.upstream_layer(k)
-            out.emit(indent, f"_hd_{k} = (_hd_{k} - 1) % {depth}")
-            for j in range(width):
-                out.emit(indent,
-                         f"_pp_{k}_{j}[_hd_{k}] = _d_{lu}_{j}._out")
+        if lanes:
+            out.emit(indent, f"_hd = (_hd - 1) % {depth}")
+            out.emit(indent, "_PP[:, :, _hd] = _O[_UP]")
+        else:
+            for k in range(layers):
+                lu = ring.upstream_layer(k)
+                out.emit(indent, f"_hd_{k} = (_hd_{k} - 1) % {depth}")
+                for j in range(width):
+                    out.emit(indent,
+                             f"_pp_{k}_{j}[_hd_{k}] = _d_{lu}_{j}._out")
 
         for entry in commits:
             if entry[0] == "store":
@@ -649,14 +830,19 @@ def macro_template(ring: "Ring") -> MacroTemplate:
         out.emit(indent, "_cy += 1")
         out.emit(indent, "_R.cycles = _cy")
         out.emit(indent, "for _tn, _ta in _tb:")
-        out.emit(indent + 1, "_ta(_tn._out)")
+        if lanes:
+            out.emit(indent + 1, "_ta[_cy - _cy0 - 1] = _tn")
+        else:
+            out.emit(indent + 1, "_ta(_tn._out)")
 
     # --- kernel assembly ----------------------------------------------
     # _ph: the entry phase; _gw: None (call host_in per read) or
     # {channel: the window's words}; _tb: (dnode, append) per tap, fed
-    # each cycle's post-edge output.  The first pass through the period
-    # skips the phases before _ph; every cycle but the period's last
-    # checks for the end of the run (the loop test covers the last).
+    # each cycle's post-edge output (on lanes, (OUT row, record) per
+    # tap, the row stored at the cycle's index).  The first pass through
+    # the period skips the phases before _ph; every cycle but the
+    # period's last checks for the end of the run (the loop test covers
+    # the last).
     out.emit(0, "def _kernel(cycles, _ph, bus, host_in, _gw, _tb):")
     out.emit(1, "_cy = _R.cycles")
     out.emit(1, "_cy0 = _cy")
@@ -665,8 +851,11 @@ def macro_template(ring: "Ring") -> MacroTemplate:
         out.emit(1, "if _gw is not None:")
         for ch in sorted({ch for *_, ch in steady.host_ports}):
             out.emit(2, f"_g_{ch} = _gw[{ch}]")
-    for k in range(layers):
-        out.emit(1, f"_hd_{k} = _sw_{k}._head")
+    if lanes:
+        out.emit(1, "_hd = _E._head")
+    else:
+        for k in range(layers):
+            out.emit(1, f"_hd_{k} = _sw_{k}._head")
     out.emit(1, "try:")
     out.emit(2, "while _cy != _end:")
     for phase in range(period):
@@ -681,15 +870,18 @@ def macro_template(ring: "Ring") -> MacroTemplate:
     if period > 1:
         out.emit(3, "_ph = 0")
     out.emit(1, "finally:")
-    for k in range(layers):
-        out.emit(2, f"_sw_{k}._head = _hd_{k}")
+    if lanes:
+        out.emit(2, "_E._head = _hd")
+    else:
+        for k in range(layers):
+            out.emit(2, f"_sw_{k}._head = _hd_{k}")
 
     source = out.source()
-    code = compile(source, f"<macro period={period}>", "exec")
+    name = f"<macro period={period}" + (" lanes>" if lanes else ">")
+    code = compile(source, name, "exec")
     return MacroTemplate(steady, code, tuple(fifos))
 
 
-__all__ = ["Ineligible", "MacroPlan", "MacroTemplate", "SteadyPlan",
-           "SteadySchedule", "compile_macro", "macro_template",
-           "macro_period", "MAX_PERIOD",
-           "MAX_UNROLL_CELLS"]
+__all__ = ["Ineligible", "MacroLanePlan", "MacroPlan", "MacroTemplate",
+           "SteadyPlan", "SteadySchedule", "compile_macro", "macro_template",
+           "macro_period", "MAX_PERIOD", "MAX_UNROLL_CELLS"]

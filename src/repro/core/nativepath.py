@@ -97,7 +97,8 @@ import numpy as np
 
 from repro import word
 from repro.core.isa import Dest, Flag, Opcode, Source
-from repro.core.macropath import Ineligible, SteadyPlan, SteadySchedule
+from repro.core.macropath import (Ineligible, SteadyPlan, SteadySchedule,
+                                  _signed, _vector_expr)
 from repro.core.switch import PortKind
 from repro.errors import SimulationError
 
@@ -130,76 +131,6 @@ def numba_available() -> bool:
     except Exception:
         return False
     return hasattr(numba, "njit")
-
-
-def _sgn(expr: str) -> str:
-    """Branchless signed reinterpretation, elementwise on int64 arrays."""
-    return f"((({expr}) ^ 32768) - 32768)"
-
-
-def _clip(expr: str) -> str:
-    """Saturate to signed 16-bit range, then re-encode as raw bits."""
-    return f"(np.minimum(np.maximum({expr}, -32768), 32767) & 65535)"
-
-
-def _vector_expr(mw, a: str, b: Optional[str], acc: Optional[str]) -> str:
-    """NumPy array expression for one microword (see macropath's scalar
-    twin :func:`~repro.core.macropath._compute_expr`)."""
-    op = mw.op
-    S = _sgn
-    if op is Opcode.MOV:
-        return a
-    if op is Opcode.ADD:
-        return f"(({a}) + ({b})) & 65535"
-    if op is Opcode.SUB:
-        return f"(({a}) - ({b})) & 65535"
-    if op is Opcode.MUL:
-        return f"({S(a)} * {S(b)}) & 65535"
-    if op is Opcode.MULH:
-        return f"(({S(a)} * {S(b)}) >> 16) & 65535"
-    if op is Opcode.MAC:
-        return f"({S(a)} * {S(b)} + {S(acc)}) & 65535"
-    if op is Opcode.MACS:
-        return _clip(f"{S(a)} * {S(b)} + {S(acc)}")
-    if op is Opcode.MADD or op is Opcode.MSUB:
-        coeff = word.to_signed(mw.imm)
-        sign = "+" if op is Opcode.MADD else "-"
-        return f"({S(a)} {sign} {S(b)} * ({coeff})) & 65535"
-    if op is Opcode.AND:
-        return f"(({a}) & ({b}))"
-    if op is Opcode.OR:
-        return f"(({a}) | ({b}))"
-    if op is Opcode.XOR:
-        return f"(({a}) ^ ({b}))"
-    if op is Opcode.NOT:
-        return f"(~({a})) & 65535"
-    if op is Opcode.NEG:
-        return f"(-{S(a)}) & 65535"
-    if op is Opcode.ABS:
-        return f"np.abs({S(a)}) & 65535"
-    if op is Opcode.SHL:
-        return f"(({a}) << (({b}) & 15)) & 65535"
-    if op is Opcode.SHR:
-        return f"({a}) >> (({b}) & 15)"
-    if op is Opcode.ASR:
-        return f"({S(a)} >> (({b}) & 15)) & 65535"
-    if op is Opcode.ABSDIFF:
-        return f"np.abs({S(a)} - {S(b)}) & 65535"
-    if op is Opcode.MIN:
-        return f"np.where({S(a)} <= {S(b)}, {a}, {b})"
-    if op is Opcode.MAX:
-        return f"np.where({S(a)} >= {S(b)}, {a}, {b})"
-    if op is Opcode.ADDSAT:
-        return _clip(f"{S(a)} + {S(b)}")
-    if op is Opcode.SUBSAT:
-        return _clip(f"{S(a)} - {S(b)}")
-    if op is Opcode.CMPEQ:
-        return f"np.where(({a}) == ({b}), 1, 0)"
-    if op is Opcode.CMPLT:
-        return f"np.where({S(a)} < {S(b)}, 1, 0)"
-    if op is Opcode.AVG2:
-        return f"(({S(a)} + {S(b)}) >> 1) & 65535"
-    raise Ineligible(f"opcode {op!r} has no native template")
 
 
 def _cumsum_rows(t):
@@ -1091,7 +1022,7 @@ def native_template(ring: "Ring", lanes: bool = False) -> NativeTemplate:
             if rec["mw"].op is Opcode.MAC:
                 a, _ = operand_expr(i, ph, rec["a"])
                 b, _ = operand_expr(i, ph, rec["b"])
-                term = f"{_sgn(a)} * {_sgn(b)}"
+                term = f"{_signed(a)} * {_signed(b)}"
             else:
                 term, _ = operand_expr(
                     i, ph, rec["b"] if rec["a_self"] else rec["a"])

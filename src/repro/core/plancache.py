@@ -3,7 +3,7 @@
 The paper's headline feature is *dynamic* reconfiguration: the RISC
 configuration controller rewrites Dnode microinstructions every cycle
 (hardware multiplexing) or swaps between a small working set of contexts.
-Compiled engines (batch kernel sets, macro/native kernels) are pure
+Compiled engines (macro and native kernels, scalar or lane) are pure
 functions of the fabric *configuration*, so a kernel
 compiled for a configuration stays valid whenever that exact
 configuration is restored, on the same ring or on another one.  This

@@ -71,7 +71,7 @@ from repro import word
 from repro.core.config_memory import ConfigMemory, _Fingerprint
 from repro.core.dnode import Dnode, DnodeInputs, DnodeMode
 from repro.core.isa import FEEDBACK_DEPTH
-from repro.core.macropath import MAX_PERIOD, compile_macro
+from repro.core.macropath import MAX_PERIOD, compile_macro, macro_template
 from repro.core.nativepath import compile_native
 from repro.core.plancache import DEFAULT_CAPACITY, KERNELS, PlanCache
 from repro.core.switch import PortKind, PortSource, Switch
@@ -82,6 +82,12 @@ from repro.errors import ConfigurationError, SimulationError
 class _Refusal(str):
     """Negative macro/native plan entry (on ``Ring._steady`` and in both
     plan caches): why the tier cannot compile the configuration."""
+
+
+def _template_of(plan):
+    """What the process-wide cache keeps of a plan: its ring-free
+    template, or the refusal itself."""
+    return plan if isinstance(plan, _Refusal) else plan.template
 
 
 #: Kept for the benchmark suite's tracer, which wraps it by name; unused.
@@ -305,7 +311,7 @@ class Ring:
         #: time-vectorized kernels (native lane windows included), plans
         #: compiled, and cycles handed to the fall-back ladder
         #: (ineligible configuration, sub-period remainders, strict-FIFO
-        #: windows; on lanes, the per-cycle lane kernels).  Host-side
+        #: windows; on lanes, the macro lane kernels).  Host-side
         #: accounting like ``macro_cycles`` — preserved across
         #: :meth:`reset` and snapshot restore.
         self.native_cycles = 0
@@ -917,14 +923,16 @@ class Ring:
         """Cache key of the *tier* plan for the current configuration and
         entry phase; the same at both cache levels.
 
-        A native kernel is baked against the exact sequencer counters.
-        A macro kernel serves every phase of their orbit, so its key
-        names the orbit by its least counter state (None over the unroll
-        cap, where macro refuses every phase alike).
+        A native kernel, and a one-cycle lane kernel (``"lane_cycle"``),
+        is baked against the exact sequencer counters.  A macro kernel
+        (``"macro"``, ``"macro_lanes"``) serves every phase of their
+        orbit, so its key names the orbit by its least counter state
+        (None over the unroll cap, where macro refuses every phase
+        alike).
         """
         controllers = self._local_controllers()
         phase = tuple(lc._counter for lc in controllers)
-        if tier == "macro":
+        if tier in ("macro", "macro_lanes"):
             limits = tuple(lc.limit for lc in controllers)
             period = lcm(*limits)
             phase = None if period > MAX_PERIOD else min(
@@ -968,58 +976,67 @@ class Ring:
         key = self._steady_key(tier)
         plan = self._cached_steady(key)
         if plan is None:
-            refusal: List[str] = []
-            compiler = compile_native if tier == "native" else compile_macro
-            profile = self._profile
-            began = perf_counter()
-            plan = compiler(self, refusal)
-            if profile is not None:
-                profile.compile_seconds += perf_counter() - began
-            if plan is None:
-                plan = shared = _Refusal(refusal[0])
-            else:
-                shared = plan.template
-                if tier == "native":
-                    self.native_compiles += 1
-                else:
-                    self.plan_compiles += 1
-                    if profile is not None:
-                        profile.plan_compiles += 1
+            plan = self._compile(tier)
             if self.plan_cache.capacity:
                 self.plan_cache.put(key, plan)
-                KERNELS.put(key, shared)
+                KERNELS.put(key, _template_of(plan))
         self._steady[tier] = plan
         return None if isinstance(plan, _Refusal) else plan
 
-    def _lane_plan(self, engine):
-        """The native lane plan of the batch *engine* for the current
+    def _compile(self, tier: str, engine=None):
+        """Generate the *tier* kernel for the current configuration and
+        entry phase, bound to this ring or to the batch *engine*'s lanes,
+        or a :class:`_Refusal`.  Books the generation time, and the
+        kernel in :attr:`native_compiles` or, for a macro kernel,
+        :attr:`plan_compiles`."""
+        refusal: List[str] = []
+        profile = self._profile
+        began = perf_counter()
+        if tier == "lane_cycle":
+            plan = macro_template(self, lanes=True,
+                                  period=1).bind_lanes(engine)
+        elif tier.startswith("native"):
+            plan = compile_native(self, refusal, engine)
+        else:
+            plan = compile_macro(self, refusal, engine)
+        if profile is not None:
+            profile.compile_seconds += perf_counter() - began
+        if plan is None:
+            return _Refusal(refusal[0])
+        if tier.startswith("native"):
+            self.native_compiles += 1
+        else:
+            self.plan_compiles += 1
+            if profile is not None:
+                profile.plan_compiles += 1
+        return plan
+
+    def _lane_plan(self, engine, tier: str):
+        """The *tier* lane plan of the batch *engine* for the current
         configuration and entry phase, or a :class:`_Refusal`.
 
-        Bound lane plans hold the engine's lane arrays, so they live in
-        the engine's own cache, which it drops when it is retired or
-        resynced.  Their ring-free template is looked up in, or compiled
-        into, the process-wide kernel cache under its own tier,
-        ``"native_lanes"``, exactly like a scalar template.
+        *tier* is ``"native_lanes"``, ``"macro_lanes"`` or, for a
+        configuration over the macro unroll cap, ``"lane_cycle"``: the
+        macro lane kernel of the one cycle at the live phase, which is
+        never refused.  Bound lane plans hold the engine's lane arrays,
+        so they live in the engine's own cache, which it drops when it
+        is retired or resynced.  The ring-free templates of the first
+        two tiers are looked up in, or compiled into, the process-wide
+        kernel cache, exactly like a scalar template; one-cycle kernels
+        stay in the engine's cache, so a long period cannot evict the
+        process's templates.
         """
-        key = self._steady_key("native_lanes")
+        key = self._steady_key(tier)
         cache = engine.plan_cache
         plan = cache.get(key)
         if plan is not None:
             return plan
-        template = KERNELS.get(key) if cache.capacity else None
+        shared = cache.capacity and tier != "lane_cycle"
+        template = KERNELS.get(key) if shared else None
         if template is None:
-            refusal: List[str] = []
-            began = perf_counter()
-            plan = compile_native(self, refusal, engine)
-            if self._profile is not None:
-                self._profile.compile_seconds += perf_counter() - began
-            if plan is None:
-                plan = template = _Refusal(refusal[0])
-            else:
-                template = plan.template
-                self.native_compiles += 1
-            if cache.capacity:
-                KERNELS.put(key, template)
+            plan = self._compile(tier, engine)
+            if shared:
+                KERNELS.put(key, _template_of(plan))
         elif isinstance(template, _Refusal):
             plan = template
         else:
@@ -1041,7 +1058,7 @@ class Ring:
         """
         if self.backend == "batch" and (
                 self.batch_size > 1 or self._batch_engine is not None):
-            plan = self._lane_plan(self._ensure_batch())
+            plan = self._lane_plan(self._ensure_batch(), "native_lanes")
             return str(plan) if isinstance(plan, _Refusal) else None
         native = self._steady_plan("native")
         return None if native is not None else str(self._steady["native"])

@@ -19,9 +19,9 @@ bandwidth data oriented computation".
 With the ring's batch backend (``backend="batch"``) the same port
 serves B independent streams at once: construct the controller with
 ``batch=B`` and it hands out :class:`BatchStreamChannel` /
-:class:`BatchOutputTap` instead — per-lane deques, per-lane underrun
-accounting, per-lane sample streams — while keeping the exact same
-per-cycle protocol (``current``/``advance``/``observe``).
+:class:`BatchOutputTap` instead — one word queue per lane, per-lane
+underrun accounting, per-lane sample streams — while keeping the exact
+same per-cycle protocol (``current``/``advance``/``observe``).
 
 Whole windows at once.  Under the synchronous-dataflow model every rate
 here is fixed: a stream presents one word per cycle and a tap's
@@ -48,27 +48,13 @@ every window array carries one column per lane:
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from repro import word
 from repro.core.wordqueue import WordQueue
 from repro.errors import HostError
-
-
-def _pop(queue: Deque[int], count: int) -> int:
-    """Pop up to *count* words off a lane's deque; returns how many
-    went."""
-    count = min(count, len(queue))
-    if count == len(queue):
-        queue.clear()
-    else:
-        for _ in range(count):
-            queue.popleft()
-    return count
 
 
 def _dry_cycles(executed: int, consumed: int, latched: bool) -> int:
@@ -105,15 +91,6 @@ def _window_picks(tap, values: np.ndarray, collected: int) -> np.ndarray:
     if tap.limit is not None:
         picked = picked[:max(0, tap.limit - collected)]
     return picked
-
-
-def _queue_window(queue: Deque[int], offset: int, out: np.ndarray) -> None:
-    """Fill *out* with the words presented from *offset* past the head
-    of a lane's deque, leaving the idle padding where it runs dry."""
-    avail = min(len(out), len(queue) - offset)
-    if avail > 0:
-        out[:avail] = np.fromiter(
-            itertools.islice(queue, offset, offset + avail), np.int64, avail)
 
 
 def _cycles_to_full(tap, collected: int) -> int:
@@ -232,10 +209,12 @@ class StreamChannel:
 class BatchStreamChannel:
     """One direct host->fabric port carrying B independent lane streams.
 
-    Per-lane queues share the channel's clock: :meth:`current` presents
-    one word per lane (idle value where a lane has run dry, with the
-    underrun counted *for that lane only*), :meth:`advance` consumes the
-    presented word on every lane that had one.  Push the same stimulus
+    Per-lane :class:`~repro.core.wordqueue.WordQueue` buffers share the
+    channel's clock: :meth:`current` presents one word per lane (idle
+    value where a lane has run dry, with the underrun counted *for that
+    lane only*), :meth:`advance` consumes the presented word on every
+    lane that had one, and a window gathers each lane's words as a
+    slice and settles them with one ``drop``.  Push the same stimulus
     to every lane with ``push(values)``, a lane-specific stream with
     ``push(values, lane=i)``, or every lane's own stream at once with
     ``push(block)``, a 2-D ``(lanes, n)`` block with one row per lane.
@@ -246,7 +225,7 @@ class BatchStreamChannel:
             raise HostError(f"batch must be >= 1, got {batch}")
         self.batch = batch
         self.idle_value = word.check(idle_value, "idle value")
-        self._queues: List[Deque[int]] = [deque() for _ in range(batch)]
+        self._queues: List[WordQueue] = [WordQueue() for _ in range(batch)]
         self.delivered = [0] * batch
         self.underruns = [0] * batch
         self._dry_seen = [False] * batch
@@ -265,12 +244,11 @@ class BatchStreamChannel:
                     f" and lane={lane}"
                 )
             rows = word.check_rows(values, "stream word")
-            if not isinstance(rows, list):
-                rows = rows.tolist()
             for queue, row in zip(self._queues, rows):
                 queue.extend(row)
             return
-        checked = word.check_block(values, "stream word")
+        checked = np.asarray(word.check_block(values, "stream word"),
+                             np.int64)
         if lane is None:
             for queue in self._queues:
                 queue.extend(checked)
@@ -289,29 +267,28 @@ class BatchStreamChannel:
         """
         out = np.empty(self.batch, dtype=np.int64)
         for lane, queue in enumerate(self._queues):
-            if queue:
-                out[lane] = queue[0]
-            else:
+            value = queue.peek()
+            if value is None:
                 if not self._dry_seen[lane]:
                     self._dry_seen[lane] = True
                     self.underruns[lane] += 1
-                out[lane] = self.idle_value
+                value = self.idle_value
+            out[lane] = value
         return out
 
     def advance(self) -> None:
         """Clock edge: every non-empty lane consumes its word."""
         for lane, queue in enumerate(self._queues):
             self._dry_seen[lane] = False
-            if queue:
-                queue.popleft()
-                self.delivered[lane] += 1
+            self.delivered[lane] += queue.drop(1)
 
     def window(self, offset: int, cycles: int) -> np.ndarray:
         """Every lane's words over *cycles* clocks, as a ``(cycles,
         batch)`` int64 array (see :meth:`StreamChannel.window`)."""
         out = np.full((cycles, self.batch), self.idle_value, np.int64)
         for lane, queue in enumerate(self._queues):
-            _queue_window(queue, offset, out[:, lane])
+            words = queue.view(offset, cycles)
+            out[:len(words), lane] = words
         return out
 
     def settle(self, executed: int, routed: bool) -> None:
@@ -320,7 +297,7 @@ class BatchStreamChannel:
         if not executed:
             return
         for lane, queue in enumerate(self._queues):
-            consumed = _pop(queue, executed)
+            consumed = queue.drop(executed)
             self.delivered[lane] += consumed
             if routed:
                 self.underruns[lane] += _dry_cycles(
@@ -333,12 +310,7 @@ class BatchStreamChannel:
         Returns the number of words dropped (lanes already dry lose
         nothing); none are counted as delivered.
         """
-        dropped = 0
-        for queue in self._queues:
-            if queue:
-                queue.popleft()
-                dropped += 1
-        return dropped
+        return sum(queue.drop(1) for queue in self._queues)
 
     def pending(self) -> int:
         """Words still queued across all lanes."""
@@ -709,7 +681,9 @@ class DataController:
         for index, saved in saved_channels.items():
             ch = self.channel(index)
             if isinstance(ch, BatchStreamChannel):
-                ch._queues = [deque(lane) for lane in saved["lanes"]]
+                for queue, words in zip(ch._queues, saved["lanes"]):
+                    queue.clear()
+                    queue.extend(words)
                 ch.delivered = list(saved["delivered"])
                 ch.underruns = list(saved["underruns"])
                 ch._dry_seen = [False] * ch.batch

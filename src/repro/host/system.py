@@ -164,7 +164,7 @@ class RingSystem:
           macro windows with taps and streams attached
           (:meth:`repro.core.ring.Ring.window_span`).
         * On a batch ring every cycle runs in lane windows
-          (:meth:`_run_lanes`: native lane windows, then per-cycle lane
+          (:meth:`_run_lanes`: native lane windows, then macro lane
           kernels) unless a ring observer must see each cycle or a
           strict FIFO may raise mid-window.
         * The rest is stepped one cycle at a time, booked under the

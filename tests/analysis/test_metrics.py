@@ -95,6 +95,29 @@ class TestRingMetrics:
         assert f"repro_kernel_cache_hits_total {hits}" in \
             snap.to_prometheus().splitlines()
 
+    def test_batch_lane_plan_counters(self):
+        """Lane kernels count in the ring's compile families (a macro
+        lane kernel in ``ring_plan_compiles_total``); the batch families
+        count the lane plans a write dropped, and no compile family of
+        their own remains."""
+        ring = make_ring(4, backend="batch", batch_size=3)
+        ring.config.write_switch_route(1, 0, 1, PortSource.up(0))
+        ring.config.write_microword(1, 0, MicroWord(
+            Opcode.MADD, Source.IN1, Source.SELF, Dest.OUT, imm=3))
+        ring.run(10, bus=2)  # native refuses the MADD self-recurrence
+        snap = collect_metrics(ring)
+        assert snap.value("ring_plan_compiles_total") == 1
+        assert snap.value("native_plan_compiles_total") == 0
+        assert snap.value("macro_step_cycles_total") == 10
+        assert snap.value("batch_plan_invalidations_total") == 0
+        with pytest.raises(KeyError):
+            snap.value("batch_plan_compiles_total")
+        ring.config.write_microword(0, 0, MicroWord(Opcode.NOP))
+        ring.config.write_microword(0, 0, MicroWord(Opcode.NOP))
+        snap = collect_metrics(ring)
+        assert snap.value("batch_plan_invalidations_total") == 1
+        assert snap.value("ring_plan_invalidations_total") == 1
+
     def test_unknown_sample_raises(self):
         snap = collect_metrics(make_ring(4))
         with pytest.raises(KeyError):

@@ -76,7 +76,7 @@ def native_refused():
     ``repro.core.ring.compile_native`` refuses every configuration (it
     appends a reason and returns None), so the native ladder runs every
     span and stepped cycle on a generated macro kernel, and a batch
-    ring's lanes run on the per-cycle lane kernels.  Tests
+    ring's lanes run on the macro lane kernels.  Tests
     using it assert ``ring.macro_cycles > 0``, so the case cannot
     quietly turn into a second native run.  Native templates in the
     process-wide kernel cache are hidden for the duration.  This form
@@ -94,7 +94,7 @@ def refuse_native():
         yield
 
 
-def _refuse_macro(ring, refusal=None):
+def _refuse_macro(ring, refusal=None, engine=None):
     if refusal is not None:
         refusal.append("macro rung refused by the interpreter test seam")
     return None

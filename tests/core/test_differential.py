@@ -22,10 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro import word
 from repro.core import alu
-from repro.core.batchpath import LANE_DTYPE, batch_execute_op
+from repro.core.batchpath import LANE_DTYPE
 from repro.core.dnode import DnodeMode
-from repro.core.isa import ACCUMULATING_OPS, Opcode
-from repro.core.macropath import macro_period
+from repro.core.isa import ACCUMULATING_OPS, Dest, MicroWord, Opcode
+from repro.core.macropath import Ineligible, _vector_expr, macro_period
 from repro.core.ring import Ring, RingGeometry
 
 from tests.conftest import native_refused, rung_seam
@@ -335,27 +335,53 @@ _words = st.one_of(st.sampled_from(_BOUNDARY),
                    st.integers(min_value=0, max_value=0xFFFF))
 
 
+def _word(op: Opcode, imm: int) -> MicroWord:
+    """A microword for *op* (an accumulator needs a register dst)."""
+    return MicroWord(op, dst=Dest.R0, imm=imm)
+
+
+def _vector_op(op: Opcode, a, b, acc, imm: int, dtype):
+    """Evaluate the NumPy op expression the native and macro lane
+    kernels generate for *op* over arrays of *dtype*."""
+    expr = _vector_expr(_word(op, imm), "a", "b", "acc")
+    env = {"np": np, "a": np.asarray(a, dtype), "b": np.asarray(b, dtype),
+           "acc": np.asarray(acc, dtype)}
+    return np.asarray(eval(expr, env))
+
+
+#: Lane state (int32) and native windows (int64).
+_DTYPES = [LANE_DTYPE, np.int64]
+
+
 class TestSignedOverflowAudit:
-    """Scalar ALU vs NumPy batch kernels at the INT16 boundaries."""
+    """Scalar ALU vs the NumPy op expressions the batch lanes' kernels
+    share with native (:func:`repro.core.macropath._vector_expr`), at
+    the INT16 boundaries, over int32 (lane state) and int64 (native
+    windows) arrays."""
 
     @given(op=st.sampled_from(list(Opcode)), a=_words, b=_words,
            acc=_words, imm=_words)
     @settings(max_examples=150, **_SETTINGS)
     def test_batch_kernel_matches_scalar_alu(self, op, a, b, acc, imm):
         expected = alu.execute_op(op, a, b, acc=acc, imm=imm)
-        lanes = np.array([a, a, a], dtype=LANE_DTYPE)
-        got = batch_execute_op(op, lanes,
-                               np.full(3, b, dtype=LANE_DTYPE),
-                               acc=np.full(3, acc, dtype=LANE_DTYPE),
-                               imm=imm)
-        got = np.asarray(got)
-        assert got.shape == (3,)
-        assert (got == expected).all(), (
-            f"{op.name}(a={a:#06x}, b={b:#06x}, acc={acc:#06x}, "
-            f"imm={imm:#06x}): scalar {expected:#06x}, batch {got}"
-        )
-        for value in got.tolist():
-            assert word.is_valid(value)
+        if op is Opcode.NOP:
+            # No kernel computes a NOP: the Dnode commits nothing, so
+            # the ALU's 0 is never observed.
+            assert expected == 0
+            with pytest.raises(Ineligible):
+                _vector_expr(_word(op, imm), "a", "b", "acc")
+            return
+        for dtype in _DTYPES:
+            got = _vector_op(op, [a, a, a], np.full(3, b), np.full(3, acc),
+                             imm, dtype)
+            assert got.shape == (3,)
+            assert (got == expected).all(), (
+                f"{op.name}(a={a:#06x}, b={b:#06x}, acc={acc:#06x}, "
+                f"imm={imm:#06x}) on {dtype.__name__}: scalar "
+                f"{expected:#06x}, vector {got}"
+            )
+            for value in got.tolist():
+                assert word.is_valid(value)
 
     @pytest.mark.parametrize("op", [Opcode.ADD, Opcode.SUB, Opcode.MUL,
                                     Opcode.MAC])
@@ -364,16 +390,16 @@ class TestSignedOverflowAudit:
         grid = [(a, b, acc) for a in _BOUNDARY for b in _BOUNDARY
                 for acc in (_BOUNDARY if op in ACCUMULATING_OPS
                             else [0])]
-        a = np.array([g[0] for g in grid], dtype=LANE_DTYPE)
-        b = np.array([g[1] for g in grid], dtype=LANE_DTYPE)
-        acc = np.array([g[2] for g in grid], dtype=LANE_DTYPE)
-        got = np.asarray(batch_execute_op(op, a, b, acc=acc))
-        for i, (av, bv, accv) in enumerate(grid):
-            expected = alu.execute_op(op, av, bv, acc=accv)
-            assert int(got[i]) == expected, (
-                f"{op.name}(a={av:#06x}, b={bv:#06x}, acc={accv:#06x}): "
-                f"scalar {expected:#06x}, batch {int(got[i]):#06x}"
-            )
+        a, b, acc = (np.array(column) for column in zip(*grid))
+        for dtype in _DTYPES:
+            got = _vector_op(op, a, b, acc, 0, dtype)
+            for i, (av, bv, accv) in enumerate(grid):
+                expected = alu.execute_op(op, av, bv, acc=accv)
+                assert int(got[i]) == expected, (
+                    f"{op.name}(a={av:#06x}, b={bv:#06x}, acc={accv:#06x})"
+                    f" on {dtype.__name__}: scalar {expected:#06x}, "
+                    f"vector {int(got[i]):#06x}"
+                )
 
 
 class TestFaultRecoveryDifferential:

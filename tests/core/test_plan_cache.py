@@ -387,4 +387,5 @@ class TestBatchSizeOneRouting:
             ring.run(3)
         engine = ring._batch_engine
         assert engine.plan_cache.hits >= 4
-        assert engine.compiles == 2, "one compile per distinct context"
+        assert ring.native_compiles + ring.plan_compiles == 2, (
+            "one compile per distinct context")

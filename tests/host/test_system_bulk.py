@@ -46,11 +46,10 @@ from repro.controller.core import RiscController
 from repro.controller.isa import Instruction, ROp
 from repro.core import plancache
 from repro.core import ring as ring_module
-from repro.core.batchpath import BatchRing
 from repro.core.config_memory import ConfigPlane
 from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
-from repro.core.macropath import MacroPlan
+from repro.core.macropath import MacroLanePlan, MacroPlan
 from repro.core.ring import Ring, RingGeometry
 from repro.core.snapshot import capture, snapshot_digest, state_digest
 from repro.core.switch import PortKind, PortSource
@@ -58,6 +57,8 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.host.streams import OutputTap, StreamChannel
 from repro.host.system import RingSystem
 from repro.kernels import reference, wavelet
+from repro.kernels.effects import build_echo
+from repro.kernels.iir import build_first_order_iir
 
 from tests.conftest import (
     _refuse_macro,
@@ -481,7 +482,7 @@ def native_lane_systems(draw):
 def _lane_period(ring: Ring) -> int:
     """The period of a lane ring's native plan (its configuration is
     accepted)."""
-    return ring._lane_plan(ring.batch).period
+    return ring._lane_plan(ring.batch, "native_lanes").period
 
 
 class TestNativeLanes:
@@ -561,36 +562,31 @@ class TestNativeLanes:
     def test_second_dwt_call_runs_every_lane_cycle_native(self):
         """Once a process has compiled the lifting lane template, every
         sweep's fresh engine binds it: a second ``dwt53_2d_fabric`` call
-        runs all its lockstep cycles on native lane windows, steps none
-        on the per-cycle lane kernels, builds none of them and compiles
-        nothing."""
+        runs all its lockstep cycles on native lane windows, none on
+        macro lane kernels, and compiles nothing."""
         image = (np.arange(64).reshape(8, 8) * 37) % 256
         wavelet.dwt53_2d_fabric(image)
-        rings, closures, compiles = [], [], []
-        build, compile_closures = (wavelet.build_lifting_system,
-                                   BatchRing._compile)
-        compile_native = ring_module.compile_native
+        rings = []
+        build = wavelet.build_lifting_system
+        hits = plancache.KERNELS.hits
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wavelet, "build_lifting_system",
                           lambda ring: rings.append(ring) or build(ring))
-            patch.setattr(BatchRing, "_compile",
-                          lambda engine: closures.append(engine)
-                          or compile_closures(engine))
-            patch.setattr(ring_module, "compile_native",
-                          lambda *args: compiles.append(args)
-                          or compile_native(*args))
             coeffs, _ = wavelet.dwt53_2d_fabric(image)
         assert np.array_equal(coeffs, reference.dwt53_2d(image))
         ring, = rings
         # One row sweep and one column sweep of 8-sample passes.
         assert ring.native_cycles == 2 * (8 // 2 + 2
                                           + wavelet.APPROX_LATENCY)
-        assert ring.native_fallback_cycles == 0
-        assert closures == [] and compiles == []
+        assert ring.native_fallback_cycles == ring.macro_cycles == 0
+        assert ring.native_compiles == ring.plan_compiles == 0
+        assert plancache.KERNELS.hits > hits
 
     def test_refused_lane_configuration_names_its_reason(self):
-        """A configuration native refuses runs its lanes per cycle, and
-        ``native_refusal`` names the reason a scalar ring gives."""
+        """A configuration native refuses runs its lanes on the macro
+        lane kernel, and ``native_refusal`` names the reason a scalar
+        ring gives.  A second fresh batch ring binds the cached lane
+        template and compiles nothing."""
         def configure(ring):
             ring.config.write_switch_route(1, 0, 1, PortSource.up(0))
             ring.config.write_microword(1, 0, MicroWord(
@@ -604,8 +600,12 @@ class TestNativeLanes:
         assert "no closed form" in lanes.native_refusal
         lanes.run(20, bus=5)
         assert lanes.native_cycles == 0
-        assert lanes.native_fallback_cycles == 20
-        assert lanes.batch.compiles == 1
+        assert lanes.macro_cycles == lanes.native_fallback_cycles == 20
+        assert lanes.plan_compiles == 1
+        again = configure(Ring(geometry, backend="batch", batch_size=3))
+        again.run(20, bus=5)
+        assert again.macro_cycles == 20
+        assert again.plan_compiles == again.native_compiles == 0
 
     def test_kernel_cache_holds_no_engine(self):
         """A sweep's lane template stays cached, but neither the batch
@@ -1604,10 +1604,11 @@ def strict_stepped_systems(draw):
 
 
 @contextmanager
-def _macro_calls():
-    """Record ``(entry phase, cycles, raised)`` per ``MacroPlan.run``."""
+def _macro_calls(plan_class=MacroPlan):
+    """Record ``(entry phase, cycles, raised)`` per ``run`` of a macro
+    plan class (:class:`MacroLanePlan` for lanes)."""
     calls = []
-    run = MacroPlan.run
+    run = plan_class.run
 
     def recording(plan, cycles, *args):
         entry = plan.phase()
@@ -1620,7 +1621,7 @@ def _macro_calls():
         return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(MacroPlan, "run", recording)
+        patch.setattr(plan_class, "run", recording)
         yield calls
 
 
@@ -1756,6 +1757,289 @@ class TestMacroStepping:
         assert systems[0].data.taps[0].samples == \
             systems[1].data.taps[0].samples
         assert state_digest(ring) == state_digest(reference)
+
+
+def _lane_streams(streams: dict, batch: int) -> list:
+    """Per-lane variants of *streams*: lane k drops its first k words
+    and offsets the rest, so lanes differ and run dry at different
+    cycles."""
+    return [{channel: [(w + 4099 * lane) & 0xFFFF for w in words[lane:]]
+             for channel, words in streams.items()}
+            for lane in range(batch)]
+
+
+def _streamed_system(ring: Ring, taps, lane_streams) -> RingSystem:
+    """*ring* in a system with *taps* and one stream dict per lane (one
+    dict for a scalar ring)."""
+    system = RingSystem(ring)
+    lanes = system.data.batch > 1
+    for lane, streams in enumerate(lane_streams):
+        for channel, words in streams.items():
+            system.data.stream(channel, words,
+                               lane=lane if lanes else None)
+    for layer, pos, skip, every, limit in taps:
+        system.data.add_tap(layer, pos, skip=skip, every=every,
+                            limit=limit)
+    return system
+
+
+def _controlled_lanes(case, lane_streams, **ring_kwargs) -> RingSystem:
+    """A :func:`_controlled_system` whose lanes stream *lane_streams*."""
+    system = _controlled_system(case[:4] + ({},) + case[5:], **ring_kwargs)
+    for lane, streams in enumerate(lane_streams):
+        for channel, words in streams.items():
+            system.data.stream(channel, words, lane=lane)
+    return system
+
+
+def _controller_state(system: RingSystem) -> tuple:
+    ctrl = system.controller
+    return (dict(vars(ctrl.state)), ctrl.pc, list(ctrl.regs), ctrl.halted,
+            ctrl.bus_out)
+
+
+def _datapath(ring: Ring) -> dict:
+    """A ring's datapath words (no statistics: an aborted cycle's
+    Dnodes count it on the interpreter, not on a generated kernel)."""
+    snapshot = capture(ring)
+    return {field: getattr(snapshot, field)
+            for field in ("registers", "outs", "pipelines", "fifos")}
+
+
+def _over_cap_ring(**ring_kwargs) -> Ring:
+    """Local programs of LIMIT 5, 7 and 8 (period 280, over the unroll
+    cap) and a host-fed accumulator at D1.1."""
+    ring = Ring(RingGeometry(layers=2, width=2), **ring_kwargs)
+    for (layer, pos), limit in zip([(0, 0), (0, 1), (1, 0)], (5, 7, 8)):
+        ring.config.write_local_program(layer, pos, [
+            MicroWord(Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT,
+                      imm=j) for j in range(limit)])
+        ring.config.write_mode(layer, pos, DnodeMode.LOCAL)
+    ring.config.write_switch_route(1, 1, 1, PortSource.host(0))
+    ring.config.write_microword(1, 1, MicroWord(
+        Opcode.MAC, Source.IN1, Source.SELF, Dest.R1,
+        flags=Flag.WRITE_OUT))
+    return ring
+
+
+class TestMacroLanes:
+    """Macro lane kernels == one per-cycle interpreter ring per lane.
+
+    The macro lane kernel takes every lane cycle native lane windows do
+    not: controller-stepped cycles (entered at every phase), sub-period
+    remainders after a native window, native-refused configurations
+    (``iir``'s MADD self-recurrence, ``echo``'s cross-Dnode cycle),
+    strict FIFOs, and, one kernel per cycle, configurations over the
+    unroll cap.  Lanes get their own streams, so they differ in data
+    and run dry at different cycles; each is checked against its own
+    interpreter run.
+    """
+
+    @given(drawn=stepped_systems(), batch=st.integers(2, 3))
+    @settings(max_examples=30, **_SETTINGS)
+    def test_controller_steps_enter_every_phase(self, drawn, batch):
+        case, period = drawn
+        spec, budget, drain = case[0], case[7], case[8]
+        lane_streams = _lane_streams(case[4], batch)
+        plancache.KERNELS.clear()
+        with _macro_calls(MacroLanePlan) as calls:
+            system = _controlled_lanes(case, lane_streams,
+                                       backend="batch", batch_size=batch)
+            system.run_until_halt(max_cycles=budget, drain=drain)
+        refs = []
+        for streams in lane_streams:
+            ref = _controlled_system(case[:4] + (streams,) + case[5:],
+                                     backend="interpreter")
+            _step_until_halt(ref, budget, drain)
+            refs.append(ref)
+            assert _controller_state(system) == _controller_state(ref)
+            assert system.cycles == ref.cycles
+        _assert_lanes_match(system, refs, spec)
+        # Every controller-stepped cycle is a one-cycle macro lane call,
+        # and a block of more than a period of them entered every phase.
+        stepped = system.cycle_paths[("per_cycle", "controller")]
+        entries = [entry for entry, cycles, _ in calls if cycles == 1]
+        assert len(entries) >= stepped
+        assert set(entries) == set(range(period))
+        assert system.ring.plan_compiles == 1
+
+    @given(drawn=remainder_systems(), batch=st.integers(2, 3))
+    @settings(max_examples=30, **_SETTINGS)
+    def test_sub_period_remainders_follow_native_windows(self, drawn,
+                                                         batch):
+        spec, taps, streams, chunks = drawn
+        lane_streams = _lane_streams(streams, batch)
+        system = _streamed_system(
+            build_ring(spec, backend="batch", batch_size=batch), taps,
+            lane_streams)
+        refs = [_streamed_system(build_ring(spec, backend="interpreter"),
+                                 taps, [streams])
+                for streams in lane_streams]
+        for chunk in chunks:
+            system.run(chunk)
+            for ref in refs:
+                ref.run(chunk)
+        _assert_lanes_match(system, refs, spec)
+        ring, period = system.ring, _spec_period(spec)
+        assert ring.native_cycles + ring.macro_cycles == sum(chunks)
+        assert ring.macro_cycles == ring.native_fallback_cycles
+        if ring.native_refusal is None:
+            # Native takes each run's whole periods, macro the rest.
+            assert ring.native_cycles == sum(
+                chunk - chunk % period for chunk in chunks if chunk > 1)
+
+    @pytest.mark.parametrize("kernel, reason", [
+        ("iir", "MADD self-recurrence has no closed form"),
+        ("echo", "cross-Dnode dependence cycle"),
+    ])
+    def test_native_refused_kernels(self, kernel, reason):
+        def build(lane_streams, **ring_kwargs):
+            if kernel == "iir":
+                ring = Ring(RingGeometry(layers=2, width=2), **ring_kwargs)
+                build_first_order_iir(3, -1, ring=ring)
+                taps = [(1, 0, 1, 1, None)]
+            else:
+                ring = Ring(RingGeometry(layers=4, width=2), **ring_kwargs)
+                build_echo(20000, ring=ring)
+                taps = [(0, 0, 0, 1, None), (3, 0, 0, 2, None)]
+            return _streamed_system(ring, taps, lane_streams)
+
+        signal = [(97 * n + 13) % 200 for n in range(40)]
+        lane_streams = _lane_streams({0: signal}, 3)
+        system = build(lane_streams, backend="batch", batch_size=3)
+        refs = [build([streams], backend="interpreter")
+                for streams in lane_streams]
+        chunks = [1, 1, 9, 24, 7]
+        for chunk in chunks:
+            system.run(chunk)
+            for ref in refs:
+                ref.run(chunk)
+        spec_ring = system.ring
+        assert reason in spec_ring.native_refusal
+        assert spec_ring.native_cycles == 0
+        assert spec_ring.macro_cycles == spec_ring.native_fallback_cycles \
+            == sum(chunks)
+        assert spec_ring.plan_compiles == 1
+        for lane, ref in enumerate(refs):
+            for tap, want in zip(system.data.taps, ref.data.taps):
+                assert tap.lane(lane) == want.samples
+            target = Ring(spec_ring.geometry)
+            system.ring.batch.store_lane(lane, target)
+            assert _datapath(target) == _datapath(ref.ring)
+
+    def test_strict_fifo_lanes_run_dry_mid_span(self):
+        """Lane k holds 2 + k words for a FIFO read every third cycle,
+        so lane 0 runs dry first, mid-span: the lane kernel raises the
+        scalar kernel's message on that cycle, with every lane's
+        datapath as its own interpreter ring left it."""
+        def build(**ring_kwargs):
+            ring = Ring(RingGeometry(layers=2, width=2),
+                        strict_fifos=True, **ring_kwargs)
+            ring.config.write_local_program(0, 0, [
+                MicroWord(Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT,
+                          imm=1),
+                MicroWord(Opcode.MOV, Source.FIFO1, dst=Dest.OUT,
+                          flags=Flag.POP_FIFO1),
+                MicroWord(Opcode.ADD, Source.SELF, Source.BUS, Dest.OUT)])
+            ring.config.write_mode(0, 0, DnodeMode.LOCAL)
+            ring.config.write_switch_route(1, 0, 1, PortSource.up(0))
+            ring.config.write_microword(1, 0, MicroWord(
+                Opcode.ADD, Source.IN1, Source.SELF, Dest.OUT))
+            return ring
+
+        loads = [[(500 * lane + 7 * j) & 0xFFFF for j in range(2 + lane)]
+                 for lane in range(3)]
+        lanes = build(backend="batch", batch_size=3)
+        for lane, words in enumerate(loads):
+            lanes.batch.push_fifo(0, 0, 1, words, lane=lane)
+        lanes.run(2, bus=4)
+        with pytest.raises(SimulationError) as got:
+            lanes.run(20, bus=4)
+        assert str(got.value) == "D0.0 read empty FIFO1 at cycle 7"
+        assert lanes.cycles == 7
+        assert lanes.macro_cycles == lanes.native_fallback_cycles == 7
+        for lane, words in enumerate(loads):
+            ref = build(backend="interpreter")
+            ref.push_fifo(0, 0, 1, words)
+            ref.run(7, bus=4)
+            if lane == 0:
+                with pytest.raises(SimulationError) as want:
+                    ref.run(1, bus=4)
+                assert str(want.value) == str(got.value)
+                assert ref.cycles == 7
+            target = Ring(lanes.geometry)
+            lanes.batch.store_lane(lane, target)
+            assert _datapath(target) == _datapath(ref)
+            assert lanes.batch.fifo_contents(0, 0, 1, lane) == \
+                words[2:]
+
+    def test_over_cap_configuration_runs_one_kernel_per_cycle(self):
+        """Period 280 is over the unroll cap: each lane cycle is one
+        call of a kernel baked for its phase, compiled into the
+        engine's cache only."""
+        signal = [(31 * n + 5) % 300 for n in range(30)]
+        lane_streams = _lane_streams({0: signal}, 3)
+        taps = [(1, 0, 0, 1, None), (1, 1, 2, 3, None)]
+        with _macro_calls(MacroLanePlan) as calls:
+            system = _streamed_system(
+                _over_cap_ring(backend="batch", batch_size=3), taps,
+                lane_streams)
+            chunks = [1, 5, 30]
+            for chunk in chunks:
+                system.run(chunk)
+        refs = [_streamed_system(_over_cap_ring(backend="interpreter"),
+                                 taps, [streams])
+                for streams in lane_streams]
+        for ref in refs:
+            ref.run(sum(chunks))
+        ring = system.ring
+        assert ring.native_refusal == (
+            "period 280 over the unroll cap (64 cycles, 4096 Dnode-cycles)")
+        assert ring.native_cycles == 0
+        assert ring.macro_cycles == ring.native_fallback_cycles == 36
+        assert [cycles for _, cycles, _ in calls] == [1] * 36
+        assert ring.plan_compiles == 36
+        assert not any(key[0] == "lane_cycle"
+                       for key in plancache.KERNELS.keys())
+        for lane, ref in enumerate(refs):
+            for tap, want in zip(system.data.taps, ref.data.taps):
+                assert tap.lane(lane) == want.samples
+            target = Ring(ring.geometry)
+            ring.batch.store_lane(lane, target)
+            assert _datapath(target) == _datapath(ref.ring)
+
+    def test_reconfiguration_mid_run(self):
+        """A write drops the lane plan; the next run compiles the new
+        configuration's lane kernel once, over the preserved lanes."""
+        signal = [(53 * n + 3) % 400 for n in range(40)]
+        lane_streams = _lane_streams({0: signal}, 3)
+
+        def build(streams, **ring_kwargs):
+            ring = Ring(RingGeometry(layers=2, width=2), **ring_kwargs)
+            build_first_order_iir(3, -1, ring=ring)
+            return _streamed_system(ring, [(1, 0, 1, 1, None)], streams)
+
+        system = build(lane_streams, backend="batch", batch_size=3)
+        refs = [build([streams], backend="interpreter")
+                for streams in lane_streams]
+        for phase, coeff in enumerate((-1, 2)):
+            for s in [system] + refs:
+                if phase:
+                    s.ring.config.write_microword(1, 0, MicroWord(
+                        Opcode.MADD, Source.IN1, Source.SELF, Dest.OUT,
+                        imm=coeff & 0xFFFF))
+                s.run(3)
+                s.run(14)
+        ring = system.ring
+        assert ring.plan_invalidations == 1
+        assert ring.plan_compiles == 2
+        assert ring.macro_cycles == 34
+        for lane, ref in enumerate(refs):
+            assert system.data.taps[0].lane(lane) == \
+                ref.data.taps[0].samples
+            target = Ring(ring.geometry)
+            ring.batch.store_lane(lane, target)
+            assert _datapath(target) == _datapath(ref.ring)
 
 
 #: How a generated case hands its words to a queue: one list, one int64

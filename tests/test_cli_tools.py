@@ -197,10 +197,11 @@ class TestRunBatchBackend:
         capsys.readouterr()
         data = json.loads(metrics.read_text())
         assert data["batch_lanes"] == 3
-        # Every lockstep cycle ran on a native lane window, so no
-        # per-cycle lane kernels were built.
+        # Every lockstep cycle ran on a native lane window, so no macro
+        # lane kernel was built.
         assert data["native_cycles_total"] == 4
-        assert data["batch_plan_compiles_total"] == 0
+        assert data["ring_plan_compiles_total"] == 0
+        assert "batch_plan_compiles_total" not in data
         assert "lane=2" in data["batch_lane_fifo_underflows_total"]
 
     def test_batch_rejects_controller_program(self, asm_file, capsys):
