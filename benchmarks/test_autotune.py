@@ -32,7 +32,6 @@ from repro.analysis.metrics import collect_metrics
 from repro.compiler.autotune import (Mapping, _program_for, _score,
                                      autotune_graph, reset_autotune_state)
 from repro.compiler.library import build_graph, library_streams
-from repro.core import nativepath
 from repro.core.ring import Ring, RingGeometry
 from tests.conftest import native_refused
 
@@ -75,7 +74,6 @@ def test_autotune_speedup_and_memoized_resubmission():
         "workload": "library-kernel-autotune",
         "score_cycles": SCORE_CYCLES,
         "target_speedup": TARGET_SPEEDUP,
-        "numba_available": nativepath.numba_available(),
         "kernels": {},
     }
     rows = []

@@ -22,7 +22,6 @@ from pathlib import Path
 
 from benchmarks.conftest import emit
 from repro.analysis import render_table
-from repro.core import nativepath
 from repro.core.isa import Dest, MicroWord, Opcode, Source
 from repro.core.ring import Ring, RingGeometry
 from repro.core.snapshot import state_digest
@@ -107,10 +106,6 @@ def test_native_throughput_vs_per_cycle_engines():
         "native_speedup_vs_macro": round(speedup, 2),
         "target_speedup": TARGET_NATIVE_SPEEDUP,
         "native_cycles": native_ring.native_cycles,
-        "numba_jit_active": bool(
-            native_ring._steady.get("native") is not None
-            and native_ring._steady["native"].jit_active()),
-        "numba_available": nativepath.numba_available(),
     }, indent=2) + "\n")
     emit(f"wrote {BENCH_PATH.name}")
 

@@ -22,15 +22,15 @@ cap) wherever native refuses, so the engine is not a search axis.
 Scoring is *measured*, not modelled: each candidate is configured onto a
 private ring and timed with :func:`~repro.compiler.profiler.\
 measured_cycles_per_second` (short :meth:`~repro.core.ring.Ring.profile`
-runs behind a warm-up chunk, so compile/jit cost never skews the score).
+runs behind a warm-up chunk, so compile cost never skews the score).
 A candidate can only win after it reproduces the graph's golden
 :meth:`~repro.compiler.graph.DataflowGraph.evaluate` output bit-for-bit
 on deterministic streams; the winner additionally proves its *bulk
 engine* path bit-identical to the reference interpreter by state digest.
 
 Winning mappings are memoized in an LRU keyed by (graph canonical
-fingerprint, fabric shape, Numba availability) — a repeat submission
-pays one dict lookup plus a recompile, no search.
+fingerprint, fabric shape) — a repeat submission pays one dict lookup
+plus a recompile, no search.
 
 :func:`fuzz_conformance` reuses the machinery as a coverage-guided
 configuration fuzzer: randomly mutated graphs sweep candidate mappings
@@ -51,7 +51,6 @@ from repro.compiler.graph import CompileError, DataflowGraph, NodeKind
 from repro.compiler.library import GRAPH_LIBRARY, library_streams
 from repro.compiler.profiler import measured_cycles_per_second
 from repro.compiler.schedule import schedule
-from repro.core import nativepath
 from repro.core.plancache import PlanCache
 from repro.core.ring import Ring, RingGeometry
 from repro.core.snapshot import state_digest
@@ -115,8 +114,8 @@ class AutotuneStats:
 #: :meth:`repro.analysis.metrics.MetricsRegistry.collect`.
 STATS = AutotuneStats()
 
-#: Best-known-mapping memo: (graph fingerprint, fabric shape, Numba
-#: availability) -> (Mapping, measured cycles/s, baseline cycles/s).
+#: Best-known-mapping memo: (graph fingerprint, fabric shape) ->
+#: (Mapping, measured cycles/s, baseline cycles/s).
 MEMO = PlanCache(64)
 
 
@@ -128,11 +127,10 @@ def reset_autotune_state() -> None:
 
 def memo_key(graph: DataflowGraph,
              geometry: Optional[RingGeometry]) -> tuple:
-    """The LRU key: graph content, fabric shape, Numba availability."""
+    """The LRU key: graph content and fabric shape."""
     shape = (None if geometry is None else
              (geometry.layers, geometry.width, geometry.pipeline_depth))
-    return ("autotune", graph.fingerprint(), shape,
-            nativepath.numba_available())
+    return (graph.fingerprint(), shape)
 
 
 def _program_for(graph: DataflowGraph,

@@ -24,8 +24,8 @@ def measured_cycles_per_second(ring: Ring, cycles: int,
                                repeats: int = 2) -> float:
     """Steady-state throughput of *ring*'s current configuration+engine.
 
-    Runs a warm-up chunk first (so plan compilation, macro/native codegen
-    and any jit cost stay out of the timed region — see
+    Runs a warm-up chunk first (so macro/native code generation stays
+    out of the timed region — see
     :meth:`repro.core.ring.Ring.profile`), then times *repeats* runs of
     *cycles* each and returns the best cycles/s.  This is the scoring
     primitive the compiler autopilot ranks candidate mappings with.

@@ -37,9 +37,11 @@ bound from the process-wide template cache (:mod:`repro.core.plancache`)
 by :meth:`~repro.core.ring.Ring._lane_plan`:
 
 1. **native lane windows** (:class:`~repro.core.nativepath.NativeLanePlan`,
-   tier ``"native_lanes"``): :meth:`BatchRing.run` runs the whole
-   periods of a span of two or more cycles as one time-vectorized
-   window, unless the FIFOs are strict;
+   tier ``"native"``): :meth:`BatchRing.run` runs the whole periods of
+   a span of two or more cycles as one time-vectorized window, unless
+   the FIFOs are strict.  The template is the scalar ring's own, bound
+   to the lane arrays, so a configuration run on a ring and on lanes
+   compiles once;
 2. **macro lane kernels** (:class:`~repro.core.macropath.MacroLanePlan`,
    tier ``"macro_lanes"``): the scalar macro kernel with every value a
    row of lanes, entered at any phase of its orbit and stopped after
@@ -477,7 +479,7 @@ class BatchRing:
         records = [np.empty((cycles, self.batch), np.int64) for _ in nodes]
         ring.last_bus = bus
         done = 0
-        native = (self._plan("native_lanes")
+        native = (self._plan("native")
                   if cycles > 1 and not ring.strict_fifos else None)
         if native is not None:
             done = cycles - cycles % native.period

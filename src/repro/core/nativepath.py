@@ -1,4 +1,4 @@
-"""Native tier: time-axis-vectorized macro kernels (NumPy / optional Numba).
+"""Native tier: time-axis-vectorized macro kernels (NumPy).
 
 The macro rung (:mod:`repro.core.macropath`) removes per-cycle
 Python dispatch by unrolling one sequencer period into straight-line
@@ -38,31 +38,22 @@ a single NumPy array operation over all T/period executions at once:
   :meth:`NativePlan.run` returns the post-edge output history of every
   Dnode the caller taps.
 
-The generated kernel is one pure-array function ``_core``; when Numba
-is importable (and not disabled via :func:`set_numba_enabled`) it is
-``@njit``-compiled on first use, falling back to the NumPy version on
-any compile or first-call failure.  ``_core`` only ever overwrites its
-output arrays, so re-running the Python version after a failed jitted
-call is safe.
+The generated kernel is one pure-array function ``_core``.  It takes
+every piece of state as an argument, so it holds no ring:
+:func:`native_template` builds a :class:`NativeTemplate` (the kernel and
+the window schedule by Dnode index and FIFO key) once per configuration
+and entry phase.  The ring keeps templates in the process-wide kernel
+cache (:mod:`repro.core.plancache`), so every fresh ring with a
+configuration the process has compiled binds it in microseconds.
 
-``_core`` takes every piece of state as an argument, so it holds no
-ring: :func:`native_template` builds a :class:`NativeTemplate` (the
-kernel, its jitted build and the window schedule by Dnode index and
-FIFO key) once per configuration and entry phase, and
-:meth:`NativeTemplate.bind` maps it onto a ring's state containers.  The
-ring keeps templates in the process-wide kernel cache
-(:mod:`repro.core.plancache`), so every fresh ring with a configuration
-the process has compiled binds it in microseconds and shares one jit.
-
-The same emitter serves a batch ring's lanes: ``native_template(ring,
-lanes=True)`` generates the kernel with a trailing lane axis on every
-array, and :meth:`NativeTemplate.bind_lanes` maps it onto a
-:class:`~repro.core.batchpath.BatchRing`'s lane arrays and lane FIFOs
-(:class:`NativeLanePlan`).  It is cached under its own tier,
-``"native_lanes"``, because one source cannot serve both shapes: an
-accumulator's running sum is ``np.cumsum`` over a 1-D vector, and over
-the time axis of a 2-D one (a loop in the jitted build, as Numba's
-``cumsum`` takes no axis).
+The kernel is shape-generic: its temporaries take their shape from
+``_INIT`` (``(n,)`` on a ring, ``(n, lanes)`` on lanes) and every
+running sum is ``np.cumsum`` down axis 0.  So one template serves both
+bindings: :meth:`NativeTemplate.bind` maps it onto a ring's state
+containers (:class:`NativePlan`) and :meth:`NativeTemplate.bind_lanes`
+onto a :class:`~repro.core.batchpath.BatchRing`'s lane arrays and lane
+FIFOs (:class:`NativeLanePlan`), whose arrays carry a trailing lane
+axis.  A configuration run on a ring and on lanes compiles once.
 
 Eligibility — :func:`compile_native` returns None (the ring then falls
 back native → macro → interpreter, and keeps the reason as
@@ -109,44 +100,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: beyond it are split, bounding peak VO-array memory (~8 MB of int64 at
 #: the cap).
 MAX_WINDOW_CELLS = 1 << 20
-
-#: Sentinel: jit resolution finished, native kernel runs as plain NumPy.
-_JIT_OFF = object()
-
-_NUMBA = {"enabled": True}
-
-
-def set_numba_enabled(enabled: bool) -> None:
-    """Gate the optional Numba jit globally (tests force the pure-NumPy
-    path with False; plans already jitted keep their compiled kernel)."""
-    _NUMBA["enabled"] = bool(enabled)
-
-
-def numba_available() -> bool:
-    """True when Numba can be imported and is not disabled."""
-    if not _NUMBA["enabled"]:
-        return False
-    try:
-        import numba  # noqa: F401 - availability probe
-    except Exception:
-        return False
-    return hasattr(numba, "njit")
-
-
-def _cumsum_rows(t):
-    """Running sum down the time axis of a lane kernel's accumulator
-    terms (``np.cumsum`` over axis 0)."""
-    return np.cumsum(t, axis=0)
-
-
-def _cumsum_rows_loop(t):
-    """:func:`_cumsum_rows` as a loop, for the jitted lane build (Numba's
-    ``np.cumsum`` takes no axis)."""
-    out = t.copy()
-    for k in range(1, out.shape[0]):
-        out[k] += out[k - 1]
-    return out
-
 
 def fifo_tail(occupancy, n: int, ppp: int, reads):
     """Pops that land and underflows counted by *n* periods on a
@@ -200,79 +153,34 @@ class NativeTemplate:
     """A compiled native kernel with no ring in it.
 
     ``core`` is the pure-array kernel (``source`` its text), shared by
-    every ring bound to it, and so is its jitted build (``jit``).  The
-    rest is the window's schedule by Dnode index and FIFO key, which a
-    :class:`NativePlan` maps to one ring's state containers, or, for a
-    lane template (``lanes``), a :class:`NativeLanePlan` to one batch
-    engine's lane arrays.
+    every ring and batch engine bound to it.  The rest is the window's
+    schedule by Dnode index and FIFO key, which a :class:`NativePlan`
+    maps to one ring's state containers, or a :class:`NativeLanePlan` to
+    one batch engine's lane arrays.
     """
 
-    __slots__ = ("schedule", "source", "lanes", "core", "jit", "init_fill",
-                 "fin_regs", "fifo_reads", "fifo_gates")
+    __slots__ = ("schedule", "source", "core", "init_fill", "fin_regs",
+                 "fifo_reads", "fifo_gates")
 
-    def __init__(self, schedule, source, lanes, init_fill, fin_regs,
-                 fifo_reads, fifo_gates):
+    def __init__(self, schedule, source, init_fill, fin_regs, fifo_reads,
+                 fifo_gates):
         self.schedule = schedule
         self.source = source
-        self.lanes = lanes
-        self.core = self._exec(_cumsum_rows)
-        self.jit = None
+        env: Dict[str, object] = {"np": np}
+        exec(compile(source, f"<native period={schedule.period}>", "exec"),
+             env)
+        self.core = env["_core"]
         self.init_fill = init_fill
         self.fin_regs = fin_regs
         self.fifo_reads = fifo_reads
         self.fifo_gates = fifo_gates
-
-    def _exec(self, cumsum_rows):
-        env: Dict[str, object] = {"np": np, "_cumsum_rows": cumsum_rows}
-        name = f"<native period={self.schedule.period}" + (
-            " lanes>" if self.lanes else ">")
-        exec(compile(self.source, name, "exec"), env)
-        return env["_core"]
-
-    def kernel(self):
-        """The kernel to call: the jitted build once resolved, else
-        ``core``.  Resolution happens once per template."""
-        jit = self.jit
-        if jit is None:
-            jit = _JIT_OFF
-            if numba_available():
-                try:
-                    import numba
-                    core = self.core
-                    if self.lanes:
-                        core = self._exec(
-                            numba.njit(cache=False)(_cumsum_rows_loop))
-                    jit = numba.njit(cache=False)(core)
-                except Exception:
-                    jit = _JIT_OFF
-            self.jit = jit
-        return self.core if jit is _JIT_OFF else jit
-
-    def call(self, args) -> None:
-        """Run the kernel on *args*, retiring a jitted build that fails.
-
-        A jitted build that fails at call time (an unsupported construct
-        surfacing late) is retired permanently, for every plan bound to
-        the template; the kernel only overwrites its outputs, so
-        re-running the NumPy version recomputes the window exactly.
-        """
-        core = self.kernel()
-        if core is self.core:
-            core(*args)
-            return
-        try:
-            core(*args)
-        except Exception:
-            self.jit = _JIT_OFF
-            self.core(*args)
 
     def bind(self, ring: "Ring") -> "NativePlan":
         """The plan that runs this kernel over *ring*'s state."""
         return NativePlan(self, ring)
 
     def bind_lanes(self, engine) -> "NativeLanePlan":
-        """The plan that runs this lane kernel over a batch *engine*'s
-        lanes."""
+        """The plan that runs this kernel over a batch *engine*'s lanes."""
         return NativeLanePlan(self, engine)
 
 
@@ -391,11 +299,6 @@ class NativePlan(_NativeWindows):
                 return 0
         return n * per
 
-    def jit_active(self) -> bool:
-        """True when the kernel currently runs through a jitted build."""
-        jit = self.template.jit
-        return jit is not None and jit is not _JIT_OFF
-
     # ------------------------------------------------------------------
 
     def _window(self, n: int, bus: int, host_in,
@@ -436,7 +339,7 @@ class NativePlan(_NativeWindows):
         vos[:, :depth + 1] = seed
 
         fin = np.zeros(max(1, meta["fin_count"]), np.int64)
-        self.template.call((n, bus, init, fin, *vos, *hv, *fv))
+        self.template.core(n, bus, init, fin, *vos, *hv, *fv)
 
         for values, r, k in meta["fin_regs"]:
             values[r] = int(fin[k])
@@ -535,7 +438,7 @@ def _book_stats(meta, n: int, T: int) -> None:
 
 
 class NativeLanePlan(_NativeWindows):
-    """A lane :class:`NativeTemplate` bound to one batch engine.
+    """A :class:`NativeTemplate` bound to one batch engine.
 
     The kernel's arrays carry a trailing lane axis: ``(T, lanes)`` host
     windows, ``(n, lanes)`` FIFO read vectors and ``(T + depth + 1,
@@ -620,7 +523,7 @@ class NativeLanePlan(_NativeWindows):
         vos[:, depth] = outs
 
         fin = np.zeros((meta["fin_count"], lanes), np.int64)
-        self.template.call((n, bus, init, fin, *vos, *hv, *fv))
+        self.template.core(n, bus, init, fin, *vos, *hv, *fv)
 
         slots, rows = meta["fin_regs"]
         regs[rows] = fin[slots]
@@ -648,20 +551,20 @@ def compile_native(ring: "Ring",
                    engine=None):
     """Compile *ring*'s current configuration into a native plan.
 
-    Returns the :func:`native_template` bound to *ring* — or, given the
-    ring's batch *engine*, the lane template bound to its lanes — or
-    None when the configuration is ineligible; the caller falls back to
-    the macro and interpreter rungs.  The reason for a refusal is appended
-    to *refusal* when a list is given.
+    Returns the :func:`native_template` bound to *ring*, or to the lanes
+    of the ring's batch *engine* when one is given, or None when the
+    configuration is ineligible; the caller falls back to the macro and
+    interpreter rungs.  The reason for a refusal is appended to *refusal*
+    when a list is given.
     """
     try:
-        if engine is not None:
-            return native_template(ring, lanes=True).bind_lanes(engine)
-        return native_template(ring).bind(ring)
+        template = native_template(ring)
     except Ineligible as exc:
         if refusal is not None:
             refusal.append(str(exc))
         return None
+    return (template.bind(ring) if engine is None
+            else template.bind_lanes(engine))
 
 
 def _additive_step(mw, a_self: bool, b_self: bool) -> Optional[str]:
@@ -695,14 +598,14 @@ def _cycle_members(deps: Dict[int, set], unordered: set) -> List[int]:
         left = used
 
 
-def native_template(ring: "Ring", lanes: bool = False) -> NativeTemplate:
+def native_template(ring: "Ring") -> NativeTemplate:
     """Generate and compile the native kernel for *ring*'s configuration
     and entry phase; raises :class:`Ineligible` when it has none.
 
-    With *lanes* the kernel's arrays carry a trailing lane axis (see
-    :class:`NativeLanePlan`): the same schedule and emitter, with
-    per-lane temporaries and a row-wise running sum in place of the 1-D
-    ``np.cumsum``, which takes no axis under Numba.
+    The kernel serves a ring and a batch engine's lanes alike: every
+    temporary is shaped ``_S = (n,) + _INIT.shape[1:]``, so it carries a
+    trailing lane axis exactly when its inputs do (see
+    :class:`NativeLanePlan`).
     """
     steady = SteadySchedule(ring)
     schedule = steady.words
@@ -972,9 +875,7 @@ def native_template(ring: "Ring", lanes: bool = False) -> NativeTemplate:
     lines: List[str] = []
     temp_count = [0]
     # Shape of one op's result vector: n periods (by lane).
-    shape = "(n, _B)" if lanes else "n"
-    if lanes:
-        lines.append("    _B = _INIT.shape[1]")
+    lines.append("    _S = (n,) + _INIT.shape[1:]")
 
     def emit(text: str) -> None:
         lines.append("    " + text)
@@ -998,7 +899,7 @@ def native_template(ring: "Ring", lanes: bool = False) -> NativeTemplate:
             psi, ii = opnd[1], opnd[2]
             temp_count[0] += 1
             t = f"_t{temp_count[0]}"
-            emit(f"{t} = np.empty({shape}, np.int64)")
+            emit(f"{t} = np.empty(_S, np.int64)")
             emit(f"{t}[0] = _INIT[{ii}]")
             emit(f"{t}[1:] = _r_{i}_{psi}[:n - 1]")
             return t, True
@@ -1016,8 +917,7 @@ def native_template(ring: "Ring", lanes: bool = False) -> NativeTemplate:
         m = len(group)
         temp_count[0] += 1
         t = f"_c{temp_count[0]}"
-        size = f"(n * {m}, _B)" if lanes else f"n * {m}"
-        emit(f"{t} = np.empty({size}, np.int64)")
+        emit(f"{t} = np.empty((n * {m},) + _S[1:], np.int64)")
         for j, (ph, rec) in enumerate(zip(group, recs)):
             if rec["mw"].op is Opcode.MAC:
                 a, _ = operand_expr(i, ph, rec["a"])
@@ -1032,9 +932,8 @@ def native_template(ring: "Ring", lanes: bool = False) -> NativeTemplate:
         root = recs[0]
         own = (root["acc"] if root["mw"].op is Opcode.MAC
                else root["a"] if root["a_self"] else root["b"])
-        cumsum = "_cumsum_rows" if lanes else "np.cumsum"
-        emit(f"{t} = (_INIT[{own[2]}] {root['closed']} {cumsum}({t})) "
-             f"& 65535")
+        emit(f"{t} = (_INIT[{own[2]}] {root['closed']} "
+             f"np.cumsum({t}, axis=0)) & 65535")
         for j, ph in enumerate(group):
             emit(f"_r_{i}_{ph} = {t}[{j}::{m}]")
 
@@ -1061,7 +960,7 @@ def native_template(ring: "Ring", lanes: bool = False) -> NativeTemplate:
                 acc, acc_arr = operand_expr(i, ph, rec["acc"])
             expr = _vector_expr(mw, a, b, acc)
             if not (a_arr or b_arr or acc_arr):
-                expr = f"np.zeros({shape}, np.int64) + ({expr})"
+                expr = f"np.zeros(_S, np.int64) + ({expr})"
             emit(f"_r_{i}_{ph} = {expr}")
 
         # Final register values: the chronologically last writer's last
@@ -1107,8 +1006,7 @@ def native_template(ring: "Ring", lanes: bool = False) -> NativeTemplate:
     params += [f"_hv_{j}" for j in range(len(host_ports))]
     params += [f"_fv_{j}" for j in range(len(fifo_reads))]
     header = f"def _core({', '.join(params)}):"
-    body = lines if lines else ["    pass"]
-    source = "\n".join([header] + body) + "\n"
+    source = "\n".join([header] + lines) + "\n"
     fifo_gates = []
     keys = set(pop_phases) | set(fifo_read_prefixes)
     for key in sorted(keys):
@@ -1117,12 +1015,11 @@ def native_template(ring: "Ring", lanes: bool = False) -> NativeTemplate:
                       if tuple(k) == key)
         fifo_gates.append((key, len(pop_phases.get(key, ())),
                            fifo_read_prefixes.get(key), reads))
-    return NativeTemplate(steady, source, lanes, tuple(init_fill),
+    return NativeTemplate(steady, source, tuple(init_fill),
                           tuple(fin_regs), tuple(fifo_reads),
                           tuple(fifo_gates))
 
 
 __all__ = ["NativeLanePlan", "NativePlan", "NativeTemplate",
-           "compile_native", "fifo_tail",
-           "native_template", "numba_available",
-           "set_numba_enabled", "MAX_WINDOW_CELLS"]
+           "compile_native", "fifo_tail", "native_template",
+           "MAX_WINDOW_CELLS"]

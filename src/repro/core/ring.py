@@ -266,9 +266,8 @@ class Ring:
     #: adding an engine is one entry here.
     BACKEND_REGISTRY = {
         "interpreter": "reference cycle-by-cycle interpreter",
-        "native": "time-vectorized NumPy kernels (optional Numba "
-                  "jit), falling back to generated macro kernels, "
-                  "then the interpreter",
+        "native": "time-vectorized NumPy kernels, falling back to "
+                  "generated macro kernels, then the interpreter",
         "batch": "lane-vectorized NumPy engine over batch_size streams",
     }
 
@@ -364,7 +363,6 @@ class Ring:
         self.rollbacks = 0
         self.recovery_cycles = 0
         self._observers: List[_CycleObserver] = []
-        self._legacy_trace: Optional[RingObserver] = None
         self._profile: Optional[RingProfile] = None
         #: Composed post-commit hook: None when nothing observes, a bare
         #: callback for the single always-on observer, otherwise a
@@ -608,23 +606,7 @@ class Ring:
         """Unregister one observer; other observers are untouched."""
         self._observers = [o for o in self._observers
                            if o.callback != callback]
-        if self._legacy_trace == callback:
-            self._legacy_trace = None
         self._rebuild_trace()
-
-    def set_trace(self, callback: Optional[Callable[["Ring"], None]]) -> None:
-        """Install a per-cycle observer, called after each commit.
-
-        Legacy single-hook interface: each call replaces only the hook
-        previously installed *through this method* — observers registered
-        with :meth:`add_observer` are never touched, so a waveform trace
-        and a metrics observer can coexist.
-        """
-        if self._legacy_trace is not None:
-            self.remove_observer(self._legacy_trace)
-        if callback is not None:
-            self.add_observer(callback)
-            self._legacy_trace = callback
 
     def _rebuild_trace(self) -> None:
         observers = self._observers
@@ -665,11 +647,11 @@ class Ring:
 
         Args:
             warmup: cycles to run *untimed* before the profile attaches.
-                First-touch costs (macro/native code generation, any
-                Numba jit) land in the warm-up chunk instead of the
-                measured region, so the profile reports steady-state
-                throughput — the number the compiler autopilot scores
-                candidate mappings by.
+                First-touch costs (macro/native code generation) land
+                in the warm-up chunk instead of the measured region, so
+                the profile reports steady-state throughput — the
+                number the compiler autopilot scores candidate mappings
+                by.
             bus: bus value driven during the warm-up cycles.
             host_in: host resolver used during the warm-up cycles (the
                 profiled block supplies its own).
@@ -995,7 +977,7 @@ class Ring:
         if tier == "lane_cycle":
             plan = macro_template(self, lanes=True,
                                   period=1).bind_lanes(engine)
-        elif tier.startswith("native"):
+        elif tier == "native":
             plan = compile_native(self, refusal, engine)
         else:
             plan = compile_macro(self, refusal, engine)
@@ -1003,7 +985,7 @@ class Ring:
             profile.compile_seconds += perf_counter() - began
         if plan is None:
             return _Refusal(refusal[0])
-        if tier.startswith("native"):
+        if tier == "native":
             self.native_compiles += 1
         else:
             self.plan_compiles += 1
@@ -1015,16 +997,18 @@ class Ring:
         """The *tier* lane plan of the batch *engine* for the current
         configuration and entry phase, or a :class:`_Refusal`.
 
-        *tier* is ``"native_lanes"``, ``"macro_lanes"`` or, for a
+        *tier* is ``"native"``, ``"macro_lanes"`` or, for a
         configuration over the macro unroll cap, ``"lane_cycle"``: the
         macro lane kernel of the one cycle at the live phase, which is
         never refused.  Bound lane plans hold the engine's lane arrays,
         so they live in the engine's own cache, which it drops when it
         is retired or resynced.  The ring-free templates of the first
         two tiers are looked up in, or compiled into, the process-wide
-        kernel cache, exactly like a scalar template; one-cycle kernels
-        stay in the engine's cache, so a long period cannot evict the
-        process's templates.
+        kernel cache; a native template is the very one a scalar ring
+        binds under the same key, so a configuration run on a ring and
+        on lanes compiles once and shares one refusal.  One-cycle
+        kernels stay in the engine's cache, so a long period cannot
+        evict the process's templates.
         """
         key = self._steady_key(tier)
         cache = engine.plan_cache
@@ -1058,7 +1042,7 @@ class Ring:
         """
         if self.backend == "batch" and (
                 self.batch_size > 1 or self._batch_engine is not None):
-            plan = self._lane_plan(self._ensure_batch(), "native_lanes")
+            plan = self._lane_plan(self._ensure_batch(), "native")
             return str(plan) if isinstance(plan, _Refusal) else None
         native = self._steady_plan("native")
         return None if native is not None else str(self._steady["native"])

@@ -58,8 +58,9 @@ class TestSignalTrace:
         assert trace.cycles == 2
 
     def test_detach_leaves_foreign_observer_installed(self):
-        # Regression: detach() used to call set_trace(None) unconditionally,
-        # silently removing whatever observer was installed after it.
+        # Regression: detach() used to clear the ring's single trace hook
+        # unconditionally, silently removing whatever observer was
+        # installed after it.
         ring = counting_ring()
         trace = SignalTrace(ring, [Probe.out(0, 0)])
         seen = []
@@ -70,12 +71,18 @@ class TestSignalTrace:
         assert seen == [1, 2, 3]
 
     def test_detach_leaves_legacy_set_trace_hook_installed(self):
+        """A single hook installed before the trace (the pattern the old
+        ``set_trace`` wrapper served) survives ``detach`` and leaves
+        only through its own ``remove_observer``."""
         ring = counting_ring()
-        trace = SignalTrace(ring, [Probe.out(0, 0)])
         seen = []
-        ring.set_trace(lambda r: seen.append(r.cycles))
+        hook = ring.add_observer(lambda r: seen.append(r.cycles))
+        trace = SignalTrace(ring, [Probe.out(0, 0)])
         trace.detach()
         ring.run(2)
+        assert seen == [1, 2]
+        ring.remove_observer(hook)
+        ring.run(1)
         assert seen == [1, 2]
 
     def test_two_traces_coexist_and_detach_independently(self):

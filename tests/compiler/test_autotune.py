@@ -6,8 +6,8 @@ The tentpole contract pinned here:
   reproduce the golden evaluator bit-for-bit before it can win;
 * the winner is at least as fast as the default ``compile_graph``
   emission (the baseline is itself a candidate);
-* a repeat submission hits the (graph fingerprint, fabric shape,
-  Numba availability) memo and pays no search;
+* a repeat submission hits the (graph fingerprint, fabric shape) memo
+  and pays no search;
 * the configuration fuzzer drives mutated graphs across every mapping
   variant and every execution engine, bit-comparing all of them;
 * the ``autotune_*`` metric families surface the whole story.

@@ -43,7 +43,8 @@ class _HiddenTiers:
             self._cache.put(key, value)
 
     def _hidden(self, key):
-        """A refused tier, and its lane variant (``"native_lanes"``)."""
+        """A refused tier, and its lane variant (``"macro_lanes"``); a
+        native lane plan binds the ring's own ``"native"`` template."""
         tier = key[0]
         if tier.endswith("_lanes"):
             tier = tier[:-len("_lanes")]

@@ -477,18 +477,8 @@ class TestDifferentialNative:
     configurations vectorize (and must be bit-identical to the
     interpreter after write-back), ineligible ones ride the fallback
     ladder (and must be bit-identical *trivially* but still exercise
-    the dispatch), FIFO-gated windows split between both.  The suite
-    runs with Numba forced absent, so it pins the pure-NumPy core —
-    the jit wrapper has its own directed tests in
-    ``tests/core/test_nativepath.py``.
+    the dispatch), FIFO-gated windows split between both.
     """
-
-    @pytest.fixture(autouse=True)
-    def _no_numba(self, monkeypatch):
-        import sys
-        monkeypatch.setitem(sys.modules, "numba", None)
-        from repro.core import nativepath
-        assert not nativepath.numba_available()
 
     @given(spec=ring_specs(min_layers=2, max_layers=5, min_width=1,
                            max_width=2, max_local=6),

@@ -3,17 +3,14 @@
 Covers what the fuzz and conformance suites pin only indirectly: the
 eligibility rules and the fallback ladder (native -> macro-step ->
 interpreter), phase-keyed plan caching and snapshot re-adoption, the
-safe-cycle FIFO gating formulas, the optional-Numba ladder (absent /
-working / broken), and the single-registry backend contract shared by
-``Ring.set_backend``, the CLI and the documentation.
+safe-cycle FIFO gating formulas, and the single-registry backend
+contract shared by ``Ring.set_backend``, the CLI and the documentation.
 """
 
 from __future__ import annotations
 
 import random
 import re
-import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -28,14 +25,6 @@ from repro.core.switch import PortSource
 from repro.errors import ConfigurationError, SimulationError
 
 REPO = Path(__file__).resolve().parent.parent.parent
-
-
-@pytest.fixture
-def no_numba(monkeypatch):
-    """Force the pure-NumPy core: ``import numba`` raises ImportError."""
-    monkeypatch.setitem(sys.modules, "numba", None)
-    yield
-    pass
 
 
 def _feedforward_chain(ring: Ring) -> None:
@@ -494,86 +483,6 @@ class TestPlanCacheAndSnapshots:
         for _ in range(30):
             twin.step(bus=7)
         assert state_digest(ring) == state_digest(twin)
-
-
-class TestNumbaLadder:
-    def _run_pair(self):
-        def build(**kw):
-            ring = Ring(RingGeometry.ring(16), **kw)
-            _feedforward_chain(ring)
-            return ring
-        rn, ri = _twin(build, 30, bus=7)
-        assert rn.native_cycles > 0
-        assert state_digest(rn) == state_digest(ri)
-        return rn
-
-    def test_numba_absent_uses_python_core(self, no_numba):
-        assert not nativepath.numba_available()
-        ring = self._run_pair()
-        assert not ring._steady["native"].jit_active()
-
-    def test_numba_disabled_by_switch(self, monkeypatch):
-        fake = types.ModuleType("numba")
-        fake.njit = lambda *a, **kw: (lambda fn: fn)
-        monkeypatch.setitem(sys.modules, "numba", fake)
-        nativepath.set_numba_enabled(False)
-        try:
-            assert not nativepath.numba_available()
-            ring = self._run_pair()
-            assert not ring._steady["native"].jit_active()
-        finally:
-            nativepath.set_numba_enabled(True)
-
-    def test_working_numba_is_adopted(self, monkeypatch):
-        wrapped = []
-        fake = types.ModuleType("numba")
-
-        def njit(*args, **kwargs):
-            def deco(fn):
-                wrapped.append(fn.__name__)
-                return fn
-            return deco
-
-        fake.njit = njit
-        monkeypatch.setitem(sys.modules, "numba", fake)
-        assert nativepath.numba_available()
-        ring = self._run_pair()
-        assert ring._steady["native"].jit_active()
-        assert wrapped  # the core really went through @njit
-
-    def test_second_ring_shares_the_jitted_build(self, monkeypatch):
-        """A fresh ring binds the cached template, so its kernel is the
-        first ring's jitted build, jitted once, and stays bit-identical
-        to the interpreter."""
-        wrapped = []
-        fake = types.ModuleType("numba")
-
-        def njit(*args, **kwargs):
-            def deco(fn):
-                wrapped.append(fn.__name__)
-                return fn
-            return deco
-
-        fake.njit = njit
-        monkeypatch.setitem(sys.modules, "numba", fake)
-        first = self._run_pair()
-        second = self._run_pair()  # bit-identity asserted inside
-        assert second.native_compiles == 0
-        assert wrapped == ["_core"]
-        assert (second._steady["native"].template
-                is first._steady["native"].template)
-        assert second._steady["native"].jit_active()
-
-    def test_broken_numba_falls_back_to_python_core(self, monkeypatch):
-        fake = types.ModuleType("numba")
-
-        def njit(*args, **kwargs):
-            raise RuntimeError("no LLVM in this container")
-
-        fake.njit = njit
-        monkeypatch.setitem(sys.modules, "numba", fake)
-        ring = self._run_pair()  # bit-identity asserted inside
-        assert not ring._steady["native"].jit_active()
 
 
 class TestBackendRegistry:

@@ -298,8 +298,11 @@ class TestEngine:
 
     def test_trace_callback(self, ring8):
         seen = []
-        ring8.set_trace(lambda r: seen.append(r.cycles))
+        hook = ring8.add_observer(lambda r: seen.append(r.cycles))
         ring8.run(3)
+        assert seen == [1, 2, 3]
+        ring8.remove_observer(hook)
+        ring8.run(2)
         assert seen == [1, 2, 3]
 
     def test_reset_preserves_configuration(self, ring8):

@@ -482,7 +482,7 @@ def native_lane_systems(draw):
 def _lane_period(ring: Ring) -> int:
     """The period of a lane ring's native plan (its configuration is
     accepted)."""
-    return ring._lane_plan(ring.batch, "native_lanes").period
+    return ring._lane_plan(ring.batch, "native").period
 
 
 class TestNativeLanes:
@@ -615,7 +615,7 @@ class TestNativeLanes:
             RingGeometry.ring(16), backend="batch", batch_size=4)).ring
         wavelet._lifting_lanes(ring, image)
         assert ring.native_cycles > 0
-        assert any(key[0] == "native_lanes"
+        assert any(key[0] == "native"
                    for key in plancache.KERNELS.keys())
         refs = weakref.ref(ring), weakref.ref(ring.batch)
         del ring
@@ -1459,6 +1459,60 @@ class TestSharedKernelCache:
         assert len(plancache.KERNELS) == 0
         assert tap.samples == [v + 1 + k % 2 for k in range(6)
                                for v in range(10)]
+
+    @staticmethod
+    def _fir_lanes(backend: str, streams) -> RingSystem:
+        """fir8 on a fresh ring with one lane per stream in *streams*
+        (all of them on channel 0), every Dnode tapped, run to the
+        end of the streams."""
+        program = codegen.compile_graph(fir8())
+        ring = Ring(program.geometry, backend=backend,
+                    batch_size=len(streams))
+        system = program.build_system(ring)
+        for k, words in enumerate(streams):
+            if len(streams) > 1:
+                system.data.stream(0, words, lane=k)
+            else:
+                system.data.stream(0, words)
+        for layer in range(program.geometry.layers):
+            for pos in range(program.geometry.width):
+                system.data.add_tap(layer, pos)
+        system.run(len(streams[0]) + program.latency)
+        return system
+
+    @pytest.mark.parametrize("lanes_first", [False, True],
+                             ids=["ring_then_lanes", "lanes_then_ring"])
+    def test_ring_and_lanes_share_one_native_kernel(self, lanes_first):
+        """One configuration run on a scalar native ring and on a batch
+        ring's four lanes, in either order, compiles one native
+        template: the second ring binds the first one's.  The scalar
+        ring and every lane match their own interpreter runs bit for
+        bit."""
+        streams = [[(37 * n + 1009 * k) & 0xFFFF for n in range(48)]
+                   for k in range(4)]
+        runs = [lambda: self._fir_lanes("native", streams[:1]),
+                lambda: self._fir_lanes("batch", streams)]
+        if lanes_first:
+            runs.reverse()
+        first, second = (run() for run in runs)
+        scalar, lanes = (second, first) if lanes_first else (first, second)
+        assert first.ring.native_compiles == 1
+        assert second.ring.native_compiles == 0
+        assert scalar.ring.native_cycles > 0 and lanes.ring.native_cycles > 0
+        assert [key[0] for key in plancache.KERNELS.keys()
+                if key[0].startswith("native")] == ["native"]
+        refs = [self._fir_lanes("interpreter", [words]) for words in streams]
+        program = codegen.compile_graph(fir8())
+        assert [tap.samples for tap in scalar.data.taps] == \
+            [tap.samples for tap in refs[0].data.taps]
+        assert state_digest(scalar.ring) == state_digest(refs[0].ring)
+        for k, ref in enumerate(refs):
+            assert [list(tap.lane(k)) for tap in lanes.data.taps] == \
+                [tap.samples for tap in ref.data.taps]
+            target = Ring(program.geometry, backend="interpreter")
+            program.configure(target)
+            lanes.ring.batch.store_lane(k, target=target)
+            assert _lane_mirror(target) == _lane_mirror(ref.ring)
 
     def test_seam_refuses_a_cached_native_kernel(self):
         """A native kernel in the process-wide cache cannot skip the
