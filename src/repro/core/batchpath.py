@@ -26,10 +26,14 @@ is lane-invariant stays on the attached ring, a single copy: the local
 sequencer counters, the per-Dnode cycle/instruction/op/multiply
 statistics and the cycle count.
 
-Lane FIFOs.  Each Dnode input FIFO is a :class:`_BatchFifo`, a circular
-buffer per lane, with per-lane underflow (``lane_underflows``) and pop
-(``lane_fifo_pops``) accounting, since occupancy is data the lanes do
-not share.
+Lane FIFOs.  Each Dnode input FIFO is one
+:class:`~repro.core.wordqueue.LaneQueue` for all lanes: an int64
+``(capacity, lanes)`` buffer with one head shared by every lane and a
+word count per lane, since occupancy is data the lanes do not share.  A
+block load is one copy, a native window's read site is one strided
+slice masked past each lane's count, and its pops are one head move.
+Underflows (``lane_underflows``) and pops (``lane_fifo_pops``) are
+counted per lane.
 
 The lane ladder has two rungs, both generated from the same
 :class:`~repro.core.macropath.SteadySchedule` as the scalar tiers and
@@ -89,6 +93,7 @@ import numpy as np
 from repro import word
 from repro.core.plancache import PlanCache
 from repro.core.regfile import NUM_REGISTERS
+from repro.core.wordqueue import LaneQueue
 from repro.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -102,93 +107,6 @@ LANE_DTYPE = np.int32
 def batch_to_signed(v):
     """Reinterpret raw 16-bit words as signed (scalar or ndarray)."""
     return (v ^ word.SIGN_BIT) - word.SIGN_BIT
-
-
-# ----------------------------------------------------------------------
-# Per-lane FIFOs
-# ----------------------------------------------------------------------
-
-
-class _BatchFifo:
-    """One Dnode input FIFO across B lanes (circular buffer per lane)."""
-
-    __slots__ = ("batch", "data", "head", "count", "_lanes")
-
-    def __init__(self, batch: int, capacity: int = 8):
-        self.batch = batch
-        self.data = np.zeros((capacity, batch), dtype=LANE_DTYPE)
-        self.head = np.zeros(batch, dtype=np.int64)
-        self.count = np.zeros(batch, dtype=np.int64)
-        self._lanes = np.arange(batch)
-
-    @property
-    def capacity(self) -> int:
-        return self.data.shape[0]
-
-    def _grow(self, needed: int) -> None:
-        cap = self.capacity
-        new = np.zeros((max(needed, cap * 2), self.batch), dtype=LANE_DTYPE)
-        # Unroll every lane to head 0; rows past a lane's count carry
-        # stale words no read sees.
-        rows = int(self.count.max())
-        if rows:
-            idx = (self.head + np.arange(rows)[:, None]) % cap
-            new[:rows] = self.data[idx, self._lanes]
-        self.data = new
-        self.head[:] = 0
-
-    def push_lane(self, lane: int, values: List[int]) -> None:
-        n = len(values)
-        if not n:
-            return
-        if int(self.count[lane]) + n > self.capacity:
-            self._grow(int(self.count.max()) + n)
-        idx = (int(self.head[lane]) + int(self.count[lane])
-               + np.arange(n)) % self.capacity
-        self.data[idx, lane] = values
-        self.count[lane] += n
-
-    def push_all(self, values: List[int]) -> None:
-        """Append the same words to every lane."""
-        self.push_rows(np.broadcast_to(
-            np.asarray(values, dtype=LANE_DTYPE), (self.batch, len(values))))
-
-    def push_rows(self, block) -> None:
-        """Append row i of a ``(batch, n)`` block to lane i."""
-        n = block.shape[1]
-        if not n:
-            return
-        if int(self.count.max()) + n > self.capacity:
-            self._grow(int(self.count.max()) + n)
-        idx = (self.head[None, :] + self.count[None, :]
-               + np.arange(n)[:, None]) % self.capacity
-        self.data[idx, self._lanes[None, :]] = np.transpose(block)
-        self.count += n
-
-    def peek(self):
-        """Head word per lane (0 where empty) plus the empty-lane mask."""
-        vals = self.data[self.head, self._lanes]
-        empty = self.count == 0
-        if empty.any():
-            vals = np.where(empty, 0, vals)
-        return vals, empty
-
-    def pop(self):
-        """Dequeue where non-empty; returns the landed (success) mask."""
-        ok = self.count > 0
-        self.head += ok
-        self.head %= self.capacity
-        self.count -= ok
-        return ok
-
-    def lane_words(self, lane: int) -> np.ndarray:
-        """One lane's queued words, head first, as an int64 array."""
-        idx = (int(self.head[lane]) + np.arange(int(self.count[lane]))
-               ) % self.capacity
-        return self.data[idx, lane].astype(np.int64)
-
-    def contents(self, lane: int) -> List[int]:
-        return self.lane_words(lane).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -227,12 +145,14 @@ class BatchRing:
         self.pipes = np.zeros((layers, width, depth, batch),
                               dtype=LANE_DTYPE)
         self.lane_underflows = np.zeros(batch, dtype=np.int64)
+        # FIFO pops per Dnode and lane; lane_fifo_pops views its rows.
+        self._pops = np.zeros((layers, width, batch), dtype=np.int64)
         self.lane_fifo_pops: Dict[Tuple[int, int], np.ndarray] = {
-            (l, p): np.zeros(batch, dtype=np.int64)
+            (l, p): self._pops[l, p]
             for l in range(layers) for p in range(width)
         }
         self._head = 0
-        self._fifos: Dict[Tuple[int, int, int], _BatchFifo] = {}
+        self._fifos: Dict[Tuple[int, int, int], LaneQueue] = {}
         #: Lane plans dropped by reconfiguration (mirrors the ring's
         #: ``plan_invalidations``).
         self.invalidations = 0
@@ -274,34 +194,31 @@ class BatchRing:
     def resync(self) -> None:
         """(Re)load lane state by broadcasting the ring's scalar state."""
         ring = self.ring
-        g = ring.geometry
-        for l in range(g.layers):
-            for p in range(g.width):
-                dn = ring._dnodes[l][p]
-                self.outs[l, p, :] = dn._out
-                for r in range(NUM_REGISTERS):
-                    self.regs[l, p, r, :] = dn.regs._values[r]
-                self.lane_fifo_pops[(l, p)][:] = dn.stats.fifo_pops
+        # One row per Dnode: OUT, the register file, FIFO pops.
+        state = np.array([[[dn._out, *dn.regs._values, dn.stats.fifo_pops]
+                           for dn in layer] for layer in ring._dnodes],
+                         dtype=np.int64)[..., None]
+        self.outs[:] = state[:, :, 0]
+        self.regs[:] = state[:, :, 1:1 + NUM_REGISTERS]
+        self._pops[:] = state[:, :, 1 + NUM_REGISTERS]
         heads = {sw._head for sw in ring._switches}
         if len(heads) != 1:  # pragma: no cover - heads rotate in lockstep
             raise SimulationError(
                 "switch pipeline heads diverged; cannot batch"
             )
         self._head = ring._switches[0]._head
-        for l, sw in enumerate(ring._switches):
-            for j, pipe in enumerate(sw._pipes):
-                self.pipes[l, j, :, :] = np.asarray(
-                    pipe, dtype=LANE_DTYPE)[:, None]
+        self.pipes[:] = np.array([sw._pipes for sw in ring._switches],
+                                 dtype=LANE_DTYPE)[..., None]
         self._fifos = {}
         for key, queue in ring._fifos.items():
-            fifo = _BatchFifo(self.batch)
+            fifo = LaneQueue(self.batch)
             if queue:
                 fifo.push_all(queue.view())
             self._fifos[key] = fifo
         self.lane_underflows[:] = ring.fifo_underflows
-        # Lane plans bind the _BatchFifo objects just replaced above, so
-        # every cached entry is stale; the next run rebinds the lane
-        # plans from the process-wide templates.
+        # Lane plans bind the lane queues just replaced above, so every
+        # cached entry is stale; the next run rebinds the lane plans
+        # from the process-wide templates.
         self._plans.clear()
         self.plan_cache.clear()
 
@@ -331,9 +248,10 @@ class BatchRing:
             # queue object was materialized at some point, which is not
             # architectural state and must not affect digests.
             "fifos": {
-                key: [fifo.contents(lane) for lane in range(self.batch)]
+                key: [fifo.lane_view(lane).tolist()
+                      for lane in range(self.batch)]
                 for key, fifo in self._fifos.items()
-                if int(fifo.count.max()) > 0
+                if fifo.count.any()
             },
             "lane_underflows": self.lane_underflows.tolist(),
             "lane_fifo_pops": {key: counts.tolist()
@@ -362,9 +280,8 @@ class BatchRing:
             self.ring._dnodes[l][p].local._counter = value
         self._fifos = {}
         for key, lanes in state["fifos"].items():
-            fifo = _BatchFifo(self.batch)
-            for lane, values in enumerate(lanes):
-                fifo.push_lane(lane, values)
+            fifo = LaneQueue(self.batch)
+            fifo.push_rows(lanes)
             self._fifos[key] = fifo
         self.lane_underflows[:] = np.asarray(state["lane_underflows"],
                                              dtype=np.int64)
@@ -394,14 +311,14 @@ class BatchRing:
         """One lane's view of a Dnode input FIFO."""
         self._check_lane(lane)
         fifo = self._fifos.get((layer, position, channel))
-        return fifo.contents(lane) if fifo is not None else []
+        return fifo.lane_view(lane).tolist() if fifo is not None else []
 
     def push_fifo(self, layer: int, position: int, channel: int,
                   values, lane: Optional[int] = None) -> None:
         """Queue words on one lane's FIFO (``lane=None`` = every lane).
 
-        A 2-D ``(batch, n)`` block queues row i on lane i; it is
-        range-checked whole, and nothing is queued if a word is bad.
+        A 2-D ``(batch, n)`` block queues row i on lane i.  Every push
+        is range-checked whole, and nothing is queued if a word is bad.
         """
         self.ring.dnode(layer, position)
         if channel not in (1, 2):
@@ -415,17 +332,10 @@ class BatchRing:
                     f"({self.batch}) and no lane, got {len(values)} rows"
                     f" and lane={lane}"
                 )
-            rows = np.asarray(word.check_rows(values, "FIFO push"))
-            self._fifo_for((layer, position, channel)).push_rows(
-                rows.reshape(self.batch, -1))
-            return
-        checked = word.check_block(values, "FIFO push")
-        fifo = self._fifo_for((layer, position, channel))
-        if lane is None:
-            fifo.push_all(checked)
-        else:
+        elif lane is not None:
             self._check_lane(lane)
-            fifo.push_lane(lane, checked)
+        self._fifo_for((layer, position, channel)).push(values, lane,
+                                                        "FIFO push")
 
     def _check_lane(self, lane: int) -> None:
         if not 0 <= lane < self.batch:
@@ -433,10 +343,10 @@ class BatchRing:
                 f"lane must be 0..{self.batch - 1}, got {lane}"
             )
 
-    def _fifo_for(self, key: Tuple[int, int, int]) -> _BatchFifo:
+    def _fifo_for(self, key: Tuple[int, int, int]) -> LaneQueue:
         fifo = self._fifos.get(key)
         if fifo is None:
-            fifo = _BatchFifo(self.batch)
+            fifo = LaneQueue(self.batch)
             self._fifos[key] = fifo
         return fifo
 
@@ -543,34 +453,33 @@ class BatchRing:
             raise ConfigurationError(
                 f"target geometry {target.geometry} != {g}"
             )
-        for l in range(g.layers):
-            for p in range(g.width):
-                src = ring._dnodes[l][p]
-                dn = target._dnodes[l][p]
-                dn._out = int(self.outs[l, p, lane])
+        outs = self.outs[:, :, lane].tolist()
+        regs = self.regs[:, :, :, lane].tolist()
+        pops = self._pops[:, :, lane].tolist()
+        foreign = target is not ring
+        for l, layer in enumerate(target._dnodes):
+            for p, dn in enumerate(layer):
+                dn._out = outs[l][p]
                 dn._out_pending = None
-                vals = dn.regs._values
-                for r in range(NUM_REGISTERS):
-                    vals[r] = int(self.regs[l, p, r, lane])
-                dn.local._counter = src.local._counter
-                stats, sstats = dn.stats, src.stats
-                stats.cycles = sstats.cycles
-                stats.instructions = sstats.instructions
-                stats.arithmetic_ops = sstats.arithmetic_ops
-                stats.multiplies = sstats.multiplies
-                stats.fifo_pops = int(self.lane_fifo_pops[(l, p)][lane])
-        for l in range(g.layers):
-            sw = target._switches[l]
+                dn.regs._values[:] = regs[l][p]
+                dn.stats.fifo_pops = pops[l][p]
+                if foreign:
+                    src = ring._dnodes[l][p]
+                    dn.local._counter = src.local._counter
+                    stats, sstats = dn.stats, src.stats
+                    stats.cycles = sstats.cycles
+                    stats.instructions = sstats.instructions
+                    stats.arithmetic_ops = sstats.arithmetic_ops
+                    stats.multiplies = sstats.multiplies
+        pipes = self.pipes[:, :, :, lane].tolist()
+        for sw, lanes in zip(target._switches, pipes):
             sw._head = self._head
-            for j in range(g.width):
-                pipe = sw._pipes[j]
-                col = self.pipes[l, j, :, lane]
-                for d in range(g.pipeline_depth):
-                    pipe[d] = int(col[d])
+            for pipe, words in zip(sw._pipes, lanes):
+                pipe[:] = words
         for key, fifo in self._fifos.items():
             queue = target.fifo(*key)
             queue.clear()
-            queue.extend(fifo.lane_words(lane))
+            queue.extend(fifo.lane_view(lane))
         target.cycles = ring.cycles
         target.fifo_underflows = int(self.lane_underflows[lane])
         if target is not ring:

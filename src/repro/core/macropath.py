@@ -698,7 +698,7 @@ def macro_template(ring: "Ring", lanes: bool = False,
             out.emit(indent + 1, "if _R.strict_fifos:")
             emit_fifo_error(indent + 2, l, p, ch, "popped")
             out.emit(indent + 1, "_U[:] += _fe")
-            out.emit(indent, f"_fp_{l}_{p}[:] += {q}.pop()")
+            out.emit(indent, f"_fp_{l}_{p}[:] += {q}.drop(1)")
             return
         out.emit(indent, f"if {q}.drop(1):")
         out.emit(indent + 1, f"_st_{l}_{p}.fifo_pops += 1")

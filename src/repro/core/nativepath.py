@@ -141,14 +141,6 @@ def _queue_reads(queue, prefix: int, ppp: int, n: int) -> np.ndarray:
     return words[prefix::ppp]
 
 
-def _lane_reads(fifo, prefix: int, ppp: int, n: int) -> np.ndarray:
-    """A read site's ``(n, lanes)`` words off a lane FIFO (0 past each
-    lane's occupancy)."""
-    index = (prefix + ppp * np.arange(n))[:, None]
-    words = fifo.data[(fifo.head + index) % fifo.capacity, fifo._lanes]
-    return np.where(index < fifo.count, words, 0).astype(np.int64)
-
-
 class NativeTemplate:
     """A compiled native kernel with no ring in it.
 
@@ -500,7 +492,7 @@ class NativeLanePlan(_NativeWindows):
         c0 = ring.cycles
         hv = _host_windows(meta["host_ports"], host_in, ring, T,
                            engine._host_word, (lanes,))
-        fv = [_lane_reads(fifo, prefix, ppp, n)
+        fv = [fifo.gather(prefix, n, ppp)
               for fifo, prefix, ppp in meta["fifo_reads"]]
 
         nodes = engine.outs.shape[0] * engine.outs.shape[1]
@@ -533,12 +525,9 @@ class NativeLanePlan(_NativeWindows):
         engine.pipes[:, :, stage] = vos[:, T:T + depth][:, ::-1].reshape(
             -1, engine.outs.shape[1], depth, lanes)[meta["up"]]
         for fifo, ppp, reads, pops in meta["fifo_gates"]:
-            landed, under = fifo_tail(fifo.count, n, ppp, reads)
+            _landed, under = fifo_tail(fifo.count, n, ppp, reads)
             if ppp:
-                fifo.head += landed
-                fifo.head %= fifo.capacity
-                fifo.count -= landed
-                pops += landed
+                pops += fifo.drop(n * ppp)
             engine.lane_underflows += under
         _book_stats(meta, n, T)
         ring.cycles = c0 + T

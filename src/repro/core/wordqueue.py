@@ -25,12 +25,26 @@ subclass is stored as its 16-bit value), and :meth:`clear` empties the
 queue in place, so a handle held across :meth:`Ring.reset` or a snapshot
 restore stays live.  One word at a time costs a Python method call here
 against a C call on a deque, so no bulk path reads or pops word by word.
+
+A batch ring's lanes queue their words the same way, one queue for all
+lanes: :class:`LaneQueue` is a Dnode input FIFO of a
+:class:`~repro.core.batchpath.BatchRing` or a
+:class:`~repro.host.streams.BatchStreamChannel`.  It holds one int64
+``(capacity, lanes)`` buffer, one shared head and a word count per lane:
+lane *i*'s words are rows ``head .. head + count[i]`` of column *i*.
+One head serves every lane because lanes share the clock — every pop
+asks the same number of words of every lane — and a lane that runs dry
+has no words whose position could drift: it just counts 0, and its next
+push lands at the shared head.  So a push is one copy (a fancy-indexed
+one only while lane counts differ), a window is one slice masked past
+each lane's count, and a pop of k words is one head move and
+``count -= landed``.
 """
 
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -231,4 +245,164 @@ class WordQueue:
         self._head, self._tail = 0, size
 
 
-__all__ = ["WordQueue"]
+def _checked_block(values, what: str) -> np.ndarray:
+    """One word or a 1-D block of them as an int64 array, range-checked
+    whole: a bad word raises :func:`repro.word.check`'s message before
+    anything is returned."""
+    if isinstance(values, Integral):
+        return np.array([word.check(int(values), what)], np.int64)
+    if not hasattr(values, "__len__"):
+        values = list(values)
+    block = _int_block(values)
+    if block is not None and (not block.size or (
+            block.min() >= 0 and block.max() <= word.MASK)):
+        return block
+    return np.array(word.check_block(values, what), np.int64)
+
+
+class LaneQueue:
+    """One FIFO of raw 16-bit words per lane, all in one int64
+    ``(capacity, lanes)`` buffer with a shared head (see module doc).
+
+    ``count`` holds the words queued per lane.  Pops ask the same number
+    of words of every lane (:meth:`drop`); a window (:meth:`gather`)
+    reads rows past the head and fills what lies past a lane's count.
+    """
+
+    __slots__ = ("lanes", "count", "_buf", "_head")
+
+    def __init__(self, lanes: int):
+        self.lanes = lanes
+        self.count = np.zeros(lanes, np.int64)
+        self._buf = np.empty((0, lanes), np.int64)
+        self._head = 0
+
+    # -- pushes -------------------------------------------------------
+
+    def push(self, values, lane: Optional[int] = None,
+             what: str = "value") -> None:
+        """Queue checked words: row i of a 2-D ``(lanes, n)`` block on
+        lane i; else one word or a 1-D block on *lane*, or on every lane
+        when *lane* is None.  The whole push is range-checked first, so
+        a bad word raises :func:`repro.word.check`'s message and queues
+        nothing."""
+        if word.is_rows(values):
+            self.push_rows(word.check_rows(values, what))
+        elif lane is None:
+            self.push_all(_checked_block(values, what))
+        else:
+            self.push_lane(lane, _checked_block(values, what))
+
+    def push_rows(self, rows) -> None:
+        """Append row i of *rows* to lane i, unchecked: a ``(lanes, n)``
+        array, or a sequence of rows that may differ in length."""
+        if not isinstance(rows, np.ndarray):
+            if len({len(row) for row in rows}) > 1:
+                for lane, row in enumerate(rows):
+                    self.push_lane(lane, np.asarray(row, np.int64))
+                return
+            rows = np.array(rows, np.int64).reshape(self.lanes, -1)
+        self._put(rows.T, rows.shape[1])
+
+    def push_all(self, block: np.ndarray) -> None:
+        """Append the same words to every lane, unchecked."""
+        self._put(block[:, None], len(block))
+
+    def push_lane(self, lane: int, block: np.ndarray) -> None:
+        """Append words to one lane, unchecked."""
+        n = len(block)
+        if n:
+            count = int(self.count[lane])
+            self._reserve(count + n)
+            start = self._head + count
+            self._buf[start:start + n, lane] = block
+            self.count[lane] = count + n
+
+    # -- reads and pops -----------------------------------------------
+
+    def peek(self, fill: int = 0):
+        """The head word per lane (*fill* where a lane is empty) and the
+        empty-lane mask."""
+        empty = self.count == 0
+        if empty.all():
+            return np.full(self.lanes, fill, np.int64), empty
+        head = self._buf[self._head]
+        return (np.where(empty, fill, head) if empty.any()
+                else head.copy()), empty
+
+    def gather(self, start: int, n: int, step: int = 1,
+               fill: int = 0) -> np.ndarray:
+        """Rows ``start, start + step, ...`` past the head, *n* of them,
+        as an ``(n, lanes)`` int64 array: one slice of the buffer, with
+        *fill* wherever a row lies past that lane's count.  Nothing is
+        popped."""
+        base = self._head + start
+        if step:
+            words = self._buf[base:base + step * (n - 1) + 1:step]
+        else:
+            words = np.repeat(self._buf[base:base + 1], n, 0)
+        count = self.count
+        if n and int(count.min()) > start + step * (n - 1):
+            return words.copy()
+        out = np.full((n, self.lanes), fill, np.int64)
+        out[:len(words)] = words
+        out[(start + step * np.arange(n))[:, None] >= count] = fill
+        return out
+
+    def drop(self, k: int) -> np.ndarray:
+        """Pop *k* words off every lane (fewer where a lane runs dry):
+        one head move.  Returns the words that went, per lane."""
+        landed = np.minimum(self.count, k)
+        self.count -= landed
+        self._head = self._head + k if self.count.any() else 0
+        return landed
+
+    def lane_view(self, lane: int) -> np.ndarray:
+        """One lane's queued words, head first: a writable view of the
+        buffer, valid until the next push or pop."""
+        return self._buf[self._head:self._head + int(self.count[lane]),
+                         lane]
+
+    def clear(self) -> None:
+        """Empty every lane in place."""
+        self.count[:] = 0
+        self._head = 0
+
+    # -- storage ------------------------------------------------------
+
+    def _put(self, cols: np.ndarray, n: int) -> None:
+        """Append the rows of *cols* (``(n, lanes)``, or broadcast to
+        it) past each lane's count."""
+        if not n:
+            return
+        count = self.count
+        low, high = int(count.min()), int(count.max())
+        self._reserve(high + n)
+        if low == high:
+            start = self._head + low
+            self._buf[start:start + n] = cols
+        else:
+            rows = self._head + count + np.arange(n)[:, None]
+            self._buf[rows, np.arange(self.lanes)] = cols
+        count += n
+
+    def _reserve(self, rows: int) -> None:
+        """Room for *rows* rows past the head: compact the live rows to
+        the front when the head has passed half the buffer and they fit,
+        else grow to the larger of the need and twice the size."""
+        buf = self._buf
+        cap = len(buf)
+        head = self._head
+        if head + rows <= cap:
+            return
+        live = int(self.count.max())
+        if 2 * head >= cap and rows <= cap:
+            buf[:live] = buf[head:head + live]
+        else:
+            new = np.empty((max(rows, 2 * cap), self.lanes), np.int64)
+            new[:live] = buf[head:head + live]
+            self._buf = new
+        self._head = 0
+
+
+__all__ = ["LaneQueue", "WordQueue"]

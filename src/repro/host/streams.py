@@ -19,9 +19,11 @@ bandwidth data oriented computation".
 With the ring's batch backend (``backend="batch"``) the same port
 serves B independent streams at once: construct the controller with
 ``batch=B`` and it hands out :class:`BatchStreamChannel` /
-:class:`BatchOutputTap` instead — one word queue per lane, per-lane
-underrun accounting, per-lane sample streams — while keeping the exact
-same per-cycle protocol (``current``/``advance``/``observe``).
+:class:`BatchOutputTap` instead — one
+:class:`~repro.core.wordqueue.LaneQueue` for all lanes (an int64
+``(capacity, lanes)`` buffer with one shared head), per-lane underrun
+accounting, per-lane sample streams collected as arrays — while keeping
+the exact same per-cycle protocol (``current``/``advance``/``observe``).
 
 Whole windows at once.  Under the synchronous-dataflow model every rate
 here is fixed: a stream presents one word per cycle and a tap's
@@ -53,21 +55,19 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro import word
-from repro.core.wordqueue import WordQueue
+from repro.core.wordqueue import LaneQueue, WordQueue
 from repro.errors import HostError
 
 
-def _dry_cycles(executed: int, consumed: int, latched: bool) -> int:
-    """Underruns a routed port counts over *executed* clocks.
+def _dry_cycles(executed: int, consumed, latched):
+    """Underruns a routed port counts over *executed* clocks (at least
+    one); *consumed* and *latched* are scalars, or arrays per lane.
 
     Every cycle past the *consumed* words reads dry — except that a dry
     latch already set before the first cycle means that cycle's
     underrun was counted by an earlier read.
     """
-    dry = executed - consumed
-    if dry and not consumed and latched:
-        dry -= 1
-    return dry
+    return executed - consumed - (latched & (consumed == 0))
 
 
 def _next_pick(seen: int, skip: int, every: int) -> int:
@@ -209,15 +209,17 @@ class StreamChannel:
 class BatchStreamChannel:
     """One direct host->fabric port carrying B independent lane streams.
 
-    Per-lane :class:`~repro.core.wordqueue.WordQueue` buffers share the
-    channel's clock: :meth:`current` presents one word per lane (idle
-    value where a lane has run dry, with the underrun counted *for that
-    lane only*), :meth:`advance` consumes the presented word on every
-    lane that had one, and a window gathers each lane's words as a
-    slice and settles them with one ``drop``.  Push the same stimulus
-    to every lane with ``push(values)``, a lane-specific stream with
+    Every lane's words wait in one
+    :class:`~repro.core.wordqueue.LaneQueue` on the channel's clock:
+    :meth:`current` presents one word per lane (idle value where a lane
+    has run dry, with the underrun counted *for that lane only*),
+    :meth:`advance` consumes the presented word on every lane that had
+    one, and a window gathers every lane's words as one slice and
+    settles them with one head move.  Push the same stimulus to every
+    lane with ``push(values)``, a lane-specific stream with
     ``push(values, lane=i)``, or every lane's own stream at once with
     ``push(block)``, a 2-D ``(lanes, n)`` block with one row per lane.
+    ``delivered`` and ``underruns`` read as lists, one count per lane.
     """
 
     def __init__(self, batch: int, idle_value: int = 0):
@@ -225,16 +227,26 @@ class BatchStreamChannel:
             raise HostError(f"batch must be >= 1, got {batch}")
         self.batch = batch
         self.idle_value = word.check(idle_value, "idle value")
-        self._queues: List[WordQueue] = [WordQueue() for _ in range(batch)]
-        self.delivered = [0] * batch
-        self.underruns = [0] * batch
-        self._dry_seen = [False] * batch
+        self._queue = LaneQueue(batch)
+        self._delivered = np.zeros(batch, np.int64)
+        self._underruns = np.zeros(batch, np.int64)
+        self._dry_seen = np.zeros(batch, bool)
+
+    @property
+    def delivered(self) -> List[int]:
+        """Words each lane consumed."""
+        return self._delivered.tolist()
+
+    @property
+    def underruns(self) -> List[int]:
+        """Dry reads each lane counted."""
+        return self._underruns.tolist()
 
     def push(self, values, lane: Optional[int] = None) -> None:
         """Queue words on one lane (or broadcast to all when None).
 
-        A 2-D ``(lanes, n)`` block queues row i on lane i; it is
-        range-checked whole, and nothing is queued if a word is bad.
+        A 2-D ``(lanes, n)`` block queues row i on lane i.  Every push
+        is range-checked whole, and nothing is queued if a word is bad.
         """
         if word.is_rows(values):
             if lane is not None or len(values) != self.batch:
@@ -243,21 +255,11 @@ class BatchStreamChannel:
                     f"({self.batch}) and no lane, got {len(values)} rows"
                     f" and lane={lane}"
                 )
-            rows = word.check_rows(values, "stream word")
-            for queue, row in zip(self._queues, rows):
-                queue.extend(row)
-            return
-        checked = np.asarray(word.check_block(values, "stream word"),
-                             np.int64)
-        if lane is None:
-            for queue in self._queues:
-                queue.extend(checked)
-            return
-        if not 0 <= lane < self.batch:
+        elif lane is not None and not 0 <= lane < self.batch:
             raise HostError(
                 f"lane must be 0..{self.batch - 1}, got {lane}"
             )
-        self._queues[lane].extend(checked)
+        self._queue.push(values, lane, "stream word")
 
     def current(self) -> np.ndarray:
         """The per-lane words presented on the port this cycle.
@@ -265,44 +267,32 @@ class BatchStreamChannel:
         Like the scalar port, repeated reads within one cycle count at
         most one underrun per dry lane until the next clock edge.
         """
-        out = np.empty(self.batch, dtype=np.int64)
-        for lane, queue in enumerate(self._queues):
-            value = queue.peek()
-            if value is None:
-                if not self._dry_seen[lane]:
-                    self._dry_seen[lane] = True
-                    self.underruns[lane] += 1
-                value = self.idle_value
-            out[lane] = value
-        return out
+        values, dry = self._queue.peek(self.idle_value)
+        self._underruns += dry & ~self._dry_seen
+        self._dry_seen |= dry
+        return values
 
     def advance(self) -> None:
         """Clock edge: every non-empty lane consumes its word."""
-        for lane, queue in enumerate(self._queues):
-            self._dry_seen[lane] = False
-            self.delivered[lane] += queue.drop(1)
+        self._dry_seen[:] = False
+        self._delivered += self._queue.drop(1)
 
     def window(self, offset: int, cycles: int) -> np.ndarray:
         """Every lane's words over *cycles* clocks, as a ``(cycles,
         batch)`` int64 array (see :meth:`StreamChannel.window`)."""
-        out = np.full((cycles, self.batch), self.idle_value, np.int64)
-        for lane, queue in enumerate(self._queues):
-            words = queue.view(offset, cycles)
-            out[:len(words), lane] = words
-        return out
+        return self._queue.gather(offset, cycles, fill=self.idle_value)
 
     def settle(self, executed: int, routed: bool) -> None:
-        """Account for *executed* clock edges at once, lane by lane (see
-        :meth:`StreamChannel.settle`)."""
+        """Account for *executed* clock edges at once, every lane in one
+        array pass (see :meth:`StreamChannel.settle`)."""
         if not executed:
             return
-        for lane, queue in enumerate(self._queues):
-            consumed = queue.drop(executed)
-            self.delivered[lane] += consumed
-            if routed:
-                self.underruns[lane] += _dry_cycles(
-                    executed, consumed, self._dry_seen[lane])
-            self._dry_seen[lane] = False
+        consumed = self._queue.drop(executed)
+        self._delivered += consumed
+        if routed:
+            self._underruns += _dry_cycles(executed, consumed,
+                                           self._dry_seen)
+        self._dry_seen[:] = False
 
     def drop_next(self) -> int:
         """Fault model: silently lose the next word on every lane.
@@ -310,19 +300,24 @@ class BatchStreamChannel:
         Returns the number of words dropped (lanes already dry lose
         nothing); none are counted as delivered.
         """
-        return sum(queue.drop(1) for queue in self._queues)
+        return int(self._queue.drop(1).sum())
 
     def pending(self) -> int:
         """Words still queued across all lanes."""
-        return sum(len(queue) for queue in self._queues)
+        return int(self._queue.count.sum())
 
     def lane_pending(self, lane: int) -> int:
-        return len(self._queues[lane])
+        """Words still queued on one lane."""
+        return int(self._queue.count[lane])
+
+    def lane_words(self, lane: int) -> List[int]:
+        """One lane's queued words, head first, as plain ints."""
+        return self._queue.lane_view(lane).tolist()
 
     @property
     def words_delivered(self) -> int:
         """Total words actually consumed by the fabric (all lanes)."""
-        return sum(self.delivered)
+        return int(self._delivered.sum())
 
     def __repr__(self) -> str:
         return (
@@ -405,7 +400,9 @@ class BatchOutputTap:
 
     Same skip/every/limit schedule as :class:`OutputTap` (all lanes run
     in lockstep, so one schedule serves the whole batch); the collected
-    streams are per lane: ``samples[lane]`` / :meth:`lane`.
+    streams are per lane: :meth:`array` as one ``(lanes, n)`` array,
+    ``samples[lane]`` / :meth:`lane` as plain ints.  Picked rows are
+    kept as the blocks they arrived in and joined when read.
     """
 
     def __init__(self, batch: int, layer: int, position: int,
@@ -425,7 +422,9 @@ class BatchOutputTap:
         self.skip = skip
         self.every = every
         self.limit = limit
-        self.samples: List[List[int]] = [[] for _ in range(batch)]
+        # Picked ``(rows, lanes)`` int64 blocks, oldest first.
+        self._blocks: List[np.ndarray] = []
+        self._count = 0
         self._seen = 0
 
     def observe(self, values) -> None:
@@ -435,42 +434,63 @@ class BatchOutputTap:
             return
         if (self._seen - self.skip - 1) % self.every != 0:
             return
-        if self.limit is not None and len(self.samples[0]) >= self.limit:
+        if self.limit is not None and self._count >= self.limit:
             return
-        for lane, value in enumerate(values):
-            self.samples[lane].append(int(value))
+        self._blocks.append(np.array(values, np.int64).reshape(1, -1))
+        self._count += 1
 
     def observe_window(self, values: np.ndarray) -> None:
         """Record a ``(cycles, batch)`` window of per-lane outputs at once
         (the closed form of :meth:`observe`, see
         :meth:`OutputTap.observe_window`)."""
-        picked = _window_picks(self, values, len(self.samples[0]))
+        picked = _window_picks(self, values, self._count)
         if len(picked):
-            for stream, column in zip(self.samples, picked.T.tolist()):
-                stream.extend(column)
+            self._blocks.append(np.array(picked, np.int64))
+            self._count += len(picked)
+
+    def array(self) -> np.ndarray:
+        """Every lane's samples as one read-only ``(lanes, n)`` int64
+        array, row i being lane i's stream."""
+        if len(self._blocks) != 1:
+            self._blocks = [np.concatenate(self._blocks) if self._blocks
+                            else np.empty((0, self.batch), np.int64)]
+        view = self._blocks[0].T
+        view.flags.writeable = False
+        return view
+
+    @property
+    def samples(self) -> List[List[int]]:
+        """Every lane's sample stream as plain ints (a copy)."""
+        return self.array().tolist()
 
     def lane(self, lane: int) -> List[int]:
         """One lane's collected sample stream (a copy)."""
-        return list(self.samples[lane])
+        return self.array()[lane].tolist()
 
     def cycles_to_full(self) -> int:
         """Cycles until *limit* samples are collected (0 once full)."""
-        return _cycles_to_full(self, len(self.samples[0]))
+        return _cycles_to_full(self, self._count)
 
     @property
     def full(self) -> bool:
         """True once *limit* samples are collected (per lane)."""
-        return self.limit is not None and len(self.samples[0]) >= self.limit
+        return self.limit is not None and self._count >= self.limit
 
     @property
     def sample_count(self) -> int:
         """Total words collected (all lanes)."""
-        return sum(len(stream) for stream in self.samples)
+        return self._count * self.batch
+
+    def _load(self, samples: List[List[int]]) -> None:
+        """Replace the collected streams (a checkpoint restore)."""
+        block = np.array(samples, np.int64).reshape(self.batch, -1).T
+        self._blocks = [block]
+        self._count = len(block)
 
     def __repr__(self) -> str:
         return (
             f"BatchOutputTap(D{self.layer}.{self.position}, "
-            f"lanes={self.batch}, samples={len(self.samples[0])}/lane)"
+            f"lanes={self.batch}, samples={self._count}/lane)"
         )
 
 
@@ -573,7 +593,7 @@ class DataController:
         """The dry-latch half of a clock edge (see :meth:`bulk_host_in`)."""
         for ch in self._channels.values():
             if isinstance(ch, BatchStreamChannel):
-                ch._dry_seen = [False] * ch.batch
+                ch._dry_seen[:] = False
             else:
                 ch._dry_seen = False
 
@@ -648,9 +668,10 @@ class DataController:
         for index, ch in self._channels.items():
             if isinstance(ch, BatchStreamChannel):
                 channels[index] = {
-                    "lanes": [list(queue) for queue in ch._queues],
-                    "delivered": list(ch.delivered),
-                    "underruns": list(ch.underruns),
+                    "lanes": [ch.lane_words(lane)
+                              for lane in range(ch.batch)],
+                    "delivered": ch.delivered,
+                    "underruns": ch.underruns,
                 }
             else:
                 channels[index] = {
@@ -661,8 +682,7 @@ class DataController:
         taps = []
         for tap in self.taps:
             if isinstance(tap, BatchOutputTap):
-                taps.append({"samples": [list(s) for s in tap.samples],
-                             "seen": tap._seen})
+                taps.append({"samples": tap.samples, "seen": tap._seen})
             else:
                 taps.append({"samples": list(tap.samples),
                              "seen": tap._seen})
@@ -681,12 +701,11 @@ class DataController:
         for index, saved in saved_channels.items():
             ch = self.channel(index)
             if isinstance(ch, BatchStreamChannel):
-                for queue, words in zip(ch._queues, saved["lanes"]):
-                    queue.clear()
-                    queue.extend(words)
-                ch.delivered = list(saved["delivered"])
-                ch.underruns = list(saved["underruns"])
-                ch._dry_seen = [False] * ch.batch
+                ch._queue.clear()
+                ch._queue.push_rows(saved["lanes"])
+                ch._delivered[:] = saved["delivered"]
+                ch._underruns[:] = saved["underruns"]
+                ch._dry_seen[:] = False
             else:
                 ch._queue.clear()
                 ch._queue.extend(saved["queue"])
@@ -699,7 +718,7 @@ class DataController:
                 f"has {len(self.taps)}")
         for tap, saved in zip(self.taps, state["taps"]):
             if isinstance(tap, BatchOutputTap):
-                tap.samples = [list(s) for s in saved["samples"]]
+                tap._load(saved["samples"])
             else:
                 tap.samples = list(saved["samples"])
             tap._seen = saved["seen"]

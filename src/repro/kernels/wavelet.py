@@ -223,8 +223,8 @@ def _lifting_lanes(ring: Ring, lines: np.ndarray) -> Tuple[np.ndarray, int]:
     cycles = len(even_index) + APPROX_LATENCY
     system.run(cycles)
     packed = np.empty((count, n), np.int64)
-    packed[:, :half] = approx_tap.samples
-    packed[:, half:] = detail_tap.samples
+    packed[:, :half] = approx_tap.array()
+    packed[:, half:] = detail_tap.array()
     return batch_to_signed(packed), count * cycles
 
 

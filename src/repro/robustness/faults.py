@@ -279,11 +279,9 @@ class FaultInjector:
             fifo = engine._fifos.get(key)
             if fifo is not None:
                 for lane in range(engine.batch):
-                    count = int(fifo.count[lane])
-                    if count:
-                        idx = event.index % count
-                        slot = (int(fifo.head[lane]) + idx) % fifo.capacity
-                        fifo.data[slot, lane] ^= mask
+                    words = fifo.lane_view(lane)
+                    if len(words):
+                        words[event.index % len(words)] ^= mask
                         applied = True
         detail = "" if applied else "FIFO empty"
         return applied, detail

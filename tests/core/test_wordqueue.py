@@ -1,5 +1,7 @@
 """The WordQueue behind ring FIFOs and host streams: the deque subset
-its callers use, its block operations and its storage policy."""
+its callers use, its block operations and its storage policy; and the
+LaneQueue behind batch lane FIFOs and lane streams, against one deque
+per lane."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro import make_ring
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.snapshot import capture, restore
-from repro.core.wordqueue import WordQueue
+from repro.core.wordqueue import LaneQueue, WordQueue
 from repro.host.streams import DataController
 
 
@@ -215,6 +217,164 @@ class TestStorage:
             # half of it (or the head has not passed half), to at most
             # twice its size: never past 4x the most words ever queued.
             peak = max(peak, len(ref))
+            assert len(q._buf) <= 4 * peak
+
+
+def _lanes(q: LaneQueue):
+    return [q.lane_view(lane).tolist() for lane in range(q.lanes)]
+
+
+def _model_gather(ref, start, n, step, fill):
+    """What ``gather`` should return, off one deque per lane."""
+    return [[lane[start + step * t] if start + step * t < len(lane)
+             else fill for lane in map(list, ref)] for t in range(n)]
+
+
+class TestLaneQueue:
+    """One ``(capacity, lanes)`` buffer with a shared head and a count
+    per lane: pushes, windows past each lane's count, pops on lanes
+    that ran dry, and growth and compaction."""
+
+    def test_pushes_in_every_form(self):
+        q = LaneQueue(3)
+        q.push([1, 2])
+        q.push(np.int64(3), lane=1)
+        q.push(np.array([[4], [5], [6]]))
+        q.push([[7], [], [8, 9]])
+        assert _lanes(q) == [[1, 2, 4, 7], [1, 2, 3, 5], [1, 2, 6, 8, 9]]
+        assert q.count.tolist() == [4, 4, 5]
+        assert all(type(v) is int for v in q.lane_view(2).tolist())
+
+    @pytest.mark.parametrize("values, lane", [
+        ([1, 70000], None), (np.array([1, -1]), 0),
+        ([[1, 2], [3, 70000]], None)])
+    def test_a_bad_word_queues_nothing(self, values, lane):
+        q = LaneQueue(2)
+        q.push([9])
+        with pytest.raises(ValueError, match="16-bit raw word"):
+            q.push(values, lane, "FIFO push")
+        assert _lanes(q) == [[9], [9]]
+
+    def test_gather_fills_past_each_lane_count(self):
+        q = LaneQueue(3)
+        q.push([[1, 2, 3, 4], [5], []])
+        assert q.gather(0, 5, fill=7).tolist() == [
+            [1, 5, 7], [2, 7, 7], [3, 7, 7], [4, 7, 7], [7, 7, 7]]
+        assert q.gather(1, 2, step=2).tolist() == [[2, 0, 0], [4, 0, 0]]
+        assert q.gather(0, 3, step=0).tolist() == [[1, 5, 0]] * 3
+        assert q.gather(0, 0).shape == (0, 3)
+
+    def test_gather_of_full_lanes_is_a_copy(self):
+        q = LaneQueue(2)
+        q.push(np.arange(8).reshape(2, 4))
+        window = q.gather(1, 2)
+        window[:] = 0
+        assert _lanes(q) == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+    def test_pops_on_empty_lanes(self):
+        q = LaneQueue(3)
+        q.push([[1, 2, 3], [4], []])
+        assert q.drop(2).tolist() == [2, 1, 0]
+        assert _lanes(q) == [[3], [], []]
+        # A lane that ran dry queues its next words at the shared head.
+        q.push([8], lane=1)
+        q.push([[], [], [9]])
+        assert _lanes(q) == [[3], [8], [9]]
+        assert q.peek(5)[0].tolist() == [3, 8, 9]
+        assert q.drop(1).tolist() == [1, 1, 1]
+        values, empty = q.peek(5)
+        assert values.tolist() == [5, 5, 5] and empty.all()
+        assert q.drop(4).tolist() == [0, 0, 0]
+        assert q._head == 0
+
+    def test_peek_fills_empty_lanes(self):
+        q = LaneQueue(2)
+        q.push([6], lane=1)
+        values, empty = q.peek()
+        assert values.tolist() == [0, 6]
+        assert empty.tolist() == [True, False]
+
+    def test_first_push_is_sized_to_the_block(self):
+        q = LaneQueue(4)
+        q.push(np.zeros((4, 100), np.int64))
+        assert q._buf.shape == (100, 4)
+
+    def test_growth_under_a_shared_head(self):
+        q = LaneQueue(2)
+        q.push([[1, 2, 3, 4], [5, 6]])
+        q.drop(1)
+        q.push([[7, 8, 9], [10]])
+        assert len(q._buf) == 8
+        assert q._head == 0
+        assert _lanes(q) == [[2, 3, 4, 7, 8, 9], [6, 10]]
+
+    def test_push_after_the_head_passed_half_compacts_in_place(self):
+        q = LaneQueue(2)
+        q.push([[1, 2, 3, 4, 5, 6, 7, 8], [1, 2]])
+        buf = q._buf
+        q.drop(6)
+        q.push([[9, 10], [11, 12, 13]])
+        assert q._buf is buf
+        assert q._head == 0
+        assert _lanes(q) == [[7, 8, 9, 10], [11, 12, 13]]
+
+    def test_lane_view_writes_through(self):
+        q = LaneQueue(2)
+        q.push([[1, 2], [3]])
+        q.lane_view(0)[1] ^= 0x8000
+        assert _lanes(q) == [[1, 0x8002], [3]]
+        q.clear()
+        assert _lanes(q) == [[], []] and q._head == 0
+
+    @given(lanes=st.integers(1, 4), ops=st.lists(st.one_of(
+        st.tuples(st.just("rows"), st.lists(
+            st.lists(st.integers(0, 0xFFFF), max_size=12),
+            min_size=4, max_size=4)),
+        st.tuples(st.just("all"), st.lists(st.integers(0, 0xFFFF),
+                                           max_size=12)),
+        st.tuples(st.just("lane"), st.tuples(
+            st.integers(0, 3), st.lists(st.integers(0, 0xFFFF),
+                                        max_size=12))),
+        st.tuples(st.just("drop"), st.integers(0, 16)),
+        st.tuples(st.just("gather"), st.tuples(
+            st.integers(0, 8), st.integers(0, 10), st.integers(0, 3)))),
+        max_size=50))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_interleaved_ops_match_one_deque_per_lane(self, lanes, ops):
+        q = LaneQueue(lanes)
+        ref = [deque() for _ in range(lanes)]
+        peak = 1
+        for op, arg in ops:
+            if op == "rows":
+                rows = arg[:lanes]
+                if len({len(row) for row in rows}) == 1:
+                    q.push(np.array(rows, np.int64).reshape(lanes, -1))
+                else:
+                    q.push(rows)
+                for lane, row in zip(ref, rows):
+                    lane.extend(row)
+            elif op == "all":
+                q.push(np.array(arg, np.int64) if len(arg) % 2 else arg)
+                for lane in ref:
+                    lane.extend(arg)
+            elif op == "lane":
+                lane, words = arg
+                lane %= lanes
+                q.push(words, lane)
+                ref[lane].extend(words)
+            elif op == "drop":
+                went = [min(arg, len(lane)) for lane in ref]
+                assert q.drop(arg).tolist() == went
+                for lane, k in zip(ref, went):
+                    for _ in range(k):
+                        lane.popleft()
+            else:
+                start, n, step = arg
+                assert q.gather(start, n, step, fill=0xBEEF).tolist() == \
+                    _model_gather(ref, start, n, step, 0xBEEF)
+            assert _lanes(q) == [list(lane) for lane in ref]
+            assert q.count.tolist() == [len(lane) for lane in ref]
+            peak = max([peak] + [len(lane) for lane in ref])
             assert len(q._buf) <= 4 * peak
 
 

@@ -8,6 +8,7 @@ import pytest
 from repro.core.isa import Dest, MicroWord, Opcode, Source
 from repro.core.ring import PortSource, make_ring
 from repro.host.streams import (
+    BatchOutputTap,
     BatchStreamChannel,
     DataController,
     OutputTap,
@@ -238,6 +239,23 @@ class TestCaptureStateIsDeepCopy:
         assert dc.channel(0).lane_pending(1) == 2
         assert tap.lane(0) == [10]
 
+    def test_batch_checkpoint_format_is_plain_lists(self):
+        """A batch checkpoint is plain lists of ints, so one written
+        before lanes kept arrays restores and captures back unchanged."""
+        state = {"channels": {0: {"lanes": [[1, 2], [3]],
+                                  "delivered": [4, 5],
+                                  "underruns": [0, 1]}},
+                 "taps": [{"samples": [[7, 9], [8, 6]], "seen": 3}]}
+        dc = DataController(batch=2)
+        tap = dc.add_tap(0, 0)
+        dc.restore_state(state)
+        assert dc.capture_state() == state
+        ch = dc.channel(0)
+        assert ch.delivered == [4, 5] and ch.underruns == [0, 1]
+        assert ch.current().tolist() == [1, 3]
+        assert tap.lane(1) == [8, 6]
+        assert {type(v) for v in ch.delivered + tap.samples[0]} == {int}
+
     def test_restore_decouples_from_checkpoint(self):
         dc = DataController()
         dc.stream(0, [1, 2])
@@ -245,6 +263,44 @@ class TestCaptureStateIsDeepCopy:
         dc.restore_state(state)
         state["channels"][0]["queue"].append(999)
         assert dc.channel(0).pending() == 2
+
+
+class TestBatchTapArrays:
+    """A batch tap keeps what its schedule picks as arrays: ``array()``
+    joins window blocks and per-cycle rows as ``(lanes, n)``, while
+    ``samples`` and ``lane()`` give plain ints."""
+
+    def test_windows_and_cycles_join_in_order(self):
+        tap = BatchOutputTap(2, 0, 0, skip=1, every=2, limit=4)
+        tap.observe_window(np.array([[1, 10], [2, 20], [3, 30]]))
+        tap.observe(np.array([4, 40]))
+        tap.observe_window(np.array([[5, 50], [6, 60], [7, 70], [8, 80],
+                                     [9, 90], [10, 100]]))
+        assert tap.array().tolist() == [[2, 4, 6, 8], [20, 40, 60, 80]]
+        assert tap.samples == [[2, 4, 6, 8], [20, 40, 60, 80]]
+        assert [type(v) for v in tap.lane(1)] == [int] * 4
+        assert tap.full and tap.sample_count == 8
+
+    def test_array_is_a_read_only_lane_block(self):
+        tap = BatchOutputTap(3, 0, 0)
+        assert tap.array().shape == (3, 0)
+        assert tap.samples == [[], [], []]
+        tap.observe_window(np.arange(6).reshape(2, 3))
+        assert tap.array().tolist() == [[0, 3], [1, 4], [2, 5]]
+        with pytest.raises(ValueError):
+            tap.array()[0, 0] = 9
+
+    def test_checkpoint_round_trip(self):
+        dc = DataController(batch=2)
+        tap = dc.add_tap(0, 0)
+        tap.observe_window(np.array([[1, 2], [3, 4]]))
+        state = dc.capture_state()
+        tap.observe([5, 6])
+        dc.restore_state(state)
+        assert tap.array().tolist() == [[1, 3], [2, 4]]
+        tap.observe([7, 8])
+        assert tap.lane(0) == [1, 3, 7]
+        assert state["taps"][0]["samples"] == [[1, 3], [2, 4]]
 
 
 class TestSettleAccounting:
@@ -319,7 +375,7 @@ class TestBatchPushValidation:
         assert ring.batch.fifo_contents(0, 0, 2, 1) == [0, 0xFFFF]
         ch = BatchStreamChannel(2)
         ch.push(np.array([7, 0xFFFF], dtype=np.int64))
-        assert [type(v) for v in ch._queues[0]] == [int, int]
+        assert [type(v) for v in ch.lane_words(0)] == [int, int]
         assert ch.current().tolist() == [7, 7]
 
 
@@ -330,8 +386,9 @@ class TestBlockLaneLoads:
     def test_stream_block_fills_each_lane(self):
         ch = BatchStreamChannel(3)
         ch.push(np.array([[1, 2], [3, 4], [5, 6]], dtype=np.int64))
-        assert [list(q) for q in ch._queues] == [[1, 2], [3, 4], [5, 6]]
-        assert [type(v) for v in ch._queues[2]] == [int, int]
+        assert [ch.lane_words(lane) for lane in range(3)] == \
+            [[1, 2], [3, 4], [5, 6]]
+        assert [type(v) for v in ch.lane_words(2)] == [int, int]
         assert ch.current().tolist() == [1, 3, 5]
 
     def test_fifo_block_fills_each_lane(self):
@@ -401,7 +458,7 @@ class TestNumpyIntegerScalars:
         ch = BatchStreamChannel(2)
         ch.push(np.int64(5))
         ch.push(np.int32(6), lane=1)
-        assert [list(q) for q in ch._queues] == [[5], [5, 6]]
+        assert [ch.lane_words(lane) for lane in range(2)] == [[5], [5, 6]]
 
     def test_batch_ring_push_fifo(self):
         ring = make_ring(4, backend="batch", batch_size=2)

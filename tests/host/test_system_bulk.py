@@ -24,6 +24,10 @@ Ring FIFOs and host streams are word queues gathered as slices and
 popped by moving a head, so :class:`TestDryQueues` drains them mid-window
 on every rung (native and macro windows, one-cycle macro calls and
 stepped cycles), refills them, and pushes in every accepted form.
+Batch lane FIFOs and lane streams share one head across lanes, so
+:class:`TestLaneQueues` runs lanes dry at different cycles, pushes to a
+dry lane, drops words, checkpoints, and raises a strict FIFO on one
+lane, each lane against its own interpreter system.
 
 The Hypothesis suites are derandomized (pinned example sequence, no
 deadline) like the ring-level differential suite.
@@ -2286,3 +2290,257 @@ class TestDryQueues:
         assert got.ring.cycles == want.ring.cycles
         assert got.cycles == want.cycles
         assert got.data.capture_state() == want.data.capture_state()
+
+
+@st.composite
+def lane_queue_systems(draw, strict: bool = False):
+    """Batch fabrics whose lane FIFOs and lane streams run dry at
+    different cycles.
+
+    The :func:`dry_queue_systems` reader (FIFO1, popped every cycle,
+    plus host channel 0) on 2-4 lanes, each lane loaded with its own
+    words: every FIFO 0-8 words, every stream 0-24, pushed as one 2-D
+    block (ragged when the lengths differ) or one push per lane.  Two
+    48-cycle chunks end the run, so every lane has run its reader dry
+    before the second; right before it one lane alone gets new words.
+    Non-strict cases also draw a ``drop_next`` on channel 0, a read of
+    channel 0 ahead of a run (its dry latch), a top-up while lane counts
+    differ (one 2-D block on channel 0 and the reader, one broadcast
+    block on every other queue), a checkpoint rollback and an optional
+    hand-off to a fresh system,
+    and half of them a nonlinear Dnode (macro lane windows) unless the
+    reader replaced it.  Strict
+    cases give the reader's lanes distinct lengths and every other
+    FIFO 16-24 words, so one lane raises first.
+    """
+    spec = _cut_feedback_into_layer0(_feed_forward(draw(ring_specs(
+        min_layers=2, max_layers=4, min_width=1, max_width=3,
+        max_local=4)), fifos=True))
+    nonlinear = not strict and draw(st.booleans())
+    if nonlinear:
+        spec = _plant(draw, spec)
+    cells = list(spec["cells"])
+    k = draw(st.integers(0, len(cells) - 1))
+    layer, pos, _mw, _local, routes, _loads = cells[k]
+    reader = MicroWord(Opcode.ADD, Source.FIFO1, Source.IN1, Dest.OUT,
+                       flags=Flag.POP_FIFO1)
+    cells[k] = (layer, pos, reader, None, {**routes, 1: PortSource.host(0)},
+                {})
+    spec = dict(spec, cells=[cell[:5] + ({},) for cell in cells])
+    layers, width = spec["layers"], spec["width"]
+    batch = draw(st.integers(2, 4))
+    words = st.integers(0, 0xFFFF)
+    lengths = (draw(st.permutations(range(9)))[:batch] if strict
+               else [draw(st.integers(0, 8)) for _ in range(batch)])
+    fifos = {}
+    for l in range(layers):
+        for p in range(width):
+            for ch in (1, 2):
+                size = (st.integers(16, 24) if strict else
+                        st.integers(0, 8))
+                fifos[(l, p, ch)] = [
+                    draw(st.lists(words, min_size=n, max_size=n))
+                    for n in [draw(size) for _ in range(batch)]]
+    fifos[(layer, pos, 1)] = [draw(st.lists(words, min_size=n,
+                                            max_size=n)) for n in lengths]
+    channels = [0] + draw(st.lists(st.integers(1, 3), max_size=2,
+                                   unique=True))
+    streams = {ch: [draw(st.lists(words, max_size=24))
+                    for _ in range(batch)] for ch in channels}
+    taps = draw(st.lists(st.tuples(
+        st.integers(0, layers - 1), st.integers(0, width - 1),
+        st.integers(0, 6), st.integers(1, 4),
+        st.one_of(st.none(), st.integers(0, 24))), min_size=1, max_size=4))
+    chunks = draw(st.lists(st.integers(0, 40), min_size=1, max_size=3))
+    chunks += [48, 48]
+    refill = (draw(st.integers(0, batch - 1)),
+              draw(st.lists(words, min_size=1, max_size=12)),
+              draw(st.lists(words, min_size=1, max_size=6)))
+    index = st.one_of(st.none(), st.integers(0, len(chunks) - 1))
+    top_up = (draw(st.integers(0, len(chunks) - 2)),
+              draw(st.lists(st.lists(words, min_size=3, max_size=3),
+                            min_size=batch, max_size=batch)),
+              draw(st.lists(words, max_size=4)))
+    events = {} if strict else dict(drop_next=draw(index),
+                                    peek=draw(index),
+                                    rollback=draw(index),
+                                    handoff=draw(index), top_up=top_up)
+    return dict(spec=spec, reader=(layer, pos), batch=batch, fifos=fifos,
+                streams=streams, taps=taps, chunks=chunks, refill=refill,
+                blocks=draw(st.booleans()), nonlinear=nonlinear, **events)
+
+
+def _lane_queue_system(case, ring: Ring, lane=None) -> RingSystem:
+    """A :func:`lane_queue_systems` case on *ring*: every lane loaded on
+    a batch ring (as one 2-D block per queue, or one push per lane with
+    odd lanes pushing int64 arrays), or lane *lane* alone on a scalar
+    one."""
+    apply_spec(ring, case["spec"])
+    system = RingSystem(ring)
+    for layer, pos, skip, every, limit in case["taps"]:
+        system.data.add_tap(layer, pos, skip=skip, every=every,
+                            limit=limit)
+    push_fifo = ring.push_fifo if lane is not None else ring.batch.push_fifo
+    pushes = [(lambda v, key=key, **kw: push_fifo(*key, v, **kw), rows)
+              for key, rows in case["fifos"].items()]
+    pushes += [(lambda v, ch=ch, **kw: system.data.stream(ch, v, **kw), rows)
+               for ch, rows in case["streams"].items()]
+    for push, rows in pushes:
+        if lane is not None:
+            push(rows[lane])
+        elif case["blocks"]:
+            ragged = len({len(row) for row in rows}) > 1
+            push(rows if ragged else np.array(rows, np.int64))
+        else:
+            for k, row in enumerate(rows):
+                push(np.asarray(row, np.int64) if k % 2 else row, lane=k)
+    return system
+
+
+def _lane_host_state(system: RingSystem, lane: int) -> dict:
+    """One lane's host side in a scalar :meth:`DataController
+    .capture_state`'s format."""
+    return {
+        "channels": {
+            index: {"queue": ch.lane_words(lane),
+                    "delivered": ch.delivered[lane],
+                    "underruns": ch.underruns[lane]}
+            for index, ch in system.data._channels.items()},
+        "taps": [{"samples": tap.lane(lane), "seen": tap._seen}
+                 for tap in system.data.taps],
+    }
+
+
+class TestLaneQueues:
+    """Lane FIFOs and lane streams == one interpreter system per lane.
+
+    Batch lane FIFOs and lane streams are :class:`~repro.core.wordqueue
+    .LaneQueue` buffers: one head shared by every lane and a word count
+    per lane.  Each generated case loads its lanes with words of
+    unequal length, so they run dry at different cycles inside lane
+    windows; tops every lane up while their counts differ; pushes to
+    one lane after every lane ran dry; drops a word off every lane
+    (``drop_next``); reads a port ahead of a run; rolls back over a
+    checkpoint and hands the run to a fresh system.  Every lane must
+    match its own per-cycle interpreter system, and a strict FIFO must
+    raise on the cycle, and with the message, of the one lane that runs
+    dry first.
+    """
+
+    @staticmethod
+    def _lanes_ring(case, **ring_kwargs) -> Ring:
+        spec = case["spec"]
+        ring = Ring(RingGeometry(layers=spec["layers"], width=spec["width"]),
+                    backend="batch", batch_size=case["batch"],
+                    **ring_kwargs)
+        ring.batch  # engage the lane engine before lane loads
+        return ring
+
+    @staticmethod
+    def _refs(case, **ring_kwargs) -> list:
+        spec = case["spec"]
+        geometry = RingGeometry(layers=spec["layers"], width=spec["width"])
+        return [_lane_queue_system(case, Ring(geometry, backend="interpreter",
+                                              **ring_kwargs), lane=k)
+                for k in range(case["batch"])]
+
+    @given(case=lane_queue_systems())
+    @settings(max_examples=60, **_SETTINGS)
+    def test_every_lane_matches_its_interpreter_run(self, case):
+        system = _lane_queue_system(case, self._lanes_ring(case))
+        refs = self._refs(case)
+        chunks = case["chunks"]
+        reader = case["reader"] + (1,)
+        for k, chunk in enumerate(chunks):
+            if k == case["handoff"]:
+                saved = system.checkpoint()
+                system = RingSystem(Ring(system.ring.geometry,
+                                         backend="batch",
+                                         batch_size=case["batch"]))
+                for layer, pos, skip, every, limit in case["taps"]:
+                    system.data.add_tap(layer, pos, skip=skip, every=every,
+                                        limit=limit)
+                system.restore_checkpoint(saved)
+            if k == case["drop_next"]:
+                assert system.data.channel(0).drop_next() == sum(
+                    ref.data.channel(0).drop_next() for ref in refs)
+            if k == case["peek"]:
+                assert system.data.host_in(0).tolist() == [
+                    ref.data.host_in(0) for ref in refs]
+            if k == case["top_up"][0]:
+                _, rows, block = case["top_up"]
+                engine = system.ring.batch
+                system.data.stream(0, np.array(rows, np.int64))
+                engine.push_fifo(*reader, rows)
+                for lane, ref in enumerate(refs):
+                    ref.data.stream(0, rows[lane])
+                    ref.ring.push_fifo(*reader, rows[lane])
+                for key in case["fifos"]:
+                    if key != reader:
+                        engine.push_fifo(*key, block)
+                        for ref in refs:
+                            ref.ring.push_fifo(*key, block)
+                for channel in case["streams"]:
+                    if channel:
+                        system.data.stream(channel, block)
+                        for ref in refs:
+                            ref.data.stream(channel, block)
+            if k == len(chunks) - 1:
+                # Every lane ran its reader FIFO and channel 0 dry in the
+                # 48-cycle chunk before: one lane alone gets new words.
+                engine = system.ring.batch
+                assert system.data.channel(0).pending() == 0
+                assert all(engine.fifo_contents(*reader, lane) == []
+                           for lane in range(case["batch"]))
+                lane, stream, load = case["refill"]
+                system.data.stream(0, stream, lane=lane)
+                engine.push_fifo(*reader, load, lane=lane)
+                refs[lane].data.stream(0, stream)
+                refs[lane].ring.push_fifo(*reader, load)
+            if k == case["rollback"]:
+                saved = system.checkpoint()
+                system.run(chunk)
+                system.restore_checkpoint(saved)
+            system.run(chunk)
+            for ref in refs:
+                ref.run(chunk)
+        assert system.ring.cycles == sum(chunks)
+        assert system.cycle_paths.get(("bulk", "lanes"), 0) > 0
+        for lane, ref in enumerate(refs):
+            assert _lane_host_state(system, lane) == \
+                ref.data.capture_state()
+        _assert_lanes_match(system, refs, case["spec"])
+
+    @given(case=lane_queue_systems(strict=True))
+    @settings(max_examples=40, **_SETTINGS)
+    def test_strict_fifo_raises_on_one_lane(self, case):
+        """The lane with the fewest reader words raises its interpreter
+        run's error on its cycle; the other lanes' host sides match
+        their interpreter runs with that cycle's reads replayed."""
+        system = _lane_queue_system(
+            case, self._lanes_ring(case, strict_fifos=True))
+        refs = self._refs(case, strict_fifos=True)
+        with pytest.raises(SimulationError) as got:
+            for chunk in case["chunks"]:
+                system.run(chunk)
+        loads = case["fifos"][case["reader"] + (1,)]
+        first = min(range(case["batch"]), key=lambda k: len(loads[k]))
+        cycles = system.ring.cycles
+        assert cycles == len(loads[first])
+        reads = []
+        for lane, ref in enumerate(refs):
+            ref.run(cycles)
+            if lane == first:
+                host_in = ref.data.host_in
+                ref.data.host_in = lambda ch: reads.append(ch) or \
+                    host_in(ch)
+                with pytest.raises(SimulationError) as want:
+                    ref.run(1)
+                assert str(got.value) == str(want.value)
+                assert "empty FIFO1" in str(want.value)
+        for lane, ref in enumerate(refs):
+            if lane != first:
+                for channel in reads:
+                    ref.data.host_in(channel)
+            assert _lane_host_state(system, lane) == \
+                ref.data.capture_state()
