@@ -150,7 +150,6 @@ class MetricsRegistry:
         metrics.extend(self._switch_metrics())
         metrics.extend(self._fifo_metrics())
         metrics.extend(self._batch_metrics())
-        metrics.extend(self._autotune_metrics())
         if self.system is not None:
             metrics.append(self._system_metric())
         if self.controller is not None:
@@ -352,58 +351,6 @@ class MetricsRegistry:
             "batch_lane_fifo_pops_total", "counter",
             "Words dequeued from input FIFOs of one lane.", pop_samples))
         return metrics
-
-    def _autotune_metrics(self) -> List[Metric]:
-        """Compiler-autopilot counters (empty until a search/fuzz runs).
-
-        The autotuner is process-wide (its memo cache spans rings), so
-        these families describe the process's searches, not this
-        specific ring — they appear on every registry's snapshot once
-        :mod:`repro.compiler.autotune` has done any work.
-        """
-        import sys
-        module = sys.modules.get("repro.compiler.autotune")
-        if module is None:
-            return []
-        stats = module.STATS
-        if not stats.touched:
-            return []
-        scalar = [
-            ("autotune_searches_total", "counter",
-             "Mapping-space searches started (memo hits included).",
-             stats.searches),
-            ("autotune_candidates_evaluated_total", "counter",
-             "Candidate mappings compiled, verified and scored.",
-             stats.candidates_evaluated),
-            ("autotune_verifications_total", "counter",
-             "Bit-identity checks run against the golden evaluator.",
-             stats.verifications),
-            ("autotune_verification_failures_total", "counter",
-             "Candidates rejected by bit-identity or digest checks.",
-             stats.verification_failures),
-            ("autotune_cache_hits_total", "counter",
-             "Searches answered from the best-known-mapping memo.",
-             stats.cache_hits),
-            ("autotune_cache_misses_total", "counter",
-             "Searches that had to sweep the mapping space.",
-             stats.cache_misses),
-            ("autotune_search_ms_total", "counter",
-             "Wall-clock milliseconds spent inside autotune_graph.",
-             stats.search_ms_total),
-            ("autotune_best_cycles_per_sec", "gauge",
-             "Measured throughput of the most recent search winner.",
-             stats.best_cycles_per_sec),
-            ("autotune_fuzz_rounds_total", "counter",
-             "Configuration-fuzzer rounds executed.", stats.fuzz_rounds),
-            ("autotune_fuzz_candidates_total", "counter",
-             "Fuzzer candidate mappings run across the engine matrix.",
-             stats.fuzz_candidates),
-            ("autotune_fuzz_mismatches_total", "counter",
-             "Cross-engine output divergences found by the fuzzer.",
-             stats.fuzz_mismatches),
-        ]
-        return [Metric(name, kind, help_, (((), float(value)),))
-                for name, kind, help_, value in scalar]
 
     def _system_metric(self) -> Metric:
         """Which path every system cycle took, and why (see

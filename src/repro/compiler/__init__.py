@@ -14,14 +14,12 @@ architectures."  This package builds that tool:
   (microwords + switch routes + taps), runnable directly or exported as
   two-level assembly text;
 * :mod:`repro.compiler.profiler` — per-Dnode utilisation and operator-mix
-  reports from simulator statistics, plus the measured-throughput scoring
-  primitive;
+  reports from simulator statistics;
 * :mod:`repro.compiler.library` — named kernel graphs (FIR-8, DCT-4,
   complex multiply, envelope follower) with deterministic test streams;
-* :mod:`repro.compiler.autotune` — the compiler autopilot: a
-  measured-throughput search over mode x placement mappings,
-  verified bit-identical against the golden evaluator and memoized by
-  graph+fabric fingerprint (``compile_graph(..., autotune=True)``).
+* :mod:`repro.compiler.fuzz` — a coverage-guided configuration fuzzer
+  that runs mutated graphs under several mode x lane-order mappings on
+  every engine and bit-compares them against the golden evaluator.
 
 Typical use::
 
@@ -38,11 +36,9 @@ Typical use::
 from repro.compiler.graph import DataflowGraph, Node, NodeKind
 from repro.compiler.schedule import LANE_ORDERS, Placement, schedule
 from repro.compiler.codegen import MODES, CompiledProgram, compile_graph
-from repro.compiler.profiler import (measured_cycles_per_second,
-                                     profile_report, utilization_by_dnode)
+from repro.compiler.profiler import profile_report, utilization_by_dnode
 from repro.compiler.library import GRAPH_LIBRARY, build_graph, library_streams
-from repro.compiler.autotune import (AutotuneResult, Mapping,
-                                     autotune_graph, fuzz_conformance)
+from repro.compiler.fuzz import fuzz_conformance
 
 __all__ = [
     "DataflowGraph",
@@ -56,12 +52,8 @@ __all__ = [
     "MODES",
     "profile_report",
     "utilization_by_dnode",
-    "measured_cycles_per_second",
     "GRAPH_LIBRARY",
     "build_graph",
     "library_streams",
-    "AutotuneResult",
-    "Mapping",
-    "autotune_graph",
     "fuzz_conformance",
 ]

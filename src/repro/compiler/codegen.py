@@ -211,9 +211,8 @@ def compile_graph(graph: DataflowGraph,
                   geometry: Optional[RingGeometry] = None,
                   mode: str = "global",
                   lane_order: str = "index",
-                  ring_kwargs: Optional[Dict[str, object]] = None,
-                  autotune: bool = False,
-                  **autotune_opts) -> CompiledProgram:
+                  ring_kwargs: Optional[Dict[str, object]] = None
+                  ) -> CompiledProgram:
     """Compile *graph* for *geometry* (default: narrowest ring that fits).
 
     Args:
@@ -225,25 +224,11 @@ def compile_graph(graph: DataflowGraph,
             :data:`repro.compiler.schedule.LANE_ORDERS`).
         ring_kwargs: keyword arguments for the default ring
             ``build_system`` creates (backend, batch_size, ...).
-        autotune: search the mapping space instead of emitting the
-            hand-shaped default — candidates are scored by measured
-            cycles/s and verified bit-identical against
-            :meth:`DataflowGraph.evaluate` before one can win; remaining
-            keyword arguments go to
-            :func:`repro.compiler.autotune.autotune_graph`.
 
     Raises:
         CompileError: for unmappable graphs (see
             :func:`repro.compiler.schedule.schedule`).
     """
-    if autotune:
-        from repro.compiler.autotune import autotune_graph
-        return autotune_graph(graph, geometry=geometry,
-                              **autotune_opts).program
-    if autotune_opts:
-        raise TypeError(
-            f"unexpected arguments {sorted(autotune_opts)} "
-            f"(only valid with autotune=True)")
     if mode not in MODES:
         raise CompileError(
             f"unknown mode {mode!r}; expected one of {MODES}")

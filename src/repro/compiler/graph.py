@@ -156,24 +156,6 @@ class DataflowGraph:
         if not any(n.kind is NodeKind.INPUT for n in self._nodes):
             raise CompileError("graph has no input streams")
 
-    def fingerprint(self) -> str:
-        """Canonical content hash of the graph (nodes + outputs).
-
-        Two graphs built by the same sequence of construction calls hash
-        identically, whatever the builder objects' identities — the
-        graph half of the autotuner's memo key (graph fingerprint,
-        fabric shape, backend availability).
-        """
-        import hashlib
-
-        parts = []
-        for n in self._nodes:
-            parts.append((n.index, n.kind.value,
-                          n.op.name if n.op is not None else "",
-                          n.operands, n.channel, n.value, n.amount))
-        parts.append(("outputs", tuple(self.outputs)))
-        return hashlib.sha256(repr(parts).encode()).hexdigest()
-
     # -- golden evaluation ------------------------------------------------
 
     def evaluate(self, streams: Dict[int, Sequence[int]]) -> Dict[int, List[int]]:

@@ -2,12 +2,11 @@
 
 The paper's application set (§5) — filtering and transform kernels — as
 ready-made :class:`~repro.compiler.graph.DataflowGraph` builders, used by
-the ``autotune`` CLI, the benchmarks, and the conformance fuzzer's seed
-corpus.  Every builder returns a fresh graph (graphs are mutable), and
+the tests, the benchmarks, and the conformance fuzzer's seed corpus.  Every builder returns a fresh graph (graphs are mutable), and
 every graph here streams one sample per cycle from host channel 0
 (plus channel 1 where noted).
 
-The shapes are deliberately diverse for the mapping-space search:
+The shapes are deliberately diverse:
 
 * ``fir8``  — direct-form FIR with a mov relay chain (deep and narrow:
   width 3, ~10 levels);
@@ -25,8 +24,8 @@ catalogue: shift-add CORDIC rotation/vectoring (``cordic4`` /
 polyphase 2x/3x resamplers (``up2``/``down2``/``up3``/``down3``), gain
 staging (``vca``/``mixer4``), the chorus voice (``chorus6``) and
 same-cycle complex arithmetic (``cmul4``/``cmag``).  Each is the exact
-graph the corresponding ``*_fabric`` runner executes, so the autotuner
-and fuzzer exercise the shipping recipes, not toys.
+graph the corresponding ``*_fabric`` runner executes, so the fuzzer
+exercises the shipping recipes, not toys.
 """
 
 from __future__ import annotations
@@ -63,9 +62,8 @@ def dct4() -> DataflowGraph:
 
     The window x[n..n-3] is gathered through the switches' feedback
     pipelines (delays 1..3 cost nothing), so level 2 carries four
-    butterfly sums whose shared producer is read through ``Rp`` taps —
-    the placement that makes the autotuner's lane-order dimension earn
-    its keep.
+    butterfly sums whose shared producer is read through ``Rp`` taps,
+    so lane order decides which placements are legal.
     """
     g = DataflowGraph()
     x = g.input(0)

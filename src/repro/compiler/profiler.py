@@ -9,38 +9,12 @@ analysis consumes (sustained MIPS at a given clock).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.report import render_table
 from repro.core.ring import Ring
 from repro.errors import SimulationError
 from repro.host.dma import DEFAULT_CLOCK_HZ
-
-
-def measured_cycles_per_second(ring: Ring, cycles: int,
-                               bus: int = 0,
-                               host_in: Optional[Callable[[int], int]] = None,
-                               warmup: Optional[int] = None,
-                               repeats: int = 2) -> float:
-    """Steady-state throughput of *ring*'s current configuration+engine.
-
-    Runs a warm-up chunk first (so macro/native code generation stays
-    out of the timed region — see
-    :meth:`repro.core.ring.Ring.profile`), then times *repeats* runs of
-    *cycles* each and returns the best cycles/s.  This is the scoring
-    primitive the compiler autopilot ranks candidate mappings with.
-    """
-    if cycles < 1:
-        raise SimulationError(f"need >= 1 scored cycle, got {cycles}")
-    if warmup is None:
-        warmup = max(8, cycles // 4)
-    best = 0.0
-    for _ in range(repeats):
-        with ring.profile(warmup=warmup, bus=bus,
-                          host_in=host_in) as profile:
-            ring.run(cycles, bus=bus, host_in=host_in)
-        best = max(best, profile.cycles_per_second())
-    return best
 
 
 def utilization_by_dnode(ring: Ring) -> Dict[str, float]:

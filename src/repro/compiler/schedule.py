@@ -85,8 +85,7 @@ def _collapse_delays(graph: DataflowGraph):
 
 #: Lane-assignment orders the scheduler understands.  Feedback taps
 #: (``Rp``) only reach lanes 0..1, so *which* nodes land in the low
-#: lanes decides whether a delayed-operand placement is legal at all —
-#: one of the placement dimensions the autotuner searches.
+#: lanes decides whether a delayed-operand placement is legal at all.
 LANE_ORDERS = ("index", "reverse", "delay-first")
 
 

@@ -415,6 +415,17 @@ class Ring:
         """
         return self.backend != "interpreter" and self.batch_size == 1
 
+    @property
+    def runs_lanes(self) -> bool:
+        """Do the batch engine's lanes run this ring's cycles?
+
+        True on a batch ring with more than one lane, or once its lane
+        engine exists (``ring.batch`` was handed out); a one-lane batch
+        ring otherwise runs the scalar ladder.
+        """
+        return self.backend == "batch" and (
+            self.batch_size > 1 or self._batch_engine is not None)
+
     def _ensure_batch(self):
         if self._batch_engine is None:
             from repro.core.batchpath import BatchRing
@@ -636,33 +647,16 @@ class Ring:
         return None if best is None else best - cycle
 
     @contextmanager
-    def profile(self, warmup: int = 0, bus: int = 0,
-                host_in: Optional[HostReader] = None):
+    def profile(self):
         """Context manager timing the engines while the block runs.
 
         Yields a :class:`RingProfile` that accumulates wall-clock seconds
         and cycle counts separately for the interpreter, the compiled
         tiers, and code generation.  Profiling adds one predicate per
         dispatch decision — nothing inside a compiled kernel.
-
-        Args:
-            warmup: cycles to run *untimed* before the profile attaches.
-                First-touch costs (macro/native code generation) land
-                in the warm-up chunk instead of the measured region, so
-                the profile reports steady-state throughput — the
-                number the compiler autopilot scores candidate mappings
-                by.
-            bus: bus value driven during the warm-up cycles.
-            host_in: host resolver used during the warm-up cycles (the
-                profiled block supplies its own).
         """
         if self._profile is not None:
             raise SimulationError("ring is already being profiled")
-        if warmup < 0:
-            raise SimulationError(
-                f"profile warmup must be >= 0, got {warmup}")
-        if warmup:
-            self.run(warmup, bus=bus, host_in=host_in)
         profile = RingProfile()
         self._profile = profile
         try:
@@ -691,8 +685,7 @@ class Ring:
         """
         word.check(bus, "bus value")
         self.last_bus = bus
-        if self.backend == "batch" and (
-                self.batch_size > 1 or self._batch_engine is not None):
+        if self.runs_lanes:
             engine = self._ensure_batch()
             self._run_plan(engine, 1, bus, host_in)
             engine.store_lane(0)
@@ -1040,8 +1033,7 @@ class Ring:
         feedback tap, or the period cap.  Resolves (and caches) the plan
         like a run would.
         """
-        if self.backend == "batch" and (
-                self.batch_size > 1 or self._batch_engine is not None):
+        if self.runs_lanes:
             plan = self._lane_plan(self._ensure_batch(), "native")
             return str(plan) if isinstance(plan, _Refusal) else None
         native = self._steady_plan("native")
@@ -1151,8 +1143,7 @@ class Ring:
         if cycles < 0:
             raise SimulationError(f"cycle count must be >= 0, got {cycles}")
         word.check(bus, "bus value")
-        if self.backend == "batch" and (
-                self.batch_size > 1 or self._batch_engine is not None):
+        if self.runs_lanes:
             self._run_batch(cycles, bus, host_in)
             return
         remaining = cycles

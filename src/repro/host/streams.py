@@ -95,6 +95,8 @@ def _window_picks(tap, values: np.ndarray, collected: int) -> np.ndarray:
 
 def _cycles_to_full(tap, collected: int) -> int:
     """Observations a limited tap still needs before it is full."""
+    if tap.limit is None:
+        raise HostError(f"{tap!r} has no limit, so it never fills")
     need = tap.limit - collected
     if need <= 0:
         return 0

@@ -172,8 +172,7 @@ class RingSystem:
         """
         ring, data = self.ring, self.data
         bus = 0 if self.controller is None else self.controller.bus_out
-        lanes = ring.backend == "batch" and (
-            ring.batch_size > 1 or ring._batch_engine is not None)
+        lanes = ring.runs_lanes
         # A lane window settles the host side after the fact, so it
         # needs every cycle to run to completion without being watched:
         # no ring observer, and no strict FIFO that may raise mid-window.

@@ -9,8 +9,8 @@ full 3-component rotation per cycle.  Angles use the binary convention of
 word wrap *is* the circle wrap.
 
 Both modes compile from :class:`~repro.compiler.graph.DataflowGraph`
-builders, so they feed ``compile_graph``/``autotune`` like any library
-graph, and run bit-identical to
+builders, so they feed ``compile_graph`` like any library graph, and
+run bit-identical to
 :func:`repro.kernels.reference.cordic_rotate` /
 :func:`~repro.kernels.reference.cordic_vector`.
 """

@@ -7,7 +7,7 @@
   channels with compile-time Q15 gains, summed by a left-fold ADD chain
   (wrap semantics identical to :func:`repro.kernels.reference.mix`).
 
-Both compile through ``compile_graph``/``autotune`` like any library
+Both compile through ``compile_graph`` like any library
 graph; the VCA is also the building block the scenario pipelines use for
 envelopes and master gain.
 """

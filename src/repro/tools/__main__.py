@@ -5,10 +5,8 @@ Subcommands:
 * ``asm``      — assemble two-level source to binary object code;
 * ``dis``      — disassemble object code to a readable listing;
 * ``run``      — load object code, stream data in, print tap outputs;
-* ``autotune`` — search the mapping space for a library kernel graph
-  (measured-throughput scoring, bit-identity verification, memoized by
-  graph+fabric fingerprint), optionally followed by the cross-engine
-  configuration fuzzer.
+* ``fuzz``     — run the cross-engine configuration fuzzer (exit 1 on
+  any output mismatch between engines and the golden evaluator).
 
 Exit codes: 0 success, 1 usage/load errors and failed fault recovery,
 2 a simulation abort (strict-FIFO underflow) — the abort cycle and
@@ -254,49 +252,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return status
 
 
-def _cmd_autotune(args: argparse.Namespace) -> int:
-    import json
+def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from repro.compiler.fuzz import fuzz_conformance
 
-    from repro.compiler.autotune import autotune_graph, fuzz_conformance
-    from repro.compiler.library import GRAPH_LIBRARY, build_graph
-
-    if args.list:
-        for name in sorted(GRAPH_LIBRARY):
-            print(name)
-        return 0
-    if args.graph is None:
-        print("error: name a library graph (or use --list)",
-              file=sys.stderr)
-        return EXIT_FAILURE
-
-    graph = build_graph(args.graph)
-    result = autotune_graph(graph, score_cycles=args.cycles,
-                            repeats=args.repeats, seed=args.seed,
-                            memo=not args.no_memo)
-    if args.json:
-        payload = {
-            "graph": args.graph,
-            "mapping": result.mapping.describe(),
-            "cycles_per_second": result.cycles_per_second,
-            "baseline_cycles_per_second":
-                result.baseline_cycles_per_second,
-            "speedup": result.speedup,
-            "search_ms": result.search_ms,
-            "cache_hit": result.cache_hit,
-            "candidates": len(result.candidates),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(result.report())
-        print(result.program.resource_report())
-    if args.fuzz:
-        report = fuzz_conformance(rounds=args.fuzz, seed=args.seed)
-        print(report.summary())
-        for line in report.mismatches:
-            print(f"  MISMATCH {line}", file=sys.stderr)
-        if not report.ok:
-            return EXIT_FAILURE
-    return 0
+    report = fuzz_conformance(rounds=args.rounds, seed=args.seed)
+    print(report.summary())
+    for line in report.mismatches:
+        print(f"  MISMATCH {line}", file=sys.stderr)
+    return 0 if report.ok else EXIT_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,27 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="metrics format: JSON or Prometheus text")
     p_run.set_defaults(func=_cmd_run)
 
-    p_tune = sub.add_parser(
-        "autotune",
-        help="search the mapping space for a library kernel graph")
-    p_tune.add_argument("graph", nargs="?", default=None,
-                        help="library graph name (see --list)")
-    p_tune.add_argument("--list", action="store_true",
-                        help="list the kernel-graph library and exit")
-    p_tune.add_argument("--cycles", type=int, default=1500, metavar="N",
-                        help="timed cycles per candidate measurement")
-    p_tune.add_argument("--repeats", type=int, default=2, metavar="R",
-                        help="measurement repeats per candidate (best-of)")
-    p_tune.add_argument("--seed", type=int, default=2002, metavar="S",
-                        help="verification-stream / fuzzer seed")
-    p_tune.add_argument("--no-memo", action="store_true",
-                        help="skip the best-known-mapping memo cache")
-    p_tune.add_argument("--json", action="store_true",
-                        help="print the winner as JSON instead of a table")
-    p_tune.add_argument("--fuzz", type=int, default=0, metavar="N",
-                        help="afterwards run N rounds of the cross-engine "
-                             "configuration fuzzer (exit 1 on mismatch)")
-    p_tune.set_defaults(func=_cmd_autotune)
+    p_fuzz = sub.add_parser(
+        "fuzz", help="run the cross-engine configuration fuzzer")
+    p_fuzz.add_argument("--rounds", type=int, default=8, metavar="N",
+                        help="mutated graphs to run")
+    p_fuzz.add_argument("--seed", type=int, default=2002, metavar="S",
+                        help="mutation and stream seed")
+    p_fuzz.set_defaults(func=_cmd_fuzz)
 
     return parser
 

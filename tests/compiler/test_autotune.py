@@ -1,173 +1,42 @@
-"""Compiler autopilot: search, verification, memoization, fuzzing, CLI.
+"""Compiler mappings and the configuration fuzzer.
 
-The tentpole contract pinned here:
+Pinned here:
 
-* every candidate mapping is *measured* (never modelled) and must
-  reproduce the golden evaluator bit-for-bit before it can win;
-* the winner is at least as fast as the default ``compile_graph``
-  emission (the baseline is itself a candidate);
-* a repeat submission hits the (graph fingerprint, fabric shape) memo
-  and pays no search;
-* the configuration fuzzer drives mutated graphs across every mapping
-  variant and every execution engine, bit-comparing all of them;
-* the ``autotune_*`` metric families surface the whole story.
+* every mode (global / local / hybrid Dnode emission) and every lane
+  order of ``compile_graph`` reproduces the golden evaluator
+  bit-for-bit, and the default geometry widens until a graph fits;
+* every ``GRAPH_LIBRARY`` kernel compiles and matches its golden output,
+  with deterministic per-channel test streams;
+* the configuration fuzzer (:mod:`repro.compiler.fuzz`) drives mutated
+  graphs, seeded from the library, across its (mode, lane order)
+  mappings and every execution engine, bit-comparing all of them; the
+  CI campaign (8 rounds, seed 2002) is pinned count for count;
+* the ``fuzz`` CLI subcommand prints the campaign's verdict.
 """
-
-import dataclasses
-import json
 
 import pytest
 
-from repro.compiler.autotune import (
-    MEMO,
-    PLACEMENT_ORDERS,
-    STATS,
-    Mapping,
-    autotune_graph,
-    fuzz_conformance,
-    memo_key,
-    reset_autotune_state,
-)
 from repro.compiler.codegen import MODES, compile_graph
-from repro.compiler.graph import CompileError, DataflowGraph
+from repro.compiler.fuzz import FUZZ_MAPPINGS, fuzz_conformance
+from repro.compiler.graph import CompileError
 from repro.compiler.library import (
     GRAPH_LIBRARY,
     build_graph,
     library_streams,
 )
 from repro.compiler.schedule import LANE_ORDERS, schedule
-from repro.core.ring import Ring, RingGeometry
-
-#: Small search budget: candidate ranking may wobble at this size, but
-#: every property asserted here (verification, memoization, the winner
-#: never slower than the baseline it was measured against) is
-#: budget-independent.
-FAST = dict(score_cycles=200, repeats=1, verify_samples=12)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_autotuner():
-    """Every test starts with an empty memo and zeroed counters."""
-    reset_autotune_state()
-    yield
-    reset_autotune_state()
 
 
 class TestMapping:
-    def test_describe_names_every_axis(self):
-        text = Mapping(mode="hybrid", lane_order="delay-first").describe()
-        assert text == "hybrid/delay-first"
-
     def test_mapping_has_no_engine_axis(self):
-        """The engine is not searched: every candidate runs on the
-        default native ring, whose ladder picks the rung."""
-        assert [f.name for f in dataclasses.fields(Mapping)] == [
-            "mode", "lane_order"]
-
-
-class TestSearch:
-    def test_winner_beats_or_matches_baseline(self):
-        result = autotune_graph(build_graph("envelope"), **FAST)
-        assert result.cycles_per_second >= \
-            result.baseline_cycles_per_second
-        assert result.speedup >= 1.0
-        assert not result.cache_hit
-
-    def test_every_winning_candidate_is_verified(self):
-        result = autotune_graph(build_graph("dct4"), **FAST)
-        ranked = [c for c in result.candidates if c.verified]
-        assert ranked, "at least the baseline must verify"
-        assert result.mapping in {c.mapping for c in ranked}
-        assert STATS.verifications >= len(result.candidates)
-
-    def test_winner_output_bit_identical_to_golden(self):
-        graph = build_graph("fir8")
-        result = autotune_graph(graph, **FAST)
-        streams = library_streams(graph, 20, seed=77)
-        assert result.program.run(streams) == graph.evaluate(streams)
-
-    def test_search_covers_placements_and_engines(self):
-        """Every placement is scored once, and the winner runs on the
-        default engine (native, with its fall-back ladder)."""
-        result = autotune_graph(build_graph("envelope"), **FAST)
-        mappings = [c.mapping for c in result.candidates]
-        assert len(mappings) == len(set(mappings)) == \
-            len(MODES) * len(PLACEMENT_ORDERS)
-        assert {m.mode for m in mappings} == set(MODES)
-        assert {m.lane_order for m in mappings} == set(PLACEMENT_ORDERS)
-        assert result.program.build_system().ring.backend == "native"
-
-    def test_report_renders_ranked_table(self):
-        result = autotune_graph(build_graph("envelope"), **FAST)
-        report = result.report()
-        assert "wins" in report
-        assert result.mapping.describe() in report
-
-    def test_geometry_constraint_respected(self):
-        geometry = RingGeometry(layers=4, width=6)
-        result = autotune_graph(build_graph("dct4"), geometry=geometry,
-                                **FAST)
-        assert result.program.geometry == geometry
-
-    def test_unmappable_graph_raises(self):
-        g = DataflowGraph()
-        x = g.input(0)
-        # 5-cycle delay exceeds the feedback-pipeline depth everywhere.
-        g.output(g.op("add", x, g.delay(g.op("mov", x), 5)))
-        with pytest.raises(CompileError):
-            autotune_graph(g, **FAST)
-
-
-class TestMemo:
-    def test_resubmission_hits_the_memo(self):
-        first = autotune_graph(build_graph("envelope"), **FAST)
-        second = autotune_graph(build_graph("envelope"), **FAST)
-        assert not first.cache_hit and second.cache_hit
-        assert second.mapping == first.mapping
-        assert second.candidates == []  # no search ran
-        assert STATS.cache_hits == 1 and STATS.cache_misses == 1
-        assert second.search_ms < first.search_ms
-
-    def test_memo_key_separates_graphs_and_shapes(self):
-        g1, g2 = build_graph("fir8"), build_graph("dct4")
-        assert memo_key(g1, None) != memo_key(g2, None)
-        assert memo_key(g1, None) != \
-            memo_key(g1, RingGeometry(layers=12, width=4))
-
-    def test_identical_rebuilds_share_one_key(self):
-        assert memo_key(build_graph("fir8"), None) == \
-            memo_key(build_graph("fir8"), None)
-
-    def test_memo_false_always_searches(self):
-        autotune_graph(build_graph("envelope"), memo=False, **FAST)
-        result = autotune_graph(build_graph("envelope"), memo=False,
-                                **FAST)
-        assert not result.cache_hit
-        assert len(MEMO) == 0
-
-    def test_memoized_program_still_runs_golden(self):
-        graph = build_graph("cmul")
-        autotune_graph(graph, **FAST)
-        hit = autotune_graph(build_graph("cmul"), **FAST)
-        assert hit.cache_hit
-        streams = library_streams(graph, 10)
-        assert hit.program.run(streams) == graph.evaluate(streams)
+        """A fuzz mapping is a (mode, lane order) pair: the engine is
+        the fuzzer's separate axis."""
+        for mode, lane_order in FUZZ_MAPPINGS:
+            assert mode in MODES and lane_order in LANE_ORDERS
+        assert len(set(FUZZ_MAPPINGS)) == len(FUZZ_MAPPINGS)
 
 
 class TestCompileGraphIntegration:
-    def test_autotune_flag_returns_tuned_program(self):
-        program = compile_graph(build_graph("envelope"), autotune=True,
-                                **FAST)
-        # No engine choice to bake in: it runs on the default ring.
-        assert program.ring_kwargs == {}
-        streams = library_streams(build_graph("envelope"), 8)
-        golden = build_graph("envelope").evaluate(streams)
-        assert program.run(streams) == golden
-
-    def test_stray_autotune_options_rejected(self):
-        with pytest.raises(TypeError):
-            compile_graph(build_graph("envelope"), score_cycles=100)
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(CompileError):
             compile_graph(build_graph("envelope"), mode="turbo")
@@ -234,7 +103,6 @@ class TestLibrary:
         streams = library_streams(graph, 16)
         assert compile_graph(graph).run(streams) == \
             graph.evaluate(streams)
-        assert STATS.searches == 0  # the untuned path never searches
 
     def test_streams_deterministic_and_per_channel(self):
         graph = build_graph("cmul")
@@ -262,107 +130,30 @@ class TestFuzzer:
     def test_summary_carries_the_verdict(self):
         report = fuzz_conformance(rounds=3, seed=7, samples=5)
         assert "bit-identical" in report.summary()
-        assert STATS.fuzz_rounds == 3
+        assert report.rounds == 3
 
-
-class TestMetrics:
-    def test_families_absent_until_touched(self):
-        from repro.analysis.metrics import collect_metrics
-        ring = Ring(RingGeometry(layers=2, width=2))
-        data = json.loads(collect_metrics(ring).to_json())
-        assert "autotune_searches_total" not in data
-
-    def test_search_and_fuzz_counters_surface(self):
-        from repro.analysis.metrics import collect_metrics
-        result = autotune_graph(build_graph("envelope"), **FAST)
-        autotune_graph(build_graph("envelope"), **FAST)
-        fuzz_conformance(rounds=2, seed=3, samples=5)
-        ring = Ring(RingGeometry(layers=2, width=2))
-        data = json.loads(collect_metrics(ring).to_json())
-        assert data["autotune_searches_total"] == 2
-        assert data["autotune_cache_hits_total"] == 1
-        assert data["autotune_cache_misses_total"] == 1
-        assert data["autotune_candidates_evaluated_total"] == \
-            len(result.candidates)
-        assert data["autotune_best_cycles_per_sec"] > 0
-        assert data["autotune_search_ms_total"] > 0
-        assert data["autotune_fuzz_rounds_total"] == 2
-        assert data["autotune_fuzz_mismatches_total"] == 0
-
-    def test_prometheus_export_includes_families(self):
-        from repro.analysis.metrics import collect_metrics
-        autotune_graph(build_graph("envelope"), **FAST)
-        ring = Ring(RingGeometry(layers=2, width=2))
-        text = collect_metrics(ring).to_prometheus()
-        assert "repro_autotune_searches_total" in text
+    def test_ci_campaign_is_pinned(self):
+        """The CI campaign's counts: moving the fuzzer onto
+        ``compile_graph`` must not change which graphs it builds, maps
+        or rejects."""
+        report = fuzz_conformance(rounds=8, seed=2002, samples=10)
+        assert report.ok, report.mismatches
+        assert (report.candidates_checked, report.coverage,
+                report.corpus_size, report.rejected) == (28, 24, 20, 4)
 
 
 class TestCli:
-    def test_list_names_the_library(self, capsys):
-        from repro.tools.__main__ import main
-        assert main(["autotune", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "fir8" in out and "dct4" in out
-
-    def test_json_verdict(self, capsys):
-        from repro.tools.__main__ import main
-        code = main(["autotune", "envelope", "--cycles", "200",
-                     "--repeats", "1", "--json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["graph"] == "envelope"
-        assert payload["speedup"] >= 1.0
-        assert payload["cache_hit"] is False
-
     def test_table_output_with_fuzz_leg(self, capsys):
         from repro.tools.__main__ import main
-        code = main(["autotune", "envelope", "--cycles", "200",
-                     "--repeats", "1", "--no-memo", "--fuzz", "2"])
-        assert code == 0
+        assert main(["fuzz", "--rounds", "2"]) == 0
         out = capsys.readouterr().out
-        assert "wins" in out
         assert "fuzz: 2 rounds" in out
-
-    def test_graph_required_without_list(self, capsys):
-        from repro.tools.__main__ import main
-        assert main(["autotune"]) == 1
-        assert "library graph" in capsys.readouterr().err
-
-    def test_unknown_graph_fails_cleanly(self, capsys):
-        from repro.tools.__main__ import main
-        assert main(["autotune", "fft1024"]) == 1
-        assert "unknown library graph" in capsys.readouterr().err
+        assert "all engines bit-identical" in out
 
 
 class TestScenarioRecipeTuning:
-    """The scenario library feeds the autopilot: directed speedup +
-    memoization cases on the new recipes, and the fuzz corpus seeded
-    from :data:`GRAPH_LIBRARY`."""
-
-    @pytest.mark.parametrize("name", ["mixer4", "up2"])
-    def test_finds_fast_mapping_and_memoizes(self, name):
-        graph = build_graph(name)
-        result = autotune_graph(graph, **FAST)
-        assert not result.cache_hit
-        # Structure, not wall clock: the winner is the fastest verified
-        # candidate.  The measured >= 1.5x speedup over the per-cycle
-        # rung is judged as a median over repeated searches in
-        # benchmarks/test_autotune.py.
-        verified = [c for c in result.candidates if c.verified]
-        winner, = [c for c in result.candidates
-                   if c.mapping == result.mapping]
-        assert winner.verified
-        assert winner.cycles_per_second == max(
-            c.cycles_per_second for c in verified)
-        # Winner reproduced the golden evaluator before being adopted.
-        streams = library_streams(graph, 10)
-        assert result.program.run(streams) == graph.evaluate(streams)
-        # A repeat submission of a fresh but identical graph is a memo
-        # hit with the identical winning mapping.
-        again = autotune_graph(build_graph(name), **FAST)
-        assert again.cache_hit
-        assert again.mapping == result.mapping
-        assert STATS.searches == 2 and STATS.cache_hits == 1
+    """The scenario recipes are registered library graphs, and the
+    fuzz corpus is seeded from :data:`GRAPH_LIBRARY`."""
 
     def test_scenario_graphs_registered(self):
         for name in ("cordic4", "cordic_vec4", "nco_wave", "up2",
@@ -373,8 +164,7 @@ class TestScenarioRecipeTuning:
             assert graph.evaluate(streams)
 
     def test_fuzz_corpus_seeded_from_library(self):
-        from repro.compiler.autotune import (_genome_from_graph,
-                                             _library_corpus)
+        from repro.compiler.fuzz import _genome_from_graph, _library_corpus
 
         seeds = _library_corpus(max_nodes=28)
         # Every small library recipe contributes one genome; the CORDIC

@@ -101,6 +101,10 @@ class TestOutputTap:
         tap.observe(1)
         assert not tap.full
 
+    def test_unlimited_cycles_to_full_names_the_tap(self):
+        with pytest.raises(HostError, match=r"OutputTap\(D1\.2.*no limit"):
+            OutputTap(1, 2).cycles_to_full()
+
     def test_validation(self):
         with pytest.raises(HostError):
             OutputTap(0, 0, skip=-1)
@@ -289,6 +293,11 @@ class TestBatchTapArrays:
         assert tap.array().tolist() == [[0, 3], [1, 4], [2, 5]]
         with pytest.raises(ValueError):
             tap.array()[0, 0] = 9
+
+    def test_unlimited_cycles_to_full_names_the_tap(self):
+        with pytest.raises(HostError,
+                           match=r"BatchOutputTap\(D1\.2.*no limit"):
+            BatchOutputTap(2, 1, 2).cycles_to_full()
 
     def test_checkpoint_round_trip(self):
         dc = DataController(batch=2)
