@@ -112,13 +112,15 @@ def _clip(expr: str) -> str:
 
 
 def _compute_expr(mw: MicroWord, a: str, b: Optional[str],
-                  acc: Optional[str], vector: bool = False) -> str:
+                  acc: Optional[str], vector: bool = False,
+                  coeff: Optional[str] = None) -> str:
     """Inline Python expression for one microword's combinational result.
 
     Operand expressions are pure (temporaries / attribute / index reads),
     so duplicating them inside a template is safe.  With *vector* the
     operands may be NumPy arrays and the expression is elementwise (see
-    :func:`_vector_expr`).
+    :func:`_vector_expr`).  *coeff* replaces a ``MADD``/``MSUB``
+    coefficient (the signed immediate) with an expression.
     """
     op = mw.op
     S = _signed
@@ -150,7 +152,8 @@ def _compute_expr(mw: MicroWord, a: str, b: Optional[str],
     if op is Opcode.MACS:
         return sat(f"{S(a)} * {S(b)} + {S(acc)}")
     if op is Opcode.MADD or op is Opcode.MSUB:
-        coeff = word.to_signed(mw.imm)
+        if coeff is None:
+            coeff = str(word.to_signed(mw.imm))
         sign = "+" if op is Opcode.MADD else "-"
         return f"({S(a)} {sign} {S(b)} * ({coeff})) & 65535"
     if op is Opcode.AND:
@@ -191,12 +194,12 @@ def _compute_expr(mw: MicroWord, a: str, b: Optional[str],
 
 
 def _vector_expr(mw: MicroWord, a: str, b: Optional[str],
-                 acc: Optional[str]) -> str:
+                 acc: Optional[str], coeff: Optional[str] = None) -> str:
     """NumPy array expression for one microword, elementwise over
     operand arrays: the one the native kernels and the macro lane
     kernels share (saturation clips, comparisons select with
     ``np.where``)."""
-    return _compute_expr(mw, a, b, acc, vector=True)
+    return _compute_expr(mw, a, b, acc, vector=True, coeff=coeff)
 
 
 class Ineligible(Exception):

@@ -36,24 +36,38 @@ a single NumPy array operation over all T/period executions at once:
   ``gather`` method, otherwise one poll per cycle in interpreter order;
 * an output tap is a slice of its Dnode's ``VO`` array:
   :meth:`NativePlan.run` returns the post-edge output history of every
-  Dnode the caller taps.
+  Dnode the caller taps;
+* **Dnode groups**: Dnodes with the same per-phase schedule (opcodes,
+  flags, destinations, closed-form chains, FIFO pop and read prefixes)
+  whose operands are only their own state, a constant or the bus form
+  one group (:attr:`NativeTemplate.groups`), emitted once over a
+  leading member axis.  The ``VO`` arrays are the rows of one matrix,
+  so a group's stores and fills are row slices; immediates that differ
+  between members are a constant vector; a group's FIFO read sites
+  arrive as one stacked ``(members, n)`` array and its FIFO gates settle
+  in one :func:`fifo_tail` call over the members' occupancies.  Any
+  other Dnode is a group of one, emitted by the same code.  The paper's
+  Table 1 mapping (16 SAD loops in local mode) is one group of 16.
 
 The generated kernel is one pure-array function ``_core``.  It takes
-every piece of state as an argument, so it holds no ring:
+every piece of state as an argument (the ``VO`` matrix, one row per
+Dnode; ``_INIT``/``_FIN`` register and OUT values, which a group reads
+and writes as a slice of consecutive slots), so it holds no ring:
 :func:`native_template` builds a :class:`NativeTemplate` (the kernel and
 the window schedule by Dnode index and FIFO key) once per configuration
 and entry phase.  The ring keeps templates in the process-wide kernel
 cache (:mod:`repro.core.plancache`), so every fresh ring with a
 configuration the process has compiled binds it in microseconds.
 
-The kernel is shape-generic: its temporaries take their shape from
-``_INIT`` (``(n,)`` on a ring, ``(n, lanes)`` on lanes) and every
-running sum is ``np.cumsum`` down axis 0.  So one template serves both
-bindings: :meth:`NativeTemplate.bind` maps it onto a ring's state
-containers (:class:`NativePlan`) and :meth:`NativeTemplate.bind_lanes`
-onto a :class:`~repro.core.batchpath.BatchRing`'s lane arrays and lane
-FIFOs (:class:`NativeLanePlan`), whose arrays carry a trailing lane
-axis.  A configuration run on a ring and on lanes compiles once.
+The kernel is shape-generic: a group's temporaries are ``(members, n)``
+plus ``_INIT``'s trailing axes (none on a ring, ``(lanes,)`` on lanes)
+and every running sum is ``np.cumsum`` along the time axis.  So one
+template serves both bindings: :meth:`NativeTemplate.bind` maps it onto
+a ring's state containers (:class:`NativePlan`) and
+:meth:`NativeTemplate.bind_lanes` onto a
+:class:`~repro.core.batchpath.BatchRing`'s lane arrays and lane FIFOs
+(:class:`NativeLanePlan`), whose arrays carry a trailing lane axis.  A
+configuration run on a ring and on lanes compiles once.
 
 Eligibility — :func:`compile_native` returns None (the ring then falls
 back native → macro → interpreter, and keeps the reason as
@@ -102,9 +116,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 MAX_WINDOW_CELLS = 1 << 20
 
 def fifo_tail(occupancy, n: int, ppp: int, reads):
-    """Pops that land and underflows counted by *n* periods on a
-    non-strict FIFO holding *occupancy* words (an int, or an array with
-    one per lane).
+    """Pops that land and underflows counted by *n* periods on
+    non-strict FIFOs holding *occupancy* words: an array with one per
+    group member (by lane), elementwise.
 
     Pops are set by the schedule: *ppp* per period, and each read of
     *reads* (``(prefix, reads per period)``) sees the word *prefix* pops
@@ -112,56 +126,56 @@ def fifo_tail(occupancy, n: int, ppp: int, reads):
     read past the occupancy reads 0; each counts one underflow.
     Returns ``(landed, underflows)``.
     """
-    lo, hi = ((np.minimum, np.maximum) if isinstance(occupancy, np.ndarray)
-              else (min, max))
-    landed = lo(occupancy, n * ppp)
+    landed = np.minimum(occupancy, n * ppp)
     underflows = n * ppp - landed
     for prefix, count in reads:
         if ppp:
             # Periods whose read still finds a word: ceil((occ - prefix)
             # / ppp), clipped to the window.
-            served = lo(hi(-((prefix - occupancy) // ppp), 0), n)
+            served = np.minimum(
+                np.maximum(-((prefix - occupancy) // ppp), 0), n)
         else:
             served = n * (occupancy > prefix)
         underflows = underflows + count * (n - served)
     return landed, underflows
 
 
-def _queue_reads(queue, prefix: int, ppp: int, n: int) -> np.ndarray:
-    """A read site's words over *n* periods off a scalar
-    :class:`~repro.core.wordqueue.WordQueue` (0 past its occupancy): a
-    strided slice of the queue's buffer when it holds them all."""
-    if not ppp:
-        return np.full(n, queue[0] if queue else 0, np.int64)
-    needed = prefix + (n - 1) * ppp + 1
-    words = queue.view(0, needed)
-    if len(words) < needed:
-        words = np.concatenate(
-            (words, np.zeros(needed - len(words), np.int64)))
-    return words[prefix::ppp]
+def _queue_reads(queues, prefix: int, ppp: int, n: int) -> np.ndarray:
+    """A read site's words over *n* periods off each scalar
+    :class:`~repro.core.wordqueue.WordQueue` of *queues*, one row per
+    queue (0 past its occupancy)."""
+    out = np.empty((len(queues), n), np.int64)
+    for row, queue in zip(out, queues):
+        queue.gather_into(row, prefix, ppp)
+    return out
 
 
 class NativeTemplate:
     """A compiled native kernel with no ring in it.
 
     ``core`` is the pure-array kernel (``source`` its text), shared by
-    every ring and batch engine bound to it.  The rest is the window's
-    schedule by Dnode index and FIFO key, which a :class:`NativePlan`
-    maps to one ring's state containers, or a :class:`NativeLanePlan` to
-    one batch engine's lane arrays.
+    every ring and batch engine bound to it.  ``groups`` is the Dnode
+    partition the kernel runs over: a tuple of Dnode-index tuples, each
+    emitted once over a member axis.  The rest is the window's schedule
+    by Dnode index and FIFO key, which a :class:`NativePlan` maps to one
+    ring's state containers, or a :class:`NativeLanePlan` to one batch
+    engine's lane arrays: ``fifo_reads`` holds ``(keys, prefix, pops per
+    period)`` per stacked read site, ``fifo_gates`` ``(keys, pops per
+    period, largest read prefix, reads)`` per group and channel.
     """
 
-    __slots__ = ("schedule", "source", "core", "init_fill", "fin_regs",
-                 "fifo_reads", "fifo_gates")
+    __slots__ = ("schedule", "source", "core", "groups", "init_fill",
+                 "fin_regs", "fifo_reads", "fifo_gates")
 
-    def __init__(self, schedule, source, init_fill, fin_regs, fifo_reads,
-                 fifo_gates):
+    def __init__(self, schedule, source, groups, consts, init_fill,
+                 fin_regs, fifo_reads, fifo_gates):
         self.schedule = schedule
         self.source = source
-        env: Dict[str, object] = {"np": np}
+        env: Dict[str, object] = {"np": np, **consts}
         exec(compile(source, f"<native period={schedule.period}>", "exec"),
              env)
         self.core = env["_core"]
+        self.groups = groups
         self.init_fill = init_fill
         self.fin_regs = fin_regs
         self.fifo_reads = fifo_reads
@@ -232,18 +246,21 @@ class NativePlan(_NativeWindows):
             lu = ring.upstream_layer(k)
             pipes.append((sw, tuple((sw._pipes[j], lu * width + j)
                                     for j in range(width))))
+        gate_queues = [tuple(fifo(*key) for key in keys)
+                       for keys, *_ in template.fifo_gates]
         self._meta = {
             "ring": ring,
             "depth": geometry.pipeline_depth,
             "host_ports": template.schedule.host_ports,
-            "fifo_reads": [(fifo(*key), prefix, ppp)
-                           for key, prefix, ppp in template.fifo_reads],
-            "fifo_gates": [(fifo(*key), ppp, maxprefix, reads,
-                            nodes[key[0] * width + key[1]].stats)
-                           for key, ppp, maxprefix, reads
-                           in template.fifo_gates],
-            "init_fill": [("reg", nodes[i].regs._values, r) if kind == "reg"
-                          else ("out", nodes[i], 0)
+            "fifo_reads": [(tuple(fifo(*key) for key in keys), prefix, ppp)
+                           for keys, prefix, ppp in template.fifo_reads],
+            "fifo_gates": [(queues, ppp, maxprefix, reads,
+                            tuple(nodes[l * width + p].stats
+                                  for l, p, _ch in keys))
+                           for queues, (keys, ppp, maxprefix, reads)
+                           in zip(gate_queues, template.fifo_gates)],
+            "init_fill": [(nodes[i].regs._values, r) if kind == "reg"
+                          else (nodes[i], None)
                           for kind, i, r in template.init_fill],
             "vo_seed": vo_seed,
             "pipes": pipes,
@@ -275,18 +292,18 @@ class NativePlan(_NativeWindows):
             return 0
         if not self._meta["ring"].strict_fifos:
             return n * per
-        for queue, ppp, maxprefix, _reads, _stats in self._meta[
+        for queues, ppp, maxprefix, _reads, _stats in self._meta[
                 "fifo_gates"]:
-            occ = len(queue)
+            occ = np.array([len(queue) for queue in queues], np.int64)
             if ppp == 0:
                 # Reads but never a pop: any occupancy serves forever.
-                if occ == 0:
+                if not occ.all():
                     return 0
                 continue
             limit = occ // ppp
             if maxprefix is not None:
-                limit = min(limit, (occ - maxprefix - 1) // ppp + 1)
-            n = min(n, limit)
+                limit = np.minimum(limit, (occ - maxprefix - 1) // ppp + 1)
+            n = min(n, int(limit.min()))
             if n <= 0:
                 return 0
         return n * per
@@ -310,13 +327,13 @@ class NativePlan(_NativeWindows):
         hv = _host_windows(meta["host_ports"], host_in, ring, T,
                            _host_word, ())
 
-        # FIFO gather: each read site gets its length-n value vector.
-        fv = [_queue_reads(queue, prefix, ppp, n)
-              for queue, prefix, ppp in meta["fifo_reads"]]
+        # FIFO gather: each read site gets one (members, n) array.
+        fv = [_queue_reads(queues, prefix, ppp, n)
+              for queues, prefix, ppp in meta["fifo_reads"]]
 
-        init = np.empty(max(1, len(meta["init_fill"])), np.int64)
-        for i, (kind, obj, idx) in enumerate(meta["init_fill"]):
-            init[i] = obj[idx] if kind == "reg" else obj._out
+        init = np.array([obj._out if idx is None else obj[idx]
+                         for obj, idx in meta["init_fill"]] or [0],
+                        np.int64)
 
         # Visible-out history, one row per Dnode: the downstream
         # pipeline's stages depth..1, then the live OUT latch.
@@ -331,10 +348,11 @@ class NativePlan(_NativeWindows):
         vos[:, :depth + 1] = seed
 
         fin = np.zeros(max(1, meta["fin_count"]), np.int64)
-        self.template.core(n, bus, init, fin, *vos, *hv, *fv)
+        self.template.core(n, bus, init, fin, vos, *hv, *fv)
 
+        fin = fin.tolist()
         for values, r, k in meta["fin_regs"]:
-            values[r] = int(fin[k])
+            values[r] = fin[k]
         for (dn, _pipe, _sw), out in zip(meta["vo_seed"],
                                          vos[:, depth + T].tolist()):
             dn._out = out
@@ -354,13 +372,19 @@ class NativePlan(_NativeWindows):
                 # In place: macro kernels bind these list objects.
                 lane = stages[vi]
                 pipe[:] = lane[-head:] + lane[:-head]
+        # FIFO settlement: one closed form per group and channel, over
+        # the members' occupancies.
         underflows = 0
-        for queue, ppp, _maxprefix, reads, stats in meta["fifo_gates"]:
-            landed, under = fifo_tail(len(queue), n, ppp, reads)
-            underflows += under
-            if landed:
-                queue.drop(landed)
-                stats.fifo_pops += landed
+        for queues, ppp, _maxprefix, reads, stats in meta["fifo_gates"]:
+            landed, under = fifo_tail(
+                np.array([len(queue) for queue in queues], np.int64),
+                n, ppp, reads)
+            underflows += int(under.sum())
+            if ppp:
+                for queue, st, k in zip(queues, stats, landed.tolist()):
+                    if k:
+                        queue.drop(k)
+                        st.fifo_pops += k
         ring.fifo_underflows += underflows
         _book_stats(meta, n, T)
         # Entry phase is period-preserving (every LIMIT divides the
@@ -433,12 +457,13 @@ class NativeLanePlan(_NativeWindows):
     """A :class:`NativeTemplate` bound to one batch engine.
 
     The kernel's arrays carry a trailing lane axis: ``(T, lanes)`` host
-    windows, ``(n, lanes)`` FIFO read vectors and ``(T + depth + 1,
-    lanes)`` visible-out arrays.  A window reads the engine's ``outs`` /
-    ``regs`` / ``pipes`` lane arrays and lane FIFOs and writes them back;
-    statistics are lane-invariant and go to the ring's Dnodes, FIFO pops
-    and underflows per lane (:func:`fifo_tail`).  Only non-strict rings
-    run it: a strict underflow must raise at its cycle.
+    windows, ``(members, n, lanes)`` stacked FIFO reads and a ``(Dnodes,
+    T + depth + 1, lanes)`` visible-out matrix.  A window reads the
+    engine's ``outs`` / ``regs`` / ``pipes`` lane arrays and lane FIFOs
+    and writes them back; statistics are lane-invariant and go to the
+    ring's Dnodes, FIFO pops and underflows per lane (:func:`fifo_tail`).
+    Only non-strict rings run it: a strict underflow must raise at its
+    cycle.
     """
 
     __slots__ = ()
@@ -455,11 +480,14 @@ class NativeLanePlan(_NativeWindows):
             "engine": engine,
             "depth": geometry.pipeline_depth,
             "host_ports": template.schedule.host_ports,
-            "fifo_reads": [(engine._fifo_for(key), prefix, ppp)
-                           for key, prefix, ppp in template.fifo_reads],
-            "fifo_gates": [(engine._fifo_for(key), ppp, reads,
-                            engine.lane_fifo_pops[key[:2]])
-                           for key, ppp, _maxprefix, reads
+            "fifo_reads": [(tuple(engine._fifo_for(key) for key in keys),
+                            prefix, ppp)
+                           for keys, prefix, ppp in template.fifo_reads],
+            "fifo_gates": [(tuple(engine._fifo_for(key) for key in keys),
+                            ppp, reads,
+                            tuple(engine.lane_fifo_pops[key[:2]]
+                                  for key in keys))
+                           for keys, ppp, _maxprefix, reads
                            in template.fifo_gates],
             "init_regs": (
                 [k for k, (kind, *_) in enumerate(init) if kind == "reg"],
@@ -492,8 +520,8 @@ class NativeLanePlan(_NativeWindows):
         c0 = ring.cycles
         hv = _host_windows(meta["host_ports"], host_in, ring, T,
                            engine._host_word, (lanes,))
-        fv = [fifo.gather(prefix, n, ppp)
-              for fifo, prefix, ppp in meta["fifo_reads"]]
+        fv = [_stack([fifo.gather(prefix, n, ppp) for fifo in fifos])
+              for fifos, prefix, ppp in meta["fifo_reads"]]
 
         nodes = engine.outs.shape[0] * engine.outs.shape[1]
         outs = engine.outs.reshape(nodes, lanes)
@@ -515,7 +543,7 @@ class NativeLanePlan(_NativeWindows):
         vos[:, depth] = outs
 
         fin = np.zeros((meta["fin_count"], lanes), np.int64)
-        self.template.core(n, bus, init, fin, *vos, *hv, *fv)
+        self.template.core(n, bus, init, fin, vos, *hv, *fv)
 
         slots, rows = meta["fin_regs"]
         regs[rows] = fin[slots]
@@ -524,15 +552,23 @@ class NativeLanePlan(_NativeWindows):
         # visible outputs, stage 1 first, at the shared head.
         engine.pipes[:, :, stage] = vos[:, T:T + depth][:, ::-1].reshape(
             -1, engine.outs.shape[1], depth, lanes)[meta["up"]]
-        for fifo, ppp, reads, pops in meta["fifo_gates"]:
-            _landed, under = fifo_tail(fifo.count, n, ppp, reads)
+        for fifos, ppp, reads, pops in meta["fifo_gates"]:
+            _landed, under = fifo_tail(
+                _stack([fifo.count for fifo in fifos]), n, ppp, reads)
             if ppp:
-                pops += fifo.drop(n * ppp)
-            engine.lane_underflows += under
+                for fifo, lane_pops in zip(fifos, pops):
+                    lane_pops += fifo.drop(n * ppp)
+            engine.lane_underflows += under.sum(axis=0)
         _book_stats(meta, n, T)
         ring.cycles = c0 + T
         ring.native_cycles += T
         return [vos[i, depth + 1:] for i in taps]
+
+
+def _stack(arrays: List[np.ndarray]) -> np.ndarray:
+    """*arrays* stacked along a new leading member axis (a view for a
+    group of one)."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def compile_native(ring: "Ring",
@@ -631,23 +667,10 @@ def native_template(ring: "Ring") -> NativeTemplate:
                             f"out-of-range feedback tap")
 
     # --- operand resolution -------------------------------------------
-    init_index: Dict[tuple, int] = {}
-    init_fill: List[tuple] = []
-
-    def init_of(key, accessor) -> int:
-        idx = init_index.get(key)
-        if idx is None:
-            idx = len(init_fill)
-            init_index[key] = idx
-            init_fill.append(accessor)
-        return idx
-
-    fifo_slot: Dict[Tuple[int, int, int, int], int] = {}
-    fifo_reads: List[tuple] = []      # ((l, p, ch), prefix, pops/period)
-    fifo_read_prefixes: Dict[Tuple[int, int, int], int] = {}
-    # Operand reads per period at each (l, p, ch, prefix): each read of
-    # an empty queue counts one underflow.
-    fifo_read_counts: Dict[Tuple[int, int, int, int], int] = {}
+    # Operands name their Dnode's own state relatively (a register or
+    # the OUT latch by key, a FIFO by channel and pop prefix), so Dnodes
+    # with one schedule resolve to equal records and can share a group;
+    # "vo" and "host" operands name another Dnode or a host port.
     pop_phases: Dict[Tuple[int, int, int], List[int]] = {}
     for (l, p), sched in schedule.items():
         for phase, mw in enumerate(sched):
@@ -659,7 +682,11 @@ def native_template(ring: "Ring") -> NativeTemplate:
     # ops[dnode index][phase] -> op record for computed results
     ops: Dict[int, Dict[int, dict]] = {i: {} for i in
                                        range(geometry.dnodes)}
-    # FIFO read sites that compute nothing (Dest.NONE) still gate safety.
+    writers: Dict[int, tuple] = {}
+    # Operand reads per period at each (channel, prefix) of a Dnode's
+    # FIFOs, computed or not: each read of an empty queue counts one
+    # underflow.
+    fifo_read_counts: Dict[int, Dict[Tuple[int, int], int]] = {}
 
     for l in range(layers):
         lu = ring.upstream_layer(l)
@@ -676,34 +703,26 @@ def native_template(ring: "Ring") -> NativeTemplate:
                     reg_writers[int(mw.dst)].append(phase)
                 if mw.dst is Dest.OUT or mw.flags & Flag.WRITE_OUT:
                     out_writers.append(phase)
+            writers[i] = (reg_writers, out_writers)
+            read_counts = fifo_read_counts[i] = {}
 
-            def resolve_writers(phase, writers, init_key, accessor):
+            def resolve_writers(phase, writers, key):
                 prev = [w for w in writers if w < phase]
                 if prev:
                     return ("res", max(prev))
                 if writers:
-                    return ("res1", max(writers),
-                            init_of(init_key, accessor))
-                return ("init", init_of(init_key, accessor))
+                    return ("res1", max(writers), key)
+                return ("init", key)
 
             def resolve_reg(phase, r):
-                return resolve_writers(
-                    phase, reg_writers[r], ("reg", l, p, r), ("reg", i, r))
+                return resolve_writers(phase, reg_writers[r], ("reg", r))
 
             def fifo_operand(phase, ch):
                 pops = pop_phases.get((l, p, ch), ())
                 prefix = sum(1 for q in pops if q < phase)
-                seen = fifo_read_prefixes.get((l, p, ch))
-                if seen is None or prefix > seen:
-                    fifo_read_prefixes[(l, p, ch)] = prefix
-                key = (l, p, ch, prefix)
-                fifo_read_counts[key] = fifo_read_counts.get(key, 0) + 1
-                slot = fifo_slot.get(key)
-                if slot is None:
-                    slot = len(fifo_reads)
-                    fifo_slot[key] = slot
-                    fifo_reads.append(((l, p, ch), prefix, len(pops)))
-                return ("fifo", slot)
+                read_counts[(ch, prefix)] = read_counts.get(
+                    (ch, prefix), 0) + 1
+                return ("fifo", ch, prefix)
 
             def port_operand(phase, port):
                 src = port_src[(l, p, port)]
@@ -736,8 +755,7 @@ def native_template(ring: "Ring") -> NativeTemplate:
                 if src is Source.IMM:
                     return ("const", mw.imm)
                 if src is Source.SELF:
-                    return resolve_writers(
-                        phase, out_writers, ("out", l, p), ("out", i, 0))
+                    return resolve_writers(phase, out_writers, ("out", 0))
                 if src is Source.ZERO:
                     return ("const", 0)
                 if src.is_feedback:
@@ -792,13 +810,13 @@ def native_template(ring: "Ring") -> NativeTemplate:
                     closed = "+"
                 ops[i][phase] = {
                     "mw": mw, "a": a, "b": b, "acc": acc, "a_self": a_self,
+                    # A MADD/MSUB coefficient is an immediate too.
+                    "coeff": (("const", word.to_signed(mw.imm))
+                              if mw.op in (Opcode.MADD, Opcode.MSUB)
+                              else None),
                     "closed": closed, "slot": phase % L,
                     "deps": {dep_of(x) for x in (a, b, acc)} - {None, own},
-                    "reg_writers": reg_writers, "out_writers": out_writers,
                 }
-            # Stash the writer maps even for all-NOP dnodes (needed for
-            # VO fill + final writeback bookkeeping).
-            ops[i]["_writers"] = (reg_writers, out_writers)  # type: ignore
 
     # --- within-Dnode op order (Kahn; any residual cycle bails) -------
     # The instances of one closed-form accumulator slot (phases s,
@@ -807,14 +825,14 @@ def native_template(ring: "Ring") -> NativeTemplate:
     for i, table in ops.items():
         members: Dict[int, List[int]] = {}
         node_of: Dict[int, int] = {}
-        for ph in sorted(ph for ph in table if isinstance(ph, int)):
+        for ph in sorted(table):
             node = table[ph]["slot"] if table[ph]["closed"] else ph
             node_of[ph] = node
             members.setdefault(node, []).append(ph)
         indeg = {k: 0 for k in members}
         users: Dict[int, List[int]] = {k: [] for k in members}
-        for k, group in members.items():
-            for d in {node_of[d] for ph in group
+        for k, chain in members.items():
+            for d in {node_of[d] for ph in chain
                       for d in table[ph]["deps"]}:
                 indeg[k] += 1
                 users[d].append(k)
@@ -836,8 +854,7 @@ def native_template(ring: "Ring") -> NativeTemplate:
     # --- Dnode-level dependence graph over the window -----------------
     dn_deps: Dict[int, set] = {i: set() for i in range(geometry.dnodes)}
     for i, table in ops.items():
-        for ph in (ph for group in op_order[i] for ph in group):
-            rec = table[ph]
+        for rec in table.values():
             for opnd in (rec["a"], rec["b"], rec["acc"]):
                 if opnd is not None and opnd[0] == "vo":
                     dn_deps[i].add(dn_index(opnd[1], opnd[2]))
@@ -860,119 +877,211 @@ def native_template(ring: "Ring") -> NativeTemplate:
         names = ", ".join("D%d.%d" % divmod(i, width) for i in cycle)
         raise Ineligible(f"cross-Dnode dependence cycle through {names}")
 
+    # --- Dnode groups -------------------------------------------------
+    def signature(i: int):
+        """What a Dnode must share with another to run in its group:
+        the schedule up to immediates, and op records whose operands
+        read only the Dnode's own state, a constant or the bus.  None
+        keeps the Dnode a group of one (it reads another Dnode or a host
+        port, or computes nothing)."""
+        records = []
+        for ph, rec in sorted(ops[i].items()):
+            opnds = (rec["a"], rec["b"], rec["acc"], rec["coeff"])
+            if any(x is not None and x[0] in ("vo", "host")
+                   for x in opnds):
+                return None
+            records.append((ph, rec["closed"], rec["slot"], rec["a_self"],
+                            tuple(("const",) if x is not None
+                                  and x[0] == "const" else x
+                                  for x in opnds)))
+        if not records:
+            return None
+        lp = divmod(i, width)
+        words = tuple((mw.op, mw.src_a, mw.src_b, mw.dst, mw.flags)
+                      for mw in schedule[lp])
+        return steady.own_period[lp], words, tuple(records)
+
+    partition: List[List[int]] = []
+    by_signature: Dict[tuple, List[int]] = {}
+    for i in range(geometry.dnodes):
+        sig = signature(i)
+        group = None if sig is None else by_signature.get(sig)
+        if group is None:
+            group = [i]
+            partition.append(group)
+            if sig is not None:
+                by_signature[sig] = group
+        else:
+            group.append(i)
+    # Members of a group read no other Dnode, so a group is ready as
+    # soon as its earliest member is.
+    rank = {i: k for k, i in enumerate(dn_order)}
+    partition.sort(key=lambda group: min(rank[i] for i in group))
+
     # --- code generation ----------------------------------------------
-    lines: List[str] = []
+    # Every group is emitted once over a leading member axis: a result
+    # is a (members, n) array (by lane), rows of the VO matrix are the
+    # members' visible outputs, and a per-member immediate is a constant
+    # vector broadcast down the other axes by _E.
+    lines = ["    _L = _INIT.shape[1:]"]
+    consts: Dict[str, np.ndarray] = {}
     temp_count = [0]
-    # Shape of one op's result vector: n periods (by lane).
-    lines.append("    _S = (n,) + _INIT.shape[1:]")
+    init_fill: List[tuple] = []
+    fin_regs: List[tuple] = []
+    fifo_reads: List[tuple] = []      # (keys, prefix, pops/period)
+    fifo_gates: List[tuple] = []      # (keys, pops/period, max prefix, reads)
 
     def emit(text: str) -> None:
         lines.append("    " + text)
 
-    def operand_expr(i: int, phase: int, opnd) -> Tuple[str, bool]:
-        tag = opnd[0]
-        if tag == "const":
-            return str(opnd[1]), False
-        if tag == "bus":
-            return "bus", False
-        if tag == "init":
-            return f"_INIT[{opnd[1]}]", False
-        if tag == "vo":
-            ul, up, lag = opnd[1], opnd[2], opnd[3]
-            start = depth + phase - lag
-            return (f"_vo_{dn_index(ul, up)}"
-                    f"[{start}:{start} + n * {P}:{P}]"), True
-        if tag == "res":
-            return f"_r_{i}_{opnd[1]}", True
-        if tag == "res1":
-            psi, ii = opnd[1], opnd[2]
-            temp_count[0] += 1
-            t = f"_t{temp_count[0]}"
-            emit(f"{t} = np.empty(_S, np.int64)")
-            emit(f"{t}[0] = _INIT[{ii}]")
-            emit(f"{t}[1:] = _r_{i}_{psi}[:n - 1]")
-            return t, True
-        if tag == "host":
-            return (f"_hv_{opnd[1]}[{phase}:{phase} + n * {P}:{P}]"), True
-        if tag == "fifo":
-            return f"_fv_{opnd[1]}", True
-        raise Ineligible(f"unhandled operand {opnd!r}")
-
-    def emit_chain(i: int, group: List[int]) -> None:
-        """One closed-form accumulator: the m instances per period of
-        ``x = x ± v`` (or a MAC's ``x = x + a*b``) are one running sum
-        over the m*n terms in time order."""
-        recs = [ops[i][ph] for ph in group]
-        m = len(group)
+    def fresh(prefix: str) -> str:
         temp_count[0] += 1
-        t = f"_c{temp_count[0]}"
-        emit(f"{t} = np.empty((n * {m},) + _S[1:], np.int64)")
-        for j, (ph, rec) in enumerate(zip(group, recs)):
-            if rec["mw"].op is Opcode.MAC:
-                a, _ = operand_expr(i, ph, rec["a"])
-                b, _ = operand_expr(i, ph, rec["b"])
-                term = f"{_signed(a)} * {_signed(b)}"
-            else:
-                term, _ = operand_expr(
-                    i, ph, rec["b"] if rec["a_self"] else rec["a"])
-            emit(f"{t}[{j}::{m}] = {term}")
-        # The first instance reads the previous period's last one, whose
-        # value at window entry is the ("res1", own, init) slot.
-        root = recs[0]
-        own = (root["acc"] if root["mw"].op is Opcode.MAC
-               else root["a"] if root["a_self"] else root["b"])
-        emit(f"{t} = (_INIT[{own[2]}] {root['closed']} "
-             f"np.cumsum({t}, axis=0)) & 65535")
-        for j, ph in enumerate(group):
-            emit(f"_r_{i}_{ph} = {t}[{j}::{m}]")
+        return f"{prefix}{temp_count[0]}"
 
-    fin_index: Dict[tuple, int] = {}
-    fin_regs: List[tuple] = []
+    for members in partition:
+        k = len(members)
+        rep = members[0]
+        table = ops[rep]
+        reg_writers, out_writers = writers[rep]
+        keys = [divmod(m, width) for m in members]
+        step = members[1] - rep if k > 1 else 1
+        if members == list(range(rep, members[-1] + 1, step)):
+            rows = f"{rep}:{members[-1] + 1}" + (
+                f":{step}" if step > 1 else "")
+        else:
+            rows = f"_G{rep}"
+            consts[rows] = np.array(members, np.intp)
+        shape = f"({k}, n) + _L"
+        init_slot: Dict[tuple, int] = {}
+        read_slot: Dict[tuple, int] = {}
 
-    for i in dn_order:
-        table = ops[i]
-        reg_writers, out_writers = table["_writers"]  # type: ignore
-        for group in op_order[i]:
-            rec = table[group[0]]
+        def init_of(key) -> int:
+            """First of the k _INIT slots holding the members' *key*."""
+            base = init_slot.get(key)
+            if base is None:
+                base = init_slot[key] = len(init_fill)
+                kind, r = key
+                init_fill.extend((kind, m, r) for m in members)
+            return base
+
+        def const_of(values: List[int]) -> str:
+            if len(set(values)) == 1:
+                return str(values[0])
+            if not any(name.startswith("_K") for name in consts):
+                lines.insert(1, "    _E = (slice(None),) + (None,) * "
+                                "_INIT.ndim")
+            name = fresh("_K")
+            consts[name] = np.array(values, np.int64)
+            alias = name.lower()
+            emit(f"{alias} = {name}[_E]")
+            return alias
+
+        def operand_expr(phase: int, field: str) -> Tuple[str, bool]:
+            opnds = [ops[m][phase][field] for m in members]
+            opnd = opnds[0]
+            tag = opnd[0]
+            if tag == "const":
+                return const_of([x[1] for x in opnds]), False
+            if tag == "bus":
+                return "bus", False
+            if tag == "init":
+                base = init_of(opnd[1])
+                return f"_INIT[{base}:{base + k}, None]", False
+            if tag == "vo":
+                up = dn_index(opnd[1], opnd[2])
+                start = depth + phase - opnd[3]
+                return (f"_VO[{up}:{up + 1}, "
+                        f"{start}:{start} + n * {P}:{P}]"), True
+            if tag == "res":
+                return f"_r_{rep}_{opnd[1]}", True
+            if tag == "res1":
+                base = init_of(opnd[2])
+                t = fresh("_t")
+                emit(f"{t} = np.empty({shape}, np.int64)")
+                emit(f"{t}[:, 0] = _INIT[{base}:{base + k}]")
+                emit(f"{t}[:, 1:] = _r_{rep}_{opnd[1]}[:, :n - 1]")
+                return t, True
+            if tag == "host":
+                return (f"_hv_{opnd[1]}[None, "
+                        f"{phase}:{phase} + n * {P}:{P}]"), True
+            if tag == "fifo":
+                ch, prefix = opnd[1], opnd[2]
+                slot = read_slot.get((ch, prefix))
+                if slot is None:
+                    slot = read_slot[(ch, prefix)] = len(fifo_reads)
+                    fifo_reads.append((
+                        tuple(key + (ch,) for key in keys), prefix,
+                        len(pop_phases.get(keys[0] + (ch,), ()))))
+                return f"_fv_{slot}", True
+            raise Ineligible(f"unhandled operand {opnd!r}")
+
+        def emit_chain(chain: List[int]) -> None:
+            """One closed-form accumulator: the m instances per period
+            of ``x = x ± v`` (or a MAC's ``x = x + a*b``) are one
+            running sum over the m*n terms in time order."""
+            recs = [table[ph] for ph in chain]
+            m = len(chain)
+            t = fresh("_c")
+            emit(f"{t} = np.empty(({k}, n * {m}) + _L, np.int64)")
+            for j, (ph, rec) in enumerate(zip(chain, recs)):
+                if rec["mw"].op is Opcode.MAC:
+                    a, _ = operand_expr(ph, "a")
+                    b, _ = operand_expr(ph, "b")
+                    term = f"{_signed(a)} * {_signed(b)}"
+                else:
+                    term, _ = operand_expr(
+                        ph, "b" if rec["a_self"] else "a")
+                emit(f"{t}[:, {j}::{m}] = {term}")
+            # The first instance reads the previous period's last one,
+            # whose value at window entry is the ("res1", own, key) slot.
+            root = recs[0]
+            own = (root["acc"] if root["mw"].op is Opcode.MAC
+                   else root["a"] if root["a_self"] else root["b"])
+            base = init_of(own[2])
+            emit(f"{t} = (_INIT[{base}:{base + k}, None] {root['closed']} "
+                 f"np.cumsum({t}, axis=1)) & 65535")
+            for j, ph in enumerate(chain):
+                emit(f"_r_{rep}_{ph} = {t}[:, {j}::{m}]")
+
+        for chain in op_order[rep]:
+            rec = table[chain[0]]
             if rec["closed"]:
-                emit_chain(i, group)
+                emit_chain(chain)
                 continue
-            ph = group[0]
-            mw = rec["mw"]
-            a, a_arr = operand_expr(i, ph, rec["a"])
-            b = b_arr = None
-            if rec["b"] is not None:
-                b, b_arr = operand_expr(i, ph, rec["b"])
-            acc = None
-            acc_arr = False
-            if rec["acc"] is not None:
-                acc, acc_arr = operand_expr(i, ph, rec["acc"])
-            expr = _vector_expr(mw, a, b, acc)
-            if not (a_arr or b_arr or acc_arr):
-                expr = f"np.zeros(_S, np.int64) + ({expr})"
-            emit(f"_r_{i}_{ph} = {expr}")
+            ph = chain[0]
+            arrays = []
+            exprs = {}
+            for field in ("a", "b", "acc", "coeff"):
+                if rec[field] is not None:
+                    exprs[field], is_array = operand_expr(ph, field)
+                    arrays.append(is_array)
+            expr = _vector_expr(rec["mw"], exprs["a"], exprs.get("b"),
+                                exprs.get("acc"), exprs.get("coeff"))
+            if not any(arrays):
+                expr = f"np.zeros({shape}, np.int64) + ({expr})"
+            emit(f"_r_{rep}_{ph} = {expr}")
 
         # Final register values: the chronologically last writer's last
         # element.
         for r in range(4):
-            writers = reg_writers[r]
-            if writers:
-                k = len(fin_regs)
-                fin_index[(i, r)] = k
-                fin_regs.append((i, r, k))
-                emit(f"_FIN[{k}] = _r_{i}_{max(writers)}[n - 1]")
+            if reg_writers[r]:
+                base = len(fin_regs)
+                fin_regs.extend((m, r, base + j)
+                                for j, m in enumerate(members))
+                emit(f"_FIN[{base}:{base + k}] = "
+                     f"_r_{rep}_{max(reg_writers[r])}[:, n - 1]")
 
         # Visible-out materialization: strided stores for write phases,
         # forward fill for the rest (sources are always write residues,
         # so fill order is irrelevant).
+        vo = f"_VO[{rows}, "
         wset = sorted(set(out_writers))
         if not wset:
-            emit(f"_vo_{i}[{depth + 1}:] = _vo_{i}[{depth}]")
+            emit(f"{vo}{depth + 1}:] = {vo}{depth}:{depth + 1}]")
         else:
             for psi in wset:
                 start = depth + 1 + psi
-                emit(f"_vo_{i}[{start}:{start} + n * {P}:{P}] "
-                     f"= _r_{i}_{psi}")
+                emit(f"{vo}{start}:{start} + n * {P}:{P}] = _r_{rep}_{psi}")
             for c in range(P):
                 if c in wset:
                     continue
@@ -981,32 +1090,37 @@ def native_template(ring: "Ring") -> NativeTemplate:
                 t0 = depth + 1 + c
                 if s >= 0:
                     s0 = depth + 1 + s
-                    emit(f"_vo_{i}[{t0}:{t0} + n * {P}:{P}] "
-                         f"= _vo_{i}[{s0}:{s0} + n * {P}:{P}]")
+                    emit(f"{vo}{t0}:{t0} + n * {P}:{P}] "
+                         f"= {vo}{s0}:{s0} + n * {P}:{P}]")
                 else:
                     s0 = depth + 1 + s + P
-                    emit(f"_vo_{i}[{t0 + P}:{t0} + n * {P}:{P}] "
-                         f"= _vo_{i}[{s0}:{s0} + (n - 1) * {P}:{P}]")
-                    emit(f"_vo_{i}[{t0}] = _vo_{i}[{depth}]")
+                    emit(f"{vo}{t0 + P}:{t0} + n * {P}:{P}] "
+                         f"= {vo}{s0}:{s0} + (n - 1) * {P}:{P}]")
+                    emit(f"{vo}{t0}] = {vo}{depth}]")
+
+        # FIFO gates: the members share pops and read prefixes, so one
+        # closed form settles each channel over the whole group.
+        for ch in (1, 2):
+            pops = pop_phases.get(keys[0] + (ch,), ())
+            reads = tuple(sorted((prefix, count) for (c, prefix), count
+                                 in fifo_read_counts[rep].items()
+                                 if c == ch))
+            if pops or reads:
+                fifo_gates.append((
+                    tuple(key + (ch,) for key in keys), len(pops),
+                    max(prefix for prefix, _ in reads) if reads else None,
+                    reads))
 
     # --- kernel assembly ----------------------------------------------
-    params = ["n", "bus", "_INIT", "_FIN"]
-    params += [f"_vo_{i}" for i in range(geometry.dnodes)]
+    params = ["n", "bus", "_INIT", "_FIN", "_VO"]
     params += [f"_hv_{j}" for j in range(len(host_ports))]
     params += [f"_fv_{j}" for j in range(len(fifo_reads))]
     header = f"def _core({', '.join(params)}):"
     source = "\n".join([header] + lines) + "\n"
-    fifo_gates = []
-    keys = set(pop_phases) | set(fifo_read_prefixes)
-    for key in sorted(keys):
-        reads = tuple((prefix, count) for (*k, prefix), count
-                      in sorted(fifo_read_counts.items())
-                      if tuple(k) == key)
-        fifo_gates.append((key, len(pop_phases.get(key, ())),
-                           fifo_read_prefixes.get(key), reads))
-    return NativeTemplate(steady, source, tuple(init_fill),
-                          tuple(fin_regs), tuple(fifo_reads),
-                          tuple(fifo_gates))
+    groups = tuple(sorted(tuple(group) for group in partition))
+    return NativeTemplate(steady, source, groups, consts,
+                          tuple(init_fill), tuple(fin_regs),
+                          tuple(fifo_reads), tuple(fifo_gates))
 
 
 __all__ = ["NativeLanePlan", "NativePlan", "NativeTemplate",

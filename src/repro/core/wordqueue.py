@@ -205,6 +205,21 @@ class WordQueue:
         out.flags.writeable = False
         return out
 
+    def gather_into(self, out: np.ndarray, start: int, step: int) -> None:
+        """Fill *out* with words ``start, start + step, ...`` past the
+        head, 0 wherever one lies past the tail (a *step* of 0 repeats
+        word *start*).  Nothing is popped."""
+        base = self._head + start
+        size = self._tail - base
+        if size <= 0:
+            out[:] = 0
+        elif not step:
+            out[:] = self._buf[base]
+        else:
+            served = min(len(out), -(-size // step))
+            out[:served] = self._buf[base:base + (served - 1) * step + 1:step]
+            out[served:] = 0
+
     def drop(self, k: int) -> int:
         """Pop up to *k* words at once; returns how many went."""
         k = min(k, self._tail - self._head)

@@ -328,6 +328,20 @@ class BatchStreamChannel:
         )
 
 
+def _observe_each(taps, values) -> None:
+    """One cycle of :meth:`OutputTap.observe` for each scalar tap of
+    *taps*, with its post-edge output value in *values*."""
+    for tap, value in zip(taps, values):
+        tap._seen = seen = tap._seen + 1
+        if seen > tap.skip:
+            every = tap.every
+            if every == 1 or not (seen - tap.skip - 1) % every:
+                limit = tap.limit
+                samples = tap.samples
+                if limit is None or len(samples) < limit:
+                    samples.append(value)
+
+
 class OutputTap:
     """Samples one Dnode's output register each cycle.
 
@@ -357,14 +371,7 @@ class OutputTap:
 
     def observe(self, value: int) -> None:
         """Record this cycle's post-edge output value (if selected)."""
-        self._seen += 1
-        if self._seen <= self.skip:
-            return
-        if (self._seen - self.skip - 1) % self.every != 0:
-            return
-        if self.limit is not None and len(self.samples) >= self.limit:
-            return
-        self.samples.append(value)
+        _observe_each((self,), (value,))
 
     def observe_window(self, values: np.ndarray) -> None:
         """Record a window of post-edge output values at once.
@@ -525,6 +532,9 @@ class DataController:
         self.batch = batch
         self._channels: Dict[int, object] = {}
         self.taps: List[object] = []
+        # (ring, taps, Dnodes) of the last scalar collect: the tapped
+        # Dnodes are looked up again only when the ring or taps change.
+        self._sources = None
 
     def channel(self, index: int):
         """The stream channel behind direct-port index (created on demand)."""
@@ -632,15 +642,21 @@ class DataController:
         """Sample every tap from the post-edge fabric state.
 
         Batch taps read the per-lane OUT values straight from the ring's
-        batch engine; scalar taps read the scalar OUT register.
+        batch engine; scalar taps read the scalar OUT register of Dnodes
+        looked up once per ring and tap list.
         """
+        taps = self.taps
         if self.batch > 1:
             engine = ring._ensure_batch()
-            for tap in self.taps:
+            for tap in taps:
                 tap.observe(engine.lane_outs(tap.layer, tap.position))
             return
-        for tap in self.taps:
-            tap.observe(ring.dnode(tap.layer, tap.position).out)
+        sources = self._sources
+        if sources is None or sources[0] is not ring or sources[1] != taps:
+            sources = self._sources = (
+                ring, list(taps),
+                [ring.dnode(tap.layer, tap.position) for tap in taps])
+        _observe_each(taps, [dnode._out for dnode in sources[2]])
 
     def settle(self, executed: int, routed) -> None:
         """Account for *executed* clock edges whose words were read ahead.

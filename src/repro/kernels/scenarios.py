@@ -35,8 +35,9 @@ whole-stream functions.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Hashable, List, Optional, Sequence
 
 import numpy as np
 
@@ -176,6 +177,29 @@ def capture_plane(geometry: RingGeometry,
     return scratch.config.capture_plane()
 
 
+#: Planes the pipelines captured, keyed by what they were captured from
+#: (plane kind, geometry and arguments); least recently used dropped
+#: first.  A :class:`ConfigPlane` is frozen, so runs share one safely,
+#: and a shared plane keeps its validated layouts and memoized diffs.
+_PLANES: "OrderedDict[Hashable, ConfigPlane]" = OrderedDict()
+PLANE_MEMO_CAPACITY = 32
+
+
+def _memo_plane(key: Hashable, geometry: RingGeometry,
+                configure: Callable[[Ring], None]) -> ConfigPlane:
+    """The plane :func:`capture_plane` gives for *key*, captured once."""
+    key = (geometry, key)
+    plane = _PLANES.get(key)
+    if plane is None:
+        plane = capture_plane(geometry, configure)
+        _PLANES[key] = plane
+        if len(_PLANES) > PLANE_MEMO_CAPACITY:
+            _PLANES.popitem(last=False)
+    else:
+        _PLANES.move_to_end(key)
+    return plane
+
+
 def _advance(system: RingSystem, cycles: int, per_cycle: bool) -> None:
     if per_cycle:
         for _ in range(cycles):
@@ -215,10 +239,11 @@ def run_synth_voice(envelope: Sequence[int],
             f"synth voice needs a {SYNTH_GEOMETRY.layers}x"
             f"{SYNTH_GEOMETRY.width} ring, got "
             f"{ring.geometry.layers}x{ring.geometry.width}")
-    voice_plane = capture_plane(
-        ring.geometry, lambda r: _configure_voice(r, fcw_a, fcw_b))
-    echo_plane = capture_plane(
-        ring.geometry,
+    voice_plane = _memo_plane(
+        ("voice", fcw_a, fcw_b), ring.geometry,
+        lambda r: _configure_voice(r, fcw_a, fcw_b))
+    echo_plane = _memo_plane(
+        ("echo", echo_gain, SYNTH_ECHO_LANE), ring.geometry,
         lambda r: build_echo(echo_gain, ring=r, lane=SYNTH_ECHO_LANE))
     system = RingSystem(ring)
     dry_all: List[int] = []
@@ -273,10 +298,11 @@ def run_effects_chain(signal: Sequence[int],
             f"effects chain needs a {EFFECTS_GEOMETRY.layers}x"
             f"{EFFECTS_GEOMETRY.width} ring, got "
             f"{ring.geometry.layers}x{ring.geometry.width}")
-    chorus_plane = capture_plane(
-        ring.geometry, lambda r: _configure_chorus_vca(r, master_gain))
-    echo_plane = capture_plane(
-        ring.geometry,
+    chorus_plane = _memo_plane(
+        ("chorus", master_gain), ring.geometry,
+        lambda r: _configure_chorus_vca(r, master_gain))
+    echo_plane = _memo_plane(
+        ("echo", echo_gain, EFFECTS_ECHO_LANE), ring.geometry,
         lambda r: build_echo(echo_gain, ring=r, lane=EFFECTS_ECHO_LANE))
     system = RingSystem(ring)
     samples = [int(v) for v in signal]

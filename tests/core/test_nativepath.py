@@ -13,6 +13,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import word
@@ -300,6 +301,116 @@ class TestClosedForms:
             twin.step(bus=5)
         assert ring.native_cycles == 0
         assert state_digest(ring) == state_digest(twin)
+
+
+class TestDnodeGroups:
+    """The partition :func:`nativepath.native_template` emits over:
+    Dnodes with one schedule (immediates aside) that read only their
+    own state, a constant or the bus share a group; any other Dnode is
+    a group of one."""
+
+    @staticmethod
+    def _sad_ring(**kw) -> Ring:
+        """Four SAD loops on a 2x2 ring, each on its own FIFOs."""
+        ring = Ring(RingGeometry(layers=2, width=2), **kw)
+        for i in range(4):
+            layer, pos = divmod(i, 2)
+            ring.config.write_local_program(layer, pos, [
+                MicroWord(Opcode.ABSDIFF, Source.FIFO1, Source.FIFO2,
+                          Dest.R1, flags=Flag.POP_FIFO1 | Flag.POP_FIFO2),
+                MicroWord(Opcode.ADD, Source.R0, Source.R1, Dest.R0)])
+            ring.config.write_mode(layer, pos, DnodeMode.LOCAL)
+            ring.push_fifo(layer, pos, 1, _words(10 + i, 40 + 9 * i))
+            ring.push_fifo(layer, pos, 2, _words(20 + i, 70 - 7 * i))
+        return ring
+
+    def test_me_search_is_one_group_of_sixteen(self):
+        from repro.kernels.motion_estimation import build_me_system
+        system, _ = build_me_system(np.zeros((8, 8), np.int64),
+                                    np.zeros((24, 24), np.int64))
+        ring = system.ring
+        ring.config.apply_plane(system.planes[0])
+        template = nativepath.native_template(ring)
+        assert template.groups == (tuple(range(16)),)
+        # One op per group: the SAD loop's two ops and one cumsum.
+        assert template.source.count("np.abs(") == 1
+        assert template.source.count("np.cumsum(") == 1
+
+    def test_every_fir8_dnode_is_a_singleton(self):
+        from repro.compiler.codegen import compile_graph
+        from repro.compiler.library import fir8
+        program = compile_graph(fir8(), ring_kwargs={"backend": "native"})
+        ring = program.build_system(
+            Ring(program.geometry, **program.ring_kwargs)).ring
+        groups = nativepath.native_template(ring).groups
+        assert groups == tuple((i,) for i in range(ring.geometry.dnodes))
+
+    def test_grouped_sad_loops_match_the_interpreter(self):
+        ring = self._sad_ring(backend="native")
+        assert nativepath.native_template(ring).groups == ((0, 1, 2, 3),)
+        rn, ri = _twin(self._sad_ring, 120)
+        assert rn.native_cycles >= 100
+        assert state_digest(rn) == state_digest(ri)
+
+    def test_different_pop_prefixes_split(self):
+        """Same opcodes, but D1.1 pops FIFO1 one slot later: its second
+        read sees another word, so it cannot share the group."""
+        def build(**kw):
+            ring = self._sad_ring(**kw)
+            ring.config.write_local_program(1, 1, [
+                MicroWord(Opcode.ABSDIFF, Source.FIFO1, Source.FIFO2,
+                          Dest.R1, flags=Flag.POP_FIFO2),
+                MicroWord(Opcode.ADD, Source.R0, Source.FIFO1, Dest.R0,
+                          flags=Flag.POP_FIFO1)])
+            for i in range(3):
+                layer, pos = divmod(i, 2)
+                ring.config.write_local_slot(layer, pos, 1, MicroWord(
+                    Opcode.ADD, Source.R0, Source.FIFO1, Dest.R0))
+            return ring
+        ring = build(backend="native")
+        assert nativepath.native_template(ring).groups == (
+            (0, 1, 2), (3,))
+        rn, ri = _twin(build, 120)
+        assert rn.native_cycles >= 100
+        assert state_digest(rn) == state_digest(ri)
+
+    def test_member_reading_another_member_splits(self):
+        """Four Dnodes run ``ADD OUT, IN1, IMM``: three route IN1 to
+        the bus, but D2.0 routes it to D1.0's OUT, so it reads another
+        member and stays alone; the others' immediates differ and
+        become one constant vector."""
+        def build(**kw):
+            ring = Ring(RingGeometry(layers=4, width=1), **kw)
+            for layer in range(4):
+                ring.config.write_switch_route(
+                    layer, 0, 1, PortSource.up(0) if layer == 2
+                    else PortSource.bus())
+                ring.config.write_microword(layer, 0, MicroWord(
+                    Opcode.ADD, Source.IN1, Source.IMM, Dest.OUT,
+                    imm=1000 * layer + 7))
+            return ring
+        ring = build(backend="native")
+        template = nativepath.native_template(ring)
+        assert template.groups == ((0, 1, 3), (2,))
+        assert "_K" in template.source
+        rn, ri = _twin(build, 60, bus=0x4321)
+        assert rn.native_cycles >= 50
+        assert state_digest(rn) == state_digest(ri)
+
+    def test_coefficients_become_a_constant_vector(self):
+        """``MADD`` coefficients are immediates too: two Dnodes with
+        different ones share a group."""
+        def build(**kw):
+            ring = Ring(RingGeometry(layers=2, width=1), **kw)
+            for layer in range(2):
+                ring.config.write_microword(layer, 0, MicroWord(
+                    Opcode.MADD, Source.BUS, Source.IMM, Dest.OUT,
+                    imm=(3, 0xFFFB)[layer]))
+            return ring
+        ring = build(backend="native")
+        assert nativepath.native_template(ring).groups == ((0, 1),)
+        rn, ri = _twin(build, 40, bus=0x1234)
+        assert state_digest(rn) == state_digest(ri)
 
 
 class TestFallbackLadder:

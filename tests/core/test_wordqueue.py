@@ -86,6 +86,18 @@ class TestBlockOperations:
         with pytest.raises(ValueError):
             q.view()[0] = 9
 
+    @pytest.mark.parametrize("start, step, want", [
+        (0, 1, [2, 3, 4, 5, 0]), (1, 2, [3, 5, 0, 0, 0]),
+        (3, 1, [5, 0, 0, 0, 0]), (4, 1, [0, 0, 0, 0, 0]),
+        (1, 0, [3, 3, 3, 3, 3]), (9, 0, [0, 0, 0, 0, 0])])
+    def test_gather_into_fills_past_the_tail(self, start, step, want):
+        q = WordQueue([1, 2, 3, 4, 5])
+        q.drop(1)
+        out = np.full(5, -1, np.int64)
+        q.gather_into(out, start, step)
+        assert out.tolist() == want
+        assert list(q) == [2, 3, 4, 5]
+
     def test_drop_returns_how_many_went(self):
         q = WordQueue([1, 2, 3])
         assert q.drop(2) == 2

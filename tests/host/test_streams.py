@@ -146,6 +146,33 @@ class TestDataController:
         dc.collect(ring)
         assert tap.samples == [42]
 
+    def test_collect_follows_tap_and_ring_changes(self):
+        """The tapped Dnodes are looked up once per tap list and ring,
+        so a tap added or removed between cycles, or a collect from
+        another ring, still samples the right OUT registers."""
+        rings = [make_ring(4), make_ring(4)]
+        for k, ring in enumerate(rings):
+            for layer in range(2):
+                ring.config.write_microword(layer, 0, MicroWord(
+                    Opcode.ADD, Source.SELF, Source.IMM, dst=Dest.OUT,
+                    imm=10 * layer + 100 * k + 1))
+        dc = DataController()
+        first = dc.add_tap(0, 0)
+        for ring in rings:
+            ring.step()
+        dc.collect(rings[0])
+        second = dc.add_tap(1, 0)
+        dc.collect(rings[0])
+        dc.taps.remove(first)
+        dc.collect(rings[1])
+        dc.taps.append(first)
+        dc.collect(rings[1])
+        assert first.samples == [1, 1, 101]
+        assert second.samples == [11, 111, 111]
+        with pytest.raises(ConfigurationError):
+            dc.add_tap(7, 0)
+            dc.collect(rings[0])
+
     def test_word_counters(self):
         dc = DataController()
         dc.stream(0, [1, 2, 3])

@@ -29,6 +29,12 @@ Batch lane FIFOs and lane streams share one head across lanes, so
 dry lane, drops words, checkpoints, and raises a strict FIFO on one
 lane, each lane against its own interpreter system.
 
+The native kernel runs Dnodes with one schedule as one group over a
+member axis, so :class:`TestDnodeGroups` replicates random local loops
+over 2-16 Dnodes with their own immediates, registers and FIFO contents
+(running dry at different cycles), strict FIFOs, me_search's
+``CFGPLANE`` flips, taps, rollback and batch lanes.
+
 The Hypothesis suites are derandomized (pinned example sequence, no
 deadline) like the ring-level differential suite.
 """
@@ -54,6 +60,7 @@ from repro.core.config_memory import ConfigPlane
 from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
 from repro.core.macropath import MacroLanePlan, MacroPlan
+from repro.core.nativepath import native_template
 from repro.core.ring import Ring, RingGeometry
 from repro.core.snapshot import capture, snapshot_digest, state_digest
 from repro.core.switch import PortKind, PortSource
@@ -1174,8 +1181,9 @@ def _observables(system: RingSystem, error) -> dict:
         "error": error,
         "cycles": system.cycles,
         "host": system.data.capture_state(),
-        "controller": (dict(vars(ctrl.state)), ctrl.pc, list(ctrl.regs),
-                       ctrl.halted, ctrl.bus_out, ctrl.quiet_cycles()),
+        "controller": None if ctrl is None else (
+            dict(vars(ctrl.state)), ctrl.pc, list(ctrl.regs), ctrl.halted,
+            ctrl.bus_out, ctrl.quiet_cycles()),
         "metrics": metrics,
         "digest": state_digest(system.ring),
     }
@@ -2544,3 +2552,287 @@ class TestLaneQueues:
                     ref.data.host_in(channel)
             assert _lane_host_state(system, lane) == \
                 ref.data.capture_state()
+
+
+# -- Dnode groups: one local loop replicated over many Dnodes ------------
+
+#: Operands a group member may read besides registers: its own FIFOs, an
+#: immediate, zero and the bus.
+_OWN_SOURCES = [Source.FIFO1, Source.FIFO2, Source.IMM, Source.ZERO,
+                Source.BUS]
+_GROUP_OPS = [Opcode.ADD, Opcode.SUB, Opcode.ABSDIFF, Opcode.MIN,
+              Opcode.MAX, Opcode.XOR, Opcode.MUL, Opcode.MADD, Opcode.AVG2,
+              Opcode.MOV, Opcode.ADDSAT, Opcode.CMPLT, Opcode.NOP]
+
+
+@st.composite
+def group_loops(draw):
+    """A local loop native takes that reads only its Dnode's own state.
+
+    1-4 slots; a slot writing ``Rj`` reads only registers below it, so
+    no cross-phase register dependence is cyclic, and ``R0`` belongs to
+    at most one additive accumulator (``ADD``/``SUB``/``MAC`` into
+    ``R0``, or ``ADD``/``SUB`` into OUT through ``SELF``), the
+    closed-form chain the me_search SAD loop runs.  Immediates are left
+    at 0: each member draws its own.
+    """
+    slots = draw(st.integers(1, 4))
+    acc_slot = draw(st.integers(-1, slots - 1))
+    pops = st.sampled_from([Flag.NONE, Flag.POP_FIFO1, Flag.POP_FIFO2,
+                            Flag.POP_FIFO1 | Flag.POP_FIFO2])
+    loop = []
+    for slot in range(slots):
+        flags = draw(pops)
+        if slot == acc_slot:
+            x = draw(st.sampled_from(_OWN_SOURCES + [Source.R1, Source.R2]))
+            y = draw(st.sampled_from(_OWN_SOURCES + [Source.R3]))
+            form = draw(st.sampled_from(["add", "add_swapped", "sub",
+                                         "mac", "add_out", "sub_out"]))
+            if form == "mac":
+                loop.append(MicroWord(Opcode.MAC, x, y, Dest.R0,
+                                      flags=flags | draw(st.sampled_from(
+                                          [Flag.NONE, Flag.WRITE_OUT]))))
+                continue
+            own, dst = ((Source.SELF, Dest.OUT) if form.endswith("_out")
+                        else (Source.R0, Dest.R0))
+            op = Opcode.SUB if form.startswith("sub") else Opcode.ADD
+            a, b = (x, own) if form == "add_swapped" else (own, x)
+            loop.append(MicroWord(op, a, b, dst, flags=flags))
+            continue
+        dst = draw(st.sampled_from([Dest.R1, Dest.R2, Dest.R3, Dest.OUT,
+                                    Dest.NONE]))
+        below = ([Source(r) for r in range(1, int(dst))]
+                 if dst.is_register else [Source.R1, Source.R2, Source.R3])
+        sources = st.sampled_from(_OWN_SOURCES + below)
+        if draw(st.booleans()):
+            flags |= Flag.WRITE_OUT
+        loop.append(MicroWord(draw(st.sampled_from(_GROUP_OPS)),
+                              draw(sources), draw(sources), dst,
+                              flags=flags))
+    return loop
+
+
+def _member_loop(loop, imms):
+    return [MicroWord(mw.op, mw.src_a, mw.src_b, mw.dst, flags=mw.flags,
+                      imm=imm) for mw, imm in zip(loop, imms)]
+
+
+@st.composite
+def group_systems(draw, controlled: bool = False):
+    """One :func:`group_loops` loop replicated over 2-16 Dnodes of a
+    ring, each member with its own immediates, FIFO contents (so they
+    run dry at different cycles), registers and OUT latch; the other
+    Dnodes idle or read their upstream neighbour, members included.
+    Taps on members and others, run() chunks with a rollback, and
+    strict FIFOs in a quarter of the cases.  *controlled* adds me_search's plane flips: the
+    members start global, and a controller loops over a compute plane
+    (local mode), a flush plane (``MOV OUT, R0``) and a reset plane
+    (``MOV R0, ZERO``)."""
+    layers = draw(st.integers(2, 8))
+    width = draw(st.integers(1, 2))
+    dnodes = layers * width
+    members = sorted(draw(st.sets(st.integers(0, dnodes - 1),
+                                  min_size=2, max_size=dnodes)))
+    loop = draw(group_loops())
+    words = st.integers(0, 0xFFFF)
+    imms = [draw(words) for _ in loop]
+    shared = draw(st.booleans())
+    cells, seeds = [], {}
+    for i in range(dnodes):
+        layer, pos = divmod(i, width)
+        loads, routes = {}, {}
+        if i in members:
+            if not shared:
+                imms = [draw(words) for _ in loop]
+            local = _member_loop(loop, imms)
+            mw = MicroWord()
+            for channel in (1, 2):
+                loads[channel] = draw(st.lists(words, max_size=24))
+            seeds[(layer, pos)] = (draw(st.lists(words, min_size=4,
+                                                 max_size=4)), draw(words))
+        else:
+            local = None
+            mw = MicroWord()
+            if draw(st.booleans()):
+                mw = MicroWord(Opcode.ADD, Source.IN1, Source.IMM, Dest.OUT,
+                               imm=draw(words))
+                # Layer 0 reads the bus, so no dataflow closes the ring.
+                routes[1] = (PortSource.up(draw(st.integers(0, width - 1)))
+                             if layer else PortSource.bus())
+        cells.append((layer, pos, mw, local, routes, loads))
+    spec = {"layers": layers, "width": width, "cells": cells}
+    taps = draw(st.lists(st.tuples(
+        st.integers(0, layers - 1), st.integers(0, width - 1),
+        st.integers(0, 4), st.integers(1, 3),
+        st.one_of(st.none(), st.integers(0, 60))), min_size=1, max_size=4))
+    taps.append(divmod(members[-1], width) + (0, 1, None))
+    chunks = draw(st.lists(st.integers(0, 70), min_size=1, max_size=4))
+    rollback = draw(st.integers(0, len(chunks) - 1))
+    strict = draw(st.integers(0, 3)) == 3
+    program = None
+    if controlled:
+        program = (draw(st.integers(1, 3)), draw(st.integers(0, 40)))
+    return dict(spec=spec, members=members, loop=loop, seeds=seeds,
+                taps=taps, chunks=chunks, rollback=rollback, strict=strict,
+                program=program)
+
+
+def _group_planes(case) -> list:
+    """me_search's compute, flush and reset planes over the members."""
+    width = case["spec"]["width"]
+    addrs = [divmod(i, width) for i in case["members"]]
+    compute = ConfigPlane(modes={a: DnodeMode.LOCAL for a in addrs})
+    flush = ConfigPlane(
+        microwords={a: MicroWord(Opcode.MOV, Source.R0, dst=Dest.OUT)
+                    for a in addrs},
+        modes={a: DnodeMode.GLOBAL for a in addrs})
+    reset = ConfigPlane(
+        microwords={a: MicroWord(Opcode.MOV, Source.ZERO, dst=Dest.R0)
+                    for a in addrs},
+        modes={a: DnodeMode.GLOBAL for a in addrs})
+    return [compute, flush, reset]
+
+
+def _group_system(case, **ring_kwargs) -> RingSystem:
+    geometry = RingGeometry(layers=case["spec"]["layers"],
+                            width=case["spec"]["width"])
+    ring = apply_spec(Ring(geometry, strict_fifos=case["strict"],
+                           **ring_kwargs), case["spec"])
+    for (layer, pos), (regs, out) in case["seeds"].items():
+        dn = ring.dnode(layer, pos)
+        for r, value in enumerate(regs):
+            dn.regs.stage_write(r, value)
+            dn.regs.commit()
+        dn.out = out
+    controller = planes = None
+    if case["program"] is not None:
+        batches, wait = case["program"]
+        for layer, pos in case["seeds"]:
+            ring.config.write_mode(layer, pos, DnodeMode.GLOBAL)
+        controller = RiscController([
+            Instruction(ROp.LDI, rd=1, imm=batches),
+            Instruction(ROp.LDI, rd=2, imm=0),
+            Instruction(ROp.CFGPLANE, plane=0),
+            Instruction(ROp.WAITI, imm=wait),
+            Instruction(ROp.CFGPLANE, plane=1),
+            Instruction(ROp.CFGPLANE, plane=2),
+            Instruction(ROp.ADDI, rd=1, rs=1, imm=-1),
+            Instruction(ROp.BNE, rs=1, rt=2, imm=-6),
+            Instruction(ROp.HALT)])
+        planes = _group_planes(case)
+    if ring_kwargs.get("backend") == "batch":
+        ring.batch  # engage the lanes after the scalar loads and seeds
+    system = RingSystem(ring, controller, planes=planes)
+    for layer, pos, skip, every, limit in case["taps"]:
+        system.data.add_tap(layer, pos, skip=skip, every=every, limit=limit)
+    return system
+
+
+def _assert_group_match(got, got_error, want, want_error) -> None:
+    """Everything observable matches; after a strict-FIFO error the
+    aborted cycle's partial fabric state is each engine's own, so only
+    the error, the cycle counts and the host side must agree."""
+    assert got_error == want_error
+    if got_error is None:
+        assert _observables(got, got_error) == \
+            _observables(want, want_error)
+        return
+    assert "empty FIFO" in got_error
+    assert (got.ring.cycles, got.cycles) == (want.ring.cycles, want.cycles)
+    assert got.data.capture_state() == want.data.capture_state()
+
+
+def _group_run(case, per_cycle: bool, **ring_kwargs):
+    """Run a group case, a chunk rolled back over a checkpoint, then
+    (with a controller) until HALT; returns the system and any error."""
+    system = _group_system(case, **ring_kwargs)
+
+    def advance(cycles):
+        if per_cycle:
+            for _ in range(cycles):
+                system.step()
+        else:
+            system.run(cycles)
+
+    try:
+        for k, chunk in enumerate(case["chunks"]):
+            if k == case["rollback"]:
+                saved = system.checkpoint()
+                advance(chunk)
+                system.restore_checkpoint(saved)
+            advance(chunk)
+        if system.controller is not None:
+            if per_cycle:
+                _step_until_halt(system, 100_000, 3)
+            else:
+                system.run_until_halt(drain=3)
+    except SimulationError as exc:
+        return system, str(exc)
+    return system, None
+
+
+class TestDnodeGroups:
+    """Dnodes running one schedule share one group of the native kernel
+    (:attr:`~repro.core.nativepath.NativeTemplate.groups`): one NumPy op
+    per group over a member axis, per-member immediates as constant
+    vectors, and each channel's FIFO gates settled over the members'
+    occupancies at once.  Every case must match a per-cycle interpreter
+    system in all a caller observes: taps, stream state, controller,
+    metrics and the fabric digest."""
+
+    @staticmethod
+    def _assert_grouped(case) -> None:
+        geometry = RingGeometry(layers=case["spec"]["layers"],
+                                width=case["spec"]["width"])
+        ring = apply_spec(Ring(geometry, backend="interpreter"),
+                          case["spec"])
+        groups = native_template(ring).groups
+        computes = any(
+            mw.op is not Opcode.NOP and (mw.dst is not Dest.NONE
+                                         or mw.flags & Flag.WRITE_OUT)
+            for mw in case["loop"])
+        assert (tuple(case["members"]) in groups) == computes
+        assert sorted(i for group in groups for i in group) == \
+            list(range(geometry.dnodes))
+
+    @given(case=group_systems())
+    @settings(max_examples=120, **_SETTINGS)
+    def test_replicated_loops_match_interpreter(self, case):
+        self._assert_grouped(case)
+        native, native_error = _group_run(case, False, backend="native")
+        interp, interp_error = _group_run(case, True,
+                                          backend="interpreter")
+        _assert_group_match(native, native_error, interp, interp_error)
+        if not case["strict"] and max(case["chunks"]) >= 16:
+            assert native.ring.native_cycles > 0
+
+    @given(case=group_systems(controlled=True))
+    @settings(max_examples=60, **_SETTINGS)
+    def test_plane_flips_match_per_cycle_stepping(self, case):
+        native, native_error = _group_run(case, False, backend="native")
+        interp, interp_error = _group_run(case, True,
+                                          backend="interpreter")
+        _assert_group_match(native, native_error, interp, interp_error)
+
+    @given(case=group_systems(), batch=st.sampled_from((2, 1, 3)))
+    @settings(max_examples=60, **_SETTINGS)
+    def test_batch_lanes_bind_the_grouped_kernel(self, case, batch):
+        case = dict(case, strict=False)
+        system, error = _group_run(case, False, backend="batch",
+                                   batch_size=batch)
+        ref, ref_error = _group_run(case, True, backend="interpreter")
+        assert error is None and ref_error is None
+        assert system.cycles == ref.cycles
+        _assert_lanes_match(system, [ref] * batch, case["spec"])
+        if max(case["chunks"]) >= 16:
+            assert system.ring.native_cycles > 0
+
+    def test_me_search_runs_one_group(self):
+        from repro.kernels.motion_estimation import build_me_system
+        rng = np.random.default_rng(11)
+        system, _ = build_me_system(rng.integers(0, 256, (8, 8)),
+                                    rng.integers(0, 256, (24, 24)))
+        system.run(200)
+        native = system.ring._steady_plan("native")
+        assert native.template.groups == (tuple(range(16)),)
+        assert system.cycle_paths[("bulk", "native")] > 0

@@ -16,10 +16,12 @@ These tests pin the three claims the scenario layer makes:
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 
-from repro.core.ring import Ring
-from repro.kernels import reference
+from repro.core.ring import Ring, RingGeometry
+from repro.kernels import reference, scenarios
 from repro.kernels.scenarios import (EFFECTS_CHORUS_DEPTH,
                                      EFFECTS_GEOMETRY, SYNTH_ECHO_LANE,
                                      SYNTH_GEOMETRY, run_effects_chain,
@@ -152,6 +154,66 @@ class TestReconfigurationChurn:
                                    chunk=16)
         assert result.outputs == EFFECTS_GOLDEN
         assert result.switches == 2 * (len(SIGNAL) // 16)
+
+
+class TestPlaneMemo:
+    """Each pipeline captures its two planes once per geometry and
+    parameter set; later calls apply the same frozen plane objects."""
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        """Planes captured while the test runs, on an empty memo."""
+        planes = []
+        capture = scenarios.capture_plane
+
+        def counted(geometry, configure):
+            planes.append(capture(geometry, configure))
+            return planes[-1]
+        monkeypatch.setattr(scenarios, "capture_plane", counted)
+        monkeypatch.setattr(scenarios, "_PLANES", OrderedDict())
+        return planes
+
+    def test_repeat_synth_call_reuses_its_planes(self, captured):
+        rings = [Ring(SYNTH_GEOMETRY) for _ in range(2)]
+        first, second = (run_synth_voice(ENVELOPE, FCW_A, FCW_B, ECHO_GAIN,
+                                         chunk=16, ring=ring)
+                         for ring in rings)
+        assert first.outputs == second.outputs == SYNTH_GOLDEN
+        assert first.stage_outputs == second.stage_outputs
+        assert len(captured) == 2
+        # Both rings ended on the echo plane: the same object.
+        assert rings[0]._resident_plane is rings[1]._resident_plane
+        assert rings[0]._resident_plane is captured[1]
+
+    def test_other_gains_and_fcws_get_their_own_planes(self, captured):
+        run_synth_voice(ENVELOPE[:32], FCW_A, FCW_B, ECHO_GAIN, chunk=16)
+        echo = run_synth_voice(ENVELOPE, FCW_A, FCW_B, ECHO_GAIN + 1,
+                               chunk=16)
+        assert len(captured) == 3
+        assert echo.outputs == reference.synth_voice_pipeline(
+            ENVELOPE, FCW_A, FCW_B, SYNTH_GEOMETRY.layers, ECHO_GAIN + 1)
+        voice = run_synth_voice(ENVELOPE, FCW_A + 3, FCW_B, ECHO_GAIN,
+                                chunk=16)
+        assert len(captured) == 4
+        assert voice.outputs == reference.synth_voice_pipeline(
+            ENVELOPE, FCW_A + 3, FCW_B, SYNTH_GEOMETRY.layers, ECHO_GAIN)
+        assert captured[2] != captured[1] and captured[3] != captured[0]
+
+    def test_repeat_effects_call_reuses_its_planes(self, captured):
+        first = run_effects_chain(SIGNAL, MASTER_GAIN, ECHO_GAIN, chunk=24)
+        second = run_effects_chain(SIGNAL, MASTER_GAIN, ECHO_GAIN, chunk=24)
+        assert first.outputs == second.outputs == EFFECTS_GOLDEN
+        assert len(captured) == 2
+        run_effects_chain(SIGNAL, MASTER_GAIN - 1, ECHO_GAIN, chunk=24)
+        assert len(captured) == 3
+
+    def test_memo_is_bounded(self, captured):
+        geometry = RingGeometry(layers=2, width=1)
+        for k in range(scenarios.PLANE_MEMO_CAPACITY + 5):
+            scenarios._memo_plane(("test", k), geometry, lambda ring: None)
+        assert len(scenarios._PLANES) == scenarios.PLANE_MEMO_CAPACITY
+        scenarios._memo_plane(("test", 0), geometry, lambda ring: None)
+        assert len(captured) == scenarios.PLANE_MEMO_CAPACITY + 6
 
 
 class TestPipelineEngineMatrix:

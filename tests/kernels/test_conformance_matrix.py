@@ -21,6 +21,7 @@ import pytest
 
 from repro import word
 from repro.compiler.codegen import compile_graph
+from repro.core.nativepath import native_template
 from repro.core.ring import RingGeometry
 from repro.host.system import RingSystem
 from repro.kernels import reference
@@ -36,7 +37,7 @@ from repro.kernels.fifo_emulation import build_delay_line, plan_delay
 from repro.kernels.fir import build_spatial_fir
 from repro.kernels.iir import build_first_order_iir
 from repro.kernels.matrix import build_matvec_system, matvec_reference
-from repro.kernels.motion_estimation import full_search_me
+from repro.kernels.motion_estimation import build_me_system, full_search_me
 from repro.kernels.wavelet import (APPROX_LATENCY, BORDER_PREFIX_PAIRS,
                                    DETAIL_LATENCY, _border_streams,
                                    build_lifting_system)
@@ -212,6 +213,17 @@ class TestMotionEstimationConformance:
         )
         assert result.best == want_best
         assert result.best_sad == want_sad
+
+    def test_native_kernel_is_grouped(self):
+        """The native column runs the SAD loops as one Dnode group: its
+        compute-plane kernel is emitted once over all 8 Dnodes."""
+        system, _ = build_me_system(self.BLOCK, self.AREA, dnodes=8,
+                                    ring_kwargs={"backend": "native"})
+        system.run_until_halt()
+        ring = system.ring
+        assert ring.native_cycles > 0
+        ring.config.apply_plane(system.planes[0])
+        assert native_template(ring).groups == (tuple(range(8)),)
 
 
 class TestFifoEmulationConformance:
