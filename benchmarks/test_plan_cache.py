@@ -3,9 +3,11 @@
 Two perf claims from the plan-cache work are pinned here:
 
 1. **Churn**: a workload that hardware-multiplexes between two known
-   contexts every few cycles pays a full kernel compile per switch with
-   the cache disabled, but only a fingerprint lookup with it enabled.
-   The acceptance floor is 5x cycles/s cache-on vs cache-off.
+   contexts every few cycles pays a full kernel compile per switch when
+   the caches are emptied before every switch ("cache off": the ring's
+   plan cache and the process-wide ``KERNELS``), but only a fingerprint
+   lookup when it re-adopts its kernels ("cache on").  The acceptance
+   floor is 5x cycles/s cache-on vs cache-off.
 2. **Macro rung**: on a plane the native tier refuses (a recirculating
    echo: a cross-Dnode dependence cycle through the ring closure), a
    ``backend="native"`` ring falls to fused macro kernels (one period of
@@ -28,13 +30,15 @@ from benchmarks.conftest import emit
 from repro import word
 from repro.analysis import render_table
 from repro.core.isa import Dest, MicroWord, Opcode, Source
+from repro.core.plancache import KERNELS
 from repro.core.ring import Ring, RingGeometry
 from repro.core.snapshot import state_digest
 from repro.kernels.effects import build_echo
 from repro.kernels.fir import build_spatial_fir
-#: Acceptance floor: churn cycles/s with the plan cache enabled over the
-#: cache-disabled recompile-on-every-switch baseline.  Measured ratios
-#: are typically ~8x; 5x keeps the assertion robust on loaded CI.
+#: Acceptance floor: churn cycles/s re-adopting cached kernels over the
+#: recompile-on-every-switch baseline (caches emptied before every
+#: switch).  Measured ratios are typically ~8x; 5x keeps the assertion
+#: robust on loaded CI.
 TARGET_CHURN_SPEEDUP = 5.0
 
 #: Cycles run in each context before switching to the other one.
@@ -48,6 +52,13 @@ ECHO_GAIN = 22000
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_plancache.json"
 
 _TAPS = [3, -1, 4, 1, -5, 9, 2, -6]
+
+
+def _forget_plans(ring: Ring) -> None:
+    """Empty the caches *ring* would re-adopt a kernel from, so its next
+    configuration compiles as a first-time one."""
+    KERNELS.clear()
+    ring.plan_cache.clear()
 
 
 def _fir_ring(**kwargs) -> Ring:
@@ -74,16 +85,20 @@ def _switch_context(ring: Ring, which: int) -> None:
                   imm=coeff))
 
 
-def _churn_cycles_per_second(cache: int, rounds: int = 150,
+def _churn_cycles_per_second(cache: bool, rounds: int = 150,
                              repeats: int = 3) -> tuple[float, int]:
     """Best-of-*repeats* throughput of an A/B context-switch loop.
 
+    Without *cache* the caches are emptied before every switch.
     Returns (cycles/s, native and macro kernels compiled over the whole
     run) — the compile count is the direct evidence of what the cache
     saves.
     """
-    ring = _fir_ring(plan_cache=cache)
-    for which in (0, 1):   # warm both contexts (and the cache, if any)
+    ring = _fir_ring()
+    _forget_plans(ring)    # both sides start with nothing compiled
+    for which in (0, 1):   # warm both contexts (and the cache, if on)
+        if not cache:
+            _forget_plans(ring)
         _switch_context(ring, which)
         ring.run(CHURN_SPAN, host_in=_host_zero)
     best = 0.0
@@ -91,6 +106,8 @@ def _churn_cycles_per_second(cache: int, rounds: int = 150,
         start = time.perf_counter()
         for _ in range(rounds):
             for which in (0, 1):
+                if not cache:
+                    _forget_plans(ring)
                 _switch_context(ring, which)
                 ring.run(CHURN_SPAN, host_in=_host_zero)
         elapsed = time.perf_counter() - start
@@ -124,14 +141,15 @@ def _echo_cycles_per_second(cycles: int = 20_000,
 
 
 def test_plan_cache_and_macro_rung_throughput():
-    churn_off, compiles_off = _churn_cycles_per_second(cache=0)
-    churn_on, compiles_on = _churn_cycles_per_second(cache=8)
+    churn_off, compiles_off = _churn_cycles_per_second(cache=False)
+    churn_on, compiles_on = _churn_cycles_per_second(cache=True)
     churn_speedup = churn_on / churn_off
 
     emit(render_table(
         ["plan cache", "cyc/s", "kernel compiles", "speedup"],
-        [["off (0)", f"{churn_off:,.0f}", str(compiles_off), "1.0x"],
-         ["on (8)", f"{churn_on:,.0f}", str(compiles_on),
+        [["off (emptied every switch)", f"{churn_off:,.0f}",
+          str(compiles_off), "1.0x"],
+         ["on", f"{churn_on:,.0f}", str(compiles_on),
           f"{churn_speedup:.1f}x"]],
         title=f"A/B reconfiguration churn (switch every {CHURN_SPAN} "
               f"cycles)",
@@ -149,7 +167,7 @@ def test_plan_cache_and_macro_rung_throughput():
 
     assert churn_speedup >= TARGET_CHURN_SPEEDUP, (
         f"plan cache sustained only {churn_speedup:.2f}x the "
-        f"cache-disabled churn throughput (target "
+        f"recompile-every-switch churn throughput (target "
         f"{TARGET_CHURN_SPEEDUP}x)"
     )
     assert fused.native_refusal is not None, "the echo plane must refuse"

@@ -173,14 +173,14 @@ class MetricsRegistry:
              "kernel.",
              ring.plan_invalidations),
             ("plan_cache_hits_total", "counter",
-             "Compiled plans re-adopted from the fingerprint cache.",
-             self._cache_counter("hits")),
+             "Bound plans re-adopted from the ring's fingerprint cache.",
+             ring.plan_cache.hits),
             ("plan_cache_misses_total", "counter",
-             "Fingerprint cache lookups that found no plan.",
-             self._cache_counter("misses")),
+             "Ring fingerprint cache lookups that found no plan.",
+             ring.plan_cache.misses),
             ("plan_cache_evictions_total", "counter",
-             "Cached plans evicted by the LRU capacity bound.",
-             self._cache_counter("evictions")),
+             "Bound plans evicted by the ring cache's LRU bound.",
+             ring.plan_cache.evictions),
             ("kernel_cache_hits_total", "counter",
              "Process-wide kernel templates bound to a ring instead of "
              "compiled (all rings of the process).",
@@ -234,18 +234,6 @@ class MetricsRegistry:
         ]
         return [Metric(name, kind, help_, (((), float(value)),))
                 for name, kind, help_, value in scalar]
-
-    def _cache_counter(self, attr: str) -> int:
-        """One plan-cache counter summed over the ring's cache and the
-        batch engine's kernel cache (both key by the same fingerprints)."""
-        total = 0
-        cache = getattr(self.ring, "plan_cache", None)
-        if cache is not None:
-            total += getattr(cache, attr)
-        engine = getattr(self.ring, "_batch_engine", None)
-        if engine is not None:
-            total += getattr(engine.plan_cache, attr)
-        return total
 
     def _dnode_metrics(self) -> List[Metric]:
         dnodes = self.ring.all_dnodes()

@@ -38,7 +38,10 @@ counted per lane.
 The lane ladder has two rungs, both generated from the same
 :class:`~repro.core.macropath.SteadySchedule` as the scalar tiers and
 bound from the process-wide template cache (:mod:`repro.core.plancache`)
-by :meth:`~repro.core.ring.Ring._lane_plan`:
+by the ring's plan lookup (:meth:`~repro.core.ring.Ring._lookup_plan`).
+The engine keeps only its active lane plans (``BatchRing._plans``): a
+lane plan holds the engine's lane arrays, and a fresh engine binds the
+process's templates anyway.
 
 1. **native lane windows** (:class:`~repro.core.nativepath.NativeLanePlan`,
    tier ``"native"``): :meth:`BatchRing.run` runs the whole periods of
@@ -54,7 +57,8 @@ by :meth:`~repro.core.ring.Ring._lane_plan`:
    FIFOs, whose errors it raises cycle-exactly with the scalar
    kernel's messages.  A configuration over the macro unroll cap runs
    one kernel call per cycle, each baked for the cycle at the live
-   phase (tier ``"lane_cycle"``, kept in the engine's cache only).
+   phase (tier ``"lane_cycle"``, compiled for every cycle and never
+   cached).
 
 Lane cycles are booked like the scalar ladder's: ``ring.native_cycles``
 for native windows, ``ring.macro_cycles`` and
@@ -65,9 +69,9 @@ ring's profile.
 Plan lifetime mirrors the scalar kernels: the ring fires its
 invalidation hook on every configuration write (Dnode microwords and
 modes, local slots/LIMIT, switch routes), the active lane plans are
-dropped, and the next ``run()`` rebinds or recompiles over the
-*preserved* lane state — mid-run reconfiguration behaves identically to
-the scalar engines.
+dropped, and the next ``run()`` rebinds a cached template or compiles
+over the *preserved* lane state — mid-run reconfiguration behaves
+identically to the scalar engines.
 
 Checkpointing and writeback.  :meth:`BatchRing.capture_lanes` freezes
 every lane as plain data (part of a :mod:`repro.core.snapshot`
@@ -91,7 +95,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro import word
-from repro.core.plancache import PlanCache
 from repro.core.regfile import NUM_REGISTERS
 from repro.core.wordqueue import LaneQueue
 from repro.errors import ConfigurationError, SimulationError
@@ -156,17 +159,12 @@ class BatchRing:
         #: Lane plans dropped by reconfiguration (mirrors the ring's
         #: ``plan_invalidations``).
         self.invalidations = 0
-        # Active lane plan per tier (absent = not resolved, a str = the
-        # tier refuses the configuration).
+        # Active lane plan per tier (absent = not resolved, a _Refusal =
+        # the tier refuses the configuration).
         self._plans: Dict[str, object] = {}
         #: Host channels the configuration routes, read every cycle
         #: (valid once a run has bound a lane plan).
         self.host_channels: frozenset = frozenset()
-        #: Engine-owned cache of bound lane plans (keyed like the ring's
-        #: steady plans).  Owned (not the ring's cache) because they bind
-        #: *this* engine's lane arrays and FIFO objects — an entry must
-        #: never outlive the engine or survive a resync.
-        self.plan_cache = PlanCache(ring.plan_cache.capacity)
         self._detached = False
         ring.add_invalidation_listener(self._on_config_change)
         self.resync()
@@ -176,13 +174,12 @@ class BatchRing:
     def detach(self) -> None:
         """Unhook from the ring's invalidation chain (engine retired).
 
-        Also drops the lane plans and the plan cache: their kernels bind
-        this engine, and that cycle would keep a retired engine's lane
-        arrays alive until the cyclic collector ran.
+        Also drops the lane plans: their kernels bind this engine, and
+        that cycle would keep a retired engine's lane arrays alive until
+        the cyclic collector ran.
         """
         self.ring.remove_invalidation_listener(self._on_config_change)
         self._plans.clear()
-        self.plan_cache.clear()
         self._detached = True
 
     def _on_config_change(self) -> None:
@@ -216,15 +213,10 @@ class BatchRing:
                 fifo.push_all(queue.view())
             self._fifos[key] = fifo
         self.lane_underflows[:] = ring.fifo_underflows
-        # Lane plans bind the lane queues just replaced above, so every
-        # cached entry is stale; the next run rebinds the lane plans
+        # Lane plans bind the lane queues just replaced above, so the
+        # active ones are stale; the next run rebinds the lane plans
         # from the process-wide templates.
         self._plans.clear()
-        self.plan_cache.clear()
-
-    def set_plan_cache(self, capacity: int) -> None:
-        """Resize (or with 0, disable) the engine's kernel cache."""
-        self.plan_cache = PlanCache(capacity)
 
     # -- lane checkpointing -------------------------------------------
 
@@ -263,9 +255,8 @@ class BatchRing:
         """Load a :meth:`capture_lanes` snapshot back into the lanes.
 
         Replaces every FIFO object (lane plans bind them), so the lane
-        plans and the engine cache are dropped exactly as in
-        :meth:`resync`.  The local counters go to the ring, their one
-        copy.
+        plans are dropped exactly as in :meth:`resync`.  The local
+        counters go to the ring, their one copy.
         """
         if state["batch"] != self.batch:
             raise SimulationError(
@@ -289,7 +280,6 @@ class BatchRing:
             self.lane_fifo_pops[key][:] = np.asarray(counts,
                                                      dtype=np.int64)
         self._plans.clear()
-        self.plan_cache.clear()
         # Re-align the scalar mirror (including the pipeline rotation
         # head) with the restored lane 0 — the writeback contract.
         self.store_lane(0)
@@ -417,7 +407,7 @@ class BatchRing:
         plan = self._plans.get(tier)
         if plan is None or not (isinstance(plan, str)
                                 or plan.matches_phase()):
-            plan = self._plans[tier] = self.ring._lane_plan(self, tier)
+            plan = self._plans[tier] = self.ring._lookup_plan(tier, self)
         return None if isinstance(plan, str) else plan
 
     def _run_on(self, plan, cycles: int, bus: int, host_in, nodes,

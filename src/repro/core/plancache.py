@@ -20,22 +20,23 @@ module provides the pieces that exploit it:
   hit/miss/eviction counters surfaced through
   :mod:`repro.analysis.metrics`.
 
-It is used at two levels:
+It is used at two levels, both with constant capacities:
 
-* **per ring** (``Ring.plan_cache``, capacity ``Ring(plan_cache=)``):
+* **per ring** (``Ring.plan_cache``, :data:`RING_CAPACITY` entries):
   native/macro plans *bound* to that ring's state containers from a
   template, and the tiers' refusals, so a switch back to a known
-  configuration re-adopts its kernels in one lookup per tier;
-* **per process** (:data:`KERNELS`, capacity :data:`KERNEL_CAPACITY`):
+  configuration re-adopts its kernels in one lookup per tier instead
+  of binding a template again (50-130 us on a 16-Dnode ring);
+* **per process** (:data:`KERNELS`, :data:`KERNEL_CAPACITY` entries):
   ring-free native and macro *templates* (the generated code plus its
   schedule as Dnode indices), and the tiers' refusals, keyed by
   ``(tier, geometry, entry phase, fingerprint)``; a macro kernel serves
-  every phase of its sequencers' orbit, so its key names the orbit.  A ring whose own
-  cache misses looks here next and binds a hit to its state in
-  microseconds, so a fresh ring with a configuration the process has
-  compiled before pays no code generation and steps no first-time
-  cycle.  The cache holds no reference to any ring.  A ring built with
-  ``plan_cache=0`` bypasses both levels.
+  every phase of its sequencers' orbit, so its key names the orbit.  A
+  ring whose own cache misses looks here next and binds a hit to its
+  state, so a fresh ring with a configuration the process has compiled
+  before pays no code generation and steps no first-time cycle.  A
+  batch engine's lane plans bind their templates from here directly.
+  The cache holds no reference to any ring or engine.
 
 Neither lookup ever compiles on a miss.  The per-ring cache also
 remembers recently *missed* configurations: the first time one appears
@@ -52,8 +53,8 @@ from typing import Any, Hashable, Optional
 
 from repro.errors import ConfigurationError
 
-#: Default number of compiled plans a ring retains (``Ring(plan_cache=)``).
-DEFAULT_CAPACITY = 8
+#: Number of bound plans and refusals a ring retains (``Ring.plan_cache``).
+RING_CAPACITY = 8
 
 #: Number of native/macro templates and native refusals the process
 #: retains across rings (:data:`KERNELS`).
@@ -63,20 +64,15 @@ _MISSING = object()
 
 
 class PlanCache:
-    """Bounded LRU mapping configuration fingerprints to compiled plans.
-
-    Capacity 0 disables the cache entirely: lookups miss without counting
-    and stores are dropped, restoring the pre-cache recompile-on-every-
-    switch behaviour (the benchmark baseline).
-    """
+    """Bounded LRU mapping configuration fingerprints to compiled plans."""
 
     __slots__ = ("capacity", "hits", "misses", "evictions",
                  "_entries", "_missed", "_missed_capacity")
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 0:
+    def __init__(self, capacity: int):
+        if capacity < 1:
             raise ConfigurationError(
-                f"plan cache capacity must be >= 0, got {capacity}"
+                f"plan cache capacity must be >= 1, got {capacity}"
             )
         self.capacity = capacity
         self.hits = 0
@@ -103,8 +99,6 @@ class PlanCache:
         With *count_miss* False a miss leaves no trace: a hit-only
         probe for callers that fall back to a counted lookup later.
         """
-        if not self.capacity:
-            return None
         entry = self._entries.get(key, _MISSING)
         if entry is _MISSING:
             if count_miss:
@@ -123,8 +117,6 @@ class PlanCache:
         in :attr:`misses`; a repeat is counted by the lookup that
         compiles it.
         """
-        if not self.capacity:
-            return False
         if key in self._missed:
             self._missed.move_to_end(key)
             return True
@@ -142,8 +134,6 @@ class PlanCache:
         over with the deferred compile policy instead of inheriting a
         stale second-miss promotion.
         """
-        if not self.capacity:
-            return
         self._missed.pop(key, None)
         if key in self._entries:
             self._entries.move_to_end(key)
@@ -184,4 +174,4 @@ class PlanCache:
 KERNELS = PlanCache(KERNEL_CAPACITY)
 
 
-__all__ = ["PlanCache", "DEFAULT_CAPACITY", "KERNELS", "KERNEL_CAPACITY"]
+__all__ = ["PlanCache", "RING_CAPACITY", "KERNELS", "KERNEL_CAPACITY"]

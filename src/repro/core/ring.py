@@ -46,14 +46,14 @@ Two kinds of engine drive the same semantics:
 A configuration seen for the first time is interpreted for one cycle
 before anything is compiled for it, so a controller that rewrites the
 fabric every cycle (hardware multiplexing) never pays code generation.
-Compiled kernels are retained in an LRU
-:class:`~repro.core.plancache.PlanCache` keyed by
-:meth:`Ring.config_fingerprint`, so multiplexing between known
-configurations re-adopts each kernel in one lookup instead of
-recompiling.  They are also kept, ring-free, in the process-wide
-:data:`~repro.core.plancache.KERNELS` cache, so a fresh ring binds a
-kernel another ring compiled instead of generating it again (see
-``docs/architecture.md``, "The plan cache").
+Compiled kernels are kept, ring-free, in the process-wide
+:data:`~repro.core.plancache.KERNELS` cache keyed by
+:meth:`Ring.config_fingerprint`, so a fresh ring or a batch engine
+binds a kernel another ring compiled instead of generating it again.
+Each ring also keeps its bound plans in a small LRU
+:class:`~repro.core.plancache.PlanCache`, so multiplexing between known
+configurations re-adopts each kernel in one lookup instead of binding
+it again (see ``docs/architecture.md``, "The plan cache").
 
 ``backend`` is the one engine selector: ``"interpreter"``, ``"native"``
 or ``"batch"``.
@@ -73,15 +73,16 @@ from repro.core.dnode import Dnode, DnodeInputs, DnodeMode
 from repro.core.isa import FEEDBACK_DEPTH
 from repro.core.macropath import MAX_PERIOD, compile_macro, macro_template
 from repro.core.nativepath import compile_native
-from repro.core.plancache import DEFAULT_CAPACITY, KERNELS, PlanCache
+from repro.core.plancache import KERNELS, RING_CAPACITY, PlanCache
 from repro.core.switch import PortKind, PortSource, Switch
 from repro.core.wordqueue import WordQueue
 from repro.errors import ConfigurationError, SimulationError
 
 
 class _Refusal(str):
-    """Negative macro/native plan entry (on ``Ring._steady`` and in both
-    plan caches): why the tier cannot compile the configuration."""
+    """Negative plan entry (on ``Ring._steady``, ``BatchRing._plans``
+    and in both plan caches): why the tier cannot compile the
+    configuration."""
 
 
 def _template_of(plan):
@@ -294,16 +295,15 @@ class Ring:
     def __init__(self, geometry: RingGeometry,
                  strict_fifos: bool = False,
                  backend: str = "native",
-                 batch_size: int = 1,
-                 plan_cache: int = DEFAULT_CAPACITY):
+                 batch_size: int = 1):
         self.geometry = geometry
         self.strict_fifos = strict_fifos
         self._check_backend(backend, batch_size)
         self.backend = backend
         self.batch_size = batch_size
-        #: Configuration-fingerprinted LRU cache of compiled plans (and
-        #: macro/native kernels).  Capacity 0 disables caching entirely.
-        self.plan_cache = PlanCache(plan_cache)
+        #: Configuration-fingerprinted LRU of the native and macro plans
+        #: bound to this ring, and their refusals.
+        self.plan_cache = PlanCache(RING_CAPACITY)
         #: Cycles executed by fused macro kernels (coverage metric).
         self.macro_cycles = 0
         #: Native-tier lifetime counters: cycles executed by
@@ -456,17 +456,6 @@ class Ring:
         self.batch_size = batch_size
         self._steady.clear()
         self._config_dirty = True
-
-    def set_plan_cache(self, capacity: int) -> None:
-        """Resize (or with 0, disable) the compiled-plan cache.
-
-        Replaces the cache, so existing entries and lifetime counters are
-        dropped; the active plan (if any) is unaffected.  The batch
-        engine's kernel cache is resized to match.
-        """
-        self.plan_cache = PlanCache(capacity)
-        if self._batch_engine is not None:
-            self._batch_engine.set_plan_cache(capacity)
 
     def add_invalidation_listener(
             self, listener: Callable[[], None]) -> None:
@@ -855,13 +844,11 @@ class Ring:
         keeps the deferred compile policy of the cycle that steps it.
         Returns True on a hit.
         """
-        if not self.plan_cache.capacity:
-            return False
         for tier in ("native", "macro"):
             steady = self._steady.get(tier)
             if steady is None or not (isinstance(steady, _Refusal)
                                       or steady.matches_phase()):
-                steady = self._cached_steady(self._steady_key(tier), False)
+                steady = self._lookup_plan(tier, hit_only=True)
                 if steady is None:
                     continue
                 self._steady[tier] = steady
@@ -915,47 +902,55 @@ class Ring:
                 for j in range(period))
         return (tier, self.geometry, phase, self.config_fingerprint())
 
-    def _cached_steady(self, key: tuple, count_miss: bool = True):
-        """The ring's cached plan or refusal under *key*, else the
-        process-wide template bound to this ring (None on a miss at
-        both levels; nothing is compiled)."""
-        cache = self.plan_cache
-        if not cache.capacity:
+    def _lookup_plan(self, tier: str, engine=None, hit_only: bool = False):
+        """The *tier* plan for the current configuration and entry phase,
+        bound to this ring or, given a batch *engine*, to its lanes; or
+        a :class:`_Refusal` carrying the reason (:attr:`native_refusal`).
+
+        A ring looks in its :attr:`plan_cache` first; lane plans hold
+        the engine's lane arrays, so an engine keeps only its active
+        ones (``BatchRing._plans``).  Both then bind the process-wide
+        template (:data:`~repro.core.plancache.KERNELS`), and compile
+        only when that misses too: the compiled template or refusal
+        enters the process cache, so each configuration is tried at
+        most once per tier and process, and a native template serves a
+        ring and lanes alike.  ``"lane_cycle"`` kernels (one cycle of a
+        configuration over the macro unroll cap) are never cached, so a
+        long period cannot evict the process's templates.  With
+        *hit_only* a miss is neither counted nor compiled: None.
+        """
+        key = self._steady_key(tier)
+        cache = self.plan_cache if engine is None else None
+        plan = cache.get(key, not hit_only) if cache is not None else None
+        if plan is not None:
+            return plan
+        shared = tier != "lane_cycle"
+        template = KERNELS.get(key, not hit_only) if shared else None
+        if isinstance(template, _Refusal):
+            plan = template
+        elif template is not None:
+            plan = (template.bind(self) if engine is None
+                    else template.bind_lanes(engine))
+        elif hit_only:
             return None
-        plan = cache.get(key, count_miss)
-        if plan is None:
-            template = KERNELS.get(key, count_miss)
-            if template is not None:
-                plan = (template if isinstance(template, _Refusal)
-                        else template.bind(self))
-                cache.put(key, plan)
+        else:
+            plan = self._compile(tier, engine)
+            if shared:
+                KERNELS.put(key, _template_of(plan))
+        if cache is not None:
+            cache.put(key, plan)
         return plan
 
     def _steady_plan(self, tier: str):
-        """The *tier* ("macro" or "native") plan for the current
-        configuration + entry phase, or None when the tier refuses it.
-
-        Looked up in the ring's :attr:`plan_cache`, then in the
-        process-wide template cache (:data:`~repro.core.plancache.KERNELS`),
-        and compiled only when both miss; a compiled template enters
-        both levels.  Refusals are cached the same way as a
-        :class:`_Refusal` carrying the reason (:attr:`native_refusal`),
-        so each configuration is tried at most once per tier and
-        process.
-        """
+        """The active *tier* ("macro" or "native") plan for the current
+        configuration + entry phase (looked up again when the phase left
+        it), or None when the tier refuses it."""
         plan = self._steady.get(tier)
         if isinstance(plan, _Refusal):
             return None
         if plan is not None and plan.matches_phase():
             return plan
-        key = self._steady_key(tier)
-        plan = self._cached_steady(key)
-        if plan is None:
-            plan = self._compile(tier)
-            if self.plan_cache.capacity:
-                self.plan_cache.put(key, plan)
-                KERNELS.put(key, _template_of(plan))
-        self._steady[tier] = plan
+        plan = self._steady[tier] = self._lookup_plan(tier)
         return None if isinstance(plan, _Refusal) else plan
 
     def _compile(self, tier: str, engine=None):
@@ -986,41 +981,6 @@ class Ring:
                 profile.plan_compiles += 1
         return plan
 
-    def _lane_plan(self, engine, tier: str):
-        """The *tier* lane plan of the batch *engine* for the current
-        configuration and entry phase, or a :class:`_Refusal`.
-
-        *tier* is ``"native"``, ``"macro_lanes"`` or, for a
-        configuration over the macro unroll cap, ``"lane_cycle"``: the
-        macro lane kernel of the one cycle at the live phase, which is
-        never refused.  Bound lane plans hold the engine's lane arrays,
-        so they live in the engine's own cache, which it drops when it
-        is retired or resynced.  The ring-free templates of the first
-        two tiers are looked up in, or compiled into, the process-wide
-        kernel cache; a native template is the very one a scalar ring
-        binds under the same key, so a configuration run on a ring and
-        on lanes compiles once and shares one refusal.  One-cycle
-        kernels stay in the engine's cache, so a long period cannot
-        evict the process's templates.
-        """
-        key = self._steady_key(tier)
-        cache = engine.plan_cache
-        plan = cache.get(key)
-        if plan is not None:
-            return plan
-        shared = cache.capacity and tier != "lane_cycle"
-        template = KERNELS.get(key) if shared else None
-        if template is None:
-            plan = self._compile(tier, engine)
-            if shared:
-                KERNELS.put(key, _template_of(plan))
-        elif isinstance(template, _Refusal):
-            plan = template
-        else:
-            plan = template.bind_lanes(engine)
-        cache.put(key, plan)
-        return plan
-
     @property
     def native_refusal(self) -> Optional[str]:
         """Why the native tier refuses the current configuration.
@@ -1034,8 +994,9 @@ class Ring:
         like a run would.
         """
         if self.runs_lanes:
-            plan = self._lane_plan(self._ensure_batch(), "native")
-            return str(plan) if isinstance(plan, _Refusal) else None
+            engine = self._ensure_batch()
+            native = engine._plan("native")
+            return None if native is not None else str(engine._plans["native"])
         native = self._steady_plan("native")
         return None if native is not None else str(self._steady["native"])
 
@@ -1043,58 +1004,37 @@ class Ring:
                     host_in: Optional[HostReader]) -> None:
         """Run *cycles* down the ladder: native, macro, interpreter.
 
-        The longest period-multiple prefix (FIFO-safe, with strict FIFOs)
-        executes through the time-vectorized kernel; whatever it cannot
-        take (ineligible configuration, sub-period remainder, a strict
-        FIFO's unsafe window) runs on the macro kernel, and on the
-        interpreter when the configuration is over the macro unroll cap.
-        Interpreted cycles here fire no observer: :meth:`run` only comes
-        here between observer captures.
+        Each span is chosen by :meth:`_bulk_span`; what neither native
+        nor macro takes (a configuration over the macro unroll cap) is
+        interpreted.  Interpreted cycles here fire no observer:
+        :meth:`run` only comes here between observer captures.
+        """
+        while cycles:
+            plan, span, _reason = self._bulk_span(cycles)
+            if plan is None:
+                self.native_fallback_cycles += cycles
+                for _ in range(cycles):
+                    self._interpret(bus, host_in)
+                return
+            if plan.rung == "macro":
+                self.native_fallback_cycles += span
+            self._run_plan(plan, span, bus, host_in)
+            cycles -= span
+
+    def _bulk_span(self, cycles: int):
+        """The ladder's choice for the next *cycles* of a configuration
+        ready for the compiled tiers: ``(plan, span, reason)``.
+
+        The longest period multiple of *cycles* the native plan accepts
+        (FIFO-safe, with strict FIFOs), else all of *cycles* on the
+        macro kernel (which raises a strict underflow cycle-exactly).
+        When neither takes the span, *plan* is None, *span* 0 and
+        *reason* ``"native_refused"`` (the configuration is over the
+        macro unroll cap) or ``"fifo_gated"`` (strict FIFOs starve
+        native while macro is refused, which only a test seam does).
         """
         native = self._steady_plan("native")
-        safe = native.safe_cycles(cycles) if native is not None else 0
-        if safe:
-            self._run_plan(native, safe, bus, host_in)
-            cycles -= safe
-        if not cycles:
-            return
-        self.native_fallback_cycles += cycles
-        macro = self._steady_plan("macro")
-        if macro is not None:
-            self._run_plan(macro, cycles, bus, host_in)
-            return
-        for _ in range(cycles):
-            self._interpret(bus, host_in)
-
-    def window_span(self, cycles: int):
-        """How much of the next *cycles* one bulk window takes right now.
-
-        Returns ``(plan, span, reason)``.  The span climbs the ladder:
-        the longest period multiple of *cycles* the native plan for the
-        current configuration and entry phase accepts (FIFO-safe, with
-        strict FIFOs), else all of *cycles* on the macro kernel (which
-        raises a strict underflow cycle-exactly).  Run it with
-        :meth:`run_window`.  A kernel cached for the configuration, on
-        this ring or as a process-wide template, is adopted here on a
-        hit, so a switch back to a known configuration, or a fresh ring
-        with one, needs no stepped cycle.  *reason* is set only when
-        *span* is 0: ``"trace"`` (an observer is attached),
-        ``"backend"`` (the ring runs no compiled scalar kernels: an
-        interpreter or a vector batch ring), ``"no_plan"`` (a first-time
-        configuration, before it has been stepped for a cycle) or, when
-        neither native nor macro takes the span, ``"native_refused"``
-        (the configuration is over the macro unroll cap) or
-        ``"fifo_gated"`` (strict FIFOs starve native while macro is
-        refused, which only a test seam does).
-        """
-        if self._trace is not None:
-            return None, 0, "trace"
-        if not self.fastpath_enabled:
-            return None, 0, "backend"
-        if self._config_dirty and not self._adopt_cached_hit():
-            return None, 0, "no_plan"
-        native = self._steady_plan("native")
-        if native is not None and cycles >= native.period:
+        if native is not None:
             span = native.safe_cycles(cycles)
             if span:
                 return native, span, None
@@ -1103,6 +1043,29 @@ class Ring:
             return (None, 0,
                     "native_refused" if native is None else "fifo_gated")
         return macro, cycles, None
+
+    def window_span(self, cycles: int):
+        """How much of the next *cycles* one bulk window takes right now.
+
+        Returns ``(plan, span, reason)``: the ladder's choice of
+        :meth:`_bulk_span`, which :meth:`run` takes too.  Run it with
+        :meth:`run_window`.  A kernel cached for the configuration, on
+        this ring or as a process-wide template, is adopted here on a
+        hit, so a switch back to a known configuration, or a fresh ring
+        with one, needs no stepped cycle.  *reason* is set only when
+        *span* is 0: ``"trace"`` (an observer is attached),
+        ``"backend"`` (the ring runs no compiled scalar kernels: an
+        interpreter or a vector batch ring), ``"no_plan"`` (a first-time
+        configuration, before it has been stepped for a cycle), or
+        :meth:`_bulk_span`'s ``"native_refused"`` or ``"fifo_gated"``.
+        """
+        if self._trace is not None:
+            return None, 0, "trace"
+        if not self.fastpath_enabled:
+            return None, 0, "backend"
+        if self._config_dirty and not self._adopt_cached_hit():
+            return None, 0, "no_plan"
+        return self._bulk_span(cycles)
 
     def run_window(self, plan, cycles: int, bus: int = 0,
                    host_in: Optional[HostReader] = None,
@@ -1212,15 +1175,18 @@ class Ring:
         * **Cleared** — everything that describes the *run*: ``cycles``,
           per-Dnode :class:`~repro.core.dnode.DnodeStats`, local-sequencer
           counters, ``fifo_underflows``, ``fifo_high_water``,
-          ``last_bus``, and the batch engine's per-lane state (the engine
-          is detached and lazily rebuilt from the cleared scalar state).
+          ``last_bus``, and the batch engine's per-lane state and active
+          lane plans (the engine is detached and lazily rebuilt from the
+          cleared scalar state; it binds its lane plans from the
+          process-wide kernel cache again).
         * **Preserved** — everything that describes the *machine and its
           host*: the configuration and its write counters
           (``config.writes``, per-switch ``config.writes``),
           ``plan_compiles`` / ``plan_invalidations`` / ``macro_cycles``
           / ``native_cycles`` / ``native_compiles`` /
           ``native_fallback_cycles``,
-          the plan cache (contents *and* hit/miss/eviction statistics),
+          the ring's plan cache (contents *and* hit/miss/eviction
+          statistics),
           the robustness counters (``faults_injected``, ``checkpoints``,
           ``rollbacks``, ``recovery_cycles``) — and the active compiled
           kernels: they close over the stable state containers just

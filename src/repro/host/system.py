@@ -287,10 +287,6 @@ class RingSystem:
         from repro.robustness.checkpoint import restore_system
         restore_system(self, checkpoint)
 
-    def set_plan_cache(self, capacity: int) -> None:
-        """Resize the ring's compiled-plan cache (0 disables caching)."""
-        self.ring.set_plan_cache(capacity)
-
     def metrics(self):
         """Aggregate every live counter into a MetricsSnapshot.
 

@@ -89,7 +89,7 @@ class ScenarioResult:
     stage_outputs: List[int]    # intermediate stream between the planes
     cycles: int
     switches: int               # apply_plane() invocations
-    plan_hits: int              # plan-cache re-adoptions on the ring
+    plan_hits: int              # plan cache re-adoptions on the ring
     plan_compiles: int          # macro kernels the ring generated
     chunk: int
 

@@ -189,8 +189,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             # lane count (streams are broadcast to every lane).
             from repro.host.streams import DataController
             system.data = DataController(batch=system.ring.batch_size)
-        if args.plan_cache is not None:
-            system.set_plan_cache(args.plan_cache)
         for spec in args.stream or []:
             channel, values = _parse_stream(spec)
             system.data.stream(channel, values)
@@ -310,10 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "once, streams broadcast to every lane)")
     p_run.add_argument("--batch-size", type=int, default=1, metavar="N",
                        help="lane count for --backend batch")
-    p_run.add_argument("--plan-cache", type=int, default=None, metavar="N",
-                       help="retain up to N compiled plans keyed by "
-                            "configuration fingerprint (0 disables; "
-                            "default: the ring's own, normally 8)")
     p_run.add_argument("--strict-fifos", action="store_true",
                        help="abort the run (exit code 2, cycle + message "
                             "on stderr) on any FIFO underflow instead of "

@@ -14,8 +14,8 @@ from repro.errors import SimulationError
 from repro.host.system import RingSystem
 
 
-def busy_ring(dnodes=8):
-    ring = make_ring(dnodes)
+def busy_ring(dnodes=8, **ring_kwargs):
+    ring = make_ring(dnodes, **ring_kwargs)
     ring.config.write_microword(0, 0, MicroWord(
         Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT, imm=1))
     ring.config.write_microword(0, 1, MicroWord(
@@ -94,6 +94,49 @@ class TestRingMetrics:
         assert json.loads(snap.to_json())["kernel_cache_hits_total"] == hits
         assert f"repro_kernel_cache_hits_total {hits}" in \
             snap.to_prometheus().splitlines()
+
+    def test_cache_families_on_native_and_lane_rings(self):
+        """``plan_cache_*`` count the ring's LRU of bound plans only;
+        ``kernel_cache_*`` count the process-wide templates.  A scalar
+        native ring misses both on a first-time configuration and
+        re-adopts its own bound plan on a switch back.  A B=4 batch
+        ring's lanes bind templates straight from the process cache, so
+        its ring family stays at zero."""
+        ring_names = ("plan_cache_hits_total", "plan_cache_misses_total",
+                      "plan_cache_evictions_total")
+        kernel_names = ("kernel_cache_hits_total",
+                        "kernel_cache_misses_total",
+                        "kernel_cache_evictions_total")
+        start = collect_metrics(make_ring(4))
+
+        def counts(ring):
+            snap = collect_metrics(ring)
+            return ([int(snap.value(n)) for n in ring_names],
+                    [int(snap.value(n) - start.value(n))
+                     for n in kernel_names])
+
+        def add(ring, imm):
+            ring.config.write_microword(0, 0, MicroWord(
+                Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT, imm=imm))
+            ring.run(10)
+
+        scalar = busy_ring()
+        scalar.run(10)
+        # The stepped first-time cycle notes one miss; the native lookup
+        # then misses the ring's LRU and the process cache once each.
+        assert counts(scalar) == ([0, 2, 0], [0, 1, 0])
+        add(scalar, 2)
+        add(scalar, 1)  # back to a known configuration: one LRU hit
+        assert counts(scalar) == ([1, 4, 0], [0, 2, 0])
+        assert scalar.native_compiles == 2
+
+        lanes = busy_ring(backend="batch", batch_size=4)
+        lanes.run(10)  # binds the scalar ring's native template
+        assert counts(lanes) == ([0, 0, 0], [1, 2, 0])
+        add(lanes, 3)
+        add(lanes, 1)
+        assert counts(lanes) == ([0, 0, 0], [2, 3, 0])
+        assert (lanes.native_compiles, lanes.native_cycles) == (1, 30)
 
     def test_batch_lane_plan_counters(self):
         """Lane kernels count in the ring's compile families (a macro

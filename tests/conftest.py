@@ -20,6 +20,19 @@ def _fresh_kernel_cache():
     plancache.KERNELS.clear()
 
 
+def forget_plans(ring: Ring) -> None:
+    """Make *ring*'s current and next configurations first-time ones.
+
+    Empties the process-wide kernel cache and the ring's plan cache
+    (its missed fingerprints included), so the ring compiles what it
+    runs next as a fresh ring in a fresh process would: the "fresh
+    compile" side of a cache differential.  Call it before every switch
+    of that ring, after any other ring of the test last ran.
+    """
+    plancache.KERNELS.clear()
+    ring.plan_cache.clear()
+
+
 class _HiddenTiers:
     """The process-wide kernel cache with some tiers hidden from the ring.
 

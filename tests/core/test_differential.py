@@ -28,7 +28,9 @@ from repro.core.isa import ACCUMULATING_OPS, Dest, MicroWord, Opcode
 from repro.core.macropath import Ineligible, _vector_expr, macro_period
 from repro.core.ring import Ring, RingGeometry
 
-from tests.conftest import native_refused, rung_seam
+from repro.core import plancache
+
+from tests.conftest import forget_plans, native_refused, rung_seam
 from tests.core.test_fuzz import apply_spec, build_ring, ring_specs
 
 _SETTINGS = dict(deadline=None, derandomize=True)
@@ -189,11 +191,12 @@ class TestDifferentialCachedAndMacro:
 
     Extends the backend identity fuzz to the plan-cache layer: the same
     random configuration churn (context A / context B / back to A) is
-    driven through an interpreter ring, a cache-enabled native ring
-    (which re-adopts kernels on the A/B/A returns), a cache-disabled ring
-    (fresh compile every switch), the macro rung (a native ring with
-    native refused), and the batch backend with its kernel cache.  Any fingerprint collision, stale
-    plan adoption, phase-mismatched macro kernel, or missed invalidation
+    driven through an interpreter ring, a native ring (which re-adopts
+    kernels on the A/B/A returns), a ring that forgets every plan before
+    each switch (fresh compile every switch), the macro rung (a native
+    ring with native refused), and the batch backend binding the
+    process-wide templates.  Any fingerprint collision, stale plan
+    adoption, phase-mismatched macro kernel, or missed invalidation
     shows up as state divergence.
     """
 
@@ -238,13 +241,17 @@ class TestDifferentialCachedAndMacro:
         """A/B/A context churn: cache-hit plans == fresh compiles ==
         interpreter, at every switch boundary."""
         interp = build_ring(spec_a, backend="interpreter")
-        cached = build_ring(spec_a, plan_cache=8)
-        fresh = build_ring(spec_a, plan_cache=0)
-        fused = build_ring(spec_a, plan_cache=8, backend="native")
+        cached = build_ring(spec_a)
+        fresh = build_ring(spec_a)
+        fused = build_ring(spec_a, backend="native")
         rings = (interp, cached, fresh, fused)
 
         def run_all(cycles):
             for ring in rings:
+                if ring is fresh:
+                    # The other rings' runs since the switch may have
+                    # cached the new configuration's kernels.
+                    forget_plans(ring)
                 ring.run(cycles, host_in=lambda ch, _r=ring:
                          _host_value(seed, ch, _r.cycles, 0))
             want = _state(interp)
@@ -277,15 +284,17 @@ class TestDifferentialCachedAndMacro:
     @settings(max_examples=25, **_SETTINGS)
     def test_batch_kernel_cache_churn_per_lane(self, spec_a, spec_b,
                                                batch, cycles, seed):
-        """The batch engine's kernel cache under the same A/B/A churn:
-        every lane must keep matching per-lane scalar reruns."""
+        """Lane plans bound from the process-wide templates under the
+        same A/B/A churn: every lane must keep matching per-lane scalar
+        reruns."""
         bring = _batch_ring(spec_a, seed, batch)
         host_in = _batch_host_in(bring, seed, batch)
         plan = [spec_b, spec_a, spec_b, spec_a]
+        hits = plancache.KERNELS.hits
         for spec in plan:
             _apply_config_only(bring, spec)
             bring.run(cycles, host_in=host_in)
-        assert bring._batch_engine.plan_cache.hits > 0, (
+        assert plancache.KERNELS.hits > hits, (
             "churn back to a seen context must hit the kernel cache"
         )
         for lane in range(batch):

@@ -10,8 +10,9 @@ Three layers of coverage:
 * :class:`TestRingCacheIntegration` — the ring-level contract: a
   repeated A/B/A context switch re-adopts cached plans with *zero*
   interpreter cycles, cache-hit plans are bit-identical to fresh
-  compiles, per-cycle unique reconfiguration still never compiles, and
-  batch mode at B=1 rides the scalar ladder.
+  compiles, the ring's LRU holds a constant eight entries, per-cycle
+  unique reconfiguration still never compiles, and batch mode at B=1
+  rides the scalar ladder.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ import pytest
 from repro.analysis.metrics import collect_metrics
 from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
-from repro.core.macropath import MacroPlan
-from repro.core.plancache import PlanCache
+from repro.core import plancache
+from repro.core.plancache import RING_CAPACITY, PlanCache
 from repro.core.ring import Ring, RingGeometry, make_ring
 from repro.core.switch import PortSource
 from repro.errors import ConfigurationError
+
+from tests.conftest import forget_plans
 
 
 class TestPlanCacheUnit:
@@ -58,14 +61,10 @@ class TestPlanCacheUnit:
         # Everything but the survivor misses.
         assert cache.get(3) is None
 
-    def test_capacity_zero_disables(self):
-        cache = PlanCache(0)
-        cache.put("a", 1)
-        assert len(cache) == 0
-        assert cache.get("a") is None
-        assert cache.misses == 0, "disabled cache must not count"
-        assert cache.note_miss("a") is False
-        assert cache.note_miss("a") is False
+    def test_capacity_zero_rejected(self):
+        """There is no disabled mode: a cache holds at least one entry."""
+        with pytest.raises(ConfigurationError):
+            PlanCache(0)
 
     def test_note_miss_promotes_on_second_sighting(self):
         cache = PlanCache(4)
@@ -213,6 +212,14 @@ def _configure(ring: Ring, flavour: str) -> None:
             PortSource.up(0) if flavour == "a" else PortSource.rp(1, 1))
 
 
+def _configure_imm(ring: Ring, imm: int) -> None:
+    """Context number *imm*: every Dnode adds *imm* to its input."""
+    for layer in range(ring.geometry.layers):
+        for pos in range(ring.geometry.width):
+            ring.config.write_microword(layer, pos, MicroWord(
+                Opcode.ADD, Source.IN1, Source.IMM, Dest.OUT, imm=imm))
+
+
 def _state(ring: Ring) -> tuple:
     return (
         ring.cycles,
@@ -245,11 +252,14 @@ class TestRingCacheIntegration:
 
     def test_cache_hit_bit_identical_to_fresh_compile(self):
         """Mutate away, restore, and the cache-hit plan must reproduce
-        the recompile-from-scratch run bit for bit."""
-        cached = make_ring(8, plan_cache=8)
-        fresh = make_ring(8, plan_cache=0)
+        the recompile-from-scratch run bit for bit.  The fresh ring
+        forgets every plan before each switch."""
+        cached = make_ring(8)
+        fresh = make_ring(8)
         for ring in (cached, fresh):
             for flavour in ("a", "b", "a", "b", "a"):
+                if ring is fresh:
+                    forget_plans(ring)
                 _configure(ring, flavour)
                 ring.run(7, bus=9,
                          host_in=lambda ch: (ch * 41 + 5) & 0xFFFF)
@@ -258,12 +268,34 @@ class TestRingCacheIntegration:
         assert cached.plan_compiles < fresh.plan_compiles
 
     def test_eviction_under_small_capacity(self):
-        ring = make_ring(8, plan_cache=1)
-        for flavour in ("a", "b", "a", "b"):
-            _configure(ring, flavour)
+        """Nine contexts overflow the ring's eight entries: the oldest
+        are evicted, and a switch back to the first one binds its
+        kernels from the process-wide cache instead of compiling."""
+        ring = make_ring(8)
+        prints = []
+        for imm in range(9):
+            _configure_imm(ring, imm)
+            prints.append(ring.config_fingerprint())
             ring.run(4)
+        assert len(ring.plan_cache) == ring.plan_cache.capacity == 8
         assert ring.plan_cache.evictions >= 1
-        assert len(ring.plan_cache) == 1
+        cached = {key[3] for key in ring.plan_cache.keys()}
+        assert prints[0] not in cached and prints[-1] in cached
+        compiles = ring.plan_compiles + ring.native_compiles
+        kernel_hits = plancache.KERNELS.hits
+        _configure_imm(ring, 0)
+        with ring.profile() as prof:
+            ring.run(4)
+        assert ring.plan_compiles + ring.native_compiles == compiles
+        assert plancache.KERNELS.hits > kernel_hits
+        assert prof.interpreted_cycles == 0
+
+    def test_plan_cache_capacity_is_not_a_knob(self):
+        """The ring's LRU has a constant capacity, not a constructor
+        option."""
+        with pytest.raises(TypeError):
+            Ring(RingGeometry.ring(8), plan_cache=8)
+        assert make_ring(8).plan_cache.capacity == RING_CAPACITY
 
     def test_per_cycle_unique_reconfiguration_still_never_compiles(self):
         """A never-repeating configuration stream keeps the legacy
@@ -275,29 +307,6 @@ class TestRingCacheIntegration:
             ring.step()
             assert not ring._steady
         assert ring.plan_compiles == 0
-        assert len(ring.plan_cache) == 0
-
-    def test_cache_disabled_restores_legacy_flow(self):
-        ring = make_ring(8, plan_cache=0)
-        _configure(ring, "a")
-        ring.run(4)
-        assert isinstance(ring._steady.get("macro"), MacroPlan)
-        assert ring.plan_compiles == 1
-        assert ring.plan_cache.hits == 0
-        assert ring.plan_cache.misses == 0
-
-    def test_set_plan_cache_resizes(self):
-        ring = make_ring(8)
-        _configure(ring, "a")
-        ring.run(4)
-        # The native ladder's entries: a native refusal and a macro
-        # kernel.
-        assert sorted(key[0] for key in ring.plan_cache.keys()) == [
-            "macro", "native"]
-        ring.set_plan_cache(0)
-        assert ring.plan_cache.capacity == 0
-        _configure(ring, "b")
-        ring.run(4)  # still runs, just uncached
         assert len(ring.plan_cache) == 0
 
     def test_plans_survive_reset(self):
@@ -381,11 +390,14 @@ class TestBatchSizeOneRouting:
         assert ring._batch_engine is not None
 
     def test_batch_kernel_cache_hits_across_churn(self):
+        """Lane plans of a seen context bind its process-wide templates:
+        the engine keeps no cache of its own."""
         ring = make_ring(8, backend="batch", batch_size=2)
+        hits = plancache.KERNELS.hits
         for flavour in ("a", "b", "a", "b", "a", "b"):
             _configure(ring, flavour)
             ring.run(3)
-        engine = ring._batch_engine
-        assert engine.plan_cache.hits >= 4
+        assert not hasattr(ring._batch_engine, "plan_cache")
+        assert plancache.KERNELS.hits - hits >= 4
         assert ring.native_compiles + ring.plan_compiles == 2, (
             "one compile per distinct context")

@@ -493,7 +493,7 @@ def native_lane_systems(draw):
 def _lane_period(ring: Ring) -> int:
     """The period of a lane ring's native plan (its configuration is
     accepted)."""
-    return ring._lane_plan(ring.batch, "native").period
+    return ring.batch._plan("native").period
 
 
 class TestNativeLanes:
@@ -1342,8 +1342,8 @@ class TestSharedKernelCache:
 
     The second ring binds the templates the first one compiled instead
     of generating code, and must still match the per-cycle interpreter
-    bit for bit.  The cache holds no ring, a ``plan_cache=0`` ring
-    bypasses it, and a test seam still refuses a tier the cache holds.
+    bit for bit.  The cache holds no ring, and a test seam still
+    refuses a tier the cache holds.
     """
 
     @given(case=systems())
@@ -1449,28 +1449,6 @@ class TestSharedKernelCache:
         again = self._switching_system()
         again.run_until_halt()
         assert again.ring.native_compiles == 0
-
-    def test_plan_cache_zero_recompiles_on_every_switch(self):
-        """``plan_cache=0`` bypasses both cache levels: every switch back
-        to a plane compiles its native kernel again (native takes every
-        cycle after the first-time one, so no macro kernel is needed),
-        and nothing enters the process-wide cache."""
-        ring = Ring(RingGeometry(layers=2, width=1), plan_cache=0)
-        ring.config.write_switch_route(0, 0, 1, PortSource.host(0))
-        planes = [ConfigPlane(microwords={(0, 0): MicroWord(
-            Opcode.ADD, Source.IN1, Source.IMM, Dest.OUT, imm=k)})
-            for k in (1, 2)]
-        system = RingSystem(ring)
-        tap = system.data.add_tap(0, 0)
-        for k in range(6):
-            ring.config.apply_plane(planes[k % 2])
-            system.data.stream(0, list(range(10)))
-            system.run(10)
-        assert ring.native_compiles == 6
-        assert ring.plan_compiles == 0
-        assert len(plancache.KERNELS) == 0
-        assert tap.samples == [v + 1 + k % 2 for k in range(6)
-                               for v in range(10)]
 
     @staticmethod
     def _fir_lanes(backend: str, streams) -> RingSystem:
@@ -1783,10 +1761,8 @@ class TestMacroStepping:
         assert calls and calls[-1][1:] == (1, True), (
             "the error must come from a stepped macro cycle")
 
-    @pytest.mark.parametrize("capacity", [8, 0])
-    def test_stepping_a_period_four_configuration_compiles_once(
-            self, capacity):
-        ring = _period_four_ring(plan_cache=capacity)
+    def test_stepping_a_period_four_configuration_compiles_once(self):
+        ring = _period_four_ring()
         reference = _period_four_ring(backend="interpreter")
         for cycle in range(12):
             ring.step(bus=cycle + 5)
@@ -2041,8 +2017,8 @@ class TestMacroLanes:
 
     def test_over_cap_configuration_runs_one_kernel_per_cycle(self):
         """Period 280 is over the unroll cap: each lane cycle is one
-        call of a kernel baked for its phase, compiled into the
-        engine's cache only."""
+        call of a kernel baked for its phase, compiled for that call
+        and never cached."""
         signal = [(31 * n + 5) % 300 for n in range(30)]
         lane_streams = _lane_streams({0: signal}, 3)
         taps = [(1, 0, 0, 1, None), (1, 1, 2, 3, None)]

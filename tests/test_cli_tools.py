@@ -127,8 +127,7 @@ class TestRunPlanCacheFlags:
         and reports it in the ``macro_step_cycles_total`` family."""
         import json
         metrics = ring_obj.parent / "cache.json"
-        code = main(["run", str(ring_obj),
-                     "--plan-cache", "4", "--backend", "native",
+        code = main(["run", str(ring_obj), "--backend", "native",
                      "--cycles", "200", "--metrics", str(metrics)])
         assert code == 0
         assert "ran 200 cycles" in capsys.readouterr().out
@@ -140,23 +139,15 @@ class TestRunPlanCacheFlags:
         for name in ("hits", "misses", "evictions"):
             assert f"kernel_cache_{name}_total" in data
 
-    def test_plan_cache_zero_disables_caching(self, ring_obj, capsys):
-        import json
-        metrics = ring_obj.parent / "nocache.json"
-        code = main(["run", str(ring_obj),
-                     "--plan-cache", "0",
-                     "--cycles", "50", "--metrics", str(metrics)])
-        assert code == 0
-        capsys.readouterr()
-        data = json.loads(metrics.read_text())
-        assert data["plan_cache_hits_total"] == 0
-        assert data["plan_cache_misses_total"] == 0
-
-    def test_plan_cache_rejects_negative(self, ring_obj, capsys):
-        code = main(["run", str(ring_obj), "--plan-cache", "-1",
-                     "--cycles", "5"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+    def test_plan_cache_is_not_an_option(self, ring_obj, capsys):
+        """The ring's plan cache has a constant capacity: argparse
+        rejects the retired ``--plan-cache`` flag."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(ring_obj), "--plan-cache", "4",
+                  "--cycles", "5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --plan-cache 4" in \
+            capsys.readouterr().err
 
 
 class TestRunBatchBackend:
