@@ -301,7 +301,7 @@ class MetricsRegistry:
         sum over every lane, so multi-stream serving dashboards see both
         the distribution and the total.
         """
-        engine = getattr(self.ring, "_batch_engine", None)
+        engine = self.ring._live_batch()
         if engine is None:
             return []
         lanes = engine.batch

@@ -40,8 +40,9 @@ The lane ladder has two rungs, both generated from the same
 bound from the process-wide template cache (:mod:`repro.core.plancache`)
 by the ring's plan lookup (:meth:`~repro.core.ring.Ring._lookup_plan`).
 The engine keeps only its active lane plans (``BatchRing._plans``): a
-lane plan holds the engine's lane arrays, and a fresh engine binds the
-process's templates anyway.
+lane plan holds the engine's lane arrays and lane queues, which are
+only ever overwritten in place, so the plans stay bound until a
+configuration write drops them.
 
 1. **native lane windows** (:class:`~repro.core.nativepath.NativeLanePlan`,
    tier ``"native"``): :meth:`BatchRing.run` runs the whole periods of
@@ -73,12 +74,17 @@ dropped, and the next ``run()`` rebinds a cached template or compiles
 over the *preserved* lane state — mid-run reconfiguration behaves
 identically to the scalar engines.
 
-Checkpointing and writeback.  :meth:`BatchRing.capture_lanes` freezes
-every lane as plain data (part of a :mod:`repro.core.snapshot`
-checkpoint of a batch ring) and :meth:`BatchRing.restore_lanes` loads it
-back; :meth:`BatchRing.store_lane` writes one lane's datapath into a
-scalar ring, which is how the ring keeps its scalar view (observers,
-metrics, taps, inspection) coherent with lane 0 after every run.
+Reset, checkpointing and writeback.  A ring reset keeps the engine
+and its lane plans but marks it stale: the cleared scalar state is the
+datapath until the engine's next use, when :meth:`BatchRing.resync`
+broadcasts it over the lanes in place, so whatever a restore, a fault
+or a FIFO push wrote there in between reaches every lane.
+:meth:`BatchRing.capture_lanes` freezes every lane as plain data (part
+of a :mod:`repro.core.snapshot` checkpoint of a batch ring) and
+:meth:`BatchRing.restore_lanes` loads it back;
+:meth:`BatchRing.store_lane` writes one lane's datapath into a scalar
+ring, which is how the ring keeps its scalar view (observers, metrics,
+taps, inspection) coherent with lane 0 after every run.
 
 Known divergence (shared with the macro rung): inside a cycle aborted by
 a strict-FIFO error the partial state differs from the interpreter, and
@@ -166,6 +172,12 @@ class BatchRing:
         #: (valid once a run has bound a lane plan).
         self.host_channels: frozenset = frozenset()
         self._detached = False
+        # Set by Ring.reset and a lane-less snapshot restore: the scalar
+        # state is the datapath until the next use broadcasts it.
+        self._stale = False
+        # Set for a run whose host reader presents words that were
+        # range-checked when queued (a data controller's streams).
+        self._words_checked = False
         ring.add_invalidation_listener(self._on_config_change)
         self.resync()
 
@@ -189,34 +201,47 @@ class BatchRing:
         self._plans.clear()
 
     def resync(self) -> None:
-        """(Re)load lane state by broadcasting the ring's scalar state."""
+        """(Re)load lane state by broadcasting the ring's scalar state.
+
+        Everything is overwritten in place: the lane arrays, and every
+        lane queue, emptied and refilled with its scalar queue's words.
+        The active lane plans bind those same arrays and queues, so they
+        stay valid.
+        """
         ring = self.ring
-        # One row per Dnode: OUT, the register file, FIFO pops.
-        state = np.array([[[dn._out, *dn.regs._values, dn.stats.fifo_pops]
-                           for dn in layer] for layer in ring._dnodes],
-                         dtype=np.int64)[..., None]
-        self.outs[:] = state[:, :, 0]
-        self.regs[:] = state[:, :, 1:1 + NUM_REGISTERS]
-        self._pops[:] = state[:, :, 1 + NUM_REGISTERS]
-        heads = {sw._head for sw in ring._switches}
-        if len(heads) != 1:  # pragma: no cover - heads rotate in lockstep
+        # One row per Dnode: OUT, the register file, FIFO pops.  The
+        # all-zero state a reset leaves is one fill per array.
+        rows = [(dn._out, *dn.regs._values, dn.stats.fifo_pops)
+                for layer in ring._dnodes for dn in layer]
+        if any(map(any, rows)):
+            state = np.array(rows, dtype=np.int64).reshape(
+                self.outs.shape[:2] + (-1, 1))
+            self.outs[:] = state[:, :, 0]
+            self.regs[:] = state[:, :, 1:1 + NUM_REGISTERS]
+            self._pops[:] = state[:, :, 1 + NUM_REGISTERS]
+        else:
+            self.outs.fill(0)
+            self.regs.fill(0)
+            self._pops.fill(0)
+        switches = ring._switches
+        head = switches[0]._head
+        if any(sw._head != head for sw in switches):  # pragma: no cover
             raise SimulationError(
                 "switch pipeline heads diverged; cannot batch"
             )
-        self._head = ring._switches[0]._head
-        self.pipes[:] = np.array([sw._pipes for sw in ring._switches],
-                                 dtype=LANE_DTYPE)[..., None]
-        self._fifos = {}
+        self._head = head
+        pipes = [sw._pipes for sw in switches]
+        if any(any(pipe) for lanes in pipes for pipe in lanes):
+            self.pipes[:] = np.array(pipes, dtype=LANE_DTYPE)[..., None]
+        else:
+            self.pipes.fill(0)
+        for fifo in self._fifos.values():
+            fifo.clear()
         for key, queue in ring._fifos.items():
-            fifo = LaneQueue(self.batch)
             if queue:
-                fifo.push_all(queue.view())
-            self._fifos[key] = fifo
+                self._fifo_for(key).push_all(queue.view())
         self.lane_underflows[:] = ring.fifo_underflows
-        # Lane plans bind the lane queues just replaced above, so the
-        # active ones are stale; the next run rebinds the lane plans
-        # from the process-wide templates.
-        self._plans.clear()
+        self._stale = False
 
     # -- lane checkpointing -------------------------------------------
 
@@ -254,8 +279,8 @@ class BatchRing:
     def restore_lanes(self, state: dict) -> None:
         """Load a :meth:`capture_lanes` snapshot back into the lanes.
 
-        Replaces every FIFO object (lane plans bind them), so the lane
-        plans are dropped exactly as in :meth:`resync`.  The local
+        Like :meth:`resync`, every lane array and queue is overwritten
+        in place, so the active lane plans stay bound.  The local
         counters go to the ring, their one copy.
         """
         if state["batch"] != self.batch:
@@ -269,17 +294,16 @@ class BatchRing:
         self._head = state["head"]
         for (l, p), value in state["counters"].items():
             self.ring._dnodes[l][p].local._counter = value
-        self._fifos = {}
+        for fifo in self._fifos.values():
+            fifo.clear()
         for key, lanes in state["fifos"].items():
-            fifo = LaneQueue(self.batch)
-            fifo.push_rows(lanes)
-            self._fifos[key] = fifo
+            self._fifo_for(key).push_rows(lanes)
         self.lane_underflows[:] = np.asarray(state["lane_underflows"],
                                              dtype=np.int64)
         for key, counts in state["lane_fifo_pops"].items():
             self.lane_fifo_pops[key][:] = np.asarray(counts,
                                                      dtype=np.int64)
-        self._plans.clear()
+        self._stale = False
         # Re-align the scalar mirror (including the pipeline rotation
         # head) with the restored lane 0 — the writeback contract.
         self.store_lane(0)
@@ -378,6 +402,7 @@ class BatchRing:
             nodes.append(layer * width + position)
         records = [np.empty((cycles, self.batch), np.int64) for _ in nodes]
         ring.last_bus = bus
+        self._words_checked = getattr(host_in, "words_checked", False)
         done = 0
         native = (self._plan("native")
                   if cycles > 1 and not ring.strict_fifos else None)
@@ -478,14 +503,24 @@ class BatchRing:
     # -- host reads ----------------------------------------------------
 
     def _host_word(self, value, channel: int):
+        """One host read as lane words: an int for every lane, or a
+        ``(batch,)`` array.  A reader marked ``words_checked`` (a data
+        controller's, whose stream words were range-checked when pushed)
+        is not range-checked again, as a window reader's ``gather`` is
+        not; any other reader's words are."""
+        checked = self._words_checked
         if isinstance(value, (int, np.integer)):
+            if checked:
+                return int(value)
             return word.check(int(value), f"host channel {channel}")
-        arr = np.asarray(value)
+        arr = value if checked else np.asarray(value)
         if arr.shape != (self.batch,):
             raise SimulationError(
                 f"host channel {channel} batch read must have shape "
                 f"({self.batch},), got {arr.shape}"
             )
+        if checked:
+            return arr.astype(LANE_DTYPE, copy=False)
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(
                 f"host channel {channel} must be 16-bit raw words, "

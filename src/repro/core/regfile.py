@@ -15,6 +15,7 @@ from repro import word
 from repro.errors import SimulationError
 
 NUM_REGISTERS = 4
+_ZEROS = (0,) * NUM_REGISTERS
 
 
 class RegisterFile:
@@ -83,8 +84,7 @@ class RegisterFile:
         stable for the life of the register file, so the ring's fast-path
         engine can close over it directly.
         """
-        for i in range(NUM_REGISTERS):
-            self._values[i] = 0
+        self._values[:] = _ZEROS
         self._pending_index = None
 
     @staticmethod

@@ -394,7 +394,8 @@ class Ring:
 
         Only meaningful with ``backend="batch"``; created lazily (the
         first access broadcasts the ring's current scalar state across
-        the lanes).
+        the lanes, and so does the first access after a :meth:`reset`,
+        in place, into the same engine).
         """
         if self.backend != "batch":
             raise ConfigurationError(
@@ -419,18 +420,36 @@ class Ring:
     def runs_lanes(self) -> bool:
         """Do the batch engine's lanes run this ring's cycles?
 
-        True on a batch ring with more than one lane, or once its lane
-        engine exists (``ring.batch`` was handed out); a one-lane batch
-        ring otherwise runs the scalar ladder.
+        True on a batch ring with more than one lane, or while its lane
+        engine holds the datapath (``ring.batch`` was handed out and no
+        reset or restore has handed the datapath back to the scalar
+        state since); a one-lane batch ring otherwise runs the scalar
+        ladder.
         """
         return self.backend == "batch" and (
-            self.batch_size > 1 or self._batch_engine is not None)
+            self.batch_size > 1 or self._live_batch() is not None)
+
+    def _live_batch(self):
+        """The batch engine while its lanes hold the datapath, else None.
+
+        A :meth:`reset` (or a snapshot restore that carries no lanes)
+        keeps the engine but makes the scalar state the datapath again,
+        so whatever is written there before the engine's next use
+        reaches every lane; until then the engine counts as absent.
+        """
+        engine = self._batch_engine
+        return None if engine is None or engine._stale else engine
 
     def _ensure_batch(self):
-        if self._batch_engine is None:
+        """The batch engine, built on first use and resynced after a
+        reset by broadcasting the scalar state in place."""
+        engine = self._batch_engine
+        if engine is None:
             from repro.core.batchpath import BatchRing
-            self._batch_engine = BatchRing(self, self.batch_size)
-        return self._batch_engine
+            engine = self._batch_engine = BatchRing(self, self.batch_size)
+        elif engine._stale:
+            engine.resync()
+        return engine
 
     def set_backend(self, backend: str,
                     batch_size: Optional[int] = None) -> None:
@@ -540,10 +559,11 @@ class Ring:
         depth = len(queue)
         if depth > self.fifo_high_water.get(key, 0):
             self.fifo_high_water[key] = depth
-        if self._batch_engine is not None:
+        engine = self._live_batch()
+        if engine is not None:
             # Keep the lane FIFOs coherent: a scalar push reaches every
             # lane (lane-specific loads go through BatchRing.push_fifo).
-            self._batch_engine.push_fifo(layer, position, channel, values)
+            engine.push_fifo(layer, position, channel, values)
 
     def _fifo_peek(self, layer: int, position: int, channel: int) -> int:
         queue = self._fifos.get((layer, position, channel))
@@ -1175,10 +1195,12 @@ class Ring:
         * **Cleared** — everything that describes the *run*: ``cycles``,
           per-Dnode :class:`~repro.core.dnode.DnodeStats`, local-sequencer
           counters, ``fifo_underflows``, ``fifo_high_water``,
-          ``last_bus``, and the batch engine's per-lane state and active
-          lane plans (the engine is detached and lazily rebuilt from the
-          cleared scalar state; it binds its lane plans from the
-          process-wide kernel cache again).
+          ``last_bus``, and the batch engine's per-lane state.  The
+          engine itself is kept: the cleared scalar state is the
+          datapath until the engine's next use, which broadcasts it
+          across the lanes in place (so a snapshot restore, a fault or a
+          FIFO push made in between reaches every lane), and until then
+          the engine counts as absent (:meth:`_live_batch`).
         * **Preserved** — everything that describes the *machine and its
           host*: the configuration and its write counters
           (``config.writes``, per-switch ``config.writes``),
@@ -1189,14 +1211,16 @@ class Ring:
           statistics),
           the robustness counters (``faults_injected``, ``checkpoints``,
           ``rollbacks``, ``recovery_cycles``) — and the active compiled
-          kernels: they close over the stable state containers just
-          cleared in place and the configuration is untouched, so the
-          next step resumes on them without recompiling (a macro kernel
-          whose orbit does not hold the cleared counters is looked up
-          again by its key).
+          kernels, scalar and lane alike: they close over the stable
+          state containers (the Dnodes' and switches' state, the lane
+          arrays and lane queues) that are cleared in place, and the
+          configuration is untouched, so the next run resumes on them
+          without a lookup or a recompile (a kernel whose phase does not
+          hold the cleared counters is looked up again by its key).
         """
-        for dn in self.all_dnodes():
-            dn.reset()
+        for layer in self._dnodes:
+            for dn in layer:
+                dn.reset()
         for sw in self._switches:
             sw.reset()
         for queue in self._fifos.values():
@@ -1206,10 +1230,7 @@ class Ring:
         self.fifo_high_water.clear()
         self.last_bus = 0
         if self._batch_engine is not None:
-            # Drop the lane state entirely: the next batch run rebuilds
-            # it by broadcasting the (now cleared) scalar datapath.
-            self._batch_engine.detach()
-            self._batch_engine = None
+            self._batch_engine._stale = True
 
     # ------------------------------------------------------------------
     # Statistics

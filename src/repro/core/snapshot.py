@@ -117,8 +117,9 @@ def capture(ring: Ring) -> RingSnapshot:
     for key, queue in ring._fifos.items():
         if queue:
             snapshot.fifos[key] = list(queue)
-    if ring._batch_engine is not None:
-        snapshot.lanes = ring._batch_engine.capture_lanes()
+    engine = ring._live_batch()
+    if engine is not None:
+        snapshot.lanes = engine.capture_lanes()
     return snapshot
 
 
@@ -162,9 +163,12 @@ def restore(ring: Ring, snapshot: RingSnapshot) -> None:
     if (snapshot.lanes is not None
             and ring.backend == "batch"
             and ring.batch_size == snapshot.lanes["batch"]):
-        # Rebuild the engine over the restored scalar state, then load
-        # the captured lanes on top (clears the engine kernel caches).
-        ring._ensure_batch().restore_lanes(snapshot.lanes)
+        # Load the captured lanes into the engine the reset above kept
+        # (or one built over the restored scalar state).  Without lanes
+        # the kept engine broadcasts the restored scalar state at its
+        # next use, as a fresh engine would.
+        engine = ring._batch_engine or ring._ensure_batch()
+        engine.restore_lanes(snapshot.lanes)
     # Contract: a restore is a configuration event.  apply_plane() above
     # already fired the invalidation hooks, but the runtime-state writes
     # happened afterwards — invalidate once more so the active kernels

@@ -342,9 +342,9 @@ class Switch:
 
     def reset(self) -> None:
         """Flush the feedback pipelines (routing config preserved)."""
+        zeros = (0,) * self.pipeline_depth
         for pipe in self._pipes:
-            for i in range(self.pipeline_depth):
-                pipe[i] = 0
+            pipe[:] = zeros
         self._head = 0
 
     def __repr__(self) -> str:

@@ -578,6 +578,11 @@ class DataController:
         """Resolver handed to :meth:`repro.core.ring.Ring.step`."""
         return self.channel(index).current()
 
+    # Stream words were range-checked when pushed, and the idle value
+    # when set, so a batch ring's lane kernels take these reads unchecked
+    # (see repro.core.batchpath.BatchRing._host_word).
+    host_in.words_checked = True
+
     def bulk_host_in(self, ring):
         """A resolver for whole :meth:`repro.core.ring.Ring.run` chunks.
 
@@ -599,6 +604,7 @@ class DataController:
                 self.clear_dry_latches()
             return self.host_in(index)
 
+        host_in.words_checked = True
         return host_in
 
     def clear_dry_latches(self) -> None:

@@ -37,10 +37,16 @@ sweep is one lockstep system window instead of one short run per pass.
 The cycles it reports are still the sequential hardware count — one
 pass after another, summed per pass — so :func:`wavelet_cycle_model`
 and the paper's rate are unchanged.
+
+The configuration persists while data streams through, as in the paper:
+configured lifting rings are kept in a process-wide memo, one per lane
+count (at most :data:`LIFTING_RING_MEMO`), so a second call writes no
+configuration word and builds no ring, lane engine or lane plan.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -65,6 +71,12 @@ BORDER_PREFIX_PAIRS = 1
 #: Idle words ahead of the odd samples in L2's FIFO2: they delay the odd
 #: stream to meet the prediction.
 ODD_FIFO_DELAY = 3
+#: Configured batch lifting rings kept for reuse, one per lane count; the
+#: least recently returned goes first.  A 2-level DWT of a square tile
+#: uses two lane counts.
+LIFTING_RING_MEMO = 4
+
+_lifting_rings: "OrderedDict[int, Ring]" = OrderedDict()
 
 
 @dataclass
@@ -199,13 +211,15 @@ def lifting53_forward_fabric(signal: Sequence[int],
 def _lifting_lanes(ring: Ring, lines: np.ndarray) -> Tuple[np.ndarray, int]:
     """One forward lifting level of every row of *lines*, row i on lane i.
 
-    Resets *ring* (a lifting-configured batch ring) to one lane per row
-    and runs all the passes in lockstep: each lane gets its own even
-    stream and odd-sample FIFO load (one block load per queue, a row
-    per lane), and two batch taps collect every lane's coefficients.
-    Returns the rows packed ``[approx | detail]`` and the cycles the
-    same passes take one after another on the hardware (one pass per
-    row).
+    Resets *ring* (a lifting-configured batch ring with one lane per
+    row) and runs all the passes in lockstep: each lane gets its own
+    even stream and odd-sample FIFO load (one block load per queue, a
+    row per lane), and two batch taps collect every lane's
+    coefficients.  The reset keeps the ring's lane engine and its bound
+    lane plans, so a reused ring runs its pass on the plans its last
+    pass bound.  Returns the rows packed ``[approx | detail]`` and the
+    cycles the same passes take one after another on the hardware (one
+    pass per row).
     """
     count, n = lines.shape
     even_index, odd_index = _border_index(n)
@@ -215,7 +229,6 @@ def _lifting_lanes(ring: Ring, lines: np.ndarray) -> Tuple[np.ndarray, int]:
     odds[:, ODD_FIFO_DELAY:] = lines[:, odd_index] & word.MASK
 
     ring.reset()
-    ring.set_backend("batch", count)
     system = RingSystem(ring)
     system.data.stream(0, evens)
     ring.batch.push_fifo(2, 0, 2, odds)
@@ -228,17 +241,43 @@ def _lifting_lanes(ring: Ring, lines: np.ndarray) -> Tuple[np.ndarray, int]:
     return batch_to_signed(packed), count * cycles
 
 
+def _take_lifting_ring(lanes: int) -> Ring:
+    """A configured batch lifting ring of *lanes* lanes: the memo's, or
+    a newly built one."""
+    ring = _lifting_rings.pop(lanes, None)
+    if ring is None:
+        ring = build_lifting_system(Ring(RingGeometry.ring(16, width=2),
+                                         backend="batch",
+                                         batch_size=lanes)).ring
+    return ring
+
+
+def _keep_lifting_ring(ring: Ring) -> None:
+    """Put *ring*, whose passes all succeeded, in the memo."""
+    _lifting_rings[ring.batch_size] = ring
+    while len(_lifting_rings) > LIFTING_RING_MEMO:
+        _lifting_rings.popitem(last=False)
+
+
+def forget_lifting_rings() -> None:
+    """Empty the lifting-ring memo: the next call builds and configures
+    its rings afresh."""
+    _lifting_rings.clear()
+
+
 def dwt53_2d_fabric(image: np.ndarray) -> Tuple[np.ndarray, int]:
     """Full 2-D 5/3 DWT level on the fabric: rows then columns.
 
     The row passes are independent firings of one configured pipeline,
     so they run together as the lanes of one batch ring (one lane per
     row), and then the column passes do (one lane per column).  The
-    configuration survives the datapath reset between the two sweeps,
-    as in hardware.  Returns the subband-packed coefficient array and
-    the total fabric cycles: still the sequential hardware count, one
-    1-D pass after another, summed per pass (see
-    :func:`wavelet_cycle_model`).
+    rings come configured from a process-wide memo keyed by lane count
+    and go back to it once both sweeps succeeded (a ring whose pass
+    raised is dropped): the configuration survives the datapath reset
+    between sweeps and between calls, as in hardware.  Returns the
+    subband-packed coefficient array and the total fabric cycles: still
+    the sequential hardware count, one 1-D pass after another, summed
+    per pass (see :func:`wavelet_cycle_model`).
 
     Bit-exact against :func:`repro.kernels.reference.dwt53_2d`.
     """
@@ -250,11 +289,13 @@ def dwt53_2d_fabric(image: np.ndarray) -> Tuple[np.ndarray, int]:
     # cannot take fails before any row runs.
     _border_index(cols)
     _border_index(rows)
-    ring = build_lifting_system(Ring(RingGeometry.ring(16, width=2),
-                                     backend="batch",
-                                     batch_size=rows)).ring
-    temp, row_cycles = _lifting_lanes(ring, image.astype(np.int64))
-    coeffs, col_cycles = _lifting_lanes(ring, temp.T)
+    row_ring = _take_lifting_ring(rows)
+    col_ring = row_ring if cols == rows else _take_lifting_ring(cols)
+    temp, row_cycles = _lifting_lanes(row_ring, image.astype(np.int64))
+    coeffs, col_cycles = _lifting_lanes(col_ring, temp.T)
+    _keep_lifting_ring(row_ring)
+    if col_ring is not row_ring:
+        _keep_lifting_ring(col_ring)
     return np.ascontiguousarray(coeffs.T), row_cycles + col_cycles
 
 
@@ -263,9 +304,10 @@ def dwt53_2d_multilevel_fabric(image: np.ndarray,
     """JPEG2000-style dyadic pyramid on the fabric.
 
     Each level re-transforms the LL subband of the previous one, exactly
-    like :func:`repro.kernels.reference.dwt53_2d_multilevel`; the fabric
-    configuration is reused across levels (only the stream contents
-    change).  Returns the packed pyramid and the total fabric cycles —
+    like :func:`repro.kernels.reference.dwt53_2d_multilevel`; each level
+    takes the configured lifting rings of its lane counts from the memo
+    of :func:`dwt53_2d_fabric` (only the stream contents change).
+    Returns the packed pyramid and the total fabric cycles —
     which converge to ~4/3 of a single level as levels grow (the classic
     dyadic geometric series).
     """

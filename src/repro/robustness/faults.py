@@ -8,7 +8,9 @@ Two families of fault, mirroring where state lives in the architecture:
   word removes one element from a host input queue.  On a ring with a
   live batch engine the same flip is applied to *every* lane (and the
   scalar lane-0 mirror), so the lanes stay in lockstep with a scalar
-  golden run and recovery can be verified per lane.
+  golden run and recovery can be verified per lane.  After a reset the
+  engine is not live until its next use, which broadcasts the flipped
+  scalar state to every lane.
 * **Configuration faults** corrupt the configuration plane — one bit of
   an encoded microword or switch-route word, or a whole Dnode stuck
   disabled (NOP local program).  These are applied through
@@ -238,7 +240,7 @@ class FaultInjector:
         mask = 1 << event.bit
         dn = self.ring.dnode(layer, pos)
         dn.regs._values[reg] ^= mask
-        engine = self.ring._batch_engine
+        engine = self.ring._live_batch()
         if engine is not None:
             engine.regs[layer, pos, reg, :] ^= mask
         return True, f"R{reg} -> {dn.regs._values[reg]:#06x}"
@@ -248,7 +250,7 @@ class FaultInjector:
         mask = 1 << event.bit
         dn = self.ring.dnode(layer, pos)
         dn._out ^= mask
-        engine = self.ring._batch_engine
+        engine = self.ring._live_batch()
         if engine is not None:
             engine.outs[layer, pos, :] ^= mask
         return True, f"OUT -> {dn._out:#06x}"
@@ -258,7 +260,7 @@ class FaultInjector:
         mask = 1 << event.bit
         sw = self.ring.switch(k)
         sw.rp_write(stage, lane, sw.rp_read(stage, lane) ^ mask)
-        engine = self.ring._batch_engine
+        engine = self.ring._live_batch()
         if engine is not None:
             depth = self.ring.geometry.pipeline_depth
             slot = (engine._head + stage - 1) % depth
@@ -274,7 +276,7 @@ class FaultInjector:
             idx = event.index % len(queue)
             queue[idx] ^= mask
             applied = True
-        engine = self.ring._batch_engine
+        engine = self.ring._live_batch()
         if engine is not None:
             fifo = engine._fifos.get(key)
             if fifo is not None:

@@ -11,13 +11,17 @@ from repro.core import plancache
 from repro.core import ring as ring_module
 from repro.core.macropath import MacroPlan
 from repro.core.ring import Ring, RingGeometry
+from repro.kernels import wavelet
 
 
 @pytest.fixture(autouse=True)
 def _fresh_kernel_cache():
-    """Empty the process-wide kernel cache before every test, so a test
-    that counts compiles sees the same cache whatever ran before it."""
+    """Empty the process-wide kernel cache and the lifting-ring memo
+    before every test, so a test that counts compiles or ring builds
+    sees the same caches whatever ran before it (a memo ring's lane
+    engine holds bound plans, which would also skip a test seam)."""
     plancache.KERNELS.clear()
+    wavelet.forget_lifting_rings()
 
 
 def forget_plans(ring: Ring) -> None:

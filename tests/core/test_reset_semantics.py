@@ -12,8 +12,9 @@ import weakref
 
 import pytest
 
+from repro.core import plancache
 from repro.core.ring import Ring, RingGeometry
-from repro.core.snapshot import capture, restore
+from repro.core.snapshot import capture, restore, state_digest
 
 from tests.robustness.conftest import make_busy_ring
 
@@ -59,16 +60,47 @@ class TestCleared:
         ring.push_fifo(1, 0, 1, [9])
         assert list(handle) == [9]  # same live deque, still wired
 
-    def test_batch_engine_detaches(self):
+    def test_batch_engine_survives_reset(self):
+        """The engine and its bound lane plans survive a reset; the
+        lanes end up where a fresh broadcast of the cleared scalar state
+        puts them, and run on as a fresh engine's do."""
         ring = run_hard(make_busy_ring(backend="batch", batch_size=4))
-        assert ring._batch_engine is not None
+        engine = ring._batch_engine
+        plans = dict(engine._plans)
+        assert plans
         ring.reset()
-        assert ring._batch_engine is None
+        assert ring._batch_engine is engine
+        # Until its next use the scalar state is the datapath.
+        assert ring._live_batch() is None
+        assert capture(ring).lanes is None
+        fresh = make_busy_ring(backend="batch", batch_size=4)
+        fresh.reset()
+        assert ring.batch is engine
+        assert engine.capture_lanes() == fresh.batch.capture_lanes()
+        assert all(engine._plans[tier] is plan
+                   for tier, plan in plans.items())
+        run_hard(ring)
+        run_hard(fresh)
+        assert state_digest(ring) == state_digest(fresh)
+
+    def test_writes_after_reset_reach_every_lane(self):
+        """What lands in the scalar state between a reset and the
+        engine's next use (a held FIFO handle, a seeded OUT) is
+        broadcast to every lane, as a new engine would take it."""
+        ring = run_hard(make_busy_ring(backend="batch", batch_size=4))
+        ring.reset()
+        fresh = make_busy_ring(backend="batch", batch_size=4)
+        fresh.reset()
+        for target in (ring, fresh):
+            target.fifo(1, 0, 1).extend([70, 71, 72])
+            target.dnode(0, 1).out = 9
+        run_hard(ring)
+        run_hard(fresh)
+        assert state_digest(ring) == state_digest(fresh)
 
     @pytest.mark.parametrize("retire", [
-        lambda ring: ring.reset(),
         lambda ring: ring.set_backend("batch", 3),
-    ], ids=["reset", "set_backend"])
+    ], ids=["set_backend"])
     def test_retired_engine_is_freed_and_unhooked(self, retire):
         """A retired engine leaves no listener behind and is freed by
         reference counting alone (no cycle through its kernels)."""
@@ -89,14 +121,41 @@ class TestCleared:
         ring.config.write_local_limit(1, 0, 1)
         assert ring.plan_invalidations == invalidations + 1
 
-    def test_repeated_resets_leave_one_listener(self):
+    def test_kept_engine_stays_hooked_once(self):
+        """A reset neither retires the engine nor hooks it twice: its
+        one listener still drops its lane plans on a configuration
+        write, counted once."""
         ring = make_busy_ring(backend="batch", batch_size=4)
         baseline = len(ring._invalidation_listeners)
-        for _ in range(5):
-            run_hard(ring)
-            ring.reset()
         run_hard(ring)
+        engine = ring._batch_engine
+        ring.reset()
         assert len(ring._invalidation_listeners) == baseline + 1
+        run_hard(ring)
+        assert ring._batch_engine is engine
+        assert len(ring._invalidation_listeners) == baseline + 1
+        invalidations = ring.plan_invalidations
+        ring.config.write_local_limit(1, 0, 1)
+        assert ring.plan_invalidations == invalidations + 1
+        assert not engine._plans
+
+    def test_repeated_resets_leave_one_listener(self):
+        """Reset after reset keeps one engine with one listener, and its
+        bound lane plans run every pass: no kernel-cache lookup, no
+        compile."""
+        ring = make_busy_ring(backend="batch", batch_size=4)
+        baseline = len(ring._invalidation_listeners)
+        run_hard(ring)
+        engine = ring._batch_engine
+        compiles = ring.plan_compiles, ring.native_compiles
+        lookups = plancache.KERNELS.hits, plancache.KERNELS.misses
+        for _ in range(5):
+            ring.reset()
+            run_hard(ring)
+        assert ring._batch_engine is engine
+        assert len(ring._invalidation_listeners) == baseline + 1
+        assert (ring.plan_compiles, ring.native_compiles) == compiles
+        assert (plancache.KERNELS.hits, plancache.KERNELS.misses) == lookups
         invalidations = ring.plan_invalidations
         ring.config.write_local_limit(1, 0, 1)
         assert ring.plan_invalidations == invalidations + 1

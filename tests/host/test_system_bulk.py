@@ -543,7 +543,8 @@ class TestNativeLanes:
         executed = 0
         for k, chunk in enumerate(chunks):
             if k == relane:
-                # Replaces every lane FIFO: the lane plan must rebind.
+                # Refills every lane FIFO in place: the bound lane plan
+                # must see the restored words.
                 engine = system.ring.batch
                 engine.restore_lanes(engine.capture_lanes())
             if k == rollback:
@@ -571,27 +572,36 @@ class TestNativeLanes:
         _assert_lanes_match(system, refs, spec)
 
     def test_second_dwt_call_runs_every_lane_cycle_native(self):
-        """Once a process has compiled the lifting lane template, every
-        sweep's fresh engine binds it: a second ``dwt53_2d_fabric`` call
-        runs all its lockstep cycles on native lane windows, none on
-        macro lane kernels, and compiles nothing."""
+        """A second ``dwt53_2d_fabric`` call reuses the first call's
+        configured lifting ring, its lane engine and its bound lane
+        plans: it builds no ring, writes no configuration word, looks
+        nothing up in the kernel cache, compiles nothing, and runs all
+        its lockstep cycles on native lane windows."""
         image = (np.arange(64).reshape(8, 8) * 37) % 256
         wavelet.dwt53_2d_fabric(image)
-        rings = []
+        ring = wavelet._lifting_rings[8]
+        engine = ring.batch
+        counters = (ring.native_cycles, ring.native_fallback_cycles,
+                    ring.macro_cycles, ring.native_compiles,
+                    ring.plan_compiles, ring.config.writes)
+        lookups = plancache.KERNELS.hits, plancache.KERNELS.misses
+        builds = []
         build = wavelet.build_lifting_system
-        hits = plancache.KERNELS.hits
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wavelet, "build_lifting_system",
-                          lambda ring: rings.append(ring) or build(ring))
+                          lambda ring: builds.append(ring) or build(ring))
             coeffs, _ = wavelet.dwt53_2d_fabric(image)
         assert np.array_equal(coeffs, reference.dwt53_2d(image))
-        ring, = rings
+        assert builds == []
+        assert wavelet._lifting_rings[8] is ring
+        assert ring._batch_engine is engine
+        assert (plancache.KERNELS.hits, plancache.KERNELS.misses) == lookups
         # One row sweep and one column sweep of 8-sample passes.
-        assert ring.native_cycles == 2 * (8 // 2 + 2
-                                          + wavelet.APPROX_LATENCY)
-        assert ring.native_fallback_cycles == ring.macro_cycles == 0
-        assert ring.native_compiles == ring.plan_compiles == 0
-        assert plancache.KERNELS.hits > hits
+        assert (ring.native_cycles, ring.native_fallback_cycles,
+                ring.macro_cycles, ring.native_compiles,
+                ring.plan_compiles, ring.config.writes) == (
+            counters[0] + 2 * (8 // 2 + 2 + wavelet.APPROX_LATENCY),
+            *counters[1:])
 
     def test_refused_lane_configuration_names_its_reason(self):
         """A configuration native refuses runs its lanes on the macro
