@@ -52,14 +52,11 @@ configuration write drops them.
    compiles once;
 2. **macro lane kernels** (:class:`~repro.core.macropath.MacroLanePlan`,
    tier ``"macro_lanes"``): the scalar macro kernel with every value a
-   row of lanes, entered at any phase of its orbit and stopped after
-   any cycle.  It runs everything native leaves: one-cycle steps,
-   sub-period remainders, native-refused configurations and strict
-   FIFOs, whose errors it raises cycle-exactly with the scalar
-   kernel's messages.  A configuration over the macro unroll cap runs
-   one kernel call per cycle, each baked for the cycle at the live
-   phase (tier ``"lane_cycle"``, compiled for every cycle and never
-   cached).
+   row of lanes, entered at the live sequencer counters and stopped
+   after any cycle.  It runs everything native leaves: one-cycle steps,
+   sub-period remainders, native-refused configurations (a period over
+   native's unroll cap among them) and strict FIFOs, whose errors it
+   raises cycle-exactly with the scalar kernel's messages.
 
 Lane cycles are booked like the scalar ladder's: ``ring.native_cycles``
 for native windows, ``ring.macro_cycles`` and
@@ -381,8 +378,7 @@ class BatchRing:
         The span climbs the lane ladder: its whole periods run as one
         native lane window when it has two or more cycles, the
         configuration has a native kernel and the FIFOs are not strict;
-        the rest runs on the macro lane kernel (one call per cycle over
-        the unroll cap).
+        the rest runs on the macro lane kernel.
 
         Returns the number of cycles executed — or, given *taps*
         (``(layer, position)`` pairs), one ``(cycles, batch)`` int64
@@ -413,22 +409,16 @@ class BatchRing:
         if done < cycles:
             before = ring.cycles
             try:
-                macro = self._plan("macro_lanes")
-                if macro is not None:
-                    self._run_on(macro, cycles - done, bus, host_in, nodes,
-                                 records, done)
-                else:
-                    for t in range(done, cycles):
-                        self._run_on(self._plan("lane_cycle"), 1, bus,
-                                     host_in, nodes, records, t)
+                self._run_on(self._plan("macro_lanes"), cycles - done, bus,
+                             host_in, nodes, records, done)
             finally:
                 ring.native_fallback_cycles += ring.cycles - before
         return cycles if taps is None else records
 
     def _plan(self, tier: str):
-        """The active *tier* lane plan for the current configuration and
-        entry phase (looked up again when the phase left it), or None
-        when the tier refuses the configuration."""
+        """The active *tier* lane plan for the current configuration (a
+        native one looked up again when the phase left it), or None when
+        native refuses the configuration."""
         plan = self._plans.get(tier)
         if plan is None or not (isinstance(plan, str)
                                 or plan.matches_phase()):

@@ -3,11 +3,11 @@
 The paper's scalability argument (§4.2) rests on the configuration being
 *static between controller writes*: routing, microwords and modes are
 latched state, and the clock merely moves data through them.  For such a
-configuration the entire cycle schedule is known at compile time — which
-microword each Dnode executes at each phase of the local-sequencer
-period, which FIFOs pop, how the feedback pipelines rotate — so this
-module **generates straight-line Python source** for one full period of
-the fabric and compiles it with :func:`exec`:
+configuration the cycle schedule is known at compile time — which
+microwords each Dnode's sequencer selects from, which FIFOs pop, how the
+feedback pipelines rotate — so this module **generates straight-line
+Python source** for one fabric clock, inside a loop over the run's
+cycles, and compiles it with :func:`exec`:
 
 * operand fetches become inline expressions over the persistent state
   containers (``regs._values[i]``, ``dn._out``, pipeline ring-buffer
@@ -21,17 +21,16 @@ the fabric and compiles it with :func:`exec`:
   form per run (pops and underflows, which depend on runtime FIFO
   occupancy, stay inline and exact).
 
-The period is the LCM of the local-mode LIMIT values (1 for an
-all-global fabric); local slot selection is baked per phase against the
-counters observed at compile time.  Each cycle of the unrolled period is
-guarded by its phase and followed by an end-of-run check, so one kernel
-enters at any phase of its schedule's orbit (every counter state the
-sequencers reach from the baked one) and stops after any number of
-cycles: a controller-stepped cycle, a sub-period remainder and a
-thousand-cycle window all run the same code, and
-:meth:`MacroPlan.matches_phase` accepts every counter state of the
-orbit.  Stepping a period-P configuration therefore compiles one kernel,
-not one per phase.
+Each Dnode selects its microword as the paper's local sequencer does: a
+global-mode Dnode, or a local one with LIMIT 1, runs straight-line code;
+a local Dnode with a longer loop reads its counter when the kernel is
+entered, advances it once per cycle, and its evaluate and its commit
+each branch on it (slots that generate the same code share one branch).
+Source therefore grows with the sum of the LIMITs, never with their LCM,
+so every configuration compiles, and one kernel serves every entry
+phase: a controller-stepped cycle, a sub-period remainder and a
+thousand-cycle window all run the same code.  Statistics and counters
+are settled per Dnode from its own LIMIT and its entry counter.
 
 Bit-identity: for every completed cycle the kernel is bit-identical to
 the interpreter on all architectural state — OUT latches, register
@@ -46,15 +45,11 @@ locals), and an empty pop comes after the pipelines shifted and after
 the stores and pops of the Dnodes before it (and the popping Dnode's own
 stores) landed.
 
-Configurations whose period would bloat the generated source (LCM above
-:data:`MAX_PERIOD`, or more than :data:`MAX_UNROLL_CELLS` Dnode-cycles)
-are ineligible and run on the interpreter.
-
 These kernels are the second rung of the ladder every compiled scalar
-ring climbs (native, macro, interpreter), taking every span the native
-tier (:mod:`repro.core.nativepath`) refuses or leaves over, and every
-cycle :meth:`~repro.core.ring.Ring.step` advances.  Both tiers compile
-from one :class:`SteadySchedule` and serve the same window protocol
+ring climbs (native, then macro), taking every span the native tier
+(:mod:`repro.core.nativepath`) refuses or leaves over, and every cycle
+:meth:`~repro.core.ring.Ring.step` advances.  Both tiers compile from
+one :class:`SteadySchedule` and serve the same window protocol
 (:meth:`MacroPlan.run`): a host reader with a ``gather`` method hands
 over each routed channel's words for the whole window, and the caller
 gets each tapped Dnode's post-edge outputs back as an array.
@@ -73,14 +68,11 @@ The same emitter serves a batch ring's lanes, as the native one does:
 row of one word per lane and every op the NumPy expression the native
 kernels use (:func:`_vector_expr`), and :class:`MacroLanePlan` binds it
 (cached under tier ``"macro_lanes"``).  It is the second rung of the
-lane ladder, taking every lane cycle native does not; over the unroll
-cap a lane kernel is baked for one cycle at the live phase instead
-(``period=1``) and called once per cycle.
+lane ladder, taking every lane cycle native does not.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -93,11 +85,6 @@ from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.ring import Ring
-
-#: Largest local-sequencer period (LCM of LIMITs) a macro kernel unrolls.
-MAX_PERIOD = 64
-#: Cap on period * dnodes, bounding generated-source size.
-MAX_UNROLL_CELLS = 4096
 
 
 def _signed(expr: str) -> str:
@@ -221,62 +208,43 @@ def _fifo_error(message: str, host_reads: tuple) -> SimulationError:
 
 
 class SteadySchedule:
-    """One steady-state period of a ring's configuration, as both
-    generated tiers (this module and :mod:`repro.core.nativepath`) see it.
+    """A ring's steady configuration as both generated tiers (this module
+    and :mod:`repro.core.nativepath`) see it.
 
     Ring-free: Dnodes are named by their flat index ``layer * width +
-    position``, so one schedule serves every ring with the same geometry,
-    configuration and entry phase (see :mod:`repro.core.plancache`).
+    position``, so one schedule serves every ring with the same geometry
+    and configuration (see :mod:`repro.core.plancache`).
 
-    * ``period`` — the LCM of the local-mode LIMITs (1 for an all-global
-      fabric);
-    * ``words[(l, p)]`` — the microword the Dnode executes at each phase
-      of the period, starting from the live local counters;
-    * ``own_period[(l, p)]`` — the Dnode's own period (LIMIT, or 1);
-    * ``counter_entries`` — ``(node, entry counter, limit)`` per local
-      Dnode: the entry phase the schedule is baked against;
-    * ``stat_entries`` — ``(node, totals, prefix)`` per Dnode that
-      executes anything: instruction/op/multiply totals over one period
-      and their per-phase prefix sums;
+    * ``slots[(l, p)]`` — the microwords the Dnode's sequencer selects
+      from, in counter order: its first LIMIT local slots, or its one
+      global word;
+    * ``sequenced`` — ``(node, limit)`` per local Dnode with a LIMIT
+      above 1, whose counter selects its microword each cycle;
+    * ``stat_entries`` — ``(node, limit, totals, prefix)`` per Dnode
+      that executes anything: instruction/op/multiply totals over its
+      slots and their prefix sums by counter;
     * ``host_ports`` — ``(layer, position, port, channel)`` per routed
       host port, in the interpreter's read order (layer, position,
       port): every routed port is read every cycle; ``host_channels``
       is the set of their channels.
-
-    Raises :class:`Ineligible` when the period would bloat the generated
-    source (LCM above :data:`MAX_PERIOD`, or too many Dnode-cycles).  An
-    explicit *period* bakes that many cycles from the live phase instead
-    (one, for a lane kernel over the cap), with no cap to check.
     """
 
-    def __init__(self, ring: "Ring", period: Optional[int] = None):
-        if period is None:
-            period = macro_period(ring)
-            if (period > MAX_PERIOD
-                    or period * ring.geometry.dnodes > MAX_UNROLL_CELLS):
-                raise Ineligible(
-                    f"period {period} over the unroll cap ({MAX_PERIOD} "
-                    f"cycles, {MAX_UNROLL_CELLS} Dnode-cycles)")
-        self.period = period
-        self.words: Dict[tuple, List[MicroWord]] = {}
-        self.own_period: Dict[tuple, int] = {}
-        counter_entries = []
+    def __init__(self, ring: "Ring"):
+        self.slots: Dict[tuple, tuple] = {}
+        sequenced = []
         stat_entries = []
         width = ring.geometry.width
         for l, layer in enumerate(ring._dnodes):
             for p, dn in enumerate(layer):
                 node = l * width + p
                 if dn.mode is DnodeMode.LOCAL:
-                    lc = dn.local
-                    limit, c0 = lc.limit, lc._counter
-                    counter_entries.append((node, c0, limit))
-                    slots = lc.slots()
-                    words = [slots[(c0 + j) % limit] for j in range(period)]
+                    words = tuple(dn.local.slots()[:dn.local.limit])
                 else:
-                    limit = 1
-                    words = [dn.global_word] * period
-                self.words[(l, p)] = words
-                self.own_period[(l, p)] = limit
+                    words = (dn.global_word,)
+                self.slots[(l, p)] = words
+                limit = len(words)
+                if limit > 1:
+                    sequenced.append((node, limit))
                 prefix = [(0, 0, 0)]
                 for mw in words:
                     pi, pa, pm = prefix[-1]
@@ -287,8 +255,9 @@ class SteadySchedule:
                             pm += 1
                     prefix.append((pi, pa, pm))
                 if prefix[-1] != (0, 0, 0):
-                    stat_entries.append((node, prefix[-1], tuple(prefix)))
-        self.counter_entries = tuple(counter_entries)
+                    stat_entries.append((node, limit, prefix[-1],
+                                         tuple(prefix)))
+        self.sequenced = tuple(sequenced)
         self.stat_entries = tuple(stat_entries)
         host_ports = []
         for l, sw in enumerate(ring._switches):
@@ -300,12 +269,6 @@ class SteadySchedule:
         self.host_ports = tuple(host_ports)
         self.host_channels = frozenset(ch for *_, ch in host_ports)
 
-    def bind_stats(self, nodes) -> tuple:
-        """``stat_entries`` with each node index replaced by its Dnode's
-        statistics record (*nodes* is ``ring.all_dnodes()``)."""
-        return tuple((nodes[i].stats, totals, prefix)
-                     for i, totals, prefix in self.stat_entries)
-
 
 class SteadyPlan:
     """A kernel template bound to one ring.
@@ -313,29 +276,21 @@ class SteadyPlan:
     ``rung`` names the tier (``"native"`` or ``"macro"``);
     ``template`` is the ring-free kernel it was bound from;
     ``host_channels`` are the host channels the configuration routes
-    (each read every cycle).  A native plan is valid only while the
-    local counters sit at the schedule's entry phase; a macro plan
-    overrides :meth:`matches_phase` to accept any phase of the orbit.
+    (each read every cycle).  A macro plan reads the sequencer counters
+    when it runs, so it serves every phase; a native plan is baked
+    against one and overrides :meth:`matches_phase`.
     """
 
     rung = ""
 
-    __slots__ = ("template", "period", "host_channels", "_counter_entries")
+    __slots__ = ("template", "host_channels")
 
-    def __init__(self, template, nodes):
-        schedule = template.schedule
+    def __init__(self, template):
         self.template = template
-        self.period = schedule.period
-        self.host_channels = schedule.host_channels
-        self._counter_entries = tuple(
-            (nodes[i].local, c0, limit)
-            for i, c0, limit in schedule.counter_entries)
+        self.host_channels = template.schedule.host_channels
 
     def matches_phase(self) -> bool:
-        """True when every local counter sits at the baked entry phase."""
-        for lc, c0, _limit in self._counter_entries:
-            if lc._counter != c0:
-                return False
+        """True when the plan runs from the live sequencer counters."""
         return True
 
 
@@ -344,18 +299,22 @@ class MacroPlan(SteadyPlan):
 
     rung = "macro"
 
-    __slots__ = ("_kernel", "_ring", "_nodes", "_stat_entries", "_locals",
-                 "_phases")
+    __slots__ = ("_kernel", "_ring", "_nodes", "_stat_entries",
+                 "_counters")
 
     def __init__(self, template: "MacroTemplate", ring: "Ring",
                  env: Optional[Dict[str, object]] = None):
+        super().__init__(template)
         nodes = tuple(ring.all_dnodes())
-        super().__init__(template, nodes)
+        schedule = template.schedule
         self._ring = ring
         self._nodes = nodes
-        self._stat_entries = template.schedule.bind_stats(nodes)
-        self._locals = tuple(lc for lc, _c0, _limit in self._counter_entries)
-        self._phases = template.phases
+        self._stat_entries = tuple(
+            (nodes[i].stats, nodes[i].local if limit > 1 else None, limit,
+             totals, prefix)
+            for i, limit, totals, prefix in schedule.stat_entries)
+        self._counters = tuple((nodes[i].local, limit)
+                               for i, limit in schedule.sequenced)
         if env is None:
             env = {
                 "_R": ring,
@@ -370,6 +329,7 @@ class MacroPlan(SteadyPlan):
                     env[f"_pp_{l}_{j}"] = pipe
                 for p, dn in enumerate(ring._dnodes[l]):
                     env[f"_d_{l}_{p}"] = dn
+                    env[f"_lc_{l}_{p}"] = dn.local
                     env[f"_rv_{l}_{p}"] = dn.regs._values
                     env[f"_st_{l}_{p}"] = dn.stats
             for l, p, ch in template.fifos:
@@ -379,20 +339,11 @@ class MacroPlan(SteadyPlan):
         # retired engine is then freed by reference counting alone.
         self._kernel = env.pop("_kernel")
 
-    def phase(self) -> Optional[int]:
-        """Where the live local counters sit in the baked period, or
-        None when they are outside the schedule's orbit."""
-        return self._phases.get(tuple(lc._counter for lc in self._locals))
-
-    def matches_phase(self) -> bool:
-        """True when the live counters are anywhere in the orbit."""
-        return self.phase() is not None
-
     def run(self, cycles: int, bus: int, host_in,
             taps: Sequence[int] = ()) -> List[np.ndarray]:
-        """Advance *cycles* fabric clocks from the current phase.
+        """Advance *cycles* fabric clocks from the live sequencer
+        counters.
 
-        The live counters must be in the orbit (:meth:`matches_phase`).
         A *host_in* with a ``gather(channel, c0, cycles)`` method hands
         over each routed channel's words once for the whole run (stream
         words were range-checked when pushed); a plain closure is called
@@ -409,7 +360,6 @@ class MacroPlan(SteadyPlan):
         """
         ring = self._ring
         c0 = ring.cycles
-        entry = self.phase()
         windows = None
         gather = getattr(host_in, "gather", None)
         if gather is not None:
@@ -419,35 +369,36 @@ class MacroPlan(SteadyPlan):
         sinks = tuple((self._nodes[i], out.append)
                       for i, out in zip(taps, outs))
         try:
-            self._kernel(cycles, entry, bus, host_in, windows, sinks)
+            self._kernel(cycles, bus, host_in, windows, sinks)
         except Exception as exc:
             exc.window_taps = [np.array(out, np.int64) for out in outs]
             raise
         finally:
-            self._finish(entry, ring.cycles - c0)
+            self._finish(ring.cycles - c0)
         return [np.array(out, np.int64) for out in outs]
 
-    def _finish(self, entry: int, executed: int) -> None:
+    def _finish(self, executed: int) -> None:
         """The hoisted statistics and counter advance of *executed*
-        kernel cycles entered at phase *entry* (closed-form, exact per
-        completed cycle)."""
+        kernel cycles, settled per Dnode in closed form from its LIMIT
+        and its entry counter (which the kernel leaves in place, so the
+        statistics read it before the counters move on)."""
         if not executed:
             return
         self._ring.macro_cycles += executed
-        end = entry + executed
-        full, extra = divmod(end, self.period)
         for dn in self._nodes:
             dn.stats.cycles += executed
-        for stats, totals, prefix in self._stat_entries:
+        for stats, lc, limit, totals, prefix in self._stat_entries:
+            c0 = 0 if lc is None else lc._counter
+            full, extra = divmod(c0 + executed, limit)
             ti, ta, tm = totals
             pi, pa, pm = prefix[extra]
-            si, sa, sm = prefix[entry]
+            si, sa, sm = prefix[c0]
             stats.instructions += full * ti + pi - si
             stats.arithmetic_ops += full * ta + pa - sa
             if tm:
                 stats.multiplies += full * tm + pm - sm
-        for lc, c0, limit in self._counter_entries:
-            lc._counter = (c0 + end) % limit
+        for lc, limit in self._counters:
+            lc._counter = (lc._counter + executed) % limit
 
 
 class MacroLanePlan(MacroPlan):
@@ -486,6 +437,7 @@ class MacroLanePlan(MacroPlan):
                 env[f"_o_{l}_{j}"] = engine.outs[l, j]
                 env[f"_rv_{l}_{j}"] = engine.regs[l, j]
                 env[f"_fp_{l}_{j}"] = engine.lane_fifo_pops[(l, j)]
+                env[f"_lc_{l}_{j}"] = ring._dnodes[l][j].local
         for key in template.fifos:
             env["_q_%d_%d_%d" % key] = engine._fifo_for(key)
         super().__init__(template, ring, env)
@@ -494,8 +446,8 @@ class MacroLanePlan(MacroPlan):
 
     def run(self, cycles: int, bus: int, host_in,
             taps: Sequence[int] = ()) -> List[np.ndarray]:
-        """Advance every lane *cycles* fabric clocks from the current
-        phase (see :meth:`MacroPlan.run`).
+        """Advance every lane *cycles* fabric clocks from the live
+        sequencer counters (see :meth:`MacroPlan.run`).
 
         *host_in* may return a word or a ``(lanes,)`` array per read; a
         window reader's ``gather`` hands over ``(cycles, lanes)`` arrays.
@@ -504,7 +456,6 @@ class MacroLanePlan(MacroPlan):
         """
         ring = self._ring
         c0 = ring.cycles
-        entry = self.phase()
         windows = None
         gather = getattr(host_in, "gather", None)
         if gather is not None:
@@ -513,9 +464,9 @@ class MacroLanePlan(MacroPlan):
         outs = [np.empty((cycles, self._batch), np.int64) for _ in taps]
         sinks = tuple((self._outs[i], out) for i, out in zip(taps, outs))
         try:
-            self._kernel(cycles, entry, bus, host_in, windows, sinks)
+            self._kernel(cycles, bus, host_in, windows, sinks)
         finally:
-            self._finish(entry, ring.cycles - c0)
+            self._finish(ring.cycles - c0)
         return outs
 
 
@@ -523,23 +474,18 @@ class MacroTemplate:
     """A compiled macro kernel with no ring in it.
 
     ``code`` defines ``_kernel`` over the names a :class:`MacroPlan`
-    puts in its globals: each Dnode, register file, statistics record,
-    switch and pipeline lane by position, the FIFOs in ``fifos`` and
-    the ring (a lane kernel's, over the lane rows and lane FIFOs a
-    :class:`MacroLanePlan` binds).  ``phases`` maps each counter state of the schedule's
-    orbit (local Dnodes layer-major) to its phase in the baked period.
+    puts in its globals: each Dnode, local sequencer, register file,
+    statistics record, switch and pipeline lane by position, the FIFOs
+    in ``fifos`` and the ring (a lane kernel's, over the lane rows and
+    lane FIFOs a :class:`MacroLanePlan` binds).
     """
 
-    __slots__ = ("schedule", "code", "fifos", "phases")
+    __slots__ = ("schedule", "code", "fifos")
 
     def __init__(self, schedule: SteadySchedule, code, fifos):
         self.schedule = schedule
         self.code = code
         self.fifos = fifos
-        entries = schedule.counter_entries
-        self.phases = {
-            tuple((c0 + j) % limit for _node, c0, limit in entries): j
-            for j in range(schedule.period)}
 
     def bind(self, ring: "Ring") -> MacroPlan:
         """Exec the shared code over *ring*'s state containers."""
@@ -563,49 +509,54 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def macro_period(ring: "Ring") -> int:
-    """The fabric's steady-state schedule period (LCM of local LIMITs)."""
-    period = 1
-    for dn in ring.all_dnodes():
-        if dn.mode is DnodeMode.LOCAL:
-            period = math.lcm(period, dn.local.limit)
-    return period
+def _emit_dispatch(out: _Emitter, indent: int, counter: str,
+                   blocks: List[List[str]]) -> bool:
+    """Emit one code block per sequencer slot, selected by *counter*.
+
+    Slots whose blocks are the same text share one branch, and code
+    every slot shares is emitted straight.  Returns True when a branch
+    reads *counter*.
+    """
+    groups: Dict[tuple, List[int]] = {}
+    for slot, block in enumerate(blocks):
+        groups.setdefault(tuple(block), []).append(slot)
+    if len(groups) == 1:
+        for line in blocks[0]:
+            out.emit(indent, line)
+        return False
+    for n, (block, slots) in enumerate(groups.items()):
+        if n == len(groups) - 1:
+            out.emit(indent, "else:")
+        else:
+            test = (f"{counter} == {slots[0]}" if len(slots) == 1
+                    else f"{counter} in {tuple(slots)}")
+            out.emit(indent, f"{'elif' if n else 'if'} {test}:")
+        for line in block or ("pass",):
+            out.emit(indent + 1, line)
+    return True
 
 
-def compile_macro(ring: "Ring",
-                  refusal: Optional[List[str]] = None,
-                  engine=None) -> Optional[MacroPlan]:
+def compile_macro(ring: "Ring", engine=None) -> MacroPlan:
     """Fuse *ring*'s current configuration into a macro kernel.
 
-    Returns the :class:`MacroTemplate` bound to *ring* — or, given the
-    ring's batch *engine*, the lane template bound to its lanes — or
-    None when the configuration is ineligible (period too large to
-    unroll).  The reason is appended to *refusal* when a list is given.
+    Returns the :class:`MacroTemplate` bound to *ring* or, given the
+    ring's batch *engine*, the lane template bound to its lanes.  Every
+    configuration compiles.
     """
-    try:
-        if engine is not None:
-            return macro_template(ring, lanes=True).bind_lanes(engine)
-        return macro_template(ring).bind(ring)
-    except Ineligible as exc:
-        if refusal is not None:
-            refusal.append(str(exc))
-        return None
+    if engine is not None:
+        return macro_template(ring, lanes=True).bind_lanes(engine)
+    return macro_template(ring).bind(ring)
 
 
-def macro_template(ring: "Ring", lanes: bool = False,
-                   period: Optional[int] = None) -> MacroTemplate:
-    """Generate and compile the macro kernel for *ring*'s configuration
-    and the orbit of its entry phase; raises :class:`Ineligible` when
-    it has none.
+def macro_template(ring: "Ring", lanes: bool = False) -> MacroTemplate:
+    """Generate and compile the macro kernel for *ring*'s configuration.
 
     With *lanes* the kernel runs a batch engine's lanes
     (:class:`MacroLanePlan`): the same schedule and cycle structure, with
-    every value a row of one word per lane.  An explicit *period* bakes
-    that many cycles from the live phase (see :class:`SteadySchedule`).
+    every value a row of one word per lane.
     """
-    steady = SteadySchedule(ring, period)
+    steady = SteadySchedule(ring)
     geometry = ring.geometry
-    period = steady.period
     layers, width = geometry.layers, geometry.width
     depth = geometry.pipeline_depth
     fifos: List[tuple] = []
@@ -639,11 +590,10 @@ def macro_template(ring: "Ring", lanes: bool = False,
 
     # --- statement generators -----------------------------------------
 
-    out = _Emitter()
     # Host channels the cycle being emitted has read so far.
     cycle_reads: List[int] = []
 
-    def emit_host_fetch(indent, l, p, port, channel, sw_index):
+    def emit_host_fetch(out, indent, l, p, port, channel, sw_index):
         temp = f"_hv_{l}_{p}_{port}"
         cycle_reads.append(channel)
         out.emit(indent, "if _gw is None:")
@@ -665,14 +615,14 @@ def macro_template(ring: "Ring", lanes: bool = False,
         out.emit(indent + 1, f"{temp} = _g_{channel}[_cy - _cy0]")
         return temp
 
-    def emit_fifo_error(indent, l, p, ch, what):
+    def emit_fifo_error(out, indent, l, p, ch, what):
         out.emit(indent, "raise _fifo_error(")
         out.emit(indent + 1,
                  f"f\"D{l}.{p} {what} empty FIFO{ch} at cycle {{_cy}}\", "
                  f"{tuple(cycle_reads)!r}")
         out.emit(indent, ")")
 
-    def emit_fifo_peek(indent, l, p, ch, name):
+    def emit_fifo_peek(out, indent, l, p, ch, name):
         q = fifo_name(l, p, ch)
         temp = f"_fv_{l}_{p}_{ch}"
         if lanes:
@@ -680,33 +630,33 @@ def macro_template(ring: "Ring", lanes: bool = False,
             out.emit(indent, f"{temp}, _fe = {q}.peek()")
             out.emit(indent, "if _fe.any():")
             out.emit(indent + 1, "if _R.strict_fifos:")
-            emit_fifo_error(indent + 2, l, p, ch, "read")
+            emit_fifo_error(out, indent + 2, l, p, ch, "read")
             out.emit(indent + 1, "_U[:] += _fe")
             return temp
         out.emit(indent, f"{temp} = {q}.peek()")
         out.emit(indent, f"if {temp} is not None:")
         out.emit(indent + 1, f"{temp} = _chk({temp}, '{name} FIFO{ch}')")
         out.emit(indent, "elif _R.strict_fifos:")
-        emit_fifo_error(indent + 1, l, p, ch, "read")
+        emit_fifo_error(out, indent + 1, l, p, ch, "read")
         out.emit(indent, "else:")
         out.emit(indent + 1, "_R.fifo_underflows += 1")
         out.emit(indent + 1, f"{temp} = 0")
         return temp
 
-    def emit_fifo_pop(indent, l, p, ch):
+    def emit_fifo_pop(out, indent, l, p, ch):
         q = fifo_name(l, p, ch)
         if lanes:
             out.emit(indent, f"_fe = {q}.count == 0")
             out.emit(indent, "if _fe.any():")
             out.emit(indent + 1, "if _R.strict_fifos:")
-            emit_fifo_error(indent + 2, l, p, ch, "popped")
+            emit_fifo_error(out, indent + 2, l, p, ch, "popped")
             out.emit(indent + 1, "_U[:] += _fe")
             out.emit(indent, f"_fp_{l}_{p}[:] += {q}.drop(1)")
             return
         out.emit(indent, f"if {q}.drop(1):")
         out.emit(indent + 1, f"_st_{l}_{p}.fifo_pops += 1")
         out.emit(indent, "elif _R.strict_fifos:")
-        emit_fifo_error(indent + 1, l, p, ch, "popped")
+        emit_fifo_error(out, indent + 1, l, p, ch, "popped")
         out.emit(indent, "else:")
         out.emit(indent + 1, "_R.fifo_underflows += 1")
 
@@ -718,160 +668,165 @@ def macro_template(ring: "Ring", lanes: bool = False,
         return (f"_pp_{sw_index}_{lane - 1}"
                 f"[({head(sw_index)} + {stage - 1}) % {depth}]"), True
 
-    def emit_cycle(indent: int, phase: int) -> None:
-        """One fabric clock: evals, shifts, commits, cycle accounting,
-        tap samples."""
-        commits: List[tuple] = []   # deferred commit emissions
-        cycle_reads.clear()
-        for l in range(layers):
-            sw = ring._switches[l]
-            lu = ring.upstream_layer(l)
-            for p in range(width):
-                dn = ring._dnodes[l][p]
-                mw = steady.words[(l, p)][phase]
+    def evaluate(l, p, name, mw, port_exprs) -> List[str]:
+        """One slot's evaluate: its FIFO peeks and its result temp."""
+        out = _Emitter()
+        if mw.op is Opcode.NOP:
+            return out.lines
 
-                # Routed-port resolution, with the fetches the interpreter
-                # performs eagerly for every routed port (host reads and
-                # out-of-range feedback taps) emitted unconditionally.
-                port_exprs = {}
-                for port in (1, 2):
-                    src = sw.config.source_for(p, port)
-                    kind = src.kind
-                    if kind is PortKind.ZERO:
-                        port_exprs[port] = "0"
-                    elif kind is PortKind.UP:
-                        port_exprs[port] = out_of(lu, src.index)
-                    elif kind is PortKind.RP:
-                        expr, in_range = rp_expr(l, src.index, src.lane)
-                        if not in_range:
-                            out.emit(indent, expr)
-                        port_exprs[port] = expr
-                    elif kind is PortKind.BUS:
-                        port_exprs[port] = "bus"
-                    elif kind is PortKind.HOST:
-                        port_exprs[port] = emit_host_fetch(
-                            indent, l, p, port, src.index, l)
-                    else:  # pragma: no cover - exhaustive over PortKind
-                        raise SimulationError(
-                            f"unhandled port source {src!r}")
+        def operand(src):
+            if src <= Source.R3:
+                return f"_rv_{l}_{p}[{int(src)}]"
+            if src is Source.IN1:
+                return port_exprs[1]
+            if src is Source.IN2:
+                return port_exprs[2]
+            if src is Source.FIFO1:
+                return emit_fifo_peek(out, 0, l, p, 1, name)
+            if src is Source.FIFO2:
+                return emit_fifo_peek(out, 0, l, p, 2, name)
+            if src is Source.BUS:
+                return "bus"
+            if src is Source.IMM:
+                return str(mw.imm)
+            if src is Source.SELF:
+                return out_of(l, p)
+            if src is Source.ZERO:
+                return "0"
+            if src.is_feedback:
+                return rp_expr(l, src.feedback_stage,
+                               src.feedback_lane)[0]
+            raise SimulationError(f"unhandled source {src!r}")
 
-                pops = []
-                if mw.flags & Flag.POP_FIFO1:
-                    pops.append(1)
-                if mw.flags & Flag.POP_FIFO2:
-                    pops.append(2)
-
-                if mw.op is not Opcode.NOP:
-                    def operand(src):
-                        if src <= Source.R3:
-                            return f"_rv_{l}_{p}[{int(src)}]"
-                        if src is Source.IN1:
-                            return port_exprs[1]
-                        if src is Source.IN2:
-                            return port_exprs[2]
-                        if src is Source.FIFO1:
-                            return emit_fifo_peek(indent, l, p, 1, dn.name)
-                        if src is Source.FIFO2:
-                            return emit_fifo_peek(indent, l, p, 2, dn.name)
-                        if src is Source.BUS:
-                            return "bus"
-                        if src is Source.IMM:
-                            return str(mw.imm)
-                        if src is Source.SELF:
-                            return out_of(l, p)
-                        if src is Source.ZERO:
-                            return "0"
-                        if src.is_feedback:
-                            return rp_expr(l, src.feedback_stage,
-                                           src.feedback_lane)[0]
-                        raise SimulationError(f"unhandled source {src!r}")
-
-                    a = operand(mw.src_a)
-                    b = operand(mw.src_b) if mw.is_binary else None
-                    acc = (f"_rv_{l}_{p}[{int(mw.dst)}]"
-                           if mw.op in (Opcode.MAC, Opcode.MACS) else None)
-                    temp = f"_t_{l}_{p}"
-                    if not lanes:
-                        expr = _compute_expr(mw, a, b, acc)
-                    elif mw.op is Opcode.MOV:
-                        # A lane operand may be a view of state that a
-                        # commit below overwrites: copy it.
-                        expr = f"np.copy({a})"
-                    else:
-                        expr = _vector_expr(mw, a, b, acc)
-                    out.emit(indent, f"{temp} = {expr}")
-                    if mw.dst.is_register:
-                        commits.append(
-                            ("store",
-                             f"_rv_{l}_{p}[{int(mw.dst)}] = {temp}"))
-                    if (mw.dst is Dest.OUT
-                            or mw.flags & Flag.WRITE_OUT):
-                        commits.append(("store", store_out(l, p, temp)))
-                for ch in pops:
-                    commits.append(("pop", l, p, ch))
-
-        # Shifts: before commits, so pipelines capture this cycle's
-        # forward-visible OUT values.
-        if lanes:
-            out.emit(indent, f"_hd = (_hd - 1) % {depth}")
-            out.emit(indent, "_PP[:, :, _hd] = _O[_UP]")
+        a = operand(mw.src_a)
+        b = operand(mw.src_b) if mw.is_binary else None
+        acc = (f"_rv_{l}_{p}[{int(mw.dst)}]"
+               if mw.op in (Opcode.MAC, Opcode.MACS) else None)
+        if not lanes:
+            expr = _compute_expr(mw, a, b, acc)
+        elif mw.op is Opcode.MOV:
+            # A lane operand may be a view of state that a commit below
+            # overwrites: copy it.
+            expr = f"np.copy({a})"
         else:
-            for k in range(layers):
-                lu = ring.upstream_layer(k)
-                out.emit(indent, f"_hd_{k} = (_hd_{k} - 1) % {depth}")
-                for j in range(width):
-                    out.emit(indent,
-                             f"_pp_{k}_{j}[_hd_{k}] = _d_{lu}_{j}._out")
+            expr = _vector_expr(mw, a, b, acc)
+        out.emit(0, f"_t_{l}_{p} = {expr}")
+        return out.lines
 
-        for entry in commits:
-            if entry[0] == "store":
-                out.emit(indent, entry[1])
-            else:
-                _tag, l, p, ch = entry
-                emit_fifo_pop(indent, l, p, ch)
+    def commit(l, p, mw) -> List[str]:
+        """One slot's commit: its stores, then its FIFO pops."""
+        out = _Emitter()
+        temp = f"_t_{l}_{p}"
+        if mw.op is not Opcode.NOP:
+            if mw.dst.is_register:
+                out.emit(0, f"_rv_{l}_{p}[{int(mw.dst)}] = {temp}")
+            if mw.dst is Dest.OUT or mw.flags & Flag.WRITE_OUT:
+                out.emit(0, store_out(l, p, temp))
+        if mw.flags & Flag.POP_FIFO1:
+            emit_fifo_pop(out, 0, l, p, 1)
+        if mw.flags & Flag.POP_FIFO2:
+            emit_fifo_pop(out, 0, l, p, 2)
+        return out.lines
 
-        out.emit(indent, "_cy += 1")
-        out.emit(indent, "_R.cycles = _cy")
-        out.emit(indent, "for _tn, _ta in _tb:")
-        if lanes:
-            out.emit(indent + 1, "_ta[_cy - _cy0 - 1] = _tn")
-        else:
-            out.emit(indent + 1, "_ta(_tn._out)")
+    # --- one fabric clock ---------------------------------------------
+    # Evaluates, shifts, commits, counter advances, cycle accounting and
+    # tap samples, at the loop body's indent.
+    body = _Emitter()
+    indent = 3
+    # Dnodes whose code branches on their counter: (layer, position).
+    branching = set()
+    for l in range(layers):
+        sw = ring._switches[l]
+        lu = ring.upstream_layer(l)
+        for p in range(width):
+            # Routed-port resolution, with the fetches the interpreter
+            # performs eagerly for every routed port (host reads and
+            # out-of-range feedback taps) emitted unconditionally, before
+            # the Dnode's microword is selected.
+            port_exprs = {}
+            for port in (1, 2):
+                src = sw.config.source_for(p, port)
+                kind = src.kind
+                if kind is PortKind.ZERO:
+                    port_exprs[port] = "0"
+                elif kind is PortKind.UP:
+                    port_exprs[port] = out_of(lu, src.index)
+                elif kind is PortKind.RP:
+                    expr, in_range = rp_expr(l, src.index, src.lane)
+                    if not in_range:
+                        body.emit(indent, expr)
+                    port_exprs[port] = expr
+                elif kind is PortKind.BUS:
+                    port_exprs[port] = "bus"
+                elif kind is PortKind.HOST:
+                    port_exprs[port] = emit_host_fetch(
+                        body, indent, l, p, port, src.index, l)
+                else:  # pragma: no cover - exhaustive over PortKind
+                    raise SimulationError(
+                        f"unhandled port source {src!r}")
+            name = ring._dnodes[l][p].name
+            if _emit_dispatch(body, indent, f"_c_{l}_{p}", [
+                    evaluate(l, p, name, mw, port_exprs)
+                    for mw in steady.slots[(l, p)]]):
+                branching.add((l, p))
+
+    # Shifts: before commits, so pipelines capture this cycle's
+    # forward-visible OUT values.
+    if lanes:
+        body.emit(indent, f"_hd = (_hd - 1) % {depth}")
+        body.emit(indent, "_PP[:, :, _hd] = _O[_UP]")
+    else:
+        for k in range(layers):
+            lu = ring.upstream_layer(k)
+            body.emit(indent, f"_hd_{k} = (_hd_{k} - 1) % {depth}")
+            for j in range(width):
+                body.emit(indent,
+                          f"_pp_{k}_{j}[_hd_{k}] = _d_{lu}_{j}._out")
+
+    for l in range(layers):
+        for p in range(width):
+            words = steady.slots[(l, p)]
+            counter = f"_c_{l}_{p}"
+            if _emit_dispatch(body, indent, counter,
+                              [commit(l, p, mw) for mw in words]):
+                branching.add((l, p))
+            if (l, p) in branching:
+                body.emit(indent,
+                          f"{counter} = ({counter} + 1) % {len(words)}")
+
+    body.emit(indent, "_cy += 1")
+    body.emit(indent, "_R.cycles = _cy")
+    body.emit(indent, "for _tn, _ta in _tb:")
+    if lanes:
+        body.emit(indent + 1, "_ta[_cy - _cy0 - 1] = _tn")
+    else:
+        body.emit(indent + 1, "_ta(_tn._out)")
 
     # --- kernel assembly ----------------------------------------------
-    # _ph: the entry phase; _gw: None (call host_in per read) or
-    # {channel: the window's words}; _tb: (dnode, append) per tap, fed
-    # each cycle's post-edge output (on lanes, (OUT row, record) per
-    # tap, the row stored at the cycle's index).  The first pass through
-    # the period skips the phases before _ph; every cycle but the
-    # period's last checks for the end of the run (the loop test covers
-    # the last).
-    out.emit(0, "def _kernel(cycles, _ph, bus, host_in, _gw, _tb):")
+    # _gw: None (call host_in per read) or {channel: the window's
+    # words}; _tb: (dnode, append) per tap, fed each cycle's post-edge
+    # output (on lanes, (OUT row, record) per tap, the row stored at the
+    # cycle's index); _c_l_p: a branching Dnode's counter, read at entry
+    # (the plan settles the live counters after the run).
+    out = _Emitter()
+    out.emit(0, "def _kernel(cycles, bus, host_in, _gw, _tb):")
     out.emit(1, "_cy = _R.cycles")
     out.emit(1, "_cy0 = _cy")
     out.emit(1, "_end = _cy + cycles")
     if steady.host_ports:
         out.emit(1, "if _gw is not None:")
-        for ch in sorted({ch for *_, ch in steady.host_ports}):
+        for ch in sorted(steady.host_channels):
             out.emit(2, f"_g_{ch} = _gw[{ch}]")
     if lanes:
         out.emit(1, "_hd = _E._head")
     else:
         for k in range(layers):
             out.emit(1, f"_hd_{k} = _sw_{k}._head")
+    for l, p in sorted(branching):
+        out.emit(1, f"_c_{l}_{p} = _lc_{l}_{p}._counter")
     out.emit(1, "try:")
     out.emit(2, "while _cy != _end:")
-    for phase in range(period):
-        if period == 1:
-            emit_cycle(3, phase)
-            continue
-        out.emit(3, f"if _ph <= {phase}:")
-        emit_cycle(4, phase)
-        if phase < period - 1:
-            out.emit(4, "if _cy == _end:")
-            out.emit(5, "break")
-    if period > 1:
-        out.emit(3, "_ph = 0")
+    out.lines += body.lines
     out.emit(1, "finally:")
     if lanes:
         out.emit(2, "_E._head = _hd")
@@ -879,12 +834,11 @@ def macro_template(ring: "Ring", lanes: bool = False,
         for k in range(layers):
             out.emit(2, f"_sw_{k}._head = _hd_{k}")
 
-    source = out.source()
-    name = f"<macro period={period}" + (" lanes>" if lanes else ">")
-    code = compile(source, name, "exec")
+    code = compile(out.source(), "<macro lanes>" if lanes else "<macro>",
+                   "exec")
     return MacroTemplate(steady, code, tuple(fifos))
 
 
 __all__ = ["Ineligible", "MacroLanePlan", "MacroPlan", "MacroTemplate",
-           "SteadyPlan", "SteadySchedule", "compile_macro", "macro_template",
-           "macro_period", "MAX_PERIOD", "MAX_UNROLL_CELLS"]
+           "SteadyPlan", "SteadySchedule", "compile_macro",
+           "macro_template"]

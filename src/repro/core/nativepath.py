@@ -1,9 +1,9 @@
 """Native tier: time-axis-vectorized macro kernels (NumPy).
 
 The macro rung (:mod:`repro.core.macropath`) removes per-cycle
-Python dispatch by unrolling one sequencer period into straight-line
-Python — but every cycle of every Dnode is still a handful of Python
-bytecode operations.  This module goes one axis further: it vectorizes
+Python dispatch by generating straight-line Python for one clock — but
+every cycle of every Dnode is still a handful of Python bytecode
+operations.  This module goes one axis further: it vectorizes
 over **time**.  For a steady-state configuration the whole T-cycle
 window is one dataflow graph per Dnode phase, so each microword becomes
 a single NumPy array operation over all T/period executions at once:
@@ -70,11 +70,12 @@ a ring's state containers (:class:`NativePlan`) and
 configuration run on a ring and on lanes compiles once.
 
 Eligibility — :func:`compile_native` returns None (the ring then falls
-back native → macro → interpreter, and keeps the reason as
+back to the macro rung, and keeps the reason as
 :attr:`~repro.core.ring.Ring.native_refusal`) when:
 
-* the period exceeds :data:`~repro.core.macropath.MAX_PERIOD` or the
-  unroll cap (same limits as the macro tier);
+* the period, the LCM of the local LIMITs, exceeds :data:`MAX_PERIOD`,
+  or period × Dnodes exceeds :data:`MAX_UNROLL_CELLS`: this is the one
+  tier that unrolls a period, which bounds its source;
 * any routed feedback tap or feedback-source operand is out of range
   (the interpreter raises at runtime; the fall-back engines reproduce
   that error exactly);
@@ -96,11 +97,13 @@ the interpreter is bounded to the error cycle itself.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro import word
+from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, Opcode, Source
 from repro.core.macropath import (Ineligible, SteadyPlan, SteadySchedule,
                                   _signed, _vector_expr)
@@ -110,10 +113,22 @@ from repro.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.ring import Ring
 
+#: Largest local-sequencer period (LCM of LIMITs) a native kernel unrolls.
+MAX_PERIOD = 64
+#: Cap on period * dnodes, bounding generated-source size.
+MAX_UNROLL_CELLS = 4096
 #: Cap on Dnode-count x window-cycles (x lanes) per kernel call: windows
 #: beyond it are split, bounding peak VO-array memory (~8 MB of int64 at
 #: the cap).
 MAX_WINDOW_CELLS = 1 << 20
+
+
+def native_period(ring: "Ring") -> int:
+    """The period a native kernel unrolls: the LCM of the local-mode
+    LIMITs (1 for an all-global fabric)."""
+    return math.lcm(*(dn.local.limit for dn in ring.all_dnodes()
+                      if dn.mode is DnodeMode.LOCAL))
+
 
 def fifo_tail(occupancy, n: int, ppp: int, reads):
     """Pops that land and underflows counted by *n* periods on
@@ -159,21 +174,26 @@ class NativeTemplate:
     emitted once over a member axis.  The rest is the window's schedule
     by Dnode index and FIFO key, which a :class:`NativePlan` maps to one
     ring's state containers, or a :class:`NativeLanePlan` to one batch
-    engine's lane arrays: ``fifo_reads`` holds ``(keys, prefix, pops per
-    period)`` per stacked read site, ``fifo_gates`` ``(keys, pops per
-    period, largest read prefix, reads)`` per group and channel.
+    engine's lane arrays: ``period`` is the unrolled period,
+    ``counter_entries`` ``(node, entry counter)`` per sequenced Dnode
+    (the entry phase the kernel is baked against), ``fifo_reads``
+    ``(keys, prefix, pops per period)`` per stacked read site,
+    ``fifo_gates`` ``(keys, pops per period, largest read prefix,
+    reads)`` per group and channel.
     """
 
-    __slots__ = ("schedule", "source", "core", "groups", "init_fill",
-                 "fin_regs", "fifo_reads", "fifo_gates")
+    __slots__ = ("schedule", "period", "counter_entries", "source", "core",
+                 "groups", "init_fill", "fin_regs", "fifo_reads",
+                 "fifo_gates")
 
-    def __init__(self, schedule, source, groups, consts, init_fill,
-                 fin_regs, fifo_reads, fifo_gates):
+    def __init__(self, schedule, period, counter_entries, source, groups,
+                 consts, init_fill, fin_regs, fifo_reads, fifo_gates):
         self.schedule = schedule
+        self.period = period
+        self.counter_entries = counter_entries
         self.source = source
         env: Dict[str, object] = {"np": np, **consts}
-        exec(compile(source, f"<native period={schedule.period}>", "exec"),
-             env)
+        exec(compile(source, f"<native period={period}>", "exec"), env)
         self.core = env["_core"]
         self.groups = groups
         self.init_fill = init_fill
@@ -197,12 +217,22 @@ class _NativeWindows(SteadyPlan):
 
     rung = "native"
 
-    __slots__ = ("_meta", "_max_periods")
+    __slots__ = ("period", "_counter_entries", "_meta", "_max_periods")
 
     def __init__(self, template: NativeTemplate, nodes, lanes: int):
-        super().__init__(template, nodes)
+        super().__init__(template)
+        self.period = template.period
+        self._counter_entries = tuple(
+            (nodes[i].local, c0) for i, c0 in template.counter_entries)
         self._max_periods = max(1, MAX_WINDOW_CELLS // (
             len(nodes) * self.period * lanes))
+
+    def matches_phase(self) -> bool:
+        """True when every local counter sits at the baked entry phase."""
+        for lc, c0 in self._counter_entries:
+            if lc._counter != c0:
+                return False
+        return True
 
     def run(self, cycles: int, bus: int, host_in,
             taps: Sequence[int] = ()) -> List[np.ndarray]:
@@ -268,7 +298,7 @@ class NativePlan(_NativeWindows):
             "fin_regs": [(nodes[i].regs._values, r, k)
                          for i, r, k in template.fin_regs],
             "all_stats": tuple(dn.stats for dn in nodes),
-            "stat_entries": template.schedule.bind_stats(nodes),
+            "stat_entries": _bind_stats(template.schedule, nodes),
         }
 
     @property
@@ -442,15 +472,24 @@ def _host_windows(host_ports, host_in, ring, T: int, check, lane_shape):
     return hv
 
 
+def _bind_stats(schedule, nodes) -> tuple:
+    """``(statistics record, LIMIT, totals)`` per Dnode of the
+    schedule's ``stat_entries`` (*nodes* is ``ring.all_dnodes()``)."""
+    return tuple((nodes[i].stats, limit, totals)
+                 for i, limit, totals, _prefix in schedule.stat_entries)
+
+
 def _book_stats(meta, n: int, T: int) -> None:
-    """Lane-invariant statistics of an n-period, T-cycle window."""
+    """Lane-invariant statistics of an n-period, T-cycle window: every
+    LIMIT divides the period, so a Dnode runs its slots T / LIMIT times."""
     for stats in meta["all_stats"]:
         stats.cycles += T
-    for stats, (ti, ta, tm), _prefix in meta["stat_entries"]:
-        stats.instructions += n * ti
-        stats.arithmetic_ops += n * ta
+    for stats, limit, (ti, ta, tm) in meta["stat_entries"]:
+        k = T // limit
+        stats.instructions += k * ti
+        stats.arithmetic_ops += k * ta
         if tm:
-            stats.multiplies += n * tm
+            stats.multiplies += k * tm
 
 
 class NativeLanePlan(_NativeWindows):
@@ -506,7 +545,7 @@ class NativeLanePlan(_NativeWindows):
             "down": [(l + 1) % layers for l in range(layers)],
             "up": [ring.upstream_layer(k) for k in range(layers)],
             "all_stats": tuple(dn.stats for dn in nodes),
-            "stat_entries": template.schedule.bind_stats(nodes),
+            "stat_entries": _bind_stats(template.schedule, nodes),
         }
 
     def _window(self, n: int, bus: int, host_in,
@@ -578,8 +617,8 @@ def compile_native(ring: "Ring",
 
     Returns the :func:`native_template` bound to *ring*, or to the lanes
     of the ring's batch *engine* when one is given, or None when the
-    configuration is ineligible; the caller falls back to the macro and
-    interpreter rungs.  The reason for a refusal is appended to *refusal*
+    configuration is ineligible; the caller falls back to the macro
+    rung.  The reason for a refusal is appended to *refusal*
     when a list is given.
     """
     try:
@@ -632,12 +671,26 @@ def native_template(ring: "Ring") -> NativeTemplate:
     trailing lane axis exactly when its inputs do (see
     :class:`NativeLanePlan`).
     """
-    steady = SteadySchedule(ring)
-    schedule = steady.words
+    P = native_period(ring)
     geometry = ring.geometry
+    if P > MAX_PERIOD or P * geometry.dnodes > MAX_UNROLL_CELLS:
+        raise Ineligible(
+            f"period {P} over the unroll cap ({MAX_PERIOD} "
+            f"cycles, {MAX_UNROLL_CELLS} Dnode-cycles)")
+    steady = SteadySchedule(ring)
     layers, width = geometry.layers, geometry.width
     depth = geometry.pipeline_depth
-    P = steady.period
+    # One period of each Dnode's slots, unrolled from its live counter:
+    # the kernel is baked against that entry phase.
+    schedule: Dict[tuple, List] = {}
+    counter_entries = []
+    for (l, p), slots in steady.slots.items():
+        c0 = 0
+        if len(slots) > 1:
+            c0 = ring._dnodes[l][p].local._counter
+            counter_entries.append((l * width + p, c0))
+        schedule[(l, p)] = [slots[(c0 + j) % len(slots)]
+                            for j in range(P)]
 
     def dn_index(l: int, p: int) -> int:
         return l * width + p
@@ -693,7 +746,7 @@ def native_template(ring: "Ring") -> NativeTemplate:
         for p in range(width):
             i = dn_index(l, p)
             sched = schedule[(l, p)]
-            L = steady.own_period[(l, p)]
+            L = len(steady.slots[(l, p)])
             reg_writers: List[List[int]] = [[] for _ in range(4)]
             out_writers: List[int] = []
             for phase, mw in enumerate(sched):
@@ -899,7 +952,7 @@ def native_template(ring: "Ring") -> NativeTemplate:
         lp = divmod(i, width)
         words = tuple((mw.op, mw.src_a, mw.src_b, mw.dst, mw.flags)
                       for mw in schedule[lp])
-        return steady.own_period[lp], words, tuple(records)
+        return len(steady.slots[lp]), words, tuple(records)
 
     partition: List[List[int]] = []
     by_signature: Dict[tuple, List[int]] = {}
@@ -1118,7 +1171,8 @@ def native_template(ring: "Ring") -> NativeTemplate:
     header = f"def _core({', '.join(params)}):"
     source = "\n".join([header] + lines) + "\n"
     groups = tuple(sorted(tuple(group) for group in partition))
-    return NativeTemplate(steady, source, groups, consts,
+    return NativeTemplate(steady, P, tuple(counter_entries), source,
+                          groups, consts,
                           tuple(init_fill), tuple(fin_regs),
                           tuple(fifo_reads), tuple(fifo_gates))
 

@@ -30,8 +30,8 @@ It is used at two levels, both with constant capacities:
 * **per process** (:data:`KERNELS`, :data:`KERNEL_CAPACITY` entries):
   ring-free native and macro *templates* (the generated code plus its
   schedule as Dnode indices), and the tiers' refusals, keyed by
-  ``(tier, geometry, entry phase, fingerprint)``; a macro kernel serves
-  every phase of its sequencers' orbit, so its key names the orbit.  A
+  ``(tier, geometry, entry phase, fingerprint)``; a macro kernel reads
+  the sequencer counters when it runs, so its key's phase is None.  A
   ring whose own cache misses looks here next and binds a hit to its
   state, so a fresh ring with a configuration the process has compiled
   before pays no code generation and steps no first-time cycle.  A

@@ -38,10 +38,10 @@ Two kinds of engine drive the same semantics:
   NumPy kernels (:mod:`repro.core.nativepath`), then — for whatever
   native refuses or leaves over, and for every cycle :meth:`Ring.step`
   advances — generated macro kernels (:mod:`repro.core.macropath`),
-  which enter at any phase of their sequencer period and stop after
-  any cycle, then the interpreter for configurations over the macro
-  unroll cap.  Every configuration mutation invalidates the active
-  kernels, so reconfiguration takes effect on the very next cycle.
+  which read each Dnode's sequencer counter when entered, stop after
+  any cycle and compile for every configuration.  Every configuration
+  mutation invalidates the active kernels, so reconfiguration takes
+  effect on the very next cycle.
 
 A configuration seen for the first time is interpreted for one cycle
 before anything is compiled for it, so a controller that rewrites the
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import lcm
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -71,7 +70,7 @@ from repro import word
 from repro.core.config_memory import ConfigMemory, _Fingerprint
 from repro.core.dnode import Dnode, DnodeInputs, DnodeMode
 from repro.core.isa import FEEDBACK_DEPTH
-from repro.core.macropath import MAX_PERIOD, compile_macro, macro_template
+from repro.core.macropath import compile_macro
 from repro.core.nativepath import compile_native
 from repro.core.plancache import KERNELS, RING_CAPACITY, PlanCache
 from repro.core.switch import PortKind, PortSource, Switch
@@ -268,7 +267,7 @@ class Ring:
     BACKEND_REGISTRY = {
         "interpreter": "reference cycle-by-cycle interpreter",
         "native": "time-vectorized NumPy kernels, falling back to "
-                  "generated macro kernels, then the interpreter",
+                  "generated macro kernels",
         "batch": "lane-vectorized NumPy engine over batch_size streams",
     }
 
@@ -317,8 +316,8 @@ class Ring:
         self.native_compiles = 0
         self.native_fallback_cycles = 0
         # Active "macro" / "native" plan per tier for the current
-        # configuration + entry phase (absent = not compiled, a _Refusal
-        # = the tier cannot compile it).
+        # configuration, a native one for its entry phase (absent = not
+        # compiled, a _Refusal = native cannot compile it).
         self._steady: Dict[str, object] = {}
         # Cached config_fingerprint() (None = recompute).
         self._fingerprint = None
@@ -678,11 +677,10 @@ class Ring:
         """Advance the fabric by one clock cycle.
 
         On a compiled ring the cycle runs on the configuration's macro
-        kernel, entered at the current sequencer phase and stopped after
+        kernel, entered at the live sequencer counters and stopped after
         one cycle.  It is interpreted instead on the interpreter
-        backend, for the first cycle of a first-time configuration (see
-        :meth:`_step_plan`) and for a configuration over the macro
-        unroll cap.
+        backend and for the first cycle of a first-time configuration
+        (see :meth:`_step_plan`).
 
         Args:
             bus: value currently driven on the shared bus by the
@@ -902,30 +900,24 @@ class Ring:
         return controllers
 
     def _steady_key(self, tier: str) -> tuple:
-        """Cache key of the *tier* plan for the current configuration and
-        entry phase; the same at both cache levels.
+        """Cache key of the *tier* plan for the current configuration;
+        the same at both cache levels.
 
-        A native kernel, and a one-cycle lane kernel (``"lane_cycle"``),
-        is baked against the exact sequencer counters.  A macro kernel
-        (``"macro"``, ``"macro_lanes"``) serves every phase of their
-        orbit, so its key names the orbit by its least counter state
-        (None over the unroll cap, where macro refuses every phase
-        alike).
+        A native kernel is baked against the exact sequencer counters,
+        which its key names.  A macro kernel (``"macro"``,
+        ``"macro_lanes"``) reads them when it runs, so its key carries
+        no phase.
         """
-        controllers = self._local_controllers()
-        phase = tuple(lc._counter for lc in controllers)
-        if tier in ("macro", "macro_lanes"):
-            limits = tuple(lc.limit for lc in controllers)
-            period = lcm(*limits)
-            phase = None if period > MAX_PERIOD else min(
-                tuple((c + j) % limit for c, limit in zip(phase, limits))
-                for j in range(period))
+        phase = None
+        if tier == "native":
+            phase = tuple(lc._counter for lc in self._local_controllers())
         return (tier, self.geometry, phase, self.config_fingerprint())
 
     def _lookup_plan(self, tier: str, engine=None, hit_only: bool = False):
-        """The *tier* plan for the current configuration and entry phase,
-        bound to this ring or, given a batch *engine*, to its lanes; or
-        a :class:`_Refusal` carrying the reason (:attr:`native_refusal`).
+        """The *tier* plan for the current configuration (and, for
+        native, entry phase), bound to this ring or, given a batch
+        *engine*, to its lanes; or a :class:`_Refusal` carrying the
+        reason (:attr:`native_refusal`).
 
         A ring looks in its :attr:`plan_cache` first; lane plans hold
         the engine's lane arrays, so an engine keeps only its active
@@ -934,18 +926,15 @@ class Ring:
         only when that misses too: the compiled template or refusal
         enters the process cache, so each configuration is tried at
         most once per tier and process, and a native template serves a
-        ring and lanes alike.  ``"lane_cycle"`` kernels (one cycle of a
-        configuration over the macro unroll cap) are never cached, so a
-        long period cannot evict the process's templates.  With
-        *hit_only* a miss is neither counted nor compiled: None.
+        ring and lanes alike.  With *hit_only* a miss is neither
+        counted nor compiled: None.
         """
         key = self._steady_key(tier)
         cache = self.plan_cache if engine is None else None
         plan = cache.get(key, not hit_only) if cache is not None else None
         if plan is not None:
             return plan
-        shared = tier != "lane_cycle"
-        template = KERNELS.get(key, not hit_only) if shared else None
+        template = KERNELS.get(key, not hit_only)
         if isinstance(template, _Refusal):
             plan = template
         elif template is not None:
@@ -955,16 +944,15 @@ class Ring:
             return None
         else:
             plan = self._compile(tier, engine)
-            if shared:
-                KERNELS.put(key, _template_of(plan))
+            KERNELS.put(key, _template_of(plan))
         if cache is not None:
             cache.put(key, plan)
         return plan
 
     def _steady_plan(self, tier: str):
         """The active *tier* ("macro" or "native") plan for the current
-        configuration + entry phase (looked up again when the phase left
-        it), or None when the tier refuses it."""
+        configuration (a native one looked up again when the phase left
+        it), or None when native refuses it."""
         plan = self._steady.get(tier)
         if isinstance(plan, _Refusal):
             return None
@@ -974,21 +962,18 @@ class Ring:
         return None if isinstance(plan, _Refusal) else plan
 
     def _compile(self, tier: str, engine=None):
-        """Generate the *tier* kernel for the current configuration and
-        entry phase, bound to this ring or to the batch *engine*'s lanes,
-        or a :class:`_Refusal`.  Books the generation time, and the
-        kernel in :attr:`native_compiles` or, for a macro kernel,
+        """Generate the *tier* kernel for the current configuration,
+        bound to this ring or to the batch *engine*'s lanes, or a native
+        :class:`_Refusal`.  Books the generation time, and the kernel in
+        :attr:`native_compiles` or, for a macro kernel,
         :attr:`plan_compiles`."""
         refusal: List[str] = []
         profile = self._profile
         began = perf_counter()
-        if tier == "lane_cycle":
-            plan = macro_template(self, lanes=True,
-                                  period=1).bind_lanes(engine)
-        elif tier == "native":
+        if tier == "native":
             plan = compile_native(self, refusal, engine)
         else:
-            plan = compile_macro(self, refusal, engine)
+            plan = compile_macro(self, engine)
         if profile is not None:
             profile.compile_seconds += perf_counter() - began
         if plan is None:
@@ -1022,20 +1007,10 @@ class Ring:
 
     def _run_steady(self, cycles: int, bus: int,
                     host_in: Optional[HostReader]) -> None:
-        """Run *cycles* down the ladder: native, macro, interpreter.
-
-        Each span is chosen by :meth:`_bulk_span`; what neither native
-        nor macro takes (a configuration over the macro unroll cap) is
-        interpreted.  Interpreted cycles here fire no observer:
-        :meth:`run` only comes here between observer captures.
-        """
+        """Run *cycles* down the ladder, native then macro, each span
+        chosen by :meth:`_bulk_span`."""
         while cycles:
-            plan, span, _reason = self._bulk_span(cycles)
-            if plan is None:
-                self.native_fallback_cycles += cycles
-                for _ in range(cycles):
-                    self._interpret(bus, host_in)
-                return
+            plan, span = self._bulk_span(cycles)
             if plan.rung == "macro":
                 self.native_fallback_cycles += span
             self._run_plan(plan, span, bus, host_in)
@@ -1043,26 +1018,18 @@ class Ring:
 
     def _bulk_span(self, cycles: int):
         """The ladder's choice for the next *cycles* of a configuration
-        ready for the compiled tiers: ``(plan, span, reason)``.
+        ready for the compiled tiers: ``(plan, span)``.
 
         The longest period multiple of *cycles* the native plan accepts
         (FIFO-safe, with strict FIFOs), else all of *cycles* on the
         macro kernel (which raises a strict underflow cycle-exactly).
-        When neither takes the span, *plan* is None, *span* 0 and
-        *reason* ``"native_refused"`` (the configuration is over the
-        macro unroll cap) or ``"fifo_gated"`` (strict FIFOs starve
-        native while macro is refused, which only a test seam does).
         """
         native = self._steady_plan("native")
         if native is not None:
             span = native.safe_cycles(cycles)
             if span:
-                return native, span, None
-        macro = self._steady_plan("macro")
-        if macro is None:
-            return (None, 0,
-                    "native_refused" if native is None else "fifo_gated")
-        return macro, cycles, None
+                return native, span
+        return self._steady_plan("macro"), cycles
 
     def window_span(self, cycles: int):
         """How much of the next *cycles* one bulk window takes right now.
@@ -1075,9 +1042,9 @@ class Ring:
         with one, needs no stepped cycle.  *reason* is set only when
         *span* is 0: ``"trace"`` (an observer is attached),
         ``"backend"`` (the ring runs no compiled scalar kernels: an
-        interpreter or a vector batch ring), ``"no_plan"`` (a first-time
-        configuration, before it has been stepped for a cycle), or
-        :meth:`_bulk_span`'s ``"native_refused"`` or ``"fifo_gated"``.
+        interpreter or a vector batch ring) or ``"no_plan"`` (a
+        first-time configuration, before it has been stepped for a
+        cycle).
         """
         if self._trace is not None:
             return None, 0, "trace"
@@ -1085,7 +1052,8 @@ class Ring:
             return None, 0, "backend"
         if self._config_dirty and not self._adopt_cached_hit():
             return None, 0, "no_plan"
-        return self._bulk_span(cycles)
+        plan, span = self._bulk_span(cycles)
+        return plan, span, None
 
     def run_window(self, plan, cycles: int, bus: int = 0,
                    host_in: Optional[HostReader] = None,

@@ -115,14 +115,12 @@ class RingSystem:
         ``"lanes"`` (batch engine with taps or queued words under a ring
         observer or with strict FIFOs), the
         :meth:`~repro.core.ring.Ring.window_span` refusals ``"trace"``,
-        ``"backend"``, ``"no_plan"`` (a first-time configuration only:
+        ``"backend"`` and ``"no_plan"`` (a first-time configuration only:
         a plan cached on the ring, or a kernel the process compiled for
-        another ring, is adopted at the window boundary), the refusals
-        for which neither native nor macro took the span
-        (``"native_refused"``: over the macro unroll cap;
-        ``"fifo_gated"``: strict FIFOs with macro refused, only under a
-        test seam), or
-        ``"direct"`` (:meth:`step` called outside :meth:`run`).
+        another ring, is adopted at the window boundary), or
+        ``"direct"`` (:meth:`step` called outside :meth:`run`).  No
+        span is stepped for want of a rung: macro takes whatever native
+        does not.
         """
         paths = dict(self._paths)
         direct = self._steps - self._booked_steps
@@ -191,9 +189,8 @@ class RingSystem:
                 self._run_lanes(span, bus)
                 remaining -= span
                 continue
-            # Every refusal but a missing plan holds for the rest of a
-            # quiet span: the configuration cannot change and FIFO
-            # occupancy only drains.
+            # Every refusal but a missing plan (an observer, the
+            # backend, lanes) holds for the rest of a quiet span.
             if reason is None or reason == "no_plan":
                 plan, span, reason = ring.window_span(remaining)
                 if span:

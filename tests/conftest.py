@@ -37,48 +37,27 @@ def forget_plans(ring: Ring) -> None:
     ring.plan_cache.clear()
 
 
-class _HiddenTiers:
-    """The process-wide kernel cache with some tiers hidden from the ring.
+class _NativeHidden:
+    """The process-wide kernel cache with native templates hidden.
 
-    A seam that refuses a tier must also hide it here: a template
-    another ring compiled must not skip the seam, and a seam refusal
-    must not enter the cache.  Lookups of a hidden tier miss and its
-    stores are dropped; every other key goes to the real cache.
+    The native seam must hide them: a template another ring compiled
+    must not skip the seam, and a seam refusal must not enter the
+    cache.  Lookups of a ``"native"`` key (a native lane plan binds the
+    ring's own template) miss and its stores are dropped; every other
+    key goes to the real cache.
     """
 
-    def __init__(self, cache, tiers):
+    def __init__(self, cache):
         self._cache = cache
-        self._tiers = tiers
 
     def get(self, key, count_miss=True):
-        if self._hidden(key):
+        if key[0] == "native":
             return None
         return self._cache.get(key, count_miss)
 
     def put(self, key, value):
-        if not self._hidden(key):
+        if key[0] != "native":
             self._cache.put(key, value)
-
-    def _hidden(self, key):
-        """A refused tier, and its lane variant (``"macro_lanes"``); a
-        native lane plan binds the ring's own ``"native"`` template."""
-        tier = key[0]
-        if tier.endswith("_lanes"):
-            tier = tier[:-len("_lanes")]
-        return tier in self._tiers
-
-
-@contextmanager
-def _tiers_refused(**compilers):
-    """Patch the ring module's *compilers* (``compile_<tier>``) and hide
-    their tiers in the process-wide kernel cache."""
-    tiers = {name[len("compile_"):] for name in compilers}
-    with pytest.MonkeyPatch.context() as patch:
-        for name, compiler in compilers.items():
-            patch.setattr(ring_module, name, compiler)
-        patch.setattr(ring_module, "KERNELS",
-                      _HiddenTiers(plancache.KERNELS, tiers))
-        yield
 
 
 def _refuse_native(ring, refusal=None, engine=None):
@@ -101,7 +80,10 @@ def native_refused():
     serves loops and Hypothesis bodies; :func:`refuse_native` is the
     fixture.
     """
-    with _tiers_refused(compile_native=_refuse_native):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ring_module, "compile_native", _refuse_native)
+        patch.setattr(ring_module, "KERNELS",
+                      _NativeHidden(plancache.KERNELS))
         yield
 
 
@@ -109,38 +91,6 @@ def native_refused():
 def refuse_native():
     """:func:`native_refused` for the whole test."""
     with native_refused():
-        yield
-
-
-def _refuse_macro(ring, refusal=None, engine=None):
-    if refusal is not None:
-        refusal.append("macro rung refused by the interpreter test seam")
-    return None
-
-
-@contextmanager
-def bulk_refused():
-    """Send every compiled scalar ring down to the interpreter.
-
-    Refuses both compiled rungs of the native ladder
-    (``repro.core.ring.compile_native`` and ``compile_macro``), so a
-    native ring interprets every cycle, the ladder's last rung, as a
-    configuration over the macro unroll cap does.  Tests using it
-    assert ``native_cycles == macro_cycles == 0``, so the case cannot
-    quietly turn into a compiled run.  Both tiers' templates in the
-    process-wide kernel cache are hidden for the duration.  This form
-    serves loops and Hypothesis bodies; :func:`refuse_bulk` is the
-    fixture.
-    """
-    with _tiers_refused(compile_native=_refuse_native,
-                        compile_macro=_refuse_macro):
-        yield
-
-
-@pytest.fixture
-def refuse_bulk():
-    """:func:`bulk_refused` for the whole test."""
-    with bulk_refused():
         yield
 
 

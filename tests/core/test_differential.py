@@ -25,7 +25,8 @@ from repro.core import alu
 from repro.core.batchpath import LANE_DTYPE
 from repro.core.dnode import DnodeMode
 from repro.core.isa import ACCUMULATING_OPS, Dest, MicroWord, Opcode
-from repro.core.macropath import Ineligible, _vector_expr, macro_period
+from repro.core.macropath import Ineligible, _vector_expr
+from repro.core.nativepath import native_period
 from repro.core.ring import Ring, RingGeometry
 
 from repro.core import plancache
@@ -215,7 +216,7 @@ class TestDifferentialCachedAndMacro:
         interp = build_ring(spec, backend="interpreter")
         fused = build_ring(spec, backend="native")
         with native_refused():
-            for chunk in chunks + [macro_period(fused) + 3]:
+            for chunk in chunks + [native_period(fused) + 3]:
                 interp.run(chunk, bus=bus,
                            host_in=lambda ch: _host_value(
                                seed, ch, interp.cycles, 0))
@@ -266,7 +267,7 @@ class TestDifferentialCachedAndMacro:
                         _apply_config_only(ring, spec)
                     run_all(cycles)
             # A closing bulk run long enough that the macro rung runs.
-            run_all(macro_period(fused) + 3)
+            run_all(native_period(fused) + 3)
         assert fused.macro_cycles > 0
         if cycles >= 3:
             # Long enough per context for the uncached ring's deferred

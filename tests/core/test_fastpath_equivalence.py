@@ -11,10 +11,10 @@ every switch, the remaining contents of every FIFO, and the exact
 sequence of host-port reads.
 
 The macro ring is driven in a mix of single ``step()`` calls and short
-runs (:func:`_drive`), so its kernel is entered at arbitrary phases of
-its sequencer period and stopped after arbitrary cycle counts.
-Configurations over the macro unroll cap run on the interpreter rung of
-the same ring.
+runs (:func:`_drive`), so its kernel is entered at arbitrary sequencer
+counters and stopped after arbitrary cycle counts.  Every configuration,
+whatever its period, runs on one macro kernel after its first-time
+cycle.
 
 Programs are randomised (seeded ``random`` plus a hypothesis sweep) over
 global, local and mixed modes, all opcodes, FIFO and Rp-feedback sources,
@@ -37,8 +37,7 @@ from repro.core.isa import (
     Source,
 )
 from repro.core.dnode import DnodeMode
-from repro.core.macropath import (MAX_PERIOD, MAX_UNROLL_CELLS, MacroPlan,
-                                  macro_period)
+from repro.core.macropath import MacroPlan
 from repro.core.ring import Ring, RingGeometry
 from repro.core.switch import PortSource
 from repro.errors import SimulationError
@@ -204,13 +203,6 @@ def _drive(ring: Ring, cycles: int, bus: int = 0, host_in=None) -> None:
         cycles -= chunk
 
 
-def _macro_eligible(ring: Ring) -> bool:
-    """Is the configuration within the macro unroll cap?"""
-    period = macro_period(ring)
-    return (period <= MAX_PERIOD
-            and period * ring.geometry.dnodes <= MAX_UNROLL_CELLS)
-
-
 def _macro_active(ring: Ring) -> bool:
     """Does *ring* hold a macro kernel for its current configuration?"""
     return isinstance(ring._steady.get("macro"), MacroPlan)
@@ -222,7 +214,7 @@ def _assert_equivalent(seed: int, cycles: int, layers: int = 4) -> None:
     bus = (seed * 9973) & word.MASK
     reference.run(cycles, bus=bus, host_in=ref_host)
     _drive(fast, cycles, bus=bus, host_in=fast_host)
-    if cycles >= 2 and _macro_eligible(fast):
+    if cycles >= 2:
         assert _macro_active(fast), "the macro rung never engaged"
         assert fast.macro_cycles >= cycles - 1  # one first-time cycle
     assert fast.native_cycles == 0
@@ -251,13 +243,13 @@ def test_midrun_reconfiguration_invalidates_plan(seed):
     ref_host, fast_host = _HostLog(), _HostLog()
     reference.run(15, host_in=ref_host)
     _drive(fast, 15, host_in=fast_host)
-    assert _macro_active(fast) == _macro_eligible(fast)
+    assert _macro_active(fast)
     _apply_random_config(reference, random.Random(seed + 1000))
     _apply_random_config(fast, random.Random(seed + 1000))
     assert not fast._steady, "reconfiguration must drop the kernels"
     reference.run(15, host_in=ref_host)
     _drive(fast, 15, host_in=fast_host)
-    assert _macro_active(fast) == _macro_eligible(fast), (
+    assert _macro_active(fast), (
         "the kernel must be rebuilt once the configuration was stepped")
     assert ref_host.calls == fast_host.calls
     assert _state(reference) == _state(fast)
@@ -372,16 +364,11 @@ def test_midrun_reconfiguration_all_backends(seed, batch_size):
         ring.run(15, host_in=host)
     engine = batch._batch_engine
 
-    def lane_kernels() -> int:
-        """Macro lane kernels 15 cycles compile: one, or one per cycle
-        over the unroll cap (each baked for the cycle at its phase)."""
-        return 1 if macro_period(batch) <= MAX_PERIOD else 15
-
-    # Native is refused here, so every lane cycle ran on macro lane
-    # kernels.
+    # Native is refused here, so every lane cycle ran on the one macro
+    # lane kernel of the configuration, whatever its period.
     assert engine is not None and batch.macro_cycles == 15
     compiles = batch.plan_compiles
-    assert compiles == lane_kernels()
+    assert compiles == 1
     invalidations = engine.invalidations
     ring_invalidations = batch.plan_invalidations
     for ring in rings:
@@ -394,7 +381,7 @@ def test_midrun_reconfiguration_all_backends(seed, batch_size):
     for ring, host in zip(rings, hosts):
         ring.run(15, host_in=host)
     assert batch.macro_cycles == 30
-    assert batch.plan_compiles == compiles + lane_kernels(), (
+    assert batch.plan_compiles == compiles + 1, (
         "one recompile, once stable")
     assert hosts[1].calls == hosts[0].calls
     assert hosts[2].calls == hosts[0].calls
@@ -435,7 +422,7 @@ def test_reset_with_live_fifo_handles_and_compiled_plan(seed):
     ref_host, fast_host = _HostLog(), _HostLog()
     reference.run(9, host_in=ref_host)
     _drive(fast, 9, host_in=fast_host)
-    assert _macro_active(fast) == _macro_eligible(fast)
+    assert _macro_active(fast)
     plan_before = fast._steady.get("macro")
     reference.reset()
     fast.reset()
@@ -495,7 +482,7 @@ def test_sampled_trace_bit_identical_across_engines(seed, interval):
     bus = (seed * 7919) & word.MASK
     reference.run(40, bus=bus, host_in=ref_host)
     fast.run(40, bus=bus, host_in=fast_host)
-    if interval > 1 and _macro_eligible(fast):
+    if interval > 1:
         assert fast.macro_cycles > 0, \
             "a sampled trace must not keep the ring off the macro rung"
     assert fast_trace.sampled_at == ref_trace.sampled_at
@@ -510,7 +497,7 @@ def test_windowed_trace_bit_identical_across_engines(seed):
     ref_host, fast_host = _HostLog(), _HostLog()
     reference.run(40, host_in=ref_host)
     fast.run(40, host_in=fast_host)
-    assert fast.macro_cycles > 0 or not _macro_eligible(fast)
+    assert fast.macro_cycles > 0
     assert fast_trace.sampled_at == ref_trace.sampled_at == [12, 16, 20,
                                                              24, 28]
     assert fast_trace.samples == ref_trace.samples

@@ -9,8 +9,8 @@ behavioural contract is re-asserted against the interpreter:
 architectural state (including statistics and FIFO accounting), host
 read ordering (``host_in`` observes the advancing cycle counter), local
 sequencer phases across odd chunk boundaries, strict-FIFO error messages
-and abort cycle counts, and the eligibility cap that keeps pathological
-periods off the codegen path.
+and abort cycle counts, and periods far over the native unroll cap,
+which the macro kernel rolls into one counter per Dnode.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
-from repro.core.macropath import MAX_PERIOD, compile_macro, macro_period
+from repro.core.nativepath import MAX_PERIOD, native_period
 from repro.core.ring import Ring, make_ring
 from repro.core.switch import PortSource
 from repro.errors import SimulationError
@@ -97,7 +97,7 @@ class TestMacroEquivalence:
         macro = make_ring(8, backend="native")
         for ring in (ref, macro):
             _configure_mixed(ring)
-            span = periods * macro_period(ring) + 1
+            span = periods * native_period(ring) + 1
             for start in range(0, 401, span):
                 ring.run(min(span, 401 - start), bus=5,
                          host_in=_host(ring))
@@ -121,7 +121,7 @@ class TestMacroEquivalence:
 
     def test_macro_kernels_are_cached_by_phase(self):
         """Runs entering at different phases share one kernel, cached
-        under the orbit of its phase and re-adopted after a switch."""
+        under a key with no phase and re-adopted after a switch."""
         ring = make_ring(8, backend="native")
         _configure_mixed(ring)
         plane = ring.config.capture_plane()
@@ -174,22 +174,24 @@ class TestMacroEquivalence:
 class TestMacroEligibility:
     def test_period_is_lcm_of_local_limits(self):
         ring = make_ring(8)
-        assert macro_period(ring) == 1
+        assert native_period(ring) == 1
         _configure_mixed(ring)  # limits 3 and 2
-        assert macro_period(ring) == 6
+        assert native_period(ring) == 6
 
     def test_huge_period_is_ineligible(self):
+        """A period of 210 is over native's unroll cap, so native
+        refuses it; the macro kernel compiles it once, rolled, and stays
+        bit-identical to the interpreter."""
         ring = make_ring(8, backend="native")
         _configure_mixed(ring)
         dn = ring.dnode(1, 1)   # add limit 7: lcm(3, 2, 7) = 42 <= 64
         dn.local.load_program([MicroWord(Opcode.NOP)] * 7)
         dn.set_mode(DnodeMode.LOCAL)
-        assert macro_period(ring) == 42
+        assert native_period(ring) == 42
         dn2 = ring.dnode(0, 0)  # add limit 5: lcm = 210 > MAX_PERIOD
         dn2.local.load_program([MicroWord(Opcode.NOP)] * 5)
         dn2.set_mode(DnodeMode.LOCAL)
-        assert macro_period(ring) > MAX_PERIOD
-        assert compile_macro(ring) is None
+        assert native_period(ring) == 210 > MAX_PERIOD
         ref = make_ring(8, backend="interpreter")
         _configure_mixed(ref)
         for layer, pos, n in ((1, 1, 7), (0, 0, 5)):
@@ -198,7 +200,8 @@ class TestMacroEligibility:
             d.set_mode(DnodeMode.LOCAL)
         ref.run(150, host_in=_host(ref))
         ring.run(150, host_in=_host(ring))
-        assert ring.macro_cycles == 0, "ineligible config never fuses"
+        assert ring.macro_cycles == 149, "every cycle but the first fuses"
+        assert ring.plan_compiles == 1
         assert _state(ring) == _state(ref)
 
     def test_reconfiguration_drops_macro(self):

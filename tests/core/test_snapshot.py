@@ -103,7 +103,7 @@ class TestCaptureRestore:
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.core.macropath import MAX_PERIOD, macro_period  # noqa: E402
+from repro.core.nativepath import native_period  # noqa: E402
 from repro.core.snapshot import state_digest  # noqa: E402
 
 from tests.conftest import rung_seam  # noqa: E402
@@ -134,13 +134,12 @@ class TestRoundTripProperty:
         name, kwargs = engine
         with rung_seam(name):
             ring = build_ring(spec, **kwargs)
-            period = macro_period(ring)
-            # The macro rung unrolls periods up to MAX_PERIOD; for those,
-            # both the forward and the replayed run are made long enough
-            # to reach it.
-            macro = name in ("macro", "fastpath") and period <= MAX_PERIOD
+            # Both the forward and the replayed run of the macro rung
+            # are made long enough to reach it and to cross a whole
+            # sequencer period.
+            macro = name in ("macro", "fastpath")
             if macro:
-                k += period + 3
+                k += native_period(ring) + 3
             ring.run(warmup, bus=bus, host_in=lambda ch: bus & 0xFF)
             snapshot = capture(ring)
             ring.run(k, bus=bus, host_in=lambda ch: bus & 0xFF)

@@ -35,6 +35,13 @@ over 2-16 Dnodes with their own immediates, registers and FIFO contents
 (running dry at different cycles), strict FIFOs, me_search's
 ``CFGPLANE`` flips, taps, rollback and batch lanes.
 
+Configurations over native's unroll cap (period 280, or a period of 56
+on 76 Dnodes) run on one macro kernel whose Dnodes branch on their own
+sequencer counters, so :class:`TestOverCapConfigurations` runs them on
+a native ring, one cycle per kernel call and on batch lanes, with taps,
+dry streams, strict-FIFO errors mid-window, rollback and controller
+steps at random counter alignments, and counts one compile.
+
 The Hypothesis suites are derandomized (pinned example sequence, no
 deadline) like the ring-level differential suite.
 """
@@ -55,7 +62,6 @@ from repro.compiler.library import fir8
 from repro.controller.core import RiscController
 from repro.controller.isa import Instruction, ROp
 from repro.core import plancache
-from repro.core import ring as ring_module
 from repro.core.config_memory import ConfigPlane
 from repro.core.dnode import DnodeMode
 from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
@@ -71,12 +77,7 @@ from repro.kernels import reference, wavelet
 from repro.kernels.effects import build_echo
 from repro.kernels.iir import build_first_order_iir
 
-from tests.conftest import (
-    _refuse_macro,
-    bulk_refused,
-    native_refused,
-    rung_seam,
-)
+from tests.conftest import native_refused, rung_seam
 from tests.core.test_fuzz import (
     _legal_word,
     accumulator_words,
@@ -191,12 +192,12 @@ def systems(draw):
 
 
 def _assert_ladder_served(paths: dict, nonlinear: bool) -> None:
-    """No span was stepped for want of a bulk rung: the macro rung takes
-    every span native refuses or FIFO-gates (the generated periods are
-    far below the unroll cap), and a nonlinear fabric's long span ran
-    as macro windows."""
-    assert ("per_cycle", "native_refused") not in paths
-    assert ("per_cycle", "fifo_gated") not in paths
+    """Only a first-time configuration's cycle, or one the controller
+    works in, was stepped: the macro rung takes every span native
+    refuses or FIFO-gates, and a nonlinear fabric's long span ran as
+    macro windows."""
+    assert {reason for path, reason in paths
+            if path == "per_cycle"} <= {"no_plan", "controller"}
     if nonlinear:
         assert paths.get(("bulk", "macro"), 0) > 0
 
@@ -403,10 +404,11 @@ class TestBatchLanesMatchInterpreter:
         _assert_lanes_match(system, refs, spec)
 
 
-def _assert_lanes_match(system: RingSystem, refs, spec: dict) -> None:
-    """Every lane's taps, stream counters and datapath match its own
-    interpreter system in *refs* (a one-lane ring's data controller is
-    scalar)."""
+def _assert_lanes_match(system: RingSystem, refs, spec: dict,
+                        datapath: bool = True) -> None:
+    """Every lane's taps, stream counters and (with *datapath*) datapath
+    match its own interpreter system in *refs* (a one-lane ring's data
+    controller is scalar)."""
     engine = system.ring.batch
     geometry = system.ring.geometry
     target = build_ring(spec, backend="interpreter")
@@ -424,6 +426,8 @@ def _assert_lanes_match(system: RingSystem, refs, spec: dict) -> None:
                    (channel.delivered[lane], channel.underruns[lane],
                     channel.lane_pending(lane)))
             assert got == (want.delivered, want.underruns, want.pending())
+        if not datapath:
+            continue
         engine.store_lane(lane, target=target)
         assert _lane_mirror(target) == _lane_mirror(ref.ring)
         for layer in range(geometry.layers):
@@ -708,8 +712,7 @@ def _fifo_ring(**kwargs) -> Ring:
 class TestPerCycleReasons:
     # Native refuses the selfloop ring, whose spans the macro rung takes
     # as windows, and runs the drained FIFO ring's underflow tail in
-    # closed form.  The per-cycle reasons for a span neither rung takes
-    # are pinned below with the bulk_refused seam (interpreter only).
+    # closed form.
     @pytest.mark.parametrize("build, expected", [
         (lambda: _selfloop_ring(backend="native"),
          {("per_cycle", "no_plan"): 1, ("bulk", "macro"): 9}),
@@ -723,29 +726,6 @@ class TestPerCycleReasons:
         system.data.add_tap(0, 0)
         system.run(10)
         assert system.cycle_paths == expected
-
-    @pytest.mark.parametrize("build", [_selfloop_ring, _fifo_ring])
-    def test_reasons_when_no_bulk_rung_takes_the_span(self, build):
-        with bulk_refused():
-            system = RingSystem(build())
-            system.data.add_tap(0, 0)
-            system.run(10)
-        assert system.cycle_paths == {("per_cycle", "no_plan"): 1,
-                                      ("per_cycle", "native_refused"): 9}
-
-    def test_fifo_gated_when_macro_is_refused(self):
-        """With strict FIFOs native takes only the FIFO-safe prefix; with
-        the macro rung refused the drained rest steps per cycle as
-        ``fifo_gated``, and its first read of the empty queue raises."""
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ring_module, "compile_macro", _refuse_macro)
-            system = RingSystem(_fifo_ring(strict_fifos=True))
-            system.data.add_tap(0, 0)
-            with pytest.raises(SimulationError, match="empty FIFO1"):
-                system.run(10)
-        assert system.cycle_paths == {("per_cycle", "no_plan"): 1,
-                                      ("bulk", "native"): 5,
-                                      ("per_cycle", "fifo_gated"): 0}
 
     @staticmethod
     def _lane_system(**ring_kwargs) -> RingSystem:
@@ -1154,10 +1134,12 @@ def _step_until_halt(system: RingSystem, max_cycles: int,
         system.step()
 
 
-def _drive(case, per_cycle: bool, **ring_kwargs):
-    """Run one generated controlled system; returns it and any error."""
+def _drive(case, per_cycle: bool, system=None, **ring_kwargs):
+    """Run one generated controlled system (built from *case*, unless a
+    *system* is given); returns it and any error."""
     chunks, rollback, budget, drain, _ = case[5:]
-    system = _controlled_system(case, **ring_kwargs)
+    if system is None:
+        system = _controlled_system(case, **ring_kwargs)
 
     def advance(cycles):
         if per_cycle:
@@ -1533,19 +1515,25 @@ class TestSharedKernelCache:
                        for key in plancache.KERNELS.keys())
 
 
-def _local_cells(draw, spec: dict, count: int) -> dict:
+def _local_cells(draw, spec: dict, count: int, limits=(),
+                 words=None) -> dict:
     """*spec* with every cell global but 1 to *count* of them, which run
-    local programs of LIMIT 2-8 (so the period stays under the macro
-    unroll cap)."""
+    local programs of LIMIT 2-8 (so the period stays within native's
+    unroll cap) — or, given *limits*, one cell per LIMIT in it.  Slots
+    are drawn from *words* (by default any word, accumulators and
+    native-refused words included)."""
     width = spec["width"]
     cells = [(layer, pos, mw, None, routes, loads)
              for layer, pos, mw, _local, routes, loads in spec["cells"]]
-    chosen = draw(st.lists(st.integers(0, len(cells) - 1), min_size=1,
-                           max_size=count, unique=True))
-    words = st.one_of(microwords(), accumulator_words(), nonlinear_words())
-    for k in chosen:
+    chosen = draw(st.lists(st.integers(0, len(cells) - 1),
+                           min_size=len(limits) or 1,
+                           max_size=len(limits) or count, unique=True))
+    if words is None:
+        words = st.one_of(microwords(), accumulator_words(),
+                          nonlinear_words())
+    for j, k in enumerate(chosen):
         layer, pos, mw, _local, routes, loads = cells[k]
-        limit = draw(st.integers(2, 8))
+        limit = limits[j] if limits else draw(st.integers(2, 8))
         program = [_legal_word(w, width) for w in draw(
             st.lists(words, min_size=limit, max_size=limit))]
         cells[k] = (layer, pos, mw, program, routes, loads)
@@ -1627,7 +1615,7 @@ def strict_stepped_systems(draw):
     program of LIMIT 2-8 reads (or only pops) FIFO1 in one slot, 1-6
     words deep, under a controller that steps every cycle until the
     queue runs dry.  Every other local program has one slot, so the
-    period stays under the macro unroll cap."""
+    period stays within native's unroll cap."""
     layers = draw(st.integers(2, 3))
     width = draw(st.integers(1, 2))
     spec = _feed_forward(draw(ring_specs(
@@ -1659,13 +1647,15 @@ def strict_stepped_systems(draw):
 
 @contextmanager
 def _macro_calls(plan_class=MacroPlan):
-    """Record ``(entry phase, cycles, raised)`` per ``run`` of a macro
-    plan class (:class:`MacroLanePlan` for lanes)."""
+    """Record ``(entry counters, cycles, raised)`` per ``run`` of a
+    macro plan class (:class:`MacroLanePlan` for lanes): the entry
+    counters are the local-mode Dnodes' sequencer counters, layer-major."""
     calls = []
     run = plan_class.run
 
     def recording(plan, cycles, *args):
-        entry = plan.phase()
+        entry = tuple(dn.local.counter for dn in plan._nodes
+                      if dn.mode is DnodeMode.LOCAL)
         try:
             result = run(plan, cycles, *args)
         except Exception:
@@ -1719,11 +1709,11 @@ class TestMacroStepping:
         assert bulk_error is None
         # Every controller-stepped cycle but the configuration's
         # first-time one ran as a one-cycle macro call, and a block of
-        # more than a period of them entered every phase.
+        # more than a period of them entered at every counter state.
         stepped = bulk.cycle_paths[("per_cycle", "controller")]
         entries = [entry for entry, cycles, _ in calls if cycles == 1]
         assert len(entries) >= stepped - 1
-        assert set(entries) == set(range(period))
+        assert len(set(entries)) == period
         assert bulk.ring.plan_compiles == 1
 
     @given(drawn=remainder_systems())
@@ -1782,6 +1772,9 @@ class TestMacroStepping:
         assert state_digest(ring) == state_digest(reference)
 
     def test_over_cap_configuration_steps_on_the_interpreter(self):
+        """Period 280 is over native's unroll cap: only the first-time
+        cycle is interpreted, and every other stepped cycle and the
+        system's windows run on one macro kernel."""
         def build(**ring_kwargs):
             ring = Ring(RingGeometry(layers=2, width=2), **ring_kwargs)
             for (layer, pos), limit in zip([(0, 0), (0, 1), (1, 0)],
@@ -1797,15 +1790,17 @@ class TestMacroStepping:
             for _ in range(12):
                 ring.step()
                 reference.step()
-        assert profile.interpreted_cycles == 12
-        assert ring.macro_cycles == ring.plan_compiles == 0
+        assert profile.interpreted_cycles == 1
+        assert ring.macro_cycles == 11
+        assert ring.plan_compiles == 1
         assert ring.native_refusal == (
             "period 280 over the unroll cap (64 cycles, 4096 Dnode-cycles)")
         systems = [RingSystem(r) for r in (ring, reference)]
         for system in systems:
             system.data.add_tap(1, 0)
             system.run(20)
-        assert systems[0].cycle_paths == {("per_cycle", "native_refused"): 20}
+        assert systems[0].cycle_paths == {("bulk", "macro"): 20}
+        assert ring.plan_compiles == 1
         assert systems[0].data.taps[0].samples == \
             systems[1].data.taps[0].samples
         assert state_digest(ring) == state_digest(reference)
@@ -1880,11 +1875,10 @@ class TestMacroLanes:
     The macro lane kernel takes every lane cycle native lane windows do
     not: controller-stepped cycles (entered at every phase), sub-period
     remainders after a native window, native-refused configurations
-    (``iir``'s MADD self-recurrence, ``echo``'s cross-Dnode cycle),
-    strict FIFOs, and, one kernel per cycle, configurations over the
-    unroll cap.  Lanes get their own streams, so they differ in data
-    and run dry at different cycles; each is checked against its own
-    interpreter run.
+    (``iir``'s MADD self-recurrence, ``echo``'s cross-Dnode cycle, a
+    period over native's unroll cap) and strict FIFOs.  Lanes get their
+    own streams, so they differ in data and run dry at different
+    cycles; each is checked against its own interpreter run.
     """
 
     @given(drawn=stepped_systems(), batch=st.integers(2, 3))
@@ -1908,11 +1902,12 @@ class TestMacroLanes:
             assert system.cycles == ref.cycles
         _assert_lanes_match(system, refs, spec)
         # Every controller-stepped cycle is a one-cycle macro lane call,
-        # and a block of more than a period of them entered every phase.
+        # and a block of more than a period of them entered at every
+        # counter state.
         stepped = system.cycle_paths[("per_cycle", "controller")]
         entries = [entry for entry, cycles, _ in calls if cycles == 1]
         assert len(entries) >= stepped
-        assert set(entries) == set(range(period))
+        assert len(set(entries)) == period
         assert system.ring.plan_compiles == 1
 
     @given(drawn=remainder_systems(), batch=st.integers(2, 3))
@@ -2026,9 +2021,9 @@ class TestMacroLanes:
                 words[2:]
 
     def test_over_cap_configuration_runs_one_kernel_per_cycle(self):
-        """Period 280 is over the unroll cap: each lane cycle is one
-        call of a kernel baked for its phase, compiled for that call
-        and never cached."""
+        """Period 280 is over native's unroll cap: every lane cycle runs
+        on one macro lane kernel, one call per run, compiled once and
+        cached under one ``"macro_lanes"`` key."""
         signal = [(31 * n + 5) % 300 for n in range(30)]
         lane_streams = _lane_streams({0: signal}, 3)
         taps = [(1, 0, 0, 1, None), (1, 1, 2, 3, None)]
@@ -2049,10 +2044,10 @@ class TestMacroLanes:
             "period 280 over the unroll cap (64 cycles, 4096 Dnode-cycles)")
         assert ring.native_cycles == 0
         assert ring.macro_cycles == ring.native_fallback_cycles == 36
-        assert [cycles for _, cycles, _ in calls] == [1] * 36
-        assert ring.plan_compiles == 36
-        assert not any(key[0] == "lane_cycle"
-                       for key in plancache.KERNELS.keys())
+        assert [cycles for _, cycles, _ in calls] == [1, 5, 30]
+        assert ring.plan_compiles == 1
+        assert [key[0] for key in plancache.KERNELS.keys()].count(
+            "macro_lanes") == 1
         for lane, ref in enumerate(refs):
             for tap, want in zip(system.data.taps, ref.data.taps):
                 assert tap.lane(lane) == want.samples
@@ -2092,6 +2087,141 @@ class TestMacroLanes:
             target = Ring(ring.geometry)
             ring.batch.store_lane(lane, target)
             assert _datapath(target) == _datapath(ref.ring)
+
+
+#: Over native's unroll caps: period 280 (LIMITs 5, 7 and 8) is over the
+#: period cap; LIMITs 7 and 8 (period 56) on 76 Dnodes are over only the
+#: cell cap (56 x 76 = 4,256 Dnode-cycles).
+_OVER_CAP_SHAPES = {"period": (2, 3, (5, 7, 8)), "cells": (38, 38, (7, 8))}
+
+
+@st.composite
+def over_cap_systems(draw, strict: bool = False):
+    """A :func:`controlled_systems`-shaped case (no planes) over native's
+    unroll cap: random fabrics with one local program per LIMIT of the
+    shape, taps, streams and FIFO loads that run dry, ``run()`` chunks
+    with a rollback, and a controller whose busy blocks of random
+    length step cycles at random counter alignments between ``WAITI``
+    spans.
+
+    With *strict* the fabric is feed-forward with no FIFO traffic but
+    one slot of the LIMIT-8 program, which reads and pops a FIFO holding
+    1-6 words, so a strict-FIFO error fires mid-window or on a stepped
+    cycle.
+    """
+    min_layers, max_layers, limits = _OVER_CAP_SHAPES[draw(
+        st.sampled_from(sorted(_OVER_CAP_SHAPES)))]
+    spec = draw(ring_specs(min_layers=min_layers, max_layers=max_layers,
+                           max_local=1, fifo_loads=not strict,
+                           accumulators=True))
+    words = None
+    if strict:
+        spec = _feed_forward(spec)
+        words = st.one_of(microwords(), nonlinear_words()).map(
+            lambda w: _no_loop_word(w, fifos=False))
+    spec = _local_cells(draw, spec, 0, limits=limits, words=words)
+    if strict:
+        cells = list(spec["cells"])
+        k = next(k for k, cell in enumerate(cells)
+                 if cell[3] is not None and len(cell[3]) == 8)
+        layer, pos, mw, program, routes, _loads = cells[k]
+        program = list(program)
+        program[draw(st.integers(0, 7))] = MicroWord(
+            Opcode.MOV, Source.FIFO1, dst=Dest.OUT, flags=Flag.POP_FIFO1)
+        cells[k] = (layer, pos, mw, program, routes, {1: draw(st.lists(
+            st.integers(0, 0xFFFF), min_size=1, max_size=6))})
+        spec = dict(spec, cells=cells)
+    program = []
+    for _ in range(draw(st.integers(1, 3))):
+        program += draw(st.lists(_busy_instructions(), min_size=1,
+                                 max_size=10))
+        program.append(Instruction(ROp.WAITI, imm=draw(st.integers(0, 60))))
+    program.append(Instruction(ROp.HALT))
+    taps, streams = _taps_and_streams(draw, spec["layers"], spec["width"])
+    chunks = draw(st.lists(st.integers(0, 40), max_size=3))
+    rollback = draw(st.integers(0, max(0, len(chunks) - 1)))
+    budget = draw(st.one_of(st.integers(0, 150), st.just(100_000)))
+    return (spec, [], program, taps, streams, chunks, rollback, budget,
+            draw(st.integers(0, 20)), False)
+
+
+#: What a strict-FIFO error leaves comparable: the aborted cycle's
+#: partial fabric state (and the statistics in the metrics) is each
+#: engine's own (see repro.core.macropath), and an error inside a quiet
+#: span's window leaves the controller on the last completed cycle,
+#: where per-cycle stepping has already stepped it into the aborted one.
+_STRICT_OBSERVABLES = ("error", "cycles", "host")
+
+
+class TestOverCapConfigurations:
+    """Configurations over native's unroll cap run on one macro kernel.
+
+    Native refuses them by its period or cell cap; the macro kernel,
+    each Dnode branching on its own sequencer counter, compiles once
+    per process on a ring and once on lanes, and takes every cycle but
+    a first-time configuration's deferral cycle: stepped cycles entered
+    at random counter alignments, windows with taps and streams that
+    run dry, strict-FIFO errors mid-window (with the replayed host
+    reads) and checkpoint rollback.  Every case is checked against an
+    interpreter system stepped one cycle at a time, each lane against
+    its own.
+    """
+
+    @pytest.mark.parametrize("strict", [False, True],
+                             ids=["lenient", "strict"])
+    @pytest.mark.parametrize("column", ["native", "fastpath"])
+    @given(data=st.data())
+    @settings(max_examples=10, **_SETTINGS)
+    def test_matches_per_cycle_stepping(self, column, strict, data):
+        case = data.draw(over_cap_systems(strict))
+        plancache.KERNELS.clear()
+        system = _controlled_system(case, backend="native",
+                                    strict_fifos=strict)
+        ring = system.ring
+        with rung_seam(column), ring.profile() as profile:
+            bulk, bulk_error = _drive(case, per_cycle=False, system=system)
+            if column == "native":
+                assert "over the unroll cap" in ring.native_refusal
+        spec, spec_error = _drive(case, per_cycle=True,
+                                  backend="interpreter", strict_fifos=strict)
+        got, want = (_observables(bulk, bulk_error),
+                     _observables(spec, spec_error))
+        keys = _STRICT_OBSERVABLES if strict else got
+        assert {key: got[key] for key in keys} == \
+            {key: want[key] for key in keys}
+        # One compile once a second cycle ran (a run may stop at the
+        # first: a budget of 0, an error).
+        assert ring.native_cycles == 0
+        assert ring.plan_compiles == (ring.macro_cycles > 0)
+        assert profile.interpreted_cycles <= 1
+        assert ring.macro_cycles == profile.fastpath_cycles
+
+    @pytest.mark.parametrize("strict", [False, True],
+                             ids=["lenient", "strict"])
+    @given(data=st.data(), batch=st.integers(2, 3))
+    @settings(max_examples=8, **_SETTINGS)
+    def test_lanes_match_their_interpreter_runs(self, strict, data, batch):
+        case = data.draw(over_cap_systems(strict))
+        plancache.KERNELS.clear()
+        lane_streams = _lane_streams(case[4], batch)
+        system, error = _drive(case, per_cycle=False, system=_controlled_lanes(
+            case, lane_streams, backend="batch", batch_size=batch,
+            strict_fifos=strict))
+        refs = []
+        for streams in lane_streams:
+            ref, ref_error = _drive(case[:4] + (streams,) + case[5:],
+                                    per_cycle=True, backend="interpreter",
+                                    strict_fifos=strict)
+            assert error == ref_error
+            assert system.cycles == ref.cycles
+            assert _controller_state(system) == _controller_state(ref)
+            refs.append(ref)
+        _assert_lanes_match(system, refs, case[0], datapath=not strict)
+        ring = system.ring
+        assert ring.native_cycles == 0
+        assert ring.plan_compiles == (ring.macro_cycles > 0)
+        assert [key[0] for key in plancache.KERNELS.keys()].count(
+            "macro_lanes") == ring.plan_compiles
 
 
 #: How a generated case hands its words to a queue: one list, one int64
