@@ -350,8 +350,8 @@ class MetricsRegistry:
         )
         return Metric(
             "system_cycles_total", "counter",
-            "System clock cycles by execution path (bulk or per_cycle) "
-            "and the reason for it.", samples)
+            "System clock cycles by execution path (bulk, ahead or "
+            "per_cycle) and the reason for it.", samples)
 
     def _controller_metrics(self) -> List[Metric]:
         state = self.controller.state

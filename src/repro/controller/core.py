@@ -19,6 +19,14 @@ callback magic.  The cycles after a ``WAITI`` instruction, like every
 cycle after ``HALT``, are *quiet*: no instruction executes, so the
 system may run them in bulk and advance the controller in closed form
 (:meth:`RiscController.quiet_cycles`, :meth:`RiscController.skip_quiet`).
+
+Only ``RDD`` (the fabric) and ``INW``/``BFE`` (the inbound mailboxes)
+read anything outside the controller, so every other instruction may
+run ahead of the fabric (:meth:`RiscController.observes_outside`); if
+the fabric then fails on a cycle the controller has already passed,
+:meth:`RiscController.mark` / :meth:`RiscController.rewind` put the
+controller back and :meth:`RiscController.advance` re-steps it to that
+cycle.
 """
 
 from __future__ import annotations
@@ -34,6 +42,11 @@ from repro.controller.isa import Instruction, ROp, REG_MASK, NUM_REGISTERS
 from repro.errors import SimulationError
 
 DEFAULT_DMEM_WORDS = 4096
+
+#: Instructions that read the fabric (``RDD``) or the inbound mailboxes
+#: (``INW``, ``BFE``): the controller cannot run ahead of the fabric
+#: over them.
+_OBSERVING = frozenset({ROp.RDD, ROp.INW, ROp.BFE})
 
 
 class ConfigTargetKind(enum.Enum):
@@ -130,6 +143,8 @@ class RiscController:
         self.out_box: Dict[int, Deque[int]] = {
             ch: deque() for ch in range(mailbox_channels)
         }
+        # Does a mark need the data memory (only SW writes it)?
+        self._stores = any(instr.op is ROp.SW for instr in self.program)
 
     # ------------------------------------------------------------------
     # Host-side mailbox access
@@ -196,6 +211,55 @@ class RiscController:
             self._wait_remaining -= cycles
             self.state.stalls += cycles
             self.state.wait_stalls += cycles
+
+    def observes_outside(self) -> bool:
+        """Does the next cycle execute ``RDD``, ``INW`` or ``BFE``?
+
+        Those read the fabric or the host mailboxes; every other cycle
+        depends only on the controller's own state, so it may run ahead
+        of the fabric it configures.
+        """
+        return (not self.halted and not self._wait_remaining
+                and 0 <= self.pc < len(self.program)
+                and self.program[self.pc].op in _OBSERVING)
+
+    def mark(self) -> tuple:
+        """A checkpoint of the run state for :meth:`rewind`.
+
+        Cheap: the data memory is copied only for a program that stores
+        to it, and the mailboxes only by length, so it holds while the
+        controller runs ahead (no mailbox read, no host traffic).
+        """
+        return (list(self.regs), self.pc, self.halted, self.bus_out,
+                self._wait_remaining, vars(self.state).copy(),
+                [len(box) for box in self.out_box.values()],
+                list(self.dmem) if self._stores else None)
+
+    def rewind(self, mark: tuple) -> None:
+        """Return to a :meth:`mark` taken since the last mailbox read."""
+        (regs, self.pc, self.halted, self.bus_out, self._wait_remaining,
+         state, sent, dmem) = mark
+        self.regs[:] = regs
+        vars(self.state).update(state)
+        for box, length in zip(self.out_box.values(), sent):
+            while len(box) > length:
+                box.pop()
+        if dmem is not None:
+            self.dmem[:] = dmem
+
+    def advance(self, cycles: int) -> None:
+        """Step *cycles* cycles, quiet stretches in closed form, and drop
+        their configuration commands: re-stepping cycles whose commands
+        were already applied (after a :meth:`rewind`)."""
+        while cycles:
+            quiet = self.quiet_cycles()
+            if quiet == 0:
+                self.step()
+                cycles -= 1
+            else:
+                span = cycles if quiet is None else min(quiet, cycles)
+                self.skip_quiet(span)
+                cycles -= span
 
     def run_until_halt(self, max_cycles: int = 1_000_000) -> int:
         """Free-run (no fabric attached) until HALT; returns cycles used."""

@@ -25,6 +25,15 @@ fingerprint, so re-adopting a cached plan is one dict lookup.  Any other
 plane writes the listed fields the live fabric does not already hold
 (compared by identity, which is cheap and never skips a needed write),
 then invalidates once.
+
+A partial plane carries no fingerprints, so the ring's must be computed
+afresh after it, hashing every Dnode.  But a plane's effect is fixed by
+what the whole configuration memory held before it, so the fingerprint
+after a flip is memoized per ring under ``(digest of the whole memory,
+plane)`` (:func:`memory_digest`), with the digest after it: a flip seen
+before costs one lookup.  The digest covers every field, including
+what no fingerprint does (a global Dnode's local program, a local
+Dnode's global word), which a later plane may make live again.
 """
 
 from __future__ import annotations
@@ -55,6 +64,10 @@ _FIELDS = ("microwords", "modes", "local_programs", "switch_routes")
 #: Resident planes a plane memoizes its diff from (a multiplexing working
 #: set; the memo restarts when a plane meets more than this many).
 _DIFF_MEMO = 8
+
+#: Partial-plane flips a ring memoizes the fingerprint of (the memo
+#: restarts when it holds more).
+_FLIP_MEMO = 64
 
 
 class _Fingerprint(tuple):
@@ -258,6 +271,17 @@ class _PlaneLayout:
                                else self.switch_fps[si])
 
 
+def memory_digest(ring: "Ring") -> "_Fingerprint":
+    """A digest of *ring*'s whole configuration memory: every Dnode's
+    mode, global microword, local slots and LIMIT, and every switch's
+    routes.  Equal digests mean a plane applied over either memory
+    leaves the same configuration."""
+    return _Fingerprint((
+        tuple((dn._mode, dn._global_word, tuple(dn.local._slots),
+               dn.local._limit) for layer in ring._dnodes for dn in layer),
+        tuple(sw.config.fingerprint() for sw in ring._switches)))
+
+
 class ConfigMemory:
     """Write interface from the configuration controller into the fabric.
 
@@ -269,6 +293,11 @@ class ConfigMemory:
     def __init__(self, ring: "Ring"):
         self._ring = ring
         self.writes = 0  # total configuration words written (A1 ablation)
+        # Partial-plane flips: (memory digest, id(plane)) -> (plane,
+        # digest after, ring fingerprint after); and the digests seen,
+        # interned so that repeated lookups compare by identity.
+        self._flips: Dict[tuple, tuple] = {}
+        self._digests: Dict[_Fingerprint, _Fingerprint] = {}
 
     # Every mutator below lands on a Dnode / LocalController / SwitchConfig
     # setter whose change hook invalidates the ring's pre-decoded fast-path
@@ -336,6 +365,10 @@ class ConfigMemory:
                     routes[(si, pos, port)] = sw.config.source_for(pos, port)
         return ConfigPlane(micro, modes, local, routes)
 
+    def _intern(self, digest: "_Fingerprint") -> "_Fingerprint":
+        """The one digest object kept for *digest*'s content."""
+        return self._digests.setdefault(digest, digest)
+
     def apply_plane(self, plane: ConfigPlane) -> None:
         """Apply a snapshot to the fabric (one-cycle reconfiguration).
 
@@ -357,6 +390,13 @@ class ConfigMemory:
         else:
             layout = plane._layout(ring)
             before = None if resident is None else resident._layout(ring)
+            flip = key = None
+            if layout.fingerprint is None:
+                memory = ring._memory
+                if memory is None:
+                    memory = self._intern(memory_digest(ring))
+                key = (memory, id(plane))
+                flip = self._flips.get(key)
             if (layout.fingerprint is not None and before is not None
                     and before.fingerprint is not None):
                 dnode_writes, switch_writes = layout.diff(before)
@@ -368,10 +408,20 @@ class ConfigMemory:
             else:
                 layout.write_live(ring)
             # One invalidation for the whole plane (it also clears the
-            # resident marker), even when nothing differed.
+            # resident marker and the memory digest), even when nothing
+            # differed.
             ring._invalidate_fastpath()
             if layout.fingerprint is not None:
                 ring._fingerprint = layout.fingerprint
+            else:
+                if flip is None:
+                    if len(self._flips) >= _FLIP_MEMO:
+                        self._flips.clear()
+                        self._digests.clear()
+                    flip = self._flips[key] = (
+                        plane, self._intern(memory_digest(ring)),
+                        ring.config_fingerprint())
+                ring._memory, ring._fingerprint = flip[1], flip[2]
             ring._resident_plane = plane
         for si, route_writes in layout.routes:
             ring._switches[si].config.writes += len(route_writes)

@@ -207,6 +207,13 @@ def _fifo_error(message: str, host_reads: tuple) -> SimulationError:
     return exc
 
 
+def _tap_rows(outs: List[list], cycles: int) -> np.ndarray:
+    """The taps' per-cycle output lists as one ``(taps, cycles)`` array."""
+    if not outs:
+        return np.empty((0, cycles), np.int64)
+    return np.array(outs, np.int64)
+
+
 class SteadySchedule:
     """A ring's steady configuration as both generated tiers (this module
     and :mod:`repro.core.nativepath`) see it.
@@ -347,10 +354,10 @@ class MacroPlan(SteadyPlan):
         A *host_in* with a ``gather(channel, c0, cycles)`` method hands
         over each routed channel's words once for the whole run (stream
         words were range-checked when pushed); a plain closure is called
-        per read and its words are checked.  Returns, for each Dnode
-        index (``layer * width + position``) in *taps*, its post-edge
-        outputs: element ``t`` is what an output tap observes after
-        cycle ``t``.
+        per read and its words are checked.  Returns one array with a
+        row per Dnode index (``layer * width + position``) in *taps*:
+        its post-edge outputs, element ``t`` being what an output tap
+        observes after cycle ``t``.
 
         Every completed cycle is committed.  An error that aborts the
         run (a strict-FIFO error, say) keeps the cycles before it and
@@ -371,11 +378,11 @@ class MacroPlan(SteadyPlan):
         try:
             self._kernel(cycles, bus, host_in, windows, sinks)
         except Exception as exc:
-            exc.window_taps = [np.array(out, np.int64) for out in outs]
+            exc.window_taps = _tap_rows(outs, ring.cycles - c0)
             raise
         finally:
             self._finish(ring.cycles - c0)
-        return [np.array(out, np.int64) for out in outs]
+        return _tap_rows(outs, cycles)
 
     def _finish(self, executed: int) -> None:
         """The hoisted statistics and counter advance of *executed*
@@ -451,8 +458,8 @@ class MacroLanePlan(MacroPlan):
 
         *host_in* may return a word or a ``(lanes,)`` array per read; a
         window reader's ``gather`` hands over ``(cycles, lanes)`` arrays.
-        Returns one ``(cycles, lanes)`` array of post-edge outputs per
-        Dnode index in *taps*.
+        Returns one ``(taps, cycles, lanes)`` array of post-edge outputs,
+        a row per Dnode index in *taps*.
         """
         ring = self._ring
         c0 = ring.cycles
@@ -461,7 +468,7 @@ class MacroLanePlan(MacroPlan):
         if gather is not None:
             windows = {ch: gather(ch, c0, cycles)
                        for ch in self.host_channels}
-        outs = [np.empty((cycles, self._batch), np.int64) for _ in taps]
+        outs = np.empty((len(taps), cycles, self._batch), np.int64)
         sinks = tuple((self._outs[i], out) for i, out in zip(taps, outs))
         try:
             self._kernel(cycles, bus, host_in, windows, sinks)

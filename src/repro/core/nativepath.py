@@ -158,7 +158,16 @@ def fifo_tail(occupancy, n: int, ppp: int, reads):
 def _queue_reads(queues, prefix: int, ppp: int, n: int) -> np.ndarray:
     """A read site's words over *n* periods off each scalar
     :class:`~repro.core.wordqueue.WordQueue` of *queues*, one row per
-    queue (0 past its occupancy)."""
+    queue (0 past its occupancy).
+
+    When every queue holds the site's last word, each row is one strided
+    slice of the queue's buffer, stacked (me_search's read sites always
+    are); otherwise each row is gathered with its dry tail.
+    """
+    last = prefix + (n - 1) * ppp
+    if ppp and min(map(len, queues)) > last:
+        return _stack([q._buf[q._head + prefix:q._head + last + 1:ppp]
+                       for q in queues])
     out = np.empty((len(queues), n), np.int64)
     for row, queue in zip(out, queues):
         queue.gather_into(row, prefix, ppp)
@@ -239,21 +248,19 @@ class _NativeWindows(SteadyPlan):
         """Advance *cycles* fabric clocks (a period multiple; on a
         strict-FIFO ring, a safe one).
 
-        Returns, for each Dnode index (``layer * width + position``) in
-        *taps*, its post-edge output values over the run: element ``t``
-        is what an output tap observes after cycle ``t`` (a row of one
-        value per lane on a lane plan).
+        Returns one array with a row per Dnode index (``layer * width +
+        position``) in *taps*: its post-edge output values over the run,
+        element ``t`` being what an output tap observes after cycle
+        ``t`` (one value per lane on a lane plan).
         """
         n = cycles // self.period
-        parts: List[List[np.ndarray]] = [[] for _ in taps]
+        taps = list(taps)
+        parts = []
         while n > 0:
             m = min(n, self._max_periods)
-            for acc, values in zip(parts, self._window(m, bus, host_in,
-                                                       taps)):
-                acc.append(values)
+            parts.append(self._window(m, bus, host_in, taps))
             n -= m
-        return [np.concatenate(acc) if acc else np.empty(0, np.int64)
-                for acc in parts]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, 1)
 
 
 class NativePlan(_NativeWindows):
@@ -341,11 +348,11 @@ class NativePlan(_NativeWindows):
     # ------------------------------------------------------------------
 
     def _window(self, n: int, bus: int, host_in,
-                taps: Sequence[int] = ()) -> List[np.ndarray]:
+                taps: List[int]) -> np.ndarray:
         """Run one n-period window: gather, kernel, write back.
 
-        Returns the ``VO[depth + 1 : depth + 1 + T]`` slice of each Dnode
-        in *taps*: its post-edge outputs over the window.
+        Returns the ``VO[depth + 1 : depth + 1 + T]`` rows of the Dnodes
+        in *taps*: their post-edge outputs over the window.
         """
         meta = self._meta
         ring = meta["ring"]
@@ -403,9 +410,19 @@ class NativePlan(_NativeWindows):
                 lane = stages[vi]
                 pipe[:] = lane[-head:] + lane[:-head]
         # FIFO settlement: one closed form per group and channel, over
-        # the members' occupancies.
+        # the members' occupancies; none is needed when every queue
+        # serves the whole window (all pops land, no read runs dry).
         underflows = 0
-        for queues, ppp, _maxprefix, reads, stats in meta["fifo_gates"]:
+        for queues, ppp, maxprefix, reads, stats in meta["fifo_gates"]:
+            pops = n * ppp
+            need = pops if maxprefix is None else max(
+                pops, maxprefix + (n - 1) * ppp + 1)
+            if min(map(len, queues)) >= need:
+                if pops:
+                    for queue, st in zip(queues, stats):
+                        queue.drop(pops)
+                        st.fifo_pops += pops
+                continue
             landed, under = fifo_tail(
                 np.array([len(queue) for queue in queues], np.int64),
                 n, ppp, reads)
@@ -422,7 +439,7 @@ class NativePlan(_NativeWindows):
         # global clocks move.
         ring.cycles = c0 + T
         ring.native_cycles += T
-        return [vos[i][depth + 1:] for i in taps]
+        return vos[taps, depth + 1:]
 
 
 def _host_word(value, channel: int) -> int:
@@ -549,7 +566,7 @@ class NativeLanePlan(_NativeWindows):
         }
 
     def _window(self, n: int, bus: int, host_in,
-                taps: Sequence[int]) -> List[np.ndarray]:
+                taps: List[int]) -> np.ndarray:
         meta = self._meta
         engine = meta["engine"]
         ring = engine.ring
@@ -601,7 +618,7 @@ class NativeLanePlan(_NativeWindows):
         _book_stats(meta, n, T)
         ring.cycles = c0 + T
         ring.native_cycles += T
-        return [vos[i, depth + 1:] for i in taps]
+        return vos[taps, depth + 1:]
 
 
 def _stack(arrays: List[np.ndarray]) -> np.ndarray:

@@ -93,6 +93,17 @@ def _template_of(plan):
 #: Kept for the benchmark suite's tracer, which wraps it by name; unused.
 compile_plan = compile_macro
 
+#: System windows (:meth:`Ring.window_span`) shorter than this run on
+#: the macro rung even where native accepts them: a native window has a
+#: fixed cost (gather, seed, write back), a macro window a per-cycle
+#: one.  Measured with 16 taps on me_search's 16-Dnode planes (2-core
+#: host, NumPy 2.4, no Numba): a native window costs ~68 us on the
+#: global flush and reset planes and ~235 us on the FIFO-reading compute
+#: plane, whatever its length; macro costs ~24 + 3.2 us and ~40 + 20 us
+#: per cycle there, so the two cross at ~14 and ~10 cycles.  At 32
+#: cycles (plane_churn's windows) native is ~1.8x faster.
+NATIVE_MIN_SPAN = 12
+
 HostReader = Callable[[int], int]
 
 RingObserver = Callable[["Ring"], None]
@@ -321,6 +332,10 @@ class Ring:
         self._steady: Dict[str, object] = {}
         # Cached config_fingerprint() (None = recompute).
         self._fingerprint = None
+        # Digest of the whole configuration memory, kept only from a
+        # partial-plane flip to the next configuration write (None =
+        # unknown; see repro.core.config_memory).
+        self._memory = None
         # Local controllers of the local-mode Dnodes, whose counters are
         # the entry phase (None = recompute after a configuration write).
         self._locals = None
@@ -826,6 +841,7 @@ class Ring:
             self.plan_invalidations += 1
         steady.clear()
         self._fingerprint = None
+        self._memory = None
         self._locals = None
         self._resident_plane = None
         self._config_dirty = True
@@ -1016,26 +1032,31 @@ class Ring:
             self._run_plan(plan, span, bus, host_in)
             cycles -= span
 
-    def _bulk_span(self, cycles: int):
+    def _bulk_span(self, cycles: int, shortest: int = 1):
         """The ladder's choice for the next *cycles* of a configuration
         ready for the compiled tiers: ``(plan, span)``.
 
         The longest period multiple of *cycles* the native plan accepts
         (FIFO-safe, with strict FIFOs), else all of *cycles* on the
         macro kernel (which raises a strict underflow cycle-exactly).
+        Fewer than *shortest* cycles go to macro without looking native
+        up.
         """
-        native = self._steady_plan("native")
-        if native is not None:
-            span = native.safe_cycles(cycles)
-            if span:
-                return native, span
+        if cycles >= shortest:
+            native = self._steady_plan("native")
+            if native is not None:
+                span = native.safe_cycles(cycles)
+                if span:
+                    return native, span
         return self._steady_plan("macro"), cycles
 
     def window_span(self, cycles: int):
         """How much of the next *cycles* one bulk window takes right now.
 
         Returns ``(plan, span, reason)``: the ladder's choice of
-        :meth:`_bulk_span`, which :meth:`run` takes too.  Run it with
+        :meth:`_bulk_span`, which :meth:`run` takes too, except that a
+        window shorter than :data:`NATIVE_MIN_SPAN` goes to macro (the
+        host side adds to every window's fixed cost).  Run it with
         :meth:`run_window`.  A kernel cached for the configuration, on
         this ring or as a process-wide template, is adopted here on a
         hit, so a switch back to a known configuration, or a fresh ring
@@ -1052,29 +1073,26 @@ class Ring:
             return None, 0, "backend"
         if self._config_dirty and not self._adopt_cached_hit():
             return None, 0, "no_plan"
-        plan, span = self._bulk_span(cycles)
+        plan, span = self._bulk_span(cycles, NATIVE_MIN_SPAN)
         return plan, span, None
 
     def run_window(self, plan, cycles: int, bus: int = 0,
                    host_in: Optional[HostReader] = None,
-                   taps: Sequence[Tuple[int, int]] = ()) -> list:
+                   taps: Sequence[int] = ()):
         """Run a span granted by :meth:`window_span` on its plan.
 
-        Returns one int64 array of *cycles* post-edge output values per
-        ``(layer, position)`` in *taps* — what an output tap on that
-        Dnode observes over the span.  A macro window's cycles count as
-        native fall-back cycles, as in :meth:`run`.
+        *taps* are Dnode indices (``layer * width + position``, e.g.
+        :meth:`~repro.host.streams.DataController.tap_nodes`).  Returns
+        one int64 array with a row of *cycles* post-edge output values
+        per tapped Dnode — what an output tap on that Dnode observes
+        over the span.  A macro window's cycles count as native
+        fall-back cycles, as in :meth:`run`.
         """
-        width = self.geometry.width
-        nodes = []
-        for layer, position in taps:
-            self.dnode(layer, position)  # validates the address
-            nodes.append(layer * width + position)
         word.check(bus, "bus value")
         self.last_bus = bus
         before = self.cycles
         try:
-            return self._run_plan(plan, cycles, bus, host_in, nodes)
+            return self._run_plan(plan, cycles, bus, host_in, taps)
         finally:
             if plan.rung == "macro":
                 self.native_fallback_cycles += self.cycles - before

@@ -532,8 +532,8 @@ class DataController:
         self.batch = batch
         self._channels: Dict[int, object] = {}
         self.taps: List[object] = []
-        # (ring, taps, Dnodes) of the last scalar collect: the tapped
-        # Dnodes are looked up again only when the ring or taps change.
+        # (ring, taps, Dnodes, flat indices) of the tapped Dnodes (see
+        # _tapped).
         self._sources = None
 
     def channel(self, index: int):
@@ -657,12 +657,48 @@ class DataController:
             for tap in taps:
                 tap.observe(engine.lane_outs(tap.layer, tap.position))
             return
+        _observe_each(taps, [dnode._out for dnode in self._tapped(ring)[2]])
+
+    def tap_nodes(self, ring) -> List[int]:
+        """The tapped Dnodes' flat indices (``layer * width +
+        position``) on *ring*, in tap order, validated once per ring and
+        tap list: what a window returns tap rows for."""
+        return self._tapped(ring)[3]
+
+    def _tapped(self, ring) -> tuple:
+        """``(ring, taps, Dnodes, flat indices)`` of the taps on *ring*,
+        looked up again only when the ring or the tap list changes."""
         sources = self._sources
-        if sources is None or sources[0] is not ring or sources[1] != taps:
+        if sources is None or sources[0] is not ring or \
+                sources[1] != self.taps:
+            width = ring.geometry.width
+            dnodes = [ring.dnode(tap.layer, tap.position)
+                      for tap in self.taps]
             sources = self._sources = (
-                ring, list(taps),
-                [ring.dnode(tap.layer, tap.position) for tap in taps])
-        _observe_each(taps, [dnode._out for dnode in sources[2]])
+                ring, list(self.taps), dnodes,
+                [tap.layer * width + tap.position for tap in self.taps])
+        return sources
+
+    def observe_window(self, outs: np.ndarray) -> None:
+        """Hand each scalar tap its row of a window's ``(taps, cycles)``
+        post-edge outputs.
+
+        A tap past its skip that keeps every sample and has no limit
+        takes its row whole: the rows of all such taps convert to ints
+        in one ``tolist``.  Any other tap applies its schedule to its
+        array row (:meth:`OutputTap.observe_window`).
+        """
+        rows = None
+        for k, tap in enumerate(self.taps):
+            if tap.every == 1 and tap.limit is None and \
+                    tap._seen >= tap.skip:
+                if rows is None:
+                    rows = outs.tolist()
+                row = rows[k]
+                tap._seen += len(row)
+                tap.samples.extend(row)
+            else:
+                tap.observe_window(outs[k])
 
     def settle(self, executed: int, routed) -> None:
         """Account for *executed* clock edges whose words were read ahead.
@@ -681,7 +717,9 @@ class DataController:
             ch.settle(executed, index in routed)
 
     def capture_state(self) -> dict:
-        """Checkpoint the host side: queued words, counters, tap samples.
+        """Checkpoint the host side: queued words, counters, tap samples,
+        and the dry latches that are set (a channel that read dry this
+        cycle has already counted the cycle's underrun).
 
         The fabric snapshot (:mod:`repro.core.snapshot`) covers only the
         ring; rollback-replay of a *streamed* run must also rewind the
@@ -697,12 +735,16 @@ class DataController:
                     "delivered": ch.delivered,
                     "underruns": ch.underruns,
                 }
+                if ch._dry_seen.any():
+                    channels[index]["dry"] = ch._dry_seen.tolist()
             else:
                 channels[index] = {
                     "queue": list(ch._queue),
                     "delivered": ch.delivered,
                     "underruns": ch.underruns,
                 }
+                if ch._dry_seen:
+                    channels[index]["dry"] = True
         taps = []
         for tap in self.taps:
             if isinstance(tap, BatchOutputTap):
@@ -717,7 +759,8 @@ class DataController:
 
         A channel opened after the checkpoint (pushed to, or read by a
         routed port) did not exist then, so it is dropped; the next
-        access opens it afresh.
+        access opens it afresh.  A state captured without dry latches
+        restores them cleared.
         """
         saved_channels = state["channels"]
         for index in [i for i in self._channels if i not in saved_channels]:
@@ -729,13 +772,13 @@ class DataController:
                 ch._queue.push_rows(saved["lanes"])
                 ch._delivered[:] = saved["delivered"]
                 ch._underruns[:] = saved["underruns"]
-                ch._dry_seen[:] = False
+                ch._dry_seen[:] = saved.get("dry", False)
             else:
                 ch._queue.clear()
                 ch._queue.extend(saved["queue"])
                 ch.delivered = saved["delivered"]
                 ch.underruns = saved["underruns"]
-                ch._dry_seen = False
+                ch._dry_seen = saved.get("dry", False)
         if len(state["taps"]) != len(self.taps):
             raise HostError(
                 f"checkpoint has {len(state['taps'])} taps, controller "

@@ -18,27 +18,44 @@ fully configured up front and left in local mode — the stand-alone
 operating point the paper's multi-level reconfiguration enables.
 
 :meth:`RingSystem.run` executes the same clock in bulk wherever that is
-exact.  Bulk needs a *quiet* controller: none at all, one halted, or one
-sitting out a ``WAITI`` delay — the paper's local mode, where the Dnodes
-loop on their own while the controller idles.  A quiet span issues no
-configuration command and holds the bus at the controller's last
-``BUSW`` value, so it runs like an uncontrolled one: on a scalar ring
-(``backend="native"``, the default) through windows on the native or
-the macro rung (streams are handed to the kernel as arrays, taps come
-back as the tapped Dnodes' output history, and the host side is settled
-in closed form after each window, see :mod:`repro.host.streams`); on a
-``backend="batch"`` ring through lane windows, the same protocol with
-every stream and tap carrying one column per lane and lane 0 written
-back once per window; or whole through ``Ring.run`` when the host side
-is idle.  The controller then advances over the span in closed form
-(:meth:`~repro.controller.core.RiscController.skip_quiet`); only cycles
-that execute an instruction are stepped one at a time.
-:attr:`RingSystem.cycle_paths` records which path every cycle took and
+exact.  The controller runs ahead of the fabric: it is stepped cycle by
+cycle (a quiet stretch — a ``WAITI`` delay, or every cycle once halted —
+in closed form, :meth:`~repro.controller.core.RiscController.skip_quiet`),
+while the fabric's cycles pile up as one *pending* span under the
+configuration and bus that hold.  The span runs as one bulk window when
+something forces it: a configuration command (the lagging cycles run
+under the old configuration, and the command's cycle starts the next
+span), a bus change (``BUSW``), an instruction that reads the fabric or
+the host mailboxes (``RDD``, ``INW``, ``BFE``: the span runs, then that
+cycle is stepped whole), or the end of the call.  This is the paper's
+split of work: the controller rewrites the configuration in global mode
+while the Dnodes run on their own in local mode, and nothing the
+controller does between those points depends on the fabric.  A window
+that fails (a strict FIFO running dry, an out-of-range feedback tap)
+puts the controller back on the failing cycle
+(:meth:`~repro.controller.core.RiscController.rewind` and
+:meth:`~repro.controller.core.RiscController.advance`), where per-cycle
+stepping leaves it; a controller error runs the lagging cycles first.
+A traced ring, a ring whose batch lanes run and a ring with no compiled
+rung step every instruction cycle whole instead, and lag only over
+quiet stretches.
+
+A span runs like an uncontrolled run: on a scalar ring
+(``backend="native"``, the default) as windows on the native or the
+macro rung (streams are handed to the kernel as arrays, taps come back
+as the tapped Dnodes' output history, and the host side is settled in
+closed form after each window, see :mod:`repro.host.streams`); on a
+``backend="batch"`` ring as lane windows, the same protocol with every
+stream and tap carrying one column per lane and lane 0 written back once
+per window; or whole through ``Ring.run`` when the host side is idle.
+A first-time configuration steps the fabric alone for one cycle first.
+:attr:`RingSystem.cycle_paths` records which path every cycle took, and
 why a cycle had to be stepped alone.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config_memory import ConfigPlane
@@ -75,6 +92,9 @@ class RingSystem:
         self._paths: Dict[Tuple[str, str], int] = {}
         self._steps = 0
         self._booked_steps = 0
+        # System cycles of the instructions that ran ahead into the span
+        # being run (booked as "ahead" when a window takes them).
+        self._ahead: List[int] = []
         if controller is not None:
             width = ring.geometry.width
             controller.fabric_reader = (
@@ -96,11 +116,16 @@ class RingSystem:
             for command in commands:
                 self._apply(command)
             bus = self.controller.bus_out
+        self._step_fabric(bus)
+        self.cycles += 1
+        self._steps += 1
+
+    def _step_fabric(self, bus: int) -> None:
+        """The fabric's and the host side's part of one clock: the
+        controller's part is done (or runs ahead)."""
         self.ring.step(bus=bus, host_in=self.data.host_in)
         self.data.collect(self.ring)
         self.data.advance()
-        self.cycles += 1
-        self._steps += 1
 
     @property
     def cycle_paths(self) -> Dict[Tuple[str, str], int]:
@@ -110,10 +135,14 @@ class RingSystem:
         ``"bulk"``: ``"native"`` or ``"macro"`` (windows on that rung
         with taps/streams), ``"lanes"`` (batch-engine lane windows with
         taps/streams) or ``"idle"`` (idle host side, whole chunk to
-        ``Ring.run``).  Path ``"per_cycle"`` names what forced the step:
-        ``"controller"`` (it executed an instruction that cycle),
-        ``"lanes"`` (batch engine with taps or queued words under a ring
-        observer or with strict FIFOs), the
+        ``Ring.run``).  Path ``"ahead"``, by the same rungs: cycles that
+        executed a controller instruction which ran ahead of the fabric,
+        so the cycle rode in a window.  Path ``"per_cycle"`` names what
+        forced the step: ``"controller"`` (the controller executed an
+        instruction that cannot run ahead: ``RDD``, ``INW`` or ``BFE``,
+        or any instruction on a ring that steps its controller, see
+        :meth:`run`), ``"lanes"`` (batch engine with taps or queued
+        words under a ring observer or with strict FIFOs), the
         :meth:`~repro.core.ring.Ring.window_span` refusals ``"trace"``,
         ``"backend"`` and ``"no_plan"`` (a first-time configuration only:
         a plan cached on the ring, or a kernel the process compiled for
@@ -131,27 +160,97 @@ class RingSystem:
     def run(self, cycles: int) -> None:
         """Advance *cycles* clocks, in bulk wherever that is exact.
 
-        Cycles in which the controller executes an instruction are
-        stepped one at a time.  Every quiet span (see the module
-        docstring) goes down the bulk ladder of :meth:`_run_quiet`.
+        The controller runs ahead of the fabric (see the module
+        docstring): its cycles are stepped, and the fabric's pile up as
+        one span, run down the bulk ladder of :meth:`_run_span` when a
+        configuration command, a bus change, an instruction that reads
+        the fabric or the mailboxes, or the end of the call forces it.
+        A traced ring, a ring whose batch lanes run and a ring with no
+        compiled rung step every instruction cycle whole instead; only
+        their quiet spans go down the ladder.
         """
         if cycles < 0:
             raise SimulationError(f"cycle count must be >= 0, got {cycles}")
+        self._run(cycles, until_halt=False)
+
+    def _run(self, cycles: int, until_halt: bool) -> None:
+        """Advance up to *cycles* clocks, stopping early once the
+        controller halts if *until_halt*."""
         controller = self.controller
+        if controller is None:
+            self._run_span(cycles, 0)
+            return
+        ring = self.ring
+        ahead = (ring.fastpath_enabled and not ring.runs_lanes
+                 and ring._trace is None)
+        # The fabric lags the controller by *pending* cycles, all under
+        # *bus* and the configuration that holds now; *mark* is the
+        # controller as the lag began, *covered* cycles into it.
+        pending, bus = 0, controller.bus_out
+        mark, covered = None, 0
         remaining = cycles
-        while remaining:
-            quiet = None if controller is None else \
-                controller.quiet_cycles()
-            if quiet == 0:
+        while remaining and not (until_halt and controller.halted):
+            quiet = controller.quiet_cycles()
+            if quiet != 0:
+                span = remaining if quiet is None else min(quiet, remaining)
+                if not pending:
+                    mark, covered = controller.mark(), 0
+                controller.skip_quiet(span)
+                pending += span
+                remaining -= span
+                continue
+            if not ahead or controller.observes_outside():
+                self._flush(pending, bus, mark, covered)
+                pending = 0
                 self._step_many(1, "controller")
+                bus = controller.bus_out
                 remaining -= 1
                 continue
-            span = remaining if quiet is None else min(quiet, remaining)
-            self._run_quiet(span)
-            remaining -= span
+            if not pending:
+                mark, covered = controller.mark(), 0
+            try:
+                commands = controller.step()
+            except BaseException:
+                self._flush(pending, bus, mark, covered)
+                raise
+            remaining -= 1
+            if commands or controller.bus_out != bus:
+                # The lagging cycles run under the old configuration and
+                # bus; this cycle starts the next span.
+                self._flush(pending, bus, mark, covered)
+                pending = 0
+                for command in commands:
+                    self._apply(command)
+                bus = controller.bus_out
+                mark, covered = controller.mark(), 1
+            self._ahead.append(self.cycles + pending)
+            pending += 1
+        self._flush(pending, bus, mark, covered)
 
-    def _run_quiet(self, cycles: int) -> None:
-        """Run *cycles* clocks over which the controller stays quiet.
+    def _flush(self, pending: int, bus: int, mark, covered: int) -> None:
+        """Run the *pending* cycles the fabric lags the controller by.
+
+        If a cycle fails, the controller is rewound to *mark* (taken
+        *covered* cycles into the span) and re-stepped up to the failing
+        cycle, where stepping would have left it: a lagging span holds
+        no instruction that reads the fabric or the mailboxes, so its
+        controller cycles replay exactly.
+        """
+        if not pending:
+            return
+        start = self.cycles
+        try:
+            self._run_span(pending, bus)
+        except BaseException:
+            self.controller.rewind(mark)
+            self.controller.advance(self.cycles - start + 1 - covered)
+            raise
+        finally:
+            self._ahead.clear()
+
+    def _run_span(self, cycles: int, bus: int) -> None:
+        """Run *cycles* fabric clocks under the configuration and *bus*
+        that hold now; the controller is not stepped.
 
         * With an idle data controller (no taps, no queued stream words)
           no per-cycle host servicing is needed, so the whole span is
@@ -165,11 +264,10 @@ class RingSystem:
           (:meth:`_run_lanes`: native lane windows, then macro lane
           kernels) unless a ring observer must see each cycle or a
           strict FIFO may raise mid-window.
-        * The rest is stepped one cycle at a time, booked under the
-          reason the ladder gave (``"lanes"`` on a batch ring).
+        * The rest is stepped one fabric cycle at a time, booked under
+          the reason the ladder gave (``"lanes"`` on a batch ring).
         """
         ring, data = self.ring, self.data
-        bus = 0 if self.controller is None else self.controller.bus_out
         lanes = ring.runs_lanes
         # A lane window settles the host side after the fact, so it
         # needs every cycle to run to completion without being watched:
@@ -179,10 +277,13 @@ class RingSystem:
         remaining = cycles
         while remaining:
             if data.idle:
-                ring.run(remaining, bus=bus,
-                         host_in=data.bulk_host_in(ring))
+                c0 = ring.cycles
+                try:
+                    ring.run(remaining, bus=bus,
+                             host_in=data.bulk_host_in(ring))
+                finally:
+                    self._count("bulk", "idle", ring.cycles - c0)
                 data.clear_dry_latches()
-                self._count_bulk("idle", remaining)
                 return
             if windows:
                 span = min(remaining, LANE_WINDOW)
@@ -190,7 +291,7 @@ class RingSystem:
                 remaining -= span
                 continue
             # Every refusal but a missing plan (an observer, the
-            # backend, lanes) holds for the rest of a quiet span.
+            # backend, lanes) holds for the rest of the span.
             if reason is None or reason == "no_plan":
                 plan, span, reason = ring.window_span(remaining)
                 if span:
@@ -201,11 +302,13 @@ class RingSystem:
             # mid-span: re-check it every cycle then.
             steps = (remaining if reason != "no_plan" and data.taps
                      else 1)
-            self._step_many(steps, reason)
+            for _ in range(steps):
+                self._step_fabric(bus)
+                self._count("per_cycle", reason, 1)
             remaining -= steps
 
     def _step_many(self, cycles: int, reason: str) -> None:
-        """Step *cycles* clocks, booked as per-cycle for *reason*."""
+        """Step *cycles* whole clocks, booked as per-cycle for *reason*."""
         before = self._steps
         try:
             for _ in range(cycles):
@@ -227,13 +330,13 @@ class RingSystem:
         """
         ring, data = self.ring, self.data
         c0 = ring.cycles
-        outs, reads = (), ()
+        outs, reads = None, ()
         try:
-            outs = ring.run_window(
-                plan, span, bus=bus, host_in=data.window_reader(ring),
-                taps=[(tap.layer, tap.position) for tap in data.taps])
+            outs = ring.run_window(plan, span, bus=bus,
+                                   host_in=data.window_reader(ring),
+                                   taps=data.tap_nodes(ring))
         except Exception as exc:
-            outs = getattr(exc, "window_taps", ())
+            outs = getattr(exc, "window_taps", None)
             reads = getattr(exc, "host_reads", ())
             raise
         finally:
@@ -241,10 +344,10 @@ class RingSystem:
             data.settle(done, plan.host_channels)
             for channel in reads:
                 data.host_in(channel)
-            for tap, values in zip(data.taps, outs):
-                tap.observe_window(values)
+            if outs is not None:
+                data.observe_window(outs)
             if done:
-                self._count_bulk(plan.rung, done)
+                self._count("bulk", plan.rung, done)
 
     def _run_lanes(self, span: int, bus: int) -> None:
         """Run *span* lockstep lane cycles as one window on the batch
@@ -259,14 +362,25 @@ class RingSystem:
         for tap, values in zip(data.taps, outs):
             # A scalar data controller on a one-lane engine reads lane 0.
             tap.observe_window(values if data.batch > 1 else values[:, 0])
-        self._count_bulk("lanes", span)
+        self._count("bulk", "lanes", span)
 
-    def _count_bulk(self, reason: str, cycles: int) -> None:
-        if self.controller is not None:
-            self.controller.skip_quiet(cycles)
-        self.cycles += cycles
-        key = ("bulk", reason)
-        self._paths[key] = self._paths.get(key, 0) + cycles
+    def _count(self, path: str, reason: str, cycles: int) -> None:
+        """Book *cycles* clocks under ``(path, reason)``; on a bulk path
+        the controller instructions that ran ahead into them go under
+        ``("ahead", reason)``."""
+        end = self.cycles + cycles
+        ahead = self._ahead
+        if ahead and ahead[0] < end:
+            k = bisect_left(ahead, end)
+            del ahead[:k]
+            if path == "bulk":
+                key = ("ahead", reason)
+                self._paths[key] = self._paths.get(key, 0) + k
+                cycles -= k
+        if cycles:
+            key = (path, reason)
+            self._paths[key] = self._paths.get(key, 0) + cycles
+        self.cycles = end
 
     def checkpoint(self):
         """Capture a whole-system checkpoint (fabric, host streams and
@@ -302,17 +416,16 @@ class RingSystem:
         Returns the number of cycles executed.  Raises if no controller is
         attached, or if the controller has not halted after *max_cycles*
         + 1 cycles — a silent infinite loop is always a bug in the
-        management code.  The cycles go through :meth:`run`, one quiet
-        span or one instruction at a time, clipped to that budget so the
-        error fires on the same cycle as stepping would.
+        management code.  The whole budget goes to one run of
+        :meth:`run`'s loop, which stops at ``HALT``, so the error fires
+        on the same cycle as stepping would.
         """
         controller = self.controller
         if controller is None:
             raise SimulationError("run_until_halt needs a controller")
         start = self.cycles
-        while not controller.halted:
-            budget = max_cycles + 1 - (self.cycles - start)
-            self.run(max(1, min(controller.quiet_cycles(), budget)))
+        if not controller.halted:
+            self._run(max_cycles + 1, until_halt=True)
             if self.cycles - start > max_cycles:
                 raise SimulationError(
                     f"controller did not halt within {max_cycles} "

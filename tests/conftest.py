@@ -98,19 +98,14 @@ def _one_cycle_calls(run):
     """*run* (``MacroPlan.run``) split into one call per cycle."""
 
     def run_cycles(plan, cycles, bus, host_in, taps=()):
-        done = [[] for _ in taps]
+        done = [np.empty((len(taps), 0), np.int64)]
         try:
             for _ in range(cycles):
-                for out, values in zip(done, run(plan, 1, bus, host_in,
-                                                  taps)):
-                    out.append(values)
+                done.append(run(plan, 1, bus, host_in, taps))
         except Exception as exc:
-            exc.window_taps = [np.concatenate(out + [partial])
-                               for out, partial in zip(done,
-                                                       exc.window_taps)]
+            exc.window_taps = np.concatenate(done + [exc.window_taps], 1)
             raise
-        return [np.concatenate(out) if out else np.zeros(0, np.int64)
-                for out in done]
+        return np.concatenate(done, 1)
 
     return run_cycles
 

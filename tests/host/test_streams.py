@@ -240,6 +240,48 @@ class TestUnderrunOncePerCycle:
         assert dc.channel(0).underruns == 6
 
 
+class TestDryLatchCheckpoint:
+    """A checkpoint keeps a channel's dry latch: a port read dry this
+    cycle has counted the cycle's underrun, and a restore must not let
+    the next read of the same cycle count it again."""
+
+    def test_scalar_restore_counts_the_next_dry_cycle_once(self):
+        dc = DataController()
+        dc.host_in(0)
+        assert dc.channel(0).underruns == 1
+        state = dc.capture_state()
+        assert state["channels"][0]["dry"] is True
+        dc.restore_state(state)
+        dc.host_in(0)  # the same cycle: already counted
+        assert dc.channel(0).underruns == 1
+        dc.advance()
+        dc.host_in(0)  # the next dry cycle counts one
+        assert dc.channel(0).underruns == 2
+
+    def test_batch_restore_keeps_each_lane_latch(self):
+        dc = DataController(batch=2)
+        dc.stream(0, [7], lane=0)
+        dc.host_in(0)
+        assert dc.channel(0).underruns == [0, 1]
+        state = dc.capture_state()
+        assert state["channels"][0]["dry"] == [False, True]
+        dc.restore_state(state)
+        dc.host_in(0)
+        assert dc.channel(0).underruns == [0, 1]
+        dc.advance()
+        dc.host_in(0)
+        assert dc.channel(0).underruns == [1, 2]
+
+    def test_state_without_latches_restores_them_cleared(self):
+        dc = DataController()
+        dc.host_in(0)
+        dc.restore_state({"channels": {0: {"queue": [], "delivered": 0,
+                                           "underruns": 1}},
+                          "taps": []})
+        dc.host_in(0)
+        assert dc.channel(0).underruns == 2
+
+
 class TestCaptureStateIsDeepCopy:
     """capture_state must hand back fully decoupled state: mutating the
     checkpoint never leaks into the live controller and vice versa."""

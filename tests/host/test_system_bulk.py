@@ -16,9 +16,13 @@ system) and must still match the uninterrupted interpreter run.
 
 Controller-driven systems get the same treatment against a stricter
 reference: random controller programs over random configuration planes,
-where the bulk path runs the controller's quiet spans (``WAITI``
-countdowns, a halted drain) as windows and must match an interpreter
-system stepped one cycle at a time.
+where the bulk path runs the fabric behind the controller, one window
+per stretch of cycles that share a configuration and a bus value, and
+must match an interpreter system stepped one cycle at a time.
+:class:`TestControllerAhead` plants everything the run-ahead treats
+differently: fabric and mailbox reads, word-level configuration writes,
+bus changes in loops, failing commands and out-of-range feedback taps,
+on strict and lenient rings.
 
 Ring FIFOs and host streams are word queues gathered as slices and
 popped by moving a head, so :class:`TestDryQueues` drains them mid-window
@@ -55,7 +59,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.compiler import codegen
 from repro.compiler.library import fir8
@@ -64,12 +68,12 @@ from repro.controller.isa import Instruction, ROp
 from repro.core import plancache
 from repro.core.config_memory import ConfigPlane
 from repro.core.dnode import DnodeMode
-from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source
+from repro.core.isa import Dest, Flag, MicroWord, Opcode, Source, encode
 from repro.core.macropath import MacroLanePlan, MacroPlan
 from repro.core.nativepath import native_template
-from repro.core.ring import Ring, RingGeometry
+from repro.core.ring import NATIVE_MIN_SPAN, Ring, RingGeometry
 from repro.core.snapshot import capture, snapshot_digest, state_digest
-from repro.core.switch import PortKind, PortSource
+from repro.core.switch import PortKind, PortSource, encode_route
 from repro.errors import ConfigurationError, SimulationError
 from repro.host.streams import OutputTap, StreamChannel
 from repro.host.system import RingSystem
@@ -83,6 +87,7 @@ from tests.core.test_fuzz import (
     accumulator_words,
     apply_spec,
     build_ring,
+    port_sources,
     ring_specs,
 )
 from tests.core.test_isa import microwords
@@ -711,15 +716,15 @@ def _fifo_ring(**kwargs) -> Ring:
 
 class TestPerCycleReasons:
     # Native refuses the selfloop ring, whose spans the macro rung takes
-    # as windows, and runs the drained FIFO ring's underflow tail in
-    # closed form.
+    # as windows; the drained FIFO ring's 9-cycle window is under the
+    # span rule, so macro takes it too.
     @pytest.mark.parametrize("build, expected", [
         (lambda: _selfloop_ring(backend="native"),
          {("per_cycle", "no_plan"): 1, ("bulk", "macro"): 9}),
         (lambda: _selfloop_ring(backend="interpreter"),
          {("per_cycle", "backend"): 10}),
         (lambda: _fifo_ring(backend="native"),
-         {("per_cycle", "no_plan"): 1, ("bulk", "native"): 9}),
+         {("per_cycle", "no_plan"): 1, ("bulk", "macro"): 9}),
     ])
     def test_reasons(self, build, expected):
         system = RingSystem(build())
@@ -792,15 +797,16 @@ class TestPerCycleReasons:
                                Instruction(ROp.HALT)])
         system = RingSystem(ring, ctrl)
         system.data.add_tap(0, 0)
-        # Cycle 1 executes WAITI, the configuration's first-time cycle;
-        # cycles 2-3 are quiet and take the native ladder as one macro
-        # window (native refuses the configuration).
+        # Cycle 1 executes WAITI, which runs ahead: the fabric steps the
+        # configuration's first-time cycle alone; cycles 2-3 are quiet
+        # and take the native ladder as one macro window (native
+        # refuses the configuration).
         system.run(3)
         system.step()
         system.controller = None
         ring.add_observer(lambda _ring: None)
         system.run(2)
-        assert system.cycle_paths == {("per_cycle", "controller"): 1,
+        assert system.cycle_paths == {("per_cycle", "no_plan"): 1,
                                       ("bulk", "macro"): 2,
                                       ("per_cycle", "direct"): 1,
                                       ("per_cycle", "trace"): 2}
@@ -908,10 +914,10 @@ class TestMacroWindows:
         hits = ring.plan_cache.hits
         system.run(10)
         assert system.cycle_paths == {("per_cycle", "no_plan"): 2,
-                                      ("bulk", "macro"): 19,
-                                      ("bulk", "native"): 9}
-        # The native refusal and the macro kernel.
-        assert ring.plan_cache.hits == hits + 2
+                                      ("bulk", "macro"): 28}
+        # The macro kernel: every window is under the span rule, so
+        # native was never looked up for the configuration.
+        assert ring.plan_cache.hits == hits + 1
 
     def test_native_window_writes_pipelines_in_place(self):
         """Native write-back keeps each pipeline list (macro kernels bind
@@ -940,13 +946,14 @@ class TestMacroWindows:
         ring.config.write_switch_route(1, 0, 1, PortSource.up(0))
         system = RingSystem(ring)
         system.data.add_tap(1, 0)
-        system.run(4)
-        assert ring.native_cycles == 3
+        # A first-time cycle, then a window long enough for native.
+        system.run(1 + NATIVE_MIN_SPAN)
+        assert ring.native_cycles == NATIVE_MIN_SPAN
         ring.dnode(0, 0)._out = 0x12345  # D0.0 never writes OUT
         with pytest.raises(ValueError, match=(
                 r"switch 1 lane 0 must be a 16-bit raw word, "
                 r"got 74565")):
-            system.run(8)
+            system.run(NATIVE_MIN_SPAN)
 
 
 class TestWindowForms:
@@ -1242,9 +1249,14 @@ class TestControllerDifferential:
         system = self._waiting_system(backend="native")
         # 3 + (1 + 299) + 1 + (1 + 49) + 1 controller cycles, 30 drained.
         assert system.run_until_halt(drain=30) == 385
-        # LDI, BUSW, CFGPLANE, WAITI; CFGPLANE, WAITI; HALT execute; the
-        # stall cycles and the drain (a halted controller) run native.
-        assert system.cycle_paths == {("per_cycle", "controller"): 7,
+        # LDI, BUSW, CFGPLANE, WAITI; CFGPLANE, WAITI; HALT run ahead:
+        # the first cycle of each first-time configuration (LDI's and
+        # both CFGPLANEs') steps the fabric alone, BUSW rides a one-cycle
+        # macro window, the WAITIs and HALT ride native windows with the
+        # stall cycles and the drain (a halted controller).
+        assert system.cycle_paths == {("per_cycle", "no_plan"): 3,
+                                      ("ahead", "macro"): 1,
+                                      ("ahead", "native"): 3,
                                       ("bulk", "native"): 299 + 49 + 30}
         state = system.controller.state
         assert (state.cycles, state.retired, state.wait_stalls) == \
@@ -1315,15 +1327,405 @@ class TestControllerDifferential:
         system, meta = build_me_system(block, area,
                                        ring_kwargs={"backend": "native"})
         system.run_until_halt()
-        # 19 batches x 126 WAITI stall cycles run native; the preamble,
-        # the plane flips, the loop and HALT step.
-        assert system.cycle_paths == {("per_cycle", "controller"): 117,
-                                      ("bulk", "native"): 2394}
+        # The controller runs ahead: 19 batches x 126 WAITI stall cycles
+        # run native, with each batch's CFGPLANE and WAITI; the flush,
+        # reset, ADDI, BNE, the preamble and HALT ride macro windows.
+        # In a fresh process the first cycle of a first-time
+        # configuration steps the fabric alone (the initial plane, the
+        # compute plane, and the one-cycle flush plane twice before a
+        # kernel is compiled for it), and the first compute window's
+        # odd length leaves one cycle to macro.
+        assert system.cycle_paths == {("per_cycle", "no_plan"): 5,
+                                      ("ahead", "macro"): 75,
+                                      ("ahead", "native"): 37,
+                                      ("bulk", "macro"): 1,
+                                      ("bulk", "native"): 2393}
+        again, _ = build_me_system(block, area,
+                                   ring_kwargs={"backend": "native"})
+        again.run_until_halt()
+        assert again.cycle_paths == {("ahead", "macro"): 79,
+                                     ("ahead", "native"): 38,
+                                     ("bulk", "native"): 2394}
         sads = [system.data.taps[c % 16].samples[
                     meta["flush_sample_indices"][c // 16]]
                 for c in range(17 * 17)]
         _, _, golden = reference.full_search(block, area)
         assert sads == golden.reshape(-1).tolist()
+
+
+# -- the controller running ahead of the fabric -------------------------
+
+#: Feedback stage 6 is past every ring's pipeline: a route to it is
+#: accepted (it fits the route word) but fails the cycle that reads it.
+_DEEP_TAP = PortSource(PortKind.RP, 6, 1)
+
+
+@st.composite
+def ahead_instructions(draw, dnodes: int, layers: int, width: int,
+                       planes: int, words: int, routes: int):
+    """One instruction of an :func:`ahead_systems` program: the
+    ``controller_programs`` menu, fabric and mailbox reads, mailbox and
+    memory writes, and word-level configuration from the cfg ROM
+    (entries ``0..words-1`` microwords, then *routes* route words)."""
+    reg = st.integers(1, 4)
+    dnode = st.integers(0, dnodes - 1)
+    word = st.integers(0, words - 1)
+    return draw(st.one_of(
+        _simple_instructions(planes),
+        st.builds(lambda rd, rs, imm: Instruction(ROp.ADDI, rd=rd, rs=rs,
+                                                  imm=imm),
+                  reg, reg, st.integers(-3, 3)),
+        st.builds(lambda rd, d: Instruction(ROp.RDD, rd=rd, dnode=d),
+                  reg, dnode),
+        st.builds(lambda rd, ch: Instruction(ROp.INW, rd=rd, ch=ch),
+                  reg, st.integers(0, 1)),
+        st.builds(lambda ch, imm: Instruction(ROp.BFE, ch=ch, imm=imm),
+                  st.integers(0, 1), st.integers(0, 1)),
+        st.builds(lambda rs, ch: Instruction(ROp.OUTW, rs=rs, ch=ch),
+                  reg, st.integers(0, 1)),
+        st.builds(lambda rt, imm: Instruction(ROp.SW, rt=rt, imm=imm),
+                  reg, st.integers(0, 7)),
+        st.builds(lambda rd, imm: Instruction(ROp.LW, rd=rd, imm=imm),
+                  reg, st.integers(0, 7)),
+        st.builds(lambda d, k: Instruction(ROp.CFGDI, dnode=d, cfg=k),
+                  dnode, word),
+        st.builds(lambda d, slot, k: Instruction(ROp.CFGL, dnode=d,
+                                                 slot=slot, cfg=k),
+                  dnode, st.integers(0, 7), word),
+        st.builds(lambda d, n: Instruction(ROp.CFGLIM, dnode=d, limit=n),
+                  dnode, st.integers(1, 8)),
+        st.builds(lambda d, m: Instruction(ROp.CFGMODE, dnode=d, mode=m),
+                  dnode, st.integers(0, 1)),
+        st.builds(lambda d, k, rs: Instruction(ROp.CFGIMM, dnode=d, cfg=k,
+                                               rs=rs),
+                  dnode, word, reg),
+        st.builds(lambda sw, pos, port, k: Instruction(
+                      ROp.CFGS, sw=sw, pos=pos, port=port, cfg=words + k),
+                  st.integers(0, layers - 1), st.integers(0, width - 1),
+                  st.integers(1, 2), st.integers(0, routes - 1))))
+
+
+@st.composite
+def ahead_systems(draw, strict: bool = False):
+    """A :func:`controlled_systems`-shaped case whose controller program
+    plants, at random points, every instruction the run-ahead treats
+    differently: ``RDD``, ``INW``/``BFE`` (mailbox words arrive between
+    chunks), ``OUTW``, ``SW``/``LW``, word-level ``CFGDI``/``CFGL``/
+    ``CFGLIM``/``CFGMODE``/``CFGS``/``CFGIMM`` from a cfg ROM and
+    ``BUSW`` inside counted loops; most programs also hold a failing
+    ``CFGPLANE`` index, a failing ROM index or a ``CFGS`` that routes an
+    out-of-range feedback tap.  Registers 1-4 start nonzero and one
+    tapped Dnode accumulates the bus.  With *strict* the fabric, most
+    planes and most ROM words read no FIFO, but one local program of
+    LIMIT 2-4 pops a FIFO of 1-6 words in one slot, so a strict-FIFO
+    error fires at a random cycle.  Returns the case, the ROM and the
+    mailbox words per chunk."""
+    layers = draw(st.integers(2, 3))
+    width = draw(st.integers(1, 2))
+    shape = dict(min_layers=layers, max_layers=layers, min_width=width,
+                 max_width=width, max_local=4)
+    base = draw(ring_specs(**shape, fifo_loads=not strict,
+                           accumulators=True))
+    if strict or draw(st.booleans()):
+        base = _feed_forward(base)
+    # One global Dnode accumulates the bus, and a tap watches it: a
+    # lagging cycle under the wrong bus, or an RDD of it that runs ahead,
+    # shows.
+    cells = list(base["cells"])
+    k_bus, k = draw(st.permutations(range(len(cells))))[:2]
+    layer, pos, _mw, _local, routes, loads = cells[k_bus]
+    cells[k_bus] = (layer, pos, MicroWord(Opcode.ADD, Source.BUS,
+                                          Source.SELF, Dest.OUT),
+                    None, routes, loads)
+    bus_tap = (layer, pos, 0, 1, None)
+    base = dict(base, cells=cells)
+    if strict:
+        layer, pos, mw, _local, routes, _loads = cells[k]
+        program = [MicroWord(Opcode.ADD, Source.IN1, Source.IMM, Dest.OUT,
+                             imm=j) for j in range(draw(st.integers(2, 4)))]
+        program[draw(st.integers(0, len(program) - 1))] = MicroWord(
+            Opcode.MOV, Source.FIFO1, dst=Dest.OUT, flags=Flag.POP_FIFO1)
+        cells[k] = (layer, pos, mw, program, routes, {1: draw(st.lists(
+            st.integers(0, 0xFFFF), min_size=1, max_size=6))})
+        base = dict(base, cells=cells)
+    quiet = strict and draw(st.integers(0, 3)) > 0
+    planes = []
+    for _ in range(draw(st.integers(1, 2))):
+        spec = draw(ring_specs(**shape, fifo_loads=False,
+                               accumulators=True))
+        if quiet:
+            spec = _feed_forward(spec)
+        planes.append(_plane(spec, complete=draw(st.booleans())))
+    words = [_legal_word(w, width) for w in draw(st.lists(
+        st.one_of(microwords(), accumulator_words()), min_size=1,
+        max_size=4))]
+    if quiet:
+        words = [_no_loop_word(w, fifos=False) for w in words]
+    routes = draw(st.lists(port_sources(width), min_size=1, max_size=3))
+    fault = draw(st.sampled_from((None, "tap", "plane", "rom", None)))
+    if fault == "tap":
+        routes.append(_DEEP_TAP)
+    rom = [encode(w) for w in words] + [encode_route(r) for r in routes]
+    instruction = ahead_instructions(layers * width, layers, width,
+                                     len(planes), len(words), len(routes))
+    program = [Instruction(ROp.LDI, rd=rd, imm=imm) for rd, imm in
+               enumerate(draw(st.lists(st.integers(1, 0xFFFF), min_size=4,
+                                       max_size=4, unique=True)), 1)]
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            program.append(draw(instruction))
+            continue
+        body = draw(st.lists(instruction, min_size=1, max_size=4))
+        program += [Instruction(ROp.LDI, rd=14, imm=draw(st.integers(1, 3))),
+                    Instruction(ROp.LDI, rd=13, imm=0),
+                    *body,
+                    Instruction(ROp.ADDI, rd=14, rs=14, imm=-1),
+                    Instruction(ROp.BNE, rs=14, rt=13,
+                                imm=-(len(body) + 2))]
+    if fault is not None:
+        program.insert(draw(st.integers(0, len(program))), {
+            "plane": Instruction(ROp.CFGPLANE, plane=len(planes)),
+            "rom": Instruction(ROp.CFGDI, dnode=0, cfg=len(rom)),
+            "tap": Instruction(ROp.CFGS, sw=draw(st.integers(0, layers - 1)),
+                               pos=draw(st.integers(0, width - 1)),
+                               port=draw(st.integers(1, 2)),
+                               cfg=len(rom) - 1)}[fault])
+    program.append(Instruction(ROp.HALT))
+    taps = [bus_tap] + draw(st.lists(st.tuples(
+        st.integers(0, layers - 1), st.integers(0, width - 1),
+        st.integers(0, 6), st.integers(1, 4),
+        st.one_of(st.none(), st.integers(0, 40))), max_size=2))
+    streams = draw(st.dictionaries(
+        st.integers(0, 3), st.lists(st.integers(0, 0xFFFF), max_size=40),
+        max_size=3))
+    chunks = draw(st.lists(st.integers(0, 60), max_size=4))
+    mail = [draw(st.lists(st.tuples(st.integers(0, 1),
+                                    st.integers(0, 0xFFFF)), max_size=3))
+            for _ in range(len(chunks) + 1)]
+    rollback = draw(st.integers(0, max(0, len(chunks) - 1)))
+    budget = draw(st.one_of(st.integers(0, 300), st.just(2000)))
+    drain = draw(st.integers(0, 20))
+    case = (base, planes, program, taps, streams, chunks, rollback,
+            budget, drain, False)
+    return case, rom, mail
+
+
+def _ahead_drive(case, rom, mail, per_cycle: bool, traced: bool = False,
+                 **ring_kwargs):
+    """:func:`_drive` for an :func:`ahead_systems` case: the controller
+    gets the cfg ROM, and each chunk's mailbox words (the last entry's
+    before ``run_until_halt``) are sent ahead of it."""
+    system = _controlled_system(case, **ring_kwargs)
+    system.controller.cfg_rom = list(rom)
+    if traced:
+        system.ring.add_observer(lambda _ring: None)
+    chunks, rollback, budget, drain, _ = case[5:]
+
+    def advance(cycles):
+        if per_cycle:
+            for _ in range(cycles):
+                system.step()
+        else:
+            system.run(cycles)
+
+    def send(words):
+        for channel, value in words:
+            system.controller.host_send(channel, value)
+
+    try:
+        for k, chunk in enumerate(chunks):
+            send(mail[k])
+            if k == rollback:
+                saved = system.checkpoint()
+                advance(chunk)
+                system.restore_checkpoint(saved)
+            advance(chunk)
+        send(mail[-1])
+        if per_cycle:
+            _step_until_halt(system, budget, drain)
+        else:
+            system.run_until_halt(max_cycles=budget, drain=drain)
+    except SimulationError as exc:
+        return system, str(exc)
+    return system, None
+
+
+def _ahead_observables(system: RingSystem, error, strict: bool) -> dict:
+    """:func:`_observables` plus the controller's memory and mailboxes;
+    after an error on a strict ring, the :data:`_STRICT_OBSERVABLES`."""
+    got = _observables(system, error)
+    if strict and error is not None:
+        got = {key: got[key] for key in _STRICT_OBSERVABLES}
+    ctrl = system.controller
+    got["memory"] = (list(ctrl.dmem[:8]),
+                     {ch: list(box) for ch, box in ctrl.in_box.items()},
+                     {ch: list(box) for ch, box in ctrl.out_box.items()})
+    return got
+
+
+class TestControllerAhead:
+    """The controller runs ahead of the fabric == per-cycle stepping.
+
+    :meth:`RingSystem.run` steps the controller and lets the fabric lag:
+    its cycles run as one window when a configuration command, a bus
+    change, an instruction that reads the fabric or the mailboxes, or
+    the end of the call forces them.  A failing window puts the
+    controller back on the aborted cycle.  Random programs plant every
+    instruction that matters to that (see :func:`ahead_systems`) and
+    run on strict and lenient rings, on the native ladder, its macro
+    rung in windows and one cycle per kernel call, and a traced ring
+    (which steps every instruction cycle whole), with chunked runs,
+    mailbox words between chunks, a checkpoint rollback and
+    ``run_until_halt`` budgets, against an interpreter system stepped
+    one cycle at a time.
+    """
+
+    @pytest.mark.parametrize("strict", [False, True],
+                             ids=["lenient", "strict"])
+    @pytest.mark.parametrize("column", [
+        "native", "fastpath", "macro", "traced"])
+    @given(data=st.data())
+    @settings(max_examples=40, **_SETTINGS)
+    def test_matches_per_cycle_stepping(self, column, strict, data):
+        case, rom, mail = data.draw(ahead_systems(strict))
+        with rung_seam(column):
+            bulk, bulk_error = _ahead_drive(
+                case, rom, mail, per_cycle=False, traced=column == "traced",
+                backend="native", strict_fifos=strict)
+        spec, spec_error = _ahead_drive(case, rom, mail, per_cycle=True,
+                                        backend="interpreter",
+                                        strict_fifos=strict)
+        assert _ahead_observables(bulk, bulk_error, strict) == \
+            _ahead_observables(spec, spec_error, strict)
+        assert sum(bulk.cycle_paths.values()) >= bulk.cycles
+        if column in ("fastpath", "macro"):
+            assert bulk.ring.native_cycles == 0
+        if column == "traced":
+            assert not any(path == "ahead" for path, _ in bulk.cycle_paths)
+
+    def _strict_reader(self, **ring_kwargs) -> RingSystem:
+        """A LIMIT-2 strict reader on a 2x1 ring with 3 words, under a
+        ``WAITI 50``: the read on cycle 7 finds its FIFO empty."""
+        ring = Ring(RingGeometry(layers=2, width=1), strict_fifos=True,
+                    **ring_kwargs)
+        ring.config.write_local_program(0, 0, [
+            MicroWord(Opcode.MOV, Source.FIFO1, dst=Dest.OUT,
+                      flags=Flag.POP_FIFO1),
+            MicroWord(Opcode.ADD, Source.SELF, Source.IMM, Dest.OUT,
+                      imm=1)])
+        ring.config.write_mode(0, 0, DnodeMode.LOCAL)
+        ring.push_fifo(0, 0, 1, [5, 6, 7])
+        system = RingSystem(ring, RiscController([
+            Instruction(ROp.WAITI, imm=50), Instruction(ROp.HALT)]))
+        system.data.add_tap(0, 0)
+        return system
+
+    def test_window_error_leaves_controller_on_the_aborted_cycle(self):
+        for per_cycle in (False, True):
+            system = self._strict_reader(
+                backend="interpreter" if per_cycle else "native")
+            with pytest.raises(SimulationError, match="empty FIFO1"):
+                if per_cycle:
+                    _step_until_halt(system, 100, 0)
+                else:
+                    system.run_until_halt(max_cycles=100)
+            assert system.cycles == 6
+            assert system.controller.state.cycles == 7
+            assert system.controller.quiet_cycles() == 43
+            assert system.data.taps[0].samples == [5, 6, 6, 7, 7, 8]
+
+    def test_halt_edges_of_the_budget(self):
+        """``run_until_halt`` stops at ``HALT`` and raises past its
+        budget on the same cycle as stepping, also when ``HALT`` is the
+        budget's last cycle or the controller starts halted."""
+        program = [Instruction(ROp.LDI, rd=1, imm=3),
+                   Instruction(ROp.BUSW, rs=1),
+                   Instruction(ROp.WAITI, imm=5),
+                   Instruction(ROp.RDD, rd=2, dnode=1),
+                   Instruction(ROp.HALT)]
+        for budget in range(6, 12):
+            results = []
+            for per_cycle in (False, True):
+                system = RingSystem(
+                    _selfloop_ring(backend="interpreter" if per_cycle
+                                   else "native"),
+                    RiscController(program))
+                system.data.add_tap(1, 0)
+                try:
+                    if per_cycle:
+                        _step_until_halt(system, budget, 3)
+                    else:
+                        system.run_until_halt(max_cycles=budget, drain=3)
+                    error = None
+                except SimulationError as exc:
+                    error = str(exc)
+                results.append(_observables(system, error))
+            assert results[0] == results[1]
+            # HALT executes on cycle 9: a budget of 8 raises after it.
+            assert (results[0]["error"] is None) == (budget >= 9)
+        halted = RingSystem(_selfloop_ring(), RiscController(program))
+        halted.run_until_halt()
+        assert halted.run_until_halt(max_cycles=0, drain=2) == 2
+
+    def test_fabric_reads_step_whole_cycles(self):
+        """``RDD`` reads the fabric the cycle it executes, so its cycle
+        is stepped whole after the lagging cycles ran."""
+        program = [Instruction(ROp.LDI, rd=1, imm=2),
+                   Instruction(ROp.RDD, rd=2, dnode=0),
+                   Instruction(ROp.OUTW, rs=2, ch=0),
+                   Instruction(ROp.HALT)]
+        system = RingSystem(_selfloop_ring(), RiscController(program))
+        system.data.add_tap(0, 0)
+        system.run_until_halt()
+        assert system.cycle_paths[("per_cycle", "controller")] == 1
+        stepped = RingSystem(_selfloop_ring(backend="interpreter"),
+                             RiscController(program))
+        stepped.data.add_tap(0, 0)
+        _step_until_halt(stepped, 100, 0)
+        assert system.controller.host_receive(0) == \
+            stepped.controller.host_receive(0)
+        assert _observables(system, None) == _observables(stepped, None)
+
+    def test_me_search_runs_ahead(self):
+        """After the first op in a process, a full-search match steps no
+        cycle: 58 windows (19 native) and 96 Dnode fingerprints, of the
+        5 first flips of the fresh ring and its initial plane."""
+        from repro.core import dnode as dnode_module
+        from repro.kernels.motion_estimation import full_search_me
+        rng = np.random.default_rng(7)
+        block = rng.integers(0, 256, (8, 8))
+        area = rng.integers(0, 256, (24, 24))
+        full_search_me(block, area)
+        counts = dict.fromkeys(("step", "ring_step", "fingerprint",
+                                "windows", "native"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        run_window = Ring.run_window
+
+        def window(ring, plan, *args, **kwargs):
+            counts["windows"] += 1
+            counts["native"] += plan.rung == "native"
+            return run_window(ring, plan, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(RingSystem, "step",
+                          counted("step", RingSystem.step))
+            patch.setattr(Ring, "step", counted("ring_step", Ring.step))
+            patch.setattr(dnode_module.Dnode, "config_fingerprint",
+                          counted("fingerprint",
+                                  dnode_module.Dnode.config_fingerprint))
+            patch.setattr(Ring, "run_window", window)
+            result = full_search_me(block, area)
+        assert counts == {"step": 0, "ring_step": 0, "fingerprint": 96,
+                          "windows": 58, "native": 19}
+        assert result.cycles == 2511
+        _, _, golden = reference.full_search(block, area)
+        assert result.sad_map.tolist() == golden.tolist()
 
 
 # -- rings sharing the process-wide kernel cache ------------------------
@@ -1422,7 +1824,8 @@ class TestSharedKernelCache:
         assert plancache.KERNELS.misses == misses
         assert shared.ring.native_compiles == 0
         assert profile.interpreted_cycles == 0
-        assert set(shared.cycle_paths) == {("per_cycle", "controller"),
+        assert set(shared.cycle_paths) == {("ahead", "native"),
+                                           ("ahead", "macro"),
                                            ("bulk", "native"),
                                            ("bulk", "macro")}
 
@@ -1554,6 +1957,15 @@ def _busy_instructions():
                   st.integers(1, 4)))
 
 
+def _stepped_instructions():
+    """Mailbox polls that fall through (``BFE`` with offset 0): they
+    read the host mailboxes, so the controller cannot run ahead over
+    them and each of their cycles is stepped whole, and they read
+    nothing that differs between batch lanes."""
+    return st.builds(lambda ch: Instruction(ROp.BFE, ch=ch, imm=0),
+                     st.integers(0, 3))
+
+
 def _taps_and_streams(draw, layers: int, width: int):
     taps = draw(st.lists(st.tuples(
         st.integers(0, layers - 1), st.integers(0, width - 1),
@@ -1568,10 +1980,11 @@ def _taps_and_streams(draw, layers: int, width: int):
 @st.composite
 def stepped_systems(draw):
     """A fabric with one or two local programs of LIMIT 2-8 and a
-    controller that executes an instruction on every cycle of each
-    block, each block at least one period long, with ``WAITI`` spans
-    between them.  Returns a :func:`controlled_systems`-shaped case
-    (no planes, no chunks) and the fabric's period."""
+    controller that polls a mailbox (``BFE``) on every cycle of each
+    block, so each cycle is stepped, each block at least one period
+    long, with ``WAITI`` spans between them.  Returns a
+    :func:`controlled_systems`-shaped case (no planes, no chunks) and
+    the fabric's period."""
     layers = draw(st.integers(2, 3))
     width = draw(st.integers(1, 2))
     spec = draw(ring_specs(min_layers=layers, max_layers=layers,
@@ -1581,7 +1994,7 @@ def stepped_systems(draw):
     period = _spec_period(spec)
     program = []
     for _ in range(draw(st.integers(1, 3))):
-        program += draw(st.lists(_busy_instructions(),
+        program += draw(st.lists(_stepped_instructions(),
                                  min_size=period + 1,
                                  max_size=period + 6))
         program.append(Instruction(ROp.WAITI, imm=draw(st.integers(0, 20))))
@@ -1613,9 +2026,10 @@ def remainder_systems(draw):
 def strict_stepped_systems(draw):
     """A feed-forward fabric with strict FIFOs in which one local
     program of LIMIT 2-8 reads (or only pops) FIFO1 in one slot, 1-6
-    words deep, under a controller that steps every cycle until the
-    queue runs dry.  Every other local program has one slot, so the
-    period stays within native's unroll cap."""
+    words deep, under a controller that polls a mailbox (``BFE``), so
+    steps, every cycle until the queue runs dry.  Every other local
+    program has one slot, so the period stays within native's unroll
+    cap."""
     layers = draw(st.integers(2, 3))
     width = draw(st.integers(1, 2))
     spec = _feed_forward(draw(ring_specs(
@@ -1637,7 +2051,7 @@ def strict_stepped_systems(draw):
     words = draw(st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=6))
     cells[k] = (layer, pos, mw, program, routes, {1: words})
     spec = dict(spec, cells=cells)
-    busy = draw(st.lists(_busy_instructions(),
+    busy = draw(st.lists(_stepped_instructions(),
                          min_size=limit * (len(words) + 2),
                          max_size=limit * (len(words) + 2) + 4))
     taps, streams = _taps_and_streams(draw, layers, width)
@@ -2147,10 +2561,9 @@ def over_cap_systems(draw, strict: bool = False):
 
 #: What a strict-FIFO error leaves comparable: the aborted cycle's
 #: partial fabric state (and the statistics in the metrics) is each
-#: engine's own (see repro.core.macropath), and an error inside a quiet
-#: span's window leaves the controller on the last completed cycle,
-#: where per-cycle stepping has already stepped it into the aborted one.
-_STRICT_OBSERVABLES = ("error", "cycles", "host")
+#: engine's own (see repro.core.macropath); the controller stands on the
+#: aborted cycle, as per-cycle stepping leaves it.
+_STRICT_OBSERVABLES = ("error", "cycles", "host", "controller")
 
 
 class TestOverCapConfigurations:
@@ -2523,16 +2936,43 @@ def _lane_queue_system(case, ring: Ring, lane=None) -> RingSystem:
 
 def _lane_host_state(system: RingSystem, lane: int) -> dict:
     """One lane's host side in a scalar :meth:`DataController
-    .capture_state`'s format."""
+    .capture_state`'s format (a set dry latch included)."""
+    channels = {}
+    for index, ch in system.data._channels.items():
+        channels[index] = {"queue": ch.lane_words(lane),
+                           "delivered": ch.delivered[lane],
+                           "underruns": ch.underruns[lane]}
+        if ch._dry_seen[lane]:
+            channels[index]["dry"] = True
     return {
-        "channels": {
-            index: {"queue": ch.lane_words(lane),
-                    "delivered": ch.delivered[lane],
-                    "underruns": ch.underruns[lane]}
-            for index, ch in system.data._channels.items()},
+        "channels": channels,
         "taps": [{"samples": tap.lane(lane), "seen": tap._seen}
                  for tap in system.data.taps],
     }
+
+
+def _peek_rollback_case() -> dict:
+    """A :func:`lane_queue_systems` case whose last chunk peeks channel
+    0 while one lane is dry, hands off to a fresh system and rolls back
+    over a checkpoint: the restore must keep the dry lane's latch, or
+    the rerun counts that cycle's underrun twice (the case hypothesis
+    seed 11 found)."""
+    reader = MicroWord(Opcode.ADD, Source.FIFO1, Source.IN1, Dest.OUT,
+                       flags=Flag.POP_FIFO1)
+    idle = {1: PortSource.zero(), 2: PortSource.zero()}
+    cells = [(0, 0, reader, None, {1: PortSource.host(0),
+                                   2: PortSource.zero()}, {}),
+             (0, 1, MicroWord(), None, idle, {}),
+             (1, 0, MicroWord(), None, idle, {}),
+             (1, 1, MicroWord(), None, idle, {})]
+    return dict(
+        spec={"layers": 2, "width": 2, "cells": cells}, reader=(0, 0),
+        batch=2, fifos={(l, p, ch): [[], []] for l in range(2)
+                        for p in range(2) for ch in (1, 2)},
+        streams={0: [[], []]}, taps=[(0, 0, 0, 1, None)],
+        chunks=[0, 48, 48], refill=(0, [0], [0]), blocks=False,
+        nonlinear=False, drop_next=None, peek=2, rollback=2, handoff=2,
+        top_up=(0, [[0, 0, 0], [0, 0, 0]], []))
 
 
 class TestLaneQueues:
@@ -2569,6 +3009,7 @@ class TestLaneQueues:
                 for k in range(case["batch"])]
 
     @given(case=lane_queue_systems())
+    @example(case=_peek_rollback_case())
     @settings(max_examples=60, **_SETTINGS)
     def test_every_lane_matches_its_interpreter_run(self, case):
         system = _lane_queue_system(case, self._lanes_ring(case))
