@@ -13,27 +13,23 @@ snapshot that can be re-applied in one shot — that is how the controller's
 ``CFGPLANE`` instruction changes the entire fabric configuration in a
 single cycle.
 
-A whole-plane switch costs what actually changes.  A plane is validated
-once per ring geometry; a *complete* plane (every microword, mode, local
-program and route, as :meth:`ConfigMemory.capture_plane` captures) also
-carries its Dnode, switch and ring fingerprints.  The ring remembers its
-*resident* plane, the last one applied, until any other configuration
-write.  Re-applying the resident plane writes nothing.  A complete plane
-over a complete resident plane writes a memoized per-pair diff, bypasses
-the per-field change hooks, invalidates the ring once and installs its
-fingerprint, so re-adopting a cached plan is one dict lookup.  Any other
-plane writes the listed fields the live fabric does not already hold
-(compared by identity, which is cheap and never skips a needed write),
-then invalidates once.
-
-A partial plane carries no fingerprints, so the ring's must be computed
-afresh after it, hashing every Dnode.  But a plane's effect is fixed by
-what the whole configuration memory held before it, so the fingerprint
-after a flip is memoized per ring under ``(digest of the whole memory,
-plane)`` (:func:`memory_digest`), with the digest after it: a flip seen
-before costs one lookup.  The digest covers every field, including
-what no fingerprint does (a global Dnode's local program, a local
-Dnode's global word), which a later plane may make live again.
+A whole-plane switch costs what actually changes, and one path serves
+every plane.  A ring's configuration memory is a ring-free *state*: each
+Dnode's mode, global microword, local slots and LIMIT, and each switch's
+routes, with the Dnode, switch and ring fingerprints of that content.
+States are interned process-wide by geometry and content, and one bounded
+memo maps ``(state, plane)`` to the next state and the writes that reach
+it.  The ring remembers its state from one plane to the next; after any
+other configuration write (a word-level write, a fault, a restore) it
+captures it again from the live fabric.  A plane is validated once per
+ring geometry; its first application over a state overlays its fields,
+diffs the result by equality and interns it.  Applying it writes only the
+changed Dnodes and switches, bypassing the per-field change hooks with
+each one's fingerprint from the next state, invalidates the ring once and
+installs the ring fingerprint, so re-adopting a cached plan is one dict
+lookup.  A plane that leaves the state as it was (re-applied, or equal to
+what the ring holds) writes and invalidates nothing.  A fresh ring that
+meets a known state and plane computes nothing either.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from repro.core.dnode import (
     dnode_fingerprint,
 )
 from repro.core.isa import MicroWord
-from repro.core.local_controller import NUM_SLOTS, check_limit, check_slot
+from repro.core.local_controller import check_limit, check_slot
 from repro.core.switch import PortSource, routes_fingerprint
 from repro.errors import ConfigurationError
 
@@ -61,13 +57,9 @@ SwitchRouteAddr = Tuple[int, int, int]  # (switch index, position, port)
 
 _FIELDS = ("microwords", "modes", "local_programs", "switch_routes")
 
-#: Resident planes a plane memoizes its diff from (a multiplexing working
-#: set; the memo restarts when a plane meets more than this many).
-_DIFF_MEMO = 8
-
-#: Partial-plane flips a ring memoizes the fingerprint of (the memo
-#: restarts when it holds more).
-_FLIP_MEMO = 64
+#: Plane transitions the process memoizes (the memo and its interned
+#: states restart when it holds more).
+PLANE_MEMO = 256
 
 
 class _Fingerprint(tuple):
@@ -143,18 +135,14 @@ class ConfigPlane:
 class _PlaneLayout:
     """A plane validated for one ring geometry.
 
-    ``cells`` holds ``(layer, pos, microword, mode, program)`` for each
-    Dnode the plane lists, layer-major, with None for a field it leaves
-    alone; ``routes`` holds ``(switch, (((pos, port), source), ...))``
-    for each switch it routes.  A complete plane also has each Dnode's
-    fingerprint (in ``cells`` order), each switch's and the ring's; a
-    partial plane has None there.  ``diffs`` memoizes the writes from
-    each complete layout this one was applied over, keyed by its id and
-    bounded by :data:`_DIFF_MEMO`.
+    ``shape`` is the geometry's ``(layers, width)``; ``cells`` holds
+    ``(layer, pos, microword, mode, program)`` for each Dnode the plane
+    lists, layer-major, with None for a field it leaves alone;
+    ``routes`` holds ``(switch, (((pos, port), source), ...))`` for each
+    switch it routes.
     """
 
-    __slots__ = ("cells", "routes", "dnode_fps", "switch_fps", "fingerprint",
-                 "diffs")
+    __slots__ = ("shape", "cells", "routes")
 
     def __init__(self, plane: ConfigPlane, ring: "Ring"):
         # The setters' own checks in apply order, so a bad plane fails
@@ -184,102 +172,117 @@ class _PlaneLayout:
                                for name in _FIELDS[:3])
                 if fields != (None, None, None):
                     cells.append((layer, pos) + fields)
+        self.shape = (geometry.layers, geometry.width)
         self.cells = tuple(cells)
         self.routes = tuple((si, tuple(sorted(table.items())))
                             for si, table in enumerate(tables) if table)
-        self.diffs: Dict[int, tuple] = {}
-        self.dnode_fps = self.switch_fps = self.fingerprint = None
-        if (all(None not in cell and len(cell[4][0]) == NUM_SLOTS
-                for cell in cells)
-                and len(cells) == geometry.layers * geometry.width
-                and len(plane.switch_routes) == 2 * len(cells)):
-            self.dnode_fps = tuple(
-                dnode_fingerprint(mode, word, *program)
-                for _, _, word, mode, program in cells)
-            self.switch_fps = tuple(routes_fingerprint(table)
-                                    for table in tables)
-            self.fingerprint = _Fingerprint((self.dnode_fps,
-                                             self.switch_fps))
-
-    def diff(self, before: "_PlaneLayout") -> tuple:
-        """The writes that turn the complete layout *before* into this
-        complete one, memoized: ``(dnode_writes, switch_writes)`` of
-        ``(layer, pos, microword, mode, slot_writes, limit,
-        fingerprint)`` and ``(switch, route_writes, fingerprint)``, with
-        None / empty for a field that is equal in both."""
-        # An entry holds *before* itself, so its id cannot be reused by
-        # another layout while the entry lives.
-        memo = self.diffs.get(id(before))
-        if memo is not None:
-            return memo[1]
-        dnode_writes = []
-        for cell, was, fp in zip(self.cells, before.cells, self.dnode_fps):
-            layer, pos, word, mode, (slots, limit) = cell
-            _, _, was_word, was_mode, (was_slots, was_limit) = was
-            write = (None if word == was_word else word,
-                     None if mode is was_mode else mode,
-                     tuple((index, mw) for index, (mw, old)
-                           in enumerate(zip(slots, was_slots)) if mw != old),
-                     None if limit == was_limit else limit)
-            if write != (None, None, (), None):
-                dnode_writes.append((layer, pos) + write + (fp,))
-        switch_writes = []
-        for (si, routes), (_, was), fp in zip(self.routes, before.routes,
-                                              self.switch_fps):
-            changed = tuple(route for route, old in zip(routes, was)
-                            if route[1] != old[1])
-            if changed:
-                switch_writes.append((si, changed, fp))
-        writes = (tuple(dnode_writes), tuple(switch_writes))
-        if len(self.diffs) >= _DIFF_MEMO:
-            self.diffs.clear()
-        self.diffs[id(before)] = (before, writes)
-        return writes
-
-    def write_live(self, ring: "Ring") -> None:
-        """Write every field of the plane that *ring* does not already
-        hold (the same object), quietly, with fingerprints as in
-        :meth:`diff`."""
-        dnodes = ring._dnodes
-        fps = self.dnode_fps
-        for index, (layer, pos, word, mode, program) in enumerate(
-                self.cells):
-            dn = dnodes[layer][pos]
-            if word is dn._global_word:
-                word = None
-            if mode is dn._mode:
-                mode = None
-            slot_writes, limit = (), None
-            if program is not None:
-                slots, limit = program
-                live = dn.local._slots
-                slot_writes = tuple((slot, mw) for slot, mw in enumerate(slots)
-                                    if mw is not live[slot])
-                if limit == dn.local._limit:
-                    limit = None
-            if (word is not None or mode is not None or slot_writes
-                    or limit is not None):
-                dn.rewrite(word, mode, slot_writes, limit,
-                           None if fps is None else fps[index])
-        for si, routes in self.routes:
-            config = ring._switches[si].config
-            live = config._routes
-            changed = tuple(route for route in routes
-                            if live.get(route[0]) is not route[1])
-            if changed:
-                config.rewrite(changed, None if self.switch_fps is None
-                               else self.switch_fps[si])
 
 
-def memory_digest(ring: "Ring") -> "_Fingerprint":
-    """A digest of *ring*'s whole configuration memory: every Dnode's
-    mode, global microword, local slots and LIMIT, and every switch's
-    routes.  Equal digests mean a plane applied over either memory
-    leaves the same configuration."""
-    return _Fingerprint((
+class _State:
+    """A ring-free configuration memory.
+
+    ``cells`` holds ``(mode, microword, slots, limit)`` for each Dnode,
+    layer-major, with every slot; ``routes`` holds each switch's sorted
+    ``((pos, port), source)`` items, explicit ZERO routes included.  A
+    state also carries each Dnode's fingerprint, each switch's and the
+    ring's.  One object exists per geometry and content
+    (:func:`_interned`), so states compare by identity.
+    """
+
+    __slots__ = ("cells", "routes", "dnode_fps", "switch_fps",
+                 "fingerprint")
+
+    def __init__(self, cells: tuple, routes: tuple):
+        self.cells = cells
+        self.routes = routes
+        self.dnode_fps = tuple(dnode_fingerprint(*cell) for cell in cells)
+        self.switch_fps = tuple(routes_fingerprint(dict(items))
+                                for items in routes)
+        self.fingerprint = _Fingerprint((self.dnode_fps, self.switch_fps))
+
+
+# ((layers, width), cells, routes) -> the one state with that content;
+# and (state, layout) -> (next state, dnode writes, switch writes).
+_STATES: Dict[tuple, _State] = {}
+_TRANSITIONS: Dict[tuple, tuple] = {}
+
+
+def forget_states() -> None:
+    """Empty the state and transition memo: the next plane applied to
+    any ring captures its memory and computes its transition afresh."""
+    _STATES.clear()
+    _TRANSITIONS.clear()
+
+
+def _interned(shape: Tuple[int, int], cells: tuple, routes: tuple) -> _State:
+    """The one state of geometry *shape* with this content."""
+    key = (shape, cells, routes)
+    state = _STATES.get(key)
+    if state is None:
+        state = _STATES[key] = _State(cells, routes)
+    return state
+
+
+def _capture(ring: "Ring") -> _State:
+    """The state *ring*'s live configuration memory holds."""
+    return _interned(
+        (ring.geometry.layers, ring.geometry.width),
         tuple((dn._mode, dn._global_word, tuple(dn.local._slots),
                dn.local._limit) for layer in ring._dnodes for dn in layer),
-        tuple(sw.config.fingerprint() for sw in ring._switches)))
+        tuple(tuple(sorted(sw.config._routes.items()))
+              for sw in ring._switches))
+
+
+def _transition(state: _State, layout: _PlaneLayout) -> tuple:
+    """``(next state, dnode_writes, switch_writes)`` of applying
+    *layout* over *state*, memoized.  The writes are ``(layer, pos,
+    microword, mode, slot_writes, limit, fingerprint)`` and ``(switch,
+    route_writes, fingerprint)``, with None / empty for a field the
+    plane leaves as it was."""
+    step = _TRANSITIONS.get((state, layout))
+    if step is not None:
+        return step
+    if len(_TRANSITIONS) >= PLANE_MEMO:
+        forget_states()
+    width = layout.shape[1]
+    cells = list(state.cells)
+    for layer, pos, word, mode, program in layout.cells:
+        index = layer * width + pos
+        was_mode, was_word, slots, limit = cells[index]
+        if program is not None:
+            listed, limit = program
+            slots = tuple(listed) + slots[len(listed):]
+        cells[index] = (was_mode if mode is None else mode,
+                        was_word if word is None else word, slots, limit)
+    routes = list(state.routes)
+    for si, listed in layout.routes:
+        table = dict(routes[si])
+        table.update(listed)
+        routes[si] = tuple(sorted(table.items()))
+    after = _interned(layout.shape, tuple(cells), tuple(routes))
+    dnode_writes = []
+    for layer, pos, *_ in layout.cells:
+        index = layer * width + pos
+        mode, word, slots, limit = after.cells[index]
+        was_mode, was_word, was_slots, was_limit = state.cells[index]
+        write = (None if word == was_word else word,
+                 None if mode is was_mode else mode,
+                 tuple((slot, mw) for slot, (mw, old)
+                       in enumerate(zip(slots, was_slots)) if mw != old),
+                 None if limit == was_limit else limit)
+        if write != (None, None, (), None):
+            dnode_writes.append((layer, pos) + write
+                                + (after.dnode_fps[index],))
+    switch_writes = []
+    for si, listed in layout.routes:
+        was = dict(state.routes[si])
+        changed = tuple(route for route in listed
+                        if was.get(route[0]) != route[1])
+        if changed:
+            switch_writes.append((si, changed, after.switch_fps[si]))
+    step = _TRANSITIONS[(state, layout)] = (
+        after, tuple(dnode_writes), tuple(switch_writes))
+    return step
 
 
 class ConfigMemory:
@@ -293,11 +296,6 @@ class ConfigMemory:
     def __init__(self, ring: "Ring"):
         self._ring = ring
         self.writes = 0  # total configuration words written (A1 ablation)
-        # Partial-plane flips: (memory digest, id(plane)) -> (plane,
-        # digest after, ring fingerprint after); and the digests seen,
-        # interned so that repeated lookups compare by identity.
-        self._flips: Dict[tuple, tuple] = {}
-        self._digests: Dict[_Fingerprint, _Fingerprint] = {}
 
     # Every mutator below lands on a Dnode / LocalController / SwitchConfig
     # setter whose change hook invalidates the ring's pre-decoded fast-path
@@ -365,64 +363,37 @@ class ConfigMemory:
                     routes[(si, pos, port)] = sw.config.source_for(pos, port)
         return ConfigPlane(micro, modes, local, routes)
 
-    def _intern(self, digest: "_Fingerprint") -> "_Fingerprint":
-        """The one digest object kept for *digest*'s content."""
-        return self._digests.setdefault(digest, digest)
-
     def apply_plane(self, plane: ConfigPlane) -> None:
         """Apply a snapshot to the fabric (one-cycle reconfiguration).
 
         Counts as a single configuration write burst: the paper's wide
         configuration path, not per-word controller traffic.  Only the
         fields that differ are written and the ring is invalidated once;
-        re-applying the resident plane writes nothing (see the module
-        docstring).  The per-switch route counters still count every
-        route the plane lists.
+        a plane that changes nothing writes and invalidates nothing (see
+        the module docstring).  The per-switch route counters still
+        count every route the plane lists.
         """
         if not isinstance(plane, ConfigPlane):
             raise ConfigurationError(
                 f"expected ConfigPlane, got {type(plane).__name__}"
             )
         ring = self._ring
-        resident = ring._resident_plane
-        if resident is not None and resident == plane:
-            layout = resident._layout(ring)
-        else:
-            layout = plane._layout(ring)
-            before = None if resident is None else resident._layout(ring)
-            flip = key = None
-            if layout.fingerprint is None:
-                memory = ring._memory
-                if memory is None:
-                    memory = self._intern(memory_digest(ring))
-                key = (memory, id(plane))
-                flip = self._flips.get(key)
-            if (layout.fingerprint is not None and before is not None
-                    and before.fingerprint is not None):
-                dnode_writes, switch_writes = layout.diff(before)
-                for layer, pos, word, mode, slots, limit, fp in dnode_writes:
-                    ring._dnodes[layer][pos].rewrite(word, mode, slots,
-                                                     limit, fp)
-                for si, route_writes, fp in switch_writes:
-                    ring._switches[si].config.rewrite(route_writes, fp)
-            else:
-                layout.write_live(ring)
-            # One invalidation for the whole plane (it also clears the
-            # resident marker and the memory digest), even when nothing
-            # differed.
+        layout = plane._layout(ring)
+        state = ring._state
+        if state is None:
+            state = _capture(ring)
+        after, dnode_writes, switch_writes = _transition(state, layout)
+        if after is not state:
+            dnodes = ring._dnodes
+            for layer, pos, word, mode, slots, limit, fp in dnode_writes:
+                dnodes[layer][pos].rewrite(word, mode, slots, limit, fp)
+            for si, route_writes, fp in switch_writes:
+                ring._switches[si].config.rewrite(route_writes, fp)
+            # One invalidation for the whole plane (it also forgets the
+            # state).
             ring._invalidate_fastpath()
-            if layout.fingerprint is not None:
-                ring._fingerprint = layout.fingerprint
-            else:
-                if flip is None:
-                    if len(self._flips) >= _FLIP_MEMO:
-                        self._flips.clear()
-                        self._digests.clear()
-                    flip = self._flips[key] = (
-                        plane, self._intern(memory_digest(ring)),
-                        ring.config_fingerprint())
-                ring._memory, ring._fingerprint = flip[1], flip[2]
-            ring._resident_plane = plane
+        ring._state = after
+        ring._fingerprint = after.fingerprint
         for si, route_writes in layout.routes:
             ring._switches[si].config.writes += len(route_writes)
         self.writes += 1

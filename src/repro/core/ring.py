@@ -332,16 +332,13 @@ class Ring:
         self._steady: Dict[str, object] = {}
         # Cached config_fingerprint() (None = recompute).
         self._fingerprint = None
-        # Digest of the whole configuration memory, kept only from a
-        # partial-plane flip to the next configuration write (None =
-        # unknown; see repro.core.config_memory).
-        self._memory = None
+        # The configuration memory's interned state, kept from one plane
+        # to the next configuration write (None = capture it again; see
+        # repro.core.config_memory).
+        self._state = None
         # Local controllers of the local-mode Dnodes, whose counters are
         # the entry phase (None = recompute after a configuration write).
         self._locals = None
-        # The last ConfigPlane applied, until any other configuration
-        # write (see repro.core.config_memory).
-        self._resident_plane = None
         self._dnodes: List[List[Dnode]] = [
             [Dnode(layer, pos) for pos in range(geometry.width)]
             for layer in range(geometry.layers)
@@ -833,17 +830,15 @@ class Ring:
         The dropped kernels stay in :attr:`plan_cache`: the next cycle
         looks the new configuration up by fingerprint and re-adopts a
         cached kernel with zero interpreted cycles when it was seen
-        before.  Any configuration write also ends the resident plane's
-        tenure.
+        before.  The ring also forgets its configuration memory's state.
         """
         steady = self._steady
         if any(not isinstance(plan, _Refusal) for plan in steady.values()):
             self.plan_invalidations += 1
         steady.clear()
         self._fingerprint = None
-        self._memory = None
+        self._state = None
         self._locals = None
-        self._resident_plane = None
         self._config_dirty = True
         for listener in self._invalidation_listeners:
             listener()

@@ -28,6 +28,7 @@ the fabric cycle count is what Table 1 compares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -95,8 +96,15 @@ def _deal_candidates(reference_block: np.ndarray, search_area: np.ndarray,
     return ref_stream, cand_stream, (ny, nx), batches
 
 
-def _sad_planes(n_dnodes: int) -> List[ConfigPlane]:
-    """The compute / flush / reset planes flipped by the controller."""
+@lru_cache(maxsize=None)
+def _sad_planes(n_dnodes: int) -> Tuple[ConfigPlane, ...]:
+    """The compute / flush / reset planes flipped by the controller.
+
+    Memoized per Dnode count: the planes are frozen, so every system
+    shares them, each is validated once per process, and a fresh ring's
+    plane switches find their transitions in the process-wide memo of
+    :mod:`repro.core.config_memory`.
+    """
     all_addrs = [divmod(i, 2) for i in range(n_dnodes)]
     compute = ConfigPlane(
         modes={a: DnodeMode.LOCAL for a in all_addrs},
@@ -111,7 +119,7 @@ def _sad_planes(n_dnodes: int) -> List[ConfigPlane]:
         microwords={a: reset_word for a in all_addrs},
         modes={a: DnodeMode.GLOBAL for a in all_addrs},
     )
-    return [compute, flush, reset]
+    return compute, flush, reset
 
 
 def _controller_program(batches: int, compute_cycles: int,

@@ -7,7 +7,7 @@ from contextlib import contextmanager, nullcontext
 import numpy as np
 import pytest
 
-from repro.core import plancache
+from repro.core import config_memory, plancache
 from repro.core import ring as ring_module
 from repro.core.macropath import MacroPlan
 from repro.core.ring import Ring, RingGeometry
@@ -16,12 +16,14 @@ from repro.kernels import wavelet
 
 @pytest.fixture(autouse=True)
 def _fresh_kernel_cache():
-    """Empty the process-wide kernel cache and the lifting-ring memo
-    before every test, so a test that counts compiles or ring builds
-    sees the same caches whatever ran before it (a memo ring's lane
-    engine holds bound plans, which would also skip a test seam)."""
+    """Empty the process-wide kernel cache, the lifting-ring memo and
+    the configuration-state memo before every test, so a test that
+    counts compiles, ring builds or plane transitions sees the same
+    caches whatever ran before it (a memo ring's lane engine holds bound
+    plans, which would also skip a test seam)."""
     plancache.KERNELS.clear()
     wavelet.forget_lifting_rings()
+    config_memory.forget_states()
 
 
 def forget_plans(ring: Ring) -> None:

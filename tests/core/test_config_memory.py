@@ -3,9 +3,11 @@
 import pickle
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import config_memory
 from repro.core.config_memory import ConfigPlane
 from repro.core.dnode import DnodeMode, dnode_fingerprint
 from repro.core.isa import Dest, MicroWord, Opcode, Source
@@ -13,7 +15,7 @@ from repro.core.ring import Ring, RingGeometry
 from repro.core.snapshot import state_digest
 from repro.core.switch import PortSource, routes_fingerprint
 from repro.errors import ConfigurationError
-from repro.kernels.motion_estimation import _sad_planes
+from repro.kernels.motion_estimation import _sad_planes, full_search_me
 from repro.robustness.faults import (CONFIG_KINDS, FaultEvent, FaultInjector,
                                      FaultKind, FaultSite)
 
@@ -206,6 +208,21 @@ class TestResidentPlane:
         # Route counters still count every route the plane lists.
         assert ring.switch(0).config.writes == routes + 2 * 2 * 2
 
+    def test_plane_the_ring_already_holds_writes_nothing(self):
+        ring = _echo_ring(backend="native")
+        ring.run(8, bus=3)
+        plans, invalidations = dict(ring._steady), ring.plan_invalidations
+        hits = ring.plan_cache.hits
+        assert plans and ring._state is None
+        # Never applied before, and listing only what the ring holds.
+        ring.config.apply_plane(ConfigPlane(
+            microwords={(0, 0): ring.dnode(0, 0).global_word},
+            modes={(1, 1): DnodeMode.GLOBAL}))
+        assert ring._steady == plans
+        assert ring.plan_invalidations == invalidations
+        assert ring.plan_cache.hits == hits
+        assert ring._state is config_memory._capture(ring)
+
     def test_switching_between_complete_planes_readopts_in_one_lookup(self):
         ring = _echo_ring(backend="native")
         add = ring.config.capture_plane()
@@ -336,7 +353,8 @@ def _config_faults(draw, layers: int, width: int):
 def plane_sequences(draw):
     """A fabric, a pool of complete planes and a sequence of steps over
     them: complete, copied and partial planes, re-applies of the last
-    plane, single-field writes, config faults and short runs."""
+    plane, single-field writes, config faults, short runs and fresh
+    rings."""
     layers = draw(st.integers(2, 3))
     width = draw(st.integers(1, 2))
     shape = dict(min_layers=layers, max_layers=layers, min_width=width,
@@ -346,8 +364,8 @@ def plane_sequences(draw):
             for _ in range(draw(st.integers(1, 3)))]
     steps = []
     for _ in range(draw(st.integers(1, 14))):
-        kind = draw(st.sampled_from(["complete", "copy", "partial",
-                                     "resident", "write", "fault", "run"]))
+        kind = draw(st.sampled_from(["complete", "copy", "partial", "again",
+                                     "write", "fault", "run", "fresh"]))
         if kind in ("complete", "copy"):
             plane = draw(st.sampled_from(pool))
             if kind == "copy":
@@ -355,8 +373,8 @@ def plane_sequences(draw):
             steps.append(("plane", plane))
         elif kind == "partial":
             steps.append(("plane", draw(_partial_planes(layers, width))))
-        elif kind == "resident":
-            steps.append(("resident",))
+        elif kind in ("again", "fresh"):
+            steps.append((kind,))
         elif kind == "write":
             steps.append(("write", draw(_single_writes(layers, width))))
         elif kind == "fault":
@@ -381,8 +399,26 @@ def _observe(ring: Ring) -> tuple:
     )
 
 
+def _play(ring: Ring, step: tuple, fieldwise: bool = False) -> None:
+    """One generated step on *ring*; with *fieldwise* a plane goes
+    through every setter instead of ``apply_plane``."""
+    if step[0] == "plane":
+        if fieldwise:
+            _apply_fieldwise(ring, step[1])
+        else:
+            ring.config.apply_plane(step[1])
+    elif step[0] == "write":
+        method, *args = step[1]
+        getattr(ring.config, method)(*args)
+    elif step[0] == "fault":
+        FaultInjector(ring, seed=0, kinds=CONFIG_KINDS).inject(step[1])
+    else:
+        _, cycles, bus = step
+        ring.run(cycles, bus=bus, host_in=_host)
+
+
 class TestPlaneApplyDifferential:
-    """``apply_plane`` (resident no-op, memoized diff, live diff) on a
+    """``apply_plane`` (one memoized step between interned states) on a
     native ring == every field through its setter on an interpreter
     ring, after every step of a random configuration sequence."""
 
@@ -392,28 +428,25 @@ class TestPlaneApplyDifferential:
         base, steps = case
         fast = build_ring(base, backend="native")
         spec = build_ring(base, backend="interpreter")
-        last = None
+        played, last = [], None
         for step in steps:
-            if step[0] == "resident":
-                if last is None:
-                    continue
-                step = ("plane", last)
-            if step[0] == "plane":
-                last = step[1]
-                fast.config.apply_plane(last)
-                _apply_fieldwise(spec, last)
-            elif step[0] == "write":
-                method, *args = step[1]
-                for ring in (fast, spec):
-                    getattr(ring.config, method)(*args)
-            elif step[0] == "fault":
-                for ring in (fast, spec):
-                    FaultInjector(ring, seed=0, kinds=CONFIG_KINDS).inject(
-                        step[1])
+            if step[0] == "fresh":
+                # A second ring replays the steps so far: its plane
+                # switches meet the states and transitions the first
+                # one interned.
+                fast = build_ring(base, backend="native")
+                for earlier in played:
+                    _play(fast, earlier)
             else:
-                _, cycles, bus = step
-                for ring in (fast, spec):
-                    ring.run(cycles, bus=bus, host_in=_host)
+                if step[0] == "again":
+                    if last is None:
+                        continue
+                    step = ("plane", last)
+                if step[0] == "plane":
+                    last = step[1]
+                _play(fast, step)
+                _play(spec, step, fieldwise=True)
+                played.append(step)
             assert _observe(fast) == _observe(spec)
             assert fast.config_fingerprint() == \
                 _recomputed_fingerprint(fast) == spec.config_fingerprint()
@@ -421,3 +454,45 @@ class TestPlaneApplyDifferential:
                 assert dn.config_fingerprint() == dnode_fingerprint(
                     dn.mode, dn.global_word, dn.local.slots(),
                     dn.local.limit)
+
+    def test_geometries_never_share_a_state(self):
+        plane = ConfigPlane(
+            microwords={(layer, 0): mw(layer) for layer in range(8)},
+            modes={(1, 0): DnodeMode.LOCAL},
+            local_programs={(1, 0): ((mw(1), mw(2)), 2)},
+            switch_routes={(1, 0, 1): PortSource.up(0)})
+        rings = []
+        for width in (2, 1):
+            geometry = RingGeometry.ring(16, width=width)
+            ring, spec = Ring(geometry), Ring(geometry,
+                                              backend="interpreter")
+            ring.config.apply_plane(plane)
+            _apply_fieldwise(spec, plane)
+            assert ring.config.capture_plane() == spec.config.capture_plane()
+            assert ring.config_fingerprint() == \
+                _recomputed_fingerprint(ring)
+            rings.append(ring)
+        wide, tall = rings
+        assert wide._state is not tall._state
+        assert wide._state.fingerprint != tall._state.fingerprint
+
+    def test_second_me_system_captures_once_and_computes_nothing(
+            self, monkeypatch):
+        rng = np.random.default_rng(7)
+        block = rng.integers(0, 256, (8, 8))
+        area = rng.integers(0, 256, (24, 24))
+        first = full_search_me(block, area)
+        captures = []
+        capture = config_memory._capture
+
+        def counted(ring):
+            captures.append(capture(ring))
+            return captures[-1]
+        monkeypatch.setattr(config_memory, "_capture", counted)
+        transitions = dict(config_memory._TRANSITIONS)
+        second = full_search_me(block, area)
+        # The preloaded local programs are word-level writes: the first
+        # CFGPLANE captures the memory, which the first op interned.
+        assert len(captures) == 1
+        assert config_memory._TRANSITIONS == transitions
+        assert second.sad_map.tolist() == first.sad_map.tolist()

@@ -1019,8 +1019,7 @@ def _plane(spec: dict, complete: bool = False) -> ConfigPlane:
 
     By default the plane lists only what the spec writes (a partial
     plane).  With *complete* it is captured from a scratch ring, so it
-    covers every field and ``CFGPLANE`` takes the resident-plane and
-    memoized-diff paths of ``apply_plane``.
+    covers every field and ``apply_plane`` sets the whole memory.
     """
     if complete:
         return build_ring(spec, backend="interpreter").config.capture_plane()
@@ -1688,8 +1687,9 @@ class TestControllerAhead:
 
     def test_me_search_runs_ahead(self):
         """After the first op in a process, a full-search match steps no
-        cycle: 58 windows (19 native) and 96 Dnode fingerprints, of the
-        5 first flips of the fresh ring and its initial plane."""
+        cycle: 58 windows (19 native) and 16 Dnode fingerprints, of the
+        fresh ring's initial configuration; its plane switches take
+        theirs from the process-wide state memo."""
         from repro.core import dnode as dnode_module
         from repro.kernels.motion_estimation import full_search_me
         rng = np.random.default_rng(7)
@@ -1721,7 +1721,7 @@ class TestControllerAhead:
                                   dnode_module.Dnode.config_fingerprint))
             patch.setattr(Ring, "run_window", window)
             result = full_search_me(block, area)
-        assert counts == {"step": 0, "ring_step": 0, "fingerprint": 96,
+        assert counts == {"step": 0, "ring_step": 0, "fingerprint": 16,
                           "windows": 58, "native": 19}
         assert result.cycles == 2511
         _, _, golden = reference.full_search(block, area)

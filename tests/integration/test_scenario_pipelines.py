@@ -181,9 +181,10 @@ class TestPlaneMemo:
         assert first.outputs == second.outputs == SYNTH_GOLDEN
         assert first.stage_outputs == second.stage_outputs
         assert len(captured) == 2
-        # Both rings ended on the echo plane: the same object.
-        assert rings[0]._resident_plane is rings[1]._resident_plane
-        assert rings[0]._resident_plane is captured[1]
+        # Both rings ended on the echo plane: one interned state.
+        assert rings[0]._state is not None
+        assert rings[0]._state is rings[1]._state
+        assert rings[0].config.capture_plane() == captured[1]
 
     def test_other_gains_and_fcws_get_their_own_planes(self, captured):
         run_synth_voice(ENVELOPE[:32], FCW_A, FCW_B, ECHO_GAIN, chunk=16)
